@@ -72,7 +72,8 @@ def gs_bound(rates: ErrorProfile | Iterable[float]) -> float:
     values = rates.rates if isinstance(rates, ErrorProfile) else tuple(rates)
     if not values:
         raise ValueError("empty rate list")
-    return 4.0 * sum(values) / len(values)
+    # Start from -0.0, the additive identity, so a lone -0.0 rate keeps its sign.
+    return 4.0 * sum(values, -0.0) / len(values)
 
 
 def feller_bound(n: int, m: int, e: float) -> float:
@@ -92,6 +93,10 @@ def chernoff_mu_bound(mu: float, m: int) -> float:
         raise ValueError(f"m={m} must be at least 1")
     if not 0.0 < mu < m:
         raise DomainError(f"inapplicable: mu={mu} outside (0, {m})")
+    return _chernoff_mu(mu, m)
+
+
+def _chernoff_mu(mu: float, m: int) -> float:
     return math.exp((m - mu) + m * math.log(mu / m))
 
 
@@ -189,18 +194,17 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
         raise ValueError(f"unknown kz_policy {kz_policy!r}")
     n, m, e = inputs.n, inputs.m, inputs.e_bar
     r = inputs.r
-    gs = 4.0 * e
+    gs = gs_bound((e,))
     try:
         feller = feller_bound(n, m, e)
     except DomainError:
         feller = None
     lam = chernoff_lambda(r, e)
     omega = omega_factor(r, e)
-    chern = lam**n
     mu = inputs.mu_value
     # The mu-form expression stays a valid (if trivial) bound outside
     # (0, m); evaluate it whenever it is defined so the report is complete.
-    chernoff_mu = math.exp((m - mu) + m * math.log(mu / m)) if mu > 0.0 else 0.0
+    chernoff_mu = _chernoff_mu(mu, m) if mu > 0.0 else 0.0
 
     kz = None
     kz_reason = None
@@ -221,7 +225,7 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
         gs=gs,
         feller=feller,
         chernoff_mu=chernoff_mu,
-        chernoff_lambda=chern,
+        chernoff_lambda=chernoff_bound(n, m, e),
         kz=kz,
         lam=lam,
         omega=omega,

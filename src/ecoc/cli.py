@@ -73,6 +73,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, help="uniform correlation coefficient")
 
 
+def _add_orientation_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--orientation",
+        choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT),
+        default=cm.DEFAULT_ORIENTATION,
+    )
+
+
 def _require(args, names: list[str]) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
@@ -99,22 +107,6 @@ def _build_model(args) -> pe.DependenceModel:
     return pe.ExchangeableModel(args.n, args.ebar, args.c)
 
 
-def _model_pmf(model: pe.DependenceModel, k: int) -> float:
-    if isinstance(model, pe.Independent):
-        return pe.poisson_binomial_pmf(model.profile, k)
-    if isinstance(model, pe.PairModel):
-        return pe.pair_correlated_pmf(model, k)
-    return pe.exchangeable_pmf(model.n, k, model.e_bar, model.c)
-
-
-def _model_tail(model: pe.DependenceModel, m: int) -> float:
-    if isinstance(model, pe.Independent):
-        return pe.tail_independent(model.profile, m)
-    if isinstance(model, pe.PairModel):
-        return sum(pe.pair_correlated_pmf(model, k) for k in range(m, model.n + 1))
-    return pe.exchangeable_tail(model.n, m, model.e_bar, model.c)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -138,10 +130,13 @@ def cmd_code(args) -> int:
 
 def cmd_pmf(args) -> int:
     model = _build_model(args)
+    if args.k is not None and not 0 <= args.k <= model.n:
+        raise ValueError(f"k={args.k} outside 0..{model.n}")
+    pmf = model.count_pmf().tolist()
     if args.k is not None:
-        _emit(_scalar_output("pmf", _model_pmf(model, args.k), args.format), args.out)
+        _emit(_scalar_output("pmf", pmf[args.k], args.format), args.out)
         return 0
-    rows = [{"k": k, "pmf": _model_pmf(model, k)} for k in range(model.n + 1)]
+    rows = [{"k": k, "pmf": p} for k, p in enumerate(pmf)]
     if args.format == "json":
         _emit(json.dumps({"pmf": rows}, indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -153,7 +148,7 @@ def cmd_pmf(args) -> int:
 
 def cmd_tail(args) -> int:
     model = _build_model(args)
-    _emit(_scalar_output("tail", _model_tail(model, args.m), args.format), args.out)
+    _emit(_scalar_output("tail", model.tail(args.m), args.format), args.out)
     return 0
 
 
@@ -258,20 +253,7 @@ def cmd_analyze(args) -> int:
         header = ("fold", "e_bar", "corr", "experimental", "gs", "chernoff", "kz")
         lines.append("  ".join(f"{h:>12}" for h in header))
         for row in xio.report_rows(summaries, reports):
-            lines.append(
-                "  ".join(
-                    f"{_fmt(v):>12}"
-                    for v in (
-                        row["fold"],
-                        row["mean_bit_error"],
-                        row["mean_correlation"],
-                        row["experimental"],
-                        row["gs"],
-                        row["chernoff"],
-                        row["kz"],
-                    )
-                )
-            )
+            lines.append("  ".join(f"{_fmt(row[c]):>12}" for c in xio.REPORT_COLUMNS))
         for label, pick in (("mean", "mean"), ("std", "std")):
             lines.append(
                 "  ".join(
@@ -347,11 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("code", help="build a code matrix")
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument(
-        "--orientation",
-        choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT),
-        default=cm.DEFAULT_ORIENTATION,
-    )
+    _add_orientation_flag(p)
     p.add_argument("--emit", action="store_true", help="print the serialized matrix")
     common(p)
     p.set_defaults(func=cmd_code)
@@ -396,11 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--orientation",
-        choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT),
-        default=cm.DEFAULT_ORIENTATION,
-    )
+    _add_orientation_flag(p)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -412,11 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, help="number of classes (raw/summary)")
     p.add_argument("--n", type=int, help="override codeword length in bound formulas")
     p.add_argument("--kz-policy", choices=("gated", "always"), default="gated")
-    p.add_argument(
-        "--orientation",
-        choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT),
-        default=cm.DEFAULT_ORIENTATION,
-    )
+    _add_orientation_flag(p)
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -429,11 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="fold-summary CSV (scatter)")
     p.add_argument("--classes", type=int)
     p.add_argument("--n", type=int, help="override codeword length")
-    p.add_argument(
-        "--orientation",
-        choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT),
-        default=cm.DEFAULT_ORIENTATION,
-    )
+    _add_orientation_flag(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_figures)
 

@@ -27,7 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundInputs, BoundReport, evaluate_bounds
+from .bounds import (
+    BoundInputs,
+    BoundReport,
+    chernoff_bound,
+    chernoff_lambda,
+    evaluate_bounds,
+    gs_bound,
+    kz_value,
+)
 from .code_matrix import CodeMatrix, build_code_matrix
 from .errors import ParseError
 
@@ -581,8 +589,6 @@ def figure_one_curves(
     each n the difference chernoff - gs changes sign exactly once on the
     grid: the decay bound wins at small e_bar and loses near e_bar = r.
     """
-    from .bounds import chernoff_lambda
-
     if not 0.0 < r < 1.0:
         raise ValueError(f"r={r} outside (0, 1)")
     grid = np.arange(step, r, step)
@@ -594,7 +600,7 @@ def figure_one_curves(
                 {
                     "n": n,
                     "e_bar": e,
-                    "gs": 4.0 * e,
+                    "gs": gs_bound((e,)),
                     "chernoff": chernoff_lambda(r, e) ** n,
                 }
             )
@@ -614,8 +620,6 @@ def scatter_figure_data(
     The curve's correlation-corrected bound uses the pooled mean correlation
     across folds; fold rows carry each fold's own bound values.
     """
-    from .bounds import chernoff_lambda, kz_value
-
     if not summaries:
         raise ValueError("no fold summaries")
     e_vals = [s.mean_bit_error for s in summaries]
@@ -631,8 +635,8 @@ def scatter_figure_data(
         curve_rows.append(
             {
                 "e_bar": e,
-                "gs": 4.0 * e,
-                "chernoff": chernoff_lambda(r, e) ** n,
+                "gs": gs_bound((e,)),
+                "chernoff": chernoff_bound(n, m, e),
                 "kz": kz_value(n, m, e, pooled_c),
             }
         )
@@ -643,8 +647,8 @@ def scatter_figure_data(
                 "fold": s.fold_id,
                 "mean_bit_error": s.mean_bit_error,
                 "experimental": s.ecoc_error,
-                "gs": 4.0 * s.mean_bit_error,
-                "chernoff": chernoff_lambda(r, s.mean_bit_error) ** n,
+                "gs": gs_bound((s.mean_bit_error,)),
+                "chernoff": chernoff_bound(n, m, s.mean_bit_error),
                 "kz": kz_value(n, m, s.mean_bit_error, s.mean_correlation),
             }
         )

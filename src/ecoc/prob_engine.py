@@ -3,10 +3,13 @@
 Three dependence structures are supported: fully independent classifiers
 (Poisson binomial), independent classifiers except for one correlated pair
 (specified by the pair's joint error probability f), and fully exchangeable
-classifiers with a uniform second-order correlation coefficient c.  Every
-distribution comes with both an efficient route (dynamic programming,
-two-stage recursion, or closed form) and a brute-force enumeration oracle
-over all 2^n outcomes for cross-checking.
+classifiers with a uniform second-order correlation coefficient c.
+
+Each model type offers the same four methods: count_pmf() (the error-count
+distribution by an efficient route: dynamic programming, two-stage
+recursion, or closed form), tail(m), sample(rng, count) and joint_mass(bits)
+(the joint law of whole outcomes, which the brute-force enumeration oracle
+over all 2^n outcomes sums for cross-checking).
 """
 
 from __future__ import annotations
@@ -75,6 +78,20 @@ class Independent:
     def n(self) -> int:
         return self.profile.n
 
+    def count_pmf(self) -> np.ndarray:
+        return poisson_binomial_dist(self.profile)
+
+    def tail(self, m: int) -> float:
+        return tail_independent(self.profile, m)
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        rates = np.asarray(self.profile.rates)
+        return (rng.random((count, self.n)) < rates).astype(np.uint8)
+
+    def joint_mass(self, bits: np.ndarray) -> np.ndarray:
+        rates = np.asarray(self.profile.rates)
+        return np.where(bits, rates, 1.0 - rates).prod(axis=1)
+
 
 @dataclass(frozen=True)
 class PairModel:
@@ -106,6 +123,56 @@ class PairModel:
         f = min(max(self.f, max(0.0, e1 + e2 - 1.0)), min(e1, e2))
         return (f, e1 - f, e2 - f, 1.0 - e1 - e2 + f)
 
+    def count_pmf(self) -> np.ndarray:
+        """Conditioning on the pair's four joint cells reduces to the
+        error-count distribution q of the first n-2 independent classifiers:
+
+            p(k) = P11 * q(k-2) + (P10 + P01) * q(k-1) + P00 * q(k)
+
+        where terms with out-of-range index vanish.
+        """
+        n = self.n
+        p11, p10, p01, p00 = self.joint_cells
+        # q_pad[j + 2] = q(j) for j = -2..n.
+        q_pad = np.zeros(n + 3)
+        if n == 2:
+            q_pad[2] = 1.0
+        else:
+            q_pad[2:-2] = poisson_binomial_dist(ErrorProfile(self.profile.rates[:-2]))
+        return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
+
+    def tail(self, m: int) -> float:
+        _check_count("m", m, self.n)
+        # Summed left to right; numpy's pairwise sum can differ in the last bit.
+        return sum(self.count_pmf()[m:].tolist())
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        n = self.n
+        rates = np.asarray(self.profile.rates[:-2])
+        bits = np.zeros((count, n), dtype=np.uint8)
+        if n > 2:
+            bits[:, :-2] = rng.random((count, n - 2)) < rates
+        p11, p10, p01, _ = self.joint_cells
+        u = rng.random(count)
+        bits[:, -2] = u < p11 + p10
+        bits[:, -1] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
+        return bits
+
+    def joint_mass(self, bits: np.ndarray) -> np.ndarray:
+        rates = np.asarray(self.profile.rates[:-2])
+        probs = np.where(bits[:, :-2], rates, 1.0 - rates).prod(axis=1)
+        p11, p10, p01, p00 = self.joint_cells
+        cell = np.select(
+            [
+                bits[:, -2] & bits[:, -1],
+                bits[:, -2] & ~bits[:, -1],
+                ~bits[:, -2] & bits[:, -1],
+            ],
+            [p11, p10, p01],
+            default=p00,
+        )
+        return probs * cell
+
 
 @dataclass(frozen=True)
 class ExchangeableModel:
@@ -121,6 +188,8 @@ class ExchangeableModel:
             raise ModelError("exchangeable model needs n >= 2")
         if not (0.0 < self.e_bar < 1.0):
             raise ModelError(f"e_bar={self.e_bar} must lie strictly inside (0, 1)")
+        if not math.isfinite(self.c):
+            raise ModelError(f"c={self.c} must be finite")
         # Validity is checked on the induced outcome weights themselves: the
         # published correlation range is exact on the positive side but too
         # permissive below when e_bar < 1/2.
@@ -135,6 +204,34 @@ class ExchangeableModel:
     def profile(self) -> ErrorProfile:
         return ErrorProfile.iid(self.n, self.e_bar)
 
+    def count_pmf(self) -> np.ndarray:
+        n, e = self.n, self.e_bar
+        w = _outcome_weights(n, e, self.c)
+        return np.array(
+            [binomial_pmf(n, k, e) * max(float(w[k]), 0.0) for k in range(n + 1)]
+        )
+
+    def tail(self, m: int) -> float:
+        return exchangeable_tail(self.n, m, self.e_bar, self.c)
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        # Outcome probability depends on the error vector only through its
+        # count k, so draw k first and then a uniformly random k-subset of
+        # positions (the positions of the k smallest of n iid uniforms).
+        n = self.n
+        pmf = self.count_pmf()
+        pmf /= pmf.sum()
+        ks = rng.choice(n + 1, size=count, p=pmf)
+        u = rng.random((count, n))
+        ranks = u.argsort(axis=1).argsort(axis=1)
+        return (ranks < ks[:, None]).astype(np.uint8)
+
+    def joint_mass(self, bits: np.ndarray) -> np.ndarray:
+        n, e = self.n, self.e_bar
+        k = bits.sum(axis=1)
+        w = np.clip(_outcome_weights(n, e, self.c), 0.0, None)
+        return e**k * (1.0 - e) ** (n - k) * w[k]
+
 
 DependenceModel = Independent | PairModel | ExchangeableModel
 
@@ -146,6 +243,11 @@ def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
     non-negative.
     """
     return max(0.0, e1 + e2 - 1.0), min(e1, e2)
+
+
+def _check_count(name: str, value: int, n: int) -> None:
+    if not 0 <= value <= n:
+        raise ValueError(f"{name}={value} outside 0..{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +271,7 @@ def poisson_binomial_dist(profile: ErrorProfile) -> np.ndarray:
 
 def poisson_binomial_pmf(profile: ErrorProfile, k: int) -> float:
     """Probability that exactly k of the n classifiers err."""
-    if not 0 <= k <= profile.n:
-        raise ValueError(f"k={k} outside 0..{profile.n}")
+    _check_count("k", k, profile.n)
     return float(poisson_binomial_dist(profile)[k])
 
 
@@ -195,8 +296,7 @@ def tail_independent(profile: ErrorProfile, m: int) -> float:
 
     m = 0 is accepted as a degenerate input and returns 1.
     """
-    if not 0 <= m <= profile.n:
-        raise ValueError(f"m={m} outside 0..{profile.n}")
+    _check_count("m", m, profile.n)
     if m == 0:
         return 1.0
     return float(poisson_binomial_dist(profile)[m:].sum())
@@ -204,8 +304,7 @@ def tail_independent(profile: ErrorProfile, m: int) -> float:
 
 def tail_iid(n: int, m: int, e: float) -> float:
     """Probability that at least m of n iid classifiers err."""
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} outside 0..{n}")
+    _check_count("m", m, n)
     return _tail_iid_ext(n, m, e)
 
 
@@ -224,29 +323,10 @@ def _tail_iid_ext(n: int, m: int, e: float) -> float:
 
 
 def pair_correlated_pmf(model: PairModel, k: int) -> float:
-    """Probability of exactly k errors with the last two classifiers paired.
-
-    Conditioning on the pair's four joint cells reduces to the error-count
-    distribution of the remaining n-2 independent classifiers:
-
-        p(k) = f * q(k-2) + (P10 + P01) * q(k-1) + P00 * q(k)
-
-    where q is the Poisson binomial pmf of the first n-2 rates and terms with
-    out-of-range index vanish.
-    """
-    n = model.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    p11, p10, p01, p00 = model.joint_cells
-    if n == 2:
-        sub = np.array([1.0])
-    else:
-        sub = poisson_binomial_dist(ErrorProfile(model.profile.rates[:-2]))
-
-    def q(j: int) -> float:
-        return float(sub[j]) if 0 <= j <= n - 2 else 0.0
-
-    return p11 * q(k - 2) + (p10 + p01) * q(k - 1) + p00 * q(k)
+    """Probability of exactly k errors with the last two classifiers paired;
+    see PairModel.count_pmf."""
+    _check_count("k", k, model.n)
+    return float(model.count_pmf()[k])
 
 
 def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
@@ -260,8 +340,7 @@ def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
     """
     if n < 2:
         raise ValueError(f"n={n} must be at least 2")
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} outside 0..{n}")
+    _check_count("m", m, n)
     lo, hi = pair_f_range(e, e)
     if not (lo - WEIGHT_SLACK <= f <= hi + WEIGHT_SLACK):
         raise ModelError(f"f={f} outside [{lo}, {hi}] for iid rate {e}")
@@ -287,10 +366,8 @@ def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
 def exchangeable_pmf(n: int, k: int, e: float, c: float) -> float:
     """Probability of exactly k errors in the exchangeable model."""
     model = ExchangeableModel(n, e, c)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    w = max(_outcome_weights(n, e, c)[k], 0.0)
-    return binomial_pmf(n, k, e) * float(w)
+    _check_count("k", k, n)
+    return float(model.count_pmf()[k])
 
 
 def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:
@@ -304,8 +381,7 @@ def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:
     which agrees with summing exchangeable_pmf over k >= m.
     """
     ExchangeableModel(n, e, c)
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} outside 0..{n}")
+    _check_count("m", m, n)
     if m == 0:
         return 1.0
     correction = (
@@ -359,36 +435,6 @@ def enumerate_outcomes(model: DependenceModel) -> dict[int, float]:
     for start in range(0, 1 << n, block):
         idx = np.arange(start, start + block, dtype=np.int64)
         bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-        totals += _outcome_mass(model, bits)
+        mass = model.joint_mass(bits)
+        totals += np.bincount(bits.sum(axis=1), weights=mass, minlength=n + 1)
     return {k: float(totals[k]) for k in range(n + 1)}
-
-
-def _outcome_mass(model: DependenceModel, bits: np.ndarray) -> np.ndarray:
-    """Sum of joint probabilities of the given outcomes, bucketed by error
-    count."""
-    n = bits.shape[1]
-    k = bits.sum(axis=1)
-    if isinstance(model, Independent):
-        rates = np.asarray(model.profile.rates)
-        probs = np.where(bits, rates, 1.0 - rates).prod(axis=1)
-    elif isinstance(model, PairModel):
-        rates = np.asarray(model.profile.rates[:-2])
-        probs = np.where(bits[:, :-2], rates, 1.0 - rates).prod(axis=1)
-        p11, p10, p01, p00 = model.joint_cells
-        cell = np.select(
-            [
-                bits[:, -2] & bits[:, -1],
-                bits[:, -2] & ~bits[:, -1],
-                ~bits[:, -2] & bits[:, -1],
-            ],
-            [p11, p10, p01],
-            default=p00,
-        )
-        probs = probs * cell
-    elif isinstance(model, ExchangeableModel):
-        e = model.e_bar
-        w = np.clip(_outcome_weights(n, e, model.c), 0.0, None)
-        probs = e**k * (1.0 - e) ** (n - k) * w[k]
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return np.bincount(k, weights=probs, minlength=n + 1)

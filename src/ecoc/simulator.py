@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_matrix import CodeMatrix
-from .prob_engine import (
-    DependenceModel,
-    ExchangeableModel,
-    Independent,
-    PairModel,
-    exchangeable_pmf,
-)
+from .prob_engine import DependenceModel
 
 DEFAULT_SEED = 60428  # 0xEC0C
 
@@ -50,6 +44,8 @@ class SimConfig:
             raise ValueError(f"workers={self.workers} must be at least 1")
         if self.mode not in (MODE_THRESHOLD, MODE_FULL_DECODE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed={self.seed} outside [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -61,45 +57,13 @@ class SimResult:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_outcome(model: DependenceModel, rng: np.random.Generator) -> np.ndarray:
     """One error vector of length n drawn from the model's joint law."""
-    return _sample_block(model, rng, 1)[0]
-
-
-def _sample_block(
-    model: DependenceModel, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """(count, n) uint8 error vectors."""
-    n = model.n
-    if isinstance(model, Independent):
-        rates = np.asarray(model.profile.rates)
-        return (rng.random((count, n)) < rates).astype(np.uint8)
-    if isinstance(model, PairModel):
-        rates = np.asarray(model.profile.rates[:-2])
-        bits = np.zeros((count, n), dtype=np.uint8)
-        if n > 2:
-            bits[:, :-2] = rng.random((count, n - 2)) < rates
-        p11, p10, p01, _ = model.joint_cells
-        u = rng.random(count)
-        bits[:, -2] = u < p11 + p10
-        bits[:, -1] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
-        return bits
-    if isinstance(model, ExchangeableModel):
-        # Outcome probability depends on the error vector only through its
-        # count k, so draw k first and then a uniformly random k-subset of
-        # positions (the positions of the k smallest of n iid uniforms).
-        pmf = np.array([exchangeable_pmf(n, k, model.e_bar, model.c) for k in range(n + 1)])
-        pmf = np.clip(pmf, 0.0, None)
-        pmf /= pmf.sum()
-        ks = rng.choice(n + 1, size=count, p=pmf)
-        u = rng.random((count, n))
-        ranks = u.argsort(axis=1).argsort(axis=1)
-        return (ranks < ks[:, None]).astype(np.uint8)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return model.sample(rng, 1)[0]
 
 
 def _run_chunks(cfg: SimConfig, count_fn) -> int:
@@ -135,11 +99,13 @@ def _result(errors: int, cfg: SimConfig, mode: str) -> SimResult:
 
 def mc_threshold_error(model: DependenceModel, m: int, cfg: SimConfig) -> SimResult:
     """Fraction of trials in which at least m classifiers err."""
+    if m < 0:
+        raise ValueError(f"m={m} must be non-negative")
     if m > model.n:
         raise ValueError(f"m={m} exceeds n={model.n}")
 
     def count(rng, size):
-        bits = _sample_block(model, rng, size)
+        bits = model.sample(rng, size)
         return int((bits.sum(axis=1) >= m).sum())
 
     return _result(_run_chunks(cfg, count), cfg, MODE_THRESHOLD)
@@ -165,7 +131,7 @@ def mc_decode_error(
     row_sums = rows.sum(axis=1)
 
     def count(rng, size):
-        bits = _sample_block(model, rng, size)
+        bits = model.sample(rng, size)
         if true_class is None:
             classes = rng.integers(0, code.num_classes, size=size)
         else:

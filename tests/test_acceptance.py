@@ -79,9 +79,11 @@ def test_criterion_1_independent_oracle_equivalence():
         n = int(rng.integers(1, 13))
         profile = ErrorProfile(tuple(rng.uniform(0.0, 1.0, n)))
         oracle = enumerate_outcomes(Independent(profile))
+        dist = Independent(profile).count_pmf()
         tail_acc = 0.0
         for k in range(n, -1, -1):
             worst = max(worst, abs(poisson_binomial_pmf(profile, k) - oracle[k]))
+            worst = max(worst, abs(dist[k] - oracle[k]))
             tail_acc += oracle[k]
             if k >= 1:
                 worst = max(worst, abs(tail_independent(profile, k) - tail_acc))
@@ -102,16 +104,19 @@ def test_criterion_2_pair_oracle_equivalence():
                 f = float(f)
                 model = PairModel(ErrorProfile.iid(n, e), f)
                 oracle = enumerate_outcomes(model)
+                dist = model.count_pmf()
                 tail_acc = 0.0
                 for k in range(n, -1, -1):
                     worst = max(
                         worst, abs(pair_correlated_pmf(model, k) - oracle[k])
                     )
+                    worst = max(worst, abs(dist[k] - oracle[k]))
                     tail_acc += oracle[k]
                     if k >= 1:
                         worst = max(
                             worst,
                             abs(pair_correlated_tail(n, k, e, f) - tail_acc),
+                            abs(model.tail(k) - tail_acc),
                         )
     # A few heterogeneous profiles through the same recursion.
     rng = np.random.default_rng(4)
@@ -121,8 +126,10 @@ def test_criterion_2_pair_oracle_equivalence():
         lo, hi = pair_f_range(rates[-2], rates[-1])
         model = PairModel(ErrorProfile(rates), float(rng.uniform(lo, hi)))
         oracle = enumerate_outcomes(model)
+        dist = model.count_pmf()
         for k in range(n + 1):
             worst = max(worst, abs(pair_correlated_pmf(model, k) - oracle[k]))
+            worst = max(worst, abs(dist[k] - oracle[k]))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10, f"worst deviation {worst:.3e}"
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -141,10 +148,13 @@ def test_criterion_3_exchangeable_oracle_equivalence():
             lo, hi = valid_correlation_range(n, e)
             for c in np.linspace(lo + 1e-12, hi, 5):
                 c = float(c)
-                oracle = enumerate_outcomes(ExchangeableModel(n, e, c))
+                model = ExchangeableModel(n, e, c)
+                oracle = enumerate_outcomes(model)
                 pmf = [exchangeable_pmf(n, k, e, c) for k in range(n + 1)]
+                dist = model.count_pmf()
                 for k in range(n + 1):
                     worst = max(worst, abs(pmf[k] - oracle[k]))
+                    worst = max(worst, abs(dist[k] - oracle[k]))
                 for m in range(1, n + 1):
                     closed = exchangeable_tail(n, m, e, c)
                     by_sum = sum(pmf[m:])

@@ -285,10 +285,31 @@ class TestExitCodes:
             main(["tail", "--bogus"])
         assert exc.value.code == 2
 
-    def test_domain_error_is_one(self, capsys):
-        status, _, err = run(
-            capsys, "tail", "--model", "iid", "--n", "5", "--m", "9",
-            "--ebar", "0.1",
+    MODEL_FLAGS = {
+        "independent": ("--rates", "0.1,0.2,0.1,0.3,0.1"),
+        "iid": ("--n", "5", "--ebar", "0.1"),
+        "pair": ("--n", "5", "--ebar", "0.1", "--f", "0.02"),
+        "exchangeable": ("--n", "5", "--ebar", "0.1", "--c", "0.01"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("tail", "--m", "9"),
+            ("tail", "--m", "-1"),
+            ("tail", "--m", "6"),
+            ("pmf", "--k", "-1"),
+            ("pmf", "--k", "6"),
+        ],
+        ids=["tail-m=9", "tail-m=-1", "tail-m=n+1", "pmf-k=-1", "pmf-k=n+1"],
+    )
+    @pytest.mark.parametrize("model", list(MODEL_FLAGS))
+    def test_domain_error_is_one(self, capsys, model, command, flag, value):
+        status, out, err = run(
+            capsys, command, "--model", model, *self.MODEL_FLAGS[model],
+            flag, value,
         )
         assert status == 1
         assert "error:" in err
+        assert f"{flag[2:]}={value} " in err
+        assert out == ""

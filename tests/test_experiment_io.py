@@ -33,7 +33,7 @@ from ecoc.experiment_io import (
     write_summaries,
 )
 from ecoc.prob_engine import ErrorProfile, Independent
-from ecoc.simulator import _chunk_rng, _sample_block
+from ecoc.simulator import _chunk_rng
 
 
 def make_fold(rng, code, n_samples, rate):
@@ -360,7 +360,7 @@ class TestSyntheticEndToEnd:
         rate = 0.08
         model = Independent(ErrorProfile.iid(10, rate))
         rng = _chunk_rng(99, 0)
-        noise = _sample_block(model, rng, 5000)
+        noise = model.sample(rng, 5000)
         classes = rng.integers(0, 10, size=5000)
         bits = np.bitwise_xor(code.matrix[classes], noise)
         fold = FoldData("gen", 10, classes, bits)

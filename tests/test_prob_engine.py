@@ -23,6 +23,7 @@ from ecoc.prob_engine import (
     pair_correlated_pmf,
     pair_correlated_tail,
     pair_f_range,
+    poisson_binomial_dist,
     poisson_binomial_pmf,
     tail_iid,
     tail_independent,
@@ -162,6 +163,18 @@ class TestPairModel:
                 poisson_binomial_pmf(profile, k), abs=1e-14
             )
 
+    def test_count_pmf_equals_scalar_recursion(self):
+        # The vectorised recursion does the scalar one's arithmetic, in the
+        # same order, so the two agree bit for bit.
+        for rates, f in (((0.3, 0.4), 0.12), ((0.1, 0.25, 0.2, 0.3, 0.15), 0.04)):
+            model = PairModel(ErrorProfile(rates), f)
+            n = model.n
+            sub = poisson_binomial_dist(ErrorProfile(rates[:-2])) if n > 2 else [1.0]
+            p11, p10, p01, p00 = model.joint_cells
+            q = [0.0, 0.0] + [float(v) for v in sub] + [0.0, 0.0]
+            for k, got in enumerate(model.count_pmf()):
+                assert got == p11 * q[k] + (p10 + p01) * q[k + 1] + p00 * q[k + 2]
+
     def test_heterogeneous_against_enumeration(self):
         model = PairModel(ErrorProfile((0.1, 0.1, 0.2, 0.2)), 0.03)
         ref = enumerate_outcomes(model)
@@ -278,6 +291,11 @@ class TestExchangeable:
         # Inside the published lower range but induces a negative weight.
         with pytest.raises(ModelError):
             ExchangeableModel(3, 0.05, -1.0)
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ModelError):
+                ExchangeableModel(10, 0.1, c)
+            with pytest.raises(ModelError):
+                exchangeable_tail(10, 3, 0.1, c)
 
 
 class TestBahadurRange:

@@ -80,6 +80,11 @@ class TestDeterminism:
             SimConfig(trials=10, workers=0)
         with pytest.raises(ValueError):
             SimConfig(trials=10, mode="bogus")
+        with pytest.raises(ValueError):
+            SimConfig(trials=10, seed=-1)
+        with pytest.raises(ValueError):
+            SimConfig(trials=10, seed=2**64)
+        SimConfig(trials=10, seed=2**64 - 1)
 
 
 class TestThresholdConsistency:
@@ -200,4 +205,8 @@ class TestDecode:
         with pytest.raises(ValueError):
             mc_threshold_error(
                 Independent(ErrorProfile.iid(4, 0.1)), 5, SimConfig(trials=10)
+            )
+        with pytest.raises(ValueError):
+            mc_threshold_error(
+                Independent(ErrorProfile.iid(4, 0.1)), -1, SimConfig(trials=10)
             )
