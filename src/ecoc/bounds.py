@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, ModelError
 from .prob_engine import ErrorProfile, bahadur_range
 
 
@@ -54,16 +54,17 @@ class BoundReport:
     feller and kz are None where their preconditions fail; kz_reason says
     why.  lam and omega are the per-classifier factors behind the exponential
     bounds: chernoff_lambda = lam**n and the correlation correction scales
-    with omega**n.
+    with omega**n.  At m = n (r = 1) those factors are undefined, so
+    chernoff_lambda, lam, omega and kz are all None.
     """
 
     gs: float
     feller: float | None
     chernoff_mu: float
-    chernoff_lambda: float
+    chernoff_lambda: float | None
     kz: float | None
-    lam: float
-    omega: float
+    lam: float | None
+    omega: float | None
     kz_reason: str | None = None
 
 
@@ -186,9 +187,10 @@ def kz_bound(
 def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundReport:
     """Evaluate every bound for one parameter set, flagging inapplicable ones.
 
-    kz_policy: "gated" leaves kz absent when c is missing or negative or
-    e_bar exceeds (m-1)/(n-1); "always" evaluates the expression regardless
-    (the convention used by published per-fold tables).
+    kz_policy: "gated" leaves kz absent when c is missing or negative, e_bar
+    exceeds (m-1)/(n-1), or kz_bound rejects its inputs (e_bar = 0 included);
+    "always" evaluates the expression regardless (the convention used by
+    published per-fold tables).
     """
     if kz_policy not in ("gated", "always"):
         raise ValueError(f"unknown kz_policy {kz_policy!r}")
@@ -199,8 +201,10 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
         feller = feller_bound(n, m, e)
     except DomainError:
         feller = None
-    lam = chernoff_lambda(r, e)
-    omega = omega_factor(r, e)
+    # lambda, omega and the bounds built on them need r = m/n inside (0, 1).
+    decay = m < n
+    lam = chernoff_lambda(r, e) if decay else None
+    omega = omega_factor(r, e) if decay else None
     mu = inputs.mu_value
     # The mu-form expression stays a valid (if trivial) bound outside
     # (0, m); evaluate it whenever it is defined so the report is complete.
@@ -208,7 +212,9 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
 
     kz = None
     kz_reason = None
-    if inputs.c is None:
+    if not decay:
+        kz_reason = f"m=n={n}: the decay bounds need m < n"
+    elif inputs.c is None:
         kz_reason = "no correlation supplied"
     elif kz_policy == "always":
         kz = kz_value(n, m, e, inputs.c)
@@ -219,13 +225,13 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
     else:
         try:
             kz = kz_bound(n, m, e, inputs.c)
-        except DomainError as exc:
+        except (DomainError, ModelError) as exc:
             kz_reason = str(exc)
     return BoundReport(
         gs=gs,
         feller=feller,
         chernoff_mu=chernoff_mu,
-        chernoff_lambda=chernoff_bound(n, m, e),
+        chernoff_lambda=chernoff_bound(n, m, e) if decay else None,
         kz=kz,
         lam=lam,
         omega=omega,

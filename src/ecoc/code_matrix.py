@@ -25,6 +25,9 @@ DEFAULT_ORIENTATION = KEEP_BOTTOM_RIGHT
 
 SYLVESTER_MAX_K = 16
 
+# Codeword lengths from here up lose exactness in float32 distances.
+EXACT_MAX_N = 1 << 24
+
 _MATRIX_CHUNK = 256
 
 
@@ -90,22 +93,20 @@ def sylvester_hadamard(k: int) -> BitMatrix:
 
 def min_row_distance(matrix: BitMatrix) -> int:
     """Minimum Hamming distance over all unordered row pairs."""
-    a = _as_bits(matrix).astype(np.int32)
-    rows = a.shape[0]
+    a = _as_bits(matrix)
+    rows, n = a.shape
     if rows < 2:
         raise ValueError("need at least 2 rows")
-    # d(i, j) = |i| + |j| - 2 i.j, computed blockwise to bound memory.
-    sums = a.sum(axis=1)
-    best = None
+    signs = _signs(a)
+    # The largest off-diagonal entry of the +-1 Gram matrix is n - 2d;
+    # computed blockwise to bound memory.
+    best = -np.inf
     for start in range(0, rows, _MATRIX_CHUNK):
-        blk = a[start : start + _MATRIX_CHUNK]
-        dots = blk @ a.T
-        dist = sums[start : start + _MATRIX_CHUNK, None] + sums[None, :] - 2 * dots
-        i = np.arange(start, start + blk.shape[0])[:, None]
-        dist = np.where(i == np.arange(rows)[None, :], np.iinfo(np.int32).max, dist)
-        blk_min = int(dist.min())
-        best = blk_min if best is None else min(best, blk_min)
-    return best
+        gram = signs[start : start + _MATRIX_CHUNK] @ signs.T
+        block = np.arange(gram.shape[0])
+        gram[block, start + block] = -np.inf
+        best = max(best, float(gram.max()))
+    return int(n - best) // 2
 
 
 def build_code_matrix(
@@ -133,6 +134,41 @@ def build_code_matrix(
     return CodeMatrix.from_matrix(block)
 
 
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """Bits as float32 +-1 (0 -> +1, 1 -> -1), so that the dot product of
+    two sign vectors of length n is n - 2 * their Hamming distance.
+
+    Every partial sum of such a product is an integer of magnitude at most
+    n, so a float32 GEMM computes it exactly in any summation order while
+    n < 2**24.
+    """
+    if bits.shape[-1] >= EXACT_MAX_N:
+        raise ValueError(
+            f"codeword length {bits.shape[-1]} is not below 2**24; "
+            "float32 distances would be inexact"
+        )
+    signs = bits.astype(np.float32)
+    signs *= -2.0
+    signs += 1.0
+    return signs
+
+
+def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest code row to each word of a (count, n) bit array.
+
+    Returns (idx, dist): the row index and its Hamming distance per word.
+    Ties resolve to the lowest row index.  The distances come from one
+    float32 +-1 correlation (one BLAS matrix product), exact for n < 2**24.
+    """
+    w = np.asarray(words)
+    if w.ndim != 2 or w.shape[1] != code.n:
+        raise ValueError(f"words of shape {w.shape} do not match code n={code.n}")
+    corr = _signs(w) @ _signs(code.matrix).T
+    idx = corr.argmax(axis=1)
+    best = np.take_along_axis(corr, idx[:, None], axis=1)[:, 0]
+    return idx, (code.n - best.astype(np.int64)) // 2
+
+
 def decode(word, code: CodeMatrix, report_ties: bool = False):
     """Index of the codeword nearest to word in Hamming distance.
 
@@ -144,10 +180,10 @@ def decode(word, code: CodeMatrix, report_ties: bool = False):
         raise ValueError(f"word length {w.shape} does not match code n={code.n}")
     if not np.isin(w, (0, 1)).all():
         raise ValueError("word entries must be 0 or 1")
-    dist = (code.matrix != w.astype(np.uint8)).sum(axis=1)
-    idx = int(dist.argmin())
+    corr = _signs(code.matrix) @ _signs(w)
+    idx = int(corr.argmax())
     if report_ties:
-        return idx, int((dist == dist[idx]).sum()) > 1
+        return idx, int((corr == corr[idx]).sum()) > 1
     return idx
 
 

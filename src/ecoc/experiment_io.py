@@ -36,8 +36,8 @@ from .bounds import (
     gs_bound,
     kz_value,
 )
-from .code_matrix import CodeMatrix, build_code_matrix
-from .errors import ParseError
+from .code_matrix import CodeMatrix, build_code_matrix, nearest_rows
+from .errors import DomainError, ParseError
 
 SUMMARY_COLUMNS = ("fold", "mean_bit_error", "mean_correlation", "ecoc_error")
 SUMMARY_COLUMNS_STD = (
@@ -163,25 +163,43 @@ def write_predictions(data: FoldData, path) -> None:
 # summary schema
 
 
+# Admissible range of each numeric summary column.
+_SUMMARY_RANGES = {
+    "mean_bit_error": (0.0, 1.0),
+    "mean_bit_error_std": (0.0, math.inf),
+    "mean_correlation": (-1.0, 1.0),
+    "mean_correlation_std": (0.0, math.inf),
+    "ecoc_error": (0.0, 1.0),
+}
+
+
 def _parse_float(value: str, lineno: int, column: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ParseError(f"bad {column} value {value!r}", line=lineno) from None
+    lo, hi = _SUMMARY_RANGES[column]
+    if not (math.isfinite(x) and lo <= x <= hi):
+        raise ParseError(
+            f"{column} value {value!r} is not a finite number in [{lo}, {hi}]",
+            line=lineno,
+        )
+    return x
 
 
 def loads_summaries(text: str, source: str = "<string>") -> list[FoldSummary]:
-    """Parse a fold-summary CSV (with or without the std columns)."""
+    """Parse a fold-summary CSV (with or without the std columns).
+
+    Rates must be finite and inside [0, 1], correlations inside [-1, 1] and
+    standard deviations finite and non-negative; a ParseError names the line
+    and the column of the first value that is not.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = tuple(next(reader))
     except StopIteration:
         raise ParseError("empty file", line=1) from None
-    if header == SUMMARY_COLUMNS:
-        with_std = False
-    elif header == SUMMARY_COLUMNS_STD:
-        with_std = True
-    else:
+    if header not in (SUMMARY_COLUMNS, SUMMARY_COLUMNS_STD):
         raise ParseError(f"bad header {header!r}", line=1)
     out: list[FoldSummary] = []
     for lineno, row in enumerate(reader, start=2):
@@ -189,29 +207,11 @@ def loads_summaries(text: str, source: str = "<string>") -> list[FoldSummary]:
             raise ParseError(
                 f"expected {len(header)} fields, got {len(row)}", line=lineno
             )
-        vals = dict(zip(header, row))
-        out.append(
-            FoldSummary(
-                fold_id=vals["fold"],
-                mean_bit_error=_parse_float(
-                    vals["mean_bit_error"], lineno, "mean_bit_error"
-                ),
-                mean_correlation=_parse_float(
-                    vals["mean_correlation"], lineno, "mean_correlation"
-                ),
-                ecoc_error=_parse_float(vals["ecoc_error"], lineno, "ecoc_error"),
-                mean_bit_error_std=_parse_float(
-                    vals["mean_bit_error_std"], lineno, "mean_bit_error_std"
-                )
-                if with_std
-                else None,
-                mean_correlation_std=_parse_float(
-                    vals["mean_correlation_std"], lineno, "mean_correlation_std"
-                )
-                if with_std
-                else None,
-            )
-        )
+        vals = {
+            col: _parse_float(value, lineno, col)
+            for col, value in zip(header[1:], row[1:])
+        }
+        out.append(FoldSummary(fold_id=row[0], **vals))
     if not out:
         warnings.warn(f"{source}: no data rows", stacklevel=2)
     return out
@@ -285,30 +285,22 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
     rates = errs.mean(axis=0)
 
     usable = (rates > 0.0) & (rates < 1.0)
-    pair_cs: list[float] = []
     joint = (errs.T @ errs) / data.num_samples
-    for i in range(data.n):
-        for j in range(i + 1, data.n):
-            if usable[i] and usable[j]:
-                denom = math.sqrt(
-                    rates[i] * (1 - rates[i]) * rates[j] * (1 - rates[j])
-                )
-                pair_cs.append((joint[i, j] - rates[i] * rates[j]) / denom)
-    correlation_defined = bool(pair_cs)
-    mean_corr = float(np.mean(pair_cs)) if pair_cs else 0.0
+    i, j = np.triu_indices(data.n, k=1)
+    keep = usable[i] & usable[j]
+    i, j = i[keep], j[keep]
+    # Same left-to-right products as the scalar formula, so values match it
+    # bit for bit.
+    denom = np.sqrt(rates[i] * (1 - rates[i]) * rates[j] * (1 - rates[j]))
+    pair_cs = (joint[i, j] - rates[i] * rates[j]) / denom
+    correlation_defined = bool(pair_cs.size)
+    mean_corr = float(pair_cs.mean()) if pair_cs.size else 0.0
 
-    rows = code.matrix.astype(np.int32)
-    received = data.bits.astype(np.int32)
-    dist = (
-        received.sum(axis=1)[:, None]
-        + rows.sum(axis=1)[None, :]
-        - 2 * received @ rows.T
-    )
-    decoded = dist.argmin(axis=1)
+    decoded, _ = nearest_rows(data.bits, code)
     ecoc_error = float((decoded != data.true_classes).mean())
 
     ddof = 1 if data.n > 1 else 0
-    corr_std = float(np.std(pair_cs, ddof=1)) if len(pair_cs) > 1 else 0.0
+    corr_std = float(np.std(pair_cs, ddof=1)) if pair_cs.size > 1 else 0.0
     return FoldSummary(
         fold_id=data.fold_id,
         mean_bit_error=float(rates.mean()),
@@ -333,7 +325,8 @@ def bound_report(
     n overrides the codeword length used in the bound formulas (the code's m
     is kept); the bundled reference aggregates are reproduced with
     kz_policy="always", which evaluates the correlation-corrected expression
-    even for folds where its preconditions fail.
+    even for folds where its preconditions fail.  Fold reports always carry
+    the decay bound, so an n equal to the code's m is rejected.
     """
     inputs = BoundInputs(
         n=n if n is not None else code.n,
@@ -341,6 +334,8 @@ def bound_report(
         e_bar=summary.mean_bit_error,
         c=summary.mean_correlation,
     )
+    if inputs.m == inputs.n:
+        raise DomainError(f"n={inputs.n} equals m: the decay bound needs m < n")
     return evaluate_bounds(inputs, kz_policy=kz_policy)
 
 

@@ -222,9 +222,10 @@ class ExchangeableModel:
         pmf = self.count_pmf()
         pmf /= pmf.sum()
         ks = rng.choice(n + 1, size=count, p=pmf)
-        u = rng.random((count, n))
-        ranks = u.argsort(axis=1).argsort(axis=1)
-        return (ranks < ks[:, None]).astype(np.uint8)
+        order = rng.random((count, n)).argsort(axis=1)
+        bits = np.empty((count, n), dtype=np.uint8)
+        np.put_along_axis(bits, order, np.arange(n) < ks[:, None], axis=1)
+        return bits
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         n, e = self.n, self.e_bar

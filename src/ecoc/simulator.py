@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_matrix import CodeMatrix
+from .code_matrix import CodeMatrix, nearest_rows
 from .prob_engine import DependenceModel
 
 DEFAULT_SEED = 60428  # 0xEC0C
@@ -127,8 +127,6 @@ def mc_decode_error(
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
     if true_class is not None and not 0 <= true_class < code.num_classes:
         raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
-    rows = code.matrix.astype(np.int32)
-    row_sums = rows.sum(axis=1)
 
     def count(rng, size):
         bits = model.sample(rng, size)
@@ -136,10 +134,7 @@ def mc_decode_error(
             classes = rng.integers(0, code.num_classes, size=size)
         else:
             classes = np.full(size, true_class)
-        received = np.bitwise_xor(code.matrix[classes], bits).astype(np.int32)
-        # Hamming distance via dot products: |x| + |row| - 2 x.row.
-        dist = received.sum(axis=1)[:, None] + row_sums[None, :] - 2 * received @ rows.T
-        decoded = dist.argmin(axis=1)
+        decoded, _ = nearest_rows(np.bitwise_xor(code.matrix[classes], bits), code)
         return int((decoded != classes).sum())
 
     return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)

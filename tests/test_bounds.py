@@ -227,6 +227,21 @@ class TestEvaluateBounds:
         missing = evaluate_bounds(BoundInputs(10, 4, 0.1))
         assert missing.kz is None
 
+    def test_zero_rate_gated_kz_absent(self):
+        # bahadur_range rejects e = 0; the gated kz reports that, not raises.
+        report = evaluate_bounds(BoundInputs(10, 2, 0.0, c=0.0058))
+        assert report.kz is None and "(0, 1)" in report.kz_reason
+        assert report.chernoff_lambda == 0.0
+
+    @pytest.mark.parametrize("policy", ["gated", "always"])
+    def test_m_equal_to_n_flags_decay_bounds(self, policy):
+        for n, c in ((3, None), (3, 0.01), (1, 0.1)):
+            report = evaluate_bounds(BoundInputs(n, n, 0.1, c=c), kz_policy=policy)
+            assert report.chernoff_lambda is report.lam is report.omega is None
+            assert report.kz is None and "m < n" in report.kz_reason
+            assert report.feller == pytest.approx(feller_bound(n, n, 0.1), abs=0)
+            assert report.gs == gs_bound((0.1,))
+
     def test_kz_policy_always(self):
         report = evaluate_bounds(BoundInputs(10, 2, 0.05, c=-0.01), kz_policy="always")
         assert report.kz == pytest.approx(kz_value(10, 2, 0.05, -0.01), abs=0)

@@ -69,6 +69,42 @@ class TestBoundsCommand:
             assert float(csv_vals[key]) == payload[key]
 
 
+    def test_zero_rate_with_c_reports_kz_absent(self, capsys):
+        status, out, err = run(
+            capsys, "bounds", "--n", "10", "--m", "2", "--ebar", "0",
+            "--c", "0.0058", "--format", "json",
+        )
+        assert status == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["kz"] is None
+        assert payload["kz_reason"] == "e=0.0 must lie strictly inside (0, 1)"
+        assert payload["chernoff"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_m_equal_to_n_reports_decay_bounds_absent(self, capsys, fmt):
+        status, out, err = run(
+            capsys, "bounds", "--n", "3", "--m", "3", "--ebar", "0.1",
+            "--format", fmt,
+        )
+        assert status == 0 and err == ""
+        absent = ("chernoff", "kz", "lambda", "omega")
+        if fmt == "json":
+            payload = json.loads(out)
+            assert all(payload[key] is None for key in absent)
+            assert payload["feller"] is not None
+            reason = payload["kz_reason"]
+        elif fmt == "csv":
+            header, row = out.strip().splitlines()
+            cells = dict(zip(header.split(","), row.split(",", len(header) - 1)))
+            assert all(cells[key] == "" for key in absent)
+            reason = cells["kz_reason"]
+        else:
+            values = dict(line.split(None, 1) for line in out.strip().splitlines())
+            assert all(values[key] == "-" for key in absent)
+            reason = values["kz_reason"]
+        assert "m < n" in reason
+
+
 class TestTailCommand:
     def test_iid_reference_value(self, capsys):
         status, out, _ = run(
@@ -280,6 +316,18 @@ class TestFiguresCommand:
 
 
 class TestExitCodes:
+    def test_non_finite_summary_rate_names_line_and_column(self, capsys, tmp_path):
+        src = tmp_path / "nan.csv"
+        src.write_text(
+            "fold,mean_bit_error,mean_correlation,ecoc_error\n"
+            "1,0.1,0.02,0.05\n2,nan,0.02,0.05\n"
+        )
+        status, out, err = run(
+            capsys, "analyze", "--summary", str(src), "--classes", "10"
+        )
+        assert status == 1 and out == ""
+        assert err.startswith("error: line 3: mean_bit_error value 'nan'")
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tail", "--bogus"])

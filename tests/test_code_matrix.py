@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecoc.code_matrix import (
     DEFAULT_ORIENTATION,
+    EXACT_MAX_N,
     KEEP_BOTTOM_RIGHT,
     KEEP_TOP_LEFT,
     CodeMatrix,
@@ -14,6 +17,7 @@ from ecoc.code_matrix import (
     decode,
     from_text,
     min_row_distance,
+    nearest_rows,
     sylvester_hadamard,
     to_text,
 )
@@ -53,6 +57,19 @@ class TestMinRowDistance:
         )
         assert brute == 4
         assert min_row_distance(h) == 4
+
+    def test_pair_across_row_blocks(self):
+        # 600 rows span three 256-row blocks; the closest pair straddles two.
+        rng = np.random.default_rng(3)
+        m = rng.integers(0, 2, (600, 40), dtype=np.uint8)
+        m[520] = m[5]
+        m[520, 7] ^= 1
+        brute = (m[:, None, :] != m[None, :, :]).sum(axis=2)
+        np.fill_diagonal(brute, 41)
+        assert brute.min() == 1
+        assert min_row_distance(m) == 1
+        m[520, 7] ^= 1
+        assert min_row_distance(m) == 0
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -160,6 +177,62 @@ class TestDecode:
         code = build_code_matrix(10)
         with pytest.raises(ValueError):
             decode([0, 1, 0], code)
+
+
+@st.composite
+def code_and_words(draw):
+    """A small bit code, often with duplicate rows, and words to decode that
+    include the all-zero word and copies of code rows, so ties are common."""
+    n = draw(st.integers(1, 9))
+    rows = draw(st.integers(2, 7))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    matrix = draw(st.lists(bits, min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        src = draw(st.integers(0, rows - 1))
+        matrix[draw(st.integers(0, rows - 1))] = list(matrix[src])
+    words = draw(st.lists(bits, min_size=0, max_size=12))
+    words += [[0] * n] + [list(matrix[i]) for i in range(rows)]
+    return np.array(matrix, dtype=np.uint8), np.array(words, dtype=np.uint8)
+
+
+class TestNearestRows:
+    @settings(max_examples=300, deadline=None)
+    @given(code_and_words())
+    def test_matches_brute_force(self, case):
+        matrix, words = case
+        code = CodeMatrix.from_matrix(matrix)
+        idx, dist = nearest_rows(words, code)
+        for w, i, d in zip(words, idx, dist):
+            brute = (matrix != w).sum(axis=1)
+            want = int(brute.argmin())
+            assert (int(i), int(d)) == (want, int(brute[want]))
+            tie = int((brute == brute[want]).sum()) > 1
+            assert decode(w, code) == want
+            assert decode(w, code, report_ties=True) == (want, tie)
+        pairs = itertools.combinations(range(matrix.shape[0]), 2)
+        brute_d = min(int((matrix[a] != matrix[b]).sum()) for a, b in pairs)
+        assert min_row_distance(matrix) == code.d == brute_d
+
+    def test_two_row_tie_goes_to_lowest_index(self):
+        code = CodeMatrix.from_matrix(np.array([[0, 0], [1, 1]]))
+        idx, dist = nearest_rows(np.array([[0, 1], [1, 0], [1, 1]]), code)
+        assert idx.tolist() == [0, 0, 1]
+        assert dist.tolist() == [1, 1, 0]
+
+    def test_shape_mismatch(self):
+        code = build_code_matrix(10)
+        with pytest.raises(ValueError):
+            nearest_rows(np.zeros((3, 9), np.uint8), code)
+        with pytest.raises(ValueError):
+            nearest_rows(np.zeros(10, np.uint8), code)
+
+    def test_rejects_lengths_float32_cannot_count(self):
+        # Zero-stride views: no codeword-sized buffer is allocated before the
+        # length check rejects the input.
+        long_rows = np.broadcast_to(np.zeros(1, np.uint8), (2, EXACT_MAX_N))
+        code = CodeMatrix(matrix=long_rows, d=0, m=0)
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            nearest_rows(long_rows[:1], code)
 
 
 class TestSerialization:

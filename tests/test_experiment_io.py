@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ecoc.code_matrix import build_code_matrix
-from ecoc.errors import ParseError
+from ecoc.errors import DomainError, ParseError
 from ecoc.experiment_io import (
     DATASETS,
     REFERENCE_TABLE,
@@ -120,6 +120,53 @@ class TestSummariesIO:
             )
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("mean_bit_error", "nan"),
+            ("mean_bit_error", "inf"),
+            ("mean_bit_error", "-0.01"),
+            ("mean_bit_error", "1.5"),
+            ("ecoc_error", "nan"),
+            ("ecoc_error", "-inf"),
+            ("ecoc_error", "1.0000001"),
+            ("mean_correlation", "nan"),
+            ("mean_correlation", "inf"),
+            ("mean_correlation", "-1.5"),
+            ("mean_correlation", "1.01"),
+            ("mean_bit_error_std", "-0.001"),
+            ("mean_bit_error_std", "inf"),
+            ("mean_bit_error_std", "nan"),
+            ("mean_correlation_std", "-1e-9"),
+            ("mean_correlation_std", "inf"),
+            ("mean_correlation_std", "nan"),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range(self, column, value):
+        row = {
+            "fold": "2",
+            "mean_bit_error": "0.1",
+            "mean_bit_error_std": "0.01",
+            "mean_correlation": "0.02",
+            "mean_correlation_std": "0.003",
+            "ecoc_error": "0.05",
+        }
+        good = ",".join(row.values())
+        row[column] = value
+        text = ",".join(row) + "\n1," + good[2:] + "\n" + ",".join(row.values()) + "\n"
+        with pytest.raises(ParseError) as err:
+            loads_summaries(text)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"line 3: {column} value {value!r}")
+
+    def test_range_ends_accepted(self):
+        rows = loads_summaries(
+            "fold,mean_bit_error,mean_bit_error_std,mean_correlation,"
+            "mean_correlation_std,ecoc_error\n"
+            "1,0,0,-1,0,1\n2,1,-0.0,1,1e300,0\n"
+        )
+        assert [r.mean_correlation for r in rows] == [-1.0, 1.0]
+
     def test_empty_warns(self):
         with pytest.warns(UserWarning):
             assert loads_summaries(
@@ -177,6 +224,29 @@ class TestAnalyzeFold:
         exact = _exact_decode_error(code, rate)
         se_err = math.sqrt(exact * (1 - exact) / n_samples)
         assert abs(summary.ecoc_error - exact) <= 4 * se_err
+
+    @pytest.mark.parametrize("classes", [5, 10, 26])
+    def test_correlation_matches_pair_loop(self, classes):
+        # Reference: the scalar loop over usable pairs, bit for bit.
+        code = build_code_matrix(classes)
+        fold = make_fold(np.random.default_rng(classes), code, 500, 0.1)
+        bits = fold.bits.copy()
+        bits[:, 1] = code.matrix[fold.true_classes, 1]  # a zero-rate column
+        fold = FoldData("f", code.n, fold.true_classes, bits)
+        summary = analyze_fold(fold, code)
+        errs = (bits != code.matrix[fold.true_classes]).astype(np.float64)
+        rates = errs.mean(axis=0)
+        joint = (errs.T @ errs) / len(bits)
+        pair_cs = []
+        for i in range(code.n):
+            for j in range(i + 1, code.n):
+                if 0 < rates[i] < 1 and 0 < rates[j] < 1:
+                    denom = math.sqrt(
+                        rates[i] * (1 - rates[i]) * rates[j] * (1 - rates[j])
+                    )
+                    pair_cs.append((joint[i, j] - rates[i] * rates[j]) / denom)
+        assert summary.mean_correlation == float(np.mean(pair_cs))
+        assert summary.mean_correlation_std == float(np.std(pair_cs, ddof=1))
 
     def test_dimension_mismatch(self):
         code = build_code_matrix(10)
@@ -240,6 +310,12 @@ class TestBoundReport:
         assert report.gs > 0 and report.chernoff_lambda > 0
         always = bound_report(summary, code, kz_policy="always")
         assert always.kz is not None
+
+    def test_n_equal_to_m_rejected(self):
+        code = build_code_matrix(26)
+        summary = load_fixture("letters_dt")[0]
+        with pytest.raises(DomainError, match="m < n"):
+            bound_report(summary, code, n=code.m)
 
     def test_n_override_changes_ratio(self):
         summary = FoldSummary("1", 0.03, 0.01, 0.03)

@@ -18,7 +18,9 @@ from ecoc.prob_engine import (
     tail_independent,
 )
 from ecoc.simulator import (
+    CHUNK_TRIALS,
     SimConfig,
+    _chunk_rng,
     mc_decode_error,
     mc_threshold_error,
     sample_outcome,
@@ -72,6 +74,32 @@ class TestDeterminism:
         a = mc_decode_error(model, code, SimConfig(trials=80_000, seed=5))
         b = mc_decode_error(model, code, SimConfig(trials=80_000, seed=5, workers=3))
         assert a == b
+
+    def test_decode_worker_invariance_wide_code(self):
+        # 127 classes and four chunks: the float32 correlation decoder must
+        # give the same count whichever thread decodes a chunk.
+        code = build_code_matrix(127)
+        model = ExchangeableModel(127, 0.3, 0.002)
+        trials = 3 * CHUNK_TRIALS + 7
+        base = mc_decode_error(model, code, SimConfig(trials=trials, seed=11))
+        assert 0.0 < base.error_rate < 1.0
+        for workers in (2, 3):
+            cfg = SimConfig(trials=trials, seed=11, workers=workers)
+            assert mc_decode_error(model, code, cfg) == base
+
+    def test_exchangeable_sample_matches_rank_form(self):
+        # Reference: the position with rank < k among n uniforms errs.
+        for n, e, c in ((127, 0.18, 0.006), (10, 0.3, 0.01), (2, 0.4, 0.0)):
+            model = ExchangeableModel(n, e, c)
+            for seed in range(4):
+                rng = _chunk_rng(seed, 0)
+                pmf = model.count_pmf()
+                ks = rng.choice(n + 1, size=2000, p=pmf / pmf.sum())
+                ranks = rng.random((2000, n)).argsort(axis=1).argsort(axis=1)
+                want = (ranks < ks[:, None]).astype(np.uint8)
+                got = model.sample(_chunk_rng(seed, 0), 2000)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
