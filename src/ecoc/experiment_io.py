@@ -26,6 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import (
     BoundInputs,
@@ -48,6 +49,11 @@ SUMMARY_COLUMNS_STD = (
     "mean_correlation_std",
     "ecoc_error",
 )
+# Bytes of the raw-prediction schema.
+_COMMA, _CR, _LF, _ZERO = b",\r\n0"
+# Longest class field: 18 decimal digits always fit an int64.
+_MAX_CLASS_DIGITS = 18
+
 REPORT_COLUMNS = (
     "fold",
     "mean_bit_error",
@@ -67,6 +73,28 @@ class FoldData:
     n: int
     true_classes: np.ndarray
     bits: np.ndarray
+
+    def __post_init__(self):
+        classes, bits = self.true_classes, self.bits
+        if not (
+            isinstance(classes, np.ndarray)
+            and classes.ndim == 1
+            and np.issubdtype(classes.dtype, np.integer)
+        ):
+            raise ValueError("true_classes must be a 1-D integer array")
+        if classes.size and classes.min() < 0:
+            raise ValueError(f"true_class {int(classes.min())} is negative")
+        if self.n < 1:
+            raise ValueError(f"n={self.n}: a fold needs at least one classifier")
+        if not isinstance(bits, np.ndarray) or bits.shape != (len(classes), self.n):
+            raise ValueError(
+                f"bits of shape {np.shape(bits)} do not match "
+                f"{len(classes)} samples of n={self.n} bits"
+            )
+        # Unsigned and bool bits cannot be negative, so one compare will do.
+        ok = bits <= 1 if bits.dtype.kind in "bu" else (bits == 0) | (bits == 1)
+        if not ok.all():
+            raise ValueError("bits must be 0 or 1")
 
     @property
     def num_samples(self) -> int:
@@ -111,52 +139,125 @@ class AggregateReport:
 
 
 def load_predictions(path) -> FoldData:
-    """Read one fold of raw predictions; errors carry the offending line."""
+    """Read one fold of raw predictions; errors carry the offending line.
+
+    The file is parsed as one byte array.  Each data row is a class of
+    decimal digits followed by n ``,0``/``,1`` cells and ends in ``\\n`` or
+    ``\\r\\n`` (the final newline may be missing).  The first row that does
+    not match raises a ParseError naming its line.
+    """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if len(header) < 2 or header[0] != "true_class":
-            raise ParseError(f"bad header {header!r}", line=1)
-        n = len(header) - 1
-        expected = ["true_class"] + [f"bit_{i + 1}" for i in range(n)]
-        if header != expected:
-            raise ParseError(f"bad header {header!r}; expected {expected!r}", line=1)
-        classes: list[int] = []
-        rows: list[list[int]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n + 1:
-                raise ParseError(f"expected {n + 1} fields, got {len(row)}", line=lineno)
-            try:
-                cls = int(row[0])
-                bits = [int(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if cls < 0:
-                raise ParseError(f"true_class {cls} is negative", line=lineno)
-            if any(b not in (0, 1) for b in bits):
-                raise ParseError("bits must be 0 or 1", line=lineno)
-            classes.append(cls)
-            rows.append(bits)
+    raw = path.read_bytes()
+    if not raw:
+        raise ParseError("empty file", line=1)
+    head_end = raw.find(b"\n")
+    if head_end < 0:
+        head_end = len(raw)
+    header = _fields(raw[:head_end].removesuffix(b"\r"), 1)
+    n = len(header) - 1
+    if n < 1 or header != _prediction_header(n):
+        raise ParseError(
+            f"bad header {header!r}; expected true_class,bit_1,...,bit_n", line=1
+        )
+
+    body = np.frombuffer(raw, np.uint8)[head_end + 1 :]
+    ends = np.flatnonzero(body == _LF)
+    if body.size and body[-1] != _LF:
+        ends = np.append(ends, body.size)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    stops = ends - ((ends > starts) & (body[ends - 1] == _CR))
+    # Row i holds its class in body[starts[i]:bit0[i]] and its cells in
+    # body[bit0[i]:stops[i]].
+    bit0 = stops - 2 * n
+    width = bit0 - starts
+    misfit = (width < 1) | (width > _MAX_CLASS_DIGITS)
+    rows = int(misfit.argmax()) if misfit.any() else len(ends)
+    # Rows before the first misfit are checked and parsed in bulk.  Taking
+    # each row's cells as one 2n-byte window costs one index per row, where
+    # a per-byte gather index would cost eight bytes per cell.
+    if rows:
+        cells = sliding_window_view(body, 2 * n)[bit0[:rows]]
+    else:
+        cells = np.empty((0, 2 * n), np.uint8)
+    bits = cells[:, 1::2] - _ZERO
+    bad = (cells[:, ::2] != _COMMA).any(axis=1) | (bits > 1).any(axis=1)
+    # Class fields right-aligned in w columns; columns left of a field hold
+    # bytes of the line before and are masked out.
+    w = int(width[:rows].max(initial=0))
+    pos = np.maximum(bit0[:rows, None] - np.arange(w, 0, -1), 0)
+    in_field = np.arange(w, 0, -1) <= width[:rows, None]
+    digits = np.where(in_field, body[pos] - _ZERO, 0)
+    bad |= (digits > 9).any(axis=1)
+    if bad.any():
+        rows = int(bad.argmax())
+    if rows < len(ends):
+        raise _row_error(body[starts[rows] : stops[rows]].tobytes(), n, rows + 2)
     if not rows:
         warnings.warn(f"{path}: no data rows", stacklevel=2)
     return FoldData(
         fold_id=path.stem,
         n=n,
-        true_classes=np.array(classes, dtype=np.int64),
-        bits=np.array(rows, dtype=np.uint8).reshape(len(rows), n),
+        true_classes=digits.astype(np.int64) @ 10 ** np.arange(w - 1, -1, -1),
+        bits=bits,
     )
 
 
 def write_predictions(data: FoldData, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true_class"] + [f"bit_{i + 1}" for i in range(data.n)])
-        for cls, bits in zip(data.true_classes, data.bits):
-            writer.writerow([int(cls)] + [int(b) for b in bits])
+    """Write one fold in the raw schema with ``\\r\\n`` line ends, in one write."""
+    header = (",".join(_prediction_header(data.n)) + "\r\n").encode()
+    classes, label_of = np.unique(data.true_classes, return_inverse=True)
+    labels = [str(c).encode() for c in classes.tolist()]
+    w = max(map(len, labels), default=0)
+    # Labels right-aligned in w columns; the zero bytes padding the shorter
+    # ones are not part of the output and are dropped before the write.
+    label_cols = np.zeros((len(labels), w), np.uint8)
+    for row, label in zip(label_cols, labels):
+        row[w - len(label) :] = np.frombuffer(label, np.uint8)
+    row_len = w + 2 * data.n + 2
+    buf = np.empty(len(header) + data.num_samples * row_len, np.uint8)
+    buf[: len(header)] = np.frombuffer(header, np.uint8)
+    rows = buf[len(header) :].reshape(data.num_samples, row_len)
+    rows[:, :w] = label_cols[label_of]
+    rows[:, w:-2:2] = _COMMA
+    np.add(data.bits, _ZERO, out=rows[:, w + 1 : -2 : 2], casting="unsafe")
+    rows[:, -2:] = (_CR, _LF)
+    with open(path, "wb") as fh:
+        fh.write(buf[buf != 0])
+
+
+def _prediction_header(n: int) -> list[str]:
+    return ["true_class"] + [f"bit_{i + 1}" for i in range(n)]
+
+
+def _fields(line: bytes, lineno: int) -> list[str]:
+    """The comma-separated fields of one line with its line end removed."""
+    try:
+        text = line.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"non-ASCII byte 0x{line[exc.start]:02x} at column {exc.start + 1}",
+            line=lineno,
+        ) from None
+    return text.split(",") if text else []
+
+
+def _row_error(line: bytes, n: int, lineno: int) -> ParseError:
+    """Say what is wrong with a data row the bulk check rejected."""
+    fields = _fields(line, lineno)
+    if len(fields) != n + 1:
+        return ParseError(f"expected {n + 1} fields, got {len(fields)}", line=lineno)
+    cls = fields[0]
+    if cls[:1] == "-" and cls[1:].isdigit():
+        return ParseError(f"true_class {cls} is negative", line=lineno)
+    if not cls.isdigit():
+        return ParseError(f"true_class {cls!r} is not a decimal integer", line=lineno)
+    if len(cls) > _MAX_CLASS_DIGITS:
+        return ParseError(
+            f"true_class {cls} has more than {_MAX_CLASS_DIGITS} digits", line=lineno
+        )
+    j = next(j for j, b in enumerate(fields[1:], 1) if b not in ("0", "1"))
+    return ParseError(f"bit_{j} value {fields[j]!r} is not 0 or 1", line=lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """CLI surface tests: every printed number must equal the library value."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecoc
 from ecoc.bounds import BoundInputs, evaluate_bounds
 from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix, from_text
@@ -251,6 +256,20 @@ class TestAnalyzeCommand:
         assert status == 0
         payload = json.loads(out)
         assert payload["folds"][0]["fold"] == "f1"
+
+    def test_python_dash_m_matches_in_process(self, capsys):
+        status, out, _ = run(capsys, "analyze", "--fixture", "letters_dt")
+        src = str(Path(ecoc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecoc", "analyze", "--fixture", "letters_dt"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == status == 0
+        assert proc.stdout == out
 
     def test_requires_exactly_one_source(self, capsys):
         status, _, err = run(capsys, "analyze", "--format", "json")

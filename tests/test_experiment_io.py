@@ -1,11 +1,16 @@
 """Tests for fold ingestion, metrics, bound reports, aggregation, fixtures."""
 
+import contextlib
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix
 from ecoc.errors import DomainError, ParseError
 from ecoc.experiment_io import (
@@ -46,6 +51,42 @@ def make_fold(rng, code, n_samples, rate):
     )
 
 
+def csv_writer_reference(data, path):
+    """The csv-module writer that write_predictions replaced: the oracle for
+    its bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["true_class"] + [f"bit_{i + 1}" for i in range(data.n)])
+        for cls, bits in zip(data.true_classes, data.bits):
+            writer.writerow([int(cls)] + [int(b) for b in bits])
+
+
+_HEADER = b"true_class,bit_1,bit_2\n"
+# File contents and the line their ParseError must name.
+MALFORMED = [
+    pytest.param(_HEADER + b"0,1,0\n0,1\n", 3, id="short-row"),
+    pytest.param(_HEADER + b"0,1,0\n0,1,0,1\n", 3, id="long-row"),
+    pytest.param(_HEADER + b"0,1,2\n", 2, id="bit-2"),
+    pytest.param(_HEADER + b"0,1,0\n1,0,0\n-1,1,0\n", 4, id="class-minus-1"),
+    pytest.param(_HEADER + b"x,1,0\n", 2, id="class-x"),
+    pytest.param(_HEADER + b"0,1,0\n\n1,0,1\n", 3, id="interior-blank-line"),
+    pytest.param(_HEADER + b"0,1,0\n1,0,1\n\n", 4, id="trailing-blank-line"),
+    pytest.param(
+        b"true_class,bit_1,bit_2\r\n0,1,0\r\n\r\n", 3, id="trailing-blank-line-crlf"
+    ),
+    pytest.param(b"true_class,bit_1,bit_3\n0,1,0\n", 1, id="bad-header"),
+    pytest.param(b"", 1, id="empty-file"),
+    pytest.param(_HEADER + b"0,1,0\n0,\xff,1\n", 3, id="non-utf8-bit"),
+    pytest.param(_HEADER + b"0,1,0\n1,1,0\n\xc3\xa9,1,0\n", 4, id="non-utf8-class"),
+    pytest.param(b"true_class,bit_\xff\n0,1\n", 1, id="non-utf8-header"),
+    pytest.param(_HEADER + b"0, 1,0\n", 2, id="space-before-bit"),
+    pytest.param(_HEADER + b"+1,1,0\n", 2, id="plus-sign-class"),
+    pytest.param(_HEADER + b'0,"0",1\n', 2, id="quoted-bit"),
+    pytest.param(_HEADER + b"1234567890123456789,1,0\n", 2, id="class-19-digits"),
+    pytest.param(_HEADER + b"0,1,0\n0,3,0\n0,1\n", 3, id="bad-bits-before-short-row"),
+]
+
+
 class TestPredictionsIO:
     def test_round_trip(self, tmp_path):
         code = build_code_matrix(10)
@@ -68,25 +109,68 @@ class TestPredictionsIO:
             fold = load_predictions(path)
         assert fold.num_samples == 0
 
-    def test_parse_errors_carry_line_numbers(self, tmp_path):
+    def test_newline_line_ends_load(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_bytes(b"true_class,bit_1,bit_2\n0,1,0\n12,0,1\n")
+        fold = load_predictions(path)
+        assert fold.true_classes.tolist() == [0, 12]
+        assert fold.bits.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_missing_final_newline_loads(self, tmp_path, end):
+        path = tmp_path / "open.csv"
+        path.write_bytes(end.join([b"true_class,bit_1,bit_2", b"3,1,1", b"007,0,1"]))
+        fold = load_predictions(path)
+        assert fold.true_classes.tolist() == [3, 7]
+        assert fold.bits.tolist() == [[1, 1], [0, 1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 130),
+        rows=st.integers(0, 300),
+        max_digits=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_matches_csv_writer(
+        self, tmp_path_factory, n, rows, max_digits, seed
+    ):
+        rng = np.random.default_rng(seed)
+        digits = rng.integers(1, max_digits + 1, size=rows)
+        classes = rng.integers(np.where(digits == 1, 0, 10 ** (digits - 1)), 10**digits)
+        bits = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+        fold = FoldData("fold", n, classes, bits)
+        tmp = tmp_path_factory.mktemp("fold")
+        path, ref = tmp / "fold.csv", tmp / "ref.csv"
+        write_predictions(fold, path)
+        csv_writer_reference(fold, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        with pytest.warns(UserWarning) if rows == 0 else contextlib.nullcontext():
+            loaded = load_predictions(path)
+        assert loaded.n == n
+        assert loaded.true_classes.dtype == np.int64
+        assert np.array_equal(loaded.true_classes, classes)
+        assert loaded.bits.dtype == np.uint8
+        assert np.array_equal(loaded.bits, bits)
+
+    @pytest.mark.parametrize("text, line", MALFORMED)
+    def test_rejects_malformed_rows(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"
-        path.write_text("true_class,bit_1,bit_2\n0,1\n")
+        path.write_bytes(text)
         with pytest.raises(ParseError) as err:
             load_predictions(path)
-        assert err.value.line == 2
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
 
-        path.write_text("true_class,bit_1,bit_2\n0,1,2\n")
-        with pytest.raises(ParseError):
-            load_predictions(path)
-
-        path.write_text("wrong,bit_1\n")
-        with pytest.raises(ParseError) as err:
-            load_predictions(path)
-        assert err.value.line == 1
-
-        path.write_text("")
-        with pytest.raises(ParseError):
-            load_predictions(path)
+    @pytest.mark.parametrize("text, line", MALFORMED)
+    def test_cli_rejects_malformed_rows(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        status = main(["analyze", "--predictions", str(path), "--classes", "4"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert "Traceback" not in captured.err
 
 
 class TestSummariesIO:
@@ -182,6 +266,43 @@ class TestSummariesIO:
         path.write_bytes(b"true_class,bit_1,bit_2\r\n0,1,0\r\n")
         fold = load_predictions(path)
         assert fold.bits.tolist() == [[1, 0]]
+
+
+class TestFoldData:
+    def test_bit_value_two_rejected(self):
+        # Column 0 all 2: without the check this fold analyzed to
+        # mean_bit_error 0.1 and ecoc_error 0.0.
+        code = build_code_matrix(10)
+        classes = np.arange(10)
+        bits = code.matrix[classes].copy()
+        bits[:, 0] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            FoldData("f", 10, classes, bits)
+
+    @pytest.mark.parametrize(
+        "n, classes, bits",
+        [
+            pytest.param(2, np.zeros(3, int), np.zeros(6, np.uint8), id="1-d-bits"),
+            pytest.param(2, np.zeros(3, int), np.zeros((3, 3), np.uint8), id="n-off"),
+            pytest.param(2, np.zeros(3, int), np.zeros((2, 2)), id="rows-off"),
+            pytest.param(0, np.zeros(3, int), np.zeros((3, 0), np.uint8), id="n-zero"),
+            pytest.param(2, np.zeros(2, int), np.full((2, 2), 0.5), id="half-bit"),
+            pytest.param(2, np.zeros(2, int), np.full((2, 2), np.nan), id="nan-bit"),
+            pytest.param(2, np.zeros(2, int), -np.ones((2, 2), int), id="bit-minus-1"),
+            pytest.param(2, np.zeros((2, 1), int), np.zeros((2, 2)), id="2-d-classes"),
+            pytest.param(2, np.zeros(2), np.zeros((2, 2)), id="float-classes"),
+            pytest.param(2, [0, 1], np.zeros((2, 2)), id="list-classes"),
+            pytest.param(2, np.array([0, -1]), np.zeros((2, 2)), id="negative-class"),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, n, classes, bits):
+        with pytest.raises(ValueError):
+            FoldData("f", n, classes, bits)
+
+    def test_accepts_bool_bits(self, tmp_path):
+        bits = np.array([[True, False], [False, False]])
+        write_predictions(FoldData("f", 2, np.array([1, 0]), bits), tmp_path / "f.csv")
+        assert load_predictions(tmp_path / "f.csv").bits.tolist() == [[1, 0], [0, 0]]
 
 
 class TestAnalyzeFold:
