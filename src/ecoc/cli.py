@@ -10,6 +10,7 @@ errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -191,8 +192,15 @@ def cmd_bahadur(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _build_model(args)
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("ECOC_SEED")
+        try:
+            seed = sim.DEFAULT_SEED if env is None else int(env)
+        except ValueError:
+            raise ValueError(f"ECOC_SEED={env!r} is not an integer") from None
     cfg = sim.SimConfig(
-        trials=args.trials, seed=args.seed, mode=args.mode, workers=args.workers
+        trials=args.trials, seed=seed, mode=args.mode, workers=args.workers
     )
     if args.mode == sim.MODE_THRESHOLD:
         if args.m is None:
@@ -207,7 +215,7 @@ def cmd_simulate(args) -> int:
         "std_err": result.std_err,
         "trials": result.trials,
         "mode": result.mode,
-        "seed": args.seed,
+        "seed": seed,
     }
     _emit(_dict_output(payload, args.format), args.out)
     return 0
@@ -321,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for output-coded ensemble classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("ECOC_SEED", sim.DEFAULT_SEED))
 
     def common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
@@ -372,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, help="code size (full-decode mode)")
     p.add_argument("--true-class", type=int, help="pin the true class (full-decode)")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     _add_orientation_flag(p)
     common(p)
@@ -406,9 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (EcocError, ValueError, OSError) as exc:

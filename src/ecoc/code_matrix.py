@@ -36,8 +36,8 @@ class CodeMatrix:
     """A class-by-classifier bit matrix with its distance parameters.
 
     d is the minimum Hamming distance over all row pairs and m = floor(d / 2);
-    any pattern of fewer than m bit errors decodes to the original row.
-    r = m / n is the correction ratio.
+    any pattern of fewer than d/2 bit errors (so any of fewer than m) decodes
+    to the original row.  r = m / n is the correction ratio.
     """
 
     matrix: BitMatrix
@@ -167,6 +167,33 @@ def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:
     idx = corr.argmax(axis=1)
     best = np.take_along_axis(corr, idx[:, None], axis=1)[:, 0]
     return idx, (code.n - best.astype(np.int64)) // 2
+
+
+def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
+    """Number of words that nearest_rows decodes to a class other than their
+    true one, where word i is the codeword of true_classes[i] with the bits
+    set in row i of the (count, n) flip pattern errors (bool or 0/1) flipped.
+
+    A word with fewer than d/2 flips is nearer its own row than any other
+    (each other row is at least d - flips away), so only the words with
+    2 * flips >= d are decoded; with duplicate rows (d = 0) that is all.
+    """
+    e = np.asarray(errors)
+    classes = np.asarray(true_classes)
+    if e.ndim != 2 or e.shape[1] != code.n:
+        raise ValueError(f"errors of shape {e.shape} do not match code n={code.n}")
+    if classes.shape != e.shape[:1] or not np.issubdtype(classes.dtype, np.integer):
+        raise ValueError(f"true_classes must be {e.shape[0]} integers")
+    if classes.size and not (0 <= classes.min() and classes.max() < code.num_classes):
+        raise ValueError(f"true classes outside 0..{code.num_classes - 1}")
+    if e.dtype != bool:
+        if not ((e == 0) | (e == 1)).all():
+            raise ValueError("errors entries must be 0 or 1")
+        e = e.astype(bool)
+    far = np.flatnonzero(2 * e.sum(axis=1) >= code.d)
+    truth = classes[far]
+    decoded, _ = nearest_rows(code.matrix[truth] ^ e[far], code)
+    return int((decoded != truth).sum())
 
 
 def decode(word, code: CodeMatrix, report_ties: bool = False):

@@ -37,7 +37,7 @@ from .bounds import (
     gs_bound,
     kz_value,
 )
-from .code_matrix import CodeMatrix, build_code_matrix, nearest_rows
+from .code_matrix import CodeMatrix, build_code_matrix, count_misdecoded
 from .errors import DomainError, ParseError
 
 SUMMARY_COLUMNS = ("fold", "mean_bit_error", "mean_correlation", "ecoc_error")
@@ -53,6 +53,8 @@ SUMMARY_COLUMNS_STD = (
 _COMMA, _CR, _LF, _ZERO = b",\r\n0"
 # Longest class field: 18 decimal digits always fit an int64.
 _MAX_CLASS_DIGITS = 18
+# Rows per float32 product in analyze_fold: every count stays below 2**24.
+_JOINT_BLOCK_ROWS = (1 << 24) - 1
 
 REPORT_COLUMNS = (
     "fold",
@@ -319,9 +321,24 @@ def loads_summaries(text: str, source: str = "<string>") -> list[FoldSummary]:
 
 
 def load_summaries(path) -> list[FoldSummary]:
-    """Read a fold-summary CSV file."""
+    """Read a fold-summary CSV file; a byte that is not UTF-8 raises a
+    ParseError naming its line."""
     path = Path(path)
-    return loads_summaries(path.read_text(encoding="utf-8"), source=str(path))
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _universal_newlines(raw[: exc.start].decode("utf-8")).split("\n")
+        raise ParseError(
+            f"non-UTF-8 byte 0x{raw[exc.start]:02x} at column {len(lines[-1]) + 1}",
+            line=len(lines),
+        ) from None
+    return loads_summaries(_universal_newlines(text), source=str(path))
+
+
+def _universal_newlines(text: str) -> str:
+    """Line ends as a text-mode read gives them: \\r\\n and \\r become \\n."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def format_summaries(summaries: list[FoldSummary]) -> str:
@@ -381,12 +398,18 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
             f"true_class {int(data.true_classes.max())} out of range for "
             f"{code.num_classes} classes"
         )
-    truth = code.matrix[data.true_classes]
-    errs = (data.bits != truth).astype(np.float64)
-    rates = errs.mean(axis=0)
+    num = data.num_samples
+    errs = data.bits != code.matrix[data.true_classes]
+    rates = errs.sum(axis=0) / num
 
     usable = (rates > 0.0) & (rates < 1.0)
-    joint = (errs.T @ errs) / data.num_samples
+    # Joint error counts by float32 products over blocks of fewer than 2**24
+    # rows, whose counts float32 holds exactly, summed in float64.
+    counts = np.zeros((data.n, data.n))
+    for start in range(0, num, _JOINT_BLOCK_ROWS):
+        block = errs[start : start + _JOINT_BLOCK_ROWS].astype(np.float32)
+        counts += block.T @ block
+    joint = counts / num
     i, j = np.triu_indices(data.n, k=1)
     keep = usable[i] & usable[j]
     i, j = i[keep], j[keep]
@@ -397,8 +420,7 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
     correlation_defined = bool(pair_cs.size)
     mean_corr = float(pair_cs.mean()) if pair_cs.size else 0.0
 
-    decoded, _ = nearest_rows(data.bits, code)
-    ecoc_error = float((decoded != data.true_classes).mean())
+    ecoc_error = count_misdecoded(errs, data.true_classes, code) / num
 
     ddof = 1 if data.n > 1 else 0
     corr_std = float(np.std(pair_cs, ddof=1)) if pair_cs.size > 1 else 0.0

@@ -5,11 +5,17 @@ Three dependence structures are supported: fully independent classifiers
 (specified by the pair's joint error probability f), and fully exchangeable
 classifiers with a uniform second-order correlation coefficient c.
 
-Each model type offers the same four methods: count_pmf() (the error-count
+Each model type offers the same five methods: count_pmf() (the error-count
 distribution by an efficient route: dynamic programming, two-stage
-recursion, or closed form), tail(m), sample(rng, count) and joint_mass(bits)
-(the joint law of whole outcomes, which the brute-force enumeration oracle
-over all 2^n outcomes sums for cross-checking).
+recursion, or closed form), tail(m), sample(rng, count) (error vectors),
+sample_counts(rng, count) (their error counts only, drawn from the same
+stream as sample) and joint_mass(bits) (the joint law of whole outcomes,
+which the brute-force enumeration oracle over all 2^n outcomes sums for
+cross-checking).
+
+The samplers draw their uniforms in blocks of BLOCK_ROWS rows, in the order
+rng.random((count, width)) would draw them, and compare each block into a
+bool array that they return viewed as uint8.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ WEIGHT_SLACK = 1e-12
 ENUMERATION_MAX_N = 20
 
 _LOG_SPACE_N = 50
+
+# Rows of uniforms drawn per block by the samplers: about 1 MB of float64 at
+# n = 127, so a block is still in cache when it is compared.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,13 @@ class Independent:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         rates = np.asarray(self.profile.rates)
-        return (rng.random((count, self.n)) < rates).astype(np.uint8)
+        bits = np.empty((count, self.n), dtype=bool)
+        for rows, u in _uniform_blocks(rng, count, self.n):
+            np.less(u, rates, out=bits[rows])
+        return bits.view(np.uint8)
+
+    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.sample(rng, count).sum(axis=1)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates)
@@ -149,14 +165,17 @@ class PairModel:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         n = self.n
         rates = np.asarray(self.profile.rates[:-2])
-        bits = np.zeros((count, n), dtype=np.uint8)
-        if n > 2:
-            bits[:, :-2] = rng.random((count, n - 2)) < rates
+        bits = np.empty((count, n), dtype=bool)
+        for rows, u in _uniform_blocks(rng, count, n - 2):
+            np.less(u, rates, out=bits[rows, :-2])
         p11, p10, p01, _ = self.joint_cells
         u = rng.random(count)
         bits[:, -2] = u < p11 + p10
         bits[:, -1] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
-        return bits
+        return bits.view(np.uint8)
+
+    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.sample(rng, count).sum(axis=1)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates[:-2])
@@ -218,14 +237,16 @@ class ExchangeableModel:
         # Outcome probability depends on the error vector only through its
         # count k, so draw k first and then a uniformly random k-subset of
         # positions (the positions of the k smallest of n iid uniforms).
-        n = self.n
+        ks = self.sample_counts(rng, count)
+        bits = np.empty((count, self.n), dtype=bool)
+        for rows, u in _uniform_blocks(rng, count, self.n):
+            _mark_smallest(u, ks[rows], bits[rows])
+        return bits.view(np.uint8)
+
+    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
         pmf = self.count_pmf()
         pmf /= pmf.sum()
-        ks = rng.choice(n + 1, size=count, p=pmf)
-        order = rng.random((count, n)).argsort(axis=1)
-        bits = np.empty((count, n), dtype=np.uint8)
-        np.put_along_axis(bits, order, np.arange(n) < ks[:, None], axis=1)
-        return bits
+        return rng.choice(self.n + 1, size=count, p=pmf)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         n, e = self.n, self.e_bar
@@ -249,6 +270,38 @@ def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
 def _check_count(name: str, value: int, n: int) -> None:
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} outside 0..{n}")
+
+
+def _uniform_blocks(rng: np.random.Generator, rows: int, width: int):
+    """Yield (row slice, block) over the rows of rng.random((rows, width)),
+    drawing each block into one reused buffer; the stream is consumed in the
+    same order as by the single call."""
+    buf = np.empty((min(rows, BLOCK_ROWS), width))
+    for start in range(0, rows, BLOCK_ROWS):
+        u = buf[: rows - start]
+        rng.random(out=u)
+        yield slice(start, start + len(u)), u
+
+
+def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
+    """Set out[i, j] to whether u[i, j] ranks among the ks[i] smallest of
+    row i, ties ranked by position (the ranks of a stable argsort).
+
+    Each row is marked by a cut at its k-th smallest value.  The cut would
+    mark too many positions only where the k-th and (k+1)-th smallest are
+    equal; those rows alone are ranked by argsort.
+    """
+    rows, n = u.shape
+    at = np.arange(rows)
+    srt = np.sort(u, axis=1)
+    cut = np.where(ks > 0, srt[at, np.maximum(ks - 1, 0)], -1.0)
+    np.less_equal(u, cut[:, None], out=out)
+    tied = np.flatnonzero((ks > 0) & (ks < n) & (srt[at, np.minimum(ks, n - 1)] == cut))
+    if tied.size:
+        order = u[tied].argsort(axis=1, kind="stable")
+        marks = np.empty((tied.size, n), dtype=bool)
+        np.put_along_axis(marks, order, np.arange(n) < ks[tied, None], axis=1)
+        out[tied] = marks
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_matrix import CodeMatrix, nearest_rows
+from .code_matrix import CodeMatrix, count_misdecoded
 from .prob_engine import DependenceModel
 
 DEFAULT_SEED = 60428  # 0xEC0C
@@ -105,8 +105,7 @@ def mc_threshold_error(model: DependenceModel, m: int, cfg: SimConfig) -> SimRes
         raise ValueError(f"m={m} exceeds n={model.n}")
 
     def count(rng, size):
-        bits = model.sample(rng, size)
-        return int((bits.sum(axis=1) >= m).sum())
+        return int((model.sample_counts(rng, size) >= m).sum())
 
     return _result(_run_chunks(cfg, count), cfg, MODE_THRESHOLD)
 
@@ -121,7 +120,8 @@ def mc_decode_error(
 
     Each trial picks a true class (uniformly unless true_class pins one),
     flips its codeword at the sampled error positions, and decodes by nearest
-    row with lowest-index tie breaking.
+    row with lowest-index tie breaking; only trials with at least d/2 flips
+    can decode wrongly, so only those are decoded (see count_misdecoded).
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -134,7 +134,6 @@ def mc_decode_error(
             classes = rng.integers(0, code.num_classes, size=size)
         else:
             classes = np.full(size, true_class)
-        decoded, _ = nearest_rows(np.bitwise_xor(code.matrix[classes], bits), code)
-        return int((decoded != classes).sum())
+        return count_misdecoded(bits.view(bool), classes, code)
 
     return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)

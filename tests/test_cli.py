@@ -224,6 +224,54 @@ class TestSimulateCommand:
         )
         assert json.loads(out)["seed"] == 314
 
+    def test_seed_env_read_at_each_call(self, capsys, monkeypatch):
+        # The parser is built once per process; the environment is not.
+        argv = ("simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
+                "--m", "2", "--trials", "1000", "--format", "json")
+        monkeypatch.delenv("ECOC_SEED", raising=False)
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["seed"] == 60428
+        monkeypatch.setenv("ECOC_SEED", "271")
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["seed"] == 271
+        _, out, _ = run(capsys, *argv, "--seed", "5")
+        assert json.loads(out)["seed"] == 5
+
+    def test_bad_seed_env_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ECOC_SEED", "x")
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
+            "--m", "2", "--trials", "10",
+        )
+        assert (status, out) == (1, "")
+        assert err == "error: ECOC_SEED='x' is not an integer\n"
+        # Commands that take no seed do not read it.
+        assert run(capsys, "code", "--classes", "4")[0] == 0
+
+    def test_commands_in_a_row_match_fresh_processes(self, capsys, monkeypatch):
+        commands = [
+            ("code", "--classes", "12", "--format", "csv"),
+            ("simulate", "--model", "exchangeable", "--n", "12", "--ebar", "0.1",
+             "--c", "0.01", "--mode", "full-decode", "--trials", "3000"),
+            ("pmf", "--model", "iid", "--n", "5", "--ebar", "0.2"),
+            ("simulate", "--model", "pair", "--n", "8", "--ebar", "0.2",
+             "--f", "0.05", "--m", "3", "--trials", "3000", "--seed", "9"),
+        ]
+        monkeypatch.delenv("ECOC_SEED", raising=False)
+        src = str(Path(ecoc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        in_process = [run(capsys, *argv)[:2] for argv in commands]
+        for argv, (status, out) in zip(commands, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ecoc", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert status == 0
+            assert (proc.returncode, proc.stdout) == (status, out)
+
 
 class TestAnalyzeCommand:
     def test_fixture_json(self, capsys):

@@ -14,6 +14,7 @@ from ecoc.code_matrix import (
     KEEP_TOP_LEFT,
     CodeMatrix,
     build_code_matrix,
+    count_misdecoded,
     decode,
     from_text,
     min_row_distance,
@@ -233,6 +234,72 @@ class TestNearestRows:
         code = CodeMatrix(matrix=long_rows, d=0, m=0)
         with pytest.raises(ValueError, match="2\\*\\*24"):
             nearest_rows(long_rows[:1], code)
+
+
+def _misdecoded_by_decoding_every_row(errors, classes, code):
+    """Reference for count_misdecoded: decode every word."""
+    idx, _ = nearest_rows(code.matrix[classes] ^ errors, code)
+    return int((idx != classes).sum())
+
+
+class TestCountMisdecoded:
+    CODES = {
+        "d3-odd": build_code_matrix(6),
+        "d4-even": build_code_matrix(10),
+        "d5-odd": build_code_matrix(11),
+        "repetition-d3": CodeMatrix.from_matrix(np.array([[0, 0, 0], [1, 1, 1]])),
+        "fewer-classes-than-n": CodeMatrix.from_matrix(sylvester_hadamard(3)[:5]),
+        "duplicate-rows-d0": CodeMatrix.from_matrix(
+            np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]])
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CODES))
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_matches_decoding_every_row(self, name, pinned):
+        code = self.CODES[name]
+        rng = np.random.default_rng(7)
+        for rate in (0.0, 0.1, 0.3, 0.5):
+            errors = rng.random((400, code.n)) < rate
+            if pinned:
+                classes = np.full(400, code.num_classes - 1)
+            else:
+                classes = rng.integers(0, code.num_classes, size=400)
+            want = _misdecoded_by_decoding_every_row(errors, classes, code)
+            assert count_misdecoded(errors, classes, code) == want
+            assert count_misdecoded(errors.astype(np.uint8), classes, code) == want
+        if code.d == 0:
+            # Equal rows: the higher-index copy decodes to the lower one even
+            # without a flip.
+            none = np.zeros((1, code.n), dtype=bool)
+            assert count_misdecoded(none, np.array([2]), code) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(code_and_words(), st.data())
+    def test_matches_reference_on_small_codes(self, case, data):
+        matrix, words = case
+        code = CodeMatrix.from_matrix(matrix)
+        classes = np.array(
+            data.draw(st.lists(st.integers(0, code.num_classes - 1),
+                               min_size=len(words), max_size=len(words)))
+        )
+        errors = words.astype(bool)
+        want = _misdecoded_by_decoding_every_row(errors, classes, code)
+        assert count_misdecoded(errors, classes, code) == want
+
+    def test_rejects_bad_input(self):
+        code = build_code_matrix(10)
+        errors = np.zeros((3, 10), dtype=bool)
+        with pytest.raises(ValueError):
+            count_misdecoded(errors[:, :9], np.zeros(3, np.int64), code)
+        with pytest.raises(ValueError):
+            count_misdecoded(errors, np.zeros(2, np.int64), code)
+        with pytest.raises(ValueError):
+            count_misdecoded(errors, np.array([0, 10, 1]), code)
+        with pytest.raises(ValueError):
+            count_misdecoded(errors, np.array([0, -1, 1]), code)
+        with pytest.raises(ValueError):
+            count_misdecoded(np.full((3, 10), 2, np.uint8), np.zeros(3, np.int64), code)
 
 
 class TestSerialization:

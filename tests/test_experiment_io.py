@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoc.cli import main
-from ecoc.code_matrix import build_code_matrix
+from ecoc import experiment_io as xio
+from ecoc.code_matrix import build_code_matrix, nearest_rows
 from ecoc.errors import DomainError, ParseError
 from ecoc.experiment_io import (
     DATASETS,
@@ -173,6 +174,9 @@ class TestPredictionsIO:
         assert "Traceback" not in captured.err
 
 
+_SUMMARY_HEAD = b"fold,mean_bit_error,mean_correlation,ecoc_error\n"
+
+
 class TestSummariesIO:
     def test_fixture_round_trip_byte_exact(self, tmp_path):
         for name in fixture_names():
@@ -256,6 +260,30 @@ class TestSummariesIO:
             assert loads_summaries(
                 "fold,mean_bit_error,mean_correlation,ecoc_error\n"
             ) == []
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            (_SUMMARY_HEAD + b"1,0.1,0.02,0.05\n2,0.1\xff,0.02,0.05\n", 3, 6),
+            (_SUMMARY_HEAD + b"\xe9,0.1,0.02,0.05\n", 2, 1),
+            (b"fold,mean_bit_error,mean_correlation,ecoc_\xc3(error\n", 1, 43),
+            (b"fold,mean_bit_error,mean_correlation,ecoc_error\r"
+             b"\xc3\xa9,0.1,0.02,0.05\r\n1,\xff\r\n", 3, 3),
+        ],
+        ids=["ff-in-row-3", "latin-1-fold-id", "bad-header-byte", "cr-line-ends"],
+    )
+    def test_non_utf8_byte_names_line(self, tmp_path, capsys, text, line, column):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as err:
+            load_summaries(path)
+        assert err.value.line == line
+        assert f"at column {column}" in str(err.value)
+        status = main(["analyze", "--summary", str(path), "--classes", "26"])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: line {line}: non-UTF-8 byte 0x")
+        assert "Traceback" not in captured.err
 
     def test_crlf_accepted(self, tmp_path):
         rows = loads_summaries(
@@ -368,6 +396,28 @@ class TestAnalyzeFold:
                     pair_cs.append((joint[i, j] - rates[i] * rates[j]) / denom)
         assert summary.mean_correlation == float(np.mean(pair_cs))
         assert summary.mean_correlation_std == float(np.std(pair_cs, ddof=1))
+
+    @pytest.mark.parametrize("classes, rate", [(11, 0.2), (127, 0.35)])
+    def test_matches_float64_reference(self, classes, rate, monkeypatch):
+        # Reference: the float64 error matrix and product, and a decode of
+        # every row.  Blocks of 7 rows exercise the blockwise product.
+        code = build_code_matrix(classes)
+        fold = make_fold(np.random.default_rng(classes), code, 2000, rate)
+        errs = (fold.bits != code.matrix[fold.true_classes]).astype(np.float64)
+        joint = (errs.T @ errs) / len(errs)
+        decoded, _ = nearest_rows(fold.bits, code)
+        want = analyze_fold(fold, code)
+        assert want.per_classifier_errors == tuple(errs.mean(axis=0).tolist())
+        assert want.ecoc_error == float((decoded != fold.true_classes).mean())
+        assert 0.0 < want.ecoc_error < 1.0
+        monkeypatch.setattr(xio, "_JOINT_BLOCK_ROWS", 7)
+        assert analyze_fold(fold, code) == want
+        rates = errs.mean(axis=0)
+        i, j = np.triu_indices(code.n, k=1)
+        cs = (joint[i, j] - rates[i] * rates[j]) / np.sqrt(
+            rates[i] * (1 - rates[i]) * rates[j] * (1 - rates[j])
+        )
+        assert want.mean_correlation == float(cs.mean())
 
     def test_dimension_mismatch(self):
         code = build_code_matrix(10)

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from ecoc.code_matrix import build_code_matrix
 from ecoc.prob_engine import (
+    BLOCK_ROWS,
     ErrorProfile,
     ExchangeableModel,
     Independent,
     PairModel,
+    _mark_smallest,
     enumerate_outcomes,
     exchangeable_tail,
     pair_correlated_tail,
@@ -100,6 +104,14 @@ class TestDeterminism:
                 got = model.sample(_chunk_rng(seed, 0), 2000)
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, want)
+
+    def test_exchangeable_threshold_worker_invariance(self):
+        model = ExchangeableModel(26, 0.0686, 0.0058)
+        trials = 3 * CHUNK_TRIALS + 7
+        base = mc_threshold_error(model, 6, SimConfig(trials=trials, seed=12))
+        for workers in (2, 3):
+            cfg = SimConfig(trials=trials, seed=12, workers=workers)
+            assert mc_threshold_error(model, 6, cfg) == base
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -238,3 +250,117 @@ class TestDecode:
             mc_threshold_error(
                 Independent(ErrorProfile.iid(4, 0.1)), -1, SimConfig(trials=10)
             )
+
+
+def _pair_f(e, c):
+    return e * e + c * e * (1.0 - e)
+
+
+class TestPinnedStreams:
+    """Counts the samplers and the decoder produced before they drew and
+    decoded by blocks; any change to the streams shows here."""
+
+    TRIALS = 2 * CHUNK_TRIALS + 5
+    # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
+    COUNTS = {
+        (26, 0.0686, 0.0058): {"iid": (498, 12), "pair": (438, 19), "exchangeable": (770, 42)},
+        (127, 0.18, 0.006): {"iid": (1749, 0), "pair": (1761, 0), "exchangeable": (4768, 1)},
+    }
+
+    @staticmethod
+    def _model(kind, n, e, c):
+        if kind == "iid":
+            return Independent(ErrorProfile.iid(n, e))
+        if kind == "pair":
+            return PairModel(ErrorProfile.iid(n, e), _pair_f(e, c))
+        return ExchangeableModel(n, e, c)
+
+    @pytest.mark.parametrize("kind", ["iid", "pair", "exchangeable"])
+    @pytest.mark.parametrize("point", list(COUNTS), ids=["n26", "n127"])
+    def test_counts(self, point, kind):
+        n, e, c = point
+        model = self._model(kind, n, e, c)
+        code = build_code_matrix(n)
+        cfg = SimConfig(trials=self.TRIALS, seed=2024)
+        threshold = mc_threshold_error(model, code.m, cfg)
+        decode = mc_decode_error(model, code, cfg)
+        want_threshold, want_decode = self.COUNTS[point][kind]
+        assert threshold.error_rate == want_threshold / self.TRIALS
+        assert decode.error_rate == want_decode / self.TRIALS
+
+
+SAMPLE_CASES = [
+    Independent(ErrorProfile((0.0, 1.0, 0.3))),
+    Independent(ErrorProfile.iid(2, 0.4)),
+    Independent(ErrorProfile.iid(127, 0.18)),
+    PairModel(ErrorProfile((0.0, 1.0)), 0.0),
+    PairModel(ErrorProfile((1.0, 0.2, 0.0, 1.0)), 0.0),
+    PairModel(ErrorProfile.iid(2, 0.4), 0.3),
+    PairModel(ErrorProfile.iid(26, 0.0686), _pair_f(0.0686, 0.0058)),
+    ExchangeableModel(2, 0.4, 0.0),
+    ExchangeableModel(26, 0.0686, 0.0058),
+    ExchangeableModel(127, 0.18, 0.006),
+]
+SAMPLE_IDS = [
+    "iid-0-1", "iid-n2", "iid-127", "pair-0-1", "pair-ends-0-1", "pair-n2",
+    "pair-26", "exch-n2", "exch-26", "exch-127",
+]
+
+
+class TestSamplers:
+    COUNT = 2 * BLOCK_ROWS + 3  # two whole blocks and a partial one
+
+    @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
+    def test_sample_counts_match_sample(self, model):
+        for seed in range(3):
+            bits = model.sample(_chunk_rng(seed, 0), self.COUNT)
+            counts = model.sample_counts(_chunk_rng(seed, 0), self.COUNT)
+            assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, model.n)
+            assert set(np.unique(bits)) <= {0, 1}
+            assert np.array_equal(counts, bits.sum(axis=1))
+
+    @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
+    def test_blocked_draws_match_one_draw(self, model):
+        # Reference: every uniform drawn by one rng.random call.
+        n, rates = model.n, np.asarray(model.profile.rates)
+        rng = _chunk_rng(5, 1)
+        if isinstance(model, Independent):
+            want = (rng.random((self.COUNT, n)) < rates).astype(np.uint8)
+        else:
+            want = np.zeros((self.COUNT, n), dtype=np.uint8)
+            if n > 2:
+                want[:, :-2] = rng.random((self.COUNT, n - 2)) < rates[:-2]
+            p11, p10, p01, _ = model.joint_cells
+            u = rng.random(self.COUNT)
+            want[:, -2] = u < p11 + p10
+            want[:, -1] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
+        assert np.array_equal(model.sample(_chunk_rng(5, 1), self.COUNT), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        rows=st.integers(1, 40),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mark_smallest_with_ties(self, n, rows, levels, seed):
+        # Few distinct values force ties at the cut; reference: the ranks of
+        # a stable argsort.
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, levels, size=(rows, n)) / levels
+        ks = rng.integers(0, n + 1, size=rows)
+        out = np.empty((rows, n), dtype=bool)
+        _mark_smallest(u, ks, out)
+        ranks = u.argsort(axis=1, kind="stable").argsort(axis=1)
+        assert np.array_equal(out, ranks < ks[:, None])
+        assert np.array_equal(out.sum(axis=1), ks)
+
+    def test_mark_smallest_all_tied_row(self):
+        u = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.1, 0.5], [0.2, 0.2, 0.2, 0.2]])
+        out = np.empty(u.shape, dtype=bool)
+        _mark_smallest(u, np.array([2, 2, 4]), out)
+        assert out.tolist() == [
+            [True, True, False, False],
+            [True, False, True, False],
+            [True, True, True, True],
+        ]
