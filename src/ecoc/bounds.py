@@ -23,7 +23,8 @@ from .prob_engine import ErrorProfile, bahadur_range
 class BoundInputs:
     """Parameter set for one bound evaluation.
 
-    mu defaults to n * e_bar, the identically-distributed case.
+    mu defaults to n * e_bar, the identically-distributed case.  c, when
+    given, must be finite, and mu finite and non-negative.
     """
 
     n: int
@@ -37,6 +38,10 @@ class BoundInputs:
             raise ValueError(f"m={self.m} outside 1..{self.n}")
         if not 0.0 <= self.e_bar <= 1.0:
             raise ValueError(f"e_bar={self.e_bar} outside [0, 1]")
+        if self.c is not None and not math.isfinite(self.c):
+            raise ValueError(f"c={self.c} must be finite")
+        if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError(f"mu={self.mu} must be finite and non-negative")
 
     @property
     def r(self) -> float:

@@ -34,30 +34,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _scalar_output(name: str, value: float, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({name: value}) + "\n"
-    if fmt == "csv":
-        return f"{name}\n{value!r}\n"
-    return f"{_fmt(value)}\n"
+def _grid(rows, specs: tuple[str, ...]) -> str:
+    """Table text, one line per row: each cell rendered by _fmt, padded by
+    its column's format spec (such as ">12") and joined by two spaces."""
+    return "".join(
+        "  ".join(format(_fmt(v), spec) for v, spec in zip(row, specs)) + "\n"
+        for row in rows
+    )
 
 
-def _dict_output(payload: dict, fmt: str) -> str:
+def _record(payload: dict, fmt: str) -> str:
+    """One record as a json object, a csv header and row, or a table of
+    key/value lines.  A one-field record is one json line, and its table is
+    the bare value."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2 if len(payload) > 1 else None) + "\n"
     if fmt == "csv":
-        cols = list(payload)
-        vals = ["" if payload[c] is None else repr(payload[c]) if isinstance(payload[c], float) else str(payload[c]) for c in cols]
-        return ",".join(cols) + "\n" + ",".join(vals) + "\n"
+        return xio.csv_text(list(payload), [payload])
+    if len(payload) == 1:
+        return _grid([payload.values()], ("",))
     width = max(len(c) for c in payload)
-    return "".join(f"{c:<{width}}  {_fmt(v)}\n" for c, v in payload.items())
+    return _grid(payload.items(), (f"<{width}", ""))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -115,17 +119,18 @@ def _build_model(args) -> pe.DependenceModel:
 def cmd_code(args) -> int:
     code = cm.build_code_matrix(args.classes, orientation=args.orientation)
     if args.emit:
-        _emit(cm.to_text(code), args.out)
-        return 0
-    payload = {
-        "classes": code.num_classes,
-        "n": code.n,
-        "d": code.d,
-        "m": code.m,
-        "r": code.r,
-        "orientation": args.orientation,
-    }
-    _emit(_dict_output(payload, args.format), args.out)
+        text = cm.to_text(code)
+    else:
+        payload = {
+            "classes": code.num_classes,
+            "n": code.n,
+            "d": code.d,
+            "m": code.m,
+            "r": code.r,
+            "orientation": args.orientation,
+        }
+        text = _record(payload, args.format)
+    _emit(text, args.out)
     return 0
 
 
@@ -135,21 +140,22 @@ def cmd_pmf(args) -> int:
         raise ValueError(f"k={args.k} outside 0..{model.n}")
     pmf = model.count_pmf().tolist()
     if args.k is not None:
-        _emit(_scalar_output("pmf", pmf[args.k], args.format), args.out)
-        return 0
-    rows = [{"k": k, "pmf": p} for k, p in enumerate(pmf)]
-    if args.format == "json":
-        _emit(json.dumps({"pmf": rows}, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(xio.format_rows_csv(rows), args.out)
+        text = _record({"pmf": pmf[args.k]}, args.format)
+    elif args.format == "table":
+        text = _grid(enumerate(pmf), (">3", ""))
     else:
-        _emit("".join(f"{r['k']:>3}  {_fmt(r['pmf'])}\n" for r in rows), args.out)
+        rows = [{"k": k, "pmf": p} for k, p in enumerate(pmf)]
+        if args.format == "json":
+            text = json.dumps({"pmf": rows}, indent=2) + "\n"
+        else:
+            text = xio.csv_text(("k", "pmf"), rows)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_tail(args) -> int:
     model = _build_model(args)
-    _emit(_scalar_output("tail", model.tail(args.m), args.format), args.out)
+    _emit(_record({"tail": model.tail(args.m)}, args.format), args.out)
     return 0
 
 
@@ -173,7 +179,7 @@ def cmd_bounds(args) -> int:
     }
     if report.kz_reason:
         payload["kz_reason"] = report.kz_reason
-    _emit(_dict_output(payload, args.format), args.out)
+    _emit(_record(payload, args.format), args.out)
     return 0
 
 
@@ -186,7 +192,7 @@ def cmd_bahadur(args) -> int:
         "valid_c_min": v_min,
         "valid_c_max": v_max,
     }
-    _emit(_dict_output(payload, args.format), args.out)
+    _emit(_record(payload, args.format), args.out)
     return 0
 
 
@@ -217,8 +223,14 @@ def cmd_simulate(args) -> int:
         "mode": result.mode,
         "seed": seed,
     }
-    _emit(_dict_output(payload, args.format), args.out)
+    _emit(_record(payload, args.format), args.out)
     return 0
+
+
+def _fixture(name: str) -> tuple[list[xio.FoldSummary], int]:
+    """A bundled fixture's fold summaries and its dataset's class count."""
+    summaries = xio.load_fixture(name)
+    return summaries, xio.DATASETS[name.rsplit("_", 1)[0]].classes
 
 
 def _analyze_inputs(args) -> tuple[list[xio.FoldSummary], cm.CodeMatrix]:
@@ -230,10 +242,8 @@ def _analyze_inputs(args) -> tuple[list[xio.FoldSummary], cm.CodeMatrix]:
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --predictions, --summary, --fixture")
     if args.fixture is not None:
-        dataset = args.fixture.rsplit("_", 1)[0]
-        classes = xio.DATASETS[dataset].classes
-        code = cm.build_code_matrix(classes, orientation=args.orientation)
-        return xio.load_fixture(args.fixture), code
+        summaries, classes = _fixture(args.fixture)
+        return summaries, cm.build_code_matrix(classes, orientation=args.orientation)
     if args.classes is None:
         raise ValueError("--classes is required with --predictions/--summary")
     code = cm.build_code_matrix(args.classes, orientation=args.orientation)
@@ -253,67 +263,45 @@ def cmd_analyze(args) -> int:
     ]
     agg = xio.aggregate(summaries, reports)
     if args.format == "json":
-        _emit(xio.format_report_json(summaries, reports, agg), args.out)
+        text = json.dumps(xio.report_json_obj(summaries, reports, agg), indent=2) + "\n"
     elif args.format == "csv":
-        _emit(xio.format_report_csv(summaries, reports, agg), args.out)
+        text = xio.format_report_csv(summaries, reports, agg)
     else:
-        lines = []
         header = ("fold", "e_bar", "corr", "experimental", "gs", "chernoff", "kz")
-        lines.append("  ".join(f"{h:>12}" for h in header))
-        for row in xio.report_rows(summaries, reports):
-            lines.append("  ".join(f"{_fmt(row[c]):>12}" for c in xio.REPORT_COLUMNS))
-        for label, pick in (("mean", "mean"), ("std", "std")):
-            lines.append(
-                "  ".join(
-                    f"{_fmt(v):>12}"
-                    for v in (
-                        label,
-                        None,
-                        None,
-                        getattr(agg.experimental, pick),
-                        getattr(agg.gs, pick),
-                        getattr(agg.chernoff, pick),
-                        getattr(agg.kz, pick) if agg.kz else None,
-                    )
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = xio.report_rows(summaries, reports, agg)
+        cells = [[row[c] for c in xio.REPORT_COLUMNS] for row in rows]
+        text = _grid([header, *cells], (">12",) * len(header))
+    _emit(text, args.out)
     return 0
 
 
 def cmd_figures(args) -> int:
-    out_dir = Path(args.out)
     if args.figure == "fig1":
         ns = tuple(int(v) for v in args.ns.split(","))
-        rows = xio.figure_one_curves(ns=ns, r=args.r, step=args.step)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "fig1_curves.csv"
-        path.write_text(xio.format_rows_csv(rows), encoding="utf-8")
-        sys.stderr.write(f"wrote {path}\n")
-        return 0
-    # scatter
-    if args.fixture is not None:
-        name = args.fixture
-        dataset = name.rsplit("_", 1)[0]
-        summaries = xio.load_fixture(name)
-        classes = xio.DATASETS[dataset].classes
-    elif args.summary is not None:
-        if args.classes is None:
-            raise ValueError("--classes is required with --summary")
-        name = Path(args.summary).stem
-        summaries = xio.load_summaries(args.summary)
-        classes = args.classes
+        files = {"fig1_curves": xio.figure_one_curves(ns=ns, r=args.r, step=args.step)}
     else:
-        raise ValueError("scatter requires --fixture or --summary")
-    if not summaries:
-        raise ValueError("no folds in input; nothing to plot")
-    code = cm.build_code_matrix(classes, orientation=args.orientation)
-    n = args.n if args.n is not None else code.n
-    curves, folds = xio.scatter_figure_data(summaries, n, code.m)
+        if args.fixture is not None:
+            name = args.fixture
+            summaries, classes = _fixture(name)
+        elif args.summary is not None:
+            if args.classes is None:
+                raise ValueError("--classes is required with --summary")
+            name = Path(args.summary).stem
+            summaries = xio.load_summaries(args.summary)
+            classes = args.classes
+        else:
+            raise ValueError("scatter requires --fixture or --summary")
+        if not summaries:
+            raise ValueError("no folds in input; nothing to plot")
+        code = cm.build_code_matrix(classes, orientation=args.orientation)
+        n = args.n if args.n is not None else code.n
+        curves, folds = xio.scatter_figure_data(summaries, n, code.m)
+        files = {f"{name}_curves": curves, f"{name}_folds": folds}
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for suffix, rows in (("curves", curves), ("folds", folds)):
-        path = out_dir / f"{name}_{suffix}.csv"
-        path.write_text(xio.format_rows_csv(rows), encoding="utf-8")
+    for stem, rows in files.items():
+        path = out_dir / f"{stem}.csv"
+        _emit(xio.format_rows_csv(rows), path)
         sys.stderr.write(f"wrote {path}\n")
     return 0
 

@@ -8,7 +8,7 @@ the row nearest in Hamming distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,20 +36,22 @@ class CodeMatrix:
     """A class-by-classifier bit matrix with its distance parameters.
 
     d is the minimum Hamming distance over all row pairs and m = floor(d / 2);
-    any pattern of fewer than d/2 bit errors (so any of fewer than m) decodes
-    to the original row.  r = m / n is the correction ratio.
+    both are computed from the matrix, which is stored as a read-only uint8
+    copy.  Any pattern of fewer than d/2 bit errors (so any of fewer than m)
+    decodes to the original row.  r = m / n is the correction ratio.
     """
 
     matrix: BitMatrix
-    d: int
-    m: int
+    d: int = field(init=False)
+    m: int = field(init=False)
 
-    @classmethod
-    def from_matrix(cls, matrix: BitMatrix) -> "CodeMatrix":
-        matrix = _as_bits(matrix)
+    def __post_init__(self):
+        matrix = _as_bits(self.matrix)
         matrix.setflags(write=False)
         d = min_row_distance(matrix)
-        return cls(matrix=matrix, d=d, m=d // 2)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", d // 2)
 
     @property
     def num_classes(self) -> int:
@@ -66,9 +68,17 @@ class CodeMatrix:
 
 
 def _as_bits(matrix) -> np.ndarray:
+    """A uint8 copy of a 2-D 0/1 matrix.  Rows of 2**24 or more bits are
+    rejected before anything row-sized is allocated: float32 distances
+    between them would be inexact."""
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.shape[1] >= EXACT_MAX_N:
+        raise ValueError(
+            f"codeword length {a.shape[1]} is not below 2**24; "
+            "float32 distances would be inexact"
+        )
     if not np.isin(a, (0, 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     return a.astype(np.uint8)
@@ -131,7 +141,7 @@ def build_code_matrix(
         block = h[:num_classes, :num_classes]
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    return CodeMatrix.from_matrix(block)
+    return CodeMatrix(block)
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
@@ -140,13 +150,9 @@ def _signs(bits: np.ndarray) -> np.ndarray:
 
     Every partial sum of such a product is an integer of magnitude at most
     n, so a float32 GEMM computes it exactly in any summation order while
-    n < 2**24.
+    n < 2**24.  Callers keep n below that: every CodeMatrix goes through
+    _as_bits, which rejects longer rows, and words must match the code's n.
     """
-    if bits.shape[-1] >= EXACT_MAX_N:
-        raise ValueError(
-            f"codeword length {bits.shape[-1]} is not below 2**24; "
-            "float32 distances would be inexact"
-        )
     signs = bits.astype(np.float32)
     signs *= -2.0
     signs += 1.0
@@ -235,7 +241,7 @@ def from_text(text: str) -> CodeMatrix:
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows must all have length n={n}")
     matrix = np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
-    code = CodeMatrix.from_matrix(matrix)
+    code = CodeMatrix(matrix)
     if (code.d, code.m) != (d, m):
         raise ValueError(
             f"header claims d={d} m={m} but matrix has d={code.d} m={code.m}"

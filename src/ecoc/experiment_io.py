@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -344,31 +343,8 @@ def _universal_newlines(text: str) -> str:
 def format_summaries(summaries: list[FoldSummary]) -> str:
     """Render summaries in the canonical CSV form (round-trips load_summaries)."""
     with_std = any(s.mean_bit_error_std is not None for s in summaries)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS_STD if with_std else SUMMARY_COLUMNS)
-    for s in summaries:
-        if with_std:
-            writer.writerow(
-                [
-                    s.fold_id,
-                    repr(s.mean_bit_error),
-                    repr(s.mean_bit_error_std),
-                    repr(s.mean_correlation),
-                    repr(s.mean_correlation_std),
-                    repr(s.ecoc_error),
-                ]
-            )
-        else:
-            writer.writerow(
-                [
-                    s.fold_id,
-                    repr(s.mean_bit_error),
-                    repr(s.mean_correlation),
-                    repr(s.ecoc_error),
-                ]
-            )
-    return buf.getvalue()
+    columns = SUMMARY_COLUMNS_STD if with_std else SUMMARY_COLUMNS
+    return csv_text(columns, [dict(vars(s), fold=s.fold_id) for s in summaries])
 
 
 def write_summaries(summaries: list[FoldSummary], path) -> None:
@@ -493,9 +469,28 @@ def aggregate(
 # report rendering
 
 
+def csv_text(columns, rows) -> str:
+    """CSV text of a header of columns and one line per dict row, cells in
+    column order, written by csv.writer with \\n line ends.
+
+    A cell holding a comma, a quote or a line break is quoted (RFC 4180), a
+    float is written in full precision (str of a float is its repr) and None
+    is an empty cell.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[col] for col in columns] for row in rows)
+    return buf.getvalue()
+
+
 def report_rows(
-    summaries: list[FoldSummary], reports: list[BoundReport]
+    summaries: list[FoldSummary],
+    reports: list[BoundReport],
+    agg: AggregateReport | None = None,
 ) -> list[dict]:
+    """One REPORT_COLUMNS row per fold; with agg, then a "mean" and a "std"
+    row of the aggregated columns, whose fold-level columns are None."""
     rows = []
     for s, r in zip(summaries, reports):
         rows.append(
@@ -509,6 +504,19 @@ def report_rows(
                 "kz": r.kz,
             }
         )
+    if agg is not None:
+        rows += [
+            {
+                "fold": pick,
+                "mean_bit_error": None,
+                "mean_correlation": None,
+                "experimental": getattr(agg.experimental, pick),
+                "gs": getattr(agg.gs, pick),
+                "chernoff": getattr(agg.chernoff, pick),
+                "kz": None if agg.kz is None else getattr(agg.kz, pick),
+            }
+            for pick in ("mean", "std")
+        ]
     return rows
 
 
@@ -517,31 +525,7 @@ def format_report_csv(
     reports: list[BoundReport],
     agg: AggregateReport | None = None,
 ) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in report_rows(summaries, reports):
-        writer.writerow(
-            [row["fold"]]
-            + [
-                "" if row[col] is None else repr(row[col])
-                for col in REPORT_COLUMNS[1:]
-            ]
-        )
-    if agg is not None:
-        for label, pick in (("mean", "mean"), ("std", "std")):
-            writer.writerow(
-                [
-                    label,
-                    "",
-                    "",
-                    repr(getattr(agg.experimental, pick)),
-                    repr(getattr(agg.gs, pick)),
-                    repr(getattr(agg.chernoff, pick)),
-                    repr(getattr(agg.kz, pick)) if agg.kz is not None else "",
-                ]
-            )
-    return buf.getvalue()
+    return csv_text(REPORT_COLUMNS, report_rows(summaries, reports, agg))
 
 
 def report_json_obj(
@@ -563,10 +547,6 @@ def report_json_obj(
             "kz": col(agg.kz),
         },
     }
-
-
-def format_report_json(summaries, reports, agg) -> str:
-    return json.dumps(report_json_obj(summaries, reports, agg), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +689,10 @@ def figure_one_curves(
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r={r} outside (0, 1)")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step={step} must be finite and positive")
+    if any(n < 1 for n in ns):
+        raise ValueError(f"ensemble sizes {ns} must all be at least 1")
     grid = np.arange(step, r, step)
     rows = []
     for n in ns:
@@ -740,6 +724,8 @@ def scatter_figure_data(
     """
     if not summaries:
         raise ValueError("no fold summaries")
+    if n < 1:
+        raise ValueError(f"n={n} must be at least 1")
     e_vals = [s.mean_bit_error for s in summaries]
     pooled_c = float(np.mean([s.mean_correlation for s in summaries]))
     r = m / n
@@ -777,17 +763,4 @@ def format_rows_csv(rows: list[dict]) -> str:
     """Render homogeneous dict rows as CSV with full-precision floats."""
     if not rows:
         raise ValueError("no rows")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    columns = list(rows[0])
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            [
-                ""
-                if row[col] is None
-                else (repr(row[col]) if isinstance(row[col], float) else row[col])
-                for col in columns
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(list(rows[0]), rows)

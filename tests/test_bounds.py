@@ -257,3 +257,15 @@ class TestEvaluateBounds:
             BoundInputs(10, 11, 0.1)
         with pytest.raises(ValueError):
             evaluate_bounds(BoundInputs(10, 4, 0.1), kz_policy="sometimes")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c", math.nan), ("c", math.inf), ("c", -math.inf),
+         ("mu", math.nan), ("mu", math.inf), ("mu", -1.0)],
+    )
+    def test_rejects_non_finite_c_and_bad_mu(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}="):
+            BoundInputs(10, 2, 0.1, **{field: value})
+
+    def test_zero_mu_accepted(self):
+        assert evaluate_bounds(BoundInputs(10, 2, 0.1, mu=0.0)).chernoff_mu == 0.0

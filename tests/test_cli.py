@@ -1,5 +1,7 @@
 """CLI surface tests: every printed number must equal the library value."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -20,6 +22,7 @@ from ecoc.prob_engine import (
     exchangeable_pmf,
     pair_correlated_tail,
     tail_iid,
+    tail_independent,
 )
 from ecoc.simulator import SimConfig, mc_threshold_error
 
@@ -84,6 +87,28 @@ class TestBoundsCommand:
         assert payload["kz"] is None
         assert payload["kz_reason"] == "e=0.0 must lie strictly inside (0, 1)"
         assert payload["chernoff"] == 0.0
+
+    def test_csv_quotes_a_cell_with_a_comma(self, capsys):
+        status, out, err = run(
+            capsys, "bounds", "--n", "10", "--m", "2", "--ebar", "0",
+            "--c", "0.0058", "--format", "csv",
+        )
+        assert status == 0 and err == ""
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert None not in row
+        assert row["kz_reason"] == "e=0.0 must lie strictly inside (0, 1)"
+        assert row["kz"] == "" and float(row["chernoff"]) == 0.0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--c", "nan"), ("--c", "inf"), ("--mu", "inf"), ("--mu", "-1")]
+    )
+    def test_non_finite_c_or_bad_mu_is_rejected(self, capsys, flag, value):
+        status, out, err = run(
+            capsys, "bounds", "--n", "10", "--m", "2", "--ebar", "0.1",
+            flag, value, "--format", "json",
+        )
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {flag[2:]}=")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_m_equal_to_n_reports_decay_bounds_absent(self, capsys, fmt):
@@ -395,6 +420,37 @@ class TestExitCodes:
         assert status == 1 and out == ""
         assert err.startswith("error: line 3: mean_bit_error value 'nan'")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--fixture", "nosuch"),
+            ("figures", "--figure", "scatter", "--fixture", "nosuch"),
+        ],
+        ids=["analyze", "figures"],
+    )
+    def test_unknown_fixture_is_one(self, capsys, tmp_path, argv):
+        if argv[0] == "figures":
+            argv += ("--out", str(tmp_path / "figs"))
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert "no bundled fixture 'nosuch'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--figure", "fig1", "--step", "0"), "step=0.0 "),
+            (("--figure", "scatter", "--fixture", "letters_dt", "--n", "0"), "n=0 "),
+            (("--figure", "fig1", "--ns", "-1"), "ensemble sizes (-1,) "),
+        ],
+        ids=["fig1-step=0", "scatter-n=0", "fig1-ns=-1"],
+    )
+    def test_bad_figure_input_is_one(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "figs"
+        status, out, err = run(capsys, "figures", *argv, "--out", str(out_dir))
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tail", "--bogus"])
@@ -428,3 +484,62 @@ class TestExitCodes:
         assert "error:" in err
         assert f"{flag[2:]}={value} " in err
         assert out == ""
+
+
+class TestDefaultTables:
+    """Default stdout of one command per table layout, byte for byte."""
+
+    def test_one_value_prints_bare(self, capsys):
+        argv = ("tail", "--model", "iid", "--n", "10", "--m", "4", "--ebar", "0.1")
+        assert run(capsys, *argv)[1] == "0.0127952\n"
+        value = tail_independent(ErrorProfile.iid(10, 0.1), 4)
+        expect = json.dumps({"tail": value}) + "\n"
+        assert run(capsys, *argv, "--format", "json")[1] == expect
+
+    def test_key_value_lines(self, capsys):
+        _, out, _ = run(
+            capsys, "bounds", "--n", "26", "--m", "6", "--ebar", "0.0686",
+            "--c", "0.0058",
+        )
+        assert out == (
+            "n            26\n"
+            "m            6\n"
+            "e_bar        0.0686\n"
+            "c            0.0058\n"
+            "gs           0.2744\n"
+            "feller       0.314343\n"
+            "chernoff_mu  0.0467774\n"
+            "chernoff     0.0467774\n"
+            "kz           0.0546185\n"
+            "lambda       0.888889\n"
+            "omega        0.87564\n"
+        )
+
+    def test_count_grid(self, capsys):
+        _, out, _ = run(capsys, "pmf", "--model", "iid", "--n", "5", "--ebar", "0.2")
+        assert out == (
+            "  0  0.32768\n"
+            "  1  0.4096\n"
+            "  2  0.2048\n"
+            "  3  0.0512\n"
+            "  4  0.0064\n"
+            "  5  0.00032\n"
+        )
+
+    def test_report_grid_with_aggregate_rows(self, capsys):
+        _, out, _ = run(capsys, "analyze", "--fixture", "svhn_cnn")
+        assert out == (
+            "        fold         e_bar          corr  experimental            gs      chernoff            kz\n"
+            "           1        0.0082        0.2153        0.0116        0.0328     0.0114431             -\n"
+            "           2        0.0089        0.1698        0.0109        0.0356     0.0133862             -\n"
+            "           3        0.0083        0.1922        0.0108        0.0332     0.0117122             -\n"
+            "           4        0.0081        0.1783        0.0107        0.0324     0.0111769             -\n"
+            "           5        0.0087        0.1644        0.0108        0.0348     0.0128169             -\n"
+            "           6        0.0082        0.1766        0.0092        0.0328     0.0114431             -\n"
+            "           7        0.0094        0.2134        0.0124        0.0376      0.014858             -\n"
+            "           8        0.0088        0.2033        0.0125        0.0352     0.0131002             -\n"
+            "           9        0.0081        0.1723        0.0097        0.0324     0.0111769             -\n"
+            "          10        0.0091        0.1746        0.0121        0.0364     0.0139666             -\n"
+            "        mean             -             -       0.01107       0.03432      0.012508             -\n"
+            "         std             -             -    0.00109752     0.0018552    0.00130437             -\n"
+        )

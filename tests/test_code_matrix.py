@@ -139,6 +139,19 @@ class TestBuild:
         with pytest.raises(ValueError):
             code.matrix[0, 0] = 1
 
+    def test_distance_params_cannot_be_supplied(self):
+        matrix = build_code_matrix(10).matrix
+        with pytest.raises(TypeError):
+            CodeMatrix(matrix=matrix, d=10, m=5)
+        code = CodeMatrix(matrix)
+        assert (code.d, code.m) == (4, 2)
+        # The stored matrix is a read-only copy: the caller's array stays
+        # writable and later writes to it do not reach the code.
+        source = sylvester_hadamard(3)
+        code = CodeMatrix(source)
+        source[1] = source[0]
+        assert code.d == 4 and not code.matrix.flags.writeable
+
 
 class TestDecode:
     def test_codewords_decode_to_self(self):
@@ -169,7 +182,7 @@ class TestDecode:
                         assert decode(word, code) == i
 
     def test_tie_reporting(self):
-        code = CodeMatrix.from_matrix(np.array([[0, 0], [1, 1]]))
+        code = CodeMatrix(np.array([[0, 0], [1, 1]]))
         assert decode([0, 1], code) == 0
         assert decode([0, 1], code, report_ties=True) == (0, True)
         assert decode([0, 0], code, report_ties=True) == (0, False)
@@ -201,7 +214,7 @@ class TestNearestRows:
     @given(code_and_words())
     def test_matches_brute_force(self, case):
         matrix, words = case
-        code = CodeMatrix.from_matrix(matrix)
+        code = CodeMatrix(matrix)
         idx, dist = nearest_rows(words, code)
         for w, i, d in zip(words, idx, dist):
             brute = (matrix != w).sum(axis=1)
@@ -215,7 +228,7 @@ class TestNearestRows:
         assert min_row_distance(matrix) == code.d == brute_d
 
     def test_two_row_tie_goes_to_lowest_index(self):
-        code = CodeMatrix.from_matrix(np.array([[0, 0], [1, 1]]))
+        code = CodeMatrix(np.array([[0, 0], [1, 1]]))
         idx, dist = nearest_rows(np.array([[0, 1], [1, 0], [1, 1]]), code)
         assert idx.tolist() == [0, 0, 1]
         assert dist.tolist() == [1, 1, 0]
@@ -231,9 +244,8 @@ class TestNearestRows:
         # Zero-stride views: no codeword-sized buffer is allocated before the
         # length check rejects the input.
         long_rows = np.broadcast_to(np.zeros(1, np.uint8), (2, EXACT_MAX_N))
-        code = CodeMatrix(matrix=long_rows, d=0, m=0)
         with pytest.raises(ValueError, match="2\\*\\*24"):
-            nearest_rows(long_rows[:1], code)
+            CodeMatrix(long_rows)
 
 
 def _misdecoded_by_decoding_every_row(errors, classes, code):
@@ -247,9 +259,9 @@ class TestCountMisdecoded:
         "d3-odd": build_code_matrix(6),
         "d4-even": build_code_matrix(10),
         "d5-odd": build_code_matrix(11),
-        "repetition-d3": CodeMatrix.from_matrix(np.array([[0, 0, 0], [1, 1, 1]])),
-        "fewer-classes-than-n": CodeMatrix.from_matrix(sylvester_hadamard(3)[:5]),
-        "duplicate-rows-d0": CodeMatrix.from_matrix(
+        "repetition-d3": CodeMatrix(np.array([[0, 0, 0], [1, 1, 1]])),
+        "fewer-classes-than-n": CodeMatrix(sylvester_hadamard(3)[:5]),
+        "duplicate-rows-d0": CodeMatrix(
             np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]])
         ),
     }
@@ -278,7 +290,7 @@ class TestCountMisdecoded:
     @given(code_and_words(), st.data())
     def test_matches_reference_on_small_codes(self, case, data):
         matrix, words = case
-        code = CodeMatrix.from_matrix(matrix)
+        code = CodeMatrix(matrix)
         classes = np.array(
             data.draw(st.lists(st.integers(0, code.num_classes - 1),
                                min_size=len(words), max_size=len(words)))

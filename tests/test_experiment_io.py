@@ -22,6 +22,7 @@ from ecoc.experiment_io import (
     aggregate,
     analyze_fold,
     bound_report,
+    csv_text,
     figure_one_curves,
     fixture_names,
     fixture_text,
@@ -555,6 +556,28 @@ class TestReportRendering:
         assert obj["aggregate"]["kz"]["count"] == 10
         json.dumps(obj)  # must be serializable
 
+    def test_csv_aggregate_rows(self):
+        summaries = load_fixture("svhn_cnn")
+        code = build_code_matrix(10)
+        reports = [bound_report(s, code) for s in summaries]
+        agg = aggregate(summaries, reports)
+        lines = format_report_csv(summaries, reports, agg).splitlines()
+        assert len(lines) == 1 + 10 + 2
+        assert agg.kz is None
+        for line, stats in zip(lines[-2:], ("mean", "std")):
+            assert line == ",".join(
+                [stats, "", ""]
+                + [repr(getattr(getattr(agg, col), stats))
+                   for col in ("experimental", "gs", "chernoff")]
+                + [""]
+            )
+
+    def test_csv_text_quotes_and_keeps_precision(self):
+        rows = [{"a": "x,1", "b": 0.1 + 0.2}, {"a": 'say "hi"', "b": None}]
+        assert csv_text(("a", "b"), rows) == (
+            'a,b\n"x,1",0.30000000000000004\n"say ""hi""",\n'
+        )
+
 
 class TestFixtures:
     def test_all_ten_present(self):
@@ -642,6 +665,20 @@ class TestFigureData:
     def test_scatter_requires_folds(self):
         with pytest.raises(ValueError):
             scatter_figure_data([], 10, 2)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"step": 0.0}, {"step": -0.01}, {"step": math.nan}, {"step": math.inf},
+         {"ns": (0,)}, {"ns": (10, -1)}],
+    )
+    def test_fig1_rejects_bad_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            figure_one_curves(**kwargs)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_scatter_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"n={n} "):
+            scatter_figure_data(load_fixture("letters_dt"), n, 6)
 
     def test_rows_csv_renders(self):
         text = format_rows_csv([{"a": 1, "b": 0.5}, {"a": 2, "b": None}])
