@@ -30,6 +30,8 @@ EXACT_MAX_N = 1 << 24
 
 _MATRIX_CHUNK = 256
 
+_ZERO, _LF = ord("0"), ord("\n")
+
 
 @dataclass(frozen=True, eq=False)
 class CodeMatrix:
@@ -47,8 +49,19 @@ class CodeMatrix:
 
     def __post_init__(self):
         matrix = _as_bits(self.matrix)
+        self._freeze(matrix, _gram_min_distance(matrix))
+
+    @classmethod
+    def _with_distance(cls, matrix: np.ndarray, d: int) -> CodeMatrix:
+        """A code over a 0/1 uint8 matrix whose minimum row distance the
+        caller has proved to be d.  Only build_code_matrix calls this; every
+        other code derives d from its matrix."""
+        code = object.__new__(cls)
+        code._freeze(np.ascontiguousarray(matrix), d)
+        return code
+
+    def _freeze(self, matrix: np.ndarray, d: int) -> None:
         matrix.setflags(write=False)
-        d = min_row_distance(matrix)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", d // 2)
@@ -79,9 +92,13 @@ def _as_bits(matrix) -> np.ndarray:
             f"codeword length {a.shape[1]} is not below 2**24; "
             "float32 distances would be inexact"
         )
-    if not np.isin(a, (0, 1)).all():
+    if not _all_bits(a):
         raise ValueError("matrix entries must be 0 or 1")
     return a.astype(np.uint8)
+
+
+def _all_bits(a: np.ndarray) -> bool:
+    return bool(((a == 0) | (a == 1)).all())
 
 
 def sylvester_hadamard(k: int) -> BitMatrix:
@@ -103,18 +120,23 @@ def sylvester_hadamard(k: int) -> BitMatrix:
 
 def min_row_distance(matrix: BitMatrix) -> int:
     """Minimum Hamming distance over all unordered row pairs."""
-    a = _as_bits(matrix)
-    rows, n = a.shape
+    return _gram_min_distance(_as_bits(matrix))
+
+
+def _gram_min_distance(bits: np.ndarray) -> int:
+    """min_row_distance of a matrix _as_bits has already checked."""
+    rows, n = bits.shape
     if rows < 2:
         raise ValueError("need at least 2 rows")
-    signs = _signs(a)
-    # The largest off-diagonal entry of the +-1 Gram matrix is n - 2d;
-    # computed blockwise to bound memory.
+    signs = _signs(bits)
+    # The largest off-diagonal entry of the +-1 Gram matrix is n - 2d.  It is
+    # symmetric, so each block of rows is correlated only with itself and the
+    # rows after it; blocks bound the memory.
     best = -np.inf
     for start in range(0, rows, _MATRIX_CHUNK):
-        gram = signs[start : start + _MATRIX_CHUNK] @ signs.T
+        gram = signs[start : start + _MATRIX_CHUNK] @ signs[start:].T
         block = np.arange(gram.shape[0])
-        gram[block, start + block] = -np.inf
+        gram[block, block] = -np.inf
         best = max(best, float(gram.max()))
     return int(n - best) // 2
 
@@ -128,6 +150,22 @@ def build_code_matrix(
     2^k - num_classes rows and columns: from the top-left corner under
     keep-bottom-right (the default), from the bottom-right corner under
     keep-top-left.
+
+    The minimum row distance d is read off the Sylvester structure, with no
+    Gram product:
+
+    - Entry (a, j) of the Sylvester matrix h is parity(popcount(a & j)),
+      which is linear in a over GF(2).  So h[a] xor h[b] = h[a xor b], and
+      the distance between kept rows a and b on the kept columns S is the
+      weight of Walsh row a xor b on S.
+    - The c = num_classes kept row indices are either [0, c) or its image
+      under xor with 2^k - 1 (which maps i to 2^k - 1 - i).  Because
+      c > 2^(k-1), [0, c) holds 0, 2^(k-1) and every u < 2^(k-1), so the
+      pairs (0, v) and (2^(k-1), u) give every nonzero v < 2^k as a xor of
+      two distinct kept indices; xor with a constant keeps pairwise xors.
+    - Hence d = min over v in 1..2^k - 1 of h[v, S].sum(): one integer
+      row sum of h.  min_row_distance(code.matrix) gives the same d by the
+      generic Gram route.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes={num_classes} must be at least 2")
@@ -136,12 +174,13 @@ def build_code_matrix(
         k += 1
     h = sylvester_hadamard(k)
     if orientation == KEEP_BOTTOM_RIGHT:
-        block = h[-num_classes:, -num_classes:]
+        kept = slice(-num_classes, None)
     elif orientation == KEEP_TOP_LEFT:
-        block = h[:num_classes, :num_classes]
+        kept = slice(0, num_classes)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    return CodeMatrix(block)
+    d = int(h[1:, kept].sum(axis=1).min())
+    return CodeMatrix._with_distance(h[kept, kept], d)
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
@@ -150,8 +189,9 @@ def _signs(bits: np.ndarray) -> np.ndarray:
 
     Every partial sum of such a product is an integer of magnitude at most
     n, so a float32 GEMM computes it exactly in any summation order while
-    n < 2**24.  Callers keep n below that: every CodeMatrix goes through
-    _as_bits, which rejects longer rows, and words must match the code's n.
+    n < 2**24.  Callers keep n below that: a CodeMatrix built from a matrix
+    goes through _as_bits, which rejects longer rows, build_code_matrix
+    makes n <= 2**16, and words must match the code's n.
     """
     signs = bits.astype(np.float32)
     signs *= -2.0
@@ -193,7 +233,7 @@ def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
     if classes.size and not (0 <= classes.min() and classes.max() < code.num_classes):
         raise ValueError(f"true classes outside 0..{code.num_classes - 1}")
     if e.dtype != bool:
-        if not ((e == 0) | (e == 1)).all():
+        if not _all_bits(e):
             raise ValueError("errors entries must be 0 or 1")
         e = e.astype(bool)
     far = np.flatnonzero(2 * e.sum(axis=1) >= code.d)
@@ -211,7 +251,7 @@ def decode(word, code: CodeMatrix, report_ties: bool = False):
     w = np.asarray(word)
     if w.ndim != 1 or w.shape[0] != code.n:
         raise ValueError(f"word length {w.shape} does not match code n={code.n}")
-    if not np.isin(w, (0, 1)).all():
+    if not _all_bits(w):
         raise ValueError("word entries must be 0 or 1")
     corr = _signs(code.matrix) @ _signs(w)
     idx = int(corr.argmax())
@@ -223,13 +263,18 @@ def decode(word, code: CodeMatrix, report_ties: bool = False):
 def to_text(code: CodeMatrix) -> str:
     """Serialize as a header line "n d m" followed by one row of 0/1
     characters per class."""
-    lines = [f"{code.n} {code.d} {code.m}"]
-    lines += ["".join(str(b) for b in row) for row in code.matrix]
-    return "\n".join(lines) + "\n"
+    rows = np.empty((code.num_classes, code.n + 1), np.uint8)
+    np.add(code.matrix, _ZERO, out=rows[:, :-1])
+    rows[:, -1] = _LF
+    return f"{code.n} {code.d} {code.m}\n" + rows.tobytes().decode("ascii")
 
 
 def from_text(text: str) -> CodeMatrix:
-    """Parse the to_text format, recomputing and checking d and m."""
+    """Parse the to_text format, recomputing and checking d and m.
+
+    Blank lines are skipped.  Every row must hold exactly n characters, each
+    0 or 1; the rows are read as one byte buffer.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty code matrix text")
@@ -240,8 +285,10 @@ def from_text(text: str) -> CodeMatrix:
     rows = lines[1:]
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows must all have length n={n}")
-    matrix = np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
-    code = CodeMatrix(matrix)
+    # Every character other than 0 and 1 maps to a byte value above 1 (one
+    # that is not ASCII becomes "?" first), which CodeMatrix rejects.
+    raw = "".join(rows).encode("ascii", "replace")
+    code = CodeMatrix(np.frombuffer(raw, np.uint8).reshape(len(rows), n) - _ZERO)
     if (code.d, code.m) != (d, m):
         raise ValueError(
             f"header claims d={d} m={m} but matrix has d={code.d} m={code.m}"

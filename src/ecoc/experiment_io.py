@@ -294,7 +294,8 @@ def loads_summaries(text: str, source: str = "<string>") -> list[FoldSummary]:
 
     Rates must be finite and inside [0, 1], correlations inside [-1, 1] and
     standard deviations finite and non-negative; a ParseError names the line
-    and the column of the first value that is not.
+    and the column of the first value that is not.  An empty std cell is an
+    absent std (None).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -309,9 +310,12 @@ def loads_summaries(text: str, source: str = "<string>") -> list[FoldSummary]:
             raise ParseError(
                 f"expected {len(header)} fields, got {len(row)}", line=lineno
             )
+        # An empty std cell is an absent std: format_summaries writes one for
+        # a summary without std in a list where others have it.
         vals = {
             col: _parse_float(value, lineno, col)
             for col, value in zip(header[1:], row[1:])
+            if value or not col.endswith("_std")
         }
         out.append(FoldSummary(fold_id=row[0], **vals))
     if not out:
@@ -342,7 +346,10 @@ def _universal_newlines(text: str) -> str:
 
 def format_summaries(summaries: list[FoldSummary]) -> str:
     """Render summaries in the canonical CSV form (round-trips load_summaries)."""
-    with_std = any(s.mean_bit_error_std is not None for s in summaries)
+    with_std = any(
+        s.mean_bit_error_std is not None or s.mean_correlation_std is not None
+        for s in summaries
+    )
     columns = SUMMARY_COLUMNS_STD if with_std else SUMMARY_COLUMNS
     return csv_text(columns, [dict(vars(s), fold=s.fold_id) for s in summaries])
 

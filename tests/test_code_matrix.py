@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecoc.code_matrix as cm
 from ecoc.code_matrix import (
     DEFAULT_ORIENTATION,
     EXACT_MAX_N,
@@ -72,6 +73,16 @@ class TestMinRowDistance:
         m[520, 7] ^= 1
         assert min_row_distance(m) == 0
 
+    def test_pair_inside_a_later_row_block(self):
+        # Each row block is correlated only with itself and the rows after
+        # it, so a closest pair inside the last block must still be found.
+        rng = np.random.default_rng(5)
+        m = np.repeat(np.eye(600, dtype=np.uint8), 2, axis=1)
+        m[599, :] = m[530, :]
+        m[599, 0] ^= 1
+        assert min_row_distance(m) == 1
+        assert min_row_distance(m[rng.permutation(600)]) == 1
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             min_row_distance(np.array([[0, 1, 0]]))
@@ -79,6 +90,27 @@ class TestMinRowDistance:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             min_row_distance(np.array([[0, 2], [1, 0]]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0, 2], [1, 0]],
+            [[0, -1], [1, 0]],
+            [[0.0, 0.5], [1.0, 0.0]],
+            [[0.0, np.nan], [1.0, 0.0]],
+            [["0", "1"], ["1", "0"]],
+        ],
+    )
+    def test_rejects_each_kind_of_non_bit(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            min_row_distance(np.array(bad))
+        with pytest.raises(ValueError, match="0 or 1"):
+            CodeMatrix(np.array(bad))
+
+    def test_accepts_bool_and_float_bits(self):
+        for bits in ([[False, True], [True, True]], [[0.0, 1.0], [1.0, 1.0]]):
+            assert min_row_distance(np.array(bits)) == 1
+            assert CodeMatrix(np.array(bits)).matrix.dtype == np.uint8
 
 
 class TestBuild:
@@ -127,6 +159,30 @@ class TestBuild:
             code = build_code_matrix(n)
             assert min_row_distance(code.matrix) == code.d
             assert code.m == code.d // 2
+
+    @pytest.mark.parametrize("orient", [KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT])
+    def test_structural_distance_matches_gram(self, orient):
+        # build_code_matrix reads d off the Walsh weights; the generic Gram
+        # route must agree on every truncation, including both sides of
+        # each power of two.
+        for classes in [*range(2, 257), 511, 512, 513, 1000, 1023, 1024, 1025]:
+            code = build_code_matrix(classes, orientation=orient)
+            assert code.d == min_row_distance(code.matrix), classes
+            assert code.m == code.d // 2
+            assert code.matrix.shape == (classes, classes)
+            assert code.matrix.flags.c_contiguous
+            assert not code.matrix.flags.writeable
+
+    def test_distance_needs_no_gram(self, monkeypatch):
+        def no_gram(*args):
+            raise AssertionError("Gram product called")
+
+        for name in ("min_row_distance", "_gram_min_distance", "_signs"):
+            monkeypatch.setattr(cm, name, no_gram)
+        code = build_code_matrix(1000)
+        assert (code.d, code.m) == (496, 248)
+        with pytest.raises(AssertionError):
+            CodeMatrix(code.matrix)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -336,3 +392,28 @@ class TestSerialization:
             from_text("")
         with pytest.raises(ValueError):
             from_text("3 2\n000\n011\n101\n")
+        with pytest.raises(ValueError, match="length n=3"):
+            from_text("3 2 1\n000\n0110\n101\n")
+
+    @pytest.mark.parametrize("ch", ["2", "9", "a", " ", "\t", "\u00e9", "\u0663", "?"])
+    def test_rejects_characters_other_than_bits(self, ch):
+        text = to_text(build_code_matrix(4))
+        lines = text.splitlines()
+        lines[2] = lines[2][:1] + ch + lines[2][2:]
+        with pytest.raises(ValueError, match="0 or 1"):
+            from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("classes", [2, 3, 26, 127, 1000])
+    def test_text_matches_character_reference(self, classes):
+        code = build_code_matrix(classes, orientation=KEEP_TOP_LEFT)
+        lines = [f"{code.n} {code.d} {code.m}"]
+        lines += ["".join(str(b) for b in row) for row in code.matrix]
+        want = "\n".join(lines) + "\n"
+        assert to_text(code) == want
+        parsed = from_text(want)
+        assert np.array_equal(parsed.matrix, code.matrix)
+        assert (parsed.d, parsed.m) == (code.d, code.m)
+
+    def test_blank_lines_and_crlf_skipped(self):
+        parsed = from_text("2 1 0\r\n\r\n00\r\n   \n01\n\n")
+        assert parsed.matrix.tolist() == [[0, 0], [0, 1]]

@@ -198,6 +198,35 @@ class TestSummariesIO:
         write_summaries(load_summaries(path), path)
         assert path.read_text() == text
 
+    def test_mixed_std_round_trip(self):
+        rows = [
+            FoldSummary("a", 0.1, 0.02, 0.05, mean_bit_error_std=0.01,
+                        mean_correlation_std=0.0),
+            FoldSummary("b", 0.1, 0.02, 0.05),
+            FoldSummary("c", 0.1, 0.02, 0.05, mean_correlation_std=0.003),
+        ]
+        for summaries in (rows, rows[1:]):
+            text = format_summaries(summaries)
+            assert text.splitlines()[0] == ",".join(xio.SUMMARY_COLUMNS_STD)
+            assert loads_summaries(text) == summaries
+            assert format_summaries(loads_summaries(text)) == text
+
+    @pytest.mark.parametrize(
+        "cells, column",
+        [
+            ("0.1,x,0.02,0.003,0.05", "mean_bit_error_std"),
+            ("0.1,0.01,0.02, ,0.05", "mean_correlation_std"),
+            (",0.01,0.02,0.003,0.05", "mean_bit_error"),
+            ("0.1,,0.02,0.003,", "ecoc_error"),
+        ],
+    )
+    def test_empty_cell_is_absent_only_for_std(self, cells, column):
+        text = ",".join(xio.SUMMARY_COLUMNS_STD) + "\n1,0.1,,0.02,,0.05\n2," + cells + "\n"
+        with pytest.raises(ParseError) as err:
+            loads_summaries(text)
+        assert err.value.line == 3
+        assert f"{column} value" in str(err.value)
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             loads_summaries("fold,ecoc_error\n1,0.5\n")
