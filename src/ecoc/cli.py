@@ -196,7 +196,18 @@ def cmd_bahadur(args) -> int:
     return 0
 
 
+# Flags each simulate mode reads; giving one to the other mode is an error.
+_MODE_FLAGS = {
+    sim.MODE_THRESHOLD: ("--m",),
+    sim.MODE_FULL_DECODE: ("--classes", "--true-class"),
+}
+
+
 def cmd_simulate(args) -> int:
+    for mode, flags in _MODE_FLAGS.items():
+        given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+        if mode != args.mode and given:
+            raise ValueError(f"{given[0]} applies only to --mode {mode}")
     model = _build_model(args)
     seed = args.seed
     if seed is None:

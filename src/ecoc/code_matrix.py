@@ -79,6 +79,13 @@ class CodeMatrix:
     def r(self) -> float:
         return self.m / self.n
 
+    @property
+    def far_flips(self) -> int:
+        """ceil(d / 2), the fewest flipped bits that can decode wrongly: a
+        word with t flips is t from its own row and at least d - t from any
+        other, so it can reach another row only when t >= d / 2."""
+        return (self.d + 1) // 2
+
 
 def _as_bits(matrix) -> np.ndarray:
     """A uint8 copy of a 2-D 0/1 matrix.  Rows of 2**24 or more bits are
@@ -220,9 +227,8 @@ def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
     true one, where word i is the codeword of true_classes[i] with the bits
     set in row i of the (count, n) flip pattern errors (bool or 0/1) flipped.
 
-    A word with fewer than d/2 flips is nearer its own row than any other
-    (each other row is at least d - flips away), so only the words with
-    2 * flips >= d are decoded; with duplicate rows (d = 0) that is all.
+    Only the words with at least code.far_flips flips can decode wrongly,
+    so only those are decoded; with duplicate rows (d = 0) that is all.
     """
     e = np.asarray(errors)
     classes = np.asarray(true_classes)
@@ -236,7 +242,7 @@ def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
         if not _all_bits(e):
             raise ValueError("errors entries must be 0 or 1")
         e = e.astype(bool)
-    far = np.flatnonzero(2 * e.sum(axis=1) >= code.d)
+    far = np.flatnonzero(e.sum(axis=1) >= code.far_flips)
     truth = classes[far]
     decoded, _ = nearest_rows(code.matrix[truth] ^ e[far], code)
     return int((decoded != truth).sum())

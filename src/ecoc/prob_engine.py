@@ -5,17 +5,31 @@ Three dependence structures are supported: fully independent classifiers
 (specified by the pair's joint error probability f), and fully exchangeable
 classifiers with a uniform second-order correlation coefficient c.
 
-Each model type offers the same five methods: count_pmf() (the error-count
+Each model type offers the same six methods: count_pmf() (the error-count
 distribution by an efficient route: dynamic programming, two-stage
-recursion, or closed form), tail(m), sample(rng, count) (error vectors),
-sample_counts(rng, count) (their error counts only, drawn from the same
-stream as sample) and joint_mass(bits) (the joint law of whole outcomes,
-which the brute-force enumeration oracle over all 2^n outcomes sums for
-cross-checking).
+recursion, or closed form), tail(m), sample_far(rng, count, k_min) (the
+indices and error vectors of the rows, among count trials, with at least
+k_min errors), sample(rng, count) (every error vector: sample_far at
+k_min = 0), sample_counts(rng, count) (the error counts only, drawn from the
+same stream as sample) and joint_mass(bits) (the joint law of whole
+outcomes, which the brute-force enumeration oracle over all 2^n outcomes
+sums for cross-checking).
 
-The samplers draw their uniforms in blocks of BLOCK_ROWS rows, in the order
-rng.random((count, width)) would draw them, and compare each block into a
-bool array that they return viewed as uint8.
+The samplers draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS rows,
+in the order rng.random((count, width)) would consume them, and compare
+integers where rng.random would give uniforms u = (x >> 11) * 2**-53:
+
+- With j = x >> 11 an integer below 2**53 and e a double, e * 2**53 is
+  exact, so u < e <=> j < e * 2**53 <=> j < ceil(e * 2**53).  Each rate's
+  limit ceil(e * 2**53) is computed once per call in integer arithmetic,
+  and every comparison gives the same bit as the uniform's.
+- The exchangeable sampler ranks positions by j, which orders and ties
+  exactly as u does.
+
+The words of every row are drawn, so the stream ends where sample leaves
+it, whatever k_min is; only the rows sample_far returns are kept, and the
+exchangeable sampler ranks only those.  sample_counts keeps one count per
+row and never holds a (count, n) array.
 """
 
 from __future__ import annotations
@@ -36,9 +50,13 @@ ENUMERATION_MAX_N = 20
 
 _LOG_SPACE_N = 50
 
-# Rows of uniforms drawn per block by the samplers: about 1 MB of float64 at
+# Rows of raw words drawn per block by the samplers: about 1 MB of uint64 at
 # n = 127, so a block is still in cache when it is compared.
 BLOCK_ROWS = 1024
+
+# A raw 64-bit word x gives the uniform (x >> 11) * 2**-53.
+_WORD_SHIFT = 11
+_UNIFORM_BITS = 53
 
 
 @dataclass(frozen=True)
@@ -78,8 +96,16 @@ class ErrorProfile:
         return sum(self.rates)
 
 
+class _Sampler:
+    """sample as the k_min = 0 case of a model's sample_far."""
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """All count error vectors, a (count, n) uint8 array."""
+        return self.sample_far(rng, count, 0)[1]
+
+
 @dataclass(frozen=True)
-class Independent:
+class Independent(_Sampler):
     """All classifiers err independently."""
 
     profile: ErrorProfile
@@ -94,15 +120,14 @@ class Independent:
     def tail(self, m: int) -> float:
         return tail_independent(self.profile, m)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        rates = np.asarray(self.profile.rates)
-        bits = np.empty((count, self.n), dtype=bool)
-        for rows, u in _uniform_blocks(rng, count, self.n):
-            np.less(u, rates, out=bits[rows])
-        return bits.view(np.uint8)
+    def sample_far(
+        self, rng: np.random.Generator, count: int, k_min: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        far, bits = _independent_far(rng, count, self.profile.rates, k_min)
+        return far, bits.view(np.uint8)
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.sample(rng, count).sum(axis=1)
+        return _independent_counts(rng, count, self.profile.rates)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates)
@@ -110,7 +135,7 @@ class Independent:
 
 
 @dataclass(frozen=True)
-class PairModel:
+class PairModel(_Sampler):
     """Independent classifiers except the last two, whose probability of
     erring together on the same sample equals f."""
 
@@ -162,20 +187,36 @@ class PairModel:
         # Summed left to right; numpy's pairwise sum can differ in the last bit.
         return sum(self.count_pmf()[m:].tolist())
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        n = self.n
-        rates = np.asarray(self.profile.rates[:-2])
-        bits = np.empty((count, n), dtype=bool)
-        for rows, u in _uniform_blocks(rng, count, n - 2):
-            np.less(u, rates, out=bits[rows, :-2])
-        p11, p10, p01, _ = self.joint_cells
-        u = rng.random(count)
-        bits[:, -2] = u < p11 + p10
-        bits[:, -1] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
-        return bits.view(np.uint8)
+    def sample_far(
+        self, rng: np.random.Generator, count: int, k_min: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The pair's words follow all of the others', so the rows that can
+        # reach k_min (at least k_min - 2 errors elsewhere) are kept until
+        # the pair's bits are known.
+        near, rest = _independent_far(rng, count, self.profile.rates[:-2], k_min - 2)
+        first, second = self._pair_bits(rng, count)
+        first, second = first[near], second[near]
+        keep = np.flatnonzero(_row_counts(rest) + first + second >= k_min)
+        bits = np.empty((keep.size, self.n), dtype=bool)
+        bits[:, :-2] = rest[keep]
+        bits[:, -2] = first[keep]
+        bits[:, -1] = second[keep]
+        return near[keep], bits.view(np.uint8)
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.sample(rng, count).sum(axis=1)
+        ks = _independent_counts(rng, count, self.profile.rates[:-2])
+        first, second = self._pair_bits(rng, count)
+        return ks + first + second
+
+    def _pair_bits(self, rng: np.random.Generator, count: int):
+        """The pair's two error bits per row, from one word per row: the
+        first errs below P11 + P10, the second below P11 or in
+        [P11 + P10, P11 + P10 + P01)."""
+        p11, p10, p01, _ = self.joint_cells
+        first, both, either = _word_limits((p11 + p10, p11, p11 + p10 + p01))
+        j = _words(rng, count)
+        below_first = j < first
+        return below_first, (j < both) | (~below_first & (j < either))
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates[:-2])
@@ -194,7 +235,7 @@ class PairModel:
 
 
 @dataclass(frozen=True)
-class ExchangeableModel:
+class ExchangeableModel(_Sampler):
     """Identically distributed classifiers with uniform pairwise correlation c
     of the standardized error indicators; higher-order correlations vanish."""
 
@@ -233,15 +274,22 @@ class ExchangeableModel:
     def tail(self, m: int) -> float:
         return exchangeable_tail(self.n, m, self.e_bar, self.c)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample_far(
+        self, rng: np.random.Generator, count: int, k_min: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Outcome probability depends on the error vector only through its
         # count k, so draw k first and then a uniformly random k-subset of
         # positions (the positions of the k smallest of n iid uniforms).
+        # Every row's words are drawn; only the far rows are ranked.
         ks = self.sample_counts(rng, count)
-        bits = np.empty((count, self.n), dtype=bool)
-        for rows, u in _uniform_blocks(rng, count, self.n):
-            _mark_smallest(u, ks[rows], bits[rows])
-        return bits.view(np.uint8)
+        far, kept = _no_rows(self.n)
+        for rows, j in _word_blocks(rng, count, self.n):
+            idx = np.flatnonzero(ks[rows] >= k_min)
+            marks = np.empty((idx.size, self.n), dtype=bool)
+            _mark_smallest(j[idx], ks[rows.start + idx], marks)
+            far.append(idx + rows.start)
+            kept.append(marks)
+        return np.concatenate(far), np.concatenate(kept).view(np.uint8)
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
         pmf = self.count_pmf()
@@ -272,15 +320,66 @@ def _check_count(name: str, value: int, n: int) -> None:
         raise ValueError(f"{name}={value} outside 0..{n}")
 
 
-def _uniform_blocks(rng: np.random.Generator, rows: int, width: int):
-    """Yield (row slice, block) over the rows of rng.random((rows, width)),
-    drawing each block into one reused buffer; the stream is consumed in the
-    same order as by the single call."""
-    buf = np.empty((min(rows, BLOCK_ROWS), width))
+def _words(rng: np.random.Generator, shape) -> np.ndarray:
+    """Raw words shifted to their top 53 bits: integers j < 2**53 such that
+    j * 2**-53 are the uniforms rng.random(shape) would return, drawn from
+    the stream in the same order."""
+    j = rng.bit_generator.random_raw(shape)
+    j >>= _WORD_SHIFT
+    return j
+
+
+def _word_limits(rates) -> np.ndarray:
+    """ceil(e * 2**53) per rate e, as uint64, so that a uniform j * 2**-53
+    lies below e exactly when j lies below the limit (see the module
+    docstring).  ldexp scales a double exactly and math.ceil returns an
+    exact integer."""
+    return np.array(
+        [math.ceil(math.ldexp(e, _UNIFORM_BITS)) for e in rates], dtype=np.uint64
+    )
+
+
+def _word_blocks(rng: np.random.Generator, rows: int, width: int):
+    """Yield (row slice, block of _words) over the rows of a (rows, width)
+    draw, BLOCK_ROWS rows at a time; the stream is consumed in the same
+    order as by one rng.random((rows, width)) call."""
     for start in range(0, rows, BLOCK_ROWS):
-        u = buf[: rows - start]
-        rng.random(out=u)
-        yield slice(start, start + len(u)), u
+        j = _words(rng, (min(BLOCK_ROWS, rows - start), width))
+        yield slice(start, start + len(j)), j
+
+
+def _no_rows(n: int) -> tuple[list, list]:
+    """Lists of far-row indices and bits, seeded with empty arrays so that
+    concatenating them works when no row is kept."""
+    return [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=bool)]
+
+
+def _independent_far(rng: np.random.Generator, count: int, rates, k_min: int):
+    """(far, bits) for independent classifiers: the indices of the rows
+    with at least k_min errors and their bool error vectors."""
+    limits = _word_limits(rates)
+    far, kept = _no_rows(len(rates))
+    for rows, j in _word_blocks(rng, count, len(rates)):
+        bits = j < limits
+        idx = np.flatnonzero(_row_counts(bits) >= k_min)
+        far.append(idx + rows.start)
+        kept.append(bits[idx])
+    return np.concatenate(far), np.concatenate(kept)
+
+
+def _independent_counts(rng: np.random.Generator, count: int, rates) -> np.ndarray:
+    """Error counts of independent classifiers, counted block by block."""
+    limits = _word_limits(rates)
+    ks = np.empty(count, dtype=np.intp)
+    for rows, j in _word_blocks(rng, count, len(rates)):
+        ks[rows] = _row_counts(j < limits)
+    return ks
+
+
+def _row_counts(bits: np.ndarray) -> np.ndarray:
+    """True entries per row of a 2-D bool array.  Summing the bytes into
+    int32 takes about half the time of count_nonzero's intp sum."""
+    return bits.view(np.uint8).sum(axis=1, dtype=np.int32)
 
 
 def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
@@ -294,8 +393,9 @@ def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
     rows, n = u.shape
     at = np.arange(rows)
     srt = np.sort(u, axis=1)
-    cut = np.where(ks > 0, srt[at, np.maximum(ks - 1, 0)], -1.0)
+    cut = srt[at, np.maximum(ks - 1, 0)]
     np.less_equal(u, cut[:, None], out=out)
+    out[ks == 0] = False
     tied = np.flatnonzero((ks > 0) & (ks < n) & (srt[at, np.minimum(ks, n - 1)] == cut))
     if tied.size:
         order = u[tied].argsort(axis=1, kind="stable")

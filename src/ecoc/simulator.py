@@ -26,6 +26,10 @@ DEFAULT_SEED = 60428  # 0xEC0C
 
 CHUNK_TRIALS = 1 << 15
 
+# Most worker threads a simulation accepts.  The pool never holds more
+# threads than there are chunks, and each thread keeps one chunk's arrays.
+MAX_WORKERS = 256
+
 MODE_THRESHOLD = "threshold"
 MODE_FULL_DECODE = "full-decode"
 
@@ -40,8 +44,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials={self.trials} must be at least 1")
-        if self.workers < 1:
-            raise ValueError(f"workers={self.workers} must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers={self.workers} outside 1..{MAX_WORKERS}")
         if self.mode not in (MODE_THRESHOLD, MODE_FULL_DECODE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.seed < 1 << 64:
@@ -83,7 +87,7 @@ def _run_chunks(cfg: SimConfig, count_fn) -> int:
 
     if cfg.workers == 1 or len(chunks) == 1:
         return sum(work(item) for item in chunks)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(cfg.workers, len(chunks))) as pool:
         return sum(pool.map(work, chunks))
 
 
@@ -120,8 +124,10 @@ def mc_decode_error(
 
     Each trial picks a true class (uniformly unless true_class pins one),
     flips its codeword at the sampled error positions, and decodes by nearest
-    row with lowest-index tie breaking; only trials with at least d/2 flips
-    can decode wrongly, so only those are decoded (see count_misdecoded).
+    row with lowest-index tie breaking.  Only trials with at least
+    code.far_flips flips can decode wrongly, so only those error vectors are
+    kept by the sampler and decoded (see count_misdecoded); the classes are
+    drawn for every trial, from where the sampler leaves the stream.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -129,11 +135,11 @@ def mc_decode_error(
         raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
 
     def count(rng, size):
-        bits = model.sample(rng, size)
+        far, bits = model.sample_far(rng, size, code.far_flips)
         if true_class is None:
-            classes = rng.integers(0, code.num_classes, size=size)
+            classes = rng.integers(0, code.num_classes, size=size)[far]
         else:
-            classes = np.full(size, true_class)
+            classes = np.full(far.size, true_class)
         return count_misdecoded(bits.view(bool), classes, code)
 
     return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)

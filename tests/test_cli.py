@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ecoc
+import ecoc.simulator as simulator
 from ecoc.bounds import BoundInputs, evaluate_bounds
 from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix, from_text
@@ -272,6 +273,38 @@ class TestSimulateCommand:
         assert err == "error: ECOC_SEED='x' is not an integer\n"
         # Commands that take no seed do not read it.
         assert run(capsys, "code", "--classes", "4")[0] == 0
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (("--mode", "full-decode", "--m", "2"), "--m"),
+            (("--classes", "5"), "--classes"),
+            (("--true-class", "1"), "--true-class"),
+            (("--classes", "5", "--true-class", "7"), "--classes"),
+            (("--m", "2", "--classes", "6"), "--classes"),
+        ],
+        ids=["m-in-decode", "classes", "true-class", "classes-5-true-class-7",
+             "m-and-classes"],
+    )
+    def test_flag_of_the_other_mode_is_one(self, capsys, extra, flag):
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
+            "--trials", "100", *extra,
+        )
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {flag} applies only to --mode ")
+
+    def test_workers_above_cap_is_one(self, capsys, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} was opened")
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
+            "--m", "2", "--trials", "100000000", "--workers", "100000000",
+        )
+        assert (status, out) == (1, "")
+        assert err.startswith("error: workers=100000000 outside 1..")
 
     def test_commands_in_a_row_match_fresh_processes(self, capsys, monkeypatch):
         commands = [

@@ -1,6 +1,7 @@
 """Tests for code-matrix construction, distances, decoding, serialization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -341,6 +342,21 @@ class TestCountMisdecoded:
             # without a flip.
             none = np.zeros((1, code.n), dtype=bool)
             assert count_misdecoded(none, np.array([2]), code) == 1
+
+    @pytest.mark.parametrize("name", list(CODES))
+    def test_far_flips_is_the_fewest_that_misdecode(self, name):
+        # Row j moved far_flips = ceil(d/2) bits towards a lower row i at
+        # distance d is at least as near i as j, so it decodes wrongly.
+        code = self.CODES[name]
+        assert code.far_flips == math.ceil(code.d / 2)
+        i, j = next(
+            (i, j) for i, j in itertools.combinations(range(code.num_classes), 2)
+            if (code.matrix[i] != code.matrix[j]).sum() == code.d
+        )
+        moved = np.flatnonzero(code.matrix[i] != code.matrix[j])[: code.far_flips]
+        errors = np.zeros((1, code.n), dtype=bool)
+        errors[0, moved] = True
+        assert count_misdecoded(errors, np.array([j]), code) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(code_and_words(), st.data())

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo estimators: determinism, fidelity, ordering."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+import ecoc.simulator as simulator
 from ecoc.code_matrix import build_code_matrix
 from ecoc.prob_engine import (
     BLOCK_ROWS,
@@ -16,6 +18,8 @@ from ecoc.prob_engine import (
     Independent,
     PairModel,
     _mark_smallest,
+    _word_limits,
+    _words,
     enumerate_outcomes,
     exchangeable_tail,
     pair_correlated_tail,
@@ -23,6 +27,7 @@ from ecoc.prob_engine import (
 )
 from ecoc.simulator import (
     CHUNK_TRIALS,
+    MAX_WORKERS,
     SimConfig,
     _chunk_rng,
     mc_decode_error,
@@ -125,6 +130,50 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=2**64)
         SimConfig(trials=10, seed=2**64 - 1)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs the
+    work in the calling thread, so no thread is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerBound:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool.sizes
+
+    def test_pool_sized_by_chunk_count(self, pools):
+        model = Independent(ErrorProfile.iid(2, 0.3))
+        trials = 2 * CHUNK_TRIALS + 1  # three chunks
+        base = mc_threshold_error(model, 1, SimConfig(trials=trials, seed=3))
+        assert pools == []
+        for workers in (2, 3, 4, MAX_WORKERS):
+            cfg = SimConfig(trials=trials, seed=3, workers=workers)
+            assert mc_threshold_error(model, 1, cfg) == base
+        assert pools == [2, 3, 3, 3]
+
+    def test_workers_above_cap_rejected(self, pools):
+        SimConfig(trials=10, workers=MAX_WORKERS)
+        for workers in (MAX_WORKERS + 1, 100_000_000):
+            with pytest.raises(ValueError, match=f"workers={workers} "):
+                SimConfig(trials=100_000_000, workers=workers)
+        assert pools == []
 
 
 class TestThresholdConsistency:
@@ -364,3 +413,160 @@ class TestSamplers:
             [True, False, True, False],
             [True, True, True, True],
         ]
+
+
+def _state(rng):
+    """The bit generator's state with its arrays as lists, so that two
+    states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+class TestRawWords:
+    """Every comparison is made on raw words; the bits must be those of the
+    float uniforms rng.random would have drawn."""
+
+    RATES = (
+        0.0, 5e-324, 2.0**-53, np.nextafter(2.0**-53, 0.0), 0.1, 0.18, 0.5,
+        np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0,
+    )
+    COUNT = 2 * BLOCK_ROWS + 3
+
+    def test_bits_match_float_uniforms(self):
+        model = Independent(ErrorProfile(self.RATES))
+        rates = np.array(self.RATES)
+        for seed in range(3):
+            ref = _chunk_rng(seed, 2)
+            want = ref.random((self.COUNT, len(rates))) < rates
+            rng = _chunk_rng(seed, 2)
+            assert np.array_equal(model.sample(rng, self.COUNT), want)
+            assert _state(rng) == _state(ref)
+            rng = _chunk_rng(seed, 2)
+            assert np.array_equal(model.sample_counts(rng, self.COUNT), want.sum(axis=1))
+            assert _state(rng) == _state(ref)
+
+    def test_words_are_the_uniforms(self):
+        for shape in ((3, 5), (7,), (0, 4)):
+            j = _words(_chunk_rng(4, 0), shape)
+            assert j.dtype == np.uint64 and j.max(initial=0) < 2**53
+            assert np.array_equal(j * 2.0**-53, _chunk_rng(4, 0).random(shape))
+
+    @staticmethod
+    def _edge_words(limits) -> np.ndarray:
+        """Raw words, one column per limit: the words at either side of
+        the limit and at both ends of the range, with the 11 bits below
+        the uniform all clear or all set."""
+        cols = []
+        for limit in limits:
+            js = [0, 1, limit - 1, limit, limit + 1, 2**53 - 1]
+            js = [min(max(j, 0), 2**53 - 1) for j in js]
+            cols.append([(j << 11) | low for j in js for low in (0, 2047)])
+        return np.array(cols, dtype=np.uint64).T
+
+    @staticmethod
+    def _serving(*blocks):
+        """A stand-in generator whose raw draws return the given blocks in
+        turn, each checked against the shape asked for."""
+        queue = list(blocks)
+
+        def random_raw(shape):
+            block = queue.pop(0)
+            assert block.shape == np.empty(shape).shape
+            return block.copy()
+
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+    def test_independent_route_on_edge_words(self):
+        words = self._edge_words(_word_limits(self.RATES).tolist())
+        want = (words >> np.uint64(11)) * 2.0**-53 < np.array(self.RATES)
+        got = Independent(ErrorProfile(self.RATES)).sample(self._serving(words), len(words))
+        assert np.array_equal(got, want)
+
+    def test_pair_route_on_edge_words(self):
+        model = PairModel(ErrorProfile((0.3, 0.2, 0.25)), 0.1)
+        p11, p10, p01, _ = model.joint_cells
+        pair = self._edge_words(_word_limits((p11 + p10, p11, p11 + p10 + p01)).tolist())
+        pair = pair.T.reshape(-1)
+        other = self._edge_words(_word_limits((0.3,)).tolist())
+        other = np.resize(other, (pair.size, 1))
+        u = (pair >> np.uint64(11)) * 2.0**-53
+        want = np.empty((pair.size, 3), dtype=np.uint8)
+        want[:, 0] = (other[:, 0] >> np.uint64(11)) * 2.0**-53 < 0.3
+        want[:, 1] = u < p11 + p10
+        want[:, 2] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
+        got = model.sample(self._serving(other, pair), pair.size)
+        assert np.array_equal(got, want)
+
+
+class TestFarRows:
+    COUNTS = (0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
+
+    @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
+    def test_far_rows_are_the_rows_of_sample(self, model):
+        n = model.n
+        for k_min in sorted({0, 1, build_code_matrix(n).far_flips, n, n + 1}):
+            for count in self.COUNTS:
+                ref = _chunk_rng(8, 3)
+                want = model.sample(ref, count)
+                rng = _chunk_rng(8, 3)
+                far, bits = model.sample_far(rng, count, k_min)
+                rows = np.flatnonzero(want.sum(axis=1) >= k_min)
+                assert far.dtype == np.intp and np.array_equal(far, rows)
+                assert bits.dtype == np.uint8 and bits.shape == (rows.size, n)
+                assert np.array_equal(bits, want[rows])
+                assert _state(rng) == _state(ref), (k_min, count)
+
+
+COUNT_CASES = [
+    Independent(ErrorProfile((0.05, 0.3, 0.5, 0.12, 0.4, 0.22, 0.18))),
+    Independent(ErrorProfile.iid(2, 0.4)),
+    Independent(ErrorProfile.iid(127, 0.18)),
+    PairModel(ErrorProfile((0.1, 0.25, 0.33, 0.2, 0.3)), 0.12),
+    PairModel(ErrorProfile.iid(2, 0.4), 0.3),
+    PairModel(ErrorProfile.iid(26, 0.0686), _pair_f(0.0686, 0.0058)),
+    ExchangeableModel(2, 0.4, 0.0),
+    ExchangeableModel(8, 0.2, 0.08),
+    ExchangeableModel(26, 0.0686, 0.0058),
+    ExchangeableModel(127, 0.18, 0.006),
+]
+COUNT_IDS = [
+    "iid-7-mixed", "iid-n2", "iid-127", "pair-5", "pair-n2", "pair-26",
+    "exch-n2", "exch-8", "exch-26", "exch-127",
+]
+
+
+def _pooled_chi2_p(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-square p-value after pooling adjacent bins, left to right, until
+    each expects at least 5; a short last group joins the one before it."""
+    groups, obs, exp = [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5:
+            groups.append([obs, exp])
+            obs = exp = 0.0
+    groups[-1][0] += obs
+    groups[-1][1] += exp
+    o, e = np.array(groups).T
+    return float(sstats.chi2.sf(((o - e) ** 2 / e).sum(), len(groups) - 1))
+
+
+class TestCountDistribution:
+    TRIALS = 200_000
+
+    @pytest.mark.parametrize("model", COUNT_CASES, ids=COUNT_IDS)
+    def test_sample_counts_follow_the_exact_pmf(self, model):
+        n = model.n
+        exact = [model.count_pmf()]
+        if n <= 12:
+            oracle = enumerate_outcomes(model)
+            exact.append(np.array([oracle[k] for k in range(n + 1)]))
+        for seed in (101, 202):
+            ks = model.sample_counts(_chunk_rng(seed, 0), self.TRIALS)
+            observed = np.bincount(ks, minlength=n + 1)
+            for pmf in exact:
+                p_value = _pooled_chi2_p(observed, pmf * self.TRIALS)
+                assert p_value > 1e-4, (seed, p_value)
