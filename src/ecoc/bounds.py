@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ModelError
-from .prob_engine import ErrorProfile, bahadur_range
+from .prob_engine import ErrorProfile, bahadur_range, correlation_correction
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def kz_value(n: int, m: int, e: float, c: float) -> float:
     if not 1 <= m <= n or n < 2:
         raise ValueError(f"m={m}, n={n} outside range")
     r = m / n
-    correction = 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
+    correction = correlation_correction(n, m, e, c)
     return chernoff_lambda(r, e) ** n + correction * omega_factor(r, e) ** n
 
 
@@ -161,8 +161,10 @@ def kz_bound(
 ) -> float:
     """Correlation-corrected bound for the exchangeable model.
 
-    Requires c >= 0 within the admissible correlation range,
-    e <= (m-1)/(n-1), and e != m/n.
+    Requires, checked in this order, c >= 0, e <= (m-1)/(n-1), e != m/n and
+    c within the admissible correlation range; the DomainError (or, for e
+    outside (0, 1), ModelError) names the first that fails, and its text is
+    the kz_reason evaluate_bounds reports.
 
     The default omega^n correction term is the conventional display form, but
     it can undershoot the exact exchangeable tail when e is far below m/n:
@@ -174,26 +176,23 @@ def kz_bound(
     if not 1 <= m <= n or n < 2:
         raise ValueError(f"m={m}, n={n} outside range")
     r = m / n
+    if c < 0.0:
+        raise DomainError(f"c={c} is negative")
+    if e > (m - 1) / (n - 1):
+        raise DomainError(f"e_bar={e} > (m-1)/(n-1)={(m - 1) / (n - 1)}")
     if e == r:
         raise DomainError(f"e={e} equals m/n; decay factor degenerates to 1")
-    if e > (m - 1) / (n - 1):
-        raise DomainError(f"inapplicable: e={e} > (m-1)/(n-1)={(m - 1) / (n - 1)}")
-    if c < 0.0:
-        raise DomainError(f"inapplicable: c={c} is negative")
-    c_min, c_max = bahadur_range(n, e)
+    _, c_max = bahadur_range(n, e)
     if c > c_max:
         raise DomainError(f"c={c} above admissible maximum {c_max}")
-    correction = 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
-    if tight_envelope:
-        correction *= r / e
-    return chernoff_lambda(r, e) ** n + correction * omega_factor(r, e) ** n
+    return kz_value(n, m, e, c * r / e if tight_envelope else c)
 
 
 def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundReport:
     """Evaluate every bound for one parameter set, flagging inapplicable ones.
 
-    kz_policy: "gated" leaves kz absent when c is missing or negative, e_bar
-    exceeds (m-1)/(n-1), or kz_bound rejects its inputs (e_bar = 0 included);
+    kz_policy: "gated" leaves kz absent when c is missing or kz_bound rejects
+    its inputs (e_bar = 0 included), with kz_bound's message as kz_reason;
     "always" evaluates the expression regardless (the convention used by
     published per-fold tables).
     """
@@ -223,10 +222,6 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
         kz_reason = "no correlation supplied"
     elif kz_policy == "always":
         kz = kz_value(n, m, e, inputs.c)
-    elif inputs.c < 0.0:
-        kz_reason = f"c={inputs.c} is negative"
-    elif e > (m - 1) / (n - 1):
-        kz_reason = f"e_bar={e} > (m-1)/(n-1)={(m - 1) / (n - 1)}"
     else:
         try:
             kz = kz_bound(n, m, e, inputs.c)
@@ -236,7 +231,7 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
         gs=gs,
         feller=feller,
         chernoff_mu=chernoff_mu,
-        chernoff_lambda=chernoff_bound(n, m, e) if decay else None,
+        chernoff_lambda=lam**n if decay else None,
         kz=kz,
         lam=lam,
         omega=omega,

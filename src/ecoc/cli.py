@@ -216,9 +216,7 @@ def cmd_simulate(args) -> int:
             seed = sim.DEFAULT_SEED if env is None else int(env)
         except ValueError:
             raise ValueError(f"ECOC_SEED={env!r} is not an integer") from None
-    cfg = sim.SimConfig(
-        trials=args.trials, seed=seed, mode=args.mode, workers=args.workers
-    )
+    cfg = sim.SimConfig(trials=args.trials, seed=seed, workers=args.workers)
     if args.mode == sim.MODE_THRESHOLD:
         if args.m is None:
             raise ValueError("threshold mode requires --m")

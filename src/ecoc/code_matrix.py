@@ -105,7 +105,10 @@ def _as_bits(matrix) -> np.ndarray:
 
 
 def _all_bits(a: np.ndarray) -> bool:
-    return bool(((a == 0) | (a == 1)).all())
+    """Whether every entry of a is 0 or 1.  Bool and unsigned entries cannot
+    be negative, so for them one compare will do."""
+    ok = a <= 1 if a.dtype.kind in "bu" else (a == 0) | (a == 1)
+    return bool(ok.all())
 
 
 def sylvester_hadamard(k: int) -> BitMatrix:
@@ -206,17 +209,26 @@ def _signs(bits: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _correlations(words, code: CodeMatrix) -> np.ndarray:
+    """The +-1 correlation n - 2 * Hamming distance of each word of a
+    (count, n) bit array with each code row, a (count, num_classes) float32
+    array from one BLAS matrix product, exact for n < 2**24."""
+    w = np.asarray(words)
+    if w.ndim != 2 or w.shape[1] != code.n:
+        raise ValueError(f"words of shape {w.shape} do not match code n={code.n}")
+    if not _all_bits(w):
+        raise ValueError("word entries must be 0 or 1")
+    return _signs(w) @ _signs(code.matrix).T
+
+
 def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Nearest code row to each word of a (count, n) bit array.
 
     Returns (idx, dist): the row index and its Hamming distance per word.
-    Ties resolve to the lowest row index.  The distances come from one
-    float32 +-1 correlation (one BLAS matrix product), exact for n < 2**24.
+    Ties resolve to the lowest row index.  Entries other than 0 and 1 are
+    rejected with ValueError.
     """
-    w = np.asarray(words)
-    if w.ndim != 2 or w.shape[1] != code.n:
-        raise ValueError(f"words of shape {w.shape} do not match code n={code.n}")
-    corr = _signs(w) @ _signs(code.matrix).T
+    corr = _correlations(words, code)
     idx = corr.argmax(axis=1)
     best = np.take_along_axis(corr, idx[:, None], axis=1)[:, 0]
     return idx, (code.n - best.astype(np.int64)) // 2
@@ -249,17 +261,12 @@ def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
 
 
 def decode(word, code: CodeMatrix, report_ties: bool = False):
-    """Index of the codeword nearest to word in Hamming distance.
+    """Index of the codeword nearest to a 1-D bit word in Hamming distance.
 
     Ties always resolve to the lowest row index; with report_ties=True the
     result is (index, tie_flag) instead of a bare index.
     """
-    w = np.asarray(word)
-    if w.ndim != 1 or w.shape[0] != code.n:
-        raise ValueError(f"word length {w.shape} does not match code n={code.n}")
-    if not _all_bits(w):
-        raise ValueError("word entries must be 0 or 1")
-    corr = _signs(code.matrix) @ _signs(w)
+    corr = _correlations(np.asarray(word)[None], code)[0]
     idx = int(corr.argmax())
     if report_ties:
         return idx, int((corr == corr[idx]).sum()) > 1

@@ -27,16 +27,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import (
-    BoundInputs,
-    BoundReport,
-    chernoff_bound,
-    chernoff_lambda,
-    evaluate_bounds,
-    gs_bound,
-    kz_value,
-)
-from .code_matrix import CodeMatrix, build_code_matrix, count_misdecoded
+from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
+from .code_matrix import CodeMatrix, _all_bits, build_code_matrix, count_misdecoded
 from .errors import DomainError, ParseError
 
 SUMMARY_COLUMNS = ("fold", "mean_bit_error", "mean_correlation", "ecoc_error")
@@ -54,6 +46,8 @@ _COMMA, _CR, _LF, _ZERO = b",\r\n0"
 _MAX_CLASS_DIGITS = 18
 # Rows per float32 product in analyze_fold: every count stays below 2**24.
 _JOINT_BLOCK_ROWS = (1 << 24) - 1
+# Mean-bit-error points on each scatter figure's bound curves.
+_SCATTER_GRID_POINTS = 101
 
 REPORT_COLUMNS = (
     "fold",
@@ -92,9 +86,7 @@ class FoldData:
                 f"bits of shape {np.shape(bits)} do not match "
                 f"{len(classes)} samples of n={self.n} bits"
             )
-        # Unsigned and bool bits cannot be negative, so one compare will do.
-        ok = bits <= 1 if bits.dtype.kind in "bu" else (bits == 0) | (bits == 1)
-        if not ok.all():
+        if not _all_bits(bits):
             raise ValueError("bits must be 0 or 1")
 
     @property
@@ -717,22 +709,22 @@ def figure_one_curves(
 
 
 def scatter_figure_data(
-    summaries: list[FoldSummary],
-    n: int,
-    m: int,
-    *,
-    grid_points: int = 101,
+    summaries: list[FoldSummary], n: int, m: int
 ) -> tuple[list[dict], list[dict]]:
     """Plot data for one dataset/model: bound curves over a mean-bit-error
     grid plus one scatter point per fold.
 
-    The curve's correlation-corrected bound uses the pooled mean correlation
-    across folds; fold rows carry each fold's own bound values.
+    Every row's gs, chernoff and kz are those of evaluate_bounds with
+    kz_policy="always", which needs m < n.  The curve's correlation-corrected
+    bound uses the pooled mean correlation across folds; fold rows carry each
+    fold's own bound values.
     """
     if not summaries:
         raise ValueError("no fold summaries")
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")
+    if not 1 <= m < n:
+        raise ValueError(f"m={m} outside 1..{n - 1}: the decay bounds need m < n")
     e_vals = [s.mean_bit_error for s in summaries]
     pooled_c = float(np.mean([s.mean_correlation for s in summaries]))
     r = m / n
@@ -740,29 +732,24 @@ def scatter_figure_data(
     hi = min(r - 1e-6, 1.2 * max(e_vals))
     if hi <= lo:
         raise ValueError("fold mean bit errors leave no curve grid inside (0, m/n)")
-    curve_rows = []
-    for e in np.linspace(lo, hi, grid_points):
-        e = float(e)
-        curve_rows.append(
-            {
-                "e_bar": e,
-                "gs": gs_bound((e,)),
-                "chernoff": chernoff_bound(n, m, e),
-                "kz": kz_value(n, m, e, pooled_c),
-            }
-        )
-    fold_rows = []
-    for s in summaries:
-        fold_rows.append(
-            {
-                "fold": s.fold_id,
-                "mean_bit_error": s.mean_bit_error,
-                "experimental": s.ecoc_error,
-                "gs": gs_bound((s.mean_bit_error,)),
-                "chernoff": chernoff_bound(n, m, s.mean_bit_error),
-                "kz": kz_value(n, m, s.mean_bit_error, s.mean_correlation),
-            }
-        )
+
+    def row_bounds(e: float, c: float) -> dict:
+        report = evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
+        return {"gs": report.gs, "chernoff": report.chernoff_lambda, "kz": report.kz}
+
+    curve_rows = [
+        {"e_bar": e, **row_bounds(e, pooled_c)}
+        for e in np.linspace(lo, hi, _SCATTER_GRID_POINTS).tolist()
+    ]
+    fold_rows = [
+        {
+            "fold": s.fold_id,
+            "mean_bit_error": s.mean_bit_error,
+            "experimental": s.ecoc_error,
+            **row_bounds(s.mean_bit_error, s.mean_correlation),
+        }
+        for s in summaries
+    ]
     return curve_rows, fold_rows
 
 

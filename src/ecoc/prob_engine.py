@@ -83,10 +83,6 @@ class ErrorProfile:
         return len(self.rates)
 
     @property
-    def e_max(self) -> float:
-        return max(self.rates)
-
-    @property
     def mean(self) -> float:
         return sum(self.rates) / len(self.rates)
 
@@ -184,6 +180,8 @@ class PairModel(_Sampler):
 
     def tail(self, m: int) -> float:
         _check_count("m", m, self.n)
+        if m == 0:
+            return 1.0
         # Summed left to right; numpy's pairwise sum can differ in the last bit.
         return sum(self.count_pmf()[m:].tolist())
 
@@ -538,10 +536,15 @@ def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:
     _check_count("m", m, n)
     if m == 0:
         return 1.0
-    correction = (
-        0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e) * binomial_pmf(n - 1, m - 1, e)
-    )
+    correction = correlation_correction(n, m, e, c) * binomial_pmf(n - 1, m - 1, e)
     return _tail_iid_ext(n, m, e) + correction
+
+
+def correlation_correction(n: int, m: int, e: float, c: float) -> float:
+    """0.5 c n (n-1) ((m-1)/(n-1) - e): the factor that the correlation c
+    adds to the iid tail at m, times one binomial mass in exchangeable_tail
+    and times omega^n in the correlation-corrected bound."""
+    return 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
 
 
 def bahadur_range(n: int, e: float) -> tuple[float, float]:
@@ -556,9 +559,20 @@ def bahadur_range(n: int, e: float) -> tuple[float, float]:
         raise ValueError(f"n={n} must be at least 2")
     if not (0.0 < e < 1.0):
         raise ModelError(f"e={e} must lie strictly inside (0, 1)")
-    gamma = min((k - (n - 1) * e - 0.5) ** 2 for k in range(n + 1))
+    # The published form is 2e(1-e) / (y(1-e) + 1/4 - gamma), where
+    # y = (n-1)e and gamma = min over k in 0..n of (k - y - 1/2)^2.  The
+    # minimum sits at the integer k nearest y + 1/2, which is ceil(y) (when
+    # y is an integer, y and y + 1 tie).  There 1/4 - gamma equals
+    # (y - (k-1)) (k - y), a product of two non-negative factors, which keeps
+    # its precision at small e where the difference 1/4 - gamma cancels.
+    # c_max is unchanged by e -> 1 - e (y -> n-1-y leaves gamma and
+    # (n-1)e(1-e) as they are), so it is evaluated at the smaller of the two,
+    # and 1 - e is exact for e >= 1/2.
+    lo = min(e, 1.0 - e)
+    y = (n - 1) * lo
+    k = math.ceil(y)
     c_min = -2.0 * (1.0 - e) / (n * (n - 1) * e)
-    c_max = 2.0 * e * (1.0 - e) / ((n - 1) * e * (1.0 - e) + 0.25 - gamma)
+    c_max = 2.0 * e * (1.0 - e) / (y * (1.0 - lo) + (y - (k - 1)) * (k - y))
     return c_min, c_max
 
 

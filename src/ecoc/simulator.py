@@ -38,7 +38,6 @@ MODE_FULL_DECODE = "full-decode"
 class SimConfig:
     trials: int
     seed: int = DEFAULT_SEED
-    mode: str = MODE_THRESHOLD
     workers: int = 1
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SimConfig:
             raise ValueError(f"trials={self.trials} must be at least 1")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers={self.workers} outside 1..{MAX_WORKERS}")
-        if self.mode not in (MODE_THRESHOLD, MODE_FULL_DECODE):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed={self.seed} outside [0, 2**64)")
 

@@ -17,7 +17,7 @@ from ecoc.bounds import (
     kz_value,
     omega_factor,
 )
-from ecoc.errors import DomainError
+from ecoc.errors import DomainError, ModelError
 from ecoc.prob_engine import (
     ErrorProfile,
     bahadur_range,
@@ -149,6 +149,25 @@ class TestKz:
         with pytest.raises(DomainError):
             kz_bound(10, 2, 0.2, 0.0)  # e equal to m/n degenerates the decay
 
+    def test_gate_order(self):
+        # c < 0, then e > (m-1)/(n-1), then e = m/n, then c above c_max.
+        cases = [
+            ((10, 4, 0.4, -0.01), "c=-0.01 is negative"),
+            ((10, 4, 0.4, 0.9), "e_bar=0.4 > (m-1)/(n-1)=0.3333333333333333"),
+            ((3, 3, 1.0, 0.0), "e=1.0 equals m/n; decay factor degenerates to 1"),
+            ((10, 4, 0.1, 0.9), "c=0.9 above admissible maximum"),
+            ((10, 4, 0.0, 0.9), "e=0.0 must lie strictly inside (0, 1)"),
+        ]
+        for args, text in cases:
+            with pytest.raises((DomainError, ModelError)) as exc:
+                kz_bound(*args)
+            assert str(exc.value).startswith(text), args
+
+    def test_tight_envelope_scales_c(self):
+        for n, m, e, c in ((10, 4, 0.1, 0.01), (26, 6, 0.0686, 0.0058), (8, 2, 0.01, 0.1)):
+            tight = kz_bound(n, m, e, c, tight_envelope=True)
+            assert tight == kz_value(n, m, e, c * (m / n) / e)
+
     def test_unchecked_form_accepts_out_of_range_inputs(self):
         # Negative c with e below the pivot gives a negative correction.
         assert kz_value(10, 2, 0.05, -0.05) < chernoff_bound(10, 2, 0.05)
@@ -241,6 +260,21 @@ class TestEvaluateBounds:
             assert report.kz is None and "m < n" in report.kz_reason
             assert report.feller == pytest.approx(feller_bound(n, n, 0.1), abs=0)
             assert report.gs == gs_bound((0.1,))
+
+    def test_gated_kz_is_kz_bound(self):
+        # evaluate_bounds runs no gate of its own: its kz is kz_bound's value
+        # and its kz_reason kz_bound's message.
+        for n in (2, 3, 10, 26, 127):
+            for m in sorted({1, max(1, n // 4), n - 1}):
+                rates = (0.0, 1e-19, 1e-6, 0.05, (m - 1) / (n - 1), 0.3, m / n, 0.9, 1.0)
+                for e in rates:
+                    for c in (-0.01, 0.0, 0.001, 0.0058, 0.5):
+                        report = evaluate_bounds(BoundInputs(n, m, e, c=c))
+                        try:
+                            want, reason = kz_bound(n, m, e, c), None
+                        except (DomainError, ModelError) as exc:
+                            want, reason = None, str(exc)
+                        assert (report.kz, report.kz_reason) == (want, reason)
 
     def test_kz_policy_always(self):
         report = evaluate_bounds(BoundInputs(10, 2, 0.05, c=-0.01), kz_policy="always")

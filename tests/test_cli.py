@@ -474,8 +474,9 @@ class TestExitCodes:
             (("--figure", "fig1", "--step", "0"), "step=0.0 "),
             (("--figure", "scatter", "--fixture", "letters_dt", "--n", "0"), "n=0 "),
             (("--figure", "fig1", "--ns", "-1"), "ensemble sizes (-1,) "),
+            (("--figure", "scatter", "--fixture", "letters_dt", "--n", "6"), "m=6 "),
         ],
-        ids=["fig1-step=0", "scatter-n=0", "fig1-ns=-1"],
+        ids=["fig1-step=0", "scatter-n=0", "fig1-ns=-1", "scatter-n=m"],
     )
     def test_bad_figure_input_is_one(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "figs"
@@ -483,6 +484,25 @@ class TestExitCodes:
         assert (status, out) == (1, "")
         assert err.startswith(f"error: {message}")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bahadur", "--n", "10", "--ebar", "1e-19"),
+            ("bounds", "--n", "10", "--m", "2", "--ebar", "1e-19", "--c", "0.001"),
+            ("analyze", "--summary", "SMALL_E", "--classes", "10"),
+        ],
+        ids=["bahadur", "bounds", "analyze-summary"],
+    )
+    def test_tiny_mean_rate_is_zero(self, capsys, tmp_path, argv):
+        # (n-1)e(1-e) + 1/4 - gamma used to round to 0 here: ZeroDivisionError.
+        src = tmp_path / "small_e.csv"
+        src.write_text(
+            "fold,mean_bit_error,mean_correlation,ecoc_error\n1,1e-19,0.001,0.0\n"
+        )
+        argv = [str(src) if a == "SMALL_E" else a for a in argv]
+        status, out, err = run(capsys, *argv)
+        assert status == 0 and out and "Traceback" not in err
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

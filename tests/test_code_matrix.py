@@ -290,6 +290,16 @@ class TestNearestRows:
         assert idx.tolist() == [0, 0, 1]
         assert dist.tolist() == [1, 1, 0]
 
+    @pytest.mark.parametrize("entry", [2, 0.5, -1, math.nan])
+    def test_entries_other_than_bits_are_rejected(self, entry):
+        code = build_code_matrix(10)
+        word = code.matrix[3].astype(float)
+        word[4] = entry
+        with pytest.raises(ValueError, match="0 or 1"):
+            nearest_rows(np.stack([code.matrix[0], word]), code)
+        with pytest.raises(ValueError, match="0 or 1"):
+            decode(word, code)
+
     def test_shape_mismatch(self):
         code = build_code_matrix(10)
         with pytest.raises(ValueError):

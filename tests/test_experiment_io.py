@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecoc.bounds import BoundInputs, evaluate_bounds
 from ecoc.cli import main
 from ecoc import experiment_io as xio
 from ecoc.code_matrix import build_code_matrix, nearest_rows
@@ -690,6 +691,25 @@ class TestFigureData:
         assert min(exps) == pytest.approx(0.052, abs=1e-12)
         assert max(exps) == pytest.approx(0.0695, abs=1e-12)
         assert all(0 < row["e_bar"] < 6 / 26 for row in curves)
+
+    @pytest.mark.parametrize("name, n", [("letters_dt", 26), ("vowel_svm", 10), ("usps_dt", 11)])
+    def test_scatter_rows_are_evaluate_bounds_fields(self, name, n):
+        summaries = load_fixture(name)
+        m = build_code_matrix(DATASETS[name.rsplit("_", 1)[0]].classes).m
+        curves, folds = scatter_figure_data(summaries, n, m)
+        pooled_c = float(np.mean([s.mean_correlation for s in summaries]))
+        points = [(row["e_bar"], pooled_c) for row in curves]
+        points += [(s.mean_bit_error, s.mean_correlation) for s in summaries]
+        for row, (e, c) in zip(curves + folds, points):
+            report = evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
+            assert (row["gs"], row["chernoff"], row["kz"]) == (
+                report.gs, report.chernoff_lambda, report.kz
+            )
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (5, 6), (10, 0)])
+    def test_scatter_needs_m_below_n(self, n, m):
+        with pytest.raises(ValueError, match="m < n"):
+            scatter_figure_data(load_fixture("letters_dt"), n, m)
 
     def test_scatter_requires_folds(self):
         with pytest.raises(ValueError):

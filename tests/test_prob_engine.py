@@ -333,6 +333,31 @@ class TestBahadurRange:
         with pytest.raises(ModelError):
             bahadur_range(4, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 26, 127, 1000])
+    def test_upper_end_is_weight_derived_down_to_tiny_rates(self, n):
+        # The largest c keeping every weight 1 + c quad_k / (2e(1-e))
+        # non-negative; quad_k = k^2 - k + e(n-1)(ne - 2k) has no
+        # cancellation at small e, where the published form had (it crashed
+        # below e of about 1e-18).
+        rates = np.concatenate([np.geomspace(1e-300, 0.99, 400), [1e-19, 1e-17]])
+        for e in rates.tolist():
+            ref = math.inf
+            for k in range(n + 1):
+                quad = k * k - k + e * (n - 1) * (n * e - 2 * k)
+                if quad < 0:
+                    ref = min(ref, -2.0 * e * (1.0 - e) / quad)
+            assert bahadur_range(n, e)[1] == pytest.approx(ref, rel=1e-9), e
+
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_upper_end_near_one_in_exact_arithmetic(self, n):
+        # Near e = 1 the float weights cancel too, so the reference is taken
+        # in rationals.
+        for e in (0.5, 0.9, 0.999, 1 - 1e-12, 1 - 1e-15, 1 - 2**-53):
+            q = Fraction(e)
+            quads = (k * k - k + q * (n - 1) * (n * q - 2 * k) for k in range(n + 1))
+            ref = min(-2 * q * (1 - q) / quad for quad in quads if quad < 0)
+            assert bahadur_range(n, e)[1] == pytest.approx(float(ref), rel=1e-12), e
+
 
 class TestEnumerationOracle:
     def test_fair_coins(self):
@@ -352,6 +377,16 @@ class TestEnumerationOracle:
 
 
 class TestNormalization:
+    @pytest.mark.parametrize("n", [5, 127, 1000])
+    def test_every_model_tail_at_zero_is_exactly_one(self, n):
+        models = (
+            Independent(ErrorProfile.iid(n, 0.18)),
+            PairModel(ErrorProfile.iid(n, 0.18), 0.05),
+            ExchangeableModel(n, 0.18, 0.0),
+        )
+        for model in models:
+            assert model.tail(0) == 1.0, type(model).__name__
+
     def test_every_model_and_route_sums_to_one(self):
         # Grid over n <= 12 and e in {0.05, ..., 0.5}; each route's full
         # distribution carries total mass 1 to 1e-12.

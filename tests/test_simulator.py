@@ -124,8 +124,6 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             SimConfig(trials=10, workers=0)
         with pytest.raises(ValueError):
-            SimConfig(trials=10, mode="bogus")
-        with pytest.raises(ValueError):
             SimConfig(trials=10, seed=-1)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=2**64)

@@ -1,0 +1,256 @@
+"""Digest the CLI's output over a fixed command corpus, one sha256 per family.
+
+Runs every command in process through ``ecoc.cli.main`` and hashes, per
+command, its argument list, its exit status and its stdout; the figures
+family also hashes every file a command writes.  Two checkouts whose digests
+agree print the same bytes on this corpus, so a refactor can be checked for
+byte identity by running the script against each:
+
+    PYTHONPATH=src python tools/cli_corpus.py
+    PYTHONPATH=/path/to/other/checkout/src python tools/cli_corpus.py
+
+The families are code, pmf, tail, bounds, bahadur, simulate (small trial
+counts), analyze and figures.  Error cases are included; stderr is not
+hashed, so a reworded message does not change a digest but a changed exit
+status does.  Inputs are fixed (bundled fixtures and seeded synthetic
+folds), so the digests depend only on the code under test.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ecoc.cli import main as cli_main
+from ecoc.code_matrix import build_code_matrix
+
+FORMATS = ("table", "csv", "json")
+FIXTURES = (
+    "cifar10_cnn", "letters_dt", "letters_svm", "pendigits_dt", "pendigits_svm",
+    "svhn_cnn", "usps_dt", "usps_svm", "vowel_dt", "vowel_svm",
+)
+SMALL_E = "1e-19"
+
+
+def _models(n: int, e: str) -> list[list[str]]:
+    """Model flag sets at n classifiers and rate e, valid and invalid."""
+    rates = ",".join(f"{float(e) * (1 + 0.1 * (i % 5)):.6g}" for i in range(n))
+    return [
+        ["--model", "iid", "--n", str(n), "--ebar", e],
+        ["--model", "independent", "--rates", rates],
+        ["--model", "pair", "--n", str(n), "--ebar", e, "--f", "0.01"],
+        ["--model", "pair", "--rates", rates, "--f", "0"],
+        ["--model", "exchangeable", "--n", str(n), "--ebar", e, "--c", "0.005"],
+        ["--model", "exchangeable", "--n", str(n), "--ebar", e, "--c", "-0.002"],
+    ]
+
+
+def _code(_: Path) -> list[list[str]]:
+    sizes = list(range(2, 35)) + [63, 64, 65, 100, 127, 128, 129, 255, 256, 1000]
+    out = []
+    for classes in sizes:
+        for orientation in ("keep-bottom-right", "keep-top-left"):
+            base = ["code", "--classes", str(classes), "--orientation", orientation]
+            out.append(base + ["--emit"])
+            out += [base + ["--format", fmt] for fmt in FORMATS]
+    return out + [["code", "--classes", "1"], ["code", "--classes", "0"]]
+
+
+def _pmf(_: Path) -> list[list[str]]:
+    out = []
+    for n in (1, 2, 3, 5, 10, 26, 127):
+        for e in ("0", "0.05", "0.18", "0.5", "1"):
+            for model in _models(n, e):
+                for fmt in FORMATS:
+                    out.append(["pmf", *model, "--format", fmt])
+                for k in (0, n // 2, n, n + 1, -1):
+                    out.append(["pmf", *model, "--k", str(k), "--format", "csv"])
+    return out
+
+
+def _tail(_: Path) -> list[list[str]]:
+    out = []
+    for n in (2, 3, 5, 10, 26, 127, 1000):
+        for e in ("0", "0.0686", "0.18", "0.5", "1"):
+            for model in _models(n, e):
+                for m in sorted({0, 1, n // 4, n // 2, n - 1, n, n + 1, -1}):
+                    out.append(["tail", *model, "--m", str(m), "--format", "csv"])
+                out += [["tail", *model, "--m", "1", "--format", fmt] for fmt in FORMATS]
+    return out
+
+
+def _bounds(_: Path) -> list[list[str]]:
+    out = []
+    for n in (1, 2, 3, 10, 26, 127, 1000):
+        for m in sorted({1, max(1, n // 4), max(1, n - 1), n}):
+            for e in ("0", SMALL_E, "1e-6", "0.0686", "0.1", "0.25", "0.5", "1"):
+                for c in (None, "-0.01", "0", "0.0058", "0.001", "0.5"):
+                    for policy in ("gated", "always"):
+                        argv = ["bounds", "--n", str(n), "--m", str(m), "--ebar", e]
+                        argv += [] if c is None else ["--c", c]
+                        out.append(argv + ["--kz-policy", policy, "--format", "csv"])
+    base = ["bounds", "--n", "26", "--m", "6", "--ebar", "0.0686", "--c", "0.0058"]
+    out += [base + ["--format", fmt] for fmt in FORMATS]
+    out += [base + ["--mu", mu] for mu in ("0", "1.5", "6", "10", "-1", "inf", "nan")]
+    out += [base + ["--c", c] for c in ("nan", "inf")]
+    out += [["bounds", "--n", "10", "--m", m, "--ebar", "0.1"] for m in ("0", "11")]
+    return out
+
+
+def _bahadur(_: Path) -> list[list[str]]:
+    out = []
+    for n in (1, 2, 3, 10, 26, 127, 1000):
+        for e in ("0", SMALL_E, "1e-17", "1e-6", "0.01", "0.0686", "0.1", "0.18",
+                  "0.3333333333333333", "0.5", "0.9", "0.99", "1"):
+            for fmt in ("csv", "json"):
+                out.append(["bahadur", "--n", str(n), "--ebar", e, "--format", fmt])
+    return out
+
+
+def _simulate(_: Path) -> list[list[str]]:
+    out = []
+    for n, m in ((10, 2), (26, 6)):
+        for model in _models(n, "0.1"):
+            for seed in ("1", "7"):
+                base = ["simulate", *model, "--trials", "3000", "--seed", seed,
+                        "--format", "csv"]
+                out.append(base + ["--m", str(m)])
+                out.append(base + ["--mode", "full-decode"])
+                out.append(base + ["--mode", "full-decode", "--true-class", "3",
+                                   "--workers", "2"])
+    out.append(["simulate", "--model", "iid", "--n", "10", "--ebar", "0.1",
+                "--trials", "3000", "--mode", "full-decode", "--m", "2"])
+    return out
+
+
+def _write_folds(tmp: Path) -> dict[str, list[Path]]:
+    """Seeded synthetic prediction folds for 10 and 26 classes."""
+    rng = np.random.default_rng(2024)
+    folds = {}
+    for classes, e in ((10, 0.08), (26, 0.05)):
+        code = build_code_matrix(classes)
+        paths = []
+        for fold in range(3):
+            truth = rng.integers(0, classes, 400)
+            bits = code.matrix[truth] ^ (rng.random((400, code.n)) < e)
+            lines = ["true_class," + ",".join(f"bit_{i + 1}" for i in range(code.n))]
+            lines += [f"{t}," + ",".join(map(str, row)) for t, row in zip(truth, bits)]
+            path = tmp / f"c{classes}_fold{fold}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(path)
+        folds[str(classes)] = paths
+    return folds
+
+
+def _write_summaries(tmp: Path) -> list[tuple[Path, str]]:
+    """Summary CSVs with their class counts, one of them at a tiny rate."""
+    header = "fold,mean_bit_error,mean_correlation,ecoc_error\n"
+    files = {
+        "plain": (header + "1,0.07,0.01,0.05\n2,0.09,0.02,0.06\n3,0.05,-0.01,0.04\n", "26"),
+        "small_e": (header + f"1,{SMALL_E},0.001,0.0\n2,0.01,0.002,0.0\n", "10"),
+        "one_fold": (header + "a,0.1,0.0,0.1\n", "10"),
+    }
+    out = []
+    for name, (text, classes) in files.items():
+        path = tmp / f"{name}.csv"
+        path.write_text(text)
+        out.append((path, classes))
+    return out
+
+
+def _analyze(tmp: Path) -> list[list[str]]:
+    out = []
+    for name in FIXTURES:
+        for fmt in FORMATS:
+            for policy in ("gated", "always"):
+                out.append(["analyze", "--fixture", name, "--kz-policy", policy,
+                            "--format", fmt])
+        out.append(["analyze", "--fixture", name, "--n", "11", "--format", "csv"])
+    for path, classes in _write_summaries(tmp):
+        for policy in ("gated", "always"):
+            out.append(["analyze", "--summary", str(path), "--classes", classes,
+                        "--kz-policy", policy, "--format", "csv"])
+    for classes, paths in _write_folds(tmp).items():
+        for fmt in FORMATS:
+            out.append(["analyze", "--predictions", *map(str, paths),
+                        "--classes", classes, "--format", fmt])
+    out.append(["analyze", "--fixture", "letters_dt", "--n", "6"])
+    return out
+
+
+def _figures(tmp: Path) -> list[list[str]]:
+    out = [
+        ["figures", "--figure", "fig1"],
+        ["figures", "--figure", "fig1", "--ns", "5,127", "--r", "0.3", "--step", "0.01"],
+        ["figures", "--figure", "fig1", "--step", "0"],
+    ]
+    for name in FIXTURES:
+        out.append(["figures", "--figure", "scatter", "--fixture", name])
+        out.append(["figures", "--figure", "scatter", "--fixture", name, "--n", "11"])
+    out.append(["figures", "--figure", "scatter", "--fixture", "letters_dt", "--n", "6"])
+    for path, classes in _write_summaries(tmp):
+        out.append(["figures", "--figure", "scatter", "--summary", str(path),
+                    "--classes", classes])
+    return out
+
+
+FAMILIES = {
+    "code": _code,
+    "pmf": _pmf,
+    "tail": _tail,
+    "bounds": _bounds,
+    "bahadur": _bahadur,
+    "simulate": _simulate,
+    "analyze": _analyze,
+    "figures": _figures,
+}
+
+
+def run(argv: list[str]) -> tuple[int | str, bytes]:
+    """Exit status and stdout of one in-process CLI command.  An exception
+    that escapes main, which a shell would show as a traceback, is recorded
+    by its type in place of the status."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            status = cli_main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        except Exception as exc:  # noqa: BLE001 - recorded, the corpus goes on
+            status = f"raised {type(exc).__name__}"
+    return status, stdout.getvalue().encode()
+
+
+def family_digest(family: str, tmp: Path) -> tuple[str, int]:
+    """sha256 over every command of one family, and the command count."""
+    sha = hashlib.sha256()
+    commands = FAMILIES[family](tmp)
+    for i, argv in enumerate(commands):
+        out_dir = tmp / f"out{i}"
+        if family == "figures":
+            argv = argv + ["--out", str(out_dir)]
+        status, stdout = run(argv)
+        sha.update(repr([a.replace(str(tmp), "<tmp>") for a in argv]).encode())
+        sha.update(f"{status}\n".encode() + stdout)
+        if out_dir.is_dir():
+            for path in sorted(out_dir.iterdir()):
+                sha.update(path.name.encode() + path.read_bytes())
+    return sha.hexdigest(), len(commands)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for family in FAMILIES:
+            digest, count = family_digest(family, Path(tmp))
+            print(f"{family:<9} {count:>5}  {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
