@@ -6,8 +6,9 @@ Three dependence structures are supported: fully independent classifiers
 classifiers with a uniform second-order correlation coefficient c.
 
 Each model type offers the same six methods: count_pmf() (the error-count
-distribution by an efficient route: dynamic programming, two-stage
-recursion, or closed form), tail(m), sample_far(rng, count, k_min) (the
+distribution: a product tree over the classifiers' generating factors, then
+the pair's two-stage recursion or the exchangeable outcome weights on top of
+it), tail(m), sample_far(rng, count, k_min) (the
 indices and error vectors of the rows, among count trials, with at least
 k_min errors), sample(rng, count) (every error vector: sample_far at
 k_min = 0), sample_counts(rng, count) (the error counts only, drawn from the
@@ -35,6 +36,7 @@ row and never holds a (count, n) array.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,18 +174,11 @@ class PairModel(_Sampler):
         p11, p10, p01, p00 = self.joint_cells
         # q_pad[j + 2] = q(j) for j = -2..n.
         q_pad = np.zeros(n + 3)
-        if n == 2:
-            q_pad[2] = 1.0
-        else:
-            q_pad[2:-2] = poisson_binomial_dist(ErrorProfile(self.profile.rates[:-2]))
+        q_pad[2:-2] = poisson_binomial_dist(self.profile.rates[:-2])
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
     def tail(self, m: int) -> float:
-        _check_count("m", m, self.n)
-        if m == 0:
-            return 1.0
-        # Summed left to right; numpy's pairwise sum can differ in the last bit.
-        return sum(self.count_pmf()[m:].tolist())
+        return _upper_tail(self.count_pmf, self.n, m)
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -263,11 +258,12 @@ class ExchangeableModel(_Sampler):
         return ErrorProfile.iid(self.n, self.e_bar)
 
     def count_pmf(self) -> np.ndarray:
-        n, e = self.n, self.e_bar
-        w = _outcome_weights(n, e, self.c)
-        return np.array(
-            [binomial_pmf(n, k, e) * max(float(w[k]), 0.0) for k in range(n + 1)]
-        )
+        """The binomial row of n equal rates times the clipped outcome
+        weights.  The row is taken from _product_tree directly:
+        poisson_binomial_dist is the entry of the independent and pair
+        routes, and its calls count their Poisson-binomial builds."""
+        w = np.maximum(_outcome_weights(self.n, self.e_bar, self.c), 0.0)
+        return _product_tree(np.full(self.n, self.e_bar)) * w
 
     def tail(self, m: int) -> float:
         return exchangeable_tail(self.n, m, self.e_bar, self.c)
@@ -406,19 +402,51 @@ def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
 # independent classifiers
 
 
-def poisson_binomial_dist(profile: ErrorProfile) -> np.ndarray:
-    """Full pmf of the error count, index k = 0..n.
+def poisson_binomial_dist(profile: ErrorProfile | Sequence[float]) -> np.ndarray:
+    """Full pmf of the error count, index k = 0..n, of independent
+    classifiers with the rates of profile: an ErrorProfile, or a sequence of
+    rates already known to lie in [0, 1] (an empty one gives [1.0]).
 
-    Dynamic programming over classifiers, O(n^2); adds only non-negative
-    terms, so it is stable to well below 1e-12 for the sizes used here.
+    The pmf is the coefficient row of the product of the factors
+    (1 - e_i) + e_i x, multiplied level by level, each level as one batch
+    (_product_tree).  Every term added is a product of non-negative numbers,
+    so no entry loses accuracy to cancellation: the tests hold each entry to
+    1e-14 of the exact rational of the same double rates up to n = 127.
     """
-    dist = np.array([1.0])
-    for e in profile.rates:
-        nxt = np.zeros(len(dist) + 1)
-        nxt[:-1] = dist * (1.0 - e)
-        nxt[1:] += dist * e
-        dist = nxt
-    return dist
+    rates = profile.rates if isinstance(profile, ErrorProfile) else profile
+    return _product_tree(np.asarray(rates, dtype=float))
+
+
+def _product_tree(rates: np.ndarray) -> np.ndarray:
+    """Coefficients of prod_i ((1 - e_i) + e_i x), index k = 0..n.
+
+    A balanced product tree: the factors, padded to a power-of-two count
+    with the identity factor 1 (which is exact), are multiplied in adjacent
+    pairs, level by level, each level as one batch of rows of one length L
+    (2, 3, 5, 9, ...); entries past the true degree stay exact zeros.  While
+    L is at most the number of pairs, a level is L slice multiply-adds over
+    all its pairs; past that point it is one np.convolve per pair.  Either
+    way a level costs min(L, pairs) numpy calls, about 70 in all at n = 1000
+    against 4n for a per-classifier recursion; the top level is one O(n^2)
+    convolution.
+    """
+    n = len(rates)
+    polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
+    polys[:, 0] = 1.0
+    polys[:n, 0] -= rates
+    polys[:n, 1] = rates
+    while len(polys) > 1:
+        a, b = polys[0::2], polys[1::2]
+        pairs, length = a.shape
+        out = np.zeros((pairs, 2 * length - 1))
+        if length <= pairs:
+            for j in range(length):
+                out[:, j : j + length] += a[:, j, None] * b
+        else:
+            for i in range(pairs):
+                out[i] = np.convolve(a[i], b[i])
+        polys = out
+    return polys[0, : n + 1]
 
 
 def poisson_binomial_pmf(profile: ErrorProfile, k: int) -> float:
@@ -448,10 +476,17 @@ def tail_independent(profile: ErrorProfile, m: int) -> float:
 
     m = 0 is accepted as a degenerate input and returns 1.
     """
-    _check_count("m", m, profile.n)
+    return _upper_tail(lambda: poisson_binomial_dist(profile), profile.n, m)
+
+
+def _upper_tail(count_pmf, n: int, m: int) -> float:
+    """Probability of at least m errors: the correctly rounded sum
+    (math.fsum) of count_pmf()[m:].  m = 0 gives exactly 1.0 without
+    building the pmf."""
+    _check_count("m", m, n)
     if m == 0:
         return 1.0
-    return float(poisson_binomial_dist(profile)[m:].sum())
+    return math.fsum(count_pmf()[m:].tolist())
 
 
 def tail_iid(n: int, m: int, e: float) -> float:

@@ -32,8 +32,8 @@ from ecoc.prob_engine import (
 
 
 def brute_independent(rates):
-    """Primitive subset-sum oracle, independent of both the DP route and the
-    vectorized enumeration."""
+    """Primitive subset-sum oracle, independent of both the product-tree
+    route and the vectorized enumeration."""
     n = len(rates)
     dist = [0.0] * (n + 1)
     for bits in itertools.product((0, 1), repeat=n):
@@ -42,6 +42,94 @@ def brute_independent(rates):
             p *= e if b else 1.0 - e
         dist[sum(bits)] += p
     return dist
+
+
+def exact_poisson_binomial(rates):
+    """Exact Poisson-binomial pmf of the doubles in rates, as (numerator,
+    denominator) pairs of integers.
+
+    Every double is a dyadic rational, so scaling by the largest denominator
+    turns each factor (1 - e) + e x into integers, and the recursion over
+    the rates runs in integers."""
+    scale = max((Fraction(e).denominator for e in rates), default=1)
+    dist = [1]
+    for e in rates:
+        a = int(Fraction(e) * scale)
+        dist = [x * (scale - a) + y * a for x, y in zip(dist + [0], [0] + dist)]
+    return [(x, scale ** len(rates)) for x in dist]
+
+
+def assert_matches_exact(got, exact, rel):
+    """got against exact (numerator, denominator) pairs: entries of at
+    least 1e-290 within rel of the rational (num / den of two ints is
+    correctly rounded), exact zeros where the rational is zero, and a total
+    within rel of one."""
+    assert len(got) == len(exact)
+    for k, (g, (num, den)) in enumerate(zip(got.tolist(), exact)):
+        x = num / den
+        if num == 0:
+            assert g == 0.0, k
+        elif x >= 1e-290:
+            assert abs(g - x) <= rel * x, (k, g, x)
+    assert abs(math.fsum(got.tolist()) - 1.0) <= rel
+
+
+class TestExactRationals:
+    """count_pmf against exact rationals of the same double inputs."""
+
+    SIZES = (1, 2, 3, 31, 32, 33, 64, 127)
+
+    @staticmethod
+    def profiles(n, rng):
+        """Uniform random rates, and random rates with exact 0.0 and 1.0
+        planted in them."""
+        plain = rng.uniform(0.0, 1.0, n)
+        planted = rng.uniform(0.0, 0.4, n)
+        planted[rng.permutation(n)[: max(1, n // 4)]] = 0.0
+        if n > 1:
+            planted[rng.permutation(n)[: max(1, n // 8)]] = 1.0
+        return [plain.tolist(), planted.tolist()]
+
+    def test_independent(self):
+        rng = np.random.default_rng(41)
+        for n in self.SIZES:
+            for rates in self.profiles(n, rng):
+                got = Independent(ErrorProfile(rates)).count_pmf()
+                assert_matches_exact(got, exact_poisson_binomial(rates), 1e-14)
+
+    def test_pair(self):
+        rng = np.random.default_rng(42)
+        for n in self.SIZES[1:]:
+            for rates in self.profiles(n, rng):
+                lo, hi = pair_f_range(rates[-2], rates[-1])
+                model = PairModel(ErrorProfile(rates), lo + 0.3 * (hi - lo))
+                q = [0, 0] + [Fraction(*x) for x in exact_poisson_binomial(rates[:-2])]
+                q += [0, 0]
+                p11, p10, p01, p00 = map(Fraction, model.joint_cells)
+                exact = [
+                    (p11 * q[k] + (p10 + p01) * q[k + 1] + p00 * q[k + 2]).as_integer_ratio()
+                    for k in range(n + 1)
+                ]
+                assert_matches_exact(model.count_pmf(), exact, 1e-14)
+
+    def test_exchangeable_large_n(self):
+        # C(n, k) e^k (1-e)^(n-k) w_k with the weights w_k taken in
+        # rationals too; the lgamma-based binomial masses were up to 1.9e-12
+        # off here.
+        n, e = 1000, 0.18
+        for c in (0.0, 0.5 * valid_correlation_range(n, e)[1]):
+            q, slope = Fraction(e), Fraction(c) / (2 * Fraction(e) * (1 - Fraction(e)))
+            a, scale = q.numerator, q.denominator
+            b_pows = [1]
+            for _ in range(n):
+                b_pows.append(b_pows[-1] * (scale - a))
+            exact = []
+            for k in range(n + 1):
+                w = max(1 + slope * (k * k - k + q * (n - 1) * (n * q - 2 * k)), 0)
+                mass = math.comb(n, k) * a**k * b_pows[n - k]
+                exact.append((mass * w.numerator, scale**n * w.denominator))
+            got = ExchangeableModel(n, e, c).count_pmf()
+            assert_matches_exact(got, exact, 2e-13)
 
 
 class TestPoissonBinomial:
@@ -304,11 +392,14 @@ class TestBahadurRange:
         assert c_min == pytest.approx(-1 / 3, abs=1e-15)
         assert c_max == pytest.approx(1.0, abs=1e-15)
 
-    def test_gamma_never_exceeds_quarter(self):
+    def test_upper_end_matches_published_form(self):
+        # 2e(1-e) / ((n-1)e(1-e) + 1/4 - gamma), with gamma the minimum of
+        # (k - (n-1)e - 1/2)^2 over k = 0..n taken by brute force.
         for n in range(2, 13):
-            for e in np.linspace(0.02, 0.98, 25):
+            for e in np.linspace(0.02, 0.98, 25).tolist():
                 gamma = min((k - (n - 1) * e - 0.5) ** 2 for k in range(n + 1))
-                assert gamma <= 0.25 + 1e-15
+                ref = 2 * e * (1 - e) / ((n - 1) * e * (1 - e) + 0.25 - gamma)
+                assert bahadur_range(n, e)[1] == pytest.approx(ref, rel=1e-12), (n, e)
 
     def test_upper_end_keeps_weights_nonnegative(self):
         for n in range(2, 13):

@@ -14,13 +14,28 @@ counts), analyze and figures.  Error cases are included; stderr is not
 hashed, so a reworded message does not change a digest but a changed exit
 status does.  Inputs are fixed (bundled fixtures and seeded synthetic
 folds), so the digests depend only on the code under test.
+
+A digest says only that a family changed.  To see which commands changed
+and by how much, dump one checkout's output and compare the other's with it:
+
+    PYTHONPATH=/path/to/other/checkout/src python tools/cli_corpus.py --dump old.jsonl
+    PYTHONPATH=src python tools/cli_corpus.py --against old.jsonl --rel 3e-13
+
+--dump writes one JSON line per command (family, argv, exit status,
+stdout) and still prints the digests.  --against lists every command whose
+exit status or non-numeric text differs, or one of whose numbers differs
+from the dumped one by more than --rel relative, then a per-family summary;
+it exits 1 when it listed any command.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -227,28 +242,113 @@ def run(argv: list[str]) -> tuple[int | str, bytes]:
     return status, stdout.getvalue().encode()
 
 
-def family_digest(family: str, tmp: Path) -> tuple[str, int]:
-    """sha256 over every command of one family, and the command count."""
-    sha = hashlib.sha256()
-    commands = FAMILIES[family](tmp)
-    for i, argv in enumerate(commands):
+def family_runs(family: str, tmp: Path):
+    """Yield (argv, status, stdout, files) per command of one family: argv
+    with the temporary directory written as <tmp>, and the (name, bytes) of
+    every file the command writes (figures only)."""
+    for i, argv in enumerate(FAMILIES[family](tmp)):
         out_dir = tmp / f"out{i}"
         if family == "figures":
             argv = argv + ["--out", str(out_dir)]
         status, stdout = run(argv)
-        sha.update(repr([a.replace(str(tmp), "<tmp>") for a in argv]).encode())
-        sha.update(f"{status}\n".encode() + stdout)
+        files = []
         if out_dir.is_dir():
-            for path in sorted(out_dir.iterdir()):
-                sha.update(path.name.encode() + path.read_bytes())
-    return sha.hexdigest(), len(commands)
+            files = [(path.name, path.read_bytes()) for path in sorted(out_dir.iterdir())]
+        yield [a.replace(str(tmp), "<tmp>") for a in argv], status, stdout, files
 
 
-def main() -> int:
+def family_digest(runs) -> tuple[str, int]:
+    """sha256 over the runs of one family, and the command count."""
+    sha = hashlib.sha256()
+    count = 0
+    for argv, status, stdout, files in runs:
+        sha.update(repr(argv).encode())
+        sha.update(f"{status}\n".encode() + stdout)
+        for name, data in files:
+            sha.update(name.encode() + data)
+        count += 1
+    return sha.hexdigest(), count
+
+
+# A decimal number as the CLI prints one.  nan and inf are text: they
+# compare equal only to themselves.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def compare(old: str, new: str) -> float | None:
+    """Largest relative difference between the numbers of two outputs, or
+    None when the text around the numbers differs (a changed number count
+    included)."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    worst = 0.0
+    for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
+        x, y = float(a), float(b)
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def against(path: str, rel: float, tmp: Path) -> int:
+    """Re-run the corpus, list the commands that differ from a --dump file
+    by more than rel, and summarise each family."""
+    dumped = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            dumped[(rec["family"], tuple(rec["argv"]))] = rec
+    listed = 0
+    summary = []
+    for family in FAMILIES:
+        count = moved = 0
+        worst = 0.0
+        for argv, status, stdout, _ in family_runs(family, tmp):
+            count += 1
+            rec = dumped.get((family, tuple(argv)))
+            if rec is None:
+                why = "not in the dump"
+            elif rec["status"] != status:
+                why = f"exit status {rec['status']} -> {status}"
+            else:
+                diff = compare(rec["stdout"], stdout.decode())
+                if diff is None:
+                    why = "text differs"
+                else:
+                    moved += diff > 0
+                    worst = max(worst, diff)
+                    if diff <= rel:
+                        continue
+                    why = f"relative difference {diff:.3g}"
+            listed += 1
+            print(f"{family:<9} {why}: {' '.join(argv)}")
+        summary.append(f"{family:<9} {count:>5} commands, {moved:>5} with moved numbers, "
+                       f"worst relative difference {worst:.3g}")
+    print("\n".join(summary))
+    return 1 if listed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write one JSON line per command to PATH")
+    parser.add_argument("--against", metavar="PATH",
+                        help="compare with a --dump file instead of printing digests")
+    parser.add_argument("--rel", type=float, default=0.0, metavar="TOL",
+                        help="relative difference --against lets a number move (default 0)")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
+        if args.against:
+            return against(args.against, args.rel, Path(tmp))
+        lines = []
         for family in FAMILIES:
-            digest, count = family_digest(family, Path(tmp))
+            runs = list(family_runs(family, Path(tmp)))
+            lines += [json.dumps({"family": family, "argv": argv, "status": status,
+                                  "stdout": stdout.decode()}) + "\n"
+                      for argv, status, stdout, _ in runs]
+            digest, count = family_digest(runs)
             print(f"{family:<9} {count:>5}  {digest}")
+    if args.dump:
+        Path(args.dump).write_text("".join(lines), encoding="utf-8")
     return 0
 
 
