@@ -5,16 +5,18 @@ Three dependence structures are supported: fully independent classifiers
 (specified by the pair's joint error probability f), and fully exchangeable
 classifiers with a uniform second-order correlation coefficient c.
 
-Each model type offers the same six methods: count_pmf() (the error-count
-distribution: a product tree over the classifiers' generating factors, then
-the pair's two-stage recursion or the exchangeable outcome weights on top of
-it), tail(m), sample_far(rng, count, k_min) (the
-indices and error vectors of the rows, among count trials, with at least
-k_min errors), sample(rng, count) (every error vector: sample_far at
-k_min = 0), sample_counts(rng, count) (the error counts only, drawn from the
-same stream as sample) and joint_mass(bits) (the joint law of whole
-outcomes, which the brute-force enumeration oracle over all 2^n outcomes
-sums for cross-checking).
+Every model type offers count_pmf() (the error-count distribution: a
+product tree over the classifiers' generating factors, then the pair's
+two-stage recursion or the exchangeable outcome weights on top of it),
+sample_far(rng, count, k_min) (the indices and error vectors of the rows,
+among count trials, with at least k_min errors), sample_counts(rng, count)
+(the error counts only, drawn from the same stream as sample) and
+joint_mass(bits) (the joint law of whole outcomes, which the brute-force
+enumeration oracle over all 2^n outcomes sums for cross-checking).  Two
+methods are defined once, on the shared base class, for all three: tail(m),
+the sum of count_pmf from m, and sample(rng, count), sample_far at
+k_min = 0.  The public pmf and tail functions below are one-line calls
+into a model, so every tail, binomial or not, is that one sum.
 
 The samplers draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS rows,
 in the order rng.random((count, width)) would consume them, and compare
@@ -49,8 +51,6 @@ WEIGHT_SLACK = 1e-12
 
 # Hard cap on the brute-force oracle: 2^20 outcomes.
 ENUMERATION_MAX_N = 20
-
-_LOG_SPACE_N = 50
 
 # Rows of raw words drawn per block by the samplers: about 1 MB of uint64 at
 # n = 127, so a block is still in cache when it is compared.
@@ -94,8 +94,18 @@ class ErrorProfile:
         return sum(self.rates)
 
 
-class _Sampler:
-    """sample as the k_min = 0 case of a model's sample_far."""
+class _Model:
+    """What the three models share: the tail and the full sampler, both
+    derived from a model's own count_pmf and sample_far."""
+
+    def tail(self, m: int) -> float:
+        """Probability of at least m errors: the correctly rounded sum
+        (math.fsum) of count_pmf()[m:].  m = 0 gives exactly 1.0 without
+        building the pmf."""
+        _check_count("m", m, self.n)
+        if m == 0:
+            return 1.0
+        return math.fsum(self.count_pmf()[m:].tolist())
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """All count error vectors, a (count, n) uint8 array."""
@@ -103,7 +113,7 @@ class _Sampler:
 
 
 @dataclass(frozen=True)
-class Independent(_Sampler):
+class Independent(_Model):
     """All classifiers err independently."""
 
     profile: ErrorProfile
@@ -114,9 +124,6 @@ class Independent(_Sampler):
 
     def count_pmf(self) -> np.ndarray:
         return poisson_binomial_dist(self.profile)
-
-    def tail(self, m: int) -> float:
-        return tail_independent(self.profile, m)
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -133,7 +140,7 @@ class Independent(_Sampler):
 
 
 @dataclass(frozen=True)
-class PairModel(_Sampler):
+class PairModel(_Model):
     """Independent classifiers except the last two, whose probability of
     erring together on the same sample equals f."""
 
@@ -176,9 +183,6 @@ class PairModel(_Sampler):
         q_pad = np.zeros(n + 3)
         q_pad[2:-2] = poisson_binomial_dist(self.profile.rates[:-2])
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
-
-    def tail(self, m: int) -> float:
-        return _upper_tail(self.count_pmf, self.n, m)
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -228,7 +232,7 @@ class PairModel(_Sampler):
 
 
 @dataclass(frozen=True)
-class ExchangeableModel(_Sampler):
+class ExchangeableModel(_Model):
     """Identically distributed classifiers with uniform pairwise correlation c
     of the standardized error indicators; higher-order correlations vanish."""
 
@@ -245,8 +249,15 @@ class ExchangeableModel(_Sampler):
             raise ModelError(f"c={self.c} must be finite")
         # Validity is checked on the induced outcome weights themselves: the
         # published correlation range is exact on the positive side but too
-        # permissive below when e_bar < 1/2.
-        w = _outcome_weights(self.n, self.e_bar, self.c)
+        # permissive below when e_bar < 1/2.  Weights that overflow (at
+        # subnormal e_bar) are rejected here rather than warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _outcome_weights(self.n, self.e_bar, self.c)
+        if not np.isfinite(w).all():
+            raise ModelError(
+                f"c={self.c} at e_bar={self.e_bar} gives outcome weights "
+                "beyond the range of a double"
+            )
         if w.min() < -WEIGHT_SLACK:
             raise ModelError(
                 f"c={self.c} gives a negative outcome probability "
@@ -259,14 +270,12 @@ class ExchangeableModel(_Sampler):
 
     def count_pmf(self) -> np.ndarray:
         """The binomial row of n equal rates times the clipped outcome
-        weights.  The row is taken from _product_tree directly:
+        weights; tail sums this row, so the exchangeable tail and pmf agree
+        to the last bit.  The row is taken from _product_tree directly:
         poisson_binomial_dist is the entry of the independent and pair
         routes, and its calls count their Poisson-binomial builds."""
         w = np.maximum(_outcome_weights(self.n, self.e_bar, self.c), 0.0)
         return _product_tree(np.full(self.n, self.e_bar)) * w
-
-    def tail(self, m: int) -> float:
-        return exchangeable_tail(self.n, m, self.e_bar, self.c)
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -457,52 +466,17 @@ def poisson_binomial_pmf(profile: ErrorProfile, k: int) -> float:
 
 def binomial_pmf(n: int, k: int, e: float) -> float:
     """Probability of exactly k errors among n iid classifiers with rate e."""
-    if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"e={e} outside [0, 1]")
-    if e == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if e == 1.0:
-        return 1.0 if k == n else 0.0
-    if n <= _LOG_SPACE_N:
-        return math.comb(n, k) * e**k * (1.0 - e) ** (n - k)
-    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return math.exp(log_comb + k * math.log(e) + (n - k) * math.log1p(-e))
+    return poisson_binomial_pmf(ErrorProfile.iid(n, e), k)
 
 
 def tail_independent(profile: ErrorProfile, m: int) -> float:
-    """Probability that at least m classifiers err, independent case.
-
-    m = 0 is accepted as a degenerate input and returns 1.
-    """
-    return _upper_tail(lambda: poisson_binomial_dist(profile), profile.n, m)
-
-
-def _upper_tail(count_pmf, n: int, m: int) -> float:
-    """Probability of at least m errors: the correctly rounded sum
-    (math.fsum) of count_pmf()[m:].  m = 0 gives exactly 1.0 without
-    building the pmf."""
-    _check_count("m", m, n)
-    if m == 0:
-        return 1.0
-    return math.fsum(count_pmf()[m:].tolist())
+    """Probability that at least m classifiers err, independent case."""
+    return Independent(profile).tail(m)
 
 
 def tail_iid(n: int, m: int, e: float) -> float:
     """Probability that at least m of n iid classifiers err."""
-    _check_count("m", m, n)
-    return _tail_iid_ext(n, m, e)
-
-
-def _tail_iid_ext(n: int, m: int, e: float) -> float:
-    # Out-of-range m maps to the trivial tail values; the two-stage recursion
-    # needs this extension for its n-2 subproblems.
-    if m <= 0:
-        return 1.0
-    if m > n:
-        return 0.0
-    return sum(binomial_pmf(n, k, e) for k in range(m, n + 1))
+    return Independent(ErrorProfile.iid(n, e)).tail(m)
 
 
 # ---------------------------------------------------------------------------
@@ -517,25 +491,16 @@ def pair_correlated_pmf(model: PairModel, k: int) -> float:
 
 
 def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
-    """Probability of at least m errors, iid rate e, pair joint probability f.
-
-    Evaluated through the identity that pushes the tail onto the n-2
-    independent classifiers:
+    """Probability of at least m errors, iid rate e, pair joint probability
+    f: the sum of PairModel.count_pmf from m.  Summed by k, that recursion
+    is the paper's identity on the n-2 independent classifiers,
 
         eps(n, m, e, f) = f * eps(n-2, m-2, e) + 2(e - f) * eps(n-2, m-1, e)
-                          + (1 - 2e + f) * eps(n-2, m, e)
+                          + (1 - 2e + f) * eps(n-2, m, e),
+
+    which the tests evaluate in exact integers as an oracle.
     """
-    if n < 2:
-        raise ValueError(f"n={n} must be at least 2")
-    _check_count("m", m, n)
-    lo, hi = pair_f_range(e, e)
-    if not (lo - WEIGHT_SLACK <= f <= hi + WEIGHT_SLACK):
-        raise ModelError(f"f={f} outside [{lo}, {hi}] for iid rate {e}")
-    return (
-        f * _tail_iid_ext(n - 2, m - 2, e)
-        + 2.0 * (e - f) * _tail_iid_ext(n - 2, m - 1, e)
-        + (1.0 - 2.0 * e + f) * _tail_iid_ext(n - 2, m, e)
-    )
+    return PairModel(ErrorProfile.iid(n, e), f).tail(m)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +509,18 @@ def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
 
 def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
     """Multiplier on the zero-correlation outcome probability e^k (1-e)^(n-k),
-    one entry per error count k = 0..n."""
+    one entry per error count k = 0..n.
+
+    The quadratic quad_k is unchanged by k -> n - k, e -> 1 - e, so it is
+    evaluated at the rate q = min(e, 1 - e) (1 - e is exact for e >= 1/2).
+    Taken at e near 1 its terms cancel, by up to a whole unit of the weight
+    (at n = 2, e = 1 - 2**-53).
+    """
     k = np.arange(n + 1, dtype=float)
-    quad = k * k - k + e * (n - 1) * (n * e - 2.0 * k)
+    q = e
+    if e > 0.5:
+        k, q = k[::-1], 1.0 - e
+    quad = k * k - k + q * (n - 1) * (n * q - 2.0 * k)
     return 1.0 + c / (2.0 * e * (1.0 - e)) * quad
 
 
@@ -558,27 +532,16 @@ def exchangeable_pmf(n: int, k: int, e: float, c: float) -> float:
 
 
 def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:
-    """Probability of at least m errors in the exchangeable model.
-
-    Closed form: the iid tail plus a single correction term proportional to
-    c and to one binomial mass,
-
-        eps(n, m, e) + 0.5 c n (n-1) ((m-1)/(n-1) - e) p(n-1, m-1, e),
-
-    which agrees with summing exchangeable_pmf over k >= m.
-    """
-    ExchangeableModel(n, e, c)
-    _check_count("m", m, n)
-    if m == 0:
-        return 1.0
-    correction = correlation_correction(n, m, e, c) * binomial_pmf(n - 1, m - 1, e)
-    return _tail_iid_ext(n, m, e) + correction
+    """Probability of at least m errors in the exchangeable model."""
+    return ExchangeableModel(n, e, c).tail(m)
 
 
 def correlation_correction(n: int, m: int, e: float, c: float) -> float:
     """0.5 c n (n-1) ((m-1)/(n-1) - e): the factor that the correlation c
-    adds to the iid tail at m, times one binomial mass in exchangeable_tail
-    and times omega^n in the correlation-corrected bound."""
+    adds to the iid tail at m.  The exact exchangeable tail adds it times
+    the binomial mass p(n-1, m-1, e) (the paper's closed form, which the
+    tests check against exchangeable_tail in exact integers); kz_value
+    adds it times omega^n."""
     return 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
 
 

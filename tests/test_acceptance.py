@@ -5,8 +5,8 @@ One test per criterion; each prints a single PASS line on success (run with
 tolerances:
 
  1. independent-model pmf/tail vs 2^n enumeration, 1e-12, < 10 s
- 2. pair-model recursion and tail identity vs enumeration, 1e-10, < 30 s
- 3. exchangeable closed form = pmf sum = enumeration, 1e-10, < 60 s
+ 2. pair-model recursion and tail vs enumeration, 1e-10, < 30 s
+ 3. exchangeable tail = pmf sum = enumeration, 1e-10, < 60 s
  4. bound dominance grid, zero violations beyond 1e-12
  5. monotonicity grids, zero violations beyond 1e-12
  6. construction yields m=2 at 10 classes and m=6 at 26
@@ -156,10 +156,10 @@ def test_criterion_3_exchangeable_oracle_equivalence():
                     worst = max(worst, abs(pmf[k] - oracle[k]))
                     worst = max(worst, abs(dist[k] - oracle[k]))
                 for m in range(1, n + 1):
-                    closed = exchangeable_tail(n, m, e, c)
+                    tail = exchangeable_tail(n, m, e, c)
                     by_sum = sum(pmf[m:])
                     by_enum = sum(oracle[k] for k in range(m, n + 1))
-                    worst = max(worst, abs(closed - by_sum), abs(closed - by_enum))
+                    worst = max(worst, abs(tail - by_sum), abs(tail - by_enum))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10, f"worst deviation {worst:.3e}"
     assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from ecoc.prob_engine import (
     pair_correlated_tail,
     tail_iid,
     tail_independent,
+    valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_threshold_error
 
@@ -171,6 +173,27 @@ class TestTailCommand:
         )
         assert status == 1
         assert "requires" in err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "independent", "--rates",
+             ",".join(f"{0.0686 * (1 + 0.1 * (i % 5)):.6g}" for i in range(26))],
+            ["--model", "iid", "--n", "26", "--ebar", "0.0686"],
+            ["--model", "pair", "--n", "26", "--ebar", "0.0686", "--f", "0.01"],
+            ["--model", "exchangeable", "--n", "26", "--ebar", "0.0686",
+             "--c", repr(0.5 * valid_correlation_range(26, 0.0686)[1])],
+        ],
+        ids=["independent", "iid", "pair", "exchangeable"],
+    )
+    def test_tail_is_fsum_of_printed_pmf(self, capsys, model):
+        # Both commands read one count_pmf, so the printed tail is the
+        # correctly rounded sum of the printed pmf from m, to the last bit.
+        _, out, _ = run(capsys, "pmf", *model, "--format", "json")
+        pmf = [row["pmf"] for row in json.loads(out)["pmf"]]
+        for m in (1, 7, 13, 26):
+            _, out, _ = run(capsys, "tail", *model, "--m", str(m), "--format", "json")
+            assert json.loads(out)["tail"] == math.fsum(pmf[m:]), m
 
 
 class TestPmfCommand:

@@ -1,15 +1,18 @@
 """Unit and property tests for the exact probability machinery."""
 
+import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoc.errors import ModelError
+from ecoc.errors import EcocError, ModelError
 from ecoc.prob_engine import (
     ErrorProfile,
     ExchangeableModel,
@@ -57,6 +60,79 @@ def exact_poisson_binomial(rates):
         a = int(Fraction(e) * scale)
         dist = [x * (scale - a) + y * a for x, y in zip(dist + [0], [0] + dist)]
     return [(x, scale ** len(rates)) for x in dist]
+
+
+# A row at n = 1000 holds about 7 MB of integers; the tail oracles read at
+# most three rows (n, n - 1, n - 2) of one rate at a time.
+@functools.lru_cache(maxsize=3)
+def exact_binomial(n, e):
+    """Exact binomial masses of n classifiers at the double rate e = a / s,
+    as the integers C(n, k) a^k (s - a)^(n - k), k = 0..n, over the common
+    denominator s^n.  Each term is the one before times a (n - k), divided
+    exactly by (k + 1)(s - a), so a row costs n small-factor steps."""
+    a, s = e.as_integer_ratio()
+    term = (s - a) ** n
+    terms = [term]
+    for k in range(n):
+        term = term * (a * (n - k)) // ((k + 1) * (s - a))
+        terms.append(term)
+    return tuple(terms), s**n
+
+
+def exact_iid_tail(n, m, e):
+    """P(K >= m) of n iid classifiers as (numerator, denominator) integers;
+    1 for m <= 0, as the two-stage identity needs."""
+    terms, den = exact_binomial(n, e)
+    return sum(terms[max(m, 0):]), den
+
+
+def exact_pair_tail(n, m, e, f):
+    """The paper's two-stage identity for the pair model, over the exact
+    iid tails of the n - 2 unpaired classifiers:
+
+        eps(n, m, e, f) = f eps(n-2, m-2, e) + 2(e - f) eps(n-2, m-1, e)
+                          + (1 - 2e + f) eps(n-2, m, e).
+
+    With e = A / L and f = G / L over one power of two L, the weights are
+    integers over L."""
+    scale = max(e.as_integer_ratio()[1], f.as_integer_ratio()[1])
+    a, g = int(Fraction(e) * scale), int(Fraction(f) * scale)
+    weights = {2: g, 1: 2 * (a - g), 0: scale - 2 * a + g}
+    num = sum(w * exact_iid_tail(n - 2, m - j, e)[0] for j, w in weights.items())
+    return num, scale * exact_binomial(n - 2, e)[1]
+
+
+def exact_exchangeable_tail(n, m, e, c):
+    """The paper's closed form for the exchangeable tail, m >= 1: the iid
+    tail plus the correlation correction times one binomial mass,
+
+        eps(n, m, e) + 0.5 c n (n-1) ((m-1)/(n-1) - e) p(n-1, m-1, e).
+
+    With e = a / s, c = C / t and p(n-1, m-1, e) = T / s^(n-1), the
+    correction is C n ((m-1) s - (n-1) a) T / (2 t s^n)."""
+    a, s = e.as_integer_ratio()
+    big_c, t = c.as_integer_ratio()
+    tail, den = exact_iid_tail(n, m, e)
+    mass = exact_binomial(n - 1, e)[0][m - 1]
+    num = 2 * t * tail + big_c * n * ((m - 1) * s - (n - 1) * a) * mass
+    return num, 2 * t * den
+
+
+def exact_weights(n, e, c):
+    """The exchangeable outcome weights 1 + c quad_k / (2e(1-e)),
+    k = 0..n, in rationals of the double inputs."""
+    q = Fraction(e)
+    slope = Fraction(c) / (2 * q * (1 - q))
+    return [1 + slope * (k * k - k + q * (n - 1) * (n * q - 2 * k)) for k in range(n + 1)]
+
+
+def exact_exchangeable_pmf(n, e, c):
+    """Exact exchangeable pmf of the double inputs, as (numerator,
+    denominator) pairs: the exact binomial masses times the exact weights
+    clipped at zero."""
+    terms, den = exact_binomial(n, e)
+    weights = (max(w, 0) for w in exact_weights(n, e, c))
+    return [(t * w.numerator, den * w.denominator) for t, w in zip(terms, weights)]
 
 
 def assert_matches_exact(got, exact, rel):
@@ -113,23 +189,20 @@ class TestExactRationals:
                 assert_matches_exact(model.count_pmf(), exact, 1e-14)
 
     def test_exchangeable_large_n(self):
-        # C(n, k) e^k (1-e)^(n-k) w_k with the weights w_k taken in
-        # rationals too; the lgamma-based binomial masses were up to 1.9e-12
-        # off here.
         n, e = 1000, 0.18
         for c in (0.0, 0.5 * valid_correlation_range(n, e)[1]):
-            q, slope = Fraction(e), Fraction(c) / (2 * Fraction(e) * (1 - Fraction(e)))
-            a, scale = q.numerator, q.denominator
-            b_pows = [1]
-            for _ in range(n):
-                b_pows.append(b_pows[-1] * (scale - a))
-            exact = []
-            for k in range(n + 1):
-                w = max(1 + slope * (k * k - k + q * (n - 1) * (n * q - 2 * k)), 0)
-                mass = math.comb(n, k) * a**k * b_pows[n - k]
-                exact.append((mass * w.numerator, scale**n * w.denominator))
             got = ExchangeableModel(n, e, c).count_pmf()
-            assert_matches_exact(got, exact, 2e-13)
+            assert_matches_exact(got, exact_exchangeable_pmf(n, e, c), 2e-13)
+
+    def test_exchangeable_near_one_rate(self):
+        # The weights' quadratic cancels at e near 1 unless it is taken at
+        # 1 - e; taken at e, the pmf at n = 2, e = 1 - 2**-53 sums to 1.5.
+        for n in (2, 5, 26):
+            for e in (0.75, 1 - 1e-12, 1 - 2**-53):
+                c_lo, c_hi = valid_correlation_range(n, e)
+                for c in (0.5 * c_lo, 0.5 * c_hi):
+                    got = ExchangeableModel(n, e, c).count_pmf()
+                    assert_matches_exact(got, exact_exchangeable_pmf(n, e, c), 1e-14)
 
 
 class TestPoissonBinomial:
@@ -180,8 +253,7 @@ class TestBinomial:
         assert float(exact) == pytest.approx(0.011160261, abs=5e-10)
         assert binomial_pmf(10, 4, 0.1) == pytest.approx(float(exact), rel=1e-13)
 
-    def test_log_space_regime_consistent(self):
-        # n=60 crosses into the lgamma path; compare against exact rationals.
+    def test_n60_matches_exact_rational(self):
         exact = Fraction(math.comb(60, 7)) * Fraction(3, 100) ** 7 * Fraction(97, 100) ** 53
         assert binomial_pmf(60, 7, 0.03) == pytest.approx(float(exact), rel=1e-12)
 
@@ -201,6 +273,12 @@ class TestIndependentTails:
     def test_degenerate_m_zero(self):
         assert tail_independent(ErrorProfile((0.4, 0.9)), 0) == 1.0
         assert tail_iid(6, 0, 0.3) == 1.0
+
+    def test_m_zero_still_validates_rate_and_size(self):
+        # m = 0 returns 1.0 only once the rate and n describe a model.
+        for n, e in ((6, 1.5), (6, math.nan), (6, -0.1), (0, 0.1)):
+            with pytest.raises(ValueError):
+                tail_iid(n, 0, e)
 
     def test_product_case(self):
         assert tail_independent(ErrorProfile((0.1, 0.2)), 2) == pytest.approx(
@@ -292,12 +370,16 @@ class TestPairTail:
                 tail_iid(n, m, e), abs=1e-13
             )
 
-    def test_matches_pmf_route(self):
-        model = PairModel(ErrorProfile.iid(4, 0.2), 0.05)
-        expect = sum(pair_correlated_pmf(model, k) for k in (2, 3, 4))
-        assert pair_correlated_tail(4, 2, 0.2, 0.05) == pytest.approx(
-            expect, abs=1e-13
-        )
+    def test_matches_two_stage_identity(self):
+        # The identity in exact integers, and the enumeration oracle.
+        n, e, f = 4, 0.2, 0.05
+        oracle = enumerate_outcomes(PairModel(ErrorProfile.iid(n, e), f))
+        for m in range(1, n + 1):
+            num, den = exact_pair_tail(n, m, e, f)
+            got = pair_correlated_tail(n, m, e, f)
+            assert got == pytest.approx(num / den, rel=2e-15), m
+            by_enum = sum(oracle[k] for k in range(m, n + 1))
+            assert got == pytest.approx(by_enum, abs=1e-13), m
 
     def test_all_errors_needs_joint(self):
         assert pair_correlated_tail(5, 5, 0.3, 0.0) == 0.0
@@ -346,15 +428,15 @@ class TestExchangeable:
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_closed_form_equals_sum(self):
-        n, m, e, c = 10, 4, 0.1, 0.05
-        by_sum = sum(exchangeable_pmf(n, k, e, c) for k in range(m, n + 1))
-        by_enum = sum(
-            v for k, v in enumerate_outcomes(ExchangeableModel(n, e, c)).items()
-            if k >= m
-        )
-        closed = exchangeable_tail(n, m, e, c)
-        assert closed == pytest.approx(by_sum, abs=1e-12)
-        assert closed == pytest.approx(by_enum, abs=1e-12)
+        # The closed form in exact integers, and the enumeration oracle.
+        n, e, c = 10, 0.1, 0.05
+        oracle = enumerate_outcomes(ExchangeableModel(n, e, c))
+        for m in range(1, n + 1):
+            num, den = exact_exchangeable_tail(n, m, e, c)
+            got = exchangeable_tail(n, m, e, c)
+            assert got == pytest.approx(num / den, rel=2e-15), m
+            by_enum = sum(oracle[k] for k in range(m, n + 1))
+            assert got == pytest.approx(by_enum, abs=1e-12), m
 
     def test_tail_reduces_when_uncorrelated(self):
         assert exchangeable_tail(12, 5, 0.2, 0.0) == pytest.approx(
@@ -384,6 +466,154 @@ class TestExchangeable:
                 ExchangeableModel(10, 0.1, c)
             with pytest.raises(ModelError):
                 exchangeable_tail(10, 3, 0.1, c)
+
+
+class TestClosedFormOracles:
+    """The three public tails against the paper's forms, evaluated in exact
+    integers of the same double inputs: the iid tail itself, the pair's
+    two-stage identity and the exchangeable iid tail plus correction.  Each
+    tail is one sum of its model's count_pmf, so these check it against
+    arithmetic that shares nothing with it."""
+
+    @pytest.mark.parametrize("n, rel", [(26, 2e-14), (127, 2e-14), (1000, 1e-13)])
+    def test_tails_match_exact(self, n, rel):
+        for e in (0.0686, 0.18):
+            c_lo, c_hi = valid_correlation_range(n, e)
+            for m in (1, n // 8, n // 4, n // 2):
+                cases = [("iid", tail_iid(n, m, e), exact_iid_tail(n, m, e))]
+                for f in (0.0, 0.5 * e, e):
+                    got = pair_correlated_tail(n, m, e, f)
+                    cases.append(("pair", got, exact_pair_tail(n, m, e, f)))
+                for c in (0.5 * c_lo, 0.5 * c_hi):
+                    got = exchangeable_tail(n, m, e, c)
+                    cases.append(("exch", got, exact_exchangeable_tail(n, m, e, c)))
+                for name, got, (num, den) in cases:
+                    x = num / den
+                    assert abs(got - x) <= rel * x, (name, e, m, got, x)
+
+
+BAD_VALUES = (-0.25, 1.25, math.nan, math.inf, -math.inf)
+
+
+def _value(draw):
+    """A rate: in [0, 1], out of range, or non-finite."""
+    return draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(BAD_VALUES)))
+
+
+def _around(draw, lo, hi):
+    """(value, inside): a value well inside [lo, hi], 1e-3 outside it, or
+    non-finite."""
+    kind = draw(st.sampled_from(("inside", "below", "above", "nan", "inf")))
+    if kind == "inside":
+        return lo + draw(st.floats(0.05, 0.95)) * (hi - lo), True
+    if kind in ("below", "above"):
+        return (lo - 1e-3 if kind == "below" else hi + 1e-3), False
+    return (math.nan if kind == "nan" else math.inf), False
+
+
+def _rates_ok(rates):
+    return len(rates) > 0 and all(0.0 <= e <= 1.0 for e in rates)
+
+
+def _weights_fit(n, e, c):
+    """Whether every exact outcome weight of the exchangeable model lies
+    within the range of a double (at subnormal rates they overflow, and the
+    model rejects c)."""
+    return all(abs(w) < sys.float_info.max for w in exact_weights(n, e, c))
+
+
+def _independent(a):
+    return Independent(ErrorProfile(a.rates))
+
+
+def _pair(a):
+    return PairModel(ErrorProfile(a.rates), a.f)
+
+
+def _exchangeable(a):
+    return ExchangeableModel(a.n, a.e, a.c)
+
+
+# Each public pmf or tail function: its call on drawn arguments a, and the
+# model whose count_pmf its answer must come from.
+ENTRIES = {
+    "binomial_pmf": (lambda a: binomial_pmf(a.n, a.i, a.e), _independent),
+    "poisson_binomial_pmf": (
+        lambda a: poisson_binomial_pmf(ErrorProfile(a.rates), a.i), _independent
+    ),
+    "tail_iid": (lambda a: tail_iid(a.n, a.i, a.e), _independent),
+    "tail_independent": (
+        lambda a: tail_independent(ErrorProfile(a.rates), a.i), _independent
+    ),
+    "pair_correlated_pmf": (lambda a: pair_correlated_pmf(_pair(a), a.i), _pair),
+    "pair_correlated_tail": (
+        lambda a: pair_correlated_tail(a.n, a.i, a.e, a.f), _pair
+    ),
+    "exchangeable_pmf": (
+        lambda a: exchangeable_pmf(a.n, a.i, a.e, a.c), _exchangeable
+    ),
+    "exchangeable_tail": (
+        lambda a: exchangeable_tail(a.n, a.i, a.e, a.c), _exchangeable
+    ),
+}
+HETEROGENEOUS = ("poisson_binomial_pmf", "tail_independent", "pair_correlated_pmf")
+
+
+@st.composite
+def entry_arguments(draw):
+    """(name, arguments, admissible) for one public entry.  The arguments
+    are rates (unequal for the entries that take a profile, n copies of e
+    for the others), f, c and the k or m, i; admissible means rates in
+    [0, 1], enough classifiers for the model, f or c inside its range and
+    0 <= i <= n."""
+    name = draw(st.sampled_from(sorted(ENTRIES)))
+    if name in HETEROGENEOUS:
+        e, rates = math.nan, [_value(draw) for _ in range(draw(st.integers(0, 12)))]
+    else:
+        e = _value(draw)
+        rates = [e] * draw(st.integers(0, 12))
+    n, f, c = len(rates), math.nan, math.nan
+    model = ENTRIES[name][1]
+    if model is _independent:
+        ok = _rates_ok(rates)
+    elif model is _pair:
+        if n >= 2 and _rates_ok(rates):
+            f, ok = _around(draw, *pair_f_range(rates[-2], rates[-1]))
+        else:
+            f, ok = _value(draw), False
+    elif n >= 2 and 0.0 < e < 1.0:
+        c, ok = _around(draw, *valid_correlation_range(n, e))
+        ok = ok and _weights_fit(n, e, c)
+    else:
+        c, ok = _value(draw), False
+    i = draw(st.integers(-2, n + 2))
+    args = SimpleNamespace(rates=rates, n=n, e=e, f=f, c=c, i=i)
+    return name, args, ok and 0 <= i <= n
+
+
+class TestPublicEntries:
+    @given(entry_arguments())
+    @settings(max_examples=600, deadline=None)
+    def test_rejects_or_reads_its_model(self, drawn):
+        # Inadmissible arguments raise ValueError or EcocError.  Admissible
+        # ones return the model's own count_pmf entry, or the fsum of
+        # count_pmf from m (exactly 1.0 at m = 0), bit for bit, and that is
+        # a probability.
+        name, a, admissible = drawn
+        call, model = ENTRIES[name]
+        if not admissible:
+            with pytest.raises((ValueError, EcocError)):
+                call(a)
+            return
+        got = call(a)
+        pmf = model(a).count_pmf()
+        if name.endswith("pmf"):
+            assert got == float(pmf[a.i])
+        elif a.i == 0:
+            assert got == 1.0
+        else:
+            assert got == math.fsum(pmf[a.i :].tolist())
+        assert 0.0 <= got <= 1.0 + 1e-12, got
 
 
 class TestBahadurRange:
@@ -496,8 +726,8 @@ class TestNormalization:
                 lo, hi = valid_correlation_range(n, e)
                 for c in np.linspace(lo + 1e-12, hi, 3):
                     c = float(c)
-                    closed = exchangeable_tail(n, 1, e, c) + exchangeable_pmf(n, 0, e, c)
-                    assert closed == pytest.approx(1.0, abs=1e-12)
+                    total = exchangeable_tail(n, 1, e, c) + exchangeable_pmf(n, 0, e, c)
+                    assert total == pytest.approx(1.0, abs=1e-12)
                     oracle = sum(
                         enumerate_outcomes(ExchangeableModel(n, e, c)).values()
                     )
