@@ -93,23 +93,21 @@ def _require(args, names: list[str]) -> None:
 
 
 def _build_model(args) -> pe.DependenceModel:
-    if args.model == "independent":
-        _require(args, ["rates"])
-        rates = tuple(float(v) for v in args.rates.split(","))
-        return pe.Independent(pe.ErrorProfile(rates))
-    if args.model == "iid":
-        _require(args, ["n", "ebar"])
-        return pe.Independent(pe.ErrorProfile.iid(args.n, args.ebar))
+    if args.model == "exchangeable":
+        _require(args, ["n", "ebar", "c"])
+        return pe.ExchangeableModel(args.n, args.ebar, args.c)
     if args.model == "pair":
         _require(args, ["f"])
-        if args.rates is not None:
-            profile = pe.ErrorProfile(tuple(float(v) for v in args.rates.split(",")))
-        else:
-            _require(args, ["n", "ebar"])
-            profile = pe.ErrorProfile.iid(args.n, args.ebar)
+    # iid ignores --rates; pair reads --rates when given, else --n and --ebar.
+    if args.model == "iid" or (args.model == "pair" and args.rates is None):
+        _require(args, ["n", "ebar"])
+        profile = pe.ErrorProfile.iid(args.n, args.ebar)
+    else:
+        _require(args, ["rates"])
+        profile = pe.ErrorProfile(tuple(float(v) for v in args.rates.split(",")))
+    if args.model == "pair":
         return pe.PairModel(profile, args.f)
-    _require(args, ["n", "ebar", "c"])
-    return pe.ExchangeableModel(args.n, args.ebar, args.c)
+    return pe.Independent(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +134,12 @@ def cmd_code(args) -> int:
 
 def cmd_pmf(args) -> int:
     model = _build_model(args)
-    if args.k is not None and not 0 <= args.k <= model.n:
-        raise ValueError(f"k={args.k} outside 0..{model.n}")
-    pmf = model.count_pmf().tolist()
     if args.k is not None:
-        text = _record({"pmf": pmf[args.k]}, args.format)
+        text = _record({"pmf": model.pmf(args.k)}, args.format)
     elif args.format == "table":
-        text = _grid(enumerate(pmf), (">3", ""))
+        text = _grid(enumerate(model.count_pmf().tolist()), (">3", ""))
     else:
-        rows = [{"k": k, "pmf": p} for k, p in enumerate(pmf)]
+        rows = [{"k": k, "pmf": p} for k, p in enumerate(model.count_pmf().tolist())]
         if args.format == "json":
             text = json.dumps({"pmf": rows}, indent=2) + "\n"
         else:
@@ -236,34 +231,35 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fixture(name: str) -> tuple[list[xio.FoldSummary], int]:
-    """A bundled fixture's fold summaries and its dataset's class count."""
-    summaries = xio.load_fixture(name)
-    return summaries, xio.DATASETS[name.rsplit("_", 1)[0]].classes
-
-
-def _analyze_inputs(args) -> tuple[list[xio.FoldSummary], cm.CodeMatrix]:
-    sources = [
-        bool(args.predictions),
-        args.summary is not None,
-        args.fixture is not None,
-    ]
-    if sum(sources) != 1:
-        raise ValueError("provide exactly one of --predictions, --summary, --fixture")
+def _folds(
+    args, sources: tuple[str, ...]
+) -> tuple[str, list[xio.FoldSummary], cm.CodeMatrix]:
+    """(name, fold summaries, code) from the one fold source given among
+    sources, the source flags the command offers.  A fixture's dataset fixes
+    its class count, so --classes goes with --summary or --predictions only;
+    name is the fixture or the stem of the (first) file."""
+    given = [f for f in sources if getattr(args, f[2:]) not in (None, [])]
+    if len(given) != 1:
+        raise ValueError(f"provide exactly one of {', '.join(sources)}")
     if args.fixture is not None:
-        summaries, classes = _fixture(args.fixture)
-        return summaries, cm.build_code_matrix(classes, orientation=args.orientation)
+        if args.classes is not None:
+            raise ValueError("--classes applies only to --summary or --predictions")
+        summaries = xio.load_fixture(args.fixture)
+        classes = xio.DATASETS[args.fixture.rsplit("_", 1)[0]].classes
+        code = cm.build_code_matrix(classes, orientation=args.orientation)
+        return args.fixture, summaries, code
     if args.classes is None:
-        raise ValueError("--classes is required with --predictions/--summary")
+        raise ValueError(f"--classes is required with {given[0]}")
     code = cm.build_code_matrix(args.classes, orientation=args.orientation)
     if args.summary is not None:
-        return xio.load_summaries(args.summary), code
+        return Path(args.summary).stem, xio.load_summaries(args.summary), code
     folds = [xio.load_predictions(p) for p in args.predictions]
-    return [xio.analyze_fold(f, code) for f in folds], code
+    summaries = [xio.analyze_fold(f, code) for f in folds]
+    return Path(args.predictions[0]).stem, summaries, code
 
 
 def cmd_analyze(args) -> int:
-    summaries, code = _analyze_inputs(args)
+    _, summaries, code = _folds(args, ("--predictions", "--summary", "--fixture"))
     if not summaries:
         raise ValueError("no folds to analyze")
     reports = [
@@ -289,20 +285,9 @@ def cmd_figures(args) -> int:
         ns = tuple(int(v) for v in args.ns.split(","))
         files = {"fig1_curves": xio.figure_one_curves(ns=ns, r=args.r, step=args.step)}
     else:
-        if args.fixture is not None:
-            name = args.fixture
-            summaries, classes = _fixture(name)
-        elif args.summary is not None:
-            if args.classes is None:
-                raise ValueError("--classes is required with --summary")
-            name = Path(args.summary).stem
-            summaries = xio.load_summaries(args.summary)
-            classes = args.classes
-        else:
-            raise ValueError("scatter requires --fixture or --summary")
+        name, summaries, code = _folds(args, ("--summary", "--fixture"))
         if not summaries:
             raise ValueError("no folds in input; nothing to plot")
-        code = cm.build_code_matrix(classes, orientation=args.orientation)
         n = args.n if args.n is not None else code.n
         curves, folds = xio.scatter_figure_data(summaries, n, code.m)
         files = {f"{name}_curves": curves, f"{name}_folds": folds}
@@ -387,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raw per-fold prediction CSVs")
     p.add_argument("--summary", help="fold-summary CSV")
     p.add_argument("--fixture", help="bundled fixture name, e.g. letters_dt")
-    p.add_argument("--classes", type=int, help="number of classes (raw/summary)")
+    p.add_argument("--classes", type=int, help="number of classes (--predictions, --summary)")
     p.add_argument("--n", type=int, help="override codeword length in bound formulas")
     p.add_argument("--kz-policy", choices=("gated", "always"), default="gated")
     _add_orientation_flag(p)
@@ -401,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.001, help="fig1 grid step")
     p.add_argument("--fixture", help="bundled fixture name (scatter)")
     p.add_argument("--summary", help="fold-summary CSV (scatter)")
-    p.add_argument("--classes", type=int)
+    p.add_argument("--classes", type=int, help="number of classes (with --summary)")
     p.add_argument("--n", type=int, help="override codeword length")
     _add_orientation_flag(p)
     p.add_argument("--out", required=True, help="output directory")

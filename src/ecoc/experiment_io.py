@@ -120,7 +120,6 @@ class AggregateReport:
     """Cross-fold means and sample standard deviations, one entry per
     report column; kz is None when no fold produced a value."""
 
-    folds: tuple[str, ...]
     experimental: ColumnStats
     gs: ColumnStats
     chernoff: ColumnStats
@@ -456,7 +455,6 @@ def aggregate(
 
     kz_vals = [r.kz for r in reports if r.kz is not None]
     return AggregateReport(
-        folds=tuple(s.fold_id for s in summaries),
         experimental=stats([s.ecoc_error for s in summaries]),
         gs=stats([r.gs for r in reports]),
         chernoff=stats([r.chernoff_lambda for r in reports]),
@@ -610,9 +608,12 @@ def fixture_names() -> list[str]:
 
 
 def fixture_text(name: str) -> str:
-    ref = resources.files("ecoc").joinpath(f"fixtures/{name}.csv")
-    if not ref.is_file():
+    """A bundled fixture's CSV text.  The name must be one of fixture_names():
+    a path that merely leads to a bundled file (such as "./letters_dt") is
+    not a fixture name and names no dataset."""
+    if name not in fixture_names():
         raise FileNotFoundError(f"no bundled fixture {name!r}; have {fixture_names()}")
+    ref = resources.files("ecoc").joinpath(f"fixtures/{name}.csv")
     return ref.read_text(encoding="utf-8")
 
 
@@ -693,6 +694,8 @@ def figure_one_curves(
     if any(n < 1 for n in ns):
         raise ValueError(f"ensemble sizes {ns} must all be at least 1")
     grid = np.arange(step, r, step)
+    if not grid.size:
+        raise ValueError(f"step={step} leaves no grid point in (0, {r})")
     rows = []
     for n in ns:
         for e in grid:

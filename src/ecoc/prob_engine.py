@@ -5,18 +5,21 @@ Three dependence structures are supported: fully independent classifiers
 (specified by the pair's joint error probability f), and fully exchangeable
 classifiers with a uniform second-order correlation coefficient c.
 
-Every model type offers count_pmf() (the error-count distribution: a
+Every model type offers count_pmf() (the error-count distribution: the
+Poisson-binomial row of poisson_binomial_dist, the only entry to the
 product tree over the classifiers' generating factors, then the pair's
 two-stage recursion or the exchangeable outcome weights on top of it),
 sample_far(rng, count, k_min) (the indices and error vectors of the rows,
 among count trials, with at least k_min errors), sample_counts(rng, count)
 (the error counts only, drawn from the same stream as sample) and
 joint_mass(bits) (the joint law of whole outcomes, which the brute-force
-enumeration oracle over all 2^n outcomes sums for cross-checking).  Two
-methods are defined once, on the shared base class, for all three: tail(m),
-the sum of count_pmf from m, and sample(rng, count), sample_far at
-k_min = 0.  The public pmf and tail functions below are one-line calls
-into a model, so every tail, binomial or not, is that one sum.
+enumeration oracle over all 2^n outcomes sums for cross-checking).  Three
+methods are defined once, on the shared base class, for all three: pmf(k),
+the entry of count_pmf at k, tail(m), the sum of count_pmf from m, and
+sample(rng, count), sample_far at k_min = 0.  pmf and tail hold the only
+range checks on k and m.  The public pmf and tail functions below are
+one-line calls into a model's pmf or tail, so every count probability,
+binomial or not, is read from one count_pmf.
 
 The samplers draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS rows,
 in the order rng.random((count, width)) would consume them, and compare
@@ -84,19 +87,15 @@ class ErrorProfile:
     def n(self) -> int:
         return len(self.rates)
 
-    @property
-    def mean(self) -> float:
-        return sum(self.rates) / len(self.rates)
-
-    @property
-    def mu(self) -> float:
-        """Sum of the rates."""
-        return sum(self.rates)
-
 
 class _Model:
-    """What the three models share: the tail and the full sampler, both
-    derived from a model's own count_pmf and sample_far."""
+    """What the three models share: the pmf, the tail and the full sampler,
+    all derived from a model's own count_pmf and sample_far."""
+
+    def pmf(self, k: int) -> float:
+        """Probability of exactly k errors: count_pmf()[k]."""
+        _check_count("k", k, self.n)
+        return float(self.count_pmf()[k])
 
     def tail(self, m: int) -> float:
         """Probability of at least m errors: the correctly rounded sum
@@ -123,7 +122,7 @@ class Independent(_Model):
         return self.profile.n
 
     def count_pmf(self) -> np.ndarray:
-        return poisson_binomial_dist(self.profile)
+        return poisson_binomial_dist(self.profile.rates)
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -218,16 +217,8 @@ class PairModel(_Model):
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates[:-2])
         probs = np.where(bits[:, :-2], rates, 1.0 - rates).prod(axis=1)
-        p11, p10, p01, p00 = self.joint_cells
-        cell = np.select(
-            [
-                bits[:, -2] & bits[:, -1],
-                bits[:, -2] & ~bits[:, -1],
-                ~bits[:, -2] & bits[:, -1],
-            ],
-            [p11, p10, p01],
-            default=p00,
-        )
+        # joint_cells is ordered (11, 10, 01, 00): index 3 - 2 b1 - b2.
+        cell = np.asarray(self.joint_cells)[3 - 2 * bits[:, -2] - bits[:, -1]]
         return probs * cell
 
 
@@ -264,18 +255,12 @@ class ExchangeableModel(_Model):
                 f"(weight {w.min():.3e} at k={int(w.argmin())})"
             )
 
-    @property
-    def profile(self) -> ErrorProfile:
-        return ErrorProfile.iid(self.n, self.e_bar)
-
     def count_pmf(self) -> np.ndarray:
-        """The binomial row of n equal rates times the clipped outcome
-        weights; tail sums this row, so the exchangeable tail and pmf agree
-        to the last bit.  The row is taken from _product_tree directly:
-        poisson_binomial_dist is the entry of the independent and pair
-        routes, and its calls count their Poisson-binomial builds."""
+        """The binomial row of n equal rates (poisson_binomial_dist) times
+        the clipped outcome weights; pmf and tail read this row, so the
+        exchangeable pmf and tail agree to the last bit."""
         w = np.maximum(_outcome_weights(self.n, self.e_bar, self.c), 0.0)
-        return _product_tree(np.full(self.n, self.e_bar)) * w
+        return poisson_binomial_dist(np.full(self.n, self.e_bar)) * w
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -411,10 +396,11 @@ def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
 # independent classifiers
 
 
-def poisson_binomial_dist(profile: ErrorProfile | Sequence[float]) -> np.ndarray:
+def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     """Full pmf of the error count, index k = 0..n, of independent
-    classifiers with the rates of profile: an ErrorProfile, or a sequence of
-    rates already known to lie in [0, 1] (an empty one gives [1.0]).
+    classifiers with the given rates, a sequence (or 1-D array) already
+    known to lie in [0, 1]; an empty one gives [1.0].  Every count_pmf
+    builds its Poisson-binomial row here.
 
     The pmf is the coefficient row of the product of the factors
     (1 - e_i) + e_i x, multiplied level by level, each level as one batch
@@ -422,7 +408,6 @@ def poisson_binomial_dist(profile: ErrorProfile | Sequence[float]) -> np.ndarray
     so no entry loses accuracy to cancellation: the tests hold each entry to
     1e-14 of the exact rational of the same double rates up to n = 127.
     """
-    rates = profile.rates if isinstance(profile, ErrorProfile) else profile
     return _product_tree(np.asarray(rates, dtype=float))
 
 
@@ -460,13 +445,12 @@ def _product_tree(rates: np.ndarray) -> np.ndarray:
 
 def poisson_binomial_pmf(profile: ErrorProfile, k: int) -> float:
     """Probability that exactly k of the n classifiers err."""
-    _check_count("k", k, profile.n)
-    return float(poisson_binomial_dist(profile)[k])
+    return Independent(profile).pmf(k)
 
 
 def binomial_pmf(n: int, k: int, e: float) -> float:
     """Probability of exactly k errors among n iid classifiers with rate e."""
-    return poisson_binomial_pmf(ErrorProfile.iid(n, e), k)
+    return Independent(ErrorProfile.iid(n, e)).pmf(k)
 
 
 def tail_independent(profile: ErrorProfile, m: int) -> float:
@@ -486,8 +470,7 @@ def tail_iid(n: int, m: int, e: float) -> float:
 def pair_correlated_pmf(model: PairModel, k: int) -> float:
     """Probability of exactly k errors with the last two classifiers paired;
     see PairModel.count_pmf."""
-    _check_count("k", k, model.n)
-    return float(model.count_pmf()[k])
+    return model.pmf(k)
 
 
 def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
@@ -526,9 +509,7 @@ def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
 
 def exchangeable_pmf(n: int, k: int, e: float, c: float) -> float:
     """Probability of exactly k errors in the exchangeable model."""
-    model = ExchangeableModel(n, e, c)
-    _check_count("k", k, n)
-    return float(model.count_pmf()[k])
+    return ExchangeableModel(n, e, c).pmf(k)
 
 
 def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:

@@ -69,14 +69,10 @@ def sample_outcome(model: DependenceModel, rng: np.random.Generator) -> np.ndarr
 
 def _run_chunks(cfg: SimConfig, count_fn) -> int:
     """Sum count_fn(chunk_rng, chunk_size) over fixed-size trial chunks."""
-    chunks = []
-    remaining = cfg.trials
-    index = 0
-    while remaining > 0:
-        size = min(CHUNK_TRIALS, remaining)
-        chunks.append((index, size))
-        remaining -= size
-        index += 1
+    chunks = [
+        (j, min(CHUNK_TRIALS, cfg.trials - start))
+        for j, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS))
+    ]
 
     def work(item):
         idx, size = item

@@ -7,16 +7,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecoc
 import ecoc.simulator as simulator
 from ecoc.bounds import BoundInputs, evaluate_bounds
 from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix, from_text
+from ecoc.experiment_io import fixture_names
 from ecoc.prob_engine import (
     ErrorProfile,
     Independent,
@@ -478,28 +483,64 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("analyze", "--fixture", "nosuch"),
-            ("figures", "--figure", "scatter", "--fixture", "nosuch"),
-        ],
+        [("analyze",), ("figures", "--figure", "scatter")],
         ids=["analyze", "figures"],
     )
     def test_unknown_fixture_is_one(self, capsys, tmp_path, argv):
+        # A path that leads to a bundled file is no fixture name either: it
+        # names no dataset (a KeyError traceback once).
+        out_dir = tmp_path / "figs"
+        for name in ("nosuch", "./letters_dt", "../fixtures/usps_dt"):
+            extra = ("--out", str(out_dir)) if argv[0] == "figures" else ()
+            status, out, err = run(capsys, *argv, "--fixture", name, *extra)
+            assert (status, out) == (1, "")
+            assert f"no bundled fixture {name!r}" in err and "Traceback" not in err
+            assert not out_dir.exists()
+
+    SCATTER = ("figures", "--figure", "scatter")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("analyze", "--fixture", "letters_dt", "--classes", "26"), "--classes applies"),
+            ((*SCATTER, "--fixture", "letters_dt", "--classes", "26"), "--classes applies"),
+            ((*SCATTER, "--fixture", "letters_dt", "--summary", "FOLDS"), "exactly one"),
+            (("analyze", "--fixture", "letters_dt", "--summary", "FOLDS"), "exactly one"),
+            (SCATTER, "exactly one"),
+            ((*SCATTER, "--summary", "FOLDS"), "--classes is required"),
+            (("analyze", "--predictions", "FOLDS"), "--classes is required"),
+        ],
+        ids=[
+            "analyze-fixture-classes", "scatter-fixture-classes",
+            "scatter-fixture-summary", "analyze-fixture-summary", "scatter-none",
+            "scatter-summary-no-classes", "analyze-predictions-no-classes",
+        ],
+    )
+    def test_fold_source_rule(self, capsys, tmp_path, argv, message):
+        # One source; --classes with --summary or --predictions only.  At
+        # first the scatter figure plotted its fixture beside a --summary,
+        # and both commands ignored --classes beside a --fixture.
+        src = tmp_path / "other.csv"
+        src.write_text("fold,mean_bit_error,mean_correlation,ecoc_error\n1,0.1,0.02,0.05\n")
+        out_dir = tmp_path / "figs"
+        argv = [str(src) if a == "FOLDS" else a for a in argv]
         if argv[0] == "figures":
-            argv += ("--out", str(tmp_path / "figs"))
+            argv += ["--out", str(out_dir)]
         status, out, err = run(capsys, *argv)
         assert (status, out) == (1, "")
-        assert "no bundled fixture 'nosuch'" in err and "Traceback" not in err
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (("--figure", "fig1", "--step", "0"), "step=0.0 "),
+            (("--figure", "fig1", "--step", "0.25"), "step=0.25 "),
             (("--figure", "scatter", "--fixture", "letters_dt", "--n", "0"), "n=0 "),
             (("--figure", "fig1", "--ns", "-1"), "ensemble sizes (-1,) "),
             (("--figure", "scatter", "--fixture", "letters_dt", "--n", "6"), "m=6 "),
         ],
-        ids=["fig1-step=0", "scatter-n=0", "fig1-ns=-1", "scatter-n=m"],
+        ids=["fig1-step=0", "fig1-step=r", "scatter-n=0", "fig1-ns=-1", "scatter-n=m"],
     )
     def test_bad_figure_input_is_one(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "figs"
@@ -619,3 +660,213 @@ class TestDefaultTables:
             "        mean             -             -       0.01107       0.03432      0.012508             -\n"
             "         std             -             -    0.00109752     0.0018552    0.00130437             -\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# every command rejects bad input at its boundary
+
+# Values that no flag of a kind accepts.  Each value is passed as
+# --flag=value, so that one starting with "-" reaches the flag's parser.
+NON_INT = st.sampled_from(["", "x", "1.5", "nan", "inf", "1e3", "0x10"])
+NON_REAL = st.sampled_from(["", "x", "1.2.3", "0,1", "e", "-"])
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
+ABOVE_ONE = st.floats(min_value=1.0 + 2**-52, allow_infinity=False).map(repr)
+NOT_A_RATE = NON_FINITE | NON_REAL | NEGATIVE | ABOVE_ONE
+# The ends of the open interval of the exchangeable and Bahadur rates, and
+# subnormal rates, at which the exchangeable weights overflow (c = 0.01).
+ENDS = st.sampled_from(["0", "0.0", "1", "1.0"])
+DEEP_SUBNORMAL = st.sampled_from(["5e-324", "1e-320", "1e-315"])
+BAD_CHOICE = st.sampled_from(["", "x", "TABLE", "json "])
+BAD_FIXTURE = st.sampled_from(
+    ["nosuch", "letters", "letters_dt.csv", "./letters_dt", "../fixtures/letters_dt"]
+) | st.text(max_size=12).filter(lambda name: name not in fixture_names())
+BAD_NS = st.sampled_from(["", ",", "10,,20", "a", "1.5", "10;20", "10,0", "nan"]) | (
+    st.integers(-128, 0).map(str)
+)
+GOOD_FOLDS = "fold,mean_bit_error,mean_correlation,ecoc_error\n1,0.1,0.02,0.05\n"
+
+
+def _below(lo):
+    """A count below lo, or no integer."""
+    return st.integers(-128, lo - 1).map(str) | NON_INT
+
+
+def _outside(lo, hi):
+    """A count outside lo..hi, or no integer."""
+    return (st.integers(-128, lo - 1) | st.integers(hi + 1, 128)).map(str) | NON_INT
+
+
+@st.composite
+def _bad_rates(draw):
+    """A --rates list with one entry that is no rate."""
+    rates = draw(st.lists(st.floats(0.0, 1.0).map(repr), max_size=6))
+    bad = draw(NOT_A_RATE.filter(lambda v: "," not in v))
+    rates.insert(draw(st.integers(0, len(rates))), bad)
+    return ",".join(rates)
+
+
+@st.composite
+def _bad_folds(draw):
+    """Fold-summary text that load_summaries rejects: a value that is no
+    rate or correlation, a short row, a bad header or no text."""
+    cells = ["1", "0.1", "0.02", "0.05"]
+    col = draw(st.integers(1, 3))
+    if col == 2:
+        bad = NON_FINITE | NON_REAL | st.floats(1.0 + 2**-52, 1e300).map(repr)
+        cells[col] = draw(bad.filter(lambda v: "," not in v))
+    else:
+        cells[col] = draw(NOT_A_RATE.filter(lambda v: "," not in v))
+    header = "fold,mean_bit_error,mean_correlation,ecoc_error\n"
+    return draw(st.sampled_from([
+        header + ",".join(cells) + "\n", header + "1,0.1,0.02\n", "fold,e\n1,0.1\n", "",
+    ]))
+
+
+# Each dependence model: valid flags at n = 5, and bad values by flag.
+MODELS = {
+    "iid": ({"--n": "5", "--ebar": "0.1"}, {"--n": _below(1), "--ebar": NOT_A_RATE}),
+    "independent": ({"--rates": "0.1,0.2,0.1,0.3,0.1"}, {"--rates": _bad_rates()}),
+    "pair": (
+        {"--n": "5", "--ebar": "0.1", "--f": "0.02"},
+        {
+            "--n": _below(2),
+            "--ebar": NOT_A_RATE,
+            "--rates": _bad_rates(),
+            "--f": NON_FINITE | NON_REAL | (
+                st.floats(max_value=-1e-9) | st.floats(min_value=0.1 + 1e-9)
+            ).filter(math.isfinite).map(repr),
+        },
+    ),
+    "exchangeable": (
+        {"--n": "5", "--ebar": "0.1", "--c": "0.01"},
+        {
+            "--n": _below(2),
+            "--ebar": NOT_A_RATE | ENDS | DEEP_SUBNORMAL,
+            "--c": NON_FINITE | NON_REAL | (
+                st.floats(min_value=1.0) | st.floats(max_value=-1.0)
+            ).filter(math.isfinite).map(repr),
+        },
+    ),
+}
+
+
+@st.composite
+def bad_command(draw):
+    """(argv, files) for one command that must fail: a valid command with
+    one flag given a bad value, a required flag dropped, or a flag added
+    that conflicts (another fold source, --classes beside --fixture, a flag
+    of the other simulate mode, an unknown flag).  argv holds the tokens
+    FOLDS, BAD_FOLDS and OUT, which stand for files and a directory."""
+    command = draw(st.sampled_from(
+        ["code", "pmf", "tail", "bounds", "bahadur", "simulate", "analyze", "figures"]
+    ))
+    fmt = {"--format": BAD_CHOICE}
+    classes = ["--classes", str(draw(st.integers(2, 128)))]
+    conflicts = [["--bogus"], ["stray"]]
+    if command in ("pmf", "tail", "simulate"):
+        model = draw(st.sampled_from(sorted(MODELS)))
+        base, bad = MODELS[model]
+        flags = {"--model": model, **base}
+        required = list(flags)
+        bad = {**bad, **fmt, "--model": BAD_CHOICE}
+        if command == "pmf":
+            bad["--k"] = _outside(0, 5)
+        else:
+            flags["--m"] = "2"
+            required.append("--m")
+            bad["--m"] = _outside(0, 5)
+        if command == "simulate":
+            flags["--trials"] = "100"
+            bad.update({
+                "--trials": _below(1),
+                "--workers": _below(1) | st.just("257"),
+                "--seed": (st.integers(-(2**70), -1) | st.integers(2**64, 2**70)).map(str)
+                | NON_INT,
+                "--mode": BAD_CHOICE,
+                "--orientation": BAD_CHOICE,
+            })
+            conflicts += [classes, ["--true-class", "0"], ["--mode", "full-decode"]]
+    elif command == "code":
+        flags = {"--classes": "10"}
+        required = ["--classes"]
+        bad = {"--classes": _below(2), "--orientation": BAD_CHOICE, **fmt}
+    elif command == "bounds":
+        flags = {"--n": "26", "--m": "6", "--ebar": "0.0686", "--c": "0.0058"}
+        required = ["--n", "--m", "--ebar"]
+        bad = {
+            "--n": _below(6),
+            "--m": _outside(1, 26),
+            "--ebar": NOT_A_RATE,
+            "--c": NON_FINITE | NON_REAL,
+            "--mu": NON_FINITE | NON_REAL | NEGATIVE,
+            "--kz-policy": BAD_CHOICE,
+            **fmt,
+        }
+    elif command == "bahadur":
+        flags = {"--n": "10", "--ebar": "0.1"}
+        required = list(flags)
+        bad = {"--n": _below(2), "--ebar": NOT_A_RATE | ENDS, **fmt}
+    elif command == "analyze" and draw(st.booleans()):
+        flags = {"--fixture": "letters_dt"}
+        required = ["--fixture"]
+        bad = {"--fixture": BAD_FIXTURE, "--n": _below(7), "--kz-policy": BAD_CHOICE, **fmt}
+        conflicts += [classes, ["--summary", "FOLDS"], ["--predictions", "FOLDS"]]
+    elif command == "analyze":
+        flags = {"--summary": "FOLDS", "--classes": "10"}
+        required = list(flags)
+        bad = {"--summary": st.just("BAD_FOLDS"), "--classes": _below(2), **fmt}
+        conflicts += [["--fixture", "letters_dt"]]
+    elif draw(st.booleans()):
+        flags = {"--figure": "fig1", "--ns": "10", "--out": "OUT"}
+        required = ["--figure", "--out"]
+        bad = {
+            "--figure": BAD_CHOICE,
+            "--ns": BAD_NS,
+            "--step": NON_FINITE | NON_REAL | NEGATIVE | st.just("0")
+            | st.floats(1.0, 1e300).map(repr),
+            "--r": NOT_A_RATE | ENDS,
+        }
+    else:
+        flags = {"--figure": "scatter", "--fixture": "letters_dt", "--out": "OUT"}
+        required = list(flags)
+        bad = {"--fixture": BAD_FIXTURE, "--n": _below(7), "--orientation": BAD_CHOICE}
+        conflicts += [classes, ["--summary", "FOLDS"]]
+    extra = []
+    how = draw(st.sampled_from(["value", "drop", "add"]))
+    if how == "value":
+        flag = draw(st.sampled_from(sorted(bad)))
+        flags[flag] = draw(bad[flag])
+    elif how == "drop":
+        del flags[draw(st.sampled_from(required))]
+    else:
+        extra = draw(st.sampled_from(conflicts))
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items()), *extra]
+    return argv, {"FOLDS": GOOD_FOLDS, "BAD_FOLDS": draw(_bad_folds())}
+
+
+class TestRejectsBadInput:
+    @given(bad_command())
+    @settings(max_examples=400, deadline=None)
+    def test_exits_one_or_two_without_output(self, drawn):
+        # Non-finite, negative, zero, subnormal, empty and non-numeric
+        # values, malformed --rates lists and conflicting fold sources: each
+        # exits 1 (domain or data error) or 2 (usage error), writes nothing
+        # on stdout or to --out, and raises no exception out of main.
+        argv, files = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {token: os.path.join(tmp, token) for token in (*files, "OUT")}
+            for token, text in files.items():
+                Path(paths[token]).write_text(text)
+            for token, path in paths.items():
+                argv = [a.replace(token, path) if token in a else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            assert not os.path.exists(paths["OUT"]), argv
+        assert status in (1, 2), (argv, status)
+        assert out.getvalue() == "", argv
+        assert err.getvalue() and "Traceback" not in err.getvalue(), argv

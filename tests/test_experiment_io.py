@@ -630,8 +630,9 @@ class TestFixtures:
             assert mean == pytest.approx(ref.experimental, abs=5e-4), (ds, model)
 
     def test_unknown_fixture(self):
-        with pytest.raises(FileNotFoundError):
-            fixture_text("mnist_dt")
+        for name in ("mnist_dt", "./letters_dt", "../fixtures/letters_dt"):
+            with pytest.raises(FileNotFoundError):
+                fixture_text(name)
 
 
 class TestReproduction:

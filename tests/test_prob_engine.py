@@ -334,8 +334,7 @@ class TestPairModel:
         # same order, so the two agree bit for bit.
         for rates, f in (((0.3, 0.4), 0.12), ((0.1, 0.25, 0.2, 0.3, 0.15), 0.04)):
             model = PairModel(ErrorProfile(rates), f)
-            n = model.n
-            sub = poisson_binomial_dist(ErrorProfile(rates[:-2])) if n > 2 else [1.0]
+            sub = poisson_binomial_dist(rates[:-2])
             p11, p10, p01, p00 = model.joint_cells
             q = [0.0, 0.0] + [float(v) for v in sub] + [0.0, 0.0]
             for k, got in enumerate(model.count_pmf()):
@@ -534,8 +533,9 @@ def _exchangeable(a):
     return ExchangeableModel(a.n, a.e, a.c)
 
 
-# Each public pmf or tail function: its call on drawn arguments a, and the
-# model whose count_pmf its answer must come from.
+# Each public pmf or tail function, and each model's pmf method: its call
+# on drawn arguments a, and the model whose count_pmf its answer must come
+# from.
 ENTRIES = {
     "binomial_pmf": (lambda a: binomial_pmf(a.n, a.i, a.e), _independent),
     "poisson_binomial_pmf": (
@@ -555,17 +555,23 @@ ENTRIES = {
     "exchangeable_tail": (
         lambda a: exchangeable_tail(a.n, a.i, a.e, a.c), _exchangeable
     ),
+    "Independent.pmf": (lambda a: _independent(a).pmf(a.i), _independent),
+    "PairModel.pmf": (lambda a: _pair(a).pmf(a.i), _pair),
+    "ExchangeableModel.pmf": (lambda a: _exchangeable(a).pmf(a.i), _exchangeable),
 }
-HETEROGENEOUS = ("poisson_binomial_pmf", "tail_independent", "pair_correlated_pmf")
+HETEROGENEOUS = (
+    "poisson_binomial_pmf", "tail_independent", "pair_correlated_pmf",
+    "Independent.pmf", "PairModel.pmf",
+)
 
 
 @st.composite
 def entry_arguments(draw):
-    """(name, arguments, admissible) for one public entry.  The arguments
-    are rates (unequal for the entries that take a profile, n copies of e
-    for the others), f, c and the k or m, i; admissible means rates in
-    [0, 1], enough classifiers for the model, f or c inside its range and
-    0 <= i <= n."""
+    """(name, arguments, model_ok, count_ok) for one public entry.  The
+    arguments are rates (unequal for the entries that take a profile, n
+    copies of e for the others), f, c and the k or m, i; model_ok means
+    rates in [0, 1], enough classifiers for the model and f or c inside its
+    range, count_ok means 0 <= i <= n."""
     name = draw(st.sampled_from(sorted(ENTRIES)))
     if name in HETEROGENEOUS:
         e, rates = math.nan, [_value(draw) for _ in range(draw(st.integers(0, 12)))]
@@ -588,21 +594,26 @@ def entry_arguments(draw):
         c, ok = _value(draw), False
     i = draw(st.integers(-2, n + 2))
     args = SimpleNamespace(rates=rates, n=n, e=e, f=f, c=c, i=i)
-    return name, args, ok and 0 <= i <= n
+    return name, args, ok, 0 <= i <= n
 
 
 class TestPublicEntries:
     @given(entry_arguments())
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=825, deadline=None)
     def test_rejects_or_reads_its_model(self, drawn):
-        # Inadmissible arguments raise ValueError or EcocError.  Admissible
-        # ones return the model's own count_pmf entry, or the fsum of
-        # count_pmf from m (exactly 1.0 at m = 0), bit for bit, and that is
-        # a probability.
-        name, a, admissible = drawn
+        # Inadmissible arguments raise ValueError or EcocError, and a k or m
+        # outside 0..n of a valid model raises ValueError.  Admissible ones
+        # return the model's own count_pmf entry, or the fsum of count_pmf
+        # from m (exactly 1.0 at m = 0), bit for bit, and that is a
+        # probability.
+        name, a, model_ok, count_ok = drawn
         call, model = ENTRIES[name]
-        if not admissible:
+        if not model_ok:
             with pytest.raises((ValueError, EcocError)):
+                call(a)
+            return
+        if not count_ok:
+            with pytest.raises(ValueError, match=f"={a.i} outside 0\\.\\.{a.n}$"):
                 call(a)
             return
         got = call(a)
