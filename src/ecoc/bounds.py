@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ModelError
-from .prob_engine import ErrorProfile, bahadur_range, correlation_correction
+from .prob_engine import ErrorProfile, correlation_correction, valid_correlation_range
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def kz_bound(
         raise DomainError(f"e_bar={e} > (m-1)/(n-1)={(m - 1) / (n - 1)}")
     if e == r:
         raise DomainError(f"e={e} equals m/n; decay factor degenerates to 1")
-    _, c_max = bahadur_range(n, e)
+    _, c_max = valid_correlation_range(n, e)
     if c > c_max:
         raise DomainError(f"c={c} above admissible maximum {c_max}")
     return kz_value(n, m, e, c * r / e if tight_envelope else c)

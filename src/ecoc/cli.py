@@ -304,8 +304,21 @@ def cmd_figures(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommand parsers, that
+    rejects "--" as an option's value.  argparse drops the "--" of
+    --flag=-- and would store an empty list, which no type converter or
+    choice check sees."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            flag = "/".join(action.option_strings)
+            self.error(f"argument {flag}: '--' is not a value")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecoc",
         description="Exact error probabilities, bounds, and experiment tools "
         "for output-coded ensemble classification.",

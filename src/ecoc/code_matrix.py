@@ -179,10 +179,7 @@ def build_code_matrix(
     """
     if num_classes < 2:
         raise ValueError(f"num_classes={num_classes} must be at least 2")
-    k = 0
-    while (1 << k) < num_classes:
-        k += 1
-    h = sylvester_hadamard(k)
+    h = sylvester_hadamard((num_classes - 1).bit_length())
     if orientation == KEEP_BOTTOM_RIGHT:
         kept = slice(-num_classes, None)
     elif orientation == KEEP_TOP_LEFT:

@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -31,15 +31,16 @@ from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, 
 from .code_matrix import CodeMatrix, _all_bits, build_code_matrix, count_misdecoded
 from .errors import DomainError, ParseError
 
-SUMMARY_COLUMNS = ("fold", "mean_bit_error", "mean_correlation", "ecoc_error")
-SUMMARY_COLUMNS_STD = (
-    "fold",
-    "mean_bit_error",
-    "mean_bit_error_std",
-    "mean_correlation",
-    "mean_correlation_std",
-    "ecoc_error",
-)
+# Admissible range of each numeric summary column, in file order.
+_SUMMARY_RANGES = {
+    "mean_bit_error": (0.0, 1.0),
+    "mean_bit_error_std": (0.0, math.inf),
+    "mean_correlation": (-1.0, 1.0),
+    "mean_correlation_std": (0.0, math.inf),
+    "ecoc_error": (0.0, 1.0),
+}
+SUMMARY_COLUMNS_STD = ("fold", *_SUMMARY_RANGES)
+SUMMARY_COLUMNS = tuple(c for c in SUMMARY_COLUMNS_STD if not c.endswith("_std"))
 # Bytes of the raw-prediction schema.
 _COMMA, _CR, _LF, _ZERO = b",\r\n0"
 # Longest class field: 18 decimal digits always fit an int64.
@@ -48,16 +49,6 @@ _MAX_CLASS_DIGITS = 18
 _JOINT_BLOCK_ROWS = (1 << 24) - 1
 # Mean-bit-error points on each scatter figure's bound curves.
 _SCATTER_GRID_POINTS = 101
-
-REPORT_COLUMNS = (
-    "fold",
-    "mean_bit_error",
-    "mean_correlation",
-    "experimental",
-    "gs",
-    "chernoff",
-    "kz",
-)
 
 
 @dataclass(frozen=True)
@@ -118,12 +109,21 @@ class ColumnStats:
 @dataclass(frozen=True)
 class AggregateReport:
     """Cross-fold means and sample standard deviations, one entry per
-    report column; kz is None when no fold produced a value."""
+    column of _fold_cells.  A column is None when no fold produced a value:
+    kz under the gated policy, chernoff for reports with m = n."""
 
     experimental: ColumnStats
     gs: ColumnStats
-    chernoff: ColumnStats
+    chernoff: ColumnStats | None
     kz: ColumnStats | None
+
+
+REPORT_COLUMNS = (
+    "fold",
+    "mean_bit_error",
+    "mean_correlation",
+    *(f.name for f in fields(AggregateReport)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +254,6 @@ def _row_error(line: bytes, n: int, lineno: int) -> ParseError:
 
 # ---------------------------------------------------------------------------
 # summary schema
-
-
-# Admissible range of each numeric summary column.
-_SUMMARY_RANGES = {
-    "mean_bit_error": (0.0, 1.0),
-    "mean_bit_error_std": (0.0, math.inf),
-    "mean_correlation": (-1.0, 1.0),
-    "mean_correlation_std": (0.0, math.inf),
-    "ecoc_error": (0.0, 1.0),
-}
 
 
 def _parse_float(value: str, lineno: int, column: str) -> float:
@@ -453,13 +443,24 @@ def aggregate(
             std = 0.0
         return ColumnStats(mean=float(arr.mean()), std=std, count=len(arr))
 
-    kz_vals = [r.kz for r in reports if r.kz is not None]
+    cells = [_fold_cells(s, r) for s, r in zip(summaries, reports)]
+    columns = {
+        name: [c[name] for c in cells if c[name] is not None] for name in cells[0]
+    }
     return AggregateReport(
-        experimental=stats([s.ecoc_error for s in summaries]),
-        gs=stats([r.gs for r in reports]),
-        chernoff=stats([r.chernoff_lambda for r in reports]),
-        kz=stats(kz_vals) if kz_vals else None,
+        **{name: stats(vals) if vals else None for name, vals in columns.items()}
     )
+
+
+def _bound_cells(report: BoundReport) -> dict:
+    """The gs, chernoff (lambda^n) and kz cells of a report row."""
+    return {"gs": report.gs, "chernoff": report.chernoff_lambda, "kz": report.kz}
+
+
+def _fold_cells(summary: FoldSummary, report: BoundReport) -> dict:
+    """A fold's cells of the AggregateReport columns: its experimental
+    (decoding) error, then the bound cells of its report."""
+    return {"experimental": summary.ecoc_error, **_bound_cells(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -488,29 +489,25 @@ def report_rows(
 ) -> list[dict]:
     """One REPORT_COLUMNS row per fold; with agg, then a "mean" and a "std"
     row of the aggregated columns, whose fold-level columns are None."""
-    rows = []
-    for s, r in zip(summaries, reports):
-        rows.append(
-            {
-                "fold": s.fold_id,
-                "mean_bit_error": s.mean_bit_error,
-                "mean_correlation": s.mean_correlation,
-                "experimental": s.ecoc_error,
-                "gs": r.gs,
-                "chernoff": r.chernoff_lambda,
-                "kz": r.kz,
-            }
-        )
+    rows = [
+        {
+            "fold": s.fold_id,
+            "mean_bit_error": s.mean_bit_error,
+            "mean_correlation": s.mean_correlation,
+            **_fold_cells(s, r),
+        }
+        for s, r in zip(summaries, reports)
+    ]
     if agg is not None:
+        columns = asdict(agg)
         rows += [
             {
+                **dict.fromkeys(REPORT_COLUMNS),
                 "fold": pick,
-                "mean_bit_error": None,
-                "mean_correlation": None,
-                "experimental": getattr(agg.experimental, pick),
-                "gs": getattr(agg.gs, pick),
-                "chernoff": getattr(agg.chernoff, pick),
-                "kz": None if agg.kz is None else getattr(agg.kz, pick),
+                **{
+                    name: None if col is None else col[pick]
+                    for name, col in columns.items()
+                },
             }
             for pick in ("mean", "std")
         ]
@@ -530,20 +527,7 @@ def report_json_obj(
     reports: list[BoundReport],
     agg: AggregateReport,
 ) -> dict:
-    def col(stats: ColumnStats | None):
-        if stats is None:
-            return None
-        return {"mean": stats.mean, "std": stats.std, "count": stats.count}
-
-    return {
-        "folds": report_rows(summaries, reports),
-        "aggregate": {
-            "experimental": col(agg.experimental),
-            "gs": col(agg.gs),
-            "chernoff": col(agg.chernoff),
-            "kz": col(agg.kz),
-        },
-    }
+    return {"folds": report_rows(summaries, reports), "aggregate": asdict(agg)}
 
 
 # ---------------------------------------------------------------------------
@@ -736,20 +720,18 @@ def scatter_figure_data(
     if hi <= lo:
         raise ValueError("fold mean bit errors leave no curve grid inside (0, m/n)")
 
-    def row_bounds(e: float, c: float) -> dict:
-        report = evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
-        return {"gs": report.gs, "chernoff": report.chernoff_lambda, "kz": report.kz}
+    def report_at(e: float, c: float) -> BoundReport:
+        return evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
 
     curve_rows = [
-        {"e_bar": e, **row_bounds(e, pooled_c)}
+        {"e_bar": e, **_bound_cells(report_at(e, pooled_c))}
         for e in np.linspace(lo, hi, _SCATTER_GRID_POINTS).tolist()
     ]
     fold_rows = [
         {
             "fold": s.fold_id,
             "mean_bit_error": s.mean_bit_error,
-            "experimental": s.ecoc_error,
-            **row_bounds(s.mean_bit_error, s.mean_correlation),
+            **_fold_cells(s, report_at(s.mean_bit_error, s.mean_correlation)),
         }
         for s in summaries
     ]

@@ -16,10 +16,10 @@ joint_mass(bits) (the joint law of whole outcomes, which the brute-force
 enumeration oracle over all 2^n outcomes sums for cross-checking).  Three
 methods are defined once, on the shared base class, for all three: pmf(k),
 the entry of count_pmf at k, tail(m), the sum of count_pmf from m, and
-sample(rng, count), sample_far at k_min = 0.  pmf and tail hold the only
-range checks on k and m.  The public pmf and tail functions below are
-one-line calls into a model's pmf or tail, so every count probability,
-binomial or not, is read from one count_pmf.
+sample(rng, count), sample_far at k_min = 0.  pmf and tail check k and m
+with _check_count, the one range check on a count.  The public pmf and tail
+functions below are one-line calls into a model's pmf or tail, so every
+count probability, binomial or not, is read from one count_pmf.
 
 The samplers draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS rows,
 in the order rng.random((count, width)) would consume them, and compare
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,7 +165,8 @@ class PairModel(_Model):
     def joint_cells(self) -> tuple[float, float, float, float]:
         """(P11, P10, P01, P00) for the correlated pair."""
         e1, e2 = self.profile.rates[-2], self.profile.rates[-1]
-        f = min(max(self.f, max(0.0, e1 + e2 - 1.0)), min(e1, e2))
+        lo, hi = pair_f_range(e1, e2)
+        f = min(max(self.f, lo), hi)
         return (f, e1 - f, e2 - f, 1.0 - e1 - e2 + f)
 
     def count_pmf(self) -> np.ndarray:
@@ -230,6 +231,8 @@ class ExchangeableModel(_Model):
     n: int
     e_bar: float
     c: float
+    # The outcome weights, clipped at zero; set once by __post_init__.
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -254,13 +257,13 @@ class ExchangeableModel(_Model):
                 f"c={self.c} gives a negative outcome probability "
                 f"(weight {w.min():.3e} at k={int(w.argmin())})"
             )
+        object.__setattr__(self, "_weights", np.maximum(w, 0.0))
 
     def count_pmf(self) -> np.ndarray:
         """The binomial row of n equal rates (poisson_binomial_dist) times
         the clipped outcome weights; pmf and tail read this row, so the
         exchangeable pmf and tail agree to the last bit."""
-        w = np.maximum(_outcome_weights(self.n, self.e_bar, self.c), 0.0)
-        return poisson_binomial_dist(np.full(self.n, self.e_bar)) * w
+        return poisson_binomial_dist(np.full(self.n, self.e_bar)) * self._weights
 
     def sample_far(
         self, rng: np.random.Generator, count: int, k_min: int
@@ -287,8 +290,7 @@ class ExchangeableModel(_Model):
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         n, e = self.n, self.e_bar
         k = bits.sum(axis=1)
-        w = np.clip(_outcome_weights(n, e, self.c), 0.0, None)
-        return e**k * (1.0 - e) ** (n - k) * w[k]
+        return e**k * (1.0 - e) ** (n - k) * self._weights[k]
 
 
 DependenceModel = Independent | PairModel | ExchangeableModel
@@ -532,8 +534,18 @@ def bahadur_range(n: int, e: float) -> tuple[float, float]:
     The upper end is exact: it is the largest c for which every induced
     outcome probability stays non-negative.  The lower end is exact only for
     e >= 1/2; below that it understates the true constraint, which is why the
-    model types validate the induced weights directly.
+    model types validate the induced weights directly.  At subnormal e the
+    lower end is beyond a double, and a ModelError says so.
     """
+    c_min, c_max = _published_range(n, e)
+    if not math.isfinite(c_min):
+        raise ModelError(f"e={e}: lower end -2(1-e)/(n(n-1)e) is beyond a double")
+    return c_min, c_max
+
+
+def _published_range(n: int, e: float) -> tuple[float, float]:
+    """bahadur_range without its check on the lower end, which is -inf when
+    it overflows."""
     if n < 2:
         raise ValueError(f"n={n} must be at least 2")
     if not (0.0 < e < 1.0):
@@ -557,8 +569,9 @@ def bahadur_range(n: int, e: float) -> tuple[float, float]:
 
 def valid_correlation_range(n: int, e: float) -> tuple[float, float]:
     """Largest interval of c values whose induced outcome weights are all
-    non-negative.  Subset of bahadur_range for e < 1/2, equal otherwise."""
-    c_min, c_max = bahadur_range(n, e)
+    non-negative, for every e in (0, 1).  Subset of bahadur_range for
+    e < 1/2, equal otherwise."""
+    c_min, c_max = _published_range(n, e)
     # Weights are affine in c with slope quad/(2e(1-e)); the binding negative
     # constraint for c < 0 sits at the largest positive quadratic value,
     # attained at k = 0 or k = n.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_matrix import CodeMatrix, count_misdecoded
-from .prob_engine import DependenceModel
+from .prob_engine import DependenceModel, _check_count
 
 DEFAULT_SEED = 60428  # 0xEC0C
 
@@ -96,10 +96,7 @@ def _result(errors: int, cfg: SimConfig, mode: str) -> SimResult:
 
 def mc_threshold_error(model: DependenceModel, m: int, cfg: SimConfig) -> SimResult:
     """Fraction of trials in which at least m classifiers err."""
-    if m < 0:
-        raise ValueError(f"m={m} must be non-negative")
-    if m > model.n:
-        raise ValueError(f"m={m} exceeds n={model.n}")
+    _check_count("m", m, model.n)
 
     def count(rng, size):
         return int((model.sample_counts(rng, size) >= m).sum())

@@ -369,6 +369,9 @@ class TestAnalyzeCommand:
         payload = json.loads(out)
         assert len(payload["folds"]) == 10
         agg = payload["aggregate"]
+        assert list(agg) == ["experimental", "gs", "chernoff", "kz"]
+        for column in agg.values():
+            assert list(column) == ["mean", "std", "count"]
         assert agg["experimental"]["mean"] == pytest.approx(0.061, abs=5e-4)
         assert agg["chernoff"]["mean"] == pytest.approx(0.047, abs=0.01)
         assert agg["kz"]["mean"] == pytest.approx(0.055, abs=0.01)
@@ -666,7 +669,8 @@ class TestDefaultTables:
 # every command rejects bad input at its boundary
 
 # Values that no flag of a kind accepts.  Each value is passed as
-# --flag=value, so that one starting with "-" reaches the flag's parser.
+# --flag=value, so that one starting with "-" reaches the flag's parser;
+# every flag also draws "--", which argparse drops from --flag=--.
 NON_INT = st.sampled_from(["", "x", "1.5", "nan", "inf", "1e3", "0x10"])
 NON_REAL = st.sampled_from(["", "x", "1.2.3", "0,1", "e", "-"])
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
@@ -674,7 +678,8 @@ NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
 ABOVE_ONE = st.floats(min_value=1.0 + 2**-52, allow_infinity=False).map(repr)
 NOT_A_RATE = NON_FINITE | NON_REAL | NEGATIVE | ABOVE_ONE
 # The ends of the open interval of the exchangeable and Bahadur rates, and
-# subnormal rates, at which the exchangeable weights overflow (c = 0.01).
+# subnormal rates, at which the exchangeable weights (c = 0.01) and the
+# lower end of the Bahadur range (n = 10) overflow.
 ENDS = st.sampled_from(["0", "0.0", "1", "1.0"])
 DEEP_SUBNORMAL = st.sampled_from(["5e-324", "1e-320", "1e-315"])
 BAD_CHOICE = st.sampled_from(["", "x", "TABLE", "json "])
@@ -806,7 +811,7 @@ def bad_command(draw):
     elif command == "bahadur":
         flags = {"--n": "10", "--ebar": "0.1"}
         required = list(flags)
-        bad = {"--n": _below(2), "--ebar": NOT_A_RATE | ENDS, **fmt}
+        bad = {"--n": _below(2), "--ebar": NOT_A_RATE | ENDS | DEEP_SUBNORMAL, **fmt}
     elif command == "analyze" and draw(st.booleans()):
         flags = {"--fixture": "letters_dt"}
         required = ["--fixture"]
@@ -836,7 +841,7 @@ def bad_command(draw):
     how = draw(st.sampled_from(["value", "drop", "add"]))
     if how == "value":
         flag = draw(st.sampled_from(sorted(bad)))
-        flags[flag] = draw(bad[flag])
+        flags[flag] = draw(bad[flag] | st.just("--"))
     elif how == "drop":
         del flags[draw(st.sampled_from(required))]
     else:
@@ -849,7 +854,7 @@ class TestRejectsBadInput:
     @given(bad_command())
     @settings(max_examples=400, deadline=None)
     def test_exits_one_or_two_without_output(self, drawn):
-        # Non-finite, negative, zero, subnormal, empty and non-numeric
+        # Non-finite, negative, zero, subnormal, empty, non-numeric and "--"
         # values, malformed --rates lists and conflicting fold sources: each
         # exits 1 (domain or data error) or 2 (usage error), writes nothing
         # on stdout or to --out, and raises no exception out of main.

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from ecoc.experiment_io import fixture_names
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
 _SPEC = importlib.util.spec_from_file_location("cli_corpus", _PATH)
 cli_corpus = importlib.util.module_from_spec(_SPEC)
@@ -30,3 +32,10 @@ class TestCompare:
     )
     def test_changed_text_or_count(self, new):
         assert cli_corpus.compare("k,pmf\n0,0.9\n1,0.1\n", new) is None
+
+
+def test_corpus_covers_every_bundled_fixture():
+    # FIXTURES is written out so that the corpus does not depend on the
+    # code under test; a fixture missing from it would drop out of the
+    # byte-identity check unnoticed.
+    assert list(cli_corpus.FIXTURES) == fixture_names()

@@ -208,7 +208,10 @@ class TestSummariesIO:
         ]
         for summaries in (rows, rows[1:]):
             text = format_summaries(summaries)
-            assert text.splitlines()[0] == ",".join(xio.SUMMARY_COLUMNS_STD)
+            assert text.splitlines()[0] == (
+                "fold,mean_bit_error,mean_bit_error_std,mean_correlation,"
+                "mean_correlation_std,ecoc_error"
+            )
             assert loads_summaries(text) == summaries
             assert format_summaries(loads_summaries(text)) == text
 
@@ -557,6 +560,17 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([], [])
+
+    def test_column_without_values_is_absent(self):
+        # evaluate_bounds leaves chernoff absent at m = n; the aggregate
+        # column is then None, as kz is, and renders as empty cells.
+        s = FoldSummary("1", 0.1, 0.01, 0.05)
+        reports = [evaluate_bounds(BoundInputs(3, 3, 0.1))]
+        agg = aggregate([s], reports)
+        assert agg.chernoff is None and agg.kz is None
+        assert agg.gs.mean == pytest.approx(0.4)
+        lines = format_report_csv([s], reports, agg).splitlines()
+        assert lines[-2:] == ["mean,,,0.05,0.4,,", "std,,,0.0,0.0,,"]
 
 
 class TestReportRendering:

@@ -665,6 +665,16 @@ class TestBahadurRange:
         with pytest.raises(ModelError):
             bahadur_range(4, 0.0)
 
+    @pytest.mark.parametrize("e", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_rate_has_no_published_lower_end(self, e):
+        # -2(1-e)/(n(n-1)e) is beyond a double: bahadur_range raises rather
+        # than return -inf, while the exact range stays finite.
+        with pytest.raises(ModelError, match="lower end"):
+            bahadur_range(10, e)
+        v_min, v_max = valid_correlation_range(10, e)
+        assert math.isfinite(v_min) and v_min <= 0.0
+        assert math.isfinite(v_max) and v_max > 0.0
+
     @pytest.mark.parametrize("n", [2, 3, 10, 26, 127, 1000])
     def test_upper_end_is_weight_derived_down_to_tiny_rates(self, n):
         # The largest c keeping every weight 1 + c quad_k / (2e(1-e))
