@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ModelError
-from .prob_engine import ErrorProfile, correlation_correction, valid_correlation_range
+from .prob_engine import ErrorProfile, _checked_rates, correlation_correction
+from .prob_engine import valid_correlation_range
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,7 @@ class BoundInputs:
     mu: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"m={self.m} outside 1..{self.n}")
-        if not 0.0 <= self.e_bar <= 1.0:
-            raise ValueError(f"e_bar={self.e_bar} outside [0, 1]")
-        if self.c is not None and not math.isfinite(self.c):
-            raise ValueError(f"c={self.c} must be finite")
+        _check_inputs(self.n, self.m, self.e_bar, self.c)
         if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu={self.mu} must be finite and non-negative")
 
@@ -73,21 +69,34 @@ class BoundReport:
     kz_reason: str | None = None
 
 
+def _check_inputs(n: int, m: int, e: float, c=None, *, min_n: int = 1) -> None:
+    if n < min_n:
+        raise ValueError(f"n={n} must be at least {min_n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} outside 1..{n}")
+    if not 0.0 <= e <= 1.0:
+        raise ValueError(f"e={e} outside [0, 1]")
+    if c is not None and not math.isfinite(c):
+        raise ValueError(f"c={c} must be finite")
+
+
+def _check_factor_inputs(r: float, e: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r={r} outside (0, 1)")
+    if not 0.0 <= e <= 1.0:
+        raise DomainError(f"e={e} outside [0, 1]")
+
+
 def gs_bound(rates: ErrorProfile | Iterable[float]) -> float:
-    """Four times the average bit error rate.  May exceed 1."""
-    values = rates.rates if isinstance(rates, ErrorProfile) else tuple(rates)
-    if not values:
-        raise ValueError("empty rate list")
+    """Four times the mean of rates checked as by ErrorProfile.  May exceed 1."""
+    values = rates.rates if isinstance(rates, ErrorProfile) else _checked_rates(rates)
     # Start from -0.0, the additive identity, so a lone -0.0 rate keeps its sign.
     return 4.0 * sum(values, -0.0) / len(values)
 
 
 def feller_bound(n: int, m: int, e: float) -> float:
     """Rational tail bound m(1-e) / (m - n e)^2, valid for m > n e."""
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} outside 1..{n}")
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"e={e} outside [0, 1]")
+    _check_inputs(n, m, e)
     if m <= n * e:
         raise DomainError(f"inapplicable: m={m} <= n*e={n * e}")
     return m * (1.0 - e) / (m - n * e) ** 2
@@ -112,10 +121,7 @@ def chernoff_lambda(r: float, e: float) -> float:
     Lies in [0, 1) whenever e != r; equals 1 at e = r.  e = 0 returns 0 by
     continuous extension.  The full-ensemble bound is lambda**n.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r={r} outside (0, 1)")
-    if not 0.0 <= e <= 1.0:
-        raise DomainError(f"e={e} outside [0, 1]")
+    _check_factor_inputs(r, e)
     if e == 0.0:
         return 0.0
     return math.exp((r - e) + r * math.log(e / r))
@@ -123,8 +129,7 @@ def chernoff_lambda(r: float, e: float) -> float:
 
 def chernoff_bound(n: int, m: int, e: float) -> float:
     """Full-ensemble form chernoff_lambda(m/n, e) ** n."""
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} outside 1..{n}")
+    _check_inputs(n, m, e)
     return chernoff_lambda(m / n, e) ** n
 
 
@@ -133,10 +138,7 @@ def omega_factor(r: float, e: float) -> float:
 
     Strictly inside (0, 1) for e != r; equals 1 at e = r.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r={r} outside (0, 1)")
-    if not 0.0 <= e <= 1.0:
-        raise DomainError(f"e={e} outside [0, 1]")
+    _check_factor_inputs(r, e)
     if e == 0.0 or e == 1.0:
         return 0.0
     return math.exp(r * math.log(e / r) + (1.0 - r) * math.log((1.0 - e) / (1.0 - r)))
@@ -145,12 +147,11 @@ def omega_factor(r: float, e: float) -> float:
 def kz_value(n: int, m: int, e: float, c: float) -> float:
     """Correlation-corrected bound expression, evaluated unconditionally.
 
-    lambda^n + 0.5 c n (n-1) ((m-1)/(n-1) - e) omega^n.  No precondition
-    checks: negative c or e above (m-1)/(n-1) simply make the correction
-    negative.  This is the form experiment reports publish.
+    lambda^n + 0.5 c n (n-1) ((m-1)/(n-1) - e) omega^n, n >= 2.  No checks
+    past the input contract: negative c or e above (m-1)/(n-1) simply make
+    the correction negative.  This is the form experiment reports publish.
     """
-    if not 1 <= m <= n or n < 2:
-        raise ValueError(f"m={m}, n={n} outside range")
+    _check_inputs(n, m, e, c, min_n=2)
     r = m / n
     correction = correlation_correction(n, m, e, c)
     return chernoff_lambda(r, e) ** n + correction * omega_factor(r, e) ** n
@@ -161,10 +162,11 @@ def kz_bound(
 ) -> float:
     """Correlation-corrected bound for the exchangeable model.
 
-    Requires, checked in this order, c >= 0, e <= (m-1)/(n-1), e != m/n and
-    c within the admissible correlation range; the DomainError (or, for e
-    outside (0, 1), ModelError) names the first that fails, and its text is
-    the kz_reason evaluate_bounds reports.
+    Inputs outside kz_value's contract raise ValueError.  Within it the
+    bound requires, checked in this order, c >= 0, e <= (m-1)/(n-1), e != m/n
+    and c within the admissible correlation range; the DomainError (or, for
+    e = 0, ModelError) names the first that fails, and its text is the
+    kz_reason evaluate_bounds reports.
 
     The default omega^n correction term is the conventional display form, but
     it can undershoot the exact exchangeable tail when e is far below m/n:
@@ -173,8 +175,7 @@ def kz_bound(
     keep that factor, which makes the value a guaranteed upper bound on
     exchangeable_tail for all admissible inputs.
     """
-    if not 1 <= m <= n or n < 2:
-        raise ValueError(f"m={m}, n={n} outside range")
+    _check_inputs(n, m, e, c, min_n=2)
     r = m / n
     if c < 0.0:
         raise DomainError(f"c={c} is negative")

@@ -86,24 +86,35 @@ def _add_orientation_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _require(args, names: list[str]) -> None:
+def _require(args, names: tuple[str, ...]) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise ValueError(f"--model {args.model} requires {', '.join(missing)}")
 
 
+# The model flags each --model reads; pair reads --rates in place of --n and
+# --ebar when it is given.  A model flag the model does not read is an error.
+_MODEL_FLAGS = {
+    "iid": ("n", "ebar"),
+    "independent": ("rates",),
+    "pair": ("f", "n", "ebar"),
+    "exchangeable": ("n", "ebar", "c"),
+}
+
+
 def _build_model(args) -> pe.DependenceModel:
+    reads, model = _MODEL_FLAGS[args.model], f"--model {args.model}"
+    if args.model == "pair" and args.rates is not None:
+        reads, model = ("f", "rates"), f"{model} with --rates"
+    for flag in ("rates", "n", "ebar", "f", "c"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to {model}")
+    _require(args, reads)
     if args.model == "exchangeable":
-        _require(args, ["n", "ebar", "c"])
         return pe.ExchangeableModel(args.n, args.ebar, args.c)
-    if args.model == "pair":
-        _require(args, ["f"])
-    # iid ignores --rates; pair reads --rates when given, else --n and --ebar.
-    if args.model == "iid" or (args.model == "pair" and args.rates is None):
-        _require(args, ["n", "ebar"])
+    if args.rates is None:
         profile = pe.ErrorProfile.iid(args.n, args.ebar)
     else:
-        _require(args, ["rates"])
         profile = pe.ErrorProfile(tuple(float(v) for v in args.rates.split(",")))
     if args.model == "pair":
         return pe.PairModel(profile, args.f)

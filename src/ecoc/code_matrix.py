@@ -23,7 +23,8 @@ KEEP_TOP_LEFT = "keep-top-left"
 # the fixture test in tests/test_code_matrix.py gates this choice.
 DEFAULT_ORIENTATION = KEEP_BOTTOM_RIGHT
 
-SYLVESTER_MAX_K = 16
+# Largest Sylvester order: order 15 is 1 GiB of uint8, order 16 would be 4 GiB.
+SYLVESTER_MAX_K = 15
 
 # Codeword lengths from here up lose exactness in float32 distances.
 EXACT_MAX_N = 1 << 24
@@ -45,7 +46,6 @@ class CodeMatrix:
 
     matrix: BitMatrix
     d: int = field(init=False)
-    m: int = field(init=False)
 
     def __post_init__(self):
         matrix = _as_bits(self.matrix)
@@ -64,7 +64,10 @@ class CodeMatrix:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", d // 2)
+
+    @property
+    def m(self) -> int:
+        return self.d // 2
 
     @property
     def num_classes(self) -> int:
@@ -124,7 +127,7 @@ def sylvester_hadamard(k: int) -> BitMatrix:
         raise ValueError(f"k={k} exceeds practical cap {SYLVESTER_MAX_K}")
     h = np.zeros((1, 1), dtype=np.uint8)
     for _ in range(k):
-        h = np.block([[h, h], [h, 1 - h]]).astype(np.uint8)
+        h = np.block([[h, h], [h, 1 - h]])
     return h
 
 
@@ -198,7 +201,7 @@ def _signs(bits: np.ndarray) -> np.ndarray:
     n, so a float32 GEMM computes it exactly in any summation order while
     n < 2**24.  Callers keep n below that: a CodeMatrix built from a matrix
     goes through _as_bits, which rejects longer rows, build_code_matrix
-    makes n <= 2**16, and words must match the code's n.
+    makes n <= 2**15, and words must match the code's n.
     """
     signs = bits.astype(np.float32)
     signs *= -2.0

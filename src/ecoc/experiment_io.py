@@ -386,18 +386,23 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
 
     ecoc_error = count_misdecoded(errs, data.true_classes, code) / num
 
-    ddof = 1 if data.n > 1 else 0
-    corr_std = float(np.std(pair_cs, ddof=1)) if pair_cs.size > 1 else 0.0
     return FoldSummary(
         fold_id=data.fold_id,
         mean_bit_error=float(rates.mean()),
         mean_correlation=mean_corr,
         ecoc_error=ecoc_error,
         per_classifier_errors=tuple(float(e) for e in rates),
-        mean_bit_error_std=float(np.std(rates, ddof=ddof)),
-        mean_correlation_std=corr_std,
+        mean_bit_error_std=_sample_std(rates),
+        mean_correlation_std=_sample_std(pair_cs),
         correlation_defined=correlation_defined,
     )
+
+
+def _sample_std(values: np.ndarray) -> float:
+    """Sample std (ddof 1); exactly 0.0 for fewer than two or all-equal values."""
+    if len(values) > 1 and values.max() > values.min():
+        return float(values.std(ddof=1))
+    return 0.0
 
 
 def bound_report(
@@ -437,11 +442,7 @@ def aggregate(
 
     def stats(values: list[float]) -> ColumnStats:
         arr = np.asarray(values)
-        if len(arr) > 1 and arr.max() > arr.min():
-            std = float(arr.std(ddof=1))
-        else:
-            std = 0.0
-        return ColumnStats(mean=float(arr.mean()), std=std, count=len(arr))
+        return ColumnStats(mean=float(arr.mean()), std=_sample_std(arr), count=len(arr))
 
     cells = [_fold_cells(s, r) for s, r in zip(summaries, reports)]
     columns = {

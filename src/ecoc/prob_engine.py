@@ -6,14 +6,15 @@ Three dependence structures are supported: fully independent classifiers
 classifiers with a uniform second-order correlation coefficient c.
 
 Every model type offers count_pmf() (the error-count distribution: the
-Poisson-binomial row of poisson_binomial_dist, the only entry to the
-product tree over the classifiers' generating factors, then the pair's
+Poisson-binomial row of poisson_binomial_dist, the one product tree over
+the classifiers' generating factors, then the pair's
 two-stage recursion or the exchangeable outcome weights on top of it),
 sample_far(rng, count, k_min) (the indices and error vectors of the rows,
 among count trials, with at least k_min errors), sample_counts(rng, count)
 (the error counts only, drawn from the same stream as sample) and
-joint_mass(bits) (the joint law of whole outcomes, which the brute-force
-enumeration oracle over all 2^n outcomes sums for cross-checking).  Three
+joint_mass(bits) (the joint law of whole outcomes, from the model's
+definition and not from count_pmf, which the brute-force enumeration
+oracle over all 2^n outcomes sums for cross-checking).  Three
 methods are defined once, on the shared base class, for all three: pmf(k),
 the entry of count_pmf at k, tail(m), the sum of count_pmf from m, and
 sample(rng, count), sample_far at k_min = 0.  pmf and tail check k and m
@@ -71,13 +72,7 @@ class ErrorProfile:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        rates = tuple(float(e) for e in self.rates)
-        if len(rates) < 1:
-            raise ValueError("error profile needs at least one rate")
-        for i, e in enumerate(rates):
-            if not (0.0 <= e <= 1.0) or math.isnan(e):
-                raise ValueError(f"rate e_{i + 1}={e} outside [0, 1]")
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", _checked_rates(self.rates))
 
     @classmethod
     def iid(cls, n: int, e: float) -> "ErrorProfile":
@@ -194,10 +189,7 @@ class PairModel(_Model):
         first, second = self._pair_bits(rng, count)
         first, second = first[near], second[near]
         keep = np.flatnonzero(_row_counts(rest) + first + second >= k_min)
-        bits = np.empty((keep.size, self.n), dtype=bool)
-        bits[:, :-2] = rest[keep]
-        bits[:, -2] = first[keep]
-        bits[:, -1] = second[keep]
+        bits = np.column_stack((rest[keep], first[keep], second[keep]))
         return near[keep], bits.view(np.uint8)
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -288,9 +280,17 @@ class ExchangeableModel(_Model):
         return rng.choice(self.n + 1, size=count, p=pmf)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
-        n, e = self.n, self.e_bar
+        """Bahadur's law e^k (1-e)^(n-k) (1 + c sum_{i<j} z_i z_j), z_i = (x_i
+        - e) / sqrt(e(1-e)): not the weights count_pmf reads, so the
+        enumeration oracle checks them.  The pair sum is ((sum y)^2 - sum y^2)
+        / (2e(1-e)) with y_i = x_i - e, scaled by c first: a z_i^2 would
+        overflow at subnormal e."""
+        e = self.e_bar
         k = bits.sum(axis=1)
-        return e**k * (1.0 - e) ** (n - k) * self._weights[k]
+        y = bits - e
+        scale = 0.5 * self.c / (e * (1.0 - e))
+        correction = scale * (y.sum(axis=1) ** 2 - (y * y).sum(axis=1))
+        return e**k * (1.0 - e) ** (self.n - k) * (1.0 + correction)
 
 
 DependenceModel = Independent | PairModel | ExchangeableModel
@@ -303,6 +303,17 @@ def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
     non-negative.
     """
     return max(0.0, e1 + e2 - 1.0), min(e1, e2)
+
+
+def _checked_rates(rates) -> tuple[float, ...]:
+    """The rates as a tuple of floats: at least one, each in [0, 1] (not NaN)."""
+    rates = tuple(map(float, rates))
+    if not rates:
+        raise ValueError("error profile needs at least one rate")
+    for i, e in enumerate(rates, 1):
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"rate e_{i}={e} outside [0, 1]")
+    return rates
 
 
 def _check_count(name: str, value: int, n: int) -> None:
@@ -404,28 +415,20 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     known to lie in [0, 1]; an empty one gives [1.0].  Every count_pmf
     builds its Poisson-binomial row here.
 
-    The pmf is the coefficient row of the product of the factors
-    (1 - e_i) + e_i x, multiplied level by level, each level as one batch
-    (_product_tree).  Every term added is a product of non-negative numbers,
-    so no entry loses accuracy to cancellation: the tests hold each entry to
-    1e-14 of the exact rational of the same double rates up to n = 127.
-    """
-    return _product_tree(np.asarray(rates, dtype=float))
-
-
-def _product_tree(rates: np.ndarray) -> np.ndarray:
-    """Coefficients of prod_i ((1 - e_i) + e_i x), index k = 0..n.
-
-    A balanced product tree: the factors, padded to a power-of-two count
-    with the identity factor 1 (which is exact), are multiplied in adjacent
+    The pmf is the coefficient row of prod_i ((1 - e_i) + e_i x), built by a
+    balanced product tree: the factors, padded to a power-of-two count with
+    the identity factor 1 (which is exact), are multiplied in adjacent
     pairs, level by level, each level as one batch of rows of one length L
     (2, 3, 5, 9, ...); entries past the true degree stay exact zeros.  While
     L is at most the number of pairs, a level is L slice multiply-adds over
     all its pairs; past that point it is one np.convolve per pair.  Either
     way a level costs min(L, pairs) numpy calls, about 70 in all at n = 1000
     against 4n for a per-classifier recursion; the top level is one O(n^2)
-    convolution.
+    convolution.  Every term added is a product of non-negative numbers, so
+    no entry loses accuracy to cancellation: the tests hold each entry to
+    1e-14 of the exact rational of the same double rates up to n = 127.
     """
+    rates = np.asarray(rates, dtype=float)
     n = len(rates)
     polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
     polys[:, 0] = 1.0

@@ -39,6 +39,10 @@ class TestGs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             gs_bound([])
+        # Each rate is checked as ErrorProfile checks it.
+        for bad in (math.nan, -0.1, 1.5, math.inf):
+            with pytest.raises(ValueError):
+                gs_bound([0.1, bad])
 
 
 class TestFeller:
@@ -162,6 +166,14 @@ class TestKz:
             with pytest.raises((DomainError, ModelError)) as exc:
                 kz_bound(*args)
             assert str(exc.value).startswith(text), args
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_rejected(self, c):
+        for tight in (False, True):
+            with pytest.raises(ValueError, match="c="):
+                kz_bound(10, 5, 0.1, c, tight_envelope=tight)
+        with pytest.raises(ValueError, match="c="):
+            kz_value(10, 5, 0.1, c)
 
     def test_tight_envelope_scales_c(self):
         for n, m, e, c in ((10, 4, 0.1, 0.01), (26, 6, 0.0686, 0.0058), (8, 2, 0.01, 0.1)):

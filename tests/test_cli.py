@@ -234,6 +234,17 @@ class TestCodeCommand:
         payload = json.loads(out)
         assert payload["d"] == 4 and payload["m"] == 2
 
+    def test_classes_above_sylvester_cap(self, capsys, monkeypatch):
+        # 2**15 + 1 classes need a 4 GiB Sylvester matrix of order 16; the
+        # cap rejects them before np.block builds anything.
+        def no_block(*_):
+            pytest.fail("np.block called for an order above the cap")
+
+        monkeypatch.setattr(np, "block", no_block)
+        status, out, err = run(capsys, "code", "--classes", str(2**15 + 1))
+        assert (status, out) == (1, "")
+        assert "cap" in err
+
 
 class TestBahadurCommand:
     def test_symmetric_case(self, capsys):
@@ -756,12 +767,23 @@ MODELS = {
 }
 
 
+# Model flags that each model's base flags leave unread: pair with --rates
+# reads neither --n nor --ebar.
+UNREAD = {
+    "iid": [["--rates", "0.1,0.2,0.1,0.3,0.1"], ["--f", "0.02"], ["--c", "0.01"]],
+    "independent": [["--n", "5"], ["--ebar", "0.1"], ["--f", "0.02"], ["--c", "0.01"]],
+    "pair": [["--rates", "0.1,0.2,0.1,0.3,0.1"], ["--c", "0.01"]],
+    "exchangeable": [["--rates", "0.1,0.2,0.1,0.3,0.1"], ["--f", "0.02"]],
+}
+
+
 @st.composite
 def bad_command(draw):
     """(argv, files) for one command that must fail: a valid command with
     one flag given a bad value, a required flag dropped, or a flag added
     that conflicts (another fold source, --classes beside --fixture, a flag
-    of the other simulate mode, an unknown flag).  argv holds the tokens
+    of the other simulate mode, a model flag the model does not read, an
+    unknown flag).  argv holds the tokens
     FOLDS, BAD_FOLDS and OUT, which stand for files and a directory."""
     command = draw(st.sampled_from(
         ["code", "pmf", "tail", "bounds", "bahadur", "simulate", "analyze", "figures"]
@@ -773,6 +795,7 @@ def bad_command(draw):
         model = draw(st.sampled_from(sorted(MODELS)))
         base, bad = MODELS[model]
         flags = {"--model": model, **base}
+        conflicts += UNREAD[model]
         required = list(flags)
         bad = {**bad, **fmt, "--model": BAD_CHOICE}
         if command == "pmf":

@@ -38,11 +38,21 @@ class TestSylvester:
             for i, j in itertools.combinations(range(n), 2):
                 assert int((h[i] != h[j]).sum()) == n // 2
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # Order 16 would be a 4 GiB matrix: the cap rejects it before the
+        # first doubling, so np.block is never reached.
+        def no_block(*_):
+            pytest.fail("np.block called for an order above the cap")
+
+        monkeypatch.setattr(np, "block", no_block)
         with pytest.raises(ValueError):
             sylvester_hadamard(17)
         with pytest.raises(ValueError):
             sylvester_hadamard(-1)
+        with pytest.raises(ValueError):
+            sylvester_hadamard(16)
+        with pytest.raises(ValueError):
+            build_code_matrix(2**15 + 1)
 
 
 class TestMinRowDistance:

@@ -437,6 +437,20 @@ class TestExchangeable:
             by_enum = sum(oracle[k] for k in range(m, n + 1))
             assert got == pytest.approx(by_enum, abs=1e-12), m
 
+    @pytest.mark.parametrize("e", [1e-310, 1e-6, 0.3, 1 - 1e-9])
+    def test_bahadur_joint_mass_matches_count_pmf(self, e):
+        # joint_mass is Bahadur's expansion over the bits, not the outcome
+        # weights count_pmf reads; the two agree at the ends of the valid
+        # correlation range and at rates near 0 (subnormal included) and 1.
+        for n in (2, 7, 14):
+            lo, hi = valid_correlation_range(n, e)
+            for c in (lo, 0.0, hi) if e > 1e-300 else (0.0,):
+                model = ExchangeableModel(n, e, c)
+                oracle = enumerate_outcomes(model)
+                dist = model.count_pmf()
+                for k in range(n + 1):
+                    assert oracle[k] == pytest.approx(dist[k], abs=1e-13), (n, c, k)
+
     def test_tail_reduces_when_uncorrelated(self):
         assert exchangeable_tail(12, 5, 0.2, 0.0) == pytest.approx(
             tail_iid(12, 5, 0.2), abs=1e-14

@@ -66,6 +66,24 @@ def _models(n: int, e: str) -> list[list[str]]:
     ]
 
 
+def _unread_flags() -> list[list[str]]:
+    """Each model with one model flag it does not read, which it rejects."""
+    reads = {
+        "iid": ["--n", "5", "--ebar", "0.1"],
+        "independent": ["--rates", "0.1,0.2,0.3"],
+        "pair": ["--rates", "0.1,0.2,0.3", "--f", "0.01"],
+        "exchangeable": ["--n", "5", "--ebar", "0.1", "--c", "0.01"],
+    }
+    values = {"--rates": "0.1,0.2,0.3", "--n": "5", "--ebar": "0.1", "--f": "0.01",
+              "--c": "0.01"}
+    return [
+        ["--model", model, *flags, flag, value]
+        for model, flags in reads.items()
+        for flag, value in values.items()
+        if flag not in flags
+    ]
+
+
 def _code(_: Path) -> list[list[str]]:
     sizes = list(range(2, 35)) + [63, 64, 65, 100, 127, 128, 129, 255, 256, 1000]
     out = []
@@ -97,7 +115,7 @@ def _tail(_: Path) -> list[list[str]]:
                 for m in sorted({0, 1, n // 4, n // 2, n - 1, n, n + 1, -1}):
                     out.append(["tail", *model, "--m", str(m), "--format", "csv"])
                 out += [["tail", *model, "--m", "1", "--format", fmt] for fmt in FORMATS]
-    return out
+    return out + [["tail", *model, "--m", "1"] for model in _unread_flags()]
 
 
 def _bounds(_: Path) -> list[list[str]]:
