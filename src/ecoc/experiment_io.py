@@ -41,8 +41,10 @@ _SUMMARY_RANGES = {
 }
 SUMMARY_COLUMNS_STD = ("fold", *_SUMMARY_RANGES)
 SUMMARY_COLUMNS = tuple(c for c in SUMMARY_COLUMNS_STD if not c.endswith("_std"))
-# Bytes of the raw-prediction schema.
-_COMMA, _CR, _LF, _ZERO = b",\r\n0"
+# Bytes of the raw-prediction schema, and its two cells as little-endian
+# 16-bit pairs.
+_CR, _LF, _ZERO = b"\r\n0"
+_CELL0, _CELL1 = (int.from_bytes(cell, "little") for cell in (b",0", b",1"))
 # Longest class field: 18 decimal digits always fit an int64.
 _MAX_CLASS_DIGITS = 18
 # Rows per float32 product in analyze_fold: every count stays below 2**24.
@@ -142,10 +144,11 @@ def load_predictions(path) -> FoldData:
     raw = path.read_bytes()
     if not raw:
         raise ParseError("empty file", line=1)
+    # A CR is part of a line end only before a LF.
     head_end = raw.find(b"\n")
     if head_end < 0:
         head_end = len(raw)
-    header = _fields(raw[:head_end].removesuffix(b"\r"), 1)
+    header = _fields(raw[: head_end + 1].removesuffix(b"\r\n").removesuffix(b"\n"), 1)
     n = len(header) - 1
     if n < 1 or header != _prediction_header(n):
         raise ParseError(
@@ -158,7 +161,7 @@ def load_predictions(path) -> FoldData:
         ends = np.append(ends, body.size)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    stops = ends - ((ends > starts) & (body[ends - 1] == _CR))
+    stops = ends - ((ends > starts) & (ends < body.size) & (body[ends - 1] == _CR))
     # Row i holds its class in body[starts[i]:bit0[i]] and its cells in
     # body[bit0[i]:stops[i]].
     bit0 = stops - 2 * n
@@ -172,17 +175,22 @@ def load_predictions(path) -> FoldData:
         cells = sliding_window_view(body, 2 * n)[bit0[:rows]]
     else:
         cells = np.empty((0, 2 * n), np.uint8)
-    bits = cells[:, 1::2] - _ZERO
-    bad = (cells[:, ::2] != _COMMA).any(axis=1) | (bits > 1).any(axis=1)
+    # Each cell read as one little-endian 16-bit pair: ",0" is _CELL0 and ",1"
+    # is _CELL1, the only values that setting bit 8 maps to _CELL1.
+    pairs = cells.view("<u2")
+    cells_ok = (pairs | (_CELL0 ^ _CELL1)) == _CELL1
+    bits = (pairs == _CELL1).view(np.uint8)
     # Class fields right-aligned in w columns; columns left of a field hold
     # bytes of the line before and are masked out.
     w = int(width[:rows].max(initial=0))
     pos = np.maximum(bit0[:rows, None] - np.arange(w, 0, -1), 0)
     in_field = np.arange(w, 0, -1) <= width[:rows, None]
     digits = np.where(in_field, body[pos] - _ZERO, 0)
-    bad |= (digits > 9).any(axis=1)
-    if bad.any():
-        rows = int(bad.argmax())
+    digits_ok = digits <= 9
+    # Per-row reductions cost more than the checks, so they run only to
+    # find the first bad row.
+    if not (cells_ok.all() and digits_ok.all()):
+        rows = int((cells_ok.all(axis=1) & digits_ok.all(axis=1)).argmin())
     if rows < len(ends):
         raise _row_error(body[starts[rows] : stops[rows]].tobytes(), n, rows + 2)
     if not rows:
@@ -201,8 +209,8 @@ def write_predictions(data: FoldData, path) -> None:
     classes, label_of = np.unique(data.true_classes, return_inverse=True)
     labels = [str(c).encode() for c in classes.tolist()]
     w = max(map(len, labels), default=0)
-    # Labels right-aligned in w columns; the zero bytes padding the shorter
-    # ones are not part of the output and are dropped before the write.
+    # Labels right-aligned in w columns; the NUL bytes padding the shorter
+    # ones are dropped before the write, and no byte of the output is NUL.
     label_cols = np.zeros((len(labels), w), np.uint8)
     for row, label in zip(label_cols, labels):
         row[w - len(label) :] = np.frombuffer(label, np.uint8)
@@ -211,11 +219,13 @@ def write_predictions(data: FoldData, path) -> None:
     buf[: len(header)] = np.frombuffer(header, np.uint8)
     rows = buf[len(header) :].reshape(data.num_samples, row_len)
     rows[:, :w] = label_cols[label_of]
-    rows[:, w:-2:2] = _COMMA
-    np.add(data.bits, _ZERO, out=rows[:, w + 1 : -2 : 2], casting="unsafe")
+    # Each cell stored as one 16-bit pair: _CELL0 with the bit added to its
+    # high byte.
+    bit_hi = np.left_shift(data.bits, 8, dtype=np.uint16, casting="unsafe")
+    np.add(bit_hi, _CELL0, out=rows[:, w:-2].view("<u2"))
     rows[:, -2:] = (_CR, _LF)
     with open(path, "wb") as fh:
-        fh.write(buf[buf != 0])
+        fh.write(buf.tobytes().replace(b"\0", b""))
 
 
 def _prediction_header(n: int) -> list[str]:
@@ -364,9 +374,6 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
         )
     num = data.num_samples
     errs = data.bits != code.matrix[data.true_classes]
-    rates = errs.sum(axis=0) / num
-
-    usable = (rates > 0.0) & (rates < 1.0)
     # Joint error counts by float32 products over blocks of fewer than 2**24
     # rows, whose counts float32 holds exactly, summed in float64.
     counts = np.zeros((data.n, data.n))
@@ -374,6 +381,10 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
         block = errs[start : start + _JOINT_BLOCK_ROWS].astype(np.float32)
         counts += block.T @ block
     joint = counts / num
+    # The diagonal holds each classifier's error count, exact like the rest.
+    rates = np.diag(counts) / num
+
+    usable = (rates > 0.0) & (rates < 1.0)
     i, j = np.triu_indices(data.n, k=1)
     keep = usable[i] & usable[j]
     i, j = i[keep], j[keep]

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,57 @@ def csv_writer_reference(data, path):
             writer.writerow([int(cls)] + [int(b) for b in bits])
 
 
+def grammar_parse(raw, n):
+    """The README grammar of a raw-prediction file with an n-bit header,
+    applied line by line: (true_classes, bits) of its rows, or the line
+    number of the first line that is not a row.  The oracle for
+    load_predictions."""
+    lines = raw.split(b"\n")
+    # Every line but the last was followed by "\n"; a last line that is
+    # empty means the final EOL was present.
+    last_ended = lines[-1] == b""
+    if last_ended:
+        lines.pop()
+    assert lines[0].removesuffix(b"\r") == b",".join(
+        [b"true_class"] + [b"bit_%d" % (i + 1) for i in range(n)]
+    )
+    row = re.compile(rb"([0-9]{1,18})((?:,[01]){%d})" % n)
+    classes, bits = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if lineno <= len(lines) - 1 or last_ended:
+            line = line.removesuffix(b"\r")
+        match = row.fullmatch(line)
+        if match is None:
+            return lineno
+        classes.append(int(match[1]))
+        bits.append([int(b) for b in match[2][1::2].decode()])
+    return classes, bits
+
+
+@st.composite
+def mutated_folds(draw):
+    """A valid fold file with one byte after its header overwritten, and
+    its n."""
+    n = draw(st.integers(1, 130))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    labels = draw(st.lists(st.text("0123456789", min_size=1, max_size=3),
+                           min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [b",".join([b"true_class"] + [b"bit_%d" % (i + 1) for i in range(n)])]
+    lines += [
+        ",".join([label, *map(str, rng.integers(0, 2, n))]).encode()
+        for label in labels
+    ]
+    raw = eol.join(lines) + (eol if draw(st.booleans()) else b"")
+    start = len(lines[0]) + len(eol)
+    # Line-end bytes are drawn often: that is where rows meet.
+    line_ends = [i for i in range(start, len(raw)) if raw[i] in b"\r\n"]
+    pos = draw(st.one_of(st.integers(start, len(raw) - 1), st.sampled_from(line_ends))
+               if line_ends else st.integers(start, len(raw) - 1))
+    value = draw(st.one_of(st.sampled_from(b",01\r\n9\0\xff"), st.integers(0, 255)))
+    return raw[:pos] + bytes([value]) + raw[pos + 1 :], n
+
+
 _HEADER = b"true_class,bit_1,bit_2\n"
 # File contents and the line their ParseError must name.
 MALFORMED = [
@@ -87,6 +139,8 @@ MALFORMED = [
     pytest.param(_HEADER + b'0,"0",1\n', 2, id="quoted-bit"),
     pytest.param(_HEADER + b"1234567890123456789,1,0\n", 2, id="class-19-digits"),
     pytest.param(_HEADER + b"0,1,0\n0,3,0\n0,1\n", 3, id="bad-bits-before-short-row"),
+    pytest.param(_HEADER + b"0,1,0\r", 2, id="lone-cr-ends-file"),
+    pytest.param(b"true_class,bit_1,bit_2\r", 1, id="lone-cr-ends-header"),
 ]
 
 
@@ -154,6 +208,24 @@ class TestPredictionsIO:
         assert np.array_equal(loaded.true_classes, classes)
         assert loaded.bits.dtype == np.uint8
         assert np.array_equal(loaded.bits, bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold=mutated_folds())
+    def test_one_byte_overwritten_matches_grammar(self, tmp_path_factory, fold):
+        raw, n = fold
+        path = tmp_path_factory.mktemp("fold") / "fold.csv"
+        path.write_bytes(raw)
+        want = grammar_parse(raw, n)
+        if isinstance(want, int):
+            with pytest.raises(ParseError) as err:
+                load_predictions(path)
+            assert err.value.line == want
+        else:
+            loaded = load_predictions(path)
+            assert loaded.true_classes.dtype == np.int64
+            assert loaded.true_classes.tolist() == want[0]
+            assert loaded.bits.dtype == np.uint8
+            assert loaded.bits.tolist() == want[1]
 
     @pytest.mark.parametrize("text, line", MALFORMED)
     def test_rejects_malformed_rows(self, tmp_path, text, line):
@@ -452,6 +524,21 @@ class TestAnalyzeFold:
             rates[i] * (1 - rates[i]) * rates[j] * (1 - rates[j])
         )
         assert want.mean_correlation == float(cs.mean())
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    @pytest.mark.parametrize("classes", [5, 11, 127])
+    def test_rates_are_column_sums(self, classes, block_rows, monkeypatch):
+        # Reference: the column sum over all rows, bit for bit, also when
+        # the joint counts are summed over blocks of 3 rows.
+        code = build_code_matrix(classes)
+        fold = make_fold(np.random.default_rng(classes), code, 1000, 0.3)
+        if block_rows:
+            monkeypatch.setattr(xio, "_JOINT_BLOCK_ROWS", block_rows)
+        summary = analyze_fold(fold, code)
+        errs = fold.bits != code.matrix[fold.true_classes]
+        rates = errs.sum(axis=0) / fold.num_samples
+        assert summary.per_classifier_errors == tuple(rates.tolist())
+        assert summary.mean_bit_error == float(rates.mean())
 
     def test_dimension_mismatch(self):
         code = build_code_matrix(10)

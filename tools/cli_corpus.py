@@ -163,10 +163,11 @@ def _simulate(_: Path) -> list[list[str]]:
 
 
 def _write_folds(tmp: Path) -> dict[str, list[Path]]:
-    """Seeded synthetic prediction folds for 10 and 26 classes."""
+    """Seeded synthetic prediction folds for 10 and 26 classes with \\n line
+    ends, and for 127 classes (labels of 1-3 digits) with \\r\\n."""
     rng = np.random.default_rng(2024)
     folds = {}
-    for classes, e in ((10, 0.08), (26, 0.05)):
+    for classes, e, eol in ((10, 0.08, "\n"), (26, 0.05, "\n"), (127, 0.18, "\r\n")):
         code = build_code_matrix(classes)
         paths = []
         for fold in range(3):
@@ -175,7 +176,7 @@ def _write_folds(tmp: Path) -> dict[str, list[Path]]:
             lines = ["true_class," + ",".join(f"bit_{i + 1}" for i in range(code.n))]
             lines += [f"{t}," + ",".join(map(str, row)) for t, row in zip(truth, bits)]
             path = tmp / f"c{classes}_fold{fold}.csv"
-            path.write_text("\n".join(lines) + "\n")
+            path.write_bytes((eol.join(lines) + eol).encode())
             paths.append(path)
         folds[str(classes)] = paths
     return folds
