@@ -57,7 +57,7 @@ def _record(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2 if len(payload) > 1 else None) + "\n"
     if fmt == "csv":
-        return xio.csv_text(list(payload), [payload])
+        return xio.csv_text(list(payload), [list(payload.values())])
     if len(payload) == 1:
         return _grid([payload.values()], ("",))
     width = max(len(c) for c in payload)
@@ -115,7 +115,7 @@ def _build_model(args) -> pe.DependenceModel:
     if args.rates is None:
         profile = pe.ErrorProfile.iid(args.n, args.ebar)
     else:
-        profile = pe.ErrorProfile(tuple(float(v) for v in args.rates.split(",")))
+        profile = pe.ErrorProfile(map(float, args.rates.split(",")))
     if args.model == "pair":
         return pe.PairModel(profile, args.f)
     return pe.Independent(profile)
@@ -147,14 +147,15 @@ def cmd_pmf(args) -> int:
     model = _build_model(args)
     if args.k is not None:
         text = _record({"pmf": model.pmf(args.k)}, args.format)
-    elif args.format == "table":
-        text = _grid(enumerate(model.count_pmf().tolist()), (">3", ""))
     else:
-        rows = [{"k": k, "pmf": p} for k, p in enumerate(model.count_pmf().tolist())]
-        if args.format == "json":
-            text = json.dumps({"pmf": rows}, indent=2) + "\n"
-        else:
+        rows = enumerate(model.count_pmf().tolist())
+        if args.format == "table":
+            text = _grid(rows, (">3", ""))
+        elif args.format == "csv":
             text = xio.csv_text(("k", "pmf"), rows)
+        else:
+            pmf = [{"k": k, "pmf": p} for k, p in rows]
+            text = json.dumps({"pmf": pmf}, indent=2) + "\n"
     _emit(text, args.out)
     return 0
 

@@ -120,14 +120,23 @@ def sylvester_hadamard(k: int) -> BitMatrix:
     Entry (i, j) is 0 where the +-1 Hadamard entry is +1; equivalently the
     parity of popcount(i AND j).  Any two distinct rows differ in exactly
     2^(k-1) positions.
+
+    The doubling runs in place, in one (2^k, 2^k) array: the filled s x s
+    corner H becomes the 2s x 2s corner [[H, H], [H, 1 - H]] by three
+    stores, so no level allocates.
     """
     if k < 0:
         raise ValueError(f"k={k} must be non-negative")
     if k > SYLVESTER_MAX_K:
         raise ValueError(f"k={k} exceeds practical cap {SYLVESTER_MAX_K}")
-    h = np.zeros((1, 1), dtype=np.uint8)
-    for _ in range(k):
-        h = np.block([[h, h], [h, 1 - h]])
+    h = np.empty((1 << k, 1 << k), dtype=np.uint8)
+    h[0, 0] = 0
+    for level in range(k):
+        s = 1 << level
+        corner = h[:s, :s]
+        h[:s, s : 2 * s] = corner
+        h[s : 2 * s, :s] = corner
+        np.subtract(1, corner, out=h[s : 2 * s, s : 2 * s])
     return h
 
 

@@ -342,7 +342,8 @@ def format_summaries(summaries: list[FoldSummary]) -> str:
         for s in summaries
     )
     columns = SUMMARY_COLUMNS_STD if with_std else SUMMARY_COLUMNS
-    return csv_text(columns, [dict(vars(s), fold=s.fold_id) for s in summaries])
+    rows = (dict(vars(s), fold=s.fold_id) for s in summaries)
+    return csv_text(columns, _cells(columns, rows))
 
 
 def write_summaries(summaries: list[FoldSummary], path) -> None:
@@ -480,8 +481,10 @@ def _fold_cells(summary: FoldSummary, report: BoundReport) -> dict:
 
 
 def csv_text(columns, rows) -> str:
-    """CSV text of a header of columns and one line per dict row, cells in
-    column order, written by csv.writer with \\n line ends.
+    """CSV text of a header of columns and one line per row, written by
+    csv.writer with \\n line ends.  Each row is a sequence of cells in
+    column order; a caller that holds dicts maps each one through the
+    columns once.
 
     A cell holding a comma, a quote or a line break is quoted (RFC 4180), a
     float is written in full precision (str of a float is its repr) and None
@@ -490,8 +493,13 @@ def csv_text(columns, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([row[col] for col in columns] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _cells(columns, rows):
+    """Each dict row's cells in column order: the rows csv_text takes."""
+    return ([row[col] for col in columns] for row in rows)
 
 
 def report_rows(
@@ -531,7 +539,8 @@ def format_report_csv(
     reports: list[BoundReport],
     agg: AggregateReport | None = None,
 ) -> str:
-    return csv_text(REPORT_COLUMNS, report_rows(summaries, reports, agg))
+    rows = report_rows(summaries, reports, agg)
+    return csv_text(REPORT_COLUMNS, _cells(REPORT_COLUMNS, rows))
 
 
 def report_json_obj(
@@ -754,4 +763,5 @@ def format_rows_csv(rows: list[dict]) -> str:
     """Render homogeneous dict rows as CSV with full-precision floats."""
     if not rows:
         raise ValueError("no rows")
-    return csv_text(list(rows[0]), rows)
+    columns = list(rows[0])
+    return csv_text(columns, _cells(columns, rows))

@@ -7,7 +7,8 @@ classifiers with a uniform second-order correlation coefficient c.
 
 Every model type offers count_pmf() (the error-count distribution: the
 Poisson-binomial row of poisson_binomial_dist, the one product tree over
-the classifiers' generating factors, then the pair's
+the classifiers' generating factors or, for equal rates, the factor's
+repeated squares, then the pair's
 two-stage recursion or the exchangeable outcome weights on top of it),
 sample_far(rng, count, k_min) (the indices and error vectors of the rows,
 among count trials, with at least k_min errors), sample_counts(rng, count)
@@ -189,7 +190,10 @@ class PairModel(_Model):
         first, second = self._pair_bits(rng, count)
         first, second = first[near], second[near]
         keep = np.flatnonzero(_row_counts(rest) + first + second >= k_min)
-        bits = np.column_stack((rest[keep], first[keep], second[keep]))
+        bits = np.empty((keep.size, self.n), dtype=bool)
+        bits[:, :-2] = rest[keep]
+        bits[:, -2] = first[keep]
+        bits[:, -1] = second[keep]
         return near[keep], bits.view(np.uint8)
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -306,7 +310,10 @@ def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
 
 
 def _checked_rates(rates) -> tuple[float, ...]:
-    """The rates as a tuple of floats: at least one, each in [0, 1] (not NaN)."""
+    """The rates as a tuple of floats: at least one, each in [0, 1] (not NaN).
+    Checked by a plain loop: a vectorised compare pays numpy's fixed cost
+    on every call, and nearly every call carries at most a few hundred
+    rates, where that cost exceeds the loop's (it wins from about 250)."""
     rates = tuple(map(float, rates))
     if not rates:
         raise ValueError("error profile needs at least one rate")
@@ -427,9 +434,31 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     convolution.  Every term added is a product of non-negative numbers, so
     no entry loses accuracy to cancellation: the tests hold each entry to
     1e-14 of the exact rational of the same double rates up to n = 127.
+
+    When all n > 1 rates equal one e (an iid profile, the exchangeable
+    row, the pair model's n - 2 unpaired classifiers), the row is the
+    binomial ((1 - e) + e x)^n, built by repeated squaring instead: the
+    factor is squared once per bit of n, from the lowest, and the row is
+    convolved with the current power where the bit is set.  The tree's full
+    subtrees are these same powers and its last, partial subtree is this
+    same row, so the two routes multiply the same polynomials, each summed
+    in its own order: the tails differ by about 6e-15 relative at n = 1000,
+    and the entries stay within the tree's error of the exact rationals.
+    It takes about 2 log2(n) np.convolve calls and no padding, under half
+    the tree's time at n = 1000.  Rates that are not all equal
+    take the tree, whatever their pattern.
     """
     rates = np.asarray(rates, dtype=float)
     n = len(rates)
+    if n > 1 and (rates == rates[0]).all():
+        row, power = np.ones(1), np.array([1.0 - rates[0], rates[0]])
+        while True:
+            if n & 1:
+                row = np.convolve(row, power)
+            n >>= 1
+            if not n:
+                return row
+            power = np.convolve(power, power)
     polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
     polys[:, 0] = 1.0
     polys[:n, 0] -= rates

@@ -38,13 +38,24 @@ class TestSylvester:
             for i, j in itertools.combinations(range(n), 2):
                 assert int((h[i] != h[j]).sum()) == n // 2
 
+    def test_in_place_doubling_is_popcount_parity(self):
+        for k in range(11):
+            h = sylvester_hadamard(k)
+            assert h.dtype == np.uint8 and h.shape == (2**k, 2**k)
+            i = np.arange(2**k)
+            both, parity = i[:, None] & i, np.zeros_like(h)
+            while both.any():
+                parity ^= (both & 1).astype(np.uint8)
+                both >>= 1
+            assert np.array_equal(h, parity), k
+
     def test_size_cap(self, monkeypatch):
         # Order 16 would be a 4 GiB matrix: the cap rejects it before the
-        # first doubling, so np.block is never reached.
-        def no_block(*_):
-            pytest.fail("np.block called for an order above the cap")
+        # matrix is allocated, so np.empty is never reached.
+        def no_alloc(*_, **__):
+            pytest.fail("matrix allocated for an order above the cap")
 
-        monkeypatch.setattr(np, "block", no_block)
+        monkeypatch.setattr(np, "empty", no_alloc)
         with pytest.raises(ValueError):
             sylvester_hadamard(17)
         with pytest.raises(ValueError):
@@ -53,6 +64,20 @@ class TestSylvester:
             sylvester_hadamard(16)
         with pytest.raises(ValueError):
             build_code_matrix(2**15 + 1)
+
+    def test_top_order_passes_the_cap(self, monkeypatch):
+        # Order 15 (1 GiB) is the largest accepted: it gets past the cap to
+        # the allocation, which is stopped here before it is made.
+        class Allocated(Exception):
+            pass
+
+        def allocate(shape, dtype):
+            assert shape == (2**15, 2**15) and dtype == np.uint8
+            raise Allocated
+
+        monkeypatch.setattr(np, "empty", allocate)
+        with pytest.raises(Allocated):
+            sylvester_hadamard(cm.SYLVESTER_MAX_K)
 
 
 class TestMinRowDistance:

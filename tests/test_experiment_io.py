@@ -704,7 +704,7 @@ class TestReportRendering:
             )
 
     def test_csv_text_quotes_and_keeps_precision(self):
-        rows = [{"a": "x,1", "b": 0.1 + 0.2}, {"a": 'say "hi"', "b": None}]
+        rows = [("x,1", 0.1 + 0.2), ['say "hi"', None]]
         assert csv_text(("a", "b"), rows) == (
             'a,b\n"x,1",0.30000000000000004\n"say ""hi""",\n'
         )

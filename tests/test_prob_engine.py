@@ -71,6 +71,8 @@ def exact_binomial(n, e):
     denominator s^n.  Each term is the one before times a (n - k), divided
     exactly by (k + 1)(s - a), so a row costs n small-factor steps."""
     a, s = e.as_integer_ratio()
+    if a == s:  # e = 1: all n err
+        return (0,) * n + (1,), 1
     term = (s - a) ** n
     terms = [term]
     for k in range(n):
@@ -135,6 +137,45 @@ def exact_exchangeable_pmf(n, e, c):
     return [(t * w.numerator, den * w.denominator) for t, w in zip(terms, weights)]
 
 
+def exact_pair_pmf(model, q):
+    """PairModel.count_pmf's recursion over the exact masses q of the n - 2
+    unpaired classifiers, (numerator, common denominator) pairs, in
+    integers: the joint cells are doubles, so one power of two L turns
+    them into integers over L."""
+    cells = [Fraction(p) for p in model.joint_cells]
+    scale = max(p.denominator for p in cells)
+    p11, p10, p01, p00 = (int(p * scale) for p in cells)
+    den = q[0][1]
+    nums = [0, 0] + [num for num, _ in q] + [0, 0]
+    return [
+        (p11 * nums[k] + (p10 + p01) * nums[k + 1] + p00 * nums[k + 2], scale * den)
+        for k in range(model.n + 1)
+    ]
+
+
+def product_tree(rates):
+    """The balanced product tree of poisson_binomial_dist, step for step:
+    the bit-exact reference for rates that are not all equal."""
+    rates = np.asarray(rates, dtype=float)
+    n = len(rates)
+    polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
+    polys[:, 0] = 1.0
+    polys[:n, 0] -= rates
+    polys[:n, 1] = rates
+    while len(polys) > 1:
+        a, b = polys[0::2], polys[1::2]
+        pairs, length = a.shape
+        out = np.zeros((pairs, 2 * length - 1))
+        if length <= pairs:
+            for j in range(length):
+                out[:, j : j + length] += a[:, j, None] * b
+        else:
+            for i in range(pairs):
+                out[i] = np.convolve(a[i], b[i])
+        polys = out
+    return polys[0, : n + 1]
+
+
 def assert_matches_exact(got, exact, rel):
     """got against exact (numerator, denominator) pairs: entries of at
     least 1e-290 within rel of the rational (num / den of two ints is
@@ -179,14 +220,45 @@ class TestExactRationals:
             for rates in self.profiles(n, rng):
                 lo, hi = pair_f_range(rates[-2], rates[-1])
                 model = PairModel(ErrorProfile(rates), lo + 0.3 * (hi - lo))
-                q = [0, 0] + [Fraction(*x) for x in exact_poisson_binomial(rates[:-2])]
-                q += [0, 0]
-                p11, p10, p01, p00 = map(Fraction, model.joint_cells)
-                exact = [
-                    (p11 * q[k] + (p10 + p01) * q[k + 1] + p00 * q[k + 2]).as_integer_ratio()
-                    for k in range(n + 1)
-                ]
+                exact = exact_pair_pmf(model, exact_poisson_binomial(rates[:-2]))
                 assert_matches_exact(model.count_pmf(), exact, 1e-14)
+
+    # Equal rates take the repeated-squaring route.  The rates include the
+    # exact ends, a power of two, a rate whose square underflows and the
+    # largest double below 1, whose complement is 2**-53.
+    EQUAL_SIZES = (2, 3, 31, 32, 33, 127, 1000)
+    EQUAL_RATES = (0.0, 1.0, 0.5, 1e-300, 1 - 2**-53)
+
+    @staticmethod
+    def equal_rel(n):
+        return 2e-13 if n > 127 else 1e-14
+
+    def test_independent_equal_rates(self):
+        for n in self.EQUAL_SIZES:
+            for e in self.EQUAL_RATES:
+                got = Independent(ErrorProfile.iid(n, e)).count_pmf()
+                terms, den = exact_binomial(n, e)
+                assert_matches_exact(got, [(t, den) for t in terms], self.equal_rel(n))
+
+    def test_pair_equal_rates(self):
+        for n in self.EQUAL_SIZES:
+            for e in self.EQUAL_RATES:
+                lo, hi = pair_f_range(e, e)
+                model = PairModel(ErrorProfile.iid(n, e), lo + 0.3 * (hi - lo))
+                terms, den = exact_binomial(n - 2, e)
+                exact = exact_pair_pmf(model, [(t, den) for t in terms])
+                assert_matches_exact(model.count_pmf(), exact, self.equal_rel(n))
+
+    def test_one_unequal_rate_takes_the_tree(self):
+        # One rate apart from the rest, at the first, a middle or the last
+        # place: the row is the product tree's, bit for bit.
+        for n in self.EQUAL_SIZES:
+            for e, other in ((0.18, 0.3), (0.5, 0.5 + 2**-53), (1e-300, 0.0)):
+                for at in (0, n // 2, n - 1):
+                    rates = [e] * n
+                    rates[at] = other
+                    got = poisson_binomial_dist(rates)
+                    assert got.tobytes() == product_tree(rates).tobytes(), (n, e, at)
 
     def test_exchangeable_large_n(self):
         n, e = 1000, 0.18
@@ -267,6 +339,21 @@ class TestBinomial:
             binomial_pmf(4, 5, 0.2)
         with pytest.raises(ValueError):
             binomial_pmf(4, 2, 1.2)
+
+
+class TestRateCheck:
+    def test_names_the_first_bad_rate(self):
+        for bad in (-1e-300, 1 + 2**-52, math.nan, math.inf, -math.inf):
+            for rates, at in (([bad, 0.2, 2.0], 1), ([0.0, 1.0, bad, -3.0], 3)):
+                with pytest.raises(ValueError, match=rf"^rate e_{at}={bad} outside \[0, 1\]$"):
+                    ErrorProfile(rates)
+
+    def test_keeps_the_ends_and_the_values(self):
+        rates = (0.0, -0.0, 1.0, 5e-324, 0.5)
+        assert ErrorProfile(rates).rates == rates
+        assert ErrorProfile(["0.25", np.float32(0.5)]).rates == (0.25, 0.5)
+        with pytest.raises(ValueError, match="at least one rate"):
+            ErrorProfile(())
 
 
 class TestIndependentTails:

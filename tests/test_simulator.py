@@ -272,6 +272,22 @@ class TestDecode:
         )
         assert 0.0 <= result.error_rate < 0.05
 
+    def test_true_class_zero(self, monkeypatch):
+        # Class 0 is a valid pin: every kept trial is decoded from it.
+        seen, count_misdecoded = [], simulator.count_misdecoded
+
+        def spy(bits, classes, code):
+            seen.append(classes)
+            return count_misdecoded(bits, classes, code)
+
+        monkeypatch.setattr(simulator, "count_misdecoded", spy)
+        code = build_code_matrix(10)
+        model = Independent(ErrorProfile.iid(10, 0.2))
+        result = mc_decode_error(model, code, SimConfig(trials=5_000, seed=4), true_class=0)
+        classes = np.concatenate(seen)
+        assert classes.size > 0 and not classes.any()
+        assert 0.0 < result.error_rate < 0.2
+
     def test_dimension_mismatch(self):
         code = build_code_matrix(10)
         with pytest.raises(ValueError):
@@ -334,6 +350,15 @@ class TestPinnedStreams:
         want_threshold, want_decode = self.COUNTS[point][kind]
         assert threshold.error_rate == want_threshold / self.TRIALS
         assert decode.error_rate == want_decode / self.TRIALS
+
+    def test_std_err_of_a_known_count(self):
+        # 498 of TRIALS threshold errors (the iid count above): the standard
+        # error is the binomial one, sqrt(p (1 - p) / trials).
+        model = self._model("iid", 26, 0.0686, 0.0058)
+        result = mc_threshold_error(model, 6, SimConfig(trials=self.TRIALS, seed=2024))
+        p = 498 / self.TRIALS
+        assert result.error_rate == p
+        assert result.std_err == math.sqrt(p * (1 - p) / self.TRIALS)
 
 
 SAMPLE_CASES = [
