@@ -115,7 +115,7 @@ def _build_model(args) -> pe.DependenceModel:
     if args.rates is None:
         profile = pe.ErrorProfile.iid(args.n, args.ebar)
     else:
-        profile = pe.ErrorProfile(map(float, args.rates.split(",")))
+        profile = pe.ErrorProfile(args.rates.split(","))
     if args.model == "pair":
         return pe.PairModel(profile, args.f)
     return pe.Independent(profile)

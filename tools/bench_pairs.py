@@ -3,13 +3,14 @@
     python3 tools/bench_pairs.py --parent OLD --change NEW --out BENCH_N.json \
         --workload exact-sweep --seeds 201-210 --held-out 4243 --note "what changed"
 
-OLD and NEW are source checkouts (each with its own ``perfbench/``).  For
-each workload, pair i runs ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` in both checkouts back to back, on seed S, the i-th
-of --seeds; the parent runs first when i is even.  The --held-out seed then
-gets --held-out-pairs pairs, with the change first when i is even.  A run
-that exits non-zero or prints no JSON line counts as failed, and its pair
-is dropped.
+OLD and NEW are source checkouts (each with its own ``perfbench/``); the
+output names OLD by its git revision.  For each workload, pair i runs
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
+both checkouts back to back, on seed S, the i-th of --seeds; the parent runs
+first when i is even.  T is ``run_seconds`` from NEW's ``BENCHMARK.json``.
+The --held-out seed then gets HELD_OUT_PAIRS pairs, with the change first
+when i is even.  A run that exits non-zero or prints no JSON line counts as
+failed, and its pair is dropped.
 
 For every end-to-end metric that ``BENCHMARK.json`` (read from NEW) lists,
 the output gives each side's median and quartiles over the pairs
@@ -41,6 +42,7 @@ METHOD = (
     "is better, change_losses where it is worse; median_change is the change's "
     "median relative to the parent's."
 )
+HELD_OUT_PAIRS = 3  # pairs on the held-out seed
 
 
 def seed_list(text: str) -> list[int]:
@@ -130,24 +132,22 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 201-210")
     ap.add_argument("--held-out", type=int, help="a seed not used while writing the change")
-    ap.add_argument("--held-out-pairs", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--note", default="", help="what the change does")
-    ap.add_argument("--parent-rev", help="the parent's revision, if not a git checkout")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     report = {
         "change": args.note,
-        "parent": args.parent_rev or revision(args.parent),
+        "parent": revision(args.parent),
         "machine": machine(sys.executable),
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND.format(seconds=seconds),
         "method": METHOD,
         "workloads": {},
     }
     plans = [("alternating", args.seeds, False)]
     if args.held_out is not None:
-        plans.append(("held_out", [args.held_out] * args.held_out_pairs, True))
+        plans.append(("held_out", [args.held_out] * HELD_OUT_PAIRS, True))
     for workload in args.workload:
         entry = report["workloads"].setdefault(workload, {})
         for key, seeds, change_first in plans:
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
                 sides = [("parent", args.parent), ("change", args.change)]
                 if (i % 2 == 0) == change_first:
                     sides.reverse()
-                got = {side: run_once(path, workload, seed, args.seconds)
+                got = {side: run_once(path, workload, seed, seconds)
                        for side, path in sides}
                 failed += sum(v is None for v in got.values())
                 if None not in got.values():
