@@ -15,10 +15,12 @@ among count trials, with at least k_min errors), sample_counts(rng, count)
 (the error counts only, drawn from the same stream as sample) and
 joint_mass(bits) (the joint law of whole outcomes, from the model's
 definition and not from count_pmf, which the brute-force enumeration
-oracle over all 2^n outcomes sums for cross-checking).  Three
+oracle over all 2^n outcomes sums for cross-checking).  Five
 methods are defined once, on the shared base class, for all three: pmf(k),
-the entry of count_pmf at k, tail(m), the sum of count_pmf from m, and
-sample(rng, count), sample_far at k_min = 0.  pmf and tail check k and m
+the entry of count_pmf at k, tail(m), the sum of count_pmf from m,
+sample(rng, count), sample_far at k_min = 0, and sample_far and
+sample_counts themselves, which check the width (_check_width) and call the
+model's own _far and _counts.  pmf and tail check k and m
 with _check_count, the one range check on a count.  The public pmf and tail
 functions below are one-line calls into a model's pmf or tail, so every
 count probability, binomial or not, is read from one count_pmf.
@@ -34,10 +36,25 @@ integers where rng.random would give uniforms u = (x >> 11) * 2**-53:
 - The exchangeable sampler ranks positions by j, which orders and ties
   exactly as u does.
 
-The words of every row are drawn, so the stream ends where sample leaves
-it, whatever k_min is; only the rows sample_far returns are kept, and the
-exchangeable sampler ranks only those.  sample_counts keeps one count per
-row and never holds a (count, n) array.
+The independent and pair samplers compare every word of a block against
+one limit per column, or against a single limit when all their rates are
+equal, and count each row's errors with one float32 matrix-vector product
+(code_matrix._row_counts).  That count is exact because no row is 2**24
+or more words wide: every sampler rejects such a width before it draws a
+word.
+
+The exchangeable sampler draws the counts first and then the position words
+of the far rows only (those with at least k_min errors); gaps between far
+rows of fewer than _SKIP_MIN_WORDS words are drawn through.  A Philox
+stream is moved over a longer gap by one state set: the counter goes to the
+block before the one holding the last word skipped, and that block's words
+up to it are drawn and dropped (_drawer).  Any other bit generator draws
+each gap and drops it.  Either way the stream ends where drawing every row
+leaves it, whatever k_min is: counter, buffer, buffer position and held
+32-bit half are those of the draw-every-word stream, so a draw that follows
+does not change.
+Only the rows sample_far returns are kept, and sample_counts keeps one
+count per row and never holds a (count, n) array.
 """
 
 from __future__ import annotations
@@ -48,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .code_matrix import EXACT_MAX_N, _row_counts
 from .errors import ModelError
 
 # Per-outcome weights this close to zero (from rounding at the edge of the
@@ -64,6 +82,16 @@ BLOCK_ROWS = 1024
 # A raw 64-bit word x gives the uniform (x >> 11) * 2**-53.
 _WORD_SHIFT = 11
 _UNIFORM_BITS = 53
+
+# Position words of exchangeable rows that are not ranked are skipped when
+# the gap is at least this long and drawn through when it is shorter.  A
+# Philox skip (one state set, up to 4 more words drawn; see _drawer) took
+# about 3 us on a 2-vCPU Xeon, the time of 700-800 words; of gaps from 64
+# to 4,096 words, 768-1,024 ran fastest at both 26 and 127 classes.
+_SKIP_MIN_WORDS = 1024
+
+_PHILOX_LANES = 4
+_COUNTER_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -106,6 +134,20 @@ class _Model:
         """All count error vectors, a (count, n) uint8 array."""
         return self.sample_far(rng, count, 0)[1]
 
+    def sample_far(
+        self, rng: np.random.Generator, count: int, k_min: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the rows, among count trials, with at least k_min
+        errors, and their error vectors as a uint8 array; the stream ends
+        where sample(rng, count) leaves it."""
+        _check_width(self.n)
+        return self._far(rng, count, k_min)
+
+    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The error counts of count trials, from the same stream as sample."""
+        _check_width(self.n)
+        return self._counts(rng, count)
+
 
 @dataclass(frozen=True)
 class Independent(_Model):
@@ -120,13 +162,11 @@ class Independent(_Model):
     def count_pmf(self) -> np.ndarray:
         return poisson_binomial_dist(self.profile.rates)
 
-    def sample_far(
-        self, rng: np.random.Generator, count: int, k_min: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _far(self, rng, count, k_min):
         far, bits = _independent_far(rng, count, self.profile.rates, k_min)
         return far, bits.view(np.uint8)
 
-    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _counts(self, rng, count):
         return _independent_counts(rng, count, self.profile.rates)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
@@ -180,9 +220,7 @@ class PairModel(_Model):
         q_pad[2:-2] = poisson_binomial_dist(self.profile.rates[:-2])
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
-    def sample_far(
-        self, rng: np.random.Generator, count: int, k_min: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _far(self, rng, count, k_min):
         # The pair's words follow all of the others', so the rows that can
         # reach k_min (at least k_min - 2 errors elsewhere) are kept until
         # the pair's bits are known.
@@ -196,7 +234,7 @@ class PairModel(_Model):
         bits[:, -1] = second[keep]
         return near[keep], bits.view(np.uint8)
 
-    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _counts(self, rng, count):
         ks = _independent_counts(rng, count, self.profile.rates[:-2])
         first, second = self._pair_bits(rng, count)
         return ks + first + second
@@ -261,24 +299,19 @@ class ExchangeableModel(_Model):
         exchangeable pmf and tail agree to the last bit."""
         return poisson_binomial_dist(np.full(self.n, self.e_bar)) * self._weights
 
-    def sample_far(
-        self, rng: np.random.Generator, count: int, k_min: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _far(self, rng, count, k_min):
         # Outcome probability depends on the error vector only through its
         # count k, so draw k first and then a uniformly random k-subset of
         # positions (the positions of the k smallest of n iid uniforms).
-        # Every row's words are drawn; only the far rows are ranked.
-        ks = self.sample_counts(rng, count)
-        far, kept = _no_rows(self.n)
-        for rows, j in _word_blocks(rng, count, self.n):
-            idx = np.flatnonzero(ks[rows] >= k_min)
-            marks = np.empty((idx.size, self.n), dtype=bool)
-            _mark_smallest(j[idx], ks[rows.start + idx], marks)
-            far.append(idx + rows.start)
-            kept.append(marks)
-        return np.concatenate(far), np.concatenate(kept).view(np.uint8)
+        # Only the far rows' position words are drawn and ranked.
+        ks = self._counts(rng, count)
+        far = np.flatnonzero(ks >= k_min)
+        marks = np.empty((far.size, self.n), dtype=bool)
+        for rows, j in _far_words(rng, far, count, self.n):
+            _mark_smallest(j, ks[far[rows]], marks[rows])
+        return far, marks.view(np.uint8)
 
-    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def _counts(self, rng, count):
         pmf = self.count_pmf()
         pmf /= pmf.sum()
         return rng.choice(self.n + 1, size=count, p=pmf)
@@ -356,16 +389,141 @@ def _word_blocks(rng: np.random.Generator, rows: int, width: int):
         yield slice(start, start + len(j)), j
 
 
+def _far_words(rng: np.random.Generator, far: np.ndarray, count: int, width: int):
+    """Yield (slice of far, block of _words) over the rows far, the sorted
+    indices of some of count rows of width words each: the words
+    rng.random((count, width)) would give those rows, at most BLOCK_ROWS
+    rows at a time.  Far rows fewer than _SKIP_MIN_WORDS words apart are
+    drawn as one run, the rows between them included; the longer gaps are
+    skipped (see _drawer), and the stream ends where drawing every row
+    leaves it."""
+    # Run i holds rows begin[i] to end[i] - 1; drawn[i] is the row of far[i]
+    # among the rows drawn, its own row less the rows skipped before it.
+    begin = end = drawn = far
+    if far.size:
+        new_run = np.zeros(far.size, dtype=np.intp)
+        new_run[1:] = (np.diff(far) - 1) * width >= _SKIP_MIN_WORDS
+        first = np.flatnonzero(new_run)
+        begin = far[np.append(0, first)]
+        end = np.append(far[first - 1], far[-1]) + 1
+        skipped = np.cumsum(begin - np.append(0, end[:-1]))
+        drawn = far - skipped[np.cumsum(new_run)]
+    lo = done = 0
+    for words in _batched(_run_words(rng.bit_generator, begin, end, count, width), width):
+        hi = int(np.searchsorted(drawn, done + len(words)))
+        j = words if hi - lo == len(words) else words[drawn[lo:hi] - done]
+        j >>= _WORD_SHIFT
+        yield slice(lo, hi), j
+        lo, done = hi, done + len(words)
+
+
+def _run_words(bits, begin, end, count: int, width: int):
+    """Yield the raw words of rows begin[i] to end[i] - 1 for each run i, at
+    most BLOCK_ROWS rows at a time, as (rows, width) arrays; the rows
+    between runs and after the last one are skipped or drawn through."""
+    draw = _drawer(bits, width)
+    at = 0
+    for a, b in zip(begin.tolist(), end.tolist()):
+        for start in range(a, b, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, b - start)
+            yield draw(at * width, start * width, rows * width).reshape(rows, width)
+            at = start + rows
+    draw(at * width, count * width, 0)
+
+
+def _batched(blocks, width: int):
+    """Join consecutive (rows, width) word blocks until each batch holds at
+    least BLOCK_ROWS rows (the last may hold fewer).  Batches of several
+    blocks are joined into one buffer, which the next batch overwrites:
+    reusing it spares the page faults of a fresh array per batch, which
+    cost about three times the copy."""
+    out = np.empty((2 * BLOCK_ROWS, width), dtype=np.uint64)
+    held, rows = [], 0
+
+    def joined():
+        return held[0] if len(held) == 1 else np.concatenate(held, out=out[:rows])
+
+    for block in blocks:
+        held.append(block)
+        rows += len(block)
+        if rows >= BLOCK_ROWS:
+            yield joined()
+            held, rows = [], 0
+    if held:
+        yield joined()
+
+
+def _drawer(bits, width: int):
+    """draw(at, to, words): the words raw words that follow word to of the
+    stream of the bit generator bits, which stands at word at <= to (words
+    counted from where it stands now).  The words from at to to are skipped,
+    and the stream is left after the last word returned, in the state
+    (counter, buffer, buffer position and held 32-bit half) that drawing
+    every word leaves.
+
+    A Philox generator draws the 4-word block of its counter + 1 into a
+    buffer.  To skip, the counter is set to the block before the one that
+    holds the last word skipped, with the buffer marked empty, and the
+    words of that block up to the last one skipped are drawn with the
+    words asked for and dropped: the block fills the buffer as drawing
+    through would.  The counter wraps modulo 2**256, as the generator's
+    own does.  Gaps shorter than _SKIP_MIN_WORDS are drawn through with the
+    words asked for.  Any other generator draws every gap through, at most
+    BLOCK_ROWS rows at a time, and drops it.
+    """
+    if not isinstance(bits, np.random.Philox):
+
+        def draw(at, to, words):
+            step = BLOCK_ROWS * width
+            for start in range(at, to, step):
+                bits.random_raw(min(step, to - start))
+            return bits.random_raw(words)
+
+        return draw
+
+    # The counter is four 64-bit limbs, lowest first: the 32 little-endian
+    # bytes of one 256-bit integer.
+    state = bits.state
+    base = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+    buffered = _PHILOX_LANES - state["buffer_pos"]
+    state["buffer_pos"] = _PHILOX_LANES
+
+    def draw(at, to, words):
+        if to - at < _SKIP_MIN_WORDS:
+            return bits.random_raw(to - at + words)[to - at :]
+        # The last word skipped is lane last % 4 of block base + 1 + last // 4,
+        # counted from the first word after the buffer.
+        last = to - buffered - 1
+        counter = (base + last // _PHILOX_LANES) % (1 << _COUNTER_BITS)
+        state["state"]["counter"] = np.frombuffer(
+            counter.to_bytes(_COUNTER_BITS // 8, "little"), dtype="<u8"
+        )
+        bits.state = state
+        lane = last % _PHILOX_LANES + 1
+        return bits.random_raw(lane + words)[lane:]
+
+    return draw
+
+
 def _no_rows(n: int) -> tuple[list, list]:
     """Lists of far-row indices and bits, seeded with empty arrays so that
     concatenating them works when no row is kept."""
     return [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=bool)]
 
 
+def _row_limits(rates: tuple[float, ...]) -> np.ndarray:
+    """_word_limits of the rates, one entry when all rates are equal: a
+    compare against one limit broadcasts at scalar speed, about 1.7x as
+    fast as a compare against one limit per column."""
+    if rates and rates.count(rates[0]) == len(rates):
+        rates = rates[:1]
+    return _word_limits(rates)
+
+
 def _independent_far(rng: np.random.Generator, count: int, rates, k_min: int):
     """(far, bits) for independent classifiers: the indices of the rows
     with at least k_min errors and their bool error vectors."""
-    limits = _word_limits(rates)
+    limits = _row_limits(rates)
     far, kept = _no_rows(len(rates))
     for rows, j in _word_blocks(rng, count, len(rates)):
         bits = j < limits
@@ -377,17 +535,21 @@ def _independent_far(rng: np.random.Generator, count: int, rates, k_min: int):
 
 def _independent_counts(rng: np.random.Generator, count: int, rates) -> np.ndarray:
     """Error counts of independent classifiers, counted block by block."""
-    limits = _word_limits(rates)
+    limits = _row_limits(rates)
     ks = np.empty(count, dtype=np.intp)
     for rows, j in _word_blocks(rng, count, len(rates)):
         ks[rows] = _row_counts(j < limits)
     return ks
 
 
-def _row_counts(bits: np.ndarray) -> np.ndarray:
-    """True entries per row of a 2-D bool array.  Summing the bytes into
-    int32 takes about half the time of count_nonzero's intp sum."""
-    return bits.view(np.uint8).sum(axis=1, dtype=np.int32)
+def _check_width(n: int) -> None:
+    """Samplers count errors per row in float32 (_row_counts), exact only
+    for counts below EXACT_MAX_N = 2**24, so wider rows are rejected before
+    a word is drawn."""
+    if n >= EXACT_MAX_N:
+        raise ValueError(
+            f"n={n} classifiers is not below 2**24; float32 row counts would be inexact"
+        )
 
 
 def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:

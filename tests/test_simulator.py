@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+import ecoc.prob_engine as prob_engine
 import ecoc.simulator as simulator
-from ecoc.code_matrix import build_code_matrix
+from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix
 from ecoc.prob_engine import (
     BLOCK_ROWS,
     ErrorProfile,
     ExchangeableModel,
     Independent,
     PairModel,
+    _SKIP_MIN_WORDS,
     _mark_smallest,
     _word_limits,
     _words,
@@ -542,6 +545,168 @@ class TestFarRows:
                 assert bits.dtype == np.uint8 and bits.shape == (rows.size, n)
                 assert np.array_equal(bits, want[rows])
                 assert _state(rng) == _state(ref), (k_min, count)
+
+
+def _far_by_drawing_every_word(model, rng, count, k_min):
+    """Reference for the exchangeable sample_far: the counts, then every
+    row's position words, with the far rows marked by the ranks of a stable
+    argsort."""
+    ks = model.sample_counts(rng, count)
+    j = rng.bit_generator.random_raw((count, model.n)) >> np.uint64(11)
+    far = np.flatnonzero(ks >= k_min)
+    ranks = j[far].argsort(axis=1, kind="stable").argsort(axis=1)
+    return far, (ranks < ks[far, None]).astype(np.uint8)
+
+
+_LIMB = 1 << 64
+_WRAP = 1 << 256
+# Blocks from the start of a draw to a carry: within the counts' words or
+# the position words of a few thousand rows.
+_BELOW = st.integers(1, 1 << 15)
+# Philox counters: any, a few blocks below a carry out of the lowest one,
+# two or three 64-bit limbs, or a few blocks below the 2**256 wrap.
+_COUNTERS = st.one_of(
+    st.integers(0, _WRAP - 1),
+    st.builds(
+        lambda limbs, high, below: (high + 1) * (1 << (64 * limbs)) - below,
+        st.integers(1, 3),
+        st.integers(0, _LIMB - 1),
+        _BELOW,
+    ),
+    _BELOW.map(lambda below: _WRAP - below),
+)
+SKIP_MODELS = [
+    ExchangeableModel(2, 0.4, 0.0),
+    ExchangeableModel(5, 0.25, 0.02),
+    ExchangeableModel(26, 0.0686, 0.0058),
+    ExchangeableModel(127, 0.18, 0.006),
+]
+
+
+class TestSkippedWords:
+    """The exchangeable sampler draws only the far rows' position words;
+    the rows, their bits and the generator's state afterwards must be those
+    of drawing every word."""
+
+    @staticmethod
+    def _generator(kind, seed, counter, drawn, half):
+        """A generator of the given kind at a given Philox counter (seed is
+        the key), after drawn raw words and, when half, one 32-bit draw
+        whose other half the generator then holds."""
+        if kind == "philox":
+            bits = np.random.Philox(key=[seed % _LIMB, seed // _LIMB % _LIMB])
+            state = bits.state
+            state["state"]["counter"] = np.array(
+                [counter >> (64 * i) & (_LIMB - 1) for i in range(4)], dtype=np.uint64
+            )
+            bits.state = state
+        else:
+            bits = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937}[kind](seed)
+        rng = np.random.Generator(bits)
+        bits.random_raw(drawn)
+        if half:
+            rng.integers(0, 2**32, dtype=np.uint32)
+        return rng
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["philox", "philox", "pcg64", "mt19937"]),
+        model=st.sampled_from(SKIP_MODELS),
+        count=st.one_of(st.integers(0, 40), st.integers(1000, 2100)),
+        skip_min=st.sampled_from([1, 5, 64, _SKIP_MIN_WORDS]),
+        seed=st.integers(0, 2**128 - 1),
+        counter=_COUNTERS,
+        drawn=st.integers(0, 3),
+        half=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_drawing_every_word(
+        self, kind, model, count, skip_min, seed, counter, drawn, half, data
+    ):
+        # Any k_min, or one near the code's far_flips, where the far rows
+        # are few and far apart.
+        far_flips = build_code_matrix(model.n).far_flips
+        k_min = data.draw(
+            st.one_of(
+                st.integers(0, model.n + 1),
+                st.integers(max(far_flips - 2, 0), min(far_flips + 2, model.n + 1)),
+            )
+        )
+        ref = self._generator(kind, seed, counter, drawn, half)
+        rng = self._generator(kind, seed, counter, drawn, half)
+        assert _state(rng) == _state(ref)
+        want_far, want_bits = _far_by_drawing_every_word(model, ref, count, k_min)
+        with mock.patch.object(prob_engine, "_SKIP_MIN_WORDS", skip_min):
+            far, bits = model.sample_far(rng, count, k_min)
+        assert np.array_equal(far, want_far)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, want_bits)
+        assert _state(rng) == _state(ref)
+        for draw in (
+            lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+            lambda g: g.random(5),
+        ):
+            assert np.array_equal(draw(rng), draw(ref))
+
+    def test_wrap_anywhere_in_the_stream(self):
+        # The 2**256 wrap placed every 37 blocks through the 19,200 blocks
+        # of 600 rows' counts and position words, and past them: it falls
+        # in the counts, in skipped gaps, in drawn rows and in the last block.
+        model = ExchangeableModel(127, 0.18, 0.006)
+        k_min = build_code_matrix(127).far_flips
+        for below in range(1, 19_300, 37):
+            ref = self._generator("philox", below, _WRAP - below, 1, True)
+            rng = self._generator("philox", below, _WRAP - below, 1, True)
+            want_far, want_bits = _far_by_drawing_every_word(model, ref, 600, k_min)
+            far, bits = model.sample_far(rng, 600, k_min)
+            assert np.array_equal(far, want_far) and np.array_equal(bits, want_bits)
+            assert _state(rng) == _state(ref), below
+
+
+class _NoDraw:
+    """A generator that fails the test when anything is drawn from it."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"rng.{name} used before the width was checked")
+
+
+class TestWidthCap:
+    """Row counts are float32 sums, exact below 2**24 = EXACT_MAX_N; every
+    sampler rejects wider rows before it draws a word."""
+
+    @staticmethod
+    def _wide(kind, n):
+        # Models of width n built without their n rates or weights.
+        if kind == "iid":
+            return Independent(SimpleNamespace(n=n))
+        model = object.__new__(PairModel if kind == "pair" else ExchangeableModel)
+        if kind == "pair":
+            object.__setattr__(model, "profile", SimpleNamespace(n=n))
+        else:
+            object.__setattr__(model, "n", n)
+        return model
+
+    @pytest.mark.parametrize("kind", ["iid", "pair", "exchangeable"])
+    def test_rejected_before_a_draw(self, kind):
+        model = self._wide(kind, EXACT_MAX_N)
+        for draw in (
+            lambda: model.sample_far(_NoDraw(), 1, 0),
+            lambda: model.sample_counts(_NoDraw(), 1),
+            lambda: model.sample(_NoDraw(), 1),
+        ):
+            with pytest.raises(ValueError, match="2\\*\\*24"):
+                draw()
+
+    @pytest.mark.parametrize("kind", ["iid", "pair", "exchangeable"])
+    def test_cap_is_the_first_rejected_width(self, kind, monkeypatch):
+        monkeypatch.setattr(prob_engine, "EXACT_MAX_N", 6)
+        models = {
+            "iid": lambda n: Independent(ErrorProfile.iid(n, 0.3)),
+            "pair": lambda n: PairModel(ErrorProfile.iid(n, 0.3), 0.1),
+            "exchangeable": lambda n: ExchangeableModel(n, 0.3, 0.0),
+        }
+        assert models[kind](5).sample(_chunk_rng(1, 0), 4).shape == (4, 5)
+        with pytest.raises(ValueError):
+            models[kind](6).sample_counts(_NoDraw(), 4)
 
 
 COUNT_CASES = [

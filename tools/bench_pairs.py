@@ -1,7 +1,8 @@
 """Compare two checkouts on the perfbench workloads by alternating pairs.
 
     python3 tools/bench_pairs.py --parent OLD --change NEW --out BENCH_N.json \
-        --workload exact-sweep --seeds 201-210 --held-out 4243 --note "what changed"
+        --workload exact-sweep --seeds 201-210 --held-out 4243 --note "what changed" \
+        [--previous BENCH_N-1.json]
 
 OLD and NEW are source checkouts (each with its own ``perfbench/``); the
 output names OLD by its git revision.  For each workload, pair i runs
@@ -18,8 +19,11 @@ the output gives each side's median and quartiles over the pairs
 change won and lost (ties count for neither), the change of the median
 relative to the parent's, and the parent's interquartile range.  The file
 is rewritten after every pair, so an interrupted comparison keeps the pairs
-it finished.  Standard library only; nothing in either checkout is changed
-apart from the benchmark's own ``.perfbench_work/``.
+it finished.  With --previous, an earlier output of this script, the end
+prints each metric's median change next to the one that file records for
+the same workload and plan ("-" where it has none).  Standard library
+only; nothing in either checkout is changed apart from the benchmark's own
+``.perfbench_work/``.
 """
 
 from __future__ import annotations
@@ -103,6 +107,21 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     return out
 
 
+def beside_previous(report: dict, previous: dict) -> list[str]:
+    """One line per workload, plan and metric of report: its median change
+    and the previous report's for the same workload, plan and metric."""
+    lines = []
+    for workload, plans in report["workloads"].items():
+        for plan, entry in plans.items():
+            before = previous.get("workloads", {}).get(workload, {}).get(plan, {})
+            for name, metric in entry["metrics"].items():
+                old = before.get("metrics", {}).get(name, {}).get("median_change")
+                old_text = "-" if old is None else f"{old:+.2%}"
+                lines.append(f"{workload:<12} {plan:<12} {name:<12} "
+                             f"{metric['median_change']:+8.2%}  previous {old_text:>8}")
+    return lines
+
+
 def machine(python: str) -> dict:
     cpu = platform.processor()
     try:
@@ -133,8 +152,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 201-210")
     ap.add_argument("--held-out", type=int, help="a seed not used while writing the change")
     ap.add_argument("--note", default="", help="what the change does")
+    ap.add_argument("--previous", type=Path,
+                    help="an earlier output, whose median changes are printed beside these")
     args = ap.parse_args(argv)
 
+    previous = json.loads(args.previous.read_text()) if args.previous else None
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     report = {
@@ -168,6 +190,8 @@ def main(argv=None) -> int:
                               "failed_runs": failed,
                               "metrics": summarise(pairs, spec["end_to_end"]) if pairs else {}}
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if previous is not None:
+        print("\n".join(beside_previous(report, previous)))
     return 0
 
 

@@ -159,6 +159,13 @@ def _simulate(_: Path) -> list[list[str]]:
                                    "--workers", "2"])
     out.append(["simulate", "--model", "iid", "--n", "10", "--ebar", "0.1",
                 "--trials", "3000", "--mode", "full-decode", "--m", "2"])
+    # Exchangeable full decodes that rank few far rows: one trial, a count
+    # that is not a multiple of 4, and one just past two sampler blocks.
+    model = ["--model", "exchangeable", "--n", "26", "--ebar", "0.1", "--c", "0.005"]
+    for trials in ("1", "3", "2051"):
+        base = ["simulate", *model, "--trials", trials, "--seed", "11",
+                "--mode", "full-decode", "--format", "csv"]
+        out += [base, base + ["--true-class", "0"], base + ["--workers", "3"]]
     return out
 
 
