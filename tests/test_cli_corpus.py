@@ -39,3 +39,31 @@ def test_corpus_covers_every_bundled_fixture():
     # code under test; a fixture missing from it would drop out of the
     # byte-identity check unnoticed.
     assert list(cli_corpus.FIXTURES) == fixture_names()
+
+
+# (sha256, command count) per family.  A change that moves the output on
+# purpose updates the value here and lists the commands that moved, from
+# tools/cli_corpus.py --against.
+PINNED = {
+    "code": ("550e02bcf7605ef3d5598a5f9207d9b874758ebcd68912b8bdcbd43d4c635a9e", 346),
+    "pmf": ("941e27b50f44b52ba9fa59586861b74791f3af66937571f0ec8ba5b3b236b74d", 1680),
+    "tail": ("d9c3511d7b5d2f47df37e3a59dd46a41199bf90a08d26515178d10d3a5e760e7", 2142),
+    "bounds": ("70eec548ffaa3b39956ae89381cf10d48a8752e1e4ebe71d176bc584a0e32eba", 2126),
+    "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
+    "simulate": ("deb3c8cc60fa2704a70bdf7517dca6f6b597844b5bfe3d45aa7e4c4a243f2bc5", 82),
+    "analyze": ("36b48ed967e0db7a54352a175178edab618d6591f74cf4094b10242699cb671f", 86),
+    "figures": ("fabdc485cb0f2b5031cff1e4dbbddfbe83997e5e57fa37d51894c81494769858", 27),
+}
+
+
+def test_pinned_covers_every_family():
+    assert list(PINNED) == list(cli_corpus.FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(PINNED))
+def test_family_output_is_pinned(family, tmp_path, monkeypatch):
+    # A simulate command without --seed reads ECOC_SEED; the digests are
+    # those with it unset.
+    monkeypatch.delenv("ECOC_SEED", raising=False)
+    runs = cli_corpus.family_runs(family, tmp_path)
+    assert cli_corpus.family_digest(runs) == PINNED[family]

@@ -430,6 +430,17 @@ class TestCountMisdecoded:
         with pytest.raises(ValueError):
             count_misdecoded(np.full((3, 10), 2, np.uint8), np.zeros(3, np.int64), code)
 
+    def test_rejects_a_2_in_a_row_too_near_to_decode(self):
+        # A row whose only non-zero entry is a 2 counts 2 flips, fewer than
+        # the 26-class code's far_flips, so it would never be decoded; the
+        # entry check must reject it all the same.
+        code = build_code_matrix(26)
+        assert code.far_flips > 2
+        errors = np.zeros((1, code.n), np.uint8)
+        errors[0, 0] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            count_misdecoded(errors, np.array([0]), code)
+
 
 class TestSerialization:
     def test_header_and_round_trip(self):

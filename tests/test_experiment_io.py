@@ -503,6 +503,27 @@ class TestAnalyzeFold:
         assert summary.mean_correlation == float(np.mean(pair_cs))
         assert summary.mean_correlation_std == float(np.std(pair_cs, ddof=1))
 
+    def test_always_wrong_classifier_left_out_of_correlation(self):
+        # Classifier 2 errs on every sample: its rate is 1, so its pairs
+        # are left out and the mean is over the other pairs alone.
+        code = build_code_matrix(10)
+        fold = make_fold(np.random.default_rng(3), code, 500, 0.1)
+        bits = fold.bits.copy()
+        bits[:, 2] = 1 - code.matrix[fold.true_classes, 2]
+        summary = analyze_fold(FoldData("f", code.n, fold.true_classes, bits), code)
+        errs = (bits != code.matrix[fold.true_classes]).astype(np.float64)
+        rates = errs.mean(axis=0)
+        assert rates[2] == 1.0 and ((0 < rates) & (rates < 1)).sum() == code.n - 1
+        joint = (errs.T @ errs) / len(bits)
+        i, j = np.triu_indices(code.n, k=1)
+        others = (i != 2) & (j != 2)
+        i, j = i[others], j[others]
+        cs = (joint[i, j] - rates[i] * rates[j]) / np.sqrt(
+            rates[i] * (1 - rates[i]) * rates[j] * (1 - rates[j])
+        )
+        assert math.isfinite(summary.mean_correlation)
+        assert summary.mean_correlation == float(cs.mean())
+
     @pytest.mark.parametrize("classes, rate", [(11, 0.2), (127, 0.35)])
     def test_matches_float64_reference(self, classes, rate, monkeypatch):
         # Reference: the float64 error matrix and product, and a decode of

@@ -387,12 +387,21 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
+        # The counts are those of sample, and the generator ends in the
+        # state sample leaves it in, on a Philox and on a PCG64 generator.
         for seed in range(3):
-            bits = model.sample(_chunk_rng(seed, 0), self.COUNT)
-            counts = model.sample_counts(_chunk_rng(seed, 0), self.COUNT)
-            assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, model.n)
-            assert set(np.unique(bits)) <= {0, 1}
-            assert np.array_equal(counts, bits.sum(axis=1))
+            for make in (
+                lambda: _chunk_rng(seed, 0),
+                lambda: np.random.Generator(np.random.PCG64(seed)),
+            ):
+                ref, rng = make(), make()
+                bits = model.sample(ref, self.COUNT)
+                counts = model.sample_counts(rng, self.COUNT)
+                assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, model.n)
+                assert set(np.unique(bits)) <= {0, 1}
+                assert counts.dtype == np.intp
+                assert np.array_equal(counts, bits.sum(axis=1))
+                assert _state(rng) == _state(ref)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
     def test_blocked_draws_match_one_draw(self, model):
@@ -551,7 +560,8 @@ def _far_by_drawing_every_word(model, rng, count, k_min):
     """Reference for the exchangeable sample_far: the counts, then every
     row's position words, with the far rows marked by the ranks of a stable
     argsort."""
-    ks = model.sample_counts(rng, count)
+    pmf = model.count_pmf()
+    ks = rng.choice(model.n + 1, size=count, p=pmf / pmf.sum())
     j = rng.bit_generator.random_raw((count, model.n)) >> np.uint64(11)
     far = np.flatnonzero(ks >= k_min)
     ranks = j[far].argsort(axis=1, kind="stable").argsort(axis=1)
