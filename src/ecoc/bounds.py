@@ -19,6 +19,9 @@ from .errors import DomainError, ModelError
 from .prob_engine import ErrorProfile, _checked_rates, correlation_correction
 from .prob_engine import valid_correlation_range
 
+# evaluate_bounds' kz policies: "gated" (kz_bound) or "always" (kz_value).
+KZ_POLICIES = ("gated", "always")
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -197,7 +200,7 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
     "always" evaluates the expression regardless (the convention used by
     published per-fold tables).
     """
-    if kz_policy not in ("gated", "always"):
+    if kz_policy not in KZ_POLICIES:
         raise ValueError(f"unknown kz_policy {kz_policy!r}")
     n, m, e = inputs.n, inputs.m, inputs.e_bar
     r = inputs.r

@@ -86,12 +86,6 @@ def _add_orientation_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _require(args, names: tuple[str, ...]) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"--model {args.model} requires {', '.join(missing)}")
-
-
 # The model flags each --model reads; pair reads --rates in place of --n and
 # --ebar when it is given.  A model flag the model does not read is an error.
 _MODEL_FLAGS = {
@@ -109,7 +103,9 @@ def _build_model(args) -> pe.DependenceModel:
     for flag in ("rates", "n", "ebar", "f", "c"):
         if flag not in reads and getattr(args, flag) is not None:
             raise ValueError(f"--{flag} does not apply to {model}")
-    _require(args, reads)
+    missing = [f"--{flag}" for flag in reads if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"--model {args.model} requires {', '.join(missing)}")
     if args.model == "exchangeable":
         return pe.ExchangeableModel(args.n, args.ebar, args.c)
     if args.rates is None:
@@ -121,52 +117,53 @@ def _build_model(args) -> pe.DependenceModel:
     return pe.Independent(profile)
 
 
+def _only_for(args, option: str, flags: dict[str, tuple[str, ...]]) -> None:
+    """Reject a flag that only another choice of --option reads: flags maps
+    each choice to the flags only it reads."""
+    for choice, names in flags.items():
+        given = [f for f in names if getattr(args, f[2:].replace("-", "_")) is not None]
+        if choice != getattr(args, option) and given:
+            raise ValueError(f"{given[0]} applies only to --{option} {choice}")
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output text, which main writes
 
 
-def cmd_code(args) -> int:
+def cmd_code(args) -> str:
     code = cm.build_code_matrix(args.classes, orientation=args.orientation)
     if args.emit:
-        text = cm.to_text(code)
-    else:
-        payload = {
-            "classes": code.num_classes,
-            "n": code.n,
-            "d": code.d,
-            "m": code.m,
-            "r": code.r,
-            "orientation": args.orientation,
-        }
-        text = _record(payload, args.format)
-    _emit(text, args.out)
-    return 0
+        return cm.to_text(code)
+    payload = {
+        "classes": code.num_classes,
+        "n": code.n,
+        "d": code.d,
+        "m": code.m,
+        "r": code.r,
+        "orientation": args.orientation,
+    }
+    return _record(payload, args.format)
 
 
-def cmd_pmf(args) -> int:
+def cmd_pmf(args) -> str:
     model = _build_model(args)
     if args.k is not None:
-        text = _record({"pmf": model.pmf(args.k)}, args.format)
-    else:
-        rows = enumerate(model.count_pmf().tolist())
-        if args.format == "table":
-            text = _grid(rows, (">3", ""))
-        elif args.format == "csv":
-            text = xio.csv_text(("k", "pmf"), rows)
-        else:
-            pmf = [{"k": k, "pmf": p} for k, p in rows]
-            text = json.dumps({"pmf": pmf}, indent=2) + "\n"
-    _emit(text, args.out)
-    return 0
+        return _record({"pmf": model.pmf(args.k)}, args.format)
+    rows = enumerate(model.count_pmf().tolist())
+    if args.format == "table":
+        return _grid(rows, (">3", ""))
+    if args.format == "csv":
+        return xio.csv_text(("k", "pmf"), rows)
+    pmf = [{"k": k, "pmf": p} for k, p in rows]
+    return json.dumps({"pmf": pmf}, indent=2) + "\n"
 
 
-def cmd_tail(args) -> int:
+def cmd_tail(args) -> str:
     model = _build_model(args)
-    _emit(_record({"tail": model.tail(args.m)}, args.format), args.out)
-    return 0
+    return _record({"tail": model.tail(args.m)}, args.format)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     inputs = bounds_mod.BoundInputs(
         n=args.n, m=args.m, e_bar=args.ebar, c=args.c, mu=args.mu
     )
@@ -186,11 +183,10 @@ def cmd_bounds(args) -> int:
     }
     if report.kz_reason:
         payload["kz_reason"] = report.kz_reason
-    _emit(_record(payload, args.format), args.out)
-    return 0
+    return _record(payload, args.format)
 
 
-def cmd_bahadur(args) -> int:
+def cmd_bahadur(args) -> str:
     c_min, c_max = pe.bahadur_range(args.n, args.ebar)
     v_min, v_max = pe.valid_correlation_range(args.n, args.ebar)
     payload = {
@@ -199,8 +195,7 @@ def cmd_bahadur(args) -> int:
         "valid_c_min": v_min,
         "valid_c_max": v_max,
     }
-    _emit(_record(payload, args.format), args.out)
-    return 0
+    return _record(payload, args.format)
 
 
 # Flags each simulate mode reads; giving one to the other mode is an error.
@@ -210,11 +205,8 @@ _MODE_FLAGS = {
 }
 
 
-def cmd_simulate(args) -> int:
-    for mode, flags in _MODE_FLAGS.items():
-        given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
-        if mode != args.mode and given:
-            raise ValueError(f"{given[0]} applies only to --mode {mode}")
+def cmd_simulate(args) -> str:
+    _only_for(args, "mode", _MODE_FLAGS)
     model = _build_model(args)
     seed = args.seed
     if seed is None:
@@ -239,8 +231,7 @@ def cmd_simulate(args) -> int:
         "mode": result.mode,
         "seed": seed,
     }
-    _emit(_record(payload, args.format), args.out)
-    return 0
+    return _record(payload, args.format)
 
 
 def _folds(
@@ -270,7 +261,11 @@ def _folds(
     return Path(args.predictions[0]).stem, summaries, code
 
 
-def cmd_analyze(args) -> int:
+# The two columns the analyze table heads with a shorter label.
+_SHORT_LABELS = {"mean_bit_error": "e_bar", "mean_correlation": "corr"}
+
+
+def cmd_analyze(args) -> str:
     _, summaries, code = _folds(args, ("--predictions", "--summary", "--fixture"))
     if not summaries:
         raise ValueError("no folds to analyze")
@@ -280,22 +275,31 @@ def cmd_analyze(args) -> int:
     ]
     agg = xio.aggregate(summaries, reports)
     if args.format == "json":
-        text = json.dumps(xio.report_json_obj(summaries, reports, agg), indent=2) + "\n"
-    elif args.format == "csv":
-        text = xio.format_report_csv(summaries, reports, agg)
-    else:
-        header = ("fold", "e_bar", "corr", "experimental", "gs", "chernoff", "kz")
-        rows = xio.report_rows(summaries, reports, agg)
-        cells = [[row[c] for c in xio.REPORT_COLUMNS] for row in rows]
-        text = _grid([header, *cells], (">12",) * len(header))
-    _emit(text, args.out)
-    return 0
+        return json.dumps(xio.report_json_obj(summaries, reports, agg), indent=2) + "\n"
+    if args.format == "csv":
+        return xio.format_report_csv(summaries, reports, agg)
+    header = [_SHORT_LABELS.get(c, c) for c in xio.REPORT_COLUMNS]
+    cells = xio._cells(xio.REPORT_COLUMNS, xio.report_rows(summaries, reports, agg))
+    return _grid([header, *cells], (">12",) * len(header))
 
 
-def cmd_figures(args) -> int:
+# Flags each figure reads; giving one to the other figure is an error.
+_FIGURE_FLAGS = {
+    "fig1": ("--ns", "--r", "--step"),
+    "scatter": ("--fixture", "--summary", "--classes", "--n"),
+}
+
+
+def cmd_figures(args) -> None:
+    """Writes its CSV files into the --out directory itself, so main has no
+    text to write."""
+    _only_for(args, "figure", _FIGURE_FLAGS)
     if args.figure == "fig1":
-        ns = tuple(int(v) for v in args.ns.split(","))
-        files = {"fig1_curves": xio.figure_one_curves(ns=ns, r=args.r, step=args.step)}
+        # Only the flags given are passed: the defaults are figure_one_curves'.
+        curve = {f: v for f in ("ns", "r", "step") if (v := getattr(args, f)) is not None}
+        if "ns" in curve:
+            curve["ns"] = tuple(int(v) for v in curve["ns"].split(","))
+        files = {"fig1_curves": xio.figure_one_curves(**curve)}
     else:
         name, summaries, code = _folds(args, ("--summary", "--fixture"))
         if not summaries:
@@ -309,7 +313,6 @@ def cmd_figures(args) -> int:
         path = out_dir / f"{stem}.csv"
         _emit(xio.format_rows_csv(rows), path)
         sys.stderr.write(f"wrote {path}\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebar", type=float, required=True)
     p.add_argument("--c", type=float)
     p.add_argument("--mu", type=float)
-    p.add_argument("--kz-policy", choices=("gated", "always"), default="gated")
+    p.add_argument("--kz-policy", choices=bounds_mod.KZ_POLICIES, default="gated")
     common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -399,16 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="bundled fixture name, e.g. letters_dt")
     p.add_argument("--classes", type=int, help="number of classes (--predictions, --summary)")
     p.add_argument("--n", type=int, help="override codeword length in bound formulas")
-    p.add_argument("--kz-policy", choices=("gated", "always"), default="gated")
+    p.add_argument("--kz-policy", choices=bounds_mod.KZ_POLICIES, default="gated")
     _add_orientation_flag(p)
     common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("figures", help="emit plot-data CSVs")
-    p.add_argument("--figure", choices=("fig1", "scatter"), required=True)
-    p.add_argument("--ns", default="10,20,50", help="fig1 ensemble sizes")
-    p.add_argument("--r", type=float, default=0.25, help="fig1 correction ratio")
-    p.add_argument("--step", type=float, default=0.001, help="fig1 grid step")
+    p.add_argument("--figure", choices=tuple(_FIGURE_FLAGS), required=True)
+    p.add_argument("--ns", help="fig1 ensemble sizes, comma-separated")
+    p.add_argument("--r", type=float, help="fig1 correction ratio")
+    p.add_argument("--step", type=float, help="fig1 grid step")
     p.add_argument("--fixture", help="bundled fixture name (scatter)")
     p.add_argument("--summary", help="fold-summary CSV (scatter)")
     p.add_argument("--classes", type=int, help="number of classes (with --summary)")
@@ -429,7 +432,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if text is not None:
+            _emit(text, args.out)
+        return 0
     except (EcocError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -26,7 +26,8 @@ DEFAULT_ORIENTATION = KEEP_BOTTOM_RIGHT
 # Largest Sylvester order: order 15 is 1 GiB of uint8, order 16 would be 4 GiB.
 SYLVESTER_MAX_K = 15
 
-# Codeword lengths from here up lose exactness in float32 distances.
+# float32 counts are exact below this: rows are kept narrower (_check_width)
+# and the blocks of a Gram product shorter (_pair_counts).
 EXACT_MAX_N = 1 << 24
 
 _MATRIX_CHUNK = 256
@@ -90,18 +91,20 @@ class CodeMatrix:
         return (self.d + 1) // 2
 
 
+def _check_width(n: int) -> None:
+    """The one width rule: rows are counted and compared in float32, exact
+    below EXACT_MAX_N = 2**24, so wider rows are rejected before anything
+    row-sized is allocated or drawn."""
+    if n >= EXACT_MAX_N:
+        raise ValueError(f"width {n} is not below 2**24: float32 counts are inexact")
+
+
 def _as_bits(matrix) -> np.ndarray:
-    """A uint8 copy of a 2-D 0/1 matrix.  Rows of 2**24 or more bits are
-    rejected before anything row-sized is allocated: float32 distances
-    between them would be inexact."""
+    """A uint8 copy of a 2-D 0/1 matrix whose rows pass _check_width."""
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if a.shape[1] >= EXACT_MAX_N:
-        raise ValueError(
-            f"codeword length {a.shape[1]} is not below 2**24; "
-            "float32 distances would be inexact"
-        )
+    _check_width(a.shape[1])
     if not _all_bits(a):
         raise ValueError("matrix entries must be 0 or 1")
     return a.astype(np.uint8)
@@ -119,8 +122,20 @@ def _row_counts(bits: np.ndarray) -> np.ndarray:
     matrix-vector product with a ones vector, 1.6x (127 columns) to 3x (26
     columns) as fast as summing the bytes.  Every partial sum is an integer
     no larger than the row length, which the callers keep below EXACT_MAX_N
-    = 2**24, so each count is exact."""
+    = 2**24 (_check_width), so each count is exact."""
     return bits.view(np.uint8) @ np.ones(bits.shape[1], dtype=np.float32)
+
+
+def _pair_counts(bits: np.ndarray) -> np.ndarray:
+    """The (n, n) float64 Gram matrix of a 2-D bool array's columns: how
+    many rows hold both columns true, the column counts on its diagonal.
+    Each block of EXACT_MAX_N - 1 rows is one float32 product, whose counts
+    stay below 2**24 and so are exact; the blocks are summed in float64."""
+    counts = np.zeros((bits.shape[1],) * 2)
+    for start in range(0, len(bits), EXACT_MAX_N - 1):
+        block = bits[start : start + EXACT_MAX_N - 1].astype(np.float32)
+        counts += block.T @ block
+    return counts
 
 
 def sylvester_hadamard(k: int) -> BitMatrix:
@@ -218,7 +233,7 @@ def _signs(bits: np.ndarray) -> np.ndarray:
     Every partial sum of such a product is an integer of magnitude at most
     n, so a float32 GEMM computes it exactly in any summation order while
     n < 2**24.  Callers keep n below that: a CodeMatrix built from a matrix
-    goes through _as_bits, which rejects longer rows, build_code_matrix
+    goes through _as_bits, which applies _check_width, build_code_matrix
     makes n <= 2**15, and words must match the code's n.
     """
     signs = bits.astype(np.float32)

@@ -28,7 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
-from .code_matrix import CodeMatrix, _all_bits, build_code_matrix, count_misdecoded
+from .code_matrix import CodeMatrix, _all_bits, _pair_counts, build_code_matrix
+from .code_matrix import count_misdecoded
 from .errors import DomainError, ParseError
 
 # Admissible range of each numeric summary column, in file order.
@@ -47,8 +48,6 @@ _CR, _LF, _ZERO = b"\r\n0"
 _CELL0, _CELL1 = (int.from_bytes(cell, "little") for cell in (b",0", b",1"))
 # Longest class field: 18 decimal digits always fit an int64.
 _MAX_CLASS_DIGITS = 18
-# Rows per float32 product in analyze_fold: every count stays below 2**24.
-_JOINT_BLOCK_ROWS = (1 << 24) - 1
 # Mean-bit-error points on each scatter figure's bound curves.
 _SCATTER_GRID_POINTS = 101
 
@@ -375,12 +374,7 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
         )
     num = data.num_samples
     errs = data.bits != code.matrix[data.true_classes]
-    # Joint error counts by float32 products over blocks of fewer than 2**24
-    # rows, whose counts float32 holds exactly, summed in float64.
-    counts = np.zeros((data.n, data.n))
-    for start in range(0, num, _JOINT_BLOCK_ROWS):
-        block = errs[start : start + _JOINT_BLOCK_ROWS].astype(np.float32)
-        counts += block.T @ block
+    counts = _pair_counts(errs)
     joint = counts / num
     # The diagonal holds each classifier's error count, exact like the rest.
     rates = np.diag(counts) / num

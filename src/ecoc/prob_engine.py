@@ -5,20 +5,21 @@ Three dependence structures are supported: fully independent classifiers
 (specified by the pair's joint error probability f), and fully exchangeable
 classifiers with a uniform second-order correlation coefficient c.
 
-Every model type offers count_pmf() (the error-count distribution: the
-Poisson-binomial row of poisson_binomial_dist, the one product tree over
-the classifiers' generating factors or, for equal rates, the factor's
+Every model, a subclass of DependenceModel, defines n, count_pmf() (the
+error-count distribution: the Poisson-binomial row of
+poisson_binomial_dist, the one product tree over the classifiers'
+generating factors or, for equal rates, the factor's
 repeated squares, then the pair's two-stage recursion or the exchangeable
 outcome weights on top of it), one draw hook _draw(rng, count, k_min)
 (every row's error count, the indices of the rows, among count trials, with
 at least k_min errors, and their bool error vectors) and joint_mass(bits)
 (the joint law of whole outcomes, from the model's definition and not from
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
-sums for cross-checking).  Five methods are defined once, on the shared
-base class, for all three: pmf(k), the entry of count_pmf at k, tail(m),
+sums for cross-checking).  Five methods are defined once, on
+DependenceModel, for all three: pmf(k), the entry of count_pmf at k, tail(m),
 the sum of count_pmf from m, and three views of _draw, each after the
-width check (_check_width): sample_far(rng, count, k_min), its far rows as
-uint8, sample(rng, count), sample_far at k_min = 0, and
+width check of code_matrix (_check_width): sample_far(rng, count, k_min),
+its far rows as uint8, sample(rng, count), sample_far at k_min = 0, and
 sample_counts(rng, count), its counts as intp at k_min = n + 1, where no
 row is kept.  pmf and tail check k and m with _check_count, the one range check
 on a count.  The public pmf and tail functions below are one-line calls
@@ -40,8 +41,8 @@ The independent and pair samplers compare every word of a block against
 one limit per column, or against a single limit when all their rates are
 equal, and count each row's errors with one float32 matrix-vector product
 (code_matrix._row_counts).  That count is exact because no row is 2**24
-or more words wide: every sampler rejects such a width before it draws a
-word.
+or more words wide: every sampler applies code_matrix._check_width before
+it draws a word.
 
 The exchangeable sampler draws the counts first and then the position words
 of the far rows only (those with at least k_min errors); gaps between far
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code_matrix import EXACT_MAX_N, _row_counts
+from .code_matrix import _check_width, _row_counts
 from .errors import ModelError
 
 # Per-outcome weights this close to zero (from rounding at the edge of the
@@ -115,9 +116,10 @@ class ErrorProfile:
         return len(self.rates)
 
 
-class _Model:
-    """What the three models share: the pmf, the tail and the samplers, all
-    derived from a model's own count_pmf and _draw."""
+class DependenceModel:
+    """The model protocol, shared by the three models: the pmf, the tail and
+    the samplers, all derived from a subclass's own n, count_pmf and _draw
+    (joint_mass, the fourth hook, serves the enumeration oracle)."""
 
     def pmf(self, k: int) -> float:
         """Probability of exactly k errors: count_pmf()[k]."""
@@ -155,7 +157,7 @@ class _Model:
 
 
 @dataclass(frozen=True)
-class Independent(_Model):
+class Independent(DependenceModel):
     """All classifiers err independently."""
 
     profile: ErrorProfile
@@ -176,7 +178,7 @@ class Independent(_Model):
 
 
 @dataclass(frozen=True)
-class PairModel(_Model):
+class PairModel(DependenceModel):
     """Independent classifiers except the last two, whose probability of
     erring together on the same sample equals f."""
 
@@ -251,7 +253,7 @@ class PairModel(_Model):
 
 
 @dataclass(frozen=True)
-class ExchangeableModel(_Model):
+class ExchangeableModel(DependenceModel):
     """Identically distributed classifiers with uniform pairwise correlation c
     of the standardized error indicators; higher-order correlations vanish."""
 
@@ -317,9 +319,6 @@ class ExchangeableModel(_Model):
         scale = 0.5 * self.c / (e * (1.0 - e))
         correction = scale * (y.sum(axis=1) ** 2 - (y * y).sum(axis=1))
         return e**k * (1.0 - e) ** (self.n - k) * (1.0 + correction)
-
-
-DependenceModel = Independent | PairModel | ExchangeableModel
 
 
 def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
@@ -522,16 +521,6 @@ def _independent_draw(rng: np.random.Generator, count: int, rates, k_min: int):
             far.append(idx + rows.start)
             kept.append(bits[idx])
     return ks, np.concatenate(far), np.concatenate(kept)
-
-
-def _check_width(n: int) -> None:
-    """Samplers count errors per row in float32 (_row_counts), exact only
-    for counts below EXACT_MAX_N = 2**24, so wider rows are rejected before
-    a word is drawn."""
-    if n >= EXACT_MAX_N:
-        raise ValueError(
-            f"n={n} classifiers is not below 2**24; float32 row counts would be inexact"
-        )
 
 
 def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:

@@ -62,11 +62,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_outcome(model: DependenceModel, rng: np.random.Generator) -> np.ndarray:
-    """One error vector of length n drawn from the model's joint law."""
-    return model.sample(rng, 1)[0]
-
-
 def _run_chunks(cfg: SimConfig, count_fn) -> int:
     """Sum count_fn(chunk_rng, chunk_size) over fixed-size trial chunks."""
     chunks = [

@@ -481,6 +481,32 @@ class TestFiguresCommand:
         assert status == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("fig1", "--fixture", "letters_dt", "--classes", "5", "--n", "3"), "--fixture"),
+            (("fig1", "--n", "3"), "--n"),
+            (("fig1", "--summary", "FOLDS"), "--summary"),
+            (("scatter", "--fixture", "letters_dt", "--step", "0", "--r", "7",
+              "--ns=-5"), "--ns"),
+            (("scatter", "--fixture", "letters_dt", "--step", "0.01"), "--step"),
+            (("scatter", "--fixture", "letters_dt", "--r", "0.3"), "--r"),
+        ],
+        ids=["fig1-fixture-classes-n", "fig1-n", "fig1-summary", "scatter-step-r-ns",
+             "scatter-step", "scatter-r"],
+    )
+    def test_flag_of_the_other_figure_is_one(self, capsys, tmp_path, argv, flag):
+        # Each figure once ignored the other's flags and exited 0.
+        out_dir = tmp_path / "figs"
+        argv = [str(tmp_path / "folds.csv") if a == "FOLDS" else a for a in argv]
+        status, out, err = run(
+            capsys, "figures", "--figure", *argv, "--out", str(out_dir)
+        )
+        assert (status, out) == (1, "")
+        other = "scatter" if argv[0] == "fig1" else "fig1"
+        assert err == f"error: {flag} applies only to --figure {other}\n"
+        assert not out_dir.exists()
+
 
 class TestExitCodes:
     def test_non_finite_summary_rate_names_line_and_column(self, capsys, tmp_path):
@@ -782,8 +808,8 @@ def bad_command(draw):
     """(argv, files) for one command that must fail: a valid command with
     one flag given a bad value, a required flag dropped, or a flag added
     that conflicts (another fold source, --classes beside --fixture, a flag
-    of the other simulate mode, a model flag the model does not read, an
-    unknown flag).  argv holds the tokens
+    of the other simulate mode or figure, a model flag the model does not
+    read, an unknown flag).  argv holds the tokens
     FOLDS, BAD_FOLDS and OUT, which stand for files and a directory."""
     command = draw(st.sampled_from(
         ["code", "pmf", "tail", "bounds", "bahadur", "simulate", "analyze", "figures"]
@@ -855,11 +881,13 @@ def bad_command(draw):
             | st.floats(1.0, 1e300).map(repr),
             "--r": NOT_A_RATE | ENDS,
         }
+        conflicts += [classes, ["--fixture", "letters_dt"], ["--n", "5"]]
     else:
         flags = {"--figure": "scatter", "--fixture": "letters_dt", "--out": "OUT"}
         required = list(flags)
         bad = {"--fixture": BAD_FIXTURE, "--n": _below(7), "--orientation": BAD_CHOICE}
-        conflicts += [classes, ["--summary", "FOLDS"]]
+        conflicts += [classes, ["--summary", "FOLDS"], ["--ns", "10"], ["--r", "0.3"],
+                      ["--step", "0.01"]]
     extra = []
     how = draw(st.sampled_from(["value", "drop", "add"]))
     if how == "value":

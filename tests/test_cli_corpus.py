@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ecoc.experiment_io import fixture_names
+from ecoc.simulator import CHUNK_TRIALS
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
 _SPEC = importlib.util.spec_from_file_location("cli_corpus", _PATH)
@@ -41,6 +42,19 @@ def test_corpus_covers_every_bundled_fixture():
     assert list(cli_corpus.FIXTURES) == fixture_names()
 
 
+def test_simulate_family_runs_chunks_in_the_thread_pool(tmp_path):
+    # Only a command of more than one chunk on more than one worker builds
+    # the pool; without one the corpus would not check that workers leave
+    # the result unchanged.
+    def flag(argv, name):
+        return int(argv[argv.index(name) + 1]) if name in argv else None
+
+    assert any(
+        flag(argv, "--trials") > CHUNK_TRIALS and (flag(argv, "--workers") or 1) > 1
+        for argv in cli_corpus.FAMILIES["simulate"](tmp_path)
+    )
+
+
 # (sha256, command count) per family.  A change that moves the output on
 # purpose updates the value here and lists the commands that moved, from
 # tools/cli_corpus.py --against.
@@ -50,7 +64,7 @@ PINNED = {
     "tail": ("d9c3511d7b5d2f47df37e3a59dd46a41199bf90a08d26515178d10d3a5e760e7", 2142),
     "bounds": ("70eec548ffaa3b39956ae89381cf10d48a8752e1e4ebe71d176bc584a0e32eba", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
-    "simulate": ("deb3c8cc60fa2704a70bdf7517dca6f6b597844b5bfe3d45aa7e4c4a243f2bc5", 82),
+    "simulate": ("d97b28036287fe8c18f1211733d6df1d5db617a3de20600cc03dcae60b5e0b86", 86),
     "analyze": ("36b48ed967e0db7a54352a175178edab618d6591f74cf4094b10242699cb671f", 86),
     "figures": ("fabdc485cb0f2b5031cff1e4dbbddfbe83997e5e57fa37d51894c81494769858", 27),
 }

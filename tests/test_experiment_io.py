@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ecoc.bounds import BoundInputs, evaluate_bounds
 from ecoc.cli import main
+from ecoc import code_matrix
 from ecoc import experiment_io as xio
 from ecoc.code_matrix import build_code_matrix, nearest_rows
 from ecoc.errors import DomainError, ParseError
@@ -537,7 +538,7 @@ class TestAnalyzeFold:
         assert want.per_classifier_errors == tuple(errs.mean(axis=0).tolist())
         assert want.ecoc_error == float((decoded != fold.true_classes).mean())
         assert 0.0 < want.ecoc_error < 1.0
-        monkeypatch.setattr(xio, "_JOINT_BLOCK_ROWS", 7)
+        monkeypatch.setattr(code_matrix, "EXACT_MAX_N", 8)
         assert analyze_fold(fold, code) == want
         rates = errs.mean(axis=0)
         i, j = np.triu_indices(code.n, k=1)
@@ -554,7 +555,7 @@ class TestAnalyzeFold:
         code = build_code_matrix(classes)
         fold = make_fold(np.random.default_rng(classes), code, 1000, 0.3)
         if block_rows:
-            monkeypatch.setattr(xio, "_JOINT_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(code_matrix, "EXACT_MAX_N", block_rows + 1)
         summary = analyze_fold(fold, code)
         errs = fold.bits != code.matrix[fold.true_classes]
         rates = errs.sum(axis=0) / fold.num_samples

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact probability machinery."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from ecoc.errors import EcocError, ModelError
 from ecoc.prob_engine import (
+    DependenceModel,
     ErrorProfile,
     ExchangeableModel,
     Independent,
@@ -189,6 +191,26 @@ def assert_matches_exact(got, exact, rel):
         elif x >= 1e-290:
             assert abs(g - x) <= rel * x, (k, g, x)
     assert abs(math.fsum(got.tolist()) - 1.0) <= rel
+
+
+class TestModelProtocol:
+    """DependenceModel is the one model type: it defines the shared methods,
+    and each model, a subclass, adds only the hooks they are read from."""
+
+    SHARED = {"pmf", "tail", "sample", "sample_far", "sample_counts"}
+    HOOKS = {"n", "count_pmf", "_draw", "joint_mass"}
+
+    def test_base_defines_the_shared_methods(self):
+        assert self.SHARED <= set(vars(DependenceModel))
+
+    @pytest.mark.parametrize("cls", [Independent, PairModel, ExchangeableModel])
+    def test_each_model_adds_only_the_hooks(self, cls):
+        assert issubclass(cls, DependenceModel)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        own = {name for name in vars(cls) if not name.startswith("__")} - fields
+        # The pair's four joint cells restate its rates and f for its hooks.
+        extra = {"joint_cells"} if cls is PairModel else set()
+        assert own | (fields & self.HOOKS) == self.HOOKS | extra
 
 
 class TestExactRationals:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+import ecoc.code_matrix as code_matrix
 import ecoc.prob_engine as prob_engine
 import ecoc.simulator as simulator
 from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix
@@ -35,7 +36,6 @@ from ecoc.simulator import (
     _chunk_rng,
     mc_decode_error,
     mc_threshold_error,
-    sample_outcome,
 )
 
 
@@ -47,14 +47,14 @@ class TestSampleOutcome:
     def test_all_zero_rates(self):
         model = Independent(ErrorProfile.iid(6, 0.0))
         for _ in range(20):
-            assert sample_outcome(model, _rng()).sum() == 0
+            assert model.sample(_rng(), 1)[0].sum() == 0
 
     def test_all_one_rates(self):
         model = Independent(ErrorProfile.iid(6, 1.0))
-        assert sample_outcome(model, _rng()).sum() == 6
+        assert model.sample(_rng(), 1)[0].sum() == 6
 
     def test_shape_and_dtype(self):
-        vec = sample_outcome(ExchangeableModel(5, 0.3, 0.05), _rng())
+        vec = ExchangeableModel(5, 0.3, 0.05).sample(_rng(), 1)[0]
         assert vec.shape == (5,)
         assert set(np.unique(vec)) <= {0, 1}
 
@@ -708,7 +708,7 @@ class TestWidthCap:
 
     @pytest.mark.parametrize("kind", ["iid", "pair", "exchangeable"])
     def test_cap_is_the_first_rejected_width(self, kind, monkeypatch):
-        monkeypatch.setattr(prob_engine, "EXACT_MAX_N", 6)
+        monkeypatch.setattr(code_matrix, "EXACT_MAX_N", 6)
         models = {
             "iid": lambda n: Independent(ErrorProfile.iid(n, 0.3)),
             "pair": lambda n: PairModel(ErrorProfile.iid(n, 0.3), 0.1),

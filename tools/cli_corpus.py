@@ -10,7 +10,8 @@ byte identity by running the script against each:
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_corpus.py
 
 The families are code, pmf, tail, bounds, bahadur, simulate (small trial
-counts), analyze and figures.  Error cases are included; stderr is not
+counts, apart from two commands of two chunks each run on two workers),
+analyze and figures.  Error cases are included; stderr is not
 hashed, so a reworded message does not change a digest but a changed exit
 status does.  Inputs are fixed (bundled fixtures and seeded synthetic
 folds), so the digests depend only on the code under test.
@@ -166,6 +167,13 @@ def _simulate(_: Path) -> list[list[str]]:
         base = ["simulate", *model, "--trials", trials, "--seed", "11",
                 "--mode", "full-decode", "--format", "csv"]
         out += [base, base + ["--true-class", "0"], base + ["--workers", "3"]]
+    # Two chunks of trials, so that --workers 2 runs them in the thread pool;
+    # each beside its one-worker twin, which must print the same result.
+    for model, mode in ((["--model", "iid", "--n", "26", "--ebar", "0.1"], ["--m", "6"]),
+                        (model, ["--mode", "full-decode"])):
+        base = ["simulate", *model, *mode, "--trials", "40000", "--seed", "5",
+                "--format", "csv"]
+        out += [base + ["--workers", "1"], base + ["--workers", "2"]]
     return out
 
 
