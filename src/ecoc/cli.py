@@ -79,11 +79,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_orientation_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--orientation",
-        choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT),
-        default=cm.DEFAULT_ORIENTATION,
-    )
+    # No default, so that _only_for sees the flag where it is not read;
+    # _orientation resolves an absent one where it is.
+    p.add_argument("--orientation", choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT))
+
+
+def _orientation(args) -> str:
+    return args.orientation or cm.DEFAULT_ORIENTATION
 
 
 # The model flags each --model reads; pair reads --rates in place of --n and
@@ -131,7 +133,7 @@ def _only_for(args, option: str, flags: dict[str, tuple[str, ...]]) -> None:
 
 
 def cmd_code(args) -> str:
-    code = cm.build_code_matrix(args.classes, orientation=args.orientation)
+    code = cm.build_code_matrix(args.classes, orientation=_orientation(args))
     if args.emit:
         return cm.to_text(code)
     payload = {
@@ -140,7 +142,7 @@ def cmd_code(args) -> str:
         "d": code.d,
         "m": code.m,
         "r": code.r,
-        "orientation": args.orientation,
+        "orientation": _orientation(args),
     }
     return _record(payload, args.format)
 
@@ -201,7 +203,7 @@ def cmd_bahadur(args) -> str:
 # Flags each simulate mode reads; giving one to the other mode is an error.
 _MODE_FLAGS = {
     sim.MODE_THRESHOLD: ("--m",),
-    sim.MODE_FULL_DECODE: ("--classes", "--true-class"),
+    sim.MODE_FULL_DECODE: ("--classes", "--true-class", "--orientation"),
 }
 
 
@@ -222,7 +224,7 @@ def cmd_simulate(args) -> str:
         result = sim.mc_threshold_error(model, args.m, cfg)
     else:
         classes = args.classes if args.classes is not None else model.n
-        code = cm.build_code_matrix(classes, orientation=args.orientation)
+        code = cm.build_code_matrix(classes, orientation=_orientation(args))
         result = sim.mc_decode_error(model, code, cfg, true_class=args.true_class)
     payload = {
         "error_rate": result.error_rate,
@@ -249,11 +251,11 @@ def _folds(
             raise ValueError("--classes applies only to --summary or --predictions")
         summaries = xio.load_fixture(args.fixture)
         classes = xio.DATASETS[args.fixture.rsplit("_", 1)[0]].classes
-        code = cm.build_code_matrix(classes, orientation=args.orientation)
+        code = cm.build_code_matrix(classes, orientation=_orientation(args))
         return args.fixture, summaries, code
     if args.classes is None:
         raise ValueError(f"--classes is required with {given[0]}")
-    code = cm.build_code_matrix(args.classes, orientation=args.orientation)
+    code = cm.build_code_matrix(args.classes, orientation=_orientation(args))
     if args.summary is not None:
         return Path(args.summary).stem, xio.load_summaries(args.summary), code
     folds = [xio.load_predictions(p) for p in args.predictions]
@@ -286,8 +288,19 @@ def cmd_analyze(args) -> str:
 # Flags each figure reads; giving one to the other figure is an error.
 _FIGURE_FLAGS = {
     "fig1": ("--ns", "--r", "--step"),
-    "scatter": ("--fixture", "--summary", "--classes", "--n"),
+    "scatter": ("--fixture", "--summary", "--classes", "--n", "--orientation"),
 }
+
+
+def _ensemble_sizes(text: str) -> tuple[int, ...]:
+    """The --ns list as integers; an entry that is none is named."""
+    sizes = []
+    for entry in text.split(","):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--ns entry {entry!r} is not an integer") from None
+    return tuple(sizes)
 
 
 def cmd_figures(args) -> None:
@@ -298,7 +311,7 @@ def cmd_figures(args) -> None:
         # Only the flags given are passed: the defaults are figure_one_curves'.
         curve = {f: v for f in ("ns", "r", "step") if (v := getattr(args, f)) is not None}
         if "ns" in curve:
-            curve["ns"] = tuple(int(v) for v in curve["ns"].split(","))
+            curve["ns"] = _ensemble_sizes(curve["ns"])
         files = {"fig1_curves": xio.figure_one_curves(**curve)}
     else:
         name, summaries, code = _folds(args, ("--summary", "--fixture"))
@@ -339,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for output-coded ensemble classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each add_parser result, by name
 
     def common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
@@ -429,8 +443,61 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _one_pass(argv: list[str]) -> argparse.Namespace | None:
+    """What parse_args(argv) returns, read in one pass over the subcommand
+    parser's own actions, or None where only argparse may decide.
+
+    The pass reads an exact --flag value or --flag=value of a one-value
+    store action, the value non-empty and not starting with "-", and a bare
+    store_true flag; it converts and checks each value, then fills the
+    defaults as argparse does.  Anything else (help, an abbreviation, a
+    list flag, a missing required flag, a failed conversion or choice, "--",
+    a negative or empty value) returns None, so argparse alone writes help
+    and usage errors.
+    """
+    command = _parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = command._option_string_actions
+    args = argparse.Namespace(command=argv[0], **command._defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            flag, eq, text = token.partition("=")
+            action = options.get(flag)
+            if isinstance(action, argparse._StoreTrueAction) and not eq:
+                value = action.const
+            elif isinstance(action, argparse._StoreAction) and action.nargs is None:
+                text = text if eq else next(tokens, "")
+                if not text or text.startswith("-"):
+                    return None
+                value = text if action.type is None else action.type(text)
+                if action.choices is not None and value not in action.choices:
+                    return None
+            else:
+                return None
+            setattr(args, action.dest, value)
+            seen.add(action)
+        for action in command._actions:
+            if action in seen or action.default is argparse.SUPPRESS:
+                continue
+            if action.required:
+                return None
+            value = action.default
+            if isinstance(value, str) and action.type is not None:
+                value = action.type(value)
+            setattr(args, action.dest, value)
+    except (TypeError, ValueError):
+        return None
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _one_pass(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         text = args.func(args)
         if text is not None:

@@ -423,9 +423,9 @@ class TestCountMisdecoded:
             count_misdecoded(errors[:, :9], np.zeros(3, np.int64), code)
         with pytest.raises(ValueError):
             count_misdecoded(errors, np.zeros(2, np.int64), code)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"true classes outside 0\.\.9$"):
             count_misdecoded(errors, np.array([0, 10, 1]), code)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"true classes outside 0\.\.9$"):
             count_misdecoded(errors, np.array([0, -1, 1]), code)
         with pytest.raises(ValueError):
             count_misdecoded(np.full((3, 10), 2, np.uint8), np.zeros(3, np.int64), code)

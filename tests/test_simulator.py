@@ -299,7 +299,7 @@ class TestDecode:
                 code,
                 SimConfig(trials=10, seed=1),
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"true_class=10 outside 0\.\.9$"):
             mc_decode_error(
                 Independent(ErrorProfile.iid(10, 0.1)),
                 code,
