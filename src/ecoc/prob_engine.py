@@ -6,13 +6,14 @@ Three dependence structures are supported: fully independent classifiers
 classifiers with a uniform second-order correlation coefficient c.
 
 Every model, a subclass of DependenceModel, defines n, count_pmf() (the
-error-count distribution: the Poisson-binomial row of
-poisson_binomial_dist, the one product tree over the classifiers'
-generating factors or, for equal rates, the factor's
-repeated squares, then the pair's two-stage recursion or the exchangeable
-outcome weights on top of it), one draw hook _draw(rng, count, k_min)
-(every row's error count, the indices of the rows, among count trials, with
-at least k_min errors, and their bool error vectors) and joint_mass(bits)
+error-count distribution: a row of independent classifiers, then the pair's
+two-stage recursion or the exchangeable outcome weights on top of it; the
+profile decides the row once, when it is built: one rate shared by all
+gives _binomial_row's repeated squares, other rates the product tree of
+poisson_binomial_dist, which is the tree only), one draw hook
+_draw(rng, count, k_min) (every row's error count, the indices of the rows,
+among count trials, with at least k_min errors, and their bool error
+vectors) and joint_mass(bits)
 (the joint law of whole outcomes, from the model's definition and not from
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
 sums for cross-checking).  Five methods are defined once, on
@@ -38,8 +39,8 @@ integers where rng.random would give uniforms u = (x >> 11) * 2**-53:
   exactly as u does.
 
 The independent and pair samplers compare every word of a block against
-one limit per column, or against a single limit when all their rates are
-equal, and count each row's errors with one float32 matrix-vector product
+one limit per column, or against a single limit when the profile records
+one rate, and count each row's errors with one float32 matrix-vector product
 (code_matrix._row_counts).  That count is exact because no row is 2**24
 or more words wide: every sampler applies code_matrix._check_width before
 it draws a word.
@@ -103,12 +104,19 @@ class ErrorProfile:
     """Per-classifier bit error rates e_1..e_n."""
 
     rates: tuple[float, ...]
+    # The rate all n share, or None when two differ; set once by __post_init__.
+    _rate: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", _checked_rates(self.rates))
+        rates = _checked_rates(self.rates)
+        shared = rates.count(rates[0]) == len(rates)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "_rate", rates[0] if shared else None)
 
     @classmethod
     def iid(cls, n: int, e: float) -> "ErrorProfile":
+        if n < 1:
+            raise ValueError(f"n={n} must be at least 1")
         return cls((float(e),) * n)
 
     @property
@@ -167,10 +175,11 @@ class Independent(DependenceModel):
         return self.profile.n
 
     def count_pmf(self) -> np.ndarray:
-        return poisson_binomial_dist(self.profile.rates)
+        rates, e = self.profile.rates, self.profile._rate
+        return poisson_binomial_dist(rates) if e is None else _binomial_row(self.n, e)
 
     def _draw(self, rng, count, k_min):
-        return _independent_draw(rng, count, self.profile.rates, k_min)
+        return _independent_draw(rng, count, self.profile, self.n, k_min)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates)
@@ -216,11 +225,12 @@ class PairModel(DependenceModel):
 
         where terms with out-of-range index vanish.
         """
-        n = self.n
+        n, e = self.n, self.profile._rate
         p11, p10, p01, p00 = self.joint_cells
         # q_pad[j + 2] = q(j) for j = -2..n.
         q_pad = np.zeros(n + 3)
-        q_pad[2:-2] = poisson_binomial_dist(self.profile.rates[:-2])
+        rates = self.profile.rates[:-2]
+        q_pad[2:-2] = poisson_binomial_dist(rates) if e is None else _binomial_row(n - 2, e)
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
     def _draw(self, rng, count, k_min):
@@ -229,7 +239,7 @@ class PairModel(DependenceModel):
         # the pair's bits are known.  Its two bits come from one word per
         # row: the first errs below P11 + P10, the second below P11 or in
         # [P11 + P10, P11 + P10 + P01).
-        ks, near, rest = _independent_draw(rng, count, self.profile.rates[:-2], k_min - 2)
+        ks, near, rest = _independent_draw(rng, count, self.profile, self.n - 2, k_min - 2)
         p11, p10, p01, _ = self.joint_cells
         first_lim, both_lim, either_lim = _word_limits((p11 + p10, p11, p11 + p10 + p01))
         j = _words(rng, count)
@@ -289,10 +299,11 @@ class ExchangeableModel(DependenceModel):
         object.__setattr__(self, "_weights", np.maximum(w, 0.0))
 
     def count_pmf(self) -> np.ndarray:
-        """The binomial row of n equal rates (poisson_binomial_dist) times
-        the clipped outcome weights; pmf and tail read this row, so the
-        exchangeable pmf and tail agree to the last bit."""
-        return poisson_binomial_dist(np.full(self.n, self.e_bar)) * self._weights
+        """The binomial row of n classifiers at e_bar (_binomial_row, with
+        no rates to scan) times the clipped outcome weights; pmf and tail
+        read this row, so the exchangeable pmf and tail agree to the last
+        bit."""
+        return _binomial_row(self.n, self.e_bar) * self._weights
 
     def _draw(self, rng, count, k_min):
         # Outcome probability depends on the error vector only through its
@@ -331,17 +342,29 @@ def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
 
 
 def _checked_rates(rates) -> tuple[float, ...]:
-    """The rates as a tuple of floats: at least one, each in [0, 1] (not NaN).
-    Checked by a plain loop: a vectorised compare pays numpy's fixed cost
-    on every call, and nearly every call carries at most a few hundred
-    rates, where that cost exceeds the loop's (it wins from about 250)."""
-    rates = tuple(map(float, rates))
-    if not rates:
+    """The rates as a tuple of floats: at least one, each a number in [0, 1]
+    (not NaN); the first bad one is named by its place.  Checked by a plain
+    loop: a vectorised compare pays numpy's fixed cost on every call, and
+    nearly every call carries at most a few hundred rates, where that cost
+    exceeds the loop's (it wins from about 250).  The entries are converted
+    in one map, and again one by one only when it fails, to name the entry
+    float() rejects: converting each in the loop cost about 20 % more at
+    1,000 rates on a 2-vCPU Xeon."""
+    try:
+        checked = tuple(map(float, rates))
+    except (TypeError, ValueError):
+        for i, r in enumerate(rates, 1):
+            try:
+                float(r)
+            except (TypeError, ValueError):
+                raise ValueError(f"rate e_{i}={r!r} is not a number") from None
+        raise  # rates was an iterator, used up by the map
+    if not checked:
         raise ValueError("error profile needs at least one rate")
-    for i, e in enumerate(rates, 1):
+    for i, e in enumerate(checked, 1):
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"rate e_{i}={e} outside [0, 1]")
-    return rates
+    return checked
 
 
 def _check_count(name: str, value: int, n: int) -> None:
@@ -493,24 +516,17 @@ def _drawer(bits, width: int):
     return draw
 
 
-def _row_limits(rates: tuple[float, ...]) -> np.ndarray:
-    """_word_limits of the rates, one entry when all rates are equal: a
-    compare against one limit broadcasts at scalar speed, about 1.7x as
-    fast as a compare against one limit per column."""
-    if rates and rates.count(rates[0]) == len(rates):
-        rates = rates[:1]
-    return _word_limits(rates)
-
-
-def _independent_draw(rng: np.random.Generator, count: int, rates, k_min: int):
-    """(ks, far, bits) for independent classifiers: every row's error count,
-    as the exact float32 of _row_counts, the indices of the rows with at
-    least k_min errors and their bool error vectors.  The far rows are
-    looked for only when a row can reach k_min.  Storing the counts as
-    float32 cost the far path about 1.5 % of a 32,768-row, 26-wide chunk on
-    a 2-vCPU Xeon, against 3.5 % as intp."""
-    width = len(rates)
-    limits = _row_limits(rates)
+def _independent_draw(rng: np.random.Generator, count: int, profile, width: int, k_min: int):
+    """(ks, far, bits) for the first width classifiers of profile, taken as
+    independent: every row's error count, as the exact float32 of
+    _row_counts, the indices of the rows with at least k_min errors and
+    their bool error vectors.  The far rows are looked for only when a row
+    can reach k_min.  Storing the counts as float32 cost the far path about
+    1.5 % of a 32,768-row, 26-wide chunk on a 2-vCPU Xeon, against 3.5 % as
+    intp.  A profile of one rate is compared against its one limit, which
+    broadcasts at scalar speed, about 1.7x as fast as a limit per column."""
+    rates = profile.rates[:width] if profile._rate is None else (profile._rate,)
+    limits = _word_limits(rates)
     ks = np.empty(count, dtype=np.float32)
     far, kept = [np.empty(0, dtype=np.intp)], [np.empty((0, width), dtype=bool)]
     for rows, j in _word_blocks(rng, count, width):
@@ -549,11 +565,30 @@ def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
 # independent classifiers
 
 
+def _binomial_row(n: int, e: float) -> np.ndarray:
+    """The binomial row ((1 - e) + e x)^n, k = 0..n, of n classifiers of one
+    rate e, by repeated squaring: the factor is squared once per bit of n,
+    from the lowest, and the row is convolved with the power where the bit
+    is set.  poisson_binomial_dist's tree multiplies these same powers in
+    another order: the tails differ by about 6e-15 relative at n = 1000, and
+    both stay within the tree's error of the exact rationals.  About
+    2 log2(n) np.convolve calls, under half the tree's time at n = 1000."""
+    row, power = np.ones(1), np.array([1.0 - e, e])
+    while True:
+        if n & 1:
+            row = np.convolve(row, power)
+        n >>= 1
+        if not n:
+            return row
+        power = np.convolve(power, power)
+
+
 def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     """Full pmf of the error count, index k = 0..n, of independent
     classifiers with the given rates, a sequence (or 1-D array) already
-    known to lie in [0, 1]; an empty one gives [1.0].  Every count_pmf
-    builds its Poisson-binomial row here.
+    known to lie in [0, 1]; an empty one gives [1.0].  This is the tree
+    only, whatever the rates' pattern: a model whose profile records one
+    common rate builds its row with _binomial_row instead.
 
     The pmf is the coefficient row of prod_i ((1 - e_i) + e_i x), built by a
     balanced product tree: the factors, padded to a power-of-two count with
@@ -567,31 +602,9 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     convolution.  Every term added is a product of non-negative numbers, so
     no entry loses accuracy to cancellation: the tests hold each entry to
     1e-14 of the exact rational of the same double rates up to n = 127.
-
-    When all n > 1 rates equal one e (an iid profile, the exchangeable
-    row, the pair model's n - 2 unpaired classifiers), the row is the
-    binomial ((1 - e) + e x)^n, built by repeated squaring instead: the
-    factor is squared once per bit of n, from the lowest, and the row is
-    convolved with the current power where the bit is set.  The tree's full
-    subtrees are these same powers and its last, partial subtree is this
-    same row, so the two routes multiply the same polynomials, each summed
-    in its own order: the tails differ by about 6e-15 relative at n = 1000,
-    and the entries stay within the tree's error of the exact rationals.
-    It takes about 2 log2(n) np.convolve calls and no padding, under half
-    the tree's time at n = 1000.  Rates that are not all equal
-    take the tree, whatever their pattern.
     """
     rates = np.asarray(rates, dtype=float)
     n = len(rates)
-    if n > 1 and (rates == rates[0]).all():
-        row, power = np.ones(1), np.array([1.0 - rates[0], rates[0]])
-        while True:
-            if n & 1:
-                row = np.convolve(row, power)
-            n >>= 1
-            if not n:
-                return row
-            power = np.convolve(power, power)
     polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
     polys[:, 0] = 1.0
     polys[:n, 0] -= rates

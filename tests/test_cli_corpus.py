@@ -1,6 +1,7 @@
 """The value-level comparison of tools/cli_corpus.py."""
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -55,13 +56,47 @@ def test_simulate_family_runs_chunks_in_the_thread_pool(tmp_path):
     )
 
 
+def _twin(argv):
+    """argv with its --rates list of n equal entries e given as --n n --ebar
+    e instead, an independent model as iid; None when argv has no such
+    list."""
+    if "--rates" not in argv:
+        return None
+    at = argv.index("--rates")
+    rates = argv[at + 1].split(",")
+    if len(set(rates)) > 1:
+        return None
+    twin = argv[:at] + ["--n", str(len(rates)), "--ebar", rates[0]] + argv[at + 2:]
+    return ["iid" if a == "independent" else a for a in twin]
+
+
+def test_equal_rates_print_the_bytes_of_their_twin(tmp_path):
+    # A --rates list of n equal entries is one binomial row, the same row
+    # as its --n --ebar twin's, so every such command prints the same bytes
+    # and exits the same way.  The corpus has them at nonzero rates for
+    # both models at n = 26, 127 and 1000, in pmf and in tail.
+    covered = set()
+    for family in ("pmf", "tail"):
+        for argv in cli_corpus.FAMILIES[family](tmp_path):
+            twin = _twin(argv)
+            if twin is None:
+                continue
+            assert cli_corpus.run(argv) == cli_corpus.run(twin), twin
+            e = float(twin[twin.index("--ebar") + 1])
+            covered.add((family, argv[2], int(twin[twin.index("--n") + 1]), e))
+    for family, model, n, e in itertools.product(
+        ("pmf", "tail"), ("independent", "pair"), (26, 127, 1000), (0.0686, 0.18)
+    ):
+        assert (family, model, n, e) in covered
+
+
 # (sha256, command count) per family.  A change that moves the output on
 # purpose updates the value here and lists the commands that moved, from
 # tools/cli_corpus.py --against.
 PINNED = {
     "code": ("550e02bcf7605ef3d5598a5f9207d9b874758ebcd68912b8bdcbd43d4c635a9e", 346),
-    "pmf": ("941e27b50f44b52ba9fa59586861b74791f3af66937571f0ec8ba5b3b236b74d", 1680),
-    "tail": ("d9c3511d7b5d2f47df37e3a59dd46a41199bf90a08d26515178d10d3a5e760e7", 2142),
+    "pmf": ("b74dcb87c7794ec7bce1c039a2ae3dc74809f51f805cf9d239812531519591a5", 1728),
+    "tail": ("3b7a161f44152373e816e9193b7a470d13b86ac92fdebf8807030b866c147976", 2190),
     "bounds": ("70eec548ffaa3b39956ae89381cf10d48a8752e1e4ebe71d176bc584a0e32eba", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
     "simulate": ("d97b28036287fe8c18f1211733d6df1d5db617a3de20600cc03dcae60b5e0b86", 86),

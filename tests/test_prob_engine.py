@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecoc import prob_engine
 from ecoc.errors import EcocError, ModelError
 from ecoc.prob_engine import (
     DependenceModel,
@@ -157,7 +158,7 @@ def exact_pair_pmf(model, q):
 
 def product_tree(rates):
     """The balanced product tree of poisson_binomial_dist, step for step:
-    the bit-exact reference for rates that are not all equal."""
+    its bit-exact reference, whatever the rates' pattern."""
     rates = np.asarray(rates, dtype=float)
     n = len(rates)
     polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
@@ -239,7 +240,8 @@ class TestExactRationals:
     def test_pair(self):
         rng = np.random.default_rng(42)
         for n in self.SIZES[1:]:
-            for rates in self.profiles(n, rng):
+            # An equal n - 2 prefix beside an unequal pair takes the tree.
+            for rates in self.profiles(n, rng) + [[0.18] * (n - 2) + [0.3, 0.05]]:
                 lo, hi = pair_f_range(rates[-2], rates[-1])
                 model = PairModel(ErrorProfile(rates), lo + 0.3 * (hi - lo))
                 exact = exact_pair_pmf(model, exact_poisson_binomial(rates[:-2]))
@@ -273,14 +275,39 @@ class TestExactRationals:
 
     def test_one_unequal_rate_takes_the_tree(self):
         # One rate apart from the rest, at the first, a middle or the last
-        # place: the row is the product tree's, bit for bit.
+        # place, or none apart: poisson_binomial_dist is the product tree
+        # only, so the row is the tree's, bit for bit.
         for n in self.EQUAL_SIZES:
             for e, other in ((0.18, 0.3), (0.5, 0.5 + 2**-53), (1e-300, 0.0)):
-                for at in (0, n // 2, n - 1):
+                for at in (None, 0, n // 2, n - 1):
                     rates = [e] * n
-                    rates[at] = other
+                    if at is not None:
+                        rates[at] = other
                     got = poisson_binomial_dist(rates)
                     assert got.tobytes() == product_tree(rates).tobytes(), (n, e, at)
+
+    def test_equal_rates_never_reach_the_tree(self, monkeypatch):
+        # The profile records its one rate, and the iid, pair and
+        # exchangeable rows are built from it without poisson_binomial_dist.
+        def tree(rates):
+            raise AssertionError("poisson_binomial_dist called")
+
+        calls = (
+            lambda: tail_iid(1000, 250, 0.0686),
+            lambda: pair_correlated_tail(127, 32, 0.18, 0.05),
+            lambda: exchangeable_tail(26, 6, 0.0686, 0.0058),
+            lambda: Independent(ErrorProfile(["0.18"] * 127)).count_pmf()[32],
+        )
+        expected = [call() for call in calls]
+        monkeypatch.setattr(prob_engine, "poisson_binomial_dist", tree)
+        assert [call() for call in calls] == expected
+        # Rates that are not all equal still take the tree, and so does the
+        # pair's equal n - 2 prefix beside an unequal pair.
+        for profile in (ErrorProfile([0.18] * 126 + [0.3]),
+                        ErrorProfile([0.18] * 125 + [0.3, 0.3])):
+            for model in (Independent(profile), PairModel(profile, 0.05)):
+                with pytest.raises(AssertionError, match="poisson_binomial_dist"):
+                    model.count_pmf()
 
     def test_exchangeable_large_n(self):
         n, e = 1000, 0.18
@@ -377,6 +404,13 @@ class TestRateCheck:
         with pytest.raises(ValueError, match="at least one rate"):
             ErrorProfile(())
 
+    def test_names_a_rate_that_is_not_a_number(self):
+        # The CLI splits --rates 0.1,,0.2 into these strings.
+        for rates, named in (("0.1,,0.2".split(","), "e_2=''"), (["x"], "e_1='x'"),
+                             ([0.1, 0.2, 0.3, None], "e_4=None")):
+            with pytest.raises(ValueError, match=rf"^rate {named} is not a number$"):
+                ErrorProfile(rates)
+
 
 class TestIndependentTails:
     def test_degenerate_m_zero(self):
@@ -385,8 +419,12 @@ class TestIndependentTails:
 
     def test_m_zero_still_validates_rate_and_size(self):
         # m = 0 returns 1.0 only once the rate and n describe a model.
-        for n, e in ((6, 1.5), (6, math.nan), (6, -0.1), (0, 0.1)):
-            with pytest.raises(ValueError):
+        for n, e, message in ((6, 1.5, "rate e_1=1.5 outside"),
+                              (6, math.nan, "rate e_1=nan outside"),
+                              (6, -0.1, "rate e_1=-0.1 outside"),
+                              (0, 0.1, "n=0 must be at least 1$"),
+                              (-3, 0.1, "n=-3 must be at least 1$")):
+            with pytest.raises(ValueError, match=f"^{message}"):
                 tail_iid(n, 0, e)
 
     def test_product_case(self):

@@ -67,6 +67,19 @@ def _models(n: int, e: str) -> list[list[str]]:
     ]
 
 
+def _equal_rates() -> list[tuple[int, list[str]]]:
+    """(n, model flags) of the independent and pair models given as n equal
+    --rates entries at a nonzero rate; each prints the same bytes as its
+    --model iid or --model pair --n --ebar twin."""
+    out = []
+    for n in (26, 127, 1000):
+        for e in ("0.0686", "0.18"):
+            rates = ["--rates", ",".join([e] * n)]
+            out += [(n, ["--model", "independent", *rates]),
+                    (n, ["--model", "pair", *rates, "--f", "0.01"])]
+    return out
+
+
 def _unread_flags() -> list[list[str]]:
     """Each model with one model flag it does not read, which it rejects."""
     reads = {
@@ -105,6 +118,9 @@ def _pmf(_: Path) -> list[list[str]]:
                     out.append(["pmf", *model, "--format", fmt])
                 for k in (0, n // 2, n, n + 1, -1):
                     out.append(["pmf", *model, "--k", str(k), "--format", "csv"])
+    for n, model in _equal_rates():
+        out += [["pmf", *model, "--format", fmt] for fmt in FORMATS]
+        out.append(["pmf", *model, "--k", str(n // 2), "--format", "csv"])
     return out
 
 
@@ -116,7 +132,11 @@ def _tail(_: Path) -> list[list[str]]:
                 for m in sorted({0, 1, n // 4, n // 2, n - 1, n, n + 1, -1}):
                     out.append(["tail", *model, "--m", str(m), "--format", "csv"])
                 out += [["tail", *model, "--m", "1", "--format", fmt] for fmt in FORMATS]
-    return out + [["tail", *model, "--m", "1"] for model in _unread_flags()]
+    out += [["tail", *model, "--m", "1"] for model in _unread_flags()]
+    for n, model in _equal_rates():
+        for m in sorted({1, n // 4, n // 2, n}):
+            out.append(["tail", *model, "--m", str(m), "--format", "csv"])
+    return out
 
 
 def _bounds(_: Path) -> list[list[str]]:
