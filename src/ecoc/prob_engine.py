@@ -8,11 +8,11 @@ classifiers with a uniform second-order correlation coefficient c.
 Every model, a subclass of DependenceModel, defines n, count_pmf() (the
 error-count distribution: a row of independent classifiers, then the pair's
 two-stage recursion or the exchangeable outcome weights on top of it; the
-profile decides the row once, when it is built: one rate shared by all
-gives _binomial_row's repeated squares, other rates the product tree of
-poisson_binomial_dist, which is the tree only), one draw hook
-_draw(rng, count, k_min) (every row's error count, the indices of the rows,
-among count trials, with at least k_min errors, and their bool error
+independent and pair rows come from the profile's one route choice, _row:
+_binomial_row's repeated squares for the one rate a profile records when
+it is built, else poisson_binomial_dist, the product tree only), one draw
+hook _draw(rng, count, k_min) (every row's error count, the indices of the
+rows, among count trials, with at least k_min errors, and their bool error
 vectors) and joint_mass(bits)
 (the joint law of whole outcomes, from the model's definition and not from
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
@@ -22,8 +22,8 @@ the sum of count_pmf from m, and three views of _draw, each after the
 width check of code_matrix (_check_width): sample_far(rng, count, k_min),
 its far rows as uint8, sample(rng, count), sample_far at k_min = 0, and
 sample_counts(rng, count), its counts as intp at k_min = n + 1, where no
-row is kept.  pmf and tail check k and m with _check_count, the one range check
-on a count.  The public pmf and tail functions below are one-line calls
+row is kept.  pmf and tail check k and m with _check_count, the one check
+that a count is an integer in 0..n.  The public pmf and tail functions below are one-line calls
 into a model's pmf or tail, so every count probability, binomial or not,
 is read from one count_pmf.
 
@@ -65,6 +65,7 @@ keeps one count per row and never holds a (count, n) array.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -101,7 +102,9 @@ _COUNTER_BITS = 256
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Per-classifier bit error rates e_1..e_n."""
+    """Per-classifier bit error rates e_1..e_n, checked and their one shared
+    rate recorded by __post_init__; iid(n, e) checks e once, as the profile
+    of one classifier, and widens its rates to n copies."""
 
     rates: tuple[float, ...]
     # The rate all n share, or None when two differ; set once by __post_init__.
@@ -115,13 +118,21 @@ class ErrorProfile:
 
     @classmethod
     def iid(cls, n: int, e: float) -> "ErrorProfile":
+        _check_integer("n", n)
         if n < 1:
             raise ValueError(f"n={n} must be at least 1")
-        return cls((float(e),) * n)
+        profile = cls((e,))
+        object.__setattr__(profile, "rates", profile.rates * n)
+        return profile
 
     @property
     def n(self) -> int:
         return len(self.rates)
+
+    def _row(self, w: int) -> np.ndarray:
+        """The count pmf of the first w classifiers: the row of the one rate or the tree."""
+        e = self._rate
+        return poisson_binomial_dist(self.rates[:w]) if e is None else _binomial_row(w, e)
 
 
 class DependenceModel:
@@ -175,8 +186,7 @@ class Independent(DependenceModel):
         return self.profile.n
 
     def count_pmf(self) -> np.ndarray:
-        rates, e = self.profile.rates, self.profile._rate
-        return poisson_binomial_dist(rates) if e is None else _binomial_row(self.n, e)
+        return self.profile._row(self.n)
 
     def _draw(self, rng, count, k_min):
         return _independent_draw(rng, count, self.profile, self.n, k_min)
@@ -195,6 +205,7 @@ class PairModel(DependenceModel):
     f: float
 
     def __post_init__(self):
+        _check_number("f", self.f)
         if self.profile.n < 2:
             raise ModelError("pair model needs at least two classifiers")
         e1, e2 = self.profile.rates[-2], self.profile.rates[-1]
@@ -225,12 +236,10 @@ class PairModel(DependenceModel):
 
         where terms with out-of-range index vanish.
         """
-        n, e = self.n, self.profile._rate
         p11, p10, p01, p00 = self.joint_cells
         # q_pad[j + 2] = q(j) for j = -2..n.
-        q_pad = np.zeros(n + 3)
-        rates = self.profile.rates[:-2]
-        q_pad[2:-2] = poisson_binomial_dist(rates) if e is None else _binomial_row(n - 2, e)
+        q_pad = np.zeros(self.n + 3)
+        q_pad[2:-2] = self.profile._row(self.n - 2)
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
     def _draw(self, rng, count, k_min):
@@ -274,6 +283,9 @@ class ExchangeableModel(DependenceModel):
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_integer("n", self.n)
+        _check_number("e_bar", self.e_bar)
+        _check_number("c", self.c)
         if self.n < 2:
             raise ModelError("exchangeable model needs n >= 2")
         if not (0.0 < self.e_bar < 1.0):
@@ -345,11 +357,11 @@ def _checked_rates(rates) -> tuple[float, ...]:
     """The rates as a tuple of floats: at least one, each a number in [0, 1]
     (not NaN); the first bad one is named by its place.  Checked by a plain
     loop: a vectorised compare pays numpy's fixed cost on every call, and
-    nearly every call carries at most a few hundred rates, where that cost
-    exceeds the loop's (it wins from about 250).  The entries are converted
-    in one map, and again one by one only when it fails, to name the entry
-    float() rejects: converting each in the loop cost about 20 % more at
-    1,000 rates on a 2-vCPU Xeon."""
+    ErrorProfile.iid passes one rate, a --rates list rarely more than a few
+    hundred, where that cost exceeds the loop's (it wins from about 250).
+    The entries are converted in one map, and again one by one only when it
+    fails, to name the entry float() rejects: converting each in the loop
+    cost about 20 % more at 1,000 rates on a 2-vCPU Xeon."""
     try:
         checked = tuple(map(float, rates))
     except (TypeError, ValueError):
@@ -368,8 +380,23 @@ def _checked_rates(rates) -> tuple[float, ...]:
 
 
 def _check_count(name: str, value: int, n: int) -> None:
+    """The one check on a count k or m: an integer in 0..n."""
+    _check_integer(name, value)
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} outside 0..{n}")
+
+
+def _check_integer(name: str, value) -> None:
+    """A count or size: a Python or NumPy integer, never a float."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} is not an integer")
+
+
+def _check_number(name: str, value) -> None:
+    """A model parameter: a real number (its range is checked by the model);
+    text is not converted, unlike a rate."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} is not a number")
 
 
 def _words(rng: np.random.Generator, shape) -> np.ndarray:

@@ -95,8 +95,8 @@ def test_equal_rates_print_the_bytes_of_their_twin(tmp_path):
 # tools/cli_corpus.py --against.
 PINNED = {
     "code": ("550e02bcf7605ef3d5598a5f9207d9b874758ebcd68912b8bdcbd43d4c635a9e", 346),
-    "pmf": ("b74dcb87c7794ec7bce1c039a2ae3dc74809f51f805cf9d239812531519591a5", 1728),
-    "tail": ("3b7a161f44152373e816e9193b7a470d13b86ac92fdebf8807030b866c147976", 2190),
+    "pmf": ("2c52ccbbf57ed719d5a5e2636b66c146552466bb15522f91a6e677521b35ce22", 1740),
+    "tail": ("a3fbd92476d7b64b4ea7010d6cc19a9d19b9aafada229c65df616f76a01a64d1", 2202),
     "bounds": ("70eec548ffaa3b39956ae89381cf10d48a8752e1e4ebe71d176bc584a0e32eba", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
     "simulate": ("d97b28036287fe8c18f1211733d6df1d5db617a3de20600cc03dcae60b5e0b86", 86),

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -410,6 +411,29 @@ class TestRateCheck:
                              ([0.1, 0.2, 0.3, None], "e_4=None")):
             with pytest.raises(ValueError, match=rf"^rate {named} is not a number$"):
                 ErrorProfile(rates)
+        # iid checks its one rate through the same constructor.
+        for e in (None, "x"):
+            with pytest.raises(ValueError, match=rf"^rate e_1={e!r} is not a number$"):
+                ErrorProfile.iid(3, e)
+
+    def test_iid_checks_one_rate_and_equals_n_copies(self, monkeypatch):
+        # iid checks e once, as the profile of one classifier, and widens
+        # it: the same rates, recorded rate and rows, bit for bit, as the
+        # profile of n copies of e.
+        checked, check = [], prob_engine._checked_rates
+        monkeypatch.setattr(prob_engine, "_checked_rates",
+                            lambda rates: checked.append(len(rates)) or check(rates))
+        for n in TestExactRationals.EQUAL_SIZES:
+            for e in TestExactRationals.EQUAL_RATES + (0.18,):
+                checked.clear()
+                iid = ErrorProfile.iid(n, e)
+                assert checked == [1], (n, e)
+                copies = ErrorProfile([e] * n)
+                assert iid == copies and iid._rate == copies._rate == e
+                f = sum(pair_f_range(e, e)) / 2
+                for model in (Independent, lambda p: PairModel(p, f)):
+                    got, want = model(iid).count_pmf(), model(copies).count_pmf()
+                    assert got.tobytes() == want.tobytes(), (n, e)
 
 
 class TestIndependentTails:
@@ -652,27 +676,33 @@ class TestClosedFormOracles:
                     assert abs(got - x) <= rel * x, (name, e, m, got, x)
 
 
-BAD_VALUES = (-0.25, 1.25, math.nan, math.inf, -math.inf)
+BAD_VALUES = (-0.25, 1.25, math.nan, math.inf, -math.inf, None, "x")
+# Counts and sizes that are not integers.
+NOT_INTEGERS = (0.5, 1.0, None, "1")
 
 
 def _value(draw):
-    """A rate: in [0, 1], out of range, or non-finite."""
+    """A rate: in [0, 1], out of range, non-finite or not a number."""
     return draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(BAD_VALUES)))
 
 
 def _around(draw, lo, hi):
-    """(value, inside): a value well inside [lo, hi], 1e-3 outside it, or
-    non-finite."""
-    kind = draw(st.sampled_from(("inside", "below", "above", "nan", "inf")))
-    if kind == "inside":
-        return lo + draw(st.floats(0.05, 0.95)) * (hi - lo), True
-    if kind in ("below", "above"):
-        return (lo - 1e-3 if kind == "below" else hi + 1e-3), False
-    return (math.nan if kind == "nan" else math.inf), False
+    """(value, inside): a value well inside [lo, hi], 1e-3 outside it,
+    non-finite, None, or the text of a value inside, which a model parameter
+    does not convert."""
+    kind = draw(st.sampled_from(("inside", "below", "above", "nan", "inf", "none", "text")))
+    inside = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    values = {"inside": inside, "below": lo - 1e-3, "above": hi + 1e-3,
+              "nan": math.nan, "inf": math.inf, "none": None, "text": str(inside)}
+    return values[kind], kind == "inside"
+
+
+def _is_rate(e):
+    return isinstance(e, float) and 0.0 <= e <= 1.0
 
 
 def _rates_ok(rates):
-    return len(rates) > 0 and all(0.0 <= e <= 1.0 for e in rates)
+    return len(rates) > 0 and all(map(_is_rate, rates))
 
 
 def _weights_fit(n, e, c):
@@ -730,9 +760,11 @@ HETEROGENEOUS = (
 def entry_arguments(draw):
     """(name, arguments, model_ok, count_ok) for one public entry.  The
     arguments are rates (unequal for the entries that take a profile, n
-    copies of e for the others), f, c and the k or m, i; model_ok means
-    rates in [0, 1], enough classifiers for the model and f or c inside its
-    range, count_ok means 0 <= i <= n."""
+    copies of e for the others), f, c and the k or m, i, each at times not a
+    number, and n and i at times not an integer (i at times a NumPy one);
+    model_ok means rates in [0, 1], an integer n with enough classifiers
+    for the model and f or c inside its range, count_ok means an integer
+    0 <= i <= n."""
     name = draw(st.sampled_from(sorted(ENTRIES)))
     if name in HETEROGENEOUS:
         e, rates = math.nan, [_value(draw) for _ in range(draw(st.integers(0, 12)))]
@@ -748,14 +780,18 @@ def entry_arguments(draw):
             f, ok = _around(draw, *pair_f_range(rates[-2], rates[-1]))
         else:
             f, ok = _value(draw), False
-    elif n >= 2 and 0.0 < e < 1.0:
+    elif n >= 2 and _is_rate(e) and 0.0 < e < 1.0:
         c, ok = _around(draw, *valid_correlation_range(n, e))
         ok = ok and _weights_fit(n, e, c)
     else:
         c, ok = _value(draw), False
-    i = draw(st.integers(-2, n + 2))
+    i = draw(st.one_of(st.integers(-2, n + 2), st.integers(-2, n + 2).map(np.int64),
+                       st.sampled_from(NOT_INTEGERS)))
+    count_ok = isinstance(i, (int, np.integer)) and 0 <= i <= n
+    if name not in HETEROGENEOUS and draw(st.integers(0, 7)) == 0:
+        n, ok = draw(st.sampled_from((n + 0.5, float(n), None))), False
     args = SimpleNamespace(rates=rates, n=n, e=e, f=f, c=c, i=i)
-    return name, args, ok, 0 <= i <= n
+    return name, args, ok, count_ok
 
 
 class TestPublicEntries:
@@ -763,10 +799,10 @@ class TestPublicEntries:
     @settings(max_examples=825, deadline=None)
     def test_rejects_or_reads_its_model(self, drawn):
         # Inadmissible arguments raise ValueError or EcocError, and a k or m
-        # outside 0..n of a valid model raises ValueError.  Admissible ones
-        # return the model's own count_pmf entry, or the fsum of count_pmf
-        # from m (exactly 1.0 at m = 0), bit for bit, and that is a
-        # probability.
+        # of a valid model that is not an integer in 0..n raises ValueError
+        # naming it.  Admissible ones return the model's own count_pmf entry,
+        # or the fsum of count_pmf from m (exactly 1.0 at m = 0), bit for
+        # bit, and that is a probability.
         name, a, model_ok, count_ok = drawn
         call, model = ENTRIES[name]
         if not model_ok:
@@ -774,7 +810,11 @@ class TestPublicEntries:
                 call(a)
             return
         if not count_ok:
-            with pytest.raises(ValueError, match=f"={a.i} outside 0\\.\\.{a.n}$"):
+            if isinstance(a.i, (int, np.integer)):
+                message = f"={a.i} outside 0\\.\\.{a.n}$"
+            else:
+                message = rf"^[km]={re.escape(repr(a.i))} is not an integer$"
+            with pytest.raises(ValueError, match=message):
                 call(a)
             return
         got = call(a)

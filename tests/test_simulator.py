@@ -316,6 +316,10 @@ class TestDecode:
             mc_threshold_error(
                 Independent(ErrorProfile.iid(4, 0.1)), -1, SimConfig(trials=10)
             )
+        with pytest.raises(ValueError, match=r"^m=2\.0 is not an integer$"):
+            mc_threshold_error(
+                Independent(ErrorProfile.iid(4, 0.1)), 2.0, SimConfig(trials=10)
+            )
 
 
 def _pair_f(e, c):

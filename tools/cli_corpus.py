@@ -67,16 +67,20 @@ def _models(n: int, e: str) -> list[list[str]]:
     ]
 
 
-def _equal_rates() -> list[tuple[int, list[str]]]:
-    """(n, model flags) of the independent and pair models given as n equal
-    --rates entries at a nonzero rate; each prints the same bytes as its
-    --model iid or --model pair --n --ebar twin."""
+def _rate_lists() -> list[tuple[int, list[str]]]:
+    """(n, model flags) of --rates lists at nonzero rates: the independent
+    and pair models given n equal entries, each of which prints the same
+    bytes as its --model iid or --model pair --n --ebar twin, and a pair
+    model whose first n - 2 entries are equal and whose pair differs, whose
+    n - 2 row is the product tree's."""
     out = []
     for n in (26, 127, 1000):
         for e in ("0.0686", "0.18"):
             rates = ["--rates", ",".join([e] * n)]
             out += [(n, ["--model", "independent", *rates]),
                     (n, ["--model", "pair", *rates, "--f", "0.01"])]
+        rates = ["--rates", ",".join(["0.18"] * (n - 2) + ["0.3", "0.25"])]
+        out.append((n, ["--model", "pair", *rates, "--f", "0.1"]))
     return out
 
 
@@ -118,7 +122,7 @@ def _pmf(_: Path) -> list[list[str]]:
                     out.append(["pmf", *model, "--format", fmt])
                 for k in (0, n // 2, n, n + 1, -1):
                     out.append(["pmf", *model, "--k", str(k), "--format", "csv"])
-    for n, model in _equal_rates():
+    for n, model in _rate_lists():
         out += [["pmf", *model, "--format", fmt] for fmt in FORMATS]
         out.append(["pmf", *model, "--k", str(n // 2), "--format", "csv"])
     return out
@@ -133,7 +137,7 @@ def _tail(_: Path) -> list[list[str]]:
                     out.append(["tail", *model, "--m", str(m), "--format", "csv"])
                 out += [["tail", *model, "--m", "1", "--format", fmt] for fmt in FORMATS]
     out += [["tail", *model, "--m", "1"] for model in _unread_flags()]
-    for n, model in _equal_rates():
+    for n, model in _rate_lists():
         for m in sorted({1, n // 4, n // 2, n}):
             out.append(["tail", *model, "--m", str(m), "--format", "csv"])
     return out
