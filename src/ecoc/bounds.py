@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ModelError
-from .prob_engine import ErrorProfile, _checked_rates, correlation_correction
-from .prob_engine import valid_correlation_range
+from .prob_engine import ErrorProfile, _check_integer, _check_number, _checked_rates
+from .prob_engine import correlation_correction, valid_correlation_range
 
 # evaluate_bounds' kz policies: "gated" (kz_bound) or "always" (kz_value).
 KZ_POLICIES = ("gated", "always")
@@ -73,6 +73,14 @@ class BoundReport:
 
 
 def _check_inputs(n: int, m: int, e: float, c=None, *, min_n: int = 1) -> None:
+    """The bound-input contract: n an integer of at least min_n, m an
+    integer in 1..n, e a number in [0, 1] and c, when given, a finite
+    number; a value of the wrong type is named, as prob_engine names it."""
+    _check_integer("n", n)
+    _check_integer("m", m)
+    _check_number("e", e)
+    if c is not None:
+        _check_number("c", c)
     if n < min_n:
         raise ValueError(f"n={n} must be at least {min_n}")
     if not 1 <= m <= n:
@@ -154,6 +162,7 @@ def kz_value(n: int, m: int, e: float, c: float) -> float:
     past the input contract: negative c or e above (m-1)/(n-1) simply make
     the correction negative.  This is the form experiment reports publish.
     """
+    _check_number("c", c)
     _check_inputs(n, m, e, c, min_n=2)
     r = m / n
     correction = correlation_correction(n, m, e, c)
@@ -178,6 +187,7 @@ def kz_bound(
     keep that factor, which makes the value a guaranteed upper bound on
     exchangeable_tail for all admissible inputs.
     """
+    _check_number("c", c)
     _check_inputs(n, m, e, c, min_n=2)
     r = m / n
     if c < 0.0:

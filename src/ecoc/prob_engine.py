@@ -11,9 +11,10 @@ two-stage recursion or the exchangeable outcome weights on top of it; the
 independent and pair rows come from the profile's one route choice, _row:
 _binomial_row's repeated squares for the one rate a profile records when
 it is built, else poisson_binomial_dist, the product tree only), one draw
-hook _draw(rng, count, k_min) (every row's error count, the indices of the
-rows, among count trials, with at least k_min errors, and their bool error
-vectors) and joint_mass(bits)
+hook _draw(rng, count, k_min) (the indices of the rows, among count trials,
+with at least k_min errors, their bool error vectors and their error counts;
+at k_min = n + 1, where no row is kept, every row's count) and
+joint_mass(bits)
 (the joint law of whole outcomes, from the model's definition and not from
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
 sums for cross-checking).  Five methods are defined once, on
@@ -32,38 +33,53 @@ in the order rng.random((count, width)) would consume them, and compare
 integers where rng.random would give uniforms u = (x >> 11) * 2**-53:
 
 - With j = x >> 11 an integer below 2**53 and e a double, e * 2**53 is
-  exact, so u < e <=> j < e * 2**53 <=> j < ceil(e * 2**53).  Each rate's
-  limit ceil(e * 2**53) is computed once per call in integer arithmetic,
-  and every comparison gives the same bit as the uniform's.
+  exact, so u < e <=> j < e * 2**53 <=> j < L = ceil(e * 2**53), and
+  j < L <=> x < L * 2**11.  Each rate's limit is computed once per call in
+  integer arithmetic (_word_limits), and the independent and pair samplers
+  compare the raw words against L * 2**11 (_raw_limits), with no shift
+  pass.  That limit fits a uint64 for every rate but e = 1, where it is
+  2**64; such a rate gets one exact fix-up, every word lies below it
+  (_below).
 - The exchangeable sampler ranks positions by j, which orders and ties
-  exactly as u does.
+  exactly as u does; ranked as raw words, two positions whose j tie would
+  be ordered by their low 11 bits instead.
 
 The independent and pair samplers compare every word of a block against
 one limit per column, or against a single limit when the profile records
 one rate, and count each row's errors with one float32 matrix-vector product
 (code_matrix._row_counts).  That count is exact because no row is 2**24
 or more words wide: every sampler applies code_matrix._check_width before
-it draws a word.
+it draws a word.  They keep the counts of the far rows only, unless every
+row's count is asked for; the pair model compares its own word only for the
+rows that can reach k_min.
 
-The exchangeable sampler draws the counts first and then the position words
-of the far rows only (those with at least k_min errors); gaps between far
-rows of fewer than _SKIP_MIN_WORDS words are drawn through.  A Philox
-stream is moved over a longer gap by one state set: the counter goes to the
-block before the one holding the last word skipped, and that block's words
-up to it are drawn and dropped (_drawer).  Any other bit generator draws
-each gap and drops it.  Either way the stream ends where drawing every row
-leaves it, whatever k_min is: counter, buffer, buffer position and held
-32-bit half are those of the draw-every-word stream, so a draw that follows
-does not change.
+The exchangeable sampler draws the counts first, by _draw_counts: the
+values and generator state of rng.choice(n + 1, count, p), read from a
+2**12-bucket inverse-cdf table, with searchsorted only for the uniforms
+in buckets that hold a cdf entry.  It then draws the position words of the
+far rows only (those with at least k_min errors); gaps between far rows of
+fewer than _SKIP_MIN_WORDS words are drawn through.  A Philox stream is
+moved over a longer gap by writing its 256-bit counter and buffer position
+in place, through bit_generator.ctypes.state_address: the counter goes to
+the block before the one holding the last word skipped, and that block's
+words up to it are drawn and dropped (_drawer).  The memory is checked
+once per drawer against bits.state (_philox_view); a generator that fails
+the check, like any other bit generator, draws each gap and drops it.
+Either way the stream ends where drawing every row leaves it, whatever
+k_min is: counter, buffer, buffer position and held 32-bit half are those
+of the draw-every-word stream, so a draw that follows does not change.
+With no row to keep (sample_counts), every position word is skipped at
+once.
 
 Every sampler therefore ends the stream where sample(rng, count) ends it,
-sample_counts included: it runs the same _draw, which draws or skips every
-word that sample draws.  Only the rows at k_min are kept, so sample_counts
-keeps one count per row and never holds a (count, n) array.
+sample_counts included: it draws or skips every word that sample draws.
+Only the rows at k_min are kept, so sample_counts keeps one count per row
+and never holds a (count, n) array.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 from collections.abc import Sequence
@@ -91,13 +107,38 @@ _UNIFORM_BITS = 53
 
 # Position words of exchangeable rows that are not ranked are skipped when
 # the gap is at least this long and drawn through when it is shorter.  A
-# Philox skip (one state set, up to 4 more words drawn; see _drawer) took
-# about 3 us on a 2-vCPU Xeon, the time of 700-800 words; of gaps from 64
-# to 4,096 words, 768-1,024 ran fastest at both 26 and 127 classes.
-_SKIP_MIN_WORDS = 1024
+# skip (a counter write, and a random_raw call of its own for the rows
+# after it) costs about the time of 300 words drawn.  In exchangeable
+# full-decode at 26 classes every length from 128 to 512 words ran 3-15 %
+# faster than 1,024 (256: 12 % on one worker, 13 % on two); at 127 classes
+# all were within 5 % of each other (2-vCPU VM, interleaved runs of 2**17
+# trials).
+_SKIP_MIN_WORDS = 256
 
 _PHILOX_LANES = 4
 _COUNTER_BITS = 256
+_KEY_BYTES = 16
+
+
+class _PhiloxState(ctypes.Structure):
+    """numpy's philox_state, which bit_generator.ctypes.state_address points
+    to: the counter and key are held by the generator object, behind the
+    two pointers."""
+
+    _fields_ = [
+        ("counter", ctypes.c_void_p),
+        ("key", ctypes.c_void_p),
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * _PHILOX_LANES),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+# The count draw's inverse-CDF table has this many equal buckets of [0, 1).
+_COUNT_BUCKETS = 1 << 12
+# Generator.choice's tolerance on the sum of p.
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -244,24 +285,28 @@ class PairModel(DependenceModel):
 
     def _draw(self, rng, count, k_min):
         # The pair's words follow all of the others', so the rows that can
-        # reach k_min (at least k_min - 2 errors elsewhere) are kept until
-        # the pair's bits are known.  Its two bits come from one word per
-        # row: the first errs below P11 + P10, the second below P11 or in
+        # reach k_min (at least k_min - 2 errors elsewhere) are kept, with
+        # their counts, until the pair's bits are known; only those rows'
+        # words are compared.  Its two bits come from one word per row: the
+        # first errs below P11 + P10, the second below P11 or in
         # [P11 + P10, P11 + P10 + P01).
         ks, near, rest = _independent_draw(rng, count, self.profile, self.n - 2, k_min - 2)
+        every = k_min > self.n
+        x = rng.bit_generator.random_raw(count)
         p11, p10, p01, _ = self.joint_cells
-        first_lim, both_lim, either_lim = _word_limits((p11 + p10, p11, p11 + p10 + p01))
-        j = _words(rng, count)
-        first = j < first_lim
-        second = (j < both_lim) | (~first & (j < either_lim))
+        limits, ones = _raw_limits((p11 + p10, p11, p11 + p10 + p01))
+        first, both, either = _below(x if every else x[near], limits[:, None], ones[:, None])
+        second = both | (~first & either)
         ks += first.view(np.uint8) + second.view(np.uint8)
-        keep = np.flatnonzero(ks[near] >= k_min)
+        if every:
+            return ks, near, np.empty((0, self.n), dtype=bool)
+        keep = np.flatnonzero(ks >= k_min)
         far = near[keep]
         bits = np.empty((far.size, self.n), dtype=bool)
         bits[:, :-2] = rest[keep]
-        bits[:, -2] = first[far]
-        bits[:, -1] = second[far]
-        return ks, far, bits
+        bits[:, -2] = first[keep]
+        bits[:, -1] = second[keep]
+        return ks[keep], far, bits
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates[:-2])
@@ -321,13 +366,17 @@ class ExchangeableModel(DependenceModel):
         # Outcome probability depends on the error vector only through its
         # count k, so draw k first and then a uniformly random k-subset of
         # positions (the positions of the k smallest of n iid uniforms).
-        # Only the far rows' position words are drawn and ranked.
-        pmf = self.count_pmf()
-        ks = rng.choice(self.n + 1, size=count, p=pmf / pmf.sum())
+        # Only the far rows' position words are drawn and ranked; with no
+        # row to keep, all of them are skipped at once.
+        ks = _draw_counts(rng, self.count_pmf(), count)
+        if k_min > self.n:
+            _drawer(rng.bit_generator, self.n)(0, count * self.n, 0)
+            return ks, np.empty(0, dtype=np.intp), np.empty((0, self.n), dtype=bool)
         far = np.flatnonzero(ks >= k_min)
+        ks = ks[far]
         marks = np.empty((far.size, self.n), dtype=bool)
         for rows, j in _far_words(rng, far, count, self.n):
-            _mark_smallest(j, ks[far[rows]], marks[rows])
+            _mark_smallest(j, ks[rows], marks[rows])
         return ks, far, marks
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
@@ -387,22 +436,27 @@ def _check_count(name: str, value: int, n: int) -> None:
 
 
 def _check_integer(name: str, value) -> None:
-    """A count or size: a Python or NumPy integer, never a float."""
-    if not isinstance(value, numbers.Integral):
+    """A count or size: a Python or NumPy integer, never a float.  A Python
+    int is let through before the numbers.Integral check, which costs about
+    0.5 us: analyze --fixture makes about 120 checks for ten folds."""
+    if not isinstance(value, int) and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}={value!r} is not an integer")
 
 
 def _check_number(name: str, value) -> None:
     """A model parameter: a real number (its range is checked by the model);
-    text is not converted, unlike a rate."""
-    if not isinstance(value, numbers.Real):
+    text is not converted, unlike a rate.  A Python float or int (NumPy's
+    float64 is a float) is let through before the numbers.Real check."""
+    if not isinstance(value, (float, int)) and not isinstance(value, numbers.Real):
         raise ValueError(f"{name}={value!r} is not a number")
 
 
 def _words(rng: np.random.Generator, shape) -> np.ndarray:
     """Raw words shifted to their top 53 bits: integers j < 2**53 such that
     j * 2**-53 are the uniforms rng.random(shape) would return, drawn from
-    the stream in the same order."""
+    the stream in the same order.  The exchangeable ranks are these
+    integers; the other samplers compare the raw words themselves
+    (_raw_limits), and this is the form they are held to."""
     j = rng.bit_generator.random_raw(shape)
     j >>= _WORD_SHIFT
     return j
@@ -418,13 +472,32 @@ def _word_limits(rates) -> np.ndarray:
     )
 
 
+def _raw_limits(rates) -> tuple[np.ndarray, np.ndarray]:
+    """(limits, ones) per rate e: a raw word x lies below the limit
+    _word_limits(e) * 2**11 exactly when its uniform lies below e, since
+    x >> 11 < L <=> x < L * 2**11.  That product fits a uint64 for every
+    rate but e = 1, whose limit 2**64 wraps to 0; ones flags those rates,
+    below which every word lies (see _below)."""
+    limits = _word_limits(rates)
+    return limits << _WORD_SHIFT, limits == 1 << _UNIFORM_BITS
+
+
+def _below(words: np.ndarray, limits: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """The error bits of raw words against the (limits, ones) of
+    _raw_limits, broadcast: words < limits, set wherever the rate is 1."""
+    bits = words < limits
+    if ones.any():
+        bits |= ones
+    return bits
+
+
 def _word_blocks(rng: np.random.Generator, rows: int, width: int):
-    """Yield (row slice, block of _words) over the rows of a (rows, width)
+    """Yield (row slice, block of raw words) over the rows of a (rows, width)
     draw, BLOCK_ROWS rows at a time; the stream is consumed in the same
     order as by one rng.random((rows, width)) call."""
     for start in range(0, rows, BLOCK_ROWS):
-        j = _words(rng, (min(BLOCK_ROWS, rows - start), width))
-        yield slice(start, start + len(j)), j
+        x = rng.bit_generator.random_raw((min(BLOCK_ROWS, rows - start), width))
+        yield slice(start, start + len(x)), x
 
 
 def _far_words(rng: np.random.Generator, far: np.ndarray, count: int, width: int):
@@ -435,60 +508,46 @@ def _far_words(rng: np.random.Generator, far: np.ndarray, count: int, width: int
     drawn as one run, the rows between them included; the longer gaps are
     skipped (see _drawer), and the stream ends where drawing every row
     leaves it."""
-    # Run i holds rows begin[i] to end[i] - 1; drawn[i] is the row of far[i]
-    # among the rows drawn, its own row less the rows skipped before it.
-    begin = end = drawn = far
-    if far.size:
-        new_run = np.zeros(far.size, dtype=np.intp)
-        new_run[1:] = (np.diff(far) - 1) * width >= _SKIP_MIN_WORDS
-        first = np.flatnonzero(new_run)
-        begin = far[np.append(0, first)]
-        end = np.append(far[first - 1], far[-1]) + 1
-        skipped = np.cumsum(begin - np.append(0, end[:-1]))
-        drawn = far - skipped[np.cumsum(new_run)]
-    lo = done = 0
-    for words in _batched(_run_words(rng.bit_generator, begin, end, count, width), width):
-        hi = int(np.searchsorted(drawn, done + len(words)))
-        j = words if hi - lo == len(words) else words[drawn[lo:hi] - done]
+    draw = _drawer(rng.bit_generator, width)
+    if not far.size:
+        draw(0, count * width, 0)
+        return
+    # Run i holds rows begin[i] to end[i] - 1, less skipped[i] rows skipped
+    # before it: among the rows drawn, run after run, it starts at
+    # place[i], and far row f sits at drawn = f - its run's skipped.
+    first = np.flatnonzero((np.diff(far) - 1) * width >= _SKIP_MIN_WORDS) + 1
+    begin = far[np.append(0, first)]
+    end = far[np.append(first - 1, far.size - 1)] + 1
+    skipped = np.cumsum(begin - np.append(0, end[:-1]))
+    drawn = far - np.repeat(skipped, np.diff(np.concatenate(([0], first, [far.size]))))
+    place = begin - skipped
+    total = int(end[-1] - skipped[-1])
+    # The rows drawn are cut into batches of BLOCK_ROWS at edges, and so
+    # the runs into pieces: piece p holds size[p] rows from row start[p],
+    # drawn when the stream stands at row after[p], where the piece before
+    # it ends.  (Cut by a sort: np.union1d hashes, at about 0.2 ms a chunk.)
+    edges = np.append(np.arange(0, total, BLOCK_ROWS), total)
+    cuts = np.sort(np.concatenate((place, edges[1:-1])))
+    size = np.diff(cuts, append=total)
+    cuts, size = cuts[size > 0], size[size > 0]
+    start = cuts + skipped[np.searchsorted(place, cuts, side="right") - 1]
+    after = np.append(0, start[:-1] + size[:-1])
+    pieces = np.searchsorted(cuts, edges).tolist()
+    rows_at = np.searchsorted(drawn, edges).tolist()
+    ats, tos, sizes = (after * width).tolist(), (start * width).tolist(), (size * width).tolist()
+    # One buffer joins every batch's pieces: a fresh array per batch costs
+    # about three times the copy in page faults.
+    buffer = np.empty(BLOCK_ROWS * width, dtype=np.uint64)
+    for b in range(len(edges) - 1):
+        p, q = pieces[b], pieces[b + 1]
+        held = list(map(draw, ats[p:q], tos[p:q], sizes[p:q]))
+        rows, lo, hi = int(edges[b + 1] - edges[b]), rows_at[b], rows_at[b + 1]
+        x = held[0] if len(held) == 1 else np.concatenate(held, out=buffer[: rows * width])
+        x = x.reshape(rows, width)
+        j = x if hi - lo == rows else x[drawn[lo:hi] - edges[b]]
         j >>= _WORD_SHIFT
         yield slice(lo, hi), j
-        lo, done = hi, done + len(words)
-
-
-def _run_words(bits, begin, end, count: int, width: int):
-    """Yield the raw words of rows begin[i] to end[i] - 1 for each run i, at
-    most BLOCK_ROWS rows at a time, as (rows, width) arrays; the rows
-    between runs and after the last one are skipped or drawn through."""
-    draw = _drawer(bits, width)
-    at = 0
-    for a, b in zip(begin.tolist(), end.tolist()):
-        for start in range(a, b, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, b - start)
-            yield draw(at * width, start * width, rows * width).reshape(rows, width)
-            at = start + rows
-    draw(at * width, count * width, 0)
-
-
-def _batched(blocks, width: int):
-    """Join consecutive (rows, width) word blocks until each batch holds at
-    least BLOCK_ROWS rows (the last may hold fewer).  Batches of several
-    blocks are joined into one buffer, which the next batch overwrites:
-    reusing it spares the page faults of a fresh array per batch, which
-    cost about three times the copy."""
-    out = np.empty((2 * BLOCK_ROWS, width), dtype=np.uint64)
-    held, rows = [], 0
-
-    def joined():
-        return held[0] if len(held) == 1 else np.concatenate(held, out=out[:rows])
-
-    for block in blocks:
-        held.append(block)
-        rows += len(block)
-        if rows >= BLOCK_ROWS:
-            yield joined()
-            held, rows = [], 0
-    if held:
-        yield joined()
+    draw(int(start[-1] + size[-1]) * width, count * width, 0)
 
 
 def _drawer(bits, width: int):
@@ -500,70 +559,140 @@ def _drawer(bits, width: int):
     every word leaves.
 
     A Philox generator draws the 4-word block of its counter + 1 into a
-    buffer.  To skip, the counter is set to the block before the one that
-    holds the last word skipped, with the buffer marked empty, and the
-    words of that block up to the last one skipped are drawn with the
-    words asked for and dropped: the block fills the buffer as drawing
-    through would.  The counter wraps modulo 2**256, as the generator's
-    own does.  Gaps shorter than _SKIP_MIN_WORDS are drawn through with the
-    words asked for.  Any other generator draws every gap through, at most
+    buffer.  To skip, the counter is written, in place, as the block before
+    the one that holds the last word skipped, with the buffer marked empty,
+    and the words of that block up to the last one skipped are drawn with
+    the words asked for and dropped: the block fills the buffer as drawing
+    through would.  The counter wraps modulo 2**256, as the generator's own
+    does.  The writes go through _philox_view, which checks the memory
+    against bits.state first; gaps shorter than _SKIP_MIN_WORDS are drawn
+    through with the words asked for.  Any other generator, and a Philox
+    whose memory fails the check, draws every gap through, at most
     BLOCK_ROWS rows at a time, and drops it.
     """
-    if not isinstance(bits, np.random.Philox):
+    view = _philox_view(bits) if isinstance(bits, np.random.Philox) else None
+    if view is None:
 
-        def draw(at, to, words):
+        def through(at, to, words):
             step = BLOCK_ROWS * width
             for start in range(at, to, step):
                 bits.random_raw(min(step, to - start))
             return bits.random_raw(words)
 
-        return draw
+        return through
+    counter, state, base, buffered = view
+    wrap = 1 << _COUNTER_BITS
 
-    # The counter is four 64-bit limbs, lowest first: the 32 little-endian
-    # bytes of one 256-bit integer.
-    state = bits.state
-    base = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
-    buffered = _PHILOX_LANES - state["buffer_pos"]
-    state["buffer_pos"] = _PHILOX_LANES
-
-    def draw(at, to, words):
+    def skip(at, to, words):
         if to - at < _SKIP_MIN_WORDS:
             return bits.random_raw(to - at + words)[to - at :]
         # The last word skipped is lane last % 4 of block base + 1 + last // 4,
         # counted from the first word after the buffer.
         last = to - buffered - 1
-        counter = (base + last // _PHILOX_LANES) % (1 << _COUNTER_BITS)
-        state["state"]["counter"] = np.frombuffer(
-            counter.to_bytes(_COUNTER_BITS // 8, "little"), dtype="<u8"
-        )
-        bits.state = state
+        counter.raw = ((base + last // _PHILOX_LANES) % wrap).to_bytes(_COUNTER_BITS // 8, "little")
+        state.buffer_pos = _PHILOX_LANES
         lane = last % _PHILOX_LANES + 1
         return bits.random_raw(lane + words)[lane:]
 
-    return draw
+    return skip
+
+
+def _philox_view(bits: np.random.Philox):
+    """(counter, state, base, buffered) for a Philox bit generator: ctypes
+    views of its 32-byte counter and its _PhiloxState, the counter as an
+    integer and the words left in its buffer; or None when that memory does
+    not hold what bits.state reports.  Every address is checked to lie in
+    the generator object before it is read."""
+    lo, hi = id(bits), id(bits) + type(bits).__basicsize__
+    address = bits.ctypes.state_address
+    if not lo <= address <= hi - ctypes.sizeof(_PhiloxState):
+        return None
+    state = _PhiloxState.from_address(address)
+    if not all(
+        lo <= a <= hi - size
+        for a, size in ((state.counter, _COUNTER_BITS // 8), (state.key, _KEY_BYTES))
+    ):
+        return None
+    counter = (ctypes.c_char * (_COUNTER_BITS // 8)).from_address(state.counter)
+    key = (ctypes.c_char * _KEY_BYTES).from_address(state.key)
+    want = bits.state
+    # The counter and key are 64-bit limbs, lowest first: the little-endian
+    # bytes of one integer.
+    if (
+        counter.raw != want["state"]["counter"].astype("<u8").tobytes()
+        or key.raw != want["state"]["key"].astype("<u8").tobytes()
+        or state.buffer_pos != want["buffer_pos"]
+        or list(state.buffer) != want["buffer"].tolist()
+        or state.has_uint32 != want["has_uint32"]
+        or state.uinteger != want["uinteger"]
+    ):
+        return None
+    return (
+        counter, state, int.from_bytes(counter.raw, "little"),
+        _PHILOX_LANES - state.buffer_pos,
+    )
 
 
 def _independent_draw(rng: np.random.Generator, count: int, profile, width: int, k_min: int):
     """(ks, far, bits) for the first width classifiers of profile, taken as
-    independent: every row's error count, as the exact float32 of
-    _row_counts, the indices of the rows with at least k_min errors and
-    their bool error vectors.  The far rows are looked for only when a row
-    can reach k_min.  Storing the counts as float32 cost the far path about
-    1.5 % of a 32,768-row, 26-wide chunk on a 2-vCPU Xeon, against 3.5 % as
-    intp.  A profile of one rate is compared against its one limit, which
-    broadcasts at scalar speed, about 1.7x as fast as a limit per column."""
+    independent: far, the indices of the rows with at least k_min errors,
+    their bool error vectors, and their error counts as the exact float32 of
+    _row_counts; when k_min > width no row can be kept, and ks holds every
+    row's count instead.  A profile of one rate is compared against its one
+    limit, which broadcasts at scalar speed, about 1.7x as fast as a limit
+    per column."""
     rates = profile.rates[:width] if profile._rate is None else (profile._rate,)
-    limits = _word_limits(rates)
-    ks = np.empty(count, dtype=np.float32)
+    limits, ones = _raw_limits(rates)
+    every = k_min > width
+    ks = np.empty(count, dtype=np.float32) if every else [np.empty(0, dtype=np.float32)]
     far, kept = [np.empty(0, dtype=np.intp)], [np.empty((0, width), dtype=bool)]
-    for rows, j in _word_blocks(rng, count, width):
-        bits = j < limits
-        ks[rows] = row_ks = _row_counts(bits)
-        if k_min <= width:
+    for rows, x in _word_blocks(rng, count, width):
+        bits = _below(x, limits, ones)
+        row_ks = _row_counts(bits)
+        if every:
+            ks[rows] = row_ks
+        else:
             idx = np.flatnonzero(row_ks >= k_min)
             far.append(idx + rows.start)
             kept.append(bits[idx])
+            ks.append(row_ks[idx])
+    if not every:
+        ks = np.concatenate(ks)
     return ks, np.concatenate(far), np.concatenate(kept)
+
+
+def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
+    """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
+    values from the same rng.random(count) uniforms, and the same
+    ValueError, before any draw, for a p that choice rejects.
+
+    choice returns, for each uniform u, the number of entries of its cdf,
+    p.cumsum() / its last entry, that are at most u.  Here the cdf and the
+    uniforms are scaled by _COUNT_BUCKETS, which is exact, and a table gives
+    that number for each bucket [b, b + 1) that holds no cdf entry strictly
+    inside it; only the uniforms in the other buckets, at most one per
+    entry, are looked up by searchsorted."""
+    p = pmf / pmf.sum()
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _P_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf *= _COUNT_BUCKETS
+    # Entries at most b are those whose ceiling is at most b.
+    table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=_COUNT_BUCKETS + 1)
+    table = table.cumsum()[:_COUNT_BUCKETS]
+    table[cdf[cdf != np.floor(cdf)].astype(np.intp)] = -1
+    u = rng.random(count)
+    u *= _COUNT_BUCKETS
+    ks = table[u.astype(np.intp)]
+    inside = np.flatnonzero(ks < 0)
+    ks[inside] = cdf.searchsorted(u[inside], side="right")
+    return ks
 
 
 def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
@@ -751,6 +880,8 @@ def bahadur_range(n: int, e: float) -> tuple[float, float]:
 def _published_range(n: int, e: float) -> tuple[float, float]:
     """bahadur_range without its check on the lower end, which is -inf when
     it overflows."""
+    _check_integer("n", n)
+    _check_number("e", e)
     if n < 2:
         raise ValueError(f"n={n} must be at least 2")
     if not (0.0 < e < 1.0):

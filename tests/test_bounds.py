@@ -1,6 +1,7 @@
 """Tests for the analytic bound evaluations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ecoc.prob_engine import (
     exchangeable_tail,
     tail_iid,
     tail_independent,
+    valid_correlation_range,
 )
 
 
@@ -315,3 +317,35 @@ class TestEvaluateBounds:
 
     def test_zero_mu_accepted(self):
         assert evaluate_bounds(BoundInputs(10, 2, 0.1, mu=0.0)).chernoff_mu == 0.0
+
+
+class TestInputTypes:
+    """A count or size that is not an integer, or a rate or correlation
+    that is not a number, is named, not read as a number or left to a
+    TypeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: feller_bound(10, 2.5, 0.1), "m=2.5 is not an integer"),
+            (lambda: chernoff_bound(10.5, 3, 0.1), "n=10.5 is not an integer"),
+            (lambda: chernoff_bound(10, 3.0, 0.1), "m=3.0 is not an integer"),
+            (lambda: feller_bound(10, 3, None), "e=None is not a number"),
+            (lambda: chernoff_bound(10, 3, "0.1"), "e='0.1' is not a number"),
+            (lambda: kz_value(10, 3, 0.1, None), "c=None is not a number"),
+            (lambda: kz_bound(10, 3, 0.1, "0"), "c='0' is not a number"),
+            (lambda: BoundInputs(10, 3, 0.1, c="x"), "c='x' is not a number"),
+            (lambda: BoundInputs(None, 3, 0.1), "n=None is not an integer"),
+            (lambda: bahadur_range(2.5, 0.1), "n=2.5 is not an integer"),
+            (lambda: bahadur_range(5, "0.1"), "e='0.1' is not a number"),
+            (lambda: valid_correlation_range(5, None), "e=None is not a number"),
+        ],
+    )
+    def test_names_a_value_of_the_wrong_type(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_scalars_are_read(self):
+        n, m, e = np.int64(10), np.int64(3), np.float64(0.1)
+        assert feller_bound(n, m, e) == feller_bound(10, 3, 0.1)
+        assert bahadur_range(n, e) == bahadur_range(10, 0.1)

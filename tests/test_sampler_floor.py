@@ -1,0 +1,40 @@
+"""A smoke run of tools/sampler_floor.py at a tiny trial count."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "sampler_floor.py"
+_SPEC = importlib.util.spec_from_file_location("sampler_floor", _PATH)
+sampler_floor = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sampler_floor)
+
+
+def test_one_row_per_model_size_and_mode(capsys):
+    trials = 300
+    assert sampler_floor.main(["--trials", str(trials), "--repeat", "1"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split()[:4] == ["model", "classes", "mode", "words"]
+    rows = [line.split() for line in lines]
+    assert [(kind, int(n), mode) for kind, n, mode, *_ in rows] == [
+        (kind, n, mode)
+        for n in (26, 127)
+        for kind in sampler_floor.KINDS
+        for mode in sampler_floor.MODES
+    ]
+    for kind, n, mode, words, *times in rows:
+        # iid draws a word per classifier and trial, the pair one fewer (its
+        # two bits share a word); exchangeable draws one uniform per trial
+        # and the position words it does not skip.
+        want = {"iid": trials * int(n), "pair": trials * (int(n) - 1)}.get(kind)
+        assert int(words) == want if want else trials < int(words) <= trials * (int(n) + 1)
+        assert all(float(t) > 0 for t in times)
+
+
+def test_words_counted_from_the_chunk_generators():
+    model = sampler_floor.model_of("exchangeable", 26)
+    code = sampler_floor.build_code_matrix(26)
+    # No far row is kept in threshold mode: the counts' uniforms, then one
+    # skip over the position words, whose block is drawn up to the last
+    # word skipped.
+    words = sampler_floor.count_words("exchangeable", model, code, "threshold", 1000)
+    assert 1000 < words <= 1000 + 4

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimators: determinism, fidelity, ordering."""
 
+import ctypes
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -540,6 +541,50 @@ class TestRawWords:
         got = model.sample(self._serving(other, pair), pair.size)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "rates",
+        [(1.0,) * 4, (1.0, 0.3, 1.0, 0.0, 1.0 - 2.0**-53, 1.0), (0.5, 1.0)],
+        ids=["one-rate", "mixed", "last"],
+    )
+    def test_rate_one_on_edge_words(self, rates):
+        # As a raw-word limit, e = 1's 2**64 wraps to 0; every word, 2**64 - 1
+        # included, must still err there, whether the profile's one limit
+        # broadcasts or each column has its own.
+        words = self._edge_words(_word_limits(rates).tolist())
+        want = (words >> np.uint64(11)) * 2.0**-53 < np.array(rates)
+        model = Independent(ErrorProfile(rates))
+        assert np.array_equal(model.sample(self._serving(words), len(words)), want)
+        counts = model.sample_counts(self._serving(words), len(words))
+        assert np.array_equal(counts, want.sum(axis=1))
+        assert want[:, np.array(rates) == 1.0].all()
+
+    @pytest.mark.parametrize(
+        "rates, f",
+        [((0.3, 1.0, 1.0), 1.0), ((0.3, 1.0, 0.4), 0.4), ((0.3, 0.6, 0.4), 0.0)],
+        ids=["all-three", "first-and-either", "either"],
+    )
+    def test_pair_limits_of_one_on_edge_words(self, rates, f):
+        # P11 + P10, P11 or P11 + P10 + P01 equal to 1: the pair's bits, on
+        # every row and on the far rows alone, where only the near rows'
+        # words are compared.
+        model = PairModel(ErrorProfile(rates), f)
+        p11, p10, p01, _ = model.joint_cells
+        limits = (p11 + p10, p11, p11 + p10 + p01)
+        assert 1.0 in limits
+        pair = self._edge_words(_word_limits(limits).tolist()).T.reshape(-1)
+        other = np.resize(self._edge_words(_word_limits(rates[:1]).tolist()), (pair.size, 1))
+        u = (pair >> np.uint64(11)) * 2.0**-53
+        want = np.empty((pair.size, 3), dtype=np.uint8)
+        want[:, 0] = (other[:, 0] >> np.uint64(11)) * 2.0**-53 < rates[0]
+        want[:, 1] = u < p11 + p10
+        want[:, 2] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
+        for k_min in range(5):
+            far, bits = model.sample_far(self._serving(other, pair), pair.size, k_min)
+            rows = np.flatnonzero(want.sum(axis=1) >= k_min)
+            assert np.array_equal(far, rows) and np.array_equal(bits, want[rows])
+        counts = model.sample_counts(self._serving(other, pair), pair.size)
+        assert np.array_equal(counts, want.sum(axis=1))
+
 
 class TestFarRows:
     COUNTS = (0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
@@ -674,6 +719,111 @@ class TestSkippedWords:
             far, bits = model.sample_far(rng, 600, k_min)
             assert np.array_equal(far, want_far) and np.array_equal(bits, want_bits)
             assert _state(rng) == _state(ref), below
+
+    def test_a_layout_that_fails_the_check_draws_through(self, monkeypatch):
+        # With the counter and key pointers read in each other's place, the
+        # Philox memory no longer matches bits.state: every drawer takes the
+        # draw-through route, and the rows, bits and state are unchanged.
+        assert prob_engine._drawer(np.random.Philox(1), 5).__name__ == "skip"
+        routes, drawer = [], prob_engine._drawer
+
+        def spy(bits, width):
+            draw = drawer(bits, width)
+            routes.append(draw.__name__)
+            return draw
+
+        fields = prob_engine._PhiloxState._fields_
+        swapped = type("Swapped", (ctypes.Structure,), {"_fields_": [fields[1], fields[0]] + fields[2:]})
+        monkeypatch.setattr(prob_engine, "_PhiloxState", swapped)
+        monkeypatch.setattr(prob_engine, "_drawer", spy)
+        model = ExchangeableModel(127, 0.18, 0.006)
+        k_min = build_code_matrix(127).far_flips
+        for count in (0, 600, 2 * BLOCK_ROWS + 3):
+            ref, rng = _chunk_rng(7, 1), _chunk_rng(7, 1)
+            want_far, want_bits = _far_by_drawing_every_word(model, ref, count, k_min)
+            far, bits = model.sample_far(rng, count, k_min)
+            assert np.array_equal(far, want_far) and np.array_equal(bits, want_bits)
+            assert _state(rng) == _state(ref)
+            rng = _chunk_rng(7, 1)
+            model.sample_counts(rng, count)
+            assert _state(rng) == _state(ref)
+        assert routes and set(routes) == {"through"}
+
+
+@st.composite
+def _count_pmfs(draw):
+    """pmfs of 1 to 1,001 entries: weights with zeros among them, spread
+    or skewed so that most of the cdf lies in its last bucket; a single
+    nonzero entry; integer weights whose sum is a power of two, so that the
+    cdf lies on bucket edges when that sum is at most 2**12; and binomial
+    rows."""
+    n = draw(st.one_of(st.integers(0, 30), st.integers(0, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["weights", "single", "edges", "binomial"]))
+    if kind == "weights":
+        w = rng.exponential(size=n + 1) ** draw(st.sampled_from([1, 8, 40]))
+        w[rng.random(n + 1) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+        w[rng.integers(0, n + 1)] += 1.0
+    elif kind == "single":
+        w = np.zeros(n + 1)
+        w[draw(st.integers(0, n))] = draw(st.sampled_from([1e-300, 1.0, 1e300]))
+    elif kind == "edges":
+        w = rng.integers(0, draw(st.sampled_from([2, 64, 4096])), size=n + 1).astype(float)
+        w[rng.integers(0, n + 1)] += 2.0 ** math.ceil(math.log2(w.sum() + 1)) - w.sum()
+    else:
+        w = prob_engine._binomial_row(n, draw(st.sampled_from([1e-3, 0.0686, 0.5, 0.97])))
+    return w
+
+
+class TestCountDraw:
+    """The exchangeable counts: _draw_counts against rng.choice."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pmf=_count_pmfs(),
+        count=st.one_of(st.integers(0, 50), st.integers(0, 3000)),
+        seed=st.integers(0, 2**64 - 1),
+        kind=st.sampled_from(["philox", "pcg64"]),
+    )
+    def test_equals_choice(self, pmf, count, seed, kind):
+        make = {"philox": np.random.Philox, "pcg64": np.random.PCG64}[kind]
+        ref, rng = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+        want = ref.choice(len(pmf), size=count, p=pmf / pmf.sum())
+        got = prob_engine._draw_counts(rng, pmf, count)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert _state(rng) == _state(ref)
+
+    @pytest.mark.parametrize("entries", [1, 30, 900])
+    def test_uniforms_on_cdf_entries(self, entries):
+        # cdf entries equal to uniforms the generator is about to draw (as
+        # multiples of 2**-53 their differences, partial sums and total are
+        # exact): choice counts an entry equal to u as at most u.
+        for seed in range(4):
+            u = _chunk_rng(seed, 5).random(2000)
+            cdf = np.unique(np.append(np.random.default_rng(seed).choice(u, entries), 1.0))
+            pmf = np.diff(cdf, prepend=0.0)
+            want = _chunk_rng(seed, 5).choice(len(pmf), size=2000, p=pmf / pmf.sum())
+            got = prob_engine._draw_counts(_chunk_rng(seed, 5), pmf, 2000)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [[0.0, 0.0], [1.0, math.nan], [1.0, -0.5, 1.0], [math.inf, 1.0],
+         [1e308, 1e308], [-1.0, -1.0], [-0.0, 1.0]],
+        ids=["zeros", "nan", "negative", "inf", "overflow", "all-negative", "minus-zero"],
+    )
+    def test_rejects_what_choice_rejects(self, pmf):
+        pmf = np.array(pmf)
+        ref, rng = _chunk_rng(3, 0), _chunk_rng(3, 0)
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = ref.choice(len(pmf), size=50, p=pmf / pmf.sum())
+        except ValueError:
+            with pytest.raises(ValueError), np.errstate(invalid="ignore", over="ignore"):
+                prob_engine._draw_counts(rng, pmf, 50)
+        else:
+            assert np.array_equal(prob_engine._draw_counts(rng, pmf, 50), want)
+        assert _state(rng) == _state(ref)
 
 
 class _NoDraw:
