@@ -39,8 +39,10 @@ class BoundInputs:
 
     def __post_init__(self):
         _check_inputs(self.n, self.m, self.e_bar, self.c)
-        if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu={self.mu} must be finite and non-negative")
+        if self.mu is not None:
+            _check_number("mu", self.mu)
+            if not (math.isfinite(self.mu) and self.mu >= 0.0):
+                raise ValueError(f"mu={self.mu} must be finite and non-negative")
 
     @property
     def r(self) -> float:
@@ -92,6 +94,8 @@ def _check_inputs(n: int, m: int, e: float, c=None, *, min_n: int = 1) -> None:
 
 
 def _check_factor_inputs(r: float, e: float) -> None:
+    _check_number("r", r)
+    _check_number("e", e)
     if not 0.0 < r < 1.0:
         raise DomainError(f"r={r} outside (0, 1)")
     if not 0.0 <= e <= 1.0:
@@ -115,6 +119,8 @@ def feller_bound(n: int, m: int, e: float) -> float:
 
 def chernoff_mu_bound(mu: float, m: int) -> float:
     """Exponential tail bound e^(m - mu) * (mu / m)^m for 0 < mu < m."""
+    _check_number("mu", mu)
+    _check_integer("m", m)
     if m < 1:
         raise ValueError(f"m={m} must be at least 1")
     if not 0.0 < mu < m:

@@ -27,7 +27,7 @@ DEFAULT_ORIENTATION = KEEP_BOTTOM_RIGHT
 SYLVESTER_MAX_K = 15
 
 # float32 counts are exact below this: rows are kept narrower (_check_width)
-# and the blocks of a Gram product shorter (_pair_counts).
+# and the row blocks of analyze_fold's Gram products shorter.
 EXACT_MAX_N = 1 << 24
 
 _MATRIX_CHUNK = 256
@@ -111,10 +111,14 @@ def _as_bits(matrix) -> np.ndarray:
 
 
 def _all_bits(a: np.ndarray) -> bool:
-    """Whether every entry of a is 0 or 1.  Bool and unsigned entries cannot
-    be negative, so for them one compare will do."""
-    ok = a <= 1 if a.dtype.kind in "bu" else (a == 0) | (a == 1)
-    return bool(ok.all())
+    """Whether every entry of a is 0 or 1.  A bool entry always is (numpy's
+    bool is 0 or 1), so a bool array is not scanned; an unsigned entry
+    cannot be negative, so for it one max reduction will do."""
+    if a.dtype == bool:
+        return True
+    if a.dtype.kind == "u":
+        return int(a.max(initial=0)) <= 1
+    return bool(((a == 0) | (a == 1)).all())
 
 
 def _row_counts(bits: np.ndarray) -> np.ndarray:
@@ -124,18 +128,6 @@ def _row_counts(bits: np.ndarray) -> np.ndarray:
     no larger than the row length, which the callers keep below EXACT_MAX_N
     = 2**24 (_check_width), so each count is exact."""
     return bits.view(np.uint8) @ np.ones(bits.shape[1], dtype=np.float32)
-
-
-def _pair_counts(bits: np.ndarray) -> np.ndarray:
-    """The (n, n) float64 Gram matrix of a 2-D bool array's columns: how
-    many rows hold both columns true, the column counts on its diagonal.
-    Each block of EXACT_MAX_N - 1 rows is one float32 product, whose counts
-    stay below 2**24 and so are exact; the blocks are summed in float64."""
-    counts = np.zeros((bits.shape[1],) * 2)
-    for start in range(0, len(bits), EXACT_MAX_N - 1):
-        block = bits[start : start + EXACT_MAX_N - 1].astype(np.float32)
-        counts += block.T @ block
-    return counts
 
 
 def sylvester_hadamard(k: int) -> BitMatrix:

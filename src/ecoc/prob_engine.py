@@ -451,17 +451,6 @@ def _check_number(name: str, value) -> None:
         raise ValueError(f"{name}={value!r} is not a number")
 
 
-def _words(rng: np.random.Generator, shape) -> np.ndarray:
-    """Raw words shifted to their top 53 bits: integers j < 2**53 such that
-    j * 2**-53 are the uniforms rng.random(shape) would return, drawn from
-    the stream in the same order.  The exchangeable ranks are these
-    integers; the other samplers compare the raw words themselves
-    (_raw_limits), and this is the form they are held to."""
-    j = rng.bit_generator.random_raw(shape)
-    j >>= _WORD_SHIFT
-    return j
-
-
 def _word_limits(rates) -> np.ndarray:
     """ceil(e * 2**53) per rate e, as uint64, so that a uniform j * 2**-53
     lies below e exactly when j lies below the limit (see the module
@@ -501,8 +490,8 @@ def _word_blocks(rng: np.random.Generator, rows: int, width: int):
 
 
 def _far_words(rng: np.random.Generator, far: np.ndarray, count: int, width: int):
-    """Yield (slice of far, block of _words) over the rows far, the sorted
-    indices of some of count rows of width words each: the words
+    """Yield (slice of far, block of words j = x >> 11) over the rows far,
+    the sorted indices of some of count rows of width words each: the words
     rng.random((count, width)) would give those rows, at most BLOCK_ROWS
     rows at a time.  Far rows fewer than _SKIP_MIN_WORDS words apart are
     drawn as one run, the rows between them included; the longer gaps are

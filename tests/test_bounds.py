@@ -339,6 +339,21 @@ class TestInputTypes:
             (lambda: bahadur_range(2.5, 0.1), "n=2.5 is not an integer"),
             (lambda: bahadur_range(5, "0.1"), "e='0.1' is not a number"),
             (lambda: valid_correlation_range(5, None), "e=None is not a number"),
+            # Named ids keep the ids above, whose duplicates pytest numbers.
+            pytest.param(lambda: chernoff_mu_bound(1.0, 2.5), "m=2.5 is not an integer",
+                         id="chernoff_mu_bound-m"),
+            pytest.param(lambda: chernoff_mu_bound(None, 3), "mu=None is not a number",
+                         id="chernoff_mu_bound-mu"),
+            pytest.param(lambda: chernoff_lambda("0.3", 0.1), "r='0.3' is not a number",
+                         id="chernoff_lambda-r"),
+            pytest.param(lambda: chernoff_lambda(0.3, None), "e=None is not a number",
+                         id="chernoff_lambda-e"),
+            pytest.param(lambda: omega_factor([0.3], 0.1), "r=[0.3] is not a number",
+                         id="omega_factor-r"),
+            pytest.param(lambda: omega_factor(0.3, None), "e=None is not a number",
+                         id="omega_factor-e"),
+            pytest.param(lambda: BoundInputs(10, 3, 0.1, mu="x"), "mu='x' is not a number",
+                         id="BoundInputs-mu"),
         ],
     )
     def test_names_a_value_of_the_wrong_type(self, call, message):
@@ -349,3 +364,7 @@ class TestInputTypes:
         n, m, e = np.int64(10), np.int64(3), np.float64(0.1)
         assert feller_bound(n, m, e) == feller_bound(10, 3, 0.1)
         assert bahadur_range(n, e) == bahadur_range(10, 0.1)
+        assert chernoff_mu_bound(np.float64(1.0), m) == chernoff_mu_bound(1.0, 3)
+        assert chernoff_lambda(np.float64(0.3), e) == chernoff_lambda(0.3, 0.1)
+        assert omega_factor(0.3, e) == omega_factor(0.3, 0.1)
+        assert BoundInputs(10, 3, 0.1, mu=np.float64(0.5)).mu_value == 0.5

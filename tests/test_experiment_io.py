@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ecoc import cli
 from ecoc.bounds import BoundInputs, evaluate_bounds
 from ecoc.cli import main
 from ecoc import code_matrix
@@ -250,6 +252,181 @@ class TestPredictionsIO:
 
 
 _SUMMARY_HEAD = b"fold,mean_bit_error,mean_correlation,ecoc_error\n"
+
+
+def whole_array_parse(raw, n):
+    """(true_classes, bits) of a well-formed raw-prediction file, parsed as
+    load_predictions parsed it before it worked in row blocks: one LF scan
+    over the whole file, every row's cells gathered into one (rows, 2n)
+    array and its class digits into one (rows, w) array, the classes taken
+    by one integer matrix product.  The oracle for the blocked parse."""
+    body = np.frombuffer(raw, np.uint8)[raw.find(b"\n") + 1 :]
+    ends = np.flatnonzero(body == ord("\n"))
+    if body[-1] != ord("\n"):
+        ends = np.append(ends, body.size)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    stops = ends - (body[ends - 1] == ord("\r"))
+    bit0 = stops - 2 * n
+    width = bit0 - starts
+    cells = sliding_window_view(body, 2 * n)[bit0]
+    bits = (cells.view("<u2") == int.from_bytes(b",1", "little")).view(np.uint8)
+    w = int(width.max())
+    pos = np.maximum(bit0[:, None] - np.arange(w, 0, -1), 0)
+    digits = np.where(np.arange(w, 0, -1) <= width[:, None], body[pos] - ord("0"), 0)
+    return digits.astype(np.int64) @ 10 ** np.arange(w - 1, -1, -1), bits
+
+
+class TestRowBlocks:
+    """load_predictions parses a fold in blocks of _BLOCK_ROWS rows; forced
+    small here, so that rows meet block edges."""
+
+    BLOCK = 8
+    N = 11
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(xio, "_BLOCK_ROWS", self.BLOCK)
+
+    def write(self, path, rows, seed, eol=b"\r\n", final_eol=True):
+        rng = np.random.default_rng(seed)
+        # Classes of 1 to 4 digits, so blocks differ in their widest field.
+        classes = rng.integers(0, 10 ** rng.integers(1, 5, rows))
+        bits = rng.integers(0, 2, (rows, self.N), dtype=np.uint8)
+        write_predictions(FoldData("f", self.N, classes, bits), path)
+        raw = path.read_bytes().replace(b"\r\n", eol)
+        path.write_bytes(raw if final_eol else raw.removesuffix(eol))
+        return classes, bits
+
+    @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("scan_bytes", [7, 1 << 18])
+    @pytest.mark.parametrize(
+        "eol, final_eol", [(b"\r\n", True), (b"\n", True), (b"\r\n", False)]
+    )
+    def test_matches_whole_array_parse(
+        self, tmp_path, monkeypatch, rows, scan_bytes, eol, final_eol
+    ):
+        # A 7-byte line-end scan splits rows and line ends across steps.
+        monkeypatch.setattr(xio, "_SCAN_BYTES", scan_bytes)
+        path = tmp_path / "f.csv"
+        classes, bits = self.write(path, rows, rows, eol, final_eol)
+        want_classes, want_bits = whole_array_parse(path.read_bytes(), self.N)
+        loaded = load_predictions(path)
+        assert loaded.true_classes.dtype == want_classes.dtype == np.int64
+        assert loaded.bits.dtype == want_bits.dtype == np.uint8
+        assert np.array_equal(loaded.true_classes, want_classes)
+        assert np.array_equal(loaded.bits, want_bits)
+        assert np.array_equal(loaded.true_classes, classes)
+        assert np.array_equal(loaded.bits, bits)
+
+    @pytest.mark.parametrize("row", [BLOCK, BLOCK + 3, 2 * BLOCK, 2 * BLOCK + 4])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda line: line[:-1] + b"2", f"bit_{N} value '2' is not 0 or 1"),
+            (lambda line: b"x" + line[1:], "is not a decimal integer"),
+            (lambda line: line[:-2], f"expected {N + 1} fields, got {N}"),
+        ],
+        ids=["bit", "class", "short-row"],
+    )
+    def test_bad_row_in_a_later_block_names_its_line(
+        self, tmp_path, row, damage, message
+    ):
+        # Row `row` is on line row + 2 and sits in the second or third
+        # block; a bad row after it in a later block must not be reported.
+        path = tmp_path / "f.csv"
+        self.write(path, 3 * self.BLOCK + 2, row)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[row + 1] = damage(lines[row + 1])
+        lines[-2] = b"-" + lines[-2]
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_predictions(path)
+        assert err.value.line == row + 2
+
+
+class TestFoldPool:
+    """analyze --predictions loads and analyzes its files on a thread pool;
+    the output and the error raised do not depend on its size."""
+
+    CLASSES = 8
+
+    def folds(self, tmp_path, count, rows=300):
+        code = build_code_matrix(self.CLASSES)
+        paths = []
+        for i in range(count):
+            paths.append(tmp_path / f"fold{i + 1}.csv")
+            write_predictions(make_fold(np.random.default_rng(i), code, rows, 0.1), paths[-1])
+        return paths
+
+    def analyze(self, capsys, monkeypatch, threads, paths, *flags):
+        monkeypatch.setattr(cli, "_fold_threads", lambda: threads)
+        status = main(["analyze", "--predictions", *map(str, paths),
+                       "--classes", str(self.CLASSES), *flags])
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    @pytest.mark.parametrize("flags", [(), ("--format", "csv"), ("--format", "json")])
+    def test_same_output_on_one_and_two_threads(self, capsys, monkeypatch, tmp_path, flags):
+        paths = self.folds(tmp_path, 3)
+        one = self.analyze(capsys, monkeypatch, 1, paths, *flags)
+        two = self.analyze(capsys, monkeypatch, 2, paths, *flags)
+        assert one[0] == 0 and one[1].count("fold") >= 3
+        assert two == one
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_bad_file_is_reported(self, capsys, monkeypatch, tmp_path, threads):
+        paths = self.folds(tmp_path, 3)
+        for path, line in zip(paths[1:], (3, 5)):
+            lines = path.read_bytes().split(b"\r\n")
+            lines[line - 1] = b"x" + lines[line - 1]
+            path.write_bytes(b"\r\n".join(lines))
+        status, out, err = self.analyze(capsys, monkeypatch, threads, paths)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: line 3: true_class 'x")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_load_error_wins_over_an_earlier_analysis_error(
+        self, capsys, monkeypatch, tmp_path, threads
+    ):
+        # Fold 1 loads but holds a class the code does not have; file 2
+        # does not load.  As when every file is loaded first, file 2's
+        # error is the one reported.
+        paths = self.folds(tmp_path, 3)
+        text = paths[0].read_bytes().split(b"\r\n")
+        text[1] = b"9" + text[1][text[1].index(b",") :]
+        paths[0].write_bytes(b"\r\n".join(text))
+        text = paths[1].read_bytes().split(b"\r\n")
+        text[3] = text[3] + b",1"
+        paths[1].write_bytes(b"\r\n".join(text))
+        status, out, err = self.analyze(capsys, monkeypatch, threads, paths)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: line 4: expected {self.CLASSES + 1} fields")
+        status, _, err = self.analyze(capsys, monkeypatch, threads, paths[:1])
+        assert status == 1 and "true_class 9 out of range" in err
+
+    @pytest.mark.parametrize(
+        "env, threads",
+        [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+            ({"OMP_NUM_THREADS": "2"}, 2),
+            ({"MKL_NUM_THREADS": "3"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ],
+    )
+    def test_threads_leave_each_blas_call_its_threads(self, monkeypatch, env, threads):
+        # Four CPUs shared among the BLAS threads of each fold's analysis;
+        # BLAS takes every CPU unless one of its variables says otherwise.
+        cpus = {0, 1, 2, 3}
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._fold_threads() == threads
 
 
 class TestSummariesIO:

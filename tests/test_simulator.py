@@ -24,7 +24,6 @@ from ecoc.prob_engine import (
     _SKIP_MIN_WORDS,
     _mark_smallest,
     _word_limits,
-    _words,
     enumerate_outcomes,
     exchangeable_tail,
     pair_correlated_tail,
@@ -489,9 +488,17 @@ class TestRawWords:
             assert np.array_equal(model.sample_counts(rng, self.COUNT), want.sum(axis=1))
             assert _state(rng) == _state(ref)
 
+    @staticmethod
+    def _words(rng, shape) -> np.ndarray:
+        """Raw words shifted to their top 53 bits: integers j < 2**53 such
+        that j * 2**-53 are the uniforms rng.random(shape) would return.
+        The exchangeable ranks are these integers, and the raw-word
+        compares of the other samplers are held to them."""
+        return rng.bit_generator.random_raw(shape) >> np.uint64(11)
+
     def test_words_are_the_uniforms(self):
         for shape in ((3, 5), (7,), (0, 4)):
-            j = _words(_chunk_rng(4, 0), shape)
+            j = self._words(_chunk_rng(4, 0), shape)
             assert j.dtype == np.uint64 and j.max(initial=0) < 2**53
             assert np.array_equal(j * 2.0**-53, _chunk_rng(4, 0).random(shape))
 
