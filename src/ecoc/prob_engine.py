@@ -19,12 +19,14 @@ joint_mass(bits)
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
 sums for cross-checking).  Five methods are defined once, on
 DependenceModel, for all three: pmf(k), the entry of count_pmf at k, tail(m),
-the sum of count_pmf from m, and three views of _draw, each after the
-width check of code_matrix (_check_width): sample_far(rng, count, k_min),
-its far rows as uint8, sample(rng, count), sample_far at k_min = 0, and
+the sum of count_pmf from m, and three views of _draw, each after
+_check_draw (the width check of code_matrix, _check_width, and a count
+that is an integer at least 0): sample_far(rng, count, k_min), its far
+rows as uint8, sample(rng, count), sample_far at k_min = 0, and
 sample_counts(rng, count), its counts as intp at k_min = n + 1, where no
-row is kept.  pmf and tail check k and m with _check_count, the one check
-that a count is an integer in 0..n.  The public pmf and tail functions below are one-line calls
+row is kept.  pmf and tail check k and m, and sample_far k_min (in
+0..n + 1), with _check_count, the one check that a count is an integer in
+a range.  The public pmf and tail functions below are one-line calls
 into a model's pmf or tail, so every count probability, binomial or not,
 is read from one count_pmf.
 
@@ -56,30 +58,20 @@ rows that can reach k_min.
 The exchangeable sampler draws the counts first, by _draw_counts: the
 values and generator state of rng.choice(n + 1, count, p), read from a
 2**12-bucket inverse-cdf table, with searchsorted only for the uniforms
-in buckets that hold a cdf entry.  It then draws the position words of the
-far rows only (those with at least k_min errors); gaps between far rows of
-fewer than _SKIP_MIN_WORDS words are drawn through.  A Philox stream is
-moved over a longer gap by writing its 256-bit counter and buffer position
-in place, through bit_generator.ctypes.state_address: the counter goes to
-the block before the one holding the last word skipped, and that block's
-words up to it are drawn and dropped (_drawer).  The memory is checked
-once per drawer against bits.state (_philox_view); a generator that fails
-the check, like any other bit generator, draws each gap and drops it.
-Either way the stream ends where drawing every row leaves it, whatever
-k_min is: counter, buffer, buffer position and held 32-bit half are those
-of the draw-every-word stream, so a draw that follows does not change.
-With no row to keep (sample_counts), every position word is skipped at
-once.
+in buckets that hold a cdf entry.  It then draws n position words for each
+far row (those with at least k_min errors), right after the counts, and
+none when no row is kept (sample_counts).
 
-Every sampler therefore ends the stream where sample(rng, count) ends it,
-sample_counts included: it draws or skips every word that sample draws.
-Only the rows at k_min are kept, so sample_counts keeps one count per row
-and never holds a (count, n) array.
+Every sampler's far rows therefore have the indices and error counts of
+sample(rng, count).  The independent and pair samplers draw every word
+whatever k_min is, so their far rows' vectors, and the state they leave
+the stream in, are those of sample as well; the exchangeable far rows
+hold uniform k-subsets of their own.  Only the rows at k_min are kept, so
+sample_counts keeps one count per row and never holds a (count, n) array.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
 from collections.abc import Sequence
@@ -104,36 +96,6 @@ BLOCK_ROWS = 1024
 # A raw 64-bit word x gives the uniform (x >> 11) * 2**-53.
 _WORD_SHIFT = 11
 _UNIFORM_BITS = 53
-
-# Position words of exchangeable rows that are not ranked are skipped when
-# the gap is at least this long and drawn through when it is shorter.  A
-# skip (a counter write, and a random_raw call of its own for the rows
-# after it) costs about the time of 300 words drawn.  In exchangeable
-# full-decode at 26 classes every length from 128 to 512 words ran 3-15 %
-# faster than 1,024 (256: 12 % on one worker, 13 % on two); at 127 classes
-# all were within 5 % of each other (2-vCPU VM, interleaved runs of 2**17
-# trials).
-_SKIP_MIN_WORDS = 256
-
-_PHILOX_LANES = 4
-_COUNTER_BITS = 256
-_KEY_BYTES = 16
-
-
-class _PhiloxState(ctypes.Structure):
-    """numpy's philox_state, which bit_generator.ctypes.state_address points
-    to: the counter and key are held by the generator object, behind the
-    two pointers."""
-
-    _fields_ = [
-        ("counter", ctypes.c_void_p),
-        ("key", ctypes.c_void_p),
-        ("buffer_pos", ctypes.c_int),
-        ("buffer", ctypes.c_uint64 * _PHILOX_LANES),
-        ("has_uint32", ctypes.c_int),
-        ("uinteger", ctypes.c_uint32),
-    ]
-
 
 # The count draw's inverse-CDF table has this many equal buckets of [0, 1).
 _COUNT_BUCKETS = 1 << 12
@@ -203,17 +165,29 @@ class DependenceModel:
         self, rng: np.random.Generator, count: int, k_min: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The indices of the rows, among count trials, with at least k_min
-        errors, and their error vectors as a uint8 array; the stream ends
-        where sample(rng, count) leaves it."""
-        _check_width(self.n)
+        errors (an integer in 0..n + 1), and their error vectors as a uint8
+        array.  The indices and the error counts are those of
+        sample(rng, count); so are the vectors, and the state the stream is
+        left in, for the independent and pair models.  The exchangeable far
+        rows rank the position words drawn right after the counts."""
+        self._check_draw(count)
+        _check_count("k_min", k_min, self.n + 1)
         _, far, bits = self._draw(rng, count, k_min)
         return far, bits.view(np.uint8)
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The error counts of count trials, no row kept; the stream ends
-        where sample(rng, count) leaves it."""
-        _check_width(self.n)
+        """The error counts of count trials, those of sample(rng, count), no
+        row kept; the exchangeable sampler draws the counts alone."""
+        self._check_draw(count)
         return self._draw(rng, count, self.n + 1)[0].astype(np.intp, copy=False)
+
+    def _check_draw(self, count) -> None:
+        """The checks made before any word is drawn: the width rule of
+        code_matrix (_check_width), and count, an integer at least 0."""
+        _check_width(self.n)
+        _check_integer("count", count)
+        if count < 0:
+            raise ValueError(f"count={count} must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -366,17 +340,17 @@ class ExchangeableModel(DependenceModel):
         # Outcome probability depends on the error vector only through its
         # count k, so draw k first and then a uniformly random k-subset of
         # positions (the positions of the k smallest of n iid uniforms).
-        # Only the far rows' position words are drawn and ranked; with no
-        # row to keep, all of them are skipped at once.
+        # Only the far rows get position words, n each, drawn right after
+        # the counts; with no row to keep, none is drawn.
         ks = _draw_counts(rng, self.count_pmf(), count)
         if k_min > self.n:
-            _drawer(rng.bit_generator, self.n)(0, count * self.n, 0)
             return ks, np.empty(0, dtype=np.intp), np.empty((0, self.n), dtype=bool)
         far = np.flatnonzero(ks >= k_min)
         ks = ks[far]
         marks = np.empty((far.size, self.n), dtype=bool)
-        for rows, j in _far_words(rng, far, count, self.n):
-            _mark_smallest(j, ks[rows], marks[rows])
+        for rows, x in _word_blocks(rng, far.size, self.n):
+            x >>= _WORD_SHIFT
+            _mark_smallest(x, ks[rows], marks[rows])
         return ks, far, marks
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
@@ -429,7 +403,7 @@ def _checked_rates(rates) -> tuple[float, ...]:
 
 
 def _check_count(name: str, value: int, n: int) -> None:
-    """The one check on a count k or m: an integer in 0..n."""
+    """The one check on a count k, m or k_min: an integer in 0..n."""
     _check_integer(name, value)
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} outside 0..{n}")
@@ -487,139 +461,6 @@ def _word_blocks(rng: np.random.Generator, rows: int, width: int):
     for start in range(0, rows, BLOCK_ROWS):
         x = rng.bit_generator.random_raw((min(BLOCK_ROWS, rows - start), width))
         yield slice(start, start + len(x)), x
-
-
-def _far_words(rng: np.random.Generator, far: np.ndarray, count: int, width: int):
-    """Yield (slice of far, block of words j = x >> 11) over the rows far,
-    the sorted indices of some of count rows of width words each: the words
-    rng.random((count, width)) would give those rows, at most BLOCK_ROWS
-    rows at a time.  Far rows fewer than _SKIP_MIN_WORDS words apart are
-    drawn as one run, the rows between them included; the longer gaps are
-    skipped (see _drawer), and the stream ends where drawing every row
-    leaves it."""
-    draw = _drawer(rng.bit_generator, width)
-    if not far.size:
-        draw(0, count * width, 0)
-        return
-    # Run i holds rows begin[i] to end[i] - 1, less skipped[i] rows skipped
-    # before it: among the rows drawn, run after run, it starts at
-    # place[i], and far row f sits at drawn = f - its run's skipped.
-    first = np.flatnonzero((np.diff(far) - 1) * width >= _SKIP_MIN_WORDS) + 1
-    begin = far[np.append(0, first)]
-    end = far[np.append(first - 1, far.size - 1)] + 1
-    skipped = np.cumsum(begin - np.append(0, end[:-1]))
-    drawn = far - np.repeat(skipped, np.diff(np.concatenate(([0], first, [far.size]))))
-    place = begin - skipped
-    total = int(end[-1] - skipped[-1])
-    # The rows drawn are cut into batches of BLOCK_ROWS at edges, and so
-    # the runs into pieces: piece p holds size[p] rows from row start[p],
-    # drawn when the stream stands at row after[p], where the piece before
-    # it ends.  (Cut by a sort: np.union1d hashes, at about 0.2 ms a chunk.)
-    edges = np.append(np.arange(0, total, BLOCK_ROWS), total)
-    cuts = np.sort(np.concatenate((place, edges[1:-1])))
-    size = np.diff(cuts, append=total)
-    cuts, size = cuts[size > 0], size[size > 0]
-    start = cuts + skipped[np.searchsorted(place, cuts, side="right") - 1]
-    after = np.append(0, start[:-1] + size[:-1])
-    pieces = np.searchsorted(cuts, edges).tolist()
-    rows_at = np.searchsorted(drawn, edges).tolist()
-    ats, tos, sizes = (after * width).tolist(), (start * width).tolist(), (size * width).tolist()
-    # One buffer joins every batch's pieces: a fresh array per batch costs
-    # about three times the copy in page faults.
-    buffer = np.empty(BLOCK_ROWS * width, dtype=np.uint64)
-    for b in range(len(edges) - 1):
-        p, q = pieces[b], pieces[b + 1]
-        held = list(map(draw, ats[p:q], tos[p:q], sizes[p:q]))
-        rows, lo, hi = int(edges[b + 1] - edges[b]), rows_at[b], rows_at[b + 1]
-        x = held[0] if len(held) == 1 else np.concatenate(held, out=buffer[: rows * width])
-        x = x.reshape(rows, width)
-        j = x if hi - lo == rows else x[drawn[lo:hi] - edges[b]]
-        j >>= _WORD_SHIFT
-        yield slice(lo, hi), j
-    draw(int(start[-1] + size[-1]) * width, count * width, 0)
-
-
-def _drawer(bits, width: int):
-    """draw(at, to, words): the words raw words that follow word to of the
-    stream of the bit generator bits, which stands at word at <= to (words
-    counted from where it stands now).  The words from at to to are skipped,
-    and the stream is left after the last word returned, in the state
-    (counter, buffer, buffer position and held 32-bit half) that drawing
-    every word leaves.
-
-    A Philox generator draws the 4-word block of its counter + 1 into a
-    buffer.  To skip, the counter is written, in place, as the block before
-    the one that holds the last word skipped, with the buffer marked empty,
-    and the words of that block up to the last one skipped are drawn with
-    the words asked for and dropped: the block fills the buffer as drawing
-    through would.  The counter wraps modulo 2**256, as the generator's own
-    does.  The writes go through _philox_view, which checks the memory
-    against bits.state first; gaps shorter than _SKIP_MIN_WORDS are drawn
-    through with the words asked for.  Any other generator, and a Philox
-    whose memory fails the check, draws every gap through, at most
-    BLOCK_ROWS rows at a time, and drops it.
-    """
-    view = _philox_view(bits) if isinstance(bits, np.random.Philox) else None
-    if view is None:
-
-        def through(at, to, words):
-            step = BLOCK_ROWS * width
-            for start in range(at, to, step):
-                bits.random_raw(min(step, to - start))
-            return bits.random_raw(words)
-
-        return through
-    counter, state, base, buffered = view
-    wrap = 1 << _COUNTER_BITS
-
-    def skip(at, to, words):
-        if to - at < _SKIP_MIN_WORDS:
-            return bits.random_raw(to - at + words)[to - at :]
-        # The last word skipped is lane last % 4 of block base + 1 + last // 4,
-        # counted from the first word after the buffer.
-        last = to - buffered - 1
-        counter.raw = ((base + last // _PHILOX_LANES) % wrap).to_bytes(_COUNTER_BITS // 8, "little")
-        state.buffer_pos = _PHILOX_LANES
-        lane = last % _PHILOX_LANES + 1
-        return bits.random_raw(lane + words)[lane:]
-
-    return skip
-
-
-def _philox_view(bits: np.random.Philox):
-    """(counter, state, base, buffered) for a Philox bit generator: ctypes
-    views of its 32-byte counter and its _PhiloxState, the counter as an
-    integer and the words left in its buffer; or None when that memory does
-    not hold what bits.state reports.  Every address is checked to lie in
-    the generator object before it is read."""
-    lo, hi = id(bits), id(bits) + type(bits).__basicsize__
-    address = bits.ctypes.state_address
-    if not lo <= address <= hi - ctypes.sizeof(_PhiloxState):
-        return None
-    state = _PhiloxState.from_address(address)
-    if not all(
-        lo <= a <= hi - size
-        for a, size in ((state.counter, _COUNTER_BITS // 8), (state.key, _KEY_BYTES))
-    ):
-        return None
-    counter = (ctypes.c_char * (_COUNTER_BITS // 8)).from_address(state.counter)
-    key = (ctypes.c_char * _KEY_BYTES).from_address(state.key)
-    want = bits.state
-    # The counter and key are 64-bit limbs, lowest first: the little-endian
-    # bytes of one integer.
-    if (
-        counter.raw != want["state"]["counter"].astype("<u8").tobytes()
-        or key.raw != want["state"]["key"].astype("<u8").tobytes()
-        or state.buffer_pos != want["buffer_pos"]
-        or list(state.buffer) != want["buffer"].tolist()
-        or state.has_uint32 != want["has_uint32"]
-        or state.uinteger != want["uinteger"]
-    ):
-        return None
-    return (
-        counter, state, int.from_bytes(counter.raw, "little"),
-        _PHILOX_LANES - state.buffer_pos,
-    )
 
 
 def _independent_draw(rng: np.random.Generator, count: int, profile, width: int, k_min: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_matrix import CodeMatrix, count_misdecoded
-from .prob_engine import DependenceModel, _check_count
+from .prob_engine import DependenceModel, _check_count, _check_integer
 
 DEFAULT_SEED = 60428  # 0xEC0C
 
@@ -41,6 +41,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "workers"):
+            _check_integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"trials={self.trials} must be at least 1")
         if not 1 <= self.workers <= MAX_WORKERS:
@@ -116,8 +118,10 @@ def mc_decode_error(
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
-    if true_class is not None and not 0 <= true_class < code.num_classes:
-        raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
+    if true_class is not None:
+        _check_integer("true_class", true_class)
+        if not 0 <= true_class < code.num_classes:
+            raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
 
     def count(rng, size):
         far, bits = model.sample_far(rng, size, code.far_flips)

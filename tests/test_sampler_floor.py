@@ -24,17 +24,32 @@ def test_one_row_per_model_size_and_mode(capsys):
     for kind, n, mode, words, *times in rows:
         # iid draws a word per classifier and trial, the pair one fewer (its
         # two bits share a word); exchangeable draws one uniform per trial
-        # and the position words it does not skip.
-        want = {"iid": trials * int(n), "pair": trials * (int(n) - 1)}.get(kind)
-        assert int(words) == want if want else trials < int(words) <= trials * (int(n) + 1)
+        # and, in full-decode, n position words per far row.
+        n = int(n)
+        if kind == "exchangeable":
+            want = trials + n * _far_rows(sampler_floor.model_of(kind, n), n, trials, mode)
+        else:
+            want = trials * (n if kind == "iid" else n - 1)
+        assert int(words) == want
         assert all(float(t) > 0 for t in times)
+
+
+def _far_rows(model, n, trials, mode):
+    """The far rows of the one chunk of trials that mc_decode_error keeps,
+    none in threshold mode: the counts of sample_counts at far_flips."""
+    if mode == "threshold":
+        return 0
+    rng = sampler_floor.simulator._chunk_rng(sampler_floor.simulator.DEFAULT_SEED, 0)
+    far_flips = sampler_floor.build_code_matrix(n).far_flips
+    return int((model.sample_counts(rng, trials) >= far_flips).sum())
 
 
 def test_words_counted_from_the_chunk_generators():
     model = sampler_floor.model_of("exchangeable", 26)
     code = sampler_floor.build_code_matrix(26)
-    # No far row is kept in threshold mode: the counts' uniforms, then one
-    # skip over the position words, whose block is drawn up to the last
-    # word skipped.
-    words = sampler_floor.count_words("exchangeable", model, code, "threshold", 1000)
-    assert 1000 < words <= 1000 + 4
+    # No far row is kept in threshold mode: the counts' uniforms alone.
+    assert sampler_floor.count_words("exchangeable", model, code, "threshold", 1000) == 1000
+    far = _far_rows(model, 26, 1000, "full-decode")
+    assert far > 0
+    words = sampler_floor.count_words("exchangeable", model, code, "full-decode", 1000)
+    assert words == 1000 + 26 * far

@@ -1,9 +1,7 @@
 """Tests for the Monte Carlo estimators: determinism, fidelity, ordering."""
 
-import ctypes
 import math
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,14 +12,13 @@ from scipy import stats as sstats
 import ecoc.code_matrix as code_matrix
 import ecoc.prob_engine as prob_engine
 import ecoc.simulator as simulator
-from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix
+from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix, nearest_rows
 from ecoc.prob_engine import (
     BLOCK_ROWS,
     ErrorProfile,
     ExchangeableModel,
     Independent,
     PairModel,
-    _SKIP_MIN_WORDS,
     _mark_smallest,
     _word_limits,
     enumerate_outcomes,
@@ -131,6 +128,22 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=2**64)
         SimConfig(trials=10, seed=2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "name, value", [("trials", 100.5), ("seed", 1.5), ("workers", 1.5), ("seed", "1")]
+    )
+    def test_config_rejects_non_integers(self, name, value):
+        # A float seed is not truncated to another seed, nor a float trial
+        # or worker count let through to range().
+        with pytest.raises(ValueError, match=rf"^{name}={value!r} is not an integer$"):
+            SimConfig(**{"trials": 100, name: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SimConfig(trials=np.int64(100), seed=np.uint64(2**64 - 1), workers=np.int32(2))
+        model = Independent(ErrorProfile.iid(4, 0.3))
+        assert mc_threshold_error(model, 2, cfg) == mc_threshold_error(
+            model, 2, SimConfig(trials=100, seed=2**64 - 1, workers=2)
+        )
 
 
 class _RecordingPool:
@@ -307,6 +320,14 @@ class TestDecode:
                 true_class=10,
             )
 
+    def test_true_class_must_be_an_integer(self):
+        code = build_code_matrix(10)
+        model = Independent(ErrorProfile.iid(10, 0.1))
+        with pytest.raises(ValueError, match=r"^true_class=1\.5 is not an integer$"):
+            mc_decode_error(model, code, SimConfig(trials=10, seed=1), true_class=1.5)
+        pinned = mc_decode_error(model, code, SimConfig(trials=500, seed=1), true_class=np.int64(3))
+        assert pinned == mc_decode_error(model, code, SimConfig(trials=500, seed=1), true_class=3)
+
     def test_threshold_m_validation(self):
         with pytest.raises(ValueError):
             mc_threshold_error(
@@ -328,13 +349,15 @@ def _pair_f(e, c):
 
 class TestPinnedStreams:
     """Counts the samplers and the decoder produced before they drew and
-    decoded by blocks; any change to the streams shows here."""
+    decoded by blocks; any change to the streams shows here.  The
+    exchangeable full-decode counts are those of far rows that draw only
+    their own position words."""
 
     TRIALS = 2 * CHUNK_TRIALS + 5
     # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
     COUNTS = {
-        (26, 0.0686, 0.0058): {"iid": (498, 12), "pair": (438, 19), "exchangeable": (770, 42)},
-        (127, 0.18, 0.006): {"iid": (1749, 0), "pair": (1761, 0), "exchangeable": (4768, 1)},
+        (26, 0.0686, 0.0058): {"iid": (498, 12), "pair": (438, 19), "exchangeable": (770, 35)},
+        (127, 0.18, 0.006): {"iid": (1749, 0), "pair": (1761, 0), "exchangeable": (4768, 0)},
     }
 
     @staticmethod
@@ -391,8 +414,10 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
-        # The counts are those of sample, and the generator ends in the
-        # state sample leaves it in, on a Philox and on a PCG64 generator.
+        # The counts are those of sample, on a Philox and on a PCG64
+        # generator, which ends in the state sample leaves it in; the
+        # exchangeable sampler draws the counts alone, rng.choice's
+        # uniforms.
         for seed in range(3):
             for make in (
                 lambda: _chunk_rng(seed, 0),
@@ -405,6 +430,9 @@ class TestSamplers:
                 assert set(np.unique(bits)) <= {0, 1}
                 assert counts.dtype == np.intp
                 assert np.array_equal(counts, bits.sum(axis=1))
+                if isinstance(model, ExchangeableModel):
+                    ref = make()
+                    ref.random(self.COUNT)
                 assert _state(rng) == _state(ref)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
@@ -598,7 +626,12 @@ class TestFarRows:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_far_rows_are_the_rows_of_sample(self, model):
+        # Every model keeps the indices and error counts of sample's rows.
+        # The independent and pair models, which draw every word, keep
+        # sample's bits too and leave the stream where sample does; the
+        # exchangeable bits and state are TestExchangeableFarRows'.
         n = model.n
+        every_word = not isinstance(model, ExchangeableModel)
         for k_min in sorted({0, 1, build_code_matrix(n).far_flips, n, n + 1}):
             for count in self.COUNTS:
                 ref = _chunk_rng(8, 3)
@@ -608,40 +641,25 @@ class TestFarRows:
                 rows = np.flatnonzero(want.sum(axis=1) >= k_min)
                 assert far.dtype == np.intp and np.array_equal(far, rows)
                 assert bits.dtype == np.uint8 and bits.shape == (rows.size, n)
-                assert np.array_equal(bits, want[rows])
-                assert _state(rng) == _state(ref), (k_min, count)
+                assert np.array_equal(bits.sum(axis=1), want.sum(axis=1)[rows])
+                if every_word:
+                    assert np.array_equal(bits, want[rows])
+                    assert _state(rng) == _state(ref), (k_min, count)
 
 
-def _far_by_drawing_every_word(model, rng, count, k_min):
-    """Reference for the exchangeable sample_far: the counts, then every
-    row's position words, with the far rows marked by the ranks of a stable
-    argsort."""
+def _far_by_reference(model, rng, count, k_min):
+    """Reference for the exchangeable sample_far: the counts by rng.choice,
+    then n raw words for each far row, drawn right after them, shifted to
+    their top 53 bits and marked by the ranks of a stable argsort."""
     pmf = model.count_pmf()
     ks = rng.choice(model.n + 1, size=count, p=pmf / pmf.sum())
-    j = rng.bit_generator.random_raw((count, model.n)) >> np.uint64(11)
     far = np.flatnonzero(ks >= k_min)
-    ranks = j[far].argsort(axis=1, kind="stable").argsort(axis=1)
+    j = rng.bit_generator.random_raw((far.size, model.n)) >> np.uint64(11)
+    ranks = j.argsort(axis=1, kind="stable").argsort(axis=1)
     return far, (ranks < ks[far, None]).astype(np.uint8)
 
 
-_LIMB = 1 << 64
-_WRAP = 1 << 256
-# Blocks from the start of a draw to a carry: within the counts' words or
-# the position words of a few thousand rows.
-_BELOW = st.integers(1, 1 << 15)
-# Philox counters: any, a few blocks below a carry out of the lowest one,
-# two or three 64-bit limbs, or a few blocks below the 2**256 wrap.
-_COUNTERS = st.one_of(
-    st.integers(0, _WRAP - 1),
-    st.builds(
-        lambda limbs, high, below: (high + 1) * (1 << (64 * limbs)) - below,
-        st.integers(1, 3),
-        st.integers(0, _LIMB - 1),
-        _BELOW,
-    ),
-    _BELOW.map(lambda below: _WRAP - below),
-)
-SKIP_MODELS = [
+FAR_MODELS = [
     ExchangeableModel(2, 0.4, 0.0),
     ExchangeableModel(5, 0.25, 0.02),
     ExchangeableModel(26, 0.0686, 0.0058),
@@ -649,112 +667,37 @@ SKIP_MODELS = [
 ]
 
 
-class TestSkippedWords:
-    """The exchangeable sampler draws only the far rows' position words;
-    the rows, their bits and the generator's state afterwards must be those
-    of drawing every word."""
+class TestExchangeableFarRows:
+    """The exchangeable far rows against _far_by_reference, on three bit
+    generators, for every k_min in 0..n + 1: the rows, their bits, the
+    state the generator is left in and the draws that follow."""
 
-    @staticmethod
-    def _generator(kind, seed, counter, drawn, half):
-        """A generator of the given kind at a given Philox counter (seed is
-        the key), after drawn raw words and, when half, one 32-bit draw
-        whose other half the generator then holds."""
-        if kind == "philox":
-            bits = np.random.Philox(key=[seed % _LIMB, seed // _LIMB % _LIMB])
-            state = bits.state
-            state["state"]["counter"] = np.array(
-                [counter >> (64 * i) & (_LIMB - 1) for i in range(4)], dtype=np.uint64
-            )
-            bits.state = state
-        else:
-            bits = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937}[kind](seed)
-        rng = np.random.Generator(bits)
-        bits.random_raw(drawn)
-        if half:
+    GENERATORS = {
+        "philox": np.random.Philox, "pcg64": np.random.PCG64, "mt19937": np.random.MT19937,
+    }
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    @pytest.mark.parametrize("model", FAR_MODELS, ids=["n2", "n5", "n26", "n127"])
+    def test_matches_reference(self, kind, model):
+        def make(seed):
+            # A generator that holds half of a 32-bit draw.
+            rng = np.random.Generator(self.GENERATORS[kind](seed))
             rng.integers(0, 2**32, dtype=np.uint32)
-        return rng
+            return rng
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        kind=st.sampled_from(["philox", "philox", "pcg64", "mt19937"]),
-        model=st.sampled_from(SKIP_MODELS),
-        count=st.one_of(st.integers(0, 40), st.integers(1000, 2100)),
-        skip_min=st.sampled_from([1, 5, 64, _SKIP_MIN_WORDS]),
-        seed=st.integers(0, 2**128 - 1),
-        counter=_COUNTERS,
-        drawn=st.integers(0, 3),
-        half=st.booleans(),
-        data=st.data(),
-    )
-    def test_matches_drawing_every_word(
-        self, kind, model, count, skip_min, seed, counter, drawn, half, data
-    ):
-        # Any k_min, or one near the code's far_flips, where the far rows
-        # are few and far apart.
-        far_flips = build_code_matrix(model.n).far_flips
-        k_min = data.draw(
-            st.one_of(
-                st.integers(0, model.n + 1),
-                st.integers(max(far_flips - 2, 0), min(far_flips + 2, model.n + 1)),
-            )
-        )
-        ref = self._generator(kind, seed, counter, drawn, half)
-        rng = self._generator(kind, seed, counter, drawn, half)
-        assert _state(rng) == _state(ref)
-        want_far, want_bits = _far_by_drawing_every_word(model, ref, count, k_min)
-        with mock.patch.object(prob_engine, "_SKIP_MIN_WORDS", skip_min):
-            far, bits = model.sample_far(rng, count, k_min)
-        assert np.array_equal(far, want_far)
-        assert bits.dtype == np.uint8 and np.array_equal(bits, want_bits)
-        assert _state(rng) == _state(ref)
-        for draw in (
-            lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
-            lambda g: g.random(5),
-        ):
-            assert np.array_equal(draw(rng), draw(ref))
-
-    def test_wrap_anywhere_in_the_stream(self):
-        # The 2**256 wrap placed every 37 blocks through the 19,200 blocks
-        # of 600 rows' counts and position words, and past them: it falls
-        # in the counts, in skipped gaps, in drawn rows and in the last block.
-        model = ExchangeableModel(127, 0.18, 0.006)
-        k_min = build_code_matrix(127).far_flips
-        for below in range(1, 19_300, 37):
-            ref = self._generator("philox", below, _WRAP - below, 1, True)
-            rng = self._generator("philox", below, _WRAP - below, 1, True)
-            want_far, want_bits = _far_by_drawing_every_word(model, ref, 600, k_min)
-            far, bits = model.sample_far(rng, 600, k_min)
-            assert np.array_equal(far, want_far) and np.array_equal(bits, want_bits)
-            assert _state(rng) == _state(ref), below
-
-    def test_a_layout_that_fails_the_check_draws_through(self, monkeypatch):
-        # With the counter and key pointers read in each other's place, the
-        # Philox memory no longer matches bits.state: every drawer takes the
-        # draw-through route, and the rows, bits and state are unchanged.
-        assert prob_engine._drawer(np.random.Philox(1), 5).__name__ == "skip"
-        routes, drawer = [], prob_engine._drawer
-
-        def spy(bits, width):
-            draw = drawer(bits, width)
-            routes.append(draw.__name__)
-            return draw
-
-        fields = prob_engine._PhiloxState._fields_
-        swapped = type("Swapped", (ctypes.Structure,), {"_fields_": [fields[1], fields[0]] + fields[2:]})
-        monkeypatch.setattr(prob_engine, "_PhiloxState", swapped)
-        monkeypatch.setattr(prob_engine, "_drawer", spy)
-        model = ExchangeableModel(127, 0.18, 0.006)
-        k_min = build_code_matrix(127).far_flips
-        for count in (0, 600, 2 * BLOCK_ROWS + 3):
-            ref, rng = _chunk_rng(7, 1), _chunk_rng(7, 1)
-            want_far, want_bits = _far_by_drawing_every_word(model, ref, count, k_min)
-            far, bits = model.sample_far(rng, count, k_min)
-            assert np.array_equal(far, want_far) and np.array_equal(bits, want_bits)
-            assert _state(rng) == _state(ref)
-            rng = _chunk_rng(7, 1)
-            model.sample_counts(rng, count)
-            assert _state(rng) == _state(ref)
-        assert routes and set(routes) == {"through"}
+        for k_min in range(model.n + 2):
+            for count in (0, 1, 2 * BLOCK_ROWS + 3):
+                ref, rng = make(k_min), make(k_min)
+                want_far, want_bits = _far_by_reference(model, ref, count, k_min)
+                far, bits = model.sample_far(rng, count, k_min)
+                assert far.dtype == np.intp and np.array_equal(far, want_far)
+                assert bits.dtype == np.uint8 and np.array_equal(bits, want_bits)
+                assert _state(rng) == _state(ref), (k_min, count)
+                for draw in (
+                    lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                    lambda g: g.random(5),
+                ):
+                    assert np.array_equal(draw(rng), draw(ref))
 
 
 @st.composite
@@ -880,6 +823,43 @@ class TestWidthCap:
             models[kind](6).sample_counts(_NoDraw(), 4)
 
 
+class TestSamplerInputs:
+    """count and k_min are checked once, by DependenceModel, before any
+    word is drawn: count an integer at least 0, k_min an integer in
+    0..n + 1."""
+
+    MODELS = [
+        Independent(ErrorProfile.iid(4, 0.2)),
+        PairModel(ErrorProfile.iid(4, 0.2), 0.05),
+        ExchangeableModel(4, 0.2, 0.01),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["iid", "pair", "exchangeable"])
+    def test_rejected_before_a_draw(self, model):
+        for count, match in ((-1, r"^count=-1 must be at least 0$"),
+                             (2.5, r"^count=2\.5 is not an integer$")):
+            for draw in (
+                lambda: model.sample(_NoDraw(), count),
+                lambda: model.sample_far(_NoDraw(), count, 0),
+                lambda: model.sample_counts(_NoDraw(), count),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    draw()
+        for k_min, match in ((2.5, r"^k_min=2\.5 is not an integer$"),
+                             (-1, r"^k_min=-1 outside 0\.\.5$"),
+                             (6, r"^k_min=6 outside 0\.\.5$")):
+            with pytest.raises(ValueError, match=match):
+                model.sample_far(_NoDraw(), 5, k_min)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["iid", "pair", "exchangeable"])
+    def test_edges_accepted(self, model):
+        # No trials; a NumPy count; k_min = n + 1, where no row is kept.
+        assert model.sample(_chunk_rng(1, 0), 0).shape == (0, 4)
+        assert model.sample_counts(_chunk_rng(1, 0), np.int64(7)).shape == (7,)
+        far, bits = model.sample_far(_chunk_rng(1, 0), 7, np.int64(5))
+        assert far.shape == (0,) and bits.shape == (0, 4)
+
+
 COUNT_CASES = [
     Independent(ErrorProfile((0.05, 0.3, 0.5, 0.12, 0.4, 0.22, 0.18))),
     Independent(ErrorProfile.iid(2, 0.4)),
@@ -929,3 +909,49 @@ class TestCountDistribution:
             for pmf in exact:
                 p_value = _pooled_chi2_p(observed, pmf * self.TRIALS)
                 assert p_value > 1e-4, (seed, p_value)
+
+
+def _exact_decode_error(model, code) -> float:
+    """The exact full-decode error: over all 2^n flip patterns, the sum of
+    joint_mass times the fraction of true classes whose flipped codeword
+    nearest_rows decodes to another class."""
+    n = code.n
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    decoded, _ = nearest_rows((code.matrix[:, None, :] ^ bits).reshape(-1, n), code)
+    classes = np.arange(code.num_classes)[:, None]
+    wrong = (decoded.reshape(code.num_classes, -1) != classes).mean(axis=0)
+    return math.fsum((model.joint_mass(bits.astype(bool)) * wrong).tolist())
+
+
+def _decode_cases():
+    for n in (8, 10, 12):
+        rates = tuple(0.05 + 0.02 * i for i in range(n))
+        yield f"iid-{n}", Independent(ErrorProfile.iid(n, 0.12))
+        yield f"mixed-{n}", Independent(ErrorProfile(rates))
+        yield f"pair-{n}", PairModel(ErrorProfile.iid(n, 0.15), 0.06)
+        yield f"exch-{n}", ExchangeableModel(n, 0.1, 0.03)
+        yield f"exch-negative-c-{n}", ExchangeableModel(n, 0.15, -0.002)
+
+
+DECODE_IDS, DECODE_CASES = zip(*_decode_cases())
+
+
+class TestExactDecodeError:
+    """mc_decode_error against the exact decode error of enumeration, for
+    every model: a check of the far rows' law as a whole, the exchangeable
+    ones included, which rank words of their own."""
+
+    TRIALS = 1 << 17
+
+    def test_iid_12_matches_the_roadmap_table(self):
+        model = Independent(ErrorProfile.iid(12, 0.12))
+        assert _exact_decode_error(model, build_code_matrix(12)) == pytest.approx(0.08280, abs=5e-6)
+
+    @pytest.mark.parametrize("model", DECODE_CASES, ids=DECODE_IDS)
+    def test_within_four_sigma(self, model):
+        code = build_code_matrix(model.n)
+        exact = _exact_decode_error(model, code)
+        assert 0.05 < exact < 0.5
+        result = mc_decode_error(model, code, SimConfig(trials=self.TRIALS, seed=3))
+        sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        assert abs(result.error_rate - exact) <= 4 * sigma, (result.error_rate, exact)

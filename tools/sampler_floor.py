@@ -6,9 +6,8 @@ For each model (iid, pair, exchangeable), at 26 and 127 classes and in both
 modes (threshold at m = code.m, full-decode), it prints:
 
 - words: the 64-bit words the sampler draws over all trials: every word
-  its random_raw calls return (dropped words included), plus the
-  exchangeable count draw's one uniform per trial.  The full-decode class
-  draw is not counted.
+  its random_raw calls return, plus the exchangeable count draw's one
+  uniform per trial.  The full-decode class draw is not counted.
 - one worker and two workers: the best time of --repeat runs of
   mc_threshold_error or mc_decode_error, in process, with workers=1 and 2.
 - random_raw: the best time of --repeat runs of bare Philox random_raw
