@@ -10,16 +10,17 @@ error-count distribution: a row of independent classifiers, then the pair's
 two-stage recursion or the exchangeable outcome weights on top of it; the
 independent and pair rows come from the profile's one route choice, _row:
 _binomial_row's repeated squares for the one rate a profile records when
-it is built, else poisson_binomial_dist, the product tree only), one draw
-hook _draw(rng, count, k_min) (the indices of the rows, among count trials,
-with at least k_min errors, their bool error vectors and their error counts;
-at k_min = n + 1, where no row is kept, every row's count) and
-joint_mass(bits)
-(the joint law of whole outcomes, from the model's definition and not from
+it is built, else poisson_binomial_dist, the product tree only), one
+position hook _positions(rng, ks) (bool error vectors, one per count in ks,
+drawn from the model's law given that count) and joint_mass(bits) (the
+joint law of whole outcomes, from the model's definition and not from
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
-sums for cross-checking).  Five methods are defined once, on
-DependenceModel, for all three: pmf(k), the entry of count_pmf at k, tail(m),
-the sum of count_pmf from m, and three views of _draw, each after
+sums for cross-checking).  Six methods are defined once, on
+DependenceModel, for all three: pmf(k), the entry of count_pmf at k,
+tail(m), the sum of count_pmf from m, the draw _draw(rng, count, k_min)
+(the indices of the rows, among count trials, with at least k_min errors,
+their bool error vectors and their error counts; at k_min = n + 1, where no
+row is kept, every row's count) and three views of _draw, each after
 _check_draw (the width check of code_matrix, _check_width, and a count
 that is an integer at least 0): sample_far(rng, count, k_min), its far
 rows as uint8, sample(rng, count), sample_far at k_min = 0, and
@@ -30,44 +31,50 @@ a range.  The public pmf and tail functions below are one-line calls
 into a model's pmf or tail, so every count probability, binomial or not,
 is read from one count_pmf.
 
-The samplers draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS rows,
-in the order rng.random((count, width)) would consume them, and compare
-integers where rng.random would give uniforms u = (x >> 11) * 2**-53:
+Every exchangeable model and every profile of one rate draws count-first,
+by DependenceModel._draw.  It draws each trial's error count K from
+count_pmf by _draw_counts: the values and generator state of
+rng.choice(n + 1, count, p), read from a 2**12-bucket inverse-cdf table,
+with searchsorted only for the uniforms in buckets that hold a cdf entry.
+Then, right after the counts, it draws positions for the far rows alone
+(those with at least k_min errors), by _positions; with no row to keep
+(sample_counts, and so every threshold estimate) it draws none.  Given K:
 
-- With j = x >> 11 an integer below 2**53 and e a double, e * 2**53 is
-  exact, so u < e <=> j < e * 2**53 <=> j < L = ceil(e * 2**53), and
-  j < L <=> x < L * 2**11.  Each rate's limit is computed once per call in
-  integer arithmetic (_word_limits), and the independent and pair samplers
-  compare the raw words against L * 2**11 (_raw_limits), with no shift
-  pass.  That limit fits a uint64 for every rate but e = 1, where it is
-  2**64; such a rate gets one exact fix-up, every word lies below it
-  (_below).
-- The exchangeable sampler ranks positions by j, which orders and ties
-  exactly as u does; ranked as raw words, two positions whose j tie would
-  be ordered by their low 11 bits instead.
+- every outcome of an iid or exchangeable model is equally likely, so the
+  positions are a uniform K-subset (_uniform_subsets): those of the K
+  smallest of n raw words drawn for the row, ranked by j = x >> 11, which
+  orders and ties exactly as the uniform u = j * 2**-53 does (ranked as
+  raw words, two positions whose j tie would be ordered by their low 11
+  bits instead);
+- the pair's state s among (11, 10, 01, 00) has weight P(s) q(K - |s|), q
+  the count pmf of the other n - 2.  One rng.random uniform per far row
+  picks it, and a uniform (K - |s|)-subset of the other n - 2 follows.
 
-The independent and pair samplers compare every word of a block against
-one limit per column, or against a single limit when the profile records
-one rate, and count each row's errors with one float32 matrix-vector product
-(code_matrix._row_counts).  That count is exact because no row is 2**24
-or more words wide: every sampler applies code_matrix._check_width before
-it draws a word.  They keep the counts of the far rows only, unless every
-row's count is asked for; the pair model compares its own word only for the
-rows that can reach k_min.
-
-The exchangeable sampler draws the counts first, by _draw_counts: the
-values and generator state of rng.choice(n + 1, count, p), read from a
-2**12-bucket inverse-cdf table, with searchsorted only for the uniforms
-in buckets that hold a cdf entry.  It then draws n position words for each
-far row (those with at least k_min errors), right after the counts, and
-none when no row is kept (sample_counts).
+Profiles of unequal rates compare raw words instead (_independent_draw,
+and the pair's one word per row), until positions given K are drawn for
+them too.  They draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS
+rows, in the order rng.random((count, width)) would consume them, and
+compare integers where rng.random would give uniforms u = (x >> 11) *
+2**-53: with j = x >> 11 an integer below 2**53 and e a double, e * 2**53
+is exact, so u < e <=> j < e * 2**53 <=> j < L = ceil(e * 2**53), and
+j < L <=> x < L * 2**11.  Each rate's limit is computed once per call in
+integer arithmetic (_word_limits), and the words are compared against
+L * 2**11 (_raw_limits), one limit per column, with no shift pass.  That
+limit fits a uint64 for every rate but e = 1, where it is 2**64; such a
+rate gets one exact fix-up, every word lies below it (_below).  Each row's
+errors are counted with one float32 matrix-vector product
+(code_matrix._row_counts), exact because no row is 2**24 or more words
+wide: every sampler applies code_matrix._check_width before it draws a
+word.  Only the far rows' counts are kept, unless every row's count is
+asked for; the pair model compares its own word only for the rows that can
+reach k_min.
 
 Every sampler's far rows therefore have the indices and error counts of
-sample(rng, count).  The independent and pair samplers draw every word
-whatever k_min is, so their far rows' vectors, and the state they leave
-the stream in, are those of sample as well; the exchangeable far rows
-hold uniform k-subsets of their own.  Only the rows at k_min are kept, so
-sample_counts keeps one count per row and never holds a (count, n) array.
+sample(rng, count).  The word-compare samplers draw every word whatever
+k_min is, so their far rows' vectors, and the state they leave the stream
+in, are those of sample as well; count-first far rows hold positions of
+their own.  Only the rows at k_min are kept, so sample_counts keeps one
+count per row and never holds a (count, n) array.
 """
 
 from __future__ import annotations
@@ -140,8 +147,9 @@ class ErrorProfile:
 
 class DependenceModel:
     """The model protocol, shared by the three models: the pmf, the tail and
-    the samplers, all derived from a subclass's own n, count_pmf and _draw
-    (joint_mass, the fourth hook, serves the enumeration oracle)."""
+    the samplers, all derived from a subclass's own n, count_pmf and
+    _positions (joint_mass, the fourth hook, serves the enumeration
+    oracle)."""
 
     def pmf(self, k: int) -> float:
         """Probability of exactly k errors: count_pmf()[k]."""
@@ -168,8 +176,8 @@ class DependenceModel:
         errors (an integer in 0..n + 1), and their error vectors as a uint8
         array.  The indices and the error counts are those of
         sample(rng, count); so are the vectors, and the state the stream is
-        left in, for the independent and pair models.  The exchangeable far
-        rows rank the position words drawn right after the counts."""
+        left in, for profiles of unequal rates, which compare words.  The
+        count-first far rows draw their positions right after the counts."""
         self._check_draw(count)
         _check_count("k_min", k_min, self.n + 1)
         _, far, bits = self._draw(rng, count, k_min)
@@ -177,9 +185,20 @@ class DependenceModel:
 
     def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The error counts of count trials, those of sample(rng, count), no
-        row kept; the exchangeable sampler draws the counts alone."""
+        row kept; a count-first sampler draws the counts alone."""
         self._check_draw(count)
         return self._draw(rng, count, self.n + 1)[0].astype(np.intp, copy=False)
+
+    def _draw(self, rng, count, k_min):
+        # Count-first: the counts from count_pmf, then, for the far rows
+        # alone, error positions given their counts (_positions); with no
+        # row to keep, no position is drawn.
+        ks = _draw_counts(rng, self.count_pmf(), count)
+        if k_min > self.n:
+            return ks, np.empty(0, dtype=np.intp), np.empty((0, self.n), dtype=bool)
+        far = np.flatnonzero(ks >= k_min)
+        ks = ks[far]
+        return ks, far, self._positions(rng, ks)
 
     def _check_draw(self, count) -> None:
         """The checks made before any word is drawn: the width rule of
@@ -204,7 +223,12 @@ class Independent(DependenceModel):
         return self.profile._row(self.n)
 
     def _draw(self, rng, count, k_min):
-        return _independent_draw(rng, count, self.profile, self.n, k_min)
+        if self.profile._rate is None:
+            return _independent_draw(rng, count, self.profile.rates, k_min)
+        return super()._draw(rng, count, k_min)
+
+    def _positions(self, rng, ks):
+        return _uniform_subsets(rng, ks, self.n)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates)
@@ -258,13 +282,15 @@ class PairModel(DependenceModel):
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
     def _draw(self, rng, count, k_min):
-        # The pair's words follow all of the others', so the rows that can
-        # reach k_min (at least k_min - 2 errors elsewhere) are kept, with
-        # their counts, until the pair's bits are known; only those rows'
-        # words are compared.  Its two bits come from one word per row: the
-        # first errs below P11 + P10, the second below P11 or in
-        # [P11 + P10, P11 + P10 + P01).
-        ks, near, rest = _independent_draw(rng, count, self.profile, self.n - 2, k_min - 2)
+        if self.profile._rate is not None:
+            return super()._draw(rng, count, k_min)
+        # Unequal rates compare words.  The pair's words follow all of the
+        # others', so the rows that can reach k_min (at least k_min - 2
+        # errors elsewhere) are kept, with their counts, until the pair's
+        # bits are known; only those rows' words are compared.  Its two bits
+        # come from one word per row: the first errs below P11 + P10, the
+        # second below P11 or in [P11 + P10, P11 + P10 + P01).
+        ks, near, rest = _independent_draw(rng, count, self.profile.rates[:-2], k_min - 2)
         every = k_min > self.n
         x = rng.bit_generator.random_raw(count)
         p11, p10, p01, _ = self.joint_cells
@@ -281,6 +307,27 @@ class PairModel(DependenceModel):
         bits[:, -2] = first[keep]
         bits[:, -1] = second[keep]
         return ks[keep], far, bits
+
+    def _positions(self, rng, ks):
+        # One uniform per row picks the pair's state s among (11, 10, 01,
+        # 00), with weights P(s) q(K - |s|), q the count pmf of the other
+        # n - 2, read at each row's own K alone: their sum is count_pmf at
+        # K, to the bit, and a K that was drawn has mass, so no weight is
+        # divided by zero.  Then a uniform (K - |s|)-subset of the others.
+        p11, p10, p01, p00 = self.joint_cells
+        q = np.zeros(self.n + 3)
+        q[2:-2] = self.profile._row(self.n - 2)  # q[j + 2] = q(j)
+        q2, q1, q0 = q[ks], q[ks + 1], q[ks + 2]
+        both = p11 * q2
+        either = both + (p10 + p01) * q1
+        total = either + p00 * q0
+        u = rng.random(ks.size)
+        first = u < (both + p10 * q1) / total
+        second = (u < both / total) | (~first & (u < either / total))
+        bits = np.empty((ks.size, self.n), dtype=bool)
+        bits[:, -2], bits[:, -1] = first, second
+        _uniform_subsets(rng, ks - first - second, self.n - 2, bits[:, :-2])
+        return bits
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates[:-2])
@@ -336,22 +383,8 @@ class ExchangeableModel(DependenceModel):
         bit."""
         return _binomial_row(self.n, self.e_bar) * self._weights
 
-    def _draw(self, rng, count, k_min):
-        # Outcome probability depends on the error vector only through its
-        # count k, so draw k first and then a uniformly random k-subset of
-        # positions (the positions of the k smallest of n iid uniforms).
-        # Only the far rows get position words, n each, drawn right after
-        # the counts; with no row to keep, none is drawn.
-        ks = _draw_counts(rng, self.count_pmf(), count)
-        if k_min > self.n:
-            return ks, np.empty(0, dtype=np.intp), np.empty((0, self.n), dtype=bool)
-        far = np.flatnonzero(ks >= k_min)
-        ks = ks[far]
-        marks = np.empty((far.size, self.n), dtype=bool)
-        for rows, x in _word_blocks(rng, far.size, self.n):
-            x >>= _WORD_SHIFT
-            _mark_smallest(x, ks[rows], marks[rows])
-        return ks, far, marks
+    def _positions(self, rng, ks):
+        return _uniform_subsets(rng, ks, self.n)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         """Bahadur's law e^k (1-e)^(n-k) (1 + c sum_{i<j} z_i z_j), z_i = (x_i
@@ -463,15 +496,13 @@ def _word_blocks(rng: np.random.Generator, rows: int, width: int):
         yield slice(start, start + len(x)), x
 
 
-def _independent_draw(rng: np.random.Generator, count: int, profile, width: int, k_min: int):
-    """(ks, far, bits) for the first width classifiers of profile, taken as
-    independent: far, the indices of the rows with at least k_min errors,
-    their bool error vectors, and their error counts as the exact float32 of
-    _row_counts; when k_min > width no row can be kept, and ks holds every
-    row's count instead.  A profile of one rate is compared against its one
-    limit, which broadcasts at scalar speed, about 1.7x as fast as a limit
-    per column."""
-    rates = profile.rates[:width] if profile._rate is None else (profile._rate,)
+def _independent_draw(rng: np.random.Generator, count: int, rates, k_min: int):
+    """(ks, far, bits) for independent classifiers of the given rates, one
+    word per classifier and row: far, the indices of the rows with at least
+    k_min errors, their bool error vectors, and their error counts as the
+    exact float32 of _row_counts; when k_min > len(rates) no row can be
+    kept, and ks holds every row's count instead."""
+    width = len(rates)
     limits, ones = _raw_limits(rates)
     every = k_min > width
     ks = np.empty(count, dtype=np.float32) if every else [np.empty(0, dtype=np.float32)]
@@ -523,6 +554,20 @@ def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.nd
     inside = np.flatnonzero(ks < 0)
     ks[inside] = cdf.searchsorted(u[inside], side="right")
     return ks
+
+
+def _uniform_subsets(rng: np.random.Generator, ks: np.ndarray, width: int, out=None) -> np.ndarray:
+    """out, a (len(ks), width) bool array (new when None), with a uniform
+    ks[i]-subset of the width positions set in row i: the positions of the
+    ks[i] smallest of width raw words drawn for the row, in blocks, ranked
+    by their top 53 bits (_mark_smallest).  No word is drawn at width 0."""
+    if out is None:
+        out = np.empty((ks.size, width), dtype=bool)
+    if width:
+        for rows, x in _word_blocks(rng, ks.size, width):
+            x >>= _WORD_SHIFT
+            _mark_smallest(x, ks[rows], out[rows])
+    return out
 
 
 def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:

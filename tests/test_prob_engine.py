@@ -199,8 +199,8 @@ class TestModelProtocol:
     """DependenceModel is the one model type: it defines the shared methods,
     and each model, a subclass, adds only the hooks they are read from."""
 
-    SHARED = {"pmf", "tail", "sample", "sample_far", "sample_counts"}
-    HOOKS = {"n", "count_pmf", "_draw", "joint_mass"}
+    SHARED = {"pmf", "tail", "sample", "sample_far", "sample_counts", "_draw"}
+    HOOKS = {"n", "count_pmf", "_positions", "joint_mass"}
 
     def test_base_defines_the_shared_methods(self):
         assert self.SHARED <= set(vars(DependenceModel))
@@ -211,7 +211,12 @@ class TestModelProtocol:
         fields = {f.name for f in dataclasses.fields(cls)}
         own = {name for name in vars(cls) if not name.startswith("__")} - fields
         # The pair's four joint cells restate its rates and f for its hooks.
-        extra = {"joint_cells"} if cls is PairModel else set()
+        # The independent and pair models keep their own _draw, the word
+        # compare of unequal rates; the exchangeable model inherits the
+        # count-first one.
+        extra = {
+            Independent: {"_draw"}, PairModel: {"_draw", "joint_cells"}, ExchangeableModel: set()
+        }[cls]
         assert own | (fields & self.HOOKS) == self.HOOKS | extra
 
 

@@ -22,15 +22,12 @@ def test_one_row_per_model_size_and_mode(capsys):
         for mode in sampler_floor.MODES
     ]
     for kind, n, mode, words, *times in rows:
-        # iid draws a word per classifier and trial, the pair one fewer (its
-        # two bits share a word); exchangeable draws one uniform per trial
-        # and, in full-decode, n position words per far row.
+        # Every model here has one rate and draws one count uniform per
+        # trial; in full-decode, each far row draws a word per position, the
+        # pair's first a state uniform and then words for the other n - 2.
         n = int(n)
-        if kind == "exchangeable":
-            want = trials + n * _far_rows(sampler_floor.model_of(kind, n), n, trials, mode)
-        else:
-            want = trials * (n if kind == "iid" else n - 1)
-        assert int(words) == want
+        far = _far_rows(sampler_floor.model_of(kind, n), n, trials, mode)
+        assert int(words) == trials + (n - 1 if kind == "pair" else n) * far
         assert all(float(t) > 0 for t in times)
 
 
@@ -45,11 +42,15 @@ def _far_rows(model, n, trials, mode):
 
 
 def test_words_counted_from_the_chunk_generators():
-    model = sampler_floor.model_of("exchangeable", 26)
     code = sampler_floor.build_code_matrix(26)
-    # No far row is kept in threshold mode: the counts' uniforms alone.
-    assert sampler_floor.count_words("exchangeable", model, code, "threshold", 1000) == 1000
-    far = _far_rows(model, 26, 1000, "full-decode")
-    assert far > 0
-    words = sampler_floor.count_words("exchangeable", model, code, "full-decode", 1000)
-    assert words == 1000 + 26 * far
+    for kind, per_far in (("exchangeable", 26), ("pair", 25)):
+        model = sampler_floor.model_of(kind, 26)
+        # No far row is kept in threshold mode: the counts' uniforms alone.
+        assert sampler_floor.count_words(model, code, "threshold", 1000) == 1000
+        far = _far_rows(model, 26, 1000, "full-decode")
+        assert far > 0
+        words = sampler_floor.count_words(model, code, "full-decode", 1000)
+        assert words == 1000 + per_far * far
+    # Unequal rates compare a raw word per classifier and trial.
+    model = sampler_floor.Independent(sampler_floor.ErrorProfile((0.1, 0.2) * 13))
+    assert sampler_floor.count_words(model, code, "threshold", 1000) == 26 * 1000

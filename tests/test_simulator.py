@@ -348,16 +348,16 @@ def _pair_f(e, c):
 
 
 class TestPinnedStreams:
-    """Counts the samplers and the decoder produced before they drew and
-    decoded by blocks; any change to the streams shows here.  The
-    exchangeable full-decode counts are those of far rows that draw only
-    their own position words."""
+    """Counts of the samplers and the decoder; any change to the streams
+    shows here.  Every model here has one rate, so each draws its counts
+    first, and its full-decode far rows draw only their own position
+    words (the pair's one state uniform first)."""
 
     TRIALS = 2 * CHUNK_TRIALS + 5
     # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
     COUNTS = {
-        (26, 0.0686, 0.0058): {"iid": (498, 12), "pair": (438, 19), "exchangeable": (770, 35)},
-        (127, 0.18, 0.006): {"iid": (1749, 0), "pair": (1761, 0), "exchangeable": (4768, 0)},
+        (26, 0.0686, 0.0058): {"iid": (443, 20), "pair": (444, 14), "exchangeable": (770, 35)},
+        (127, 0.18, 0.006): {"iid": (1721, 0), "pair": (1721, 0), "exchangeable": (4768, 0)},
     }
 
     @staticmethod
@@ -382,11 +382,11 @@ class TestPinnedStreams:
         assert decode.error_rate == want_decode / self.TRIALS
 
     def test_std_err_of_a_known_count(self):
-        # 498 of TRIALS threshold errors (the iid count above): the standard
+        # 443 of TRIALS threshold errors (the iid count above): the standard
         # error is the binomial one, sqrt(p (1 - p) / trials).
         model = self._model("iid", 26, 0.0686, 0.0058)
         result = mc_threshold_error(model, 6, SimConfig(trials=self.TRIALS, seed=2024))
-        p = 498 / self.TRIALS
+        p = 443 / self.TRIALS
         assert result.error_rate == p
         assert result.std_err == math.sqrt(p * (1 - p) / self.TRIALS)
 
@@ -409,15 +409,22 @@ SAMPLE_IDS = [
 ]
 
 
+def _count_first(model) -> bool:
+    """The sampler's route: the counts first, from count_pmf, for every
+    exchangeable model and every profile of one rate; unequal rates
+    compare one raw word per classifier instead."""
+    return isinstance(model, ExchangeableModel) or model.profile._rate is not None
+
+
 class TestSamplers:
     COUNT = 2 * BLOCK_ROWS + 3  # two whole blocks and a partial one
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
         # The counts are those of sample, on a Philox and on a PCG64
-        # generator, which ends in the state sample leaves it in; the
-        # exchangeable sampler draws the counts alone, rng.choice's
-        # uniforms.
+        # generator.  A word-compare sampler ends in the state sample
+        # leaves it in; a count-first sampler draws the counts alone,
+        # rng.choice's uniforms.
         for seed in range(3):
             for make in (
                 lambda: _chunk_rng(seed, 0),
@@ -430,17 +437,21 @@ class TestSamplers:
                 assert set(np.unique(bits)) <= {0, 1}
                 assert counts.dtype == np.intp
                 assert np.array_equal(counts, bits.sum(axis=1))
-                if isinstance(model, ExchangeableModel):
+                if _count_first(model):
                     ref = make()
                     ref.random(self.COUNT)
                 assert _state(rng) == _state(ref)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
     def test_blocked_draws_match_one_draw(self, model):
-        # Reference: every uniform drawn by one rng.random call.
+        # Reference, word compare: every uniform drawn by one rng.random
+        # call; count first: every position word drawn by one random_raw
+        # call, after the counts (and the pair's state uniforms).
         n, rates = model.n, np.asarray(model.profile.rates)
         rng = _chunk_rng(5, 1)
-        if isinstance(model, Independent):
+        if _count_first(model):
+            want = _far_by_reference(model, rng, self.COUNT, 0)[1]
+        elif isinstance(model, Independent):
             want = (rng.random((self.COUNT, n)) < rates).astype(np.uint8)
         else:
             want = np.zeros((self.COUNT, n), dtype=np.uint8)
@@ -583,11 +594,15 @@ class TestRawWords:
     )
     def test_rate_one_on_edge_words(self, rates):
         # As a raw-word limit, e = 1's 2**64 wraps to 0; every word, 2**64 - 1
-        # included, must still err there, whether the profile's one limit
-        # broadcasts or each column has its own.
+        # included, must still err there.  A profile of the one rate 1
+        # compares no word: its counts, drawn first, are all n.
+        model = Independent(ErrorProfile(rates))
+        if _count_first(model):
+            assert model.sample(_chunk_rng(0, 0), self.COUNT).all()
+            assert (model.sample_counts(_chunk_rng(0, 0), self.COUNT) == len(rates)).all()
+            return
         words = self._edge_words(_word_limits(rates).tolist())
         want = (words >> np.uint64(11)) * 2.0**-53 < np.array(rates)
-        model = Independent(ErrorProfile(rates))
         assert np.array_equal(model.sample(self._serving(words), len(words)), want)
         counts = model.sample_counts(self._serving(words), len(words))
         assert np.array_equal(counts, want.sum(axis=1))
@@ -621,17 +636,92 @@ class TestRawWords:
         assert np.array_equal(counts, want.sum(axis=1))
 
 
+class TestCountFirstEdges:
+    """One-rate iid and pair models at the edge rates, through sample,
+    sample_far and sample_counts: no bit set at e = 0, every bit at e = 1,
+    and the far rows those of sample's counts at every rate."""
+
+    COUNT = 2 * BLOCK_ROWS + 3
+
+    @pytest.mark.parametrize("e", [0.0, 5e-324, 1.0 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_edge_rates(self, n, e):
+        lo, hi = prob_engine.pair_f_range(e, e)
+        models = [Independent(ErrorProfile.iid(n, e)), PairModel(ErrorProfile.iid(n, e), lo),
+                  PairModel(ErrorProfile.iid(n, e), hi)]
+        for model in models:
+            bits = model.sample(_chunk_rng(1, 0), self.COUNT)
+            counts = model.sample_counts(_chunk_rng(1, 0), self.COUNT)
+            assert np.array_equal(counts, bits.sum(axis=1))
+            if e == 0.0:
+                assert not bits.any()
+            if e == 1.0:
+                assert bits.all()
+            for k_min in range(n + 2):
+                far, kept = model.sample_far(_chunk_rng(1, 0), self.COUNT, k_min)
+                assert np.array_equal(far, np.flatnonzero(counts >= k_min))
+                assert np.array_equal(kept.sum(axis=1), counts[far])
+                assert kept.max(initial=0) <= 1
+
+
+def _outcome_chi2_p(model, trials, seed):
+    """Chi-square p-value (_pooled_chi2_p) of trials whole outcomes of
+    sample against joint_mass over all 2^n of them; an outcome of no mass
+    must never be drawn."""
+    n = model.n
+    bits = model.sample(_chunk_rng(seed, 0), trials)
+    observed = np.bincount(bits.astype(np.intp) @ (1 << np.arange(n)), minlength=1 << n)
+    outcomes = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    expected = model.joint_mass(outcomes) * trials
+    assert not observed[expected == 0].any()
+    return _pooled_chi2_p(observed, expected)
+
+
+class TestOneRateLaw:
+    """The count-first draws of one-rate iid and pair models have the law
+    of the models themselves, not only their counts'."""
+
+    @pytest.mark.parametrize("n", [26, 127])
+    def test_iid_equals_exchangeable_at_zero_correlation(self, n):
+        e = {26: 0.0686, 127: 0.18}[n]
+        iid, exch = Independent(ErrorProfile.iid(n, e)), ExchangeableModel(n, e, 0.0)
+        assert iid.count_pmf().tobytes() == exch.count_pmf().tobytes()
+        code = build_code_matrix(n)
+        for seed in (1, 2):
+            cfg = SimConfig(trials=CHUNK_TRIALS + 7, seed=seed)
+            assert mc_threshold_error(iid, code.m, cfg) == mc_threshold_error(exch, code.m, cfg)
+            assert mc_decode_error(iid, code, cfg) == mc_decode_error(exch, code, cfg)
+
+    @pytest.mark.parametrize(
+        "n, e, end",
+        [(2, 0.4, 0), (2, 0.4, 1), (2, 0.7, 0), (5, 0.3, 0), (5, 0.3, 1), (8, 0.2, 0),
+         (8, 0.2, 1), (8, 0.2, None)],
+    )
+    def test_pair_outcomes_follow_joint_mass(self, n, e, end):
+        # f at either end of pair_f_range (at e = 0.7 the lower end is
+        # 2e - 1 > 0), or inside it.
+        f = e * e if end is None else prob_engine.pair_f_range(e, e)[end]
+        model = PairModel(ErrorProfile.iid(n, e), f)
+        for seed in (1, 2):
+            assert _outcome_chi2_p(model, 200_000, seed) > 1e-4
+
+    def test_iid_outcomes_follow_joint_mass(self):
+        model = Independent(ErrorProfile.iid(6, 0.3))
+        for seed in (1, 2):
+            assert _outcome_chi2_p(model, 200_000, seed) > 1e-4
+
+
 class TestFarRows:
     COUNTS = (0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_far_rows_are_the_rows_of_sample(self, model):
         # Every model keeps the indices and error counts of sample's rows.
-        # The independent and pair models, which draw every word, keep
-        # sample's bits too and leave the stream where sample does; the
-        # exchangeable bits and state are TestExchangeableFarRows'.
+        # The word-compare samplers, which draw every word, keep sample's
+        # bits too and leave the stream where sample does; the count-first
+        # bits and state are checked against _far_by_reference.
         n = model.n
-        every_word = not isinstance(model, ExchangeableModel)
+        every_word = not _count_first(model)
         for k_min in sorted({0, 1, build_code_matrix(n).far_flips, n, n + 1}):
             for count in self.COUNTS:
                 ref = _chunk_rng(8, 3)
@@ -648,15 +738,34 @@ class TestFarRows:
 
 
 def _far_by_reference(model, rng, count, k_min):
-    """Reference for the exchangeable sample_far: the counts by rng.choice,
-    then n raw words for each far row, drawn right after them, shifted to
-    their top 53 bits and marked by the ranks of a stable argsort."""
+    """Reference for a count-first sample_far: the counts by rng.choice.
+    For the pair, one rng.random uniform per far row then picks the pair's
+    state s among (11, 10, 01, 00) by the cdf of P(s) q(K - |s|), q the
+    binomial row of the other n - 2 (scipy's).  Then a raw word for each
+    other position of each far row, in one call, shifted to their top 53
+    bits and marked by the ranks of a stable argsort."""
+    n = model.n
     pmf = model.count_pmf()
-    ks = rng.choice(model.n + 1, size=count, p=pmf / pmf.sum())
+    ks = rng.choice(n + 1, size=count, p=pmf / pmf.sum())
     far = np.flatnonzero(ks >= k_min)
-    j = rng.bit_generator.random_raw((far.size, model.n)) >> np.uint64(11)
+    ks = ks[far]
+    bits = np.zeros((far.size, n), dtype=np.uint8)
+    width = n
+    if isinstance(model, PairModel):
+        width = n - 2
+        q = np.zeros(n + 3)
+        q[2:-2] = sstats.binom.pmf(np.arange(n - 1), n - 2, model.profile.rates[0])
+        sizes = np.array([2, 1, 1, 0])
+        w = np.array(model.joint_cells)[:, None] * q[ks - sizes[:, None] + 2]
+        cdf = w.cumsum(axis=0) / w.sum(axis=0)
+        state = (rng.random(far.size) >= cdf[:3]).sum(axis=0)
+        bits[:, -2] = state <= 1
+        bits[:, -1] = state % 2 == 0
+        ks = ks - sizes[state]
+    j = rng.bit_generator.random_raw((far.size, width)) >> np.uint64(11)
     ranks = j.argsort(axis=1, kind="stable").argsort(axis=1)
-    return far, (ranks < ks[far, None]).astype(np.uint8)
+    bits[:, :width] = ranks < ks[:, None]
+    return far, bits
 
 
 FAR_MODELS = [
@@ -667,37 +776,66 @@ FAR_MODELS = [
 ]
 
 
+GENERATORS = {
+    "philox": np.random.Philox, "pcg64": np.random.PCG64, "mt19937": np.random.MT19937,
+}
+
+
+def _check_far_rows(kind, model):
+    """model's far rows against _far_by_reference on a generator of kind,
+    for every k_min in 0..n + 1: the rows, their bits, the state the
+    generator is left in and the draws that follow."""
+
+    def make(seed):
+        # A generator that holds half of a 32-bit draw.
+        rng = np.random.Generator(GENERATORS[kind](seed))
+        rng.integers(0, 2**32, dtype=np.uint32)
+        return rng
+
+    for k_min in range(model.n + 2):
+        for count in (0, 1, 2 * BLOCK_ROWS + 3):
+            ref, rng = make(k_min), make(k_min)
+            want_far, want_bits = _far_by_reference(model, ref, count, k_min)
+            far, bits = model.sample_far(rng, count, k_min)
+            assert far.dtype == np.intp and np.array_equal(far, want_far)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, want_bits)
+            assert _state(rng) == _state(ref), (k_min, count)
+            for draw in (
+                lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                lambda g: g.random(5),
+            ):
+                assert np.array_equal(draw(rng), draw(ref))
+
+
 class TestExchangeableFarRows:
     """The exchangeable far rows against _far_by_reference, on three bit
-    generators, for every k_min in 0..n + 1: the rows, their bits, the
-    state the generator is left in and the draws that follow."""
-
-    GENERATORS = {
-        "philox": np.random.Philox, "pcg64": np.random.PCG64, "mt19937": np.random.MT19937,
-    }
+    generators."""
 
     @pytest.mark.parametrize("kind", list(GENERATORS))
     @pytest.mark.parametrize("model", FAR_MODELS, ids=["n2", "n5", "n26", "n127"])
     def test_matches_reference(self, kind, model):
-        def make(seed):
-            # A generator that holds half of a 32-bit draw.
-            rng = np.random.Generator(self.GENERATORS[kind](seed))
-            rng.integers(0, 2**32, dtype=np.uint32)
-            return rng
+        _check_far_rows(kind, model)
 
-        for k_min in range(model.n + 2):
-            for count in (0, 1, 2 * BLOCK_ROWS + 3):
-                ref, rng = make(k_min), make(k_min)
-                want_far, want_bits = _far_by_reference(model, ref, count, k_min)
-                far, bits = model.sample_far(rng, count, k_min)
-                assert far.dtype == np.intp and np.array_equal(far, want_far)
-                assert bits.dtype == np.uint8 and np.array_equal(bits, want_bits)
-                assert _state(rng) == _state(ref), (k_min, count)
-                for draw in (
-                    lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
-                    lambda g: g.random(5),
-                ):
-                    assert np.array_equal(draw(rng), draw(ref))
+
+ONE_RATE_MODELS = [
+    Independent(ErrorProfile.iid(1, 0.3)),
+    Independent(ErrorProfile.iid(26, 0.0686)),
+    PairModel(ErrorProfile.iid(2, 0.4), 0.0),
+    PairModel(ErrorProfile.iid(2, 0.4), 0.4),
+    PairModel(ErrorProfile.iid(5, 0.25), 0.02),
+    PairModel(ErrorProfile.iid(26, 0.0686), _pair_f(0.0686, 0.0058)),
+]
+ONE_RATE_IDS = ["iid-n1", "iid-n26", "pair-n2-f0", "pair-n2-fmax", "pair-n5", "pair-n26"]
+
+
+class TestOneRateFarRows:
+    """The far rows of one-rate iid and pair models, which draw their
+    counts first, against _far_by_reference, on three bit generators."""
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    @pytest.mark.parametrize("model", ONE_RATE_MODELS, ids=ONE_RATE_IDS)
+    def test_matches_reference(self, kind, model):
+        _check_far_rows(kind, model)
 
 
 @st.composite

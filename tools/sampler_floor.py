@@ -6,8 +6,9 @@ For each model (iid, pair, exchangeable), at 26 and 127 classes and in both
 modes (threshold at m = code.m, full-decode), it prints:
 
 - words: the 64-bit words the sampler draws over all trials: every word
-  its random_raw calls return, plus the exchangeable count draw's one
-  uniform per trial.  The full-decode class draw is not counted.
+  its random_raw calls return and every uniform its rng.random calls
+  return (the count draw's one per trial, the pair's one state uniform per
+  far row).  The full-decode class draw is not counted.
 - one worker and two workers: the best time of --repeat runs of
   mc_threshold_error or mc_decode_error, in process, with workers=1 and 2.
 - random_raw: the best time of --repeat runs of bare Philox random_raw
@@ -18,8 +19,8 @@ modes (threshold at m = code.m, full-decode), it prints:
 The operating points are the benchmark's: 26 classes at e = 0.0686,
 c = 0.0058 and 127 classes at e = 0.18, c = 0.006; the pair's joint error
 probability is e^2 + c e (1 - e).  Words are counted in a separate pass
-whose chunk generators are a Philox subclass that counts random_raw's
-output, so the timed runs draw from plain generators.  Standard library
+whose chunk generators count the output of random_raw and of random, so
+the timed runs draw from plain generators.  Standard library
 and numpy only; nothing is written.
 """
 
@@ -61,8 +62,8 @@ def run(model, code, mode: str, trials: int, workers: int) -> None:
         mc_decode_error(model, code, cfg)
 
 
-class _Counting(np.random.Philox):
-    """A Philox generator that counts the words its random_raw returns."""
+class _CountingBits(np.random.Philox):
+    """A Philox bit generator that counts the words its random_raw returns."""
 
     words = 0
 
@@ -72,16 +73,29 @@ class _Counting(np.random.Philox):
         return out
 
 
-def count_words(kind: str, model, code, mode: str, trials: int) -> int:
+class _Counting(np.random.Generator):
+    """A generator that counts the uniforms its random returns, one 64-bit
+    word each."""
+
+    words = 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size, dtype, out)
+        self.words += np.size(u)
+        return u
+
+
+def count_words(model, code, mode: str, trials: int) -> int:
     made = []
 
     def counting_rng(seed, chunk_index):
-        made.append(_Counting(key=np.array([seed, chunk_index], dtype=np.uint64)))
-        return np.random.Generator(made[-1])
+        bits = _CountingBits(key=np.array([seed, chunk_index], dtype=np.uint64))
+        made.append(_Counting(bits))
+        return made[-1]
 
     with mock.patch.object(simulator, "_chunk_rng", counting_rng):
         run(model, code, mode, trials, 1)
-    return sum(bits.words for bits in made) + (trials if kind == "exchangeable" else 0)
+    return sum(rng.words + rng.bit_generator.words for rng in made)
 
 
 def best(fn, repeat: int) -> float:
@@ -111,7 +125,7 @@ def rows(trials: int, repeat: int) -> list[tuple]:
         for kind in KINDS:
             model = model_of(kind, n)
             for mode in MODES:
-                words = count_words(kind, model, code, mode, trials)
+                words = count_words(model, code, mode, trials)
                 one, two = (best(lambda: run(model, code, mode, trials, w), repeat)
                             for w in (1, 2))
                 raw = raw_time(words, n, repeat)
