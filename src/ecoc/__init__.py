@@ -31,15 +31,10 @@ from .prob_engine import (
     Independent,
     PairModel,
     bahadur_range,
-    binomial_pmf,
     enumerate_outcomes,
-    exchangeable_pmf,
     exchangeable_tail,
-    pair_correlated_pmf,
     pair_correlated_tail,
-    poisson_binomial_pmf,
     tail_iid,
-    tail_independent,
     valid_correlation_range,
 )
 from .simulator import (
@@ -67,7 +62,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "bahadur_range",
-    "binomial_pmf",
     "build_code_matrix",
     "chernoff_bound",
     "chernoff_lambda",
@@ -76,7 +70,6 @@ __all__ = [
     "decode",
     "enumerate_outcomes",
     "evaluate_bounds",
-    "exchangeable_pmf",
     "exchangeable_tail",
     "feller_bound",
     "gs_bound",
@@ -87,12 +80,9 @@ __all__ = [
     "min_row_distance",
     "nearest_rows",
     "omega_factor",
-    "pair_correlated_pmf",
     "pair_correlated_tail",
-    "poisson_binomial_pmf",
     "sylvester_hadamard",
     "tail_iid",
-    "tail_independent",
     "valid_correlation_range",
 ]
 

@@ -15,30 +15,39 @@ position hook _positions(rng, ks) (bool error vectors, one per count in ks,
 drawn from the model's law given that count) and joint_mass(bits) (the
 joint law of whole outcomes, from the model's definition and not from
 count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
-sums for cross-checking).  Six methods are defined once, on
+sums for cross-checking).  The other methods are defined once, on
 DependenceModel, for all three: pmf(k), the entry of count_pmf at k,
-tail(m), the sum of count_pmf from m, the draw _draw(rng, count, k_min)
-(the indices of the rows, among count trials, with at least k_min errors,
-their bool error vectors and their error counts; at k_min = n + 1, where no
-row is kept, every row's count) and three views of _draw, each after
-_check_draw (the width check of code_matrix, _check_width, and a count
-that is an integer at least 0): sample_far(rng, count, k_min), its far
-rows as uint8, sample(rng, count), sample_far at k_min = 0, and
-sample_counts(rng, count), its counts as intp at k_min = n + 1, where no
-row is kept.  pmf and tail check k and m, and sample_far k_min (in
-0..n + 1), with _check_count, the one check that a count is an integer in
-a range.  The public pmf and tail functions below are one-line calls
-into a model's pmf or tail, so every count probability, binomial or not,
-is read from one count_pmf.
+tail(m), the sum of count_pmf from m, and three samplers, each after
+_check_draw (the width check of code_matrix, _check_width, a count that
+is an integer at least 0 and a k_min in 0..n + 1):
+sample_far(rng, count, k_min), the error vectors, as uint8, of the trials
+among count with at least k_min errors (the far rows, drawn by _draw),
+sample(rng, count), sample_far at k_min = 0, and count_far(rng, count,
+k_min), the number of far rows, with no row drawn.  pmf, tail and the
+samplers check k, m and k_min with _check_count, the one check that a
+count is an integer in a range.  Every count probability, binomial or
+not, is read from one count_pmf.
 
-Every exchangeable model and every profile of one rate draws count-first,
-by DependenceModel._draw.  It draws each trial's error count K from
-count_pmf by _draw_counts: the values and generator state of
-rng.choice(n + 1, count, p), read from a 2**12-bucket inverse-cdf table,
-with searchsorted only for the uniforms in buckets that hold a cdf entry.
-Then, right after the counts, it draws positions for the far rows alone
-(those with at least k_min errors), by _positions; with no row to keep
-(sample_counts, and so every threshold estimate) it draws none.  Given K:
+Every exchangeable model and every profile of one rate draws count-first
+(_count_first), from count_pmf, and draws only what its caller reads:
+
+- count_far reads one uniform per trial, rng.choice's, and compares it
+  with one entry of choice's cdf (_count_at_least): choice's count is at
+  least k_min exactly when its uniform is at least cdf[k_min - 1].  The
+  counts are those of rng.choice(n + 1, count, p), trial for trial.
+- sample_far at k_min > 0 draws the number of far rows first, a binomial
+  of count trials and P = P(K >= k_min), then their counts from count_pmf
+  truncated at k_min, then their positions given the counts (_positions):
+  a binomial number of independent rows conditioned on K >= k_min, the
+  law of the far rows of count trials.  At k_min = 0, sample, every row is
+  far and no binomial is drawn.
+- The counts are drawn by _draw_counts: the values and generator state of
+  rng.choice(len(p), size, p), read from a 2**12-bucket inverse-cdf table,
+  with searchsorted only for the uniforms in buckets that hold a cdf
+  entry.  It and _count_at_least build the cdf, after choice's checks on
+  p, in one place (_count_cdf).
+
+Given K:
 
 - every outcome of an iid or exchangeable model is equally likely, so the
   positions are a uniform K-subset (_uniform_subsets): those of the K
@@ -66,15 +75,14 @@ errors are counted with one float32 matrix-vector product
 (code_matrix._row_counts), exact because no row is 2**24 or more words
 wide: every sampler applies code_matrix._check_width before it draws a
 word.  Only the far rows' counts are kept, unless every row's count is
-asked for; the pair model compares its own word only for the rows that can
-reach k_min.
+asked for (count_far); the pair model compares its own word only for the
+rows that can reach k_min.
 
-Every sampler's far rows therefore have the indices and error counts of
-sample(rng, count).  The word-compare samplers draw every word whatever
-k_min is, so their far rows' vectors, and the state they leave the stream
-in, are those of sample as well; count-first far rows hold positions of
-their own.  Only the rows at k_min are kept, so sample_counts keeps one
-count per row and never holds a (count, n) array.
+So the far rows of a word-compare sampler are the rows of sample(rng,
+count) that have at least k_min errors, bit for bit, and it leaves the
+stream where sample does; count-first far rows hold counts and positions
+of their own.  No sampler holds a (count, n) array unless every row is
+far.
 """
 
 from __future__ import annotations
@@ -167,46 +175,57 @@ class DependenceModel:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """All count error vectors, a (count, n) uint8 array."""
-        return self.sample_far(rng, count, 0)[1]
+        return self.sample_far(rng, count, 0)
 
-    def sample_far(
-        self, rng: np.random.Generator, count: int, k_min: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The indices of the rows, among count trials, with at least k_min
-        errors (an integer in 0..n + 1), and their error vectors as a uint8
-        array.  The indices and the error counts are those of
-        sample(rng, count); so are the vectors, and the state the stream is
-        left in, for profiles of unequal rates, which compare words.  The
-        count-first far rows draw their positions right after the counts."""
-        self._check_draw(count)
-        _check_count("k_min", k_min, self.n + 1)
-        _, far, bits = self._draw(rng, count, k_min)
-        return far, bits.view(np.uint8)
+    def sample_far(self, rng: np.random.Generator, count: int, k_min: int) -> np.ndarray:
+        """The error vectors, as a uint8 array, of the trials among count
+        with at least k_min errors (an integer in 0..n + 1).  A profile of
+        unequal rates compares every word, so its rows are those of
+        sample(rng, count) with at least k_min errors, in trial order, and it
+        leaves the stream where sample does.  A count-first model draws
+        the number of far rows first, then their counts and positions."""
+        self._check_draw(count, k_min)
+        return self._draw(rng, count, k_min).view(np.uint8)
 
-    def sample_counts(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The error counts of count trials, those of sample(rng, count), no
-        row kept; a count-first sampler draws the counts alone."""
-        self._check_draw(count)
-        return self._draw(rng, count, self.n + 1)[0].astype(np.intp, copy=False)
+    def count_far(self, rng: np.random.Generator, count: int, k_min: int) -> int:
+        """The number of trials among count with at least k_min errors (an
+        integer in 0..n + 1), with no row drawn: that of
+        (sample(rng, count).sum(axis=1) >= k_min).sum() for a profile of
+        unequal rates; one uniform per trial against count_pmf's cdf for a
+        count-first model."""
+        self._check_draw(count, k_min)
+        if not self._count_first:
+            return int(np.count_nonzero(self._compare(rng, count, self.n + 1)[0] >= k_min))
+        return _count_at_least(rng, self.count_pmf(), count, k_min)
+
+    # Every exchangeable model draws its counts first; the independent and
+    # pair models do when their profile has one rate.
+    _count_first = True
 
     def _draw(self, rng, count, k_min):
-        # Count-first: the counts from count_pmf, then, for the far rows
-        # alone, error positions given their counts (_positions); with no
-        # row to keep, no position is drawn.
-        ks = _draw_counts(rng, self.count_pmf(), count)
-        if k_min > self.n:
-            return ks, np.empty(0, dtype=np.intp), np.empty((0, self.n), dtype=bool)
-        far = np.flatnonzero(ks >= k_min)
-        ks = ks[far]
-        return ks, far, self._positions(rng, ks)
+        # Far-first: the number of rows with at least k_min errors, a
+        # binomial of P(K >= k_min); their counts from count_pmf truncated
+        # at k_min; then their positions given the counts (_positions).
+        # k_min = 0 keeps every row and draws no binomial.
+        if not self._count_first:
+            return self._compare(rng, count, k_min)[1]
+        pmf = self.count_pmf()
+        far = count
+        if k_min:
+            far = rng.binomial(count, math.fsum(pmf[k_min:].tolist()) / math.fsum(pmf.tolist()))
+        if not far:
+            return np.empty((0, self.n), dtype=bool)
+        return self._positions(rng, k_min + _draw_counts(rng, pmf[k_min:], far))
 
-    def _check_draw(self, count) -> None:
+    def _check_draw(self, count, k_min) -> None:
         """The checks made before any word is drawn: the width rule of
-        code_matrix (_check_width), and count, an integer at least 0."""
+        code_matrix (_check_width), count, an integer at least 0, and k_min,
+        an integer in 0..n + 1."""
         _check_width(self.n)
         _check_integer("count", count)
         if count < 0:
             raise ValueError(f"count={count} must be at least 0")
+        _check_count("k_min", k_min, self.n + 1)
 
 
 @dataclass(frozen=True)
@@ -222,10 +241,13 @@ class Independent(DependenceModel):
     def count_pmf(self) -> np.ndarray:
         return self.profile._row(self.n)
 
-    def _draw(self, rng, count, k_min):
-        if self.profile._rate is None:
-            return _independent_draw(rng, count, self.profile.rates, k_min)
-        return super()._draw(rng, count, k_min)
+    @property
+    def _count_first(self) -> bool:
+        return self.profile._rate is not None
+
+    def _compare(self, rng, count, k_min):
+        ks, _, bits = _independent_draw(rng, count, self.profile.rates, k_min)
+        return ks, bits
 
     def _positions(self, rng, ks):
         return _uniform_subsets(rng, ks, self.n)
@@ -281,9 +303,11 @@ class PairModel(DependenceModel):
         q_pad[2:-2] = self.profile._row(self.n - 2)
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
-    def _draw(self, rng, count, k_min):
-        if self.profile._rate is not None:
-            return super()._draw(rng, count, k_min)
+    @property
+    def _count_first(self) -> bool:
+        return self.profile._rate is not None
+
+    def _compare(self, rng, count, k_min):
         # Unequal rates compare words.  The pair's words follow all of the
         # others', so the rows that can reach k_min (at least k_min - 2
         # errors elsewhere) are kept, with their counts, until the pair's
@@ -299,14 +323,13 @@ class PairModel(DependenceModel):
         second = both | (~first & either)
         ks += first.view(np.uint8) + second.view(np.uint8)
         if every:
-            return ks, near, np.empty((0, self.n), dtype=bool)
+            return ks, np.empty((0, self.n), dtype=bool)
         keep = np.flatnonzero(ks >= k_min)
-        far = near[keep]
-        bits = np.empty((far.size, self.n), dtype=bool)
+        bits = np.empty((keep.size, self.n), dtype=bool)
         bits[:, :-2] = rest[keep]
         bits[:, -2] = first[keep]
         bits[:, -1] = second[keep]
-        return ks[keep], far, bits
+        return ks[keep], bits
 
     def _positions(self, rng, ks):
         # One uniform per row picks the pair's state s among (11, 10, 01,
@@ -522,17 +545,10 @@ def _independent_draw(rng: np.random.Generator, count: int, rates, k_min: int):
     return ks, np.concatenate(far), np.concatenate(kept)
 
 
-def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
-    """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
-    values from the same rng.random(count) uniforms, and the same
-    ValueError, before any draw, for a p that choice rejects.
-
-    choice returns, for each uniform u, the number of entries of its cdf,
-    p.cumsum() / its last entry, that are at most u.  Here the cdf and the
-    uniforms are scaled by _COUNT_BUCKETS, which is exact, and a table gives
-    that number for each bucket [b, b + 1) that holds no cdf entry strictly
-    inside it; only the uniforms in the other buckets, at most one per
-    entry, are looked up by searchsorted."""
+def _count_cdf(pmf: np.ndarray) -> np.ndarray:
+    """The cdf that rng.choice(len(pmf), p=pmf / pmf.sum()) draws from,
+    p.cumsum() / its last entry, after the checks choice makes on p: the
+    same ValueError, before any draw, for a p that choice rejects."""
     p = pmf / pmf.sum()
     total = p.sum()
     if np.isnan(total):
@@ -543,6 +559,21 @@ def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.nd
         raise ValueError("Probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
+    """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
+    values from the same rng.random(count) uniforms, and the same
+    ValueError, before any draw, for a p that choice rejects (_count_cdf).
+
+    choice returns, for each uniform u, the number of entries of its cdf
+    that are at most u.  Here the cdf and the uniforms are scaled by
+    _COUNT_BUCKETS, which is exact, and a table gives that number for each
+    bucket [b, b + 1) that holds no cdf entry strictly inside it; only the
+    uniforms in the other buckets, at most one per entry, are looked up by
+    searchsorted."""
+    cdf = _count_cdf(pmf)
     cdf *= _COUNT_BUCKETS
     # Entries at most b are those whose ceiling is at most b.
     table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=_COUNT_BUCKETS + 1)
@@ -554,6 +585,18 @@ def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.nd
     inside = np.flatnonzero(ks < 0)
     ks[inside] = cdf.searchsorted(u[inside], side="right")
     return ks
+
+
+def _count_at_least(rng: np.random.Generator, pmf: np.ndarray, count: int, m: int) -> int:
+    """(_draw_counts(rng, pmf, count) >= m).sum(), from the same uniforms,
+    with one compare per trial: choice's count is at least m exactly when
+    its uniform u is at least cdf[m - 1], the m-th entry of its
+    nondecreasing cdf.  No uniform reaches cdf[m - 1] = 1.0; m = 0 counts
+    every trial and draws none."""
+    cdf = _count_cdf(pmf)
+    if m == 0:
+        return int(count)
+    return int(np.count_nonzero(rng.random(count) >= cdf[m - 1]))
 
 
 def _uniform_subsets(rng: np.random.Generator, ks: np.ndarray, width: int, out=None) -> np.ndarray:
@@ -654,21 +697,6 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     return polys[0, : n + 1]
 
 
-def poisson_binomial_pmf(profile: ErrorProfile, k: int) -> float:
-    """Probability that exactly k of the n classifiers err."""
-    return Independent(profile).pmf(k)
-
-
-def binomial_pmf(n: int, k: int, e: float) -> float:
-    """Probability of exactly k errors among n iid classifiers with rate e."""
-    return Independent(ErrorProfile.iid(n, e)).pmf(k)
-
-
-def tail_independent(profile: ErrorProfile, m: int) -> float:
-    """Probability that at least m classifiers err, independent case."""
-    return Independent(profile).tail(m)
-
-
 def tail_iid(n: int, m: int, e: float) -> float:
     """Probability that at least m of n iid classifiers err."""
     return Independent(ErrorProfile.iid(n, e)).tail(m)
@@ -676,12 +704,6 @@ def tail_iid(n: int, m: int, e: float) -> float:
 
 # ---------------------------------------------------------------------------
 # one correlated pair
-
-
-def pair_correlated_pmf(model: PairModel, k: int) -> float:
-    """Probability of exactly k errors with the last two classifiers paired;
-    see PairModel.count_pmf."""
-    return model.pmf(k)
 
 
 def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
@@ -716,11 +738,6 @@ def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
         k, q = k[::-1], 1.0 - e
     quad = k * k - k + q * (n - 1) * (n * q - 2.0 * k)
     return 1.0 + c / (2.0 * e * (1.0 - e)) * quad
-
-
-def exchangeable_pmf(n: int, k: int, e: float, c: float) -> float:
-    """Probability of exactly k errors in the exchangeable model."""
-    return ExchangeableModel(n, e, c).pmf(k)
 
 
 def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:

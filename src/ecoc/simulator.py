@@ -6,9 +6,13 @@ codeword's bits where the sampled error vector is 1, decode, count
 mismatches).
 
 Randomness is counter-based: trials are processed in fixed-size chunks and
-chunk j draws from a Philox stream keyed by (seed, j), so every trial's
-randomness is a pure function of (seed, trial index).  Results are therefore
-bit-identical for a given seed regardless of the worker count.
+chunk j draws from a Philox stream keyed by (seed, j), so every chunk's
+count is a pure function of (seed, j, chunk size).  Results are therefore
+bit-identical for a given seed regardless of the worker count.  A chunk
+draws only what its estimate reads: a threshold chunk one uniform per trial
+(count_far); a full-decode chunk the number of its far rows, then their
+error vectors and true classes alone (sample_far), so no far row is tied
+to a trial index.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def mc_threshold_error(model: DependenceModel, m: int, cfg: SimConfig) -> SimRes
     _check_count("m", m, model.n)
 
     def count(rng, size):
-        return int((model.sample_counts(rng, size) >= m).sum())
+        return model.count_far(rng, size, m)
 
     return _result(_run_chunks(cfg, count), cfg, MODE_THRESHOLD)
 
@@ -113,8 +117,9 @@ def mc_decode_error(
     flips its codeword at the sampled error positions, and decodes by nearest
     row with lowest-index tie breaking.  Only trials with at least
     code.far_flips flips can decode wrongly, so only those error vectors are
-    kept by the sampler and decoded (see count_misdecoded); the classes are
-    drawn for every trial, from where the sampler leaves the stream.
+    drawn by the sampler (sample_far) and decoded (see count_misdecoded);
+    the classes, independent of the flips, are drawn for those rows alone,
+    from where the sampler leaves the stream.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -124,11 +129,11 @@ def mc_decode_error(
             raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
 
     def count(rng, size):
-        far, bits = model.sample_far(rng, size, code.far_flips)
+        bits = model.sample_far(rng, size, code.far_flips)
         if true_class is None:
-            classes = rng.integers(0, code.num_classes, size=size)[far]
+            classes = rng.integers(0, code.num_classes, size=len(bits))
         else:
-            classes = np.full(far.size, true_class)
+            classes = np.full(len(bits), true_class)
         return count_misdecoded(bits.view(bool), classes, code)
 
     return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)

@@ -53,14 +53,10 @@ from ecoc.prob_engine import (
     Independent,
     PairModel,
     enumerate_outcomes,
-    exchangeable_pmf,
     exchangeable_tail,
-    pair_correlated_pmf,
     pair_correlated_tail,
     pair_f_range,
-    poisson_binomial_pmf,
     tail_iid,
-    tail_independent,
     valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_decode_error, mc_threshold_error
@@ -82,11 +78,11 @@ def test_criterion_1_independent_oracle_equivalence():
         dist = Independent(profile).count_pmf()
         tail_acc = 0.0
         for k in range(n, -1, -1):
-            worst = max(worst, abs(poisson_binomial_pmf(profile, k) - oracle[k]))
+            worst = max(worst, abs(Independent(profile).pmf(k) - oracle[k]))
             worst = max(worst, abs(dist[k] - oracle[k]))
             tail_acc += oracle[k]
             if k >= 1:
-                worst = max(worst, abs(tail_independent(profile, k) - tail_acc))
+                worst = max(worst, abs(Independent(profile).tail(k) - tail_acc))
     elapsed = time.monotonic() - start
     assert worst <= 1e-12, f"worst deviation {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -108,7 +104,7 @@ def test_criterion_2_pair_oracle_equivalence():
                 tail_acc = 0.0
                 for k in range(n, -1, -1):
                     worst = max(
-                        worst, abs(pair_correlated_pmf(model, k) - oracle[k])
+                        worst, abs(model.pmf(k) - oracle[k])
                     )
                     worst = max(worst, abs(dist[k] - oracle[k]))
                     tail_acc += oracle[k]
@@ -128,7 +124,7 @@ def test_criterion_2_pair_oracle_equivalence():
         oracle = enumerate_outcomes(model)
         dist = model.count_pmf()
         for k in range(n + 1):
-            worst = max(worst, abs(pair_correlated_pmf(model, k) - oracle[k]))
+            worst = max(worst, abs(model.pmf(k) - oracle[k]))
             worst = max(worst, abs(dist[k] - oracle[k]))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10, f"worst deviation {worst:.3e}"
@@ -150,7 +146,7 @@ def test_criterion_3_exchangeable_oracle_equivalence():
                 c = float(c)
                 model = ExchangeableModel(n, e, c)
                 oracle = enumerate_outcomes(model)
-                pmf = [exchangeable_pmf(n, k, e, c) for k in range(n + 1)]
+                pmf = [ExchangeableModel(n, e, c).pmf(k) for k in range(n + 1)]
                 dist = model.count_pmf()
                 for k in range(n + 1):
                     worst = max(worst, abs(pmf[k] - oracle[k]))
@@ -189,7 +185,7 @@ def test_criterion_4_bound_dominance():
             mu = sum(rates)
             if mu <= 0.0:
                 continue
-            het = tail_independent(ErrorProfile(rates), m)
+            het = Independent(ErrorProfile(rates)).tail(m)
             if het > chernoff_mu_bound(mu, m) + 1e-12:
                 violations.append(("chernoff-mu", n, m, mu))
         # Correlation-corrected bound over admissible non-negative c.
@@ -317,7 +313,7 @@ def test_criterion_8_monte_carlo_consistency():
         if family % 3 == 0:
             rates = tuple(rng.uniform(0.02, 0.4, n))
             model = Independent(ErrorProfile(rates))
-            exact = tail_independent(model.profile, m)
+            exact = model.tail(m)
         elif family % 3 == 1:
             lo, hi = pair_f_range(e, e)
             f = float(rng.uniform(lo, hi))

@@ -21,10 +21,10 @@ from ecoc.bounds import (
 from ecoc.errors import DomainError, ModelError
 from ecoc.prob_engine import (
     ErrorProfile,
+    Independent,
     bahadur_range,
     exchangeable_tail,
     tail_iid,
-    tail_independent,
     valid_correlation_range,
 )
 
@@ -234,7 +234,7 @@ class TestDominance:
             mu = sum(rates)
             if mu <= 0.0:
                 continue
-            t = tail_independent(ErrorProfile(rates), m)
+            t = Independent(ErrorProfile(rates)).tail(m)
             assert t <= chernoff_mu_bound(mu, m) + 1e-12
 
 

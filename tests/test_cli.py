@@ -25,12 +25,11 @@ from ecoc.code_matrix import build_code_matrix, from_text
 from ecoc.experiment_io import fixture_names
 from ecoc.prob_engine import (
     ErrorProfile,
+    ExchangeableModel,
     Independent,
     bahadur_range,
-    exchangeable_pmf,
     pair_correlated_tail,
     tail_iid,
-    tail_independent,
     valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_threshold_error
@@ -177,9 +176,7 @@ class TestTailCommand:
             "--ebar", "0.1", "--format", "json",
         )
         # --model iid dispatches to the independent-profile route.
-        from ecoc.prob_engine import tail_independent
-
-        assert json.loads(out)["tail"] == tail_independent(ErrorProfile.iid(10, 0.1), 4)
+        assert json.loads(out)["tail"] == Independent(ErrorProfile.iid(10, 0.1)).tail(4)
         assert json.loads(out)["tail"] == pytest.approx(tail_iid(10, 4, 0.1), abs=1e-15)
 
     def test_pair_model(self, capsys):
@@ -227,7 +224,7 @@ class TestPmfCommand:
             "--ebar", "0.5", "--c", "0.1", "--format", "json",
         )
         rows = json.loads(out)["pmf"]
-        expect = [exchangeable_pmf(3, k, 0.5, 0.1) for k in range(4)]
+        expect = [ExchangeableModel(3, 0.5, 0.1).pmf(k) for k in range(4)]
         assert [r["pmf"] for r in rows] == expect
 
     def test_single_k(self, capsys):
@@ -674,7 +671,7 @@ class TestDefaultTables:
     def test_one_value_prints_bare(self, capsys):
         argv = ("tail", "--model", "iid", "--n", "10", "--m", "4", "--ebar", "0.1")
         assert run(capsys, *argv)[1] == "0.0127952\n"
-        value = tail_independent(ErrorProfile.iid(10, 0.1), 4)
+        value = Independent(ErrorProfile.iid(10, 0.1)).tail(4)
         expect = json.dumps({"tail": value}) + "\n"
         assert run(capsys, *argv, "--format", "json")[1] == expect
 

@@ -23,17 +23,12 @@ from ecoc.prob_engine import (
     Independent,
     PairModel,
     bahadur_range,
-    binomial_pmf,
     enumerate_outcomes,
-    exchangeable_pmf,
     exchangeable_tail,
-    pair_correlated_pmf,
     pair_correlated_tail,
     pair_f_range,
     poisson_binomial_dist,
-    poisson_binomial_pmf,
     tail_iid,
-    tail_independent,
     valid_correlation_range,
 )
 
@@ -199,7 +194,7 @@ class TestModelProtocol:
     """DependenceModel is the one model type: it defines the shared methods,
     and each model, a subclass, adds only the hooks they are read from."""
 
-    SHARED = {"pmf", "tail", "sample", "sample_far", "sample_counts", "_draw"}
+    SHARED = {"pmf", "tail", "sample", "sample_far", "count_far", "_draw", "_count_first"}
     HOOKS = {"n", "count_pmf", "_positions", "joint_mass"}
 
     def test_base_defines_the_shared_methods(self):
@@ -211,11 +206,12 @@ class TestModelProtocol:
         fields = {f.name for f in dataclasses.fields(cls)}
         own = {name for name in vars(cls) if not name.startswith("__")} - fields
         # The pair's four joint cells restate its rates and f for its hooks.
-        # The independent and pair models keep their own _draw, the word
-        # compare of unequal rates; the exchangeable model inherits the
-        # count-first one.
+        # The independent and pair models draw count-first only for one
+        # rate (_count_first), and keep the word compare of unequal rates
+        # (_compare); the exchangeable model always draws count-first.
+        compare = {"_count_first", "_compare"}
         extra = {
-            Independent: {"_draw"}, PairModel: {"_draw", "joint_cells"}, ExchangeableModel: set()
+            Independent: compare, PairModel: compare | {"joint_cells"}, ExchangeableModel: set()
         }[cls]
         assert own | (fields & self.HOOKS) == self.HOOKS | extra
 
@@ -335,14 +331,14 @@ class TestExactRationals:
 class TestPoissonBinomial:
     def test_three_rate_example(self):
         profile = ErrorProfile((0.1, 0.2, 0.3))
-        assert poisson_binomial_pmf(profile, 0) == pytest.approx(0.504, abs=1e-12)
-        assert poisson_binomial_pmf(profile, 1) == pytest.approx(0.398, abs=1e-12)
+        assert Independent(profile).pmf(0) == pytest.approx(0.504, abs=1e-12)
+        assert Independent(profile).pmf(1) == pytest.approx(0.398, abs=1e-12)
 
     def test_iid_collapse(self):
         profile = ErrorProfile.iid(7, 0.23)
         for k in range(8):
-            assert poisson_binomial_pmf(profile, k) == pytest.approx(
-                binomial_pmf(7, k, 0.23), abs=1e-14
+            assert Independent(profile).pmf(k) == pytest.approx(
+                Independent(ErrorProfile.iid(7, 0.23)).pmf(k), abs=1e-14
             )
 
     def test_matches_primitive_oracle(self):
@@ -353,13 +349,13 @@ class TestPoissonBinomial:
             ref = brute_independent(rates)
             profile = ErrorProfile(rates)
             for k in range(n + 1):
-                assert poisson_binomial_pmf(profile, k) == pytest.approx(
+                assert Independent(profile).pmf(k) == pytest.approx(
                     ref[k], abs=1e-12
                 )
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            poisson_binomial_pmf(ErrorProfile((0.1,)), 2)
+            Independent(ErrorProfile((0.1,))).pmf(2)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
@@ -367,33 +363,33 @@ class TestPoissonBinomial:
     @settings(max_examples=60, deadline=None)
     def test_normalizes(self, rates):
         profile = ErrorProfile(tuple(rates))
-        total = sum(poisson_binomial_pmf(profile, k) for k in range(profile.n + 1))
+        total = sum(Independent(profile).pmf(k) for k in range(profile.n + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBinomial:
     def test_exact_values(self):
-        assert binomial_pmf(4, 2, 0.5) == pytest.approx(0.375, abs=0)
-        assert binomial_pmf(9, 0, 0.13) == pytest.approx(0.87**9, abs=1e-15)
+        assert Independent(ErrorProfile.iid(4, 0.5)).pmf(2) == pytest.approx(0.375, abs=0)
+        assert Independent(ErrorProfile.iid(9, 0.13)).pmf(0) == pytest.approx(0.87**9, abs=1e-15)
         # Exact-rational oracle for the frozen literal.
         exact = Fraction(math.comb(10, 4)) * Fraction(1, 10) ** 4 * Fraction(9, 10) ** 6
         assert float(exact) == pytest.approx(0.011160261, abs=5e-10)
-        assert binomial_pmf(10, 4, 0.1) == pytest.approx(float(exact), rel=1e-13)
+        assert Independent(ErrorProfile.iid(10, 0.1)).pmf(4) == pytest.approx(float(exact), rel=1e-13)
 
     def test_n60_matches_exact_rational(self):
         exact = Fraction(math.comb(60, 7)) * Fraction(3, 100) ** 7 * Fraction(97, 100) ** 53
-        assert binomial_pmf(60, 7, 0.03) == pytest.approx(float(exact), rel=1e-12)
+        assert Independent(ErrorProfile.iid(60, 0.03)).pmf(7) == pytest.approx(float(exact), rel=1e-12)
 
     def test_degenerate_rates(self):
-        assert binomial_pmf(5, 0, 0.0) == 1.0
-        assert binomial_pmf(5, 3, 0.0) == 0.0
-        assert binomial_pmf(5, 5, 1.0) == 1.0
+        assert Independent(ErrorProfile.iid(5, 0.0)).pmf(0) == 1.0
+        assert Independent(ErrorProfile.iid(5, 0.0)).pmf(3) == 0.0
+        assert Independent(ErrorProfile.iid(5, 1.0)).pmf(5) == 1.0
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
-            binomial_pmf(4, 5, 0.2)
+            Independent(ErrorProfile.iid(4, 0.2)).pmf(5)
         with pytest.raises(ValueError):
-            binomial_pmf(4, 2, 1.2)
+            Independent(ErrorProfile.iid(4, 1.2)).pmf(2)
 
 
 class TestRateCheck:
@@ -443,7 +439,7 @@ class TestRateCheck:
 
 class TestIndependentTails:
     def test_degenerate_m_zero(self):
-        assert tail_independent(ErrorProfile((0.4, 0.9)), 0) == 1.0
+        assert Independent(ErrorProfile((0.4, 0.9))).tail(0) == 1.0
         assert tail_iid(6, 0, 0.3) == 1.0
 
     def test_m_zero_still_validates_rate_and_size(self):
@@ -457,14 +453,14 @@ class TestIndependentTails:
                 tail_iid(n, 0, e)
 
     def test_product_case(self):
-        assert tail_independent(ErrorProfile((0.1, 0.2)), 2) == pytest.approx(
+        assert Independent(ErrorProfile((0.1, 0.2))).tail(2) == pytest.approx(
             0.02, abs=1e-15
         )
 
     def test_brute_force_value(self):
         ref = sum(brute_independent([0.1] * 10)[4:])
         assert ref == pytest.approx(0.012795, abs=5e-7)
-        assert tail_independent(ErrorProfile.iid(10, 0.1), 4) == pytest.approx(
+        assert Independent(ErrorProfile.iid(10, 0.1)).tail(4) == pytest.approx(
             ref, abs=1e-12
         )
         assert tail_iid(10, 4, 0.1) == pytest.approx(ref, abs=1e-12)
@@ -477,7 +473,7 @@ class TestIndependentTails:
         with pytest.raises(ValueError):
             tail_iid(5, 6, 0.1)
         with pytest.raises(ValueError):
-            tail_independent(ErrorProfile.iid(5, 0.1), -1)
+            Independent(ErrorProfile.iid(5, 0.1)).tail(-1)
 
 
 class TestPairModel:
@@ -494,15 +490,15 @@ class TestPairModel:
     def test_full_joint_case(self):
         # With n=2 the count-2 probability is the joint cell itself.
         model = PairModel(ErrorProfile((0.3, 0.4)), 0.12)
-        assert pair_correlated_pmf(model, 2) == pytest.approx(0.12, abs=1e-15)
+        assert model.pmf(2) == pytest.approx(0.12, abs=1e-15)
 
     def test_independence_collapse(self):
         rates = (0.15, 0.3, 0.2, 0.25)
         model = PairModel(ErrorProfile(rates), 0.2 * 0.25)
         profile = ErrorProfile(rates)
         for k in range(5):
-            assert pair_correlated_pmf(model, k) == pytest.approx(
-                poisson_binomial_pmf(profile, k), abs=1e-14
+            assert model.pmf(k) == pytest.approx(
+                Independent(profile).pmf(k), abs=1e-14
             )
 
     def test_count_pmf_equals_scalar_recursion(self):
@@ -520,7 +516,7 @@ class TestPairModel:
         model = PairModel(ErrorProfile((0.1, 0.1, 0.2, 0.2)), 0.03)
         ref = enumerate_outcomes(model)
         for k in range(5):
-            assert pair_correlated_pmf(model, k) == pytest.approx(ref[k], abs=1e-12)
+            assert model.pmf(k) == pytest.approx(ref[k], abs=1e-12)
 
     @given(
         st.integers(min_value=2, max_value=8),
@@ -533,7 +529,7 @@ class TestPairModel:
             model = PairModel(ErrorProfile.iid(n, e), float(f))
             ref = enumerate_outcomes(model)
             for k in range(n + 1):
-                assert pair_correlated_pmf(model, k) == pytest.approx(
+                assert model.pmf(k) == pytest.approx(
                     ref[k], abs=1e-11
                 )
 
@@ -581,13 +577,13 @@ class TestPairTail:
 class TestExchangeable:
     def test_zero_correlation_collapse(self):
         for k in range(7):
-            assert exchangeable_pmf(6, k, 0.3, 0.0) == pytest.approx(
-                binomial_pmf(6, k, 0.3), abs=1e-15
+            assert ExchangeableModel(6, 0.3, 0.0).pmf(k) == pytest.approx(
+                Independent(ErrorProfile.iid(6, 0.3)).pmf(k), abs=1e-15
             )
 
     def test_hand_computed_value(self):
         # (1/8) * (1 + 2c * (k^2 - 3k + 1.5)) at k=0, c=0.1.
-        assert exchangeable_pmf(3, 0, 0.5, 0.1) == pytest.approx(0.1625, abs=1e-14)
+        assert ExchangeableModel(3, 0.5, 0.1).pmf(0) == pytest.approx(0.1625, abs=1e-14)
 
     def test_symmetric_distribution_example(self):
         ref = {0: 0.1625, 1: 0.3375, 2: 0.3375, 3: 0.1625}
@@ -599,7 +595,7 @@ class TestExchangeable:
         for e in (0.1, 0.3, 0.5):
             lo, hi = valid_correlation_range(9, e)
             for c in np.linspace(lo, hi, 5):
-                total = sum(exchangeable_pmf(9, k, e, float(c)) for k in range(10))
+                total = sum(ExchangeableModel(9, e, float(c)).pmf(k) for k in range(10))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_closed_form_equals_sum(self):
@@ -644,7 +640,7 @@ class TestExchangeable:
         with pytest.raises(ModelError):
             ExchangeableModel(5, 0.0, 0.0)
         with pytest.raises(ModelError):
-            exchangeable_pmf(5, 2, 1.0, 0.0)
+            ExchangeableModel(5, 1.0, 0.0).pmf(2)
 
     def test_invalid_correlation_rejected(self):
         # Inside the published lower range but induces a negative weight.
@@ -729,36 +725,25 @@ def _exchangeable(a):
     return ExchangeableModel(a.n, a.e, a.c)
 
 
-# Each public pmf or tail function, and each model's pmf method: its call
+# Each public tail function, each model's pmf method and the independent
+# model's tail (of a profile, and of ErrorProfile.iid's n and e): its call
 # on drawn arguments a, and the model whose count_pmf its answer must come
 # from.
 ENTRIES = {
-    "binomial_pmf": (lambda a: binomial_pmf(a.n, a.i, a.e), _independent),
-    "poisson_binomial_pmf": (
-        lambda a: poisson_binomial_pmf(ErrorProfile(a.rates), a.i), _independent
-    ),
+    "iid.pmf": (lambda a: Independent(ErrorProfile.iid(a.n, a.e)).pmf(a.i), _independent),
     "tail_iid": (lambda a: tail_iid(a.n, a.i, a.e), _independent),
-    "tail_independent": (
-        lambda a: tail_independent(ErrorProfile(a.rates), a.i), _independent
-    ),
-    "pair_correlated_pmf": (lambda a: pair_correlated_pmf(_pair(a), a.i), _pair),
     "pair_correlated_tail": (
         lambda a: pair_correlated_tail(a.n, a.i, a.e, a.f), _pair
-    ),
-    "exchangeable_pmf": (
-        lambda a: exchangeable_pmf(a.n, a.i, a.e, a.c), _exchangeable
     ),
     "exchangeable_tail": (
         lambda a: exchangeable_tail(a.n, a.i, a.e, a.c), _exchangeable
     ),
     "Independent.pmf": (lambda a: _independent(a).pmf(a.i), _independent),
+    "Independent.tail": (lambda a: _independent(a).tail(a.i), _independent),
     "PairModel.pmf": (lambda a: _pair(a).pmf(a.i), _pair),
     "ExchangeableModel.pmf": (lambda a: _exchangeable(a).pmf(a.i), _exchangeable),
 }
-HETEROGENEOUS = (
-    "poisson_binomial_pmf", "tail_independent", "pair_correlated_pmf",
-    "Independent.pmf", "PairModel.pmf",
-)
+HETEROGENEOUS = ("Independent.pmf", "Independent.tail", "PairModel.pmf")
 
 
 @st.composite
@@ -854,7 +839,7 @@ class TestBahadurRange:
                 _, c_max = bahadur_range(n, e)
                 model = ExchangeableModel(n, e, c_max)  # must not raise
                 total = sum(
-                    exchangeable_pmf(n, k, e, c_max) for k in range(n + 1)
+                    ExchangeableModel(n, e, c_max).pmf(k) for k in range(n + 1)
                 )
                 assert total == pytest.approx(1.0, abs=1e-10)
                 assert model.c == c_max
@@ -942,18 +927,18 @@ class TestNormalization:
             for e in np.arange(0.05, 0.501, 0.05):
                 e = float(e)
                 profile = ErrorProfile.iid(n, e)
-                dp = sum(poisson_binomial_pmf(profile, k) for k in range(n + 1))
+                dp = sum(Independent(profile).pmf(k) for k in range(n + 1))
                 assert dp == pytest.approx(1.0, abs=1e-12)
                 for f in np.linspace(*pair_f_range(e, e), 3):
                     model = PairModel(profile, float(f))
-                    rec = sum(pair_correlated_pmf(model, k) for k in range(n + 1))
+                    rec = sum(model.pmf(k) for k in range(n + 1))
                     oracle = sum(enumerate_outcomes(model).values())
                     assert rec == pytest.approx(1.0, abs=1e-12)
                     assert oracle == pytest.approx(1.0, abs=1e-12)
                 lo, hi = valid_correlation_range(n, e)
                 for c in np.linspace(lo + 1e-12, hi, 3):
                     c = float(c)
-                    total = exchangeable_tail(n, 1, e, c) + exchangeable_pmf(n, 0, e, c)
+                    total = exchangeable_tail(n, 1, e, c) + ExchangeableModel(n, e, c).pmf(0)
                     assert total == pytest.approx(1.0, abs=1e-12)
                     oracle = sum(
                         enumerate_outcomes(ExchangeableModel(n, e, c)).values()
@@ -970,10 +955,10 @@ class TestDominanceAndMonotonicity:
             k = int(rng.integers(1, n + 1))
             rates = list(rng.uniform(0.001, k / n - 1e-9, n))
             i = int(rng.integers(0, n))
-            base = poisson_binomial_pmf(ErrorProfile(tuple(rates)), k)
+            base = Independent(ErrorProfile(tuple(rates))).pmf(k)
             bumped = rates.copy()
             bumped[i] = min(bumped[i] + 1e-6, k / n - 1e-12)
-            higher = poisson_binomial_pmf(ErrorProfile(tuple(bumped)), k)
+            higher = Independent(ErrorProfile(tuple(bumped))).pmf(k)
             assert higher >= base - 1e-15
 
     def test_pmf_dominated_by_max_rate_binomial(self):
@@ -982,8 +967,8 @@ class TestDominanceAndMonotonicity:
             n = int(rng.integers(2, 12))
             k = int(rng.integers(1, n))
             rates = tuple(rng.uniform(0.0, k / n, n))
-            lhs = poisson_binomial_pmf(ErrorProfile(rates), k)
-            rhs = binomial_pmf(n, k, max(rates))
+            lhs = Independent(ErrorProfile(rates)).pmf(k)
+            rhs = Independent(ErrorProfile.iid(n, max(rates))).pmf(k)
             assert lhs <= rhs + 1e-12
 
     def test_tail_dominated_by_max_rate_tail(self):
@@ -992,7 +977,7 @@ class TestDominanceAndMonotonicity:
             n = int(rng.integers(2, 12))
             m = int(rng.integers(1, n + 1))
             rates = tuple(rng.uniform(0.0, m / n, n))
-            lhs = tail_independent(ErrorProfile(rates), m)
+            lhs = Independent(ErrorProfile(rates)).tail(m)
             rhs = tail_iid(n, m, max(rates))
             assert lhs <= rhs + 1e-12
 
@@ -1013,7 +998,7 @@ class TestDominanceAndMonotonicity:
                     e = float(e)
                     fs = np.linspace(*pair_f_range(e, e), 6)
                     vals = [
-                        pair_correlated_pmf(PairModel(ErrorProfile.iid(n, e), float(f)), k)
+                        PairModel(ErrorProfile.iid(n, e), float(f)).pmf(k)
                         for f in fs
                     ]
                     assert (np.diff(vals) >= -1e-12).all(), (n, k, e)

@@ -24,7 +24,6 @@ from ecoc.prob_engine import (
     enumerate_outcomes,
     exchangeable_tail,
     pair_correlated_tail,
-    tail_independent,
 )
 from ecoc.simulator import (
     CHUNK_TRIALS,
@@ -202,7 +201,7 @@ class TestThresholdConsistency:
         result = mc_threshold_error(
             Independent(profile), 4, SimConfig(trials=1_000_000, seed=17)
         )
-        exact = tail_independent(profile, 4)
+        exact = Independent(profile).tail(4)
         assert exact == pytest.approx(0.012795, abs=5e-7)
         assert abs(result.error_rate - exact) <= 3 * result.std_err
 
@@ -350,14 +349,15 @@ def _pair_f(e, c):
 class TestPinnedStreams:
     """Counts of the samplers and the decoder; any change to the streams
     shows here.  Every model here has one rate, so each draws its counts
-    first, and its full-decode far rows draw only their own position
-    words (the pair's one state uniform first)."""
+    first: a threshold chunk one uniform per trial, a full-decode chunk the
+    number of far rows, then their counts and positions (the pair's one
+    state uniform first), then their classes."""
 
     TRIALS = 2 * CHUNK_TRIALS + 5
     # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
     COUNTS = {
-        (26, 0.0686, 0.0058): {"iid": (443, 20), "pair": (444, 14), "exchangeable": (770, 35)},
-        (127, 0.18, 0.006): {"iid": (1721, 0), "pair": (1721, 0), "exchangeable": (4768, 0)},
+        (26, 0.0686, 0.0058): {"iid": (443, 12), "pair": (444, 23), "exchangeable": (770, 24)},
+        (127, 0.18, 0.006): {"iid": (1721, 0), "pair": (1721, 0), "exchangeable": (4768, 1)},
     }
 
     @staticmethod
@@ -421,26 +421,30 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
-        # The counts are those of sample, on a Philox and on a PCG64
-        # generator.  A word-compare sampler ends in the state sample
-        # leaves it in; a count-first sampler draws the counts alone,
-        # rng.choice's uniforms.
+        # count_far at k_min counts sample's rows with at least k_min
+        # errors, on a Philox and on a PCG64 generator.  A word-compare
+        # sampler ends in the state sample leaves it in; a count-first one
+        # draws one uniform per trial, rng.choice's, and none at k_min = 0.
+        n = model.n
         for seed in range(3):
             for make in (
                 lambda: _chunk_rng(seed, 0),
                 lambda: np.random.Generator(np.random.PCG64(seed)),
             ):
-                ref, rng = make(), make()
+                ref = make()
                 bits = model.sample(ref, self.COUNT)
-                counts = model.sample_counts(rng, self.COUNT)
-                assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, model.n)
+                assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, n)
                 assert set(np.unique(bits)) <= {0, 1}
-                assert counts.dtype == np.intp
-                assert np.array_equal(counts, bits.sum(axis=1))
-                if _count_first(model):
-                    ref = make()
-                    ref.random(self.COUNT)
-                assert _state(rng) == _state(ref)
+                for k_min in sorted({0, 1, n // 2, n, n + 1}):
+                    rng = make()
+                    far = model.count_far(rng, self.COUNT, k_min)
+                    assert type(far) is int
+                    assert far == np.count_nonzero(bits.sum(axis=1) >= k_min)
+                    if _count_first(model):
+                        ref = make()
+                        if k_min:
+                            ref.random(self.COUNT)
+                    assert _state(rng) == _state(ref)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
     def test_blocked_draws_match_one_draw(self, model):
@@ -450,7 +454,7 @@ class TestSamplers:
         n, rates = model.n, np.asarray(model.profile.rates)
         rng = _chunk_rng(5, 1)
         if _count_first(model):
-            want = _far_by_reference(model, rng, self.COUNT, 0)[1]
+            want = _far_by_reference(model, rng, self.COUNT, 0)
         elif isinstance(model, Independent):
             want = (rng.random((self.COUNT, n)) < rates).astype(np.uint8)
         else:
@@ -523,9 +527,11 @@ class TestRawWords:
             rng = _chunk_rng(seed, 2)
             assert np.array_equal(model.sample(rng, self.COUNT), want)
             assert _state(rng) == _state(ref)
-            rng = _chunk_rng(seed, 2)
-            assert np.array_equal(model.sample_counts(rng, self.COUNT), want.sum(axis=1))
-            assert _state(rng) == _state(ref)
+            for k_min in range(len(rates) + 2):
+                rng = _chunk_rng(seed, 2)
+                far = model.count_far(rng, self.COUNT, k_min)
+                assert far == np.count_nonzero(want.sum(axis=1) >= k_min)
+                assert _state(rng) == _state(ref)
 
     @staticmethod
     def _words(rng, shape) -> np.ndarray:
@@ -599,13 +605,14 @@ class TestRawWords:
         model = Independent(ErrorProfile(rates))
         if _count_first(model):
             assert model.sample(_chunk_rng(0, 0), self.COUNT).all()
-            assert (model.sample_counts(_chunk_rng(0, 0), self.COUNT) == len(rates)).all()
+            assert model.count_far(_chunk_rng(0, 0), self.COUNT, len(rates)) == self.COUNT
             return
         words = self._edge_words(_word_limits(rates).tolist())
         want = (words >> np.uint64(11)) * 2.0**-53 < np.array(rates)
         assert np.array_equal(model.sample(self._serving(words), len(words)), want)
-        counts = model.sample_counts(self._serving(words), len(words))
-        assert np.array_equal(counts, want.sum(axis=1))
+        for k_min in range(len(rates) + 2):
+            far = model.count_far(self._serving(words), len(words), k_min)
+            assert far == np.count_nonzero(want.sum(axis=1) >= k_min)
         assert want[:, np.array(rates) == 1.0].all()
 
     @pytest.mark.parametrize(
@@ -629,17 +636,18 @@ class TestRawWords:
         want[:, 1] = u < p11 + p10
         want[:, 2] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
         for k_min in range(5):
-            far, bits = model.sample_far(self._serving(other, pair), pair.size, k_min)
-            rows = np.flatnonzero(want.sum(axis=1) >= k_min)
-            assert np.array_equal(far, rows) and np.array_equal(bits, want[rows])
-        counts = model.sample_counts(self._serving(other, pair), pair.size)
-        assert np.array_equal(counts, want.sum(axis=1))
+            bits = model.sample_far(self._serving(other, pair), pair.size, k_min)
+            assert np.array_equal(bits, want[want.sum(axis=1) >= k_min])
+            far = model.count_far(self._serving(other, pair), pair.size, k_min)
+            assert far == np.count_nonzero(want.sum(axis=1) >= k_min)
 
 
 class TestCountFirstEdges:
     """One-rate iid and pair models at the edge rates, through sample,
-    sample_far and sample_counts: no bit set at e = 0, every bit at e = 1,
-    and the far rows those of sample's counts at every rate."""
+    sample_far and count_far: no bit set at e = 0, every bit at e = 1.  At
+    e = 0 every k_min > 0 has P(K >= k_min) = 0, so no far row is drawn
+    (no word either, and no 0/0 from the truncated count pmf); at e = 1,
+    P = 1 for every k_min up to n, and every trial is a far row."""
 
     COUNT = 2 * BLOCK_ROWS + 3
 
@@ -651,17 +659,22 @@ class TestCountFirstEdges:
                   PairModel(ErrorProfile.iid(n, e), hi)]
         for model in models:
             bits = model.sample(_chunk_rng(1, 0), self.COUNT)
-            counts = model.sample_counts(_chunk_rng(1, 0), self.COUNT)
-            assert np.array_equal(counts, bits.sum(axis=1))
+            counts = bits.sum(axis=1)
             if e == 0.0:
                 assert not bits.any()
             if e == 1.0:
                 assert bits.all()
             for k_min in range(n + 2):
-                far, kept = model.sample_far(_chunk_rng(1, 0), self.COUNT, k_min)
-                assert np.array_equal(far, np.flatnonzero(counts >= k_min))
-                assert np.array_equal(kept.sum(axis=1), counts[far])
+                rng = _chunk_rng(1, 0)
+                kept = model.sample_far(rng, self.COUNT, k_min)
                 assert kept.max(initial=0) <= 1
+                assert (kept.sum(axis=1) >= k_min).all()
+                if e == 0.0 and k_min:
+                    assert kept.shape == (0, n) and _state(rng) == _state(_chunk_rng(1, 0))
+                if e == 1.0 and k_min <= n:
+                    assert kept.shape == (self.COUNT, n) and kept.all()
+                far = model.count_far(_chunk_rng(1, 0), self.COUNT, k_min)
+                assert far == np.count_nonzero(counts >= k_min)
 
 
 def _outcome_chi2_p(model, trials, seed):
@@ -716,40 +729,46 @@ class TestFarRows:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_far_rows_are_the_rows_of_sample(self, model):
-        # Every model keeps the indices and error counts of sample's rows.
         # The word-compare samplers, which draw every word, keep sample's
-        # bits too and leave the stream where sample does; the count-first
-        # bits and state are checked against _far_by_reference.
+        # rows with at least k_min errors, in trial order, and leave the
+        # stream where sample does.  A count-first sampler draws its far
+        # rows first (checked against _far_by_reference); at k_min = 0
+        # they are sample's rows, and its state.
         n = model.n
         every_word = not _count_first(model)
         for k_min in sorted({0, 1, build_code_matrix(n).far_flips, n, n + 1}):
+            if not (every_word or k_min == 0):
+                continue
             for count in self.COUNTS:
                 ref = _chunk_rng(8, 3)
                 want = model.sample(ref, count)
                 rng = _chunk_rng(8, 3)
-                far, bits = model.sample_far(rng, count, k_min)
-                rows = np.flatnonzero(want.sum(axis=1) >= k_min)
-                assert far.dtype == np.intp and np.array_equal(far, rows)
-                assert bits.dtype == np.uint8 and bits.shape == (rows.size, n)
-                assert np.array_equal(bits.sum(axis=1), want.sum(axis=1)[rows])
-                if every_word:
-                    assert np.array_equal(bits, want[rows])
-                    assert _state(rng) == _state(ref), (k_min, count)
+                bits = model.sample_far(rng, count, k_min)
+                assert bits.dtype == np.uint8
+                assert np.array_equal(bits, want[want.sum(axis=1) >= k_min])
+                assert _state(rng) == _state(ref), (k_min, count)
 
 
 def _far_by_reference(model, rng, count, k_min):
-    """Reference for a count-first sample_far: the counts by rng.choice.
-    For the pair, one rng.random uniform per far row then picks the pair's
-    state s among (11, 10, 01, 00) by the cdf of P(s) q(K - |s|), q the
-    binomial row of the other n - 2 (scipy's).  Then a raw word for each
-    other position of each far row, in one call, shifted to their top 53
-    bits and marked by the ranks of a stable argsort."""
+    """Reference for a count-first sample_far: at k_min > 0 the number of
+    far rows by rng.binomial, of P = fsum(count_pmf[k_min:]) /
+    fsum(count_pmf), and none drawn at k_min = 0, where every row is far;
+    their counts by rng.choice on count_pmf truncated at k_min.  For the
+    pair, one rng.random uniform per far row then picks the pair's state s
+    among (11, 10, 01, 00) by the cdf of P(s) q(K - |s|), q the binomial
+    row of the other n - 2 (scipy's).  Then a raw word for each other
+    position of each far row, in one call, shifted to their top 53 bits and
+    marked by the ranks of a stable argsort."""
     n = model.n
     pmf = model.count_pmf()
-    ks = rng.choice(n + 1, size=count, p=pmf / pmf.sum())
-    far = np.flatnonzero(ks >= k_min)
-    ks = ks[far]
-    bits = np.zeros((far.size, n), dtype=np.uint8)
+    far = count
+    if k_min:
+        far = rng.binomial(count, math.fsum(pmf[k_min:]) / math.fsum(pmf))
+    if not far:
+        return np.zeros((0, n), dtype=np.uint8)
+    tail = pmf[k_min:]
+    ks = k_min + rng.choice(tail.size, size=far, p=tail / tail.sum())
+    bits = np.zeros((far, n), dtype=np.uint8)
     width = n
     if isinstance(model, PairModel):
         width = n - 2
@@ -758,14 +777,14 @@ def _far_by_reference(model, rng, count, k_min):
         sizes = np.array([2, 1, 1, 0])
         w = np.array(model.joint_cells)[:, None] * q[ks - sizes[:, None] + 2]
         cdf = w.cumsum(axis=0) / w.sum(axis=0)
-        state = (rng.random(far.size) >= cdf[:3]).sum(axis=0)
+        state = (rng.random(far) >= cdf[:3]).sum(axis=0)
         bits[:, -2] = state <= 1
         bits[:, -1] = state % 2 == 0
         ks = ks - sizes[state]
-    j = rng.bit_generator.random_raw((far.size, width)) >> np.uint64(11)
+    j = rng.bit_generator.random_raw((far, width)) >> np.uint64(11)
     ranks = j.argsort(axis=1, kind="stable").argsort(axis=1)
     bits[:, :width] = ranks < ks[:, None]
-    return far, bits
+    return bits
 
 
 FAR_MODELS = [
@@ -795,10 +814,9 @@ def _check_far_rows(kind, model):
     for k_min in range(model.n + 2):
         for count in (0, 1, 2 * BLOCK_ROWS + 3):
             ref, rng = make(k_min), make(k_min)
-            want_far, want_bits = _far_by_reference(model, ref, count, k_min)
-            far, bits = model.sample_far(rng, count, k_min)
-            assert far.dtype == np.intp and np.array_equal(far, want_far)
-            assert bits.dtype == np.uint8 and np.array_equal(bits, want_bits)
+            want = _far_by_reference(model, ref, count, k_min)
+            bits = model.sample_far(rng, count, k_min)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, want)
             assert _state(rng) == _state(ref), (k_min, count)
             for draw in (
                 lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
@@ -836,6 +854,46 @@ class TestOneRateFarRows:
     @pytest.mark.parametrize("model", ONE_RATE_MODELS, ids=ONE_RATE_IDS)
     def test_matches_reference(self, kind, model):
         _check_far_rows(kind, model)
+
+
+FAR_LAW_CASES = [
+    Independent(ErrorProfile.iid(26, 0.0686)),
+    PairModel(ErrorProfile.iid(26, 0.0686), _pair_f(0.0686, 0.0058)),
+    ExchangeableModel(26, 0.0686, 0.0058),
+    ExchangeableModel(127, 0.18, 0.006),
+]
+FAR_LAW_IDS = ["iid-26", "pair-26", "exch-26", "exch-127"]
+
+
+class TestFarFirstLaw:
+    """A count-first sample_far at k_min > 0 draws a Binomial(count, P)
+    number of rows, P = P(K >= k_min), each with its K from count_pmf
+    truncated at k_min: the law of the far rows of count trials."""
+
+    @staticmethod
+    def _tail(model, k_min):
+        pmf = model.count_pmf()
+        return math.fsum(pmf[k_min:]) / math.fsum(pmf)
+
+    @pytest.mark.parametrize("model", FAR_LAW_CASES, ids=FAR_LAW_IDS)
+    def test_far_count_is_binomial(self, model):
+        k_min = build_code_matrix(model.n).far_flips
+        p = self._tail(model, k_min)
+        count, chunks = round(20 / p), 2000
+        rows = [len(model.sample_far(_chunk_rng(7, j), count, k_min)) for j in range(chunks)]
+        observed = np.bincount(rows, minlength=count + 1)
+        expected = sstats.binom.pmf(np.arange(count + 1), count, p) * chunks
+        assert _pooled_chi2_p(observed, expected) > 1e-4
+
+    @pytest.mark.parametrize("model", FAR_LAW_CASES, ids=FAR_LAW_IDS)
+    def test_far_counts_follow_the_truncated_pmf(self, model):
+        n = model.n
+        for k_min in sorted({1, build_code_matrix(n).far_flips}):
+            tail = model.count_pmf()[k_min:]
+            for seed in (1, 2):
+                ks = model.sample_far(_chunk_rng(seed, 0), 200_000, k_min).sum(axis=1)
+                observed = np.bincount(ks, minlength=n + 1)[k_min:]
+                assert _pooled_chi2_p(observed, tail / tail.sum() * ks.size) > 1e-4
 
 
 @st.composite
@@ -885,7 +943,8 @@ class TestCountDraw:
     def test_uniforms_on_cdf_entries(self, entries):
         # cdf entries equal to uniforms the generator is about to draw (as
         # multiples of 2**-53 their differences, partial sums and total are
-        # exact): choice counts an entry equal to u as at most u.
+        # exact): choice counts an entry equal to u as at most u, and so
+        # must the threshold count's compare.
         for seed in range(4):
             u = _chunk_rng(seed, 5).random(2000)
             cdf = np.unique(np.append(np.random.default_rng(seed).choice(u, entries), 1.0))
@@ -893,6 +952,9 @@ class TestCountDraw:
             want = _chunk_rng(seed, 5).choice(len(pmf), size=2000, p=pmf / pmf.sum())
             got = prob_engine._draw_counts(_chunk_rng(seed, 5), pmf, 2000)
             assert np.array_equal(got, want)
+            for m in range(len(pmf)):
+                at_least = prob_engine._count_at_least(_chunk_rng(seed, 5), pmf, 2000, m)
+                assert at_least == np.count_nonzero(want >= m), m
 
     @pytest.mark.parametrize(
         "pmf",
@@ -912,6 +974,52 @@ class TestCountDraw:
         else:
             assert np.array_equal(prob_engine._draw_counts(rng, pmf, 50), want)
         assert _state(rng) == _state(ref)
+
+
+class TestCountAtLeast:
+    """The threshold count: one compare per trial against cdf[m - 1], the
+    count of (_draw_counts(...) >= m).sum() to the trial, on three bit
+    generators."""
+
+    @staticmethod
+    def _both(kind, seed, pmf, count, m):
+        make = GENERATORS[kind]
+        ref, rng = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+        want = int((prob_engine._draw_counts(ref, pmf, count) >= m).sum())
+        return prob_engine._count_at_least(rng, pmf, count, m), want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pmf=_count_pmfs(),
+        count=st.one_of(st.integers(0, 50), st.integers(0, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(list(GENERATORS)),
+    )
+    def test_equals_draw_counts_at_every_m(self, pmf, count, seed, kind):
+        for m in range(len(pmf)):
+            got, want = self._both(kind, seed, pmf, count, m)
+            assert type(got) is int and got == want, m
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_cdf_of_one_and_m_zero(self, kind):
+        # cdf[m - 1] == 1.0 before the last entry, where a raw-word limit
+        # ceil(2**53) * 2**11 would wrap past 2**64: no trial counts.  m = 0
+        # counts every trial, at a cdf of one entry too.
+        for pmf in ([0.25, 0.75, 0.0, 0.0], [1.0, 0.0], [1.0]):
+            pmf = np.array(pmf)
+            cdf = prob_engine._count_cdf(pmf)
+            for m in range(len(pmf)):
+                got, want = self._both(kind, 9, pmf, 2000, m)
+                assert got == want
+                if m == 0:
+                    assert got == 2000
+                elif cdf[m - 1] == 1.0:
+                    assert got == 0
+        assert prob_engine._count_cdf(np.array([0.25, 0.75, 0.0]))[1] == 1.0
+
+    def test_rejects_what_choice_rejects(self):
+        with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+            prob_engine._count_at_least(_NoDraw(), np.zeros(3), 5, 0)
 
 
 class _NoDraw:
@@ -942,7 +1050,7 @@ class TestWidthCap:
         model = self._wide(kind, EXACT_MAX_N)
         for draw in (
             lambda: model.sample_far(_NoDraw(), 1, 0),
-            lambda: model.sample_counts(_NoDraw(), 1),
+            lambda: model.count_far(_NoDraw(), 1, 1),
             lambda: model.sample(_NoDraw(), 1),
         ):
             with pytest.raises(ValueError, match="2\\*\\*24"):
@@ -958,13 +1066,13 @@ class TestWidthCap:
         }
         assert models[kind](5).sample(_chunk_rng(1, 0), 4).shape == (4, 5)
         with pytest.raises(ValueError):
-            models[kind](6).sample_counts(_NoDraw(), 4)
+            models[kind](6).count_far(_NoDraw(), 4, 1)
 
 
 class TestSamplerInputs:
     """count and k_min are checked once, by DependenceModel, before any
     word is drawn: count an integer at least 0, k_min an integer in
-    0..n + 1."""
+    0..n + 1, for sample_far and count_far alike."""
 
     MODELS = [
         Independent(ErrorProfile.iid(4, 0.2)),
@@ -979,23 +1087,24 @@ class TestSamplerInputs:
             for draw in (
                 lambda: model.sample(_NoDraw(), count),
                 lambda: model.sample_far(_NoDraw(), count, 0),
-                lambda: model.sample_counts(_NoDraw(), count),
+                lambda: model.count_far(_NoDraw(), count, 1),
             ):
                 with pytest.raises(ValueError, match=match):
                     draw()
         for k_min, match in ((2.5, r"^k_min=2\.5 is not an integer$"),
                              (-1, r"^k_min=-1 outside 0\.\.5$"),
                              (6, r"^k_min=6 outside 0\.\.5$")):
-            with pytest.raises(ValueError, match=match):
-                model.sample_far(_NoDraw(), 5, k_min)
+            for draw in (model.sample_far, model.count_far):
+                with pytest.raises(ValueError, match=match):
+                    draw(_NoDraw(), 5, k_min)
 
     @pytest.mark.parametrize("model", MODELS, ids=["iid", "pair", "exchangeable"])
     def test_edges_accepted(self, model):
         # No trials; a NumPy count; k_min = n + 1, where no row is kept.
         assert model.sample(_chunk_rng(1, 0), 0).shape == (0, 4)
-        assert model.sample_counts(_chunk_rng(1, 0), np.int64(7)).shape == (7,)
-        far, bits = model.sample_far(_chunk_rng(1, 0), 7, np.int64(5))
-        assert far.shape == (0,) and bits.shape == (0, 4)
+        assert 0 <= model.count_far(_chunk_rng(1, 0), np.int64(7), np.int64(1)) <= 7
+        assert model.count_far(_chunk_rng(1, 0), 7, np.int64(5)) == 0
+        assert model.sample_far(_chunk_rng(1, 0), 7, np.int64(5)).shape == (0, 4)
 
 
 COUNT_CASES = [
@@ -1036,14 +1145,16 @@ class TestCountDistribution:
 
     @pytest.mark.parametrize("model", COUNT_CASES, ids=COUNT_IDS)
     def test_sample_counts_follow_the_exact_pmf(self, model):
+        # The histogram of one draw's counts, as differences of count_far
+        # at k and k + 1 on the same stream.
         n = model.n
         exact = [model.count_pmf()]
         if n <= 12:
             oracle = enumerate_outcomes(model)
             exact.append(np.array([oracle[k] for k in range(n + 1)]))
         for seed in (101, 202):
-            ks = model.sample_counts(_chunk_rng(seed, 0), self.TRIALS)
-            observed = np.bincount(ks, minlength=n + 1)
+            tails = [model.count_far(_chunk_rng(seed, 0), self.TRIALS, k) for k in range(n + 2)]
+            observed = -np.diff(tails)
             for pmf in exact:
                 p_value = _pooled_chi2_p(observed, pmf * self.TRIALS)
                 assert p_value > 1e-4, (seed, p_value)

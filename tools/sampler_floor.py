@@ -6,9 +6,12 @@ For each model (iid, pair, exchangeable), at 26 and 127 classes and in both
 modes (threshold at m = code.m, full-decode), it prints:
 
 - words: the 64-bit words the sampler draws over all trials: every word
-  its random_raw calls return and every uniform its rng.random calls
-  return (the count draw's one per trial, the pair's one state uniform per
-  far row).  The full-decode class draw is not counted.
+  its random_raw calls return, every uniform its rng.random calls return
+  (a threshold chunk's one per trial; in full-decode, one per far row for
+  its count and the pair's one state uniform per far row), and the words
+  of the full-decode binomial draw of the number of far rows.  The true
+  classes of the far rows, drawn by rng.integers in 32-bit halves, are not
+  counted.
 - one worker and two workers: the best time of --repeat runs of
   mc_threshold_error or mc_decode_error, in process, with workers=1 and 2.
 - random_raw: the best time of --repeat runs of bare Philox random_raw
@@ -19,8 +22,10 @@ modes (threshold at m = code.m, full-decode), it prints:
 The operating points are the benchmark's: 26 classes at e = 0.0686,
 c = 0.0058 and 127 classes at e = 0.18, c = 0.006; the pair's joint error
 probability is e^2 + c e (1 - e).  Words are counted in a separate pass
-whose chunk generators count the output of random_raw and of random, so
-the timed runs draw from plain generators.  Standard library
+whose chunk generators count the output of random_raw and of random, and
+the words a binomial call consumes by replaying the stream from the state
+before the call until it reaches the state after it; the timed runs draw
+from plain generators.  Standard library
 and numpy only; nothing is written.
 """
 
@@ -75,7 +80,7 @@ class _CountingBits(np.random.Philox):
 
 class _Counting(np.random.Generator):
     """A generator that counts the uniforms its random returns, one 64-bit
-    word each."""
+    word each, and the words its binomial draws consume."""
 
     words = 0
 
@@ -83,6 +88,32 @@ class _Counting(np.random.Generator):
         u = super().random(size, dtype, out)
         self.words += np.size(u)
         return u
+
+    def binomial(self, n, p, size=None):
+        before = self.bit_generator.state
+        out = super().binomial(n, p, size)
+        self.words += replayed_words(type(self.bit_generator), before, self.bit_generator.state)
+        return out
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, so that two states
+    compare with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def replayed_words(kind, before: dict, after: dict) -> int:
+    """The raw words between two states of one stream of the bit generator
+    class kind: the words a copy set to before draws, one at a time, until
+    its state is after."""
+    replay, after, words = kind(), _plain(after), 0
+    replay.state = before
+    while _plain(replay.state) != after:
+        replay.random_raw()
+        words += 1
+    return words
 
 
 def count_words(model, code, mode: str, trials: int) -> int:
