@@ -31,44 +31,48 @@ not, is read from one count_pmf.
 Every exchangeable model and every profile of one rate draws count-first
 (_count_first), from count_pmf, and draws only what its caller reads:
 
-- count_far reads one uniform per trial, rng.choice's, and compares it
-  with one entry of choice's cdf (_count_at_least): choice's count is at
-  least k_min exactly when its uniform is at least cdf[k_min - 1].  The
-  counts are those of rng.choice(n + 1, count, p), trial for trial.
-- sample_far at k_min > 0 draws the number of far rows first, a binomial
-  of count trials and P = P(K >= k_min), then their counts from count_pmf
-  truncated at k_min, then their positions given the counts (_positions):
-  a binomial number of independent rows conditioned on K >= k_min, the
-  law of the far rows of count trials.  At k_min = 0, sample, every row is
-  far and no binomial is drawn.
+- count_far at k_min > 0 is one binomial draw of count trials and
+  P = P(K >= k_min), the ratio of the correctly rounded sums of count_pmf
+  from k_min and in all (_far_count): a count of trials each at least
+  k_min with probability P.  At k_min = 0 it is count, with nothing drawn.
+- sample_far draws that same binomial first, from the same P, so that
+  count_far(rng, c, k) == len(sample_far(rng, c, k)) from one generator
+  state; then the far rows' counts from count_pmf truncated at k_min, then
+  their positions given the counts (_positions): a binomial number of
+  independent rows conditioned on K >= k_min, the law of the far rows of
+  count trials.  At k_min = 0, sample, every row is far and no binomial
+  is drawn.
 - The counts are drawn by _draw_counts: the values and generator state of
   rng.choice(len(p), size, p), read from a 2**12-bucket inverse-cdf table,
   with searchsorted only for the uniforms in buckets that hold a cdf
-  entry.  It and _count_at_least build the cdf, after choice's checks on
-  p, in one place (_count_cdf).
+  entry.
 
 Given K:
 
 - every outcome of an iid or exchangeable model is equally likely, so the
   positions are a uniform K-subset (_uniform_subsets): those of the K
-  smallest of n raw words drawn for the row, ranked by j = x >> 11, which
-  orders and ties exactly as the uniform u = j * 2**-53 does (ranked as
-  raw words, two positions whose j tie would be ordered by their low 11
-  bits instead);
+  smallest of n 16-bit keys drawn for the row by rng.integers, four to a
+  64-bit word.  A row whose K-th and (K+1)-th smallest keys tie gets fresh
+  keys until they do not; no tie at the cut is an event that permuting
+  the row's positions leaves unchanged, so the subset given it is exactly
+  uniform, on every bit generator;
 - the pair's state s among (11, 10, 01, 00) has weight P(s) q(K - |s|), q
   the count pmf of the other n - 2.  One rng.random uniform per far row
   picks it, and a uniform (K - |s|)-subset of the other n - 2 follows.
 
-Profiles of unequal rates compare raw words instead (_independent_draw,
+Profiles of unequal rates compare 64-bit words instead (_independent_draw,
 and the pair's one word per row), until positions given K are drawn for
-them too.  They draw raw 64-bit Philox words x, in blocks of BLOCK_ROWS
-rows, in the order rng.random((count, width)) would consume them, and
-compare integers where rng.random would give uniforms u = (x >> 11) *
-2**-53: with j = x >> 11 an integer below 2**53 and e a double, e * 2**53
-is exact, so u < e <=> j < e * 2**53 <=> j < L = ceil(e * 2**53), and
-j < L <=> x < L * 2**11.  Each rate's limit is computed once per call in
-integer arithmetic (_word_limits), and the words are compared against
-L * 2**11 (_raw_limits), one limit per column, with no shift pass.  That
+them too.  They draw words x by rng.integers(0, 2**64, dtype=np.uint64),
+in blocks of BLOCK_ROWS rows: on Philox and PCG64 these are the raw words,
+in the order rng.random((count, width)) would consume them, and on a
+32-bit generator such as MT19937 they are still whole 64-bit words.  They
+compare integers where rng.random on a 64-bit generator would give
+uniforms u = (x >> 11) * 2**-53: with j = x >> 11 an integer below 2**53
+and e a double, e * 2**53 is exact, so u < e <=> j < e * 2**53 <=>
+j < L = ceil(e * 2**53), and j < L <=> x < L * 2**11.  Each rate's limit
+is computed once per call in integer arithmetic (_word_limits), and the
+words are compared against L * 2**11 (_raw_limits), one limit per column,
+with no shift pass.  That
 limit fits a uint64 for every rate but e = 1, where it is 2**64; such a
 rate gets one exact fix-up, every word lies below it (_below).  Each row's
 errors are counted with one float32 matrix-vector product
@@ -104,13 +108,17 @@ WEIGHT_SLACK = 1e-12
 # Hard cap on the brute-force oracle: 2^20 outcomes.
 ENUMERATION_MAX_N = 20
 
-# Rows of raw words drawn per block by the samplers: about 1 MB of uint64 at
-# n = 127, so a block is still in cache when it is compared.
+# Rows drawn per block by the samplers: about 1 MB of uint64 words at n = 127
+# (a quarter of that as 16-bit keys), so a block is still in cache when it is
+# compared.  Even, so that no block of keys ends inside a 32-bit draw.
 BLOCK_ROWS = 1024
 
 # A raw 64-bit word x gives the uniform (x >> 11) * 2**-53.
 _WORD_SHIFT = 11
 _UNIFORM_BITS = 53
+
+# Position keys are 16-bit: rng.integers draws four from one 64-bit word.
+_KEY_BOUND = 1 << 16
 
 # The count draw's inverse-CDF table has this many equal buckets of [0, 1).
 _COUNT_BUCKETS = 1 << 12
@@ -191,12 +199,13 @@ class DependenceModel:
         """The number of trials among count with at least k_min errors (an
         integer in 0..n + 1), with no row drawn: that of
         (sample(rng, count).sum(axis=1) >= k_min).sum() for a profile of
-        unequal rates; one uniform per trial against count_pmf's cdf for a
-        count-first model."""
+        unequal rates; for a count-first model, the binomial draw that
+        sample_far makes first (_far_count), so that from one generator
+        state it equals len(sample_far(rng, count, k_min))."""
         self._check_draw(count, k_min)
         if not self._count_first:
             return int(np.count_nonzero(self._compare(rng, count, self.n + 1)[0] >= k_min))
-        return _count_at_least(rng, self.count_pmf(), count, k_min)
+        return int(_far_count(rng, self.count_pmf(), count, k_min))
 
     # Every exchangeable model draws its counts first; the independent and
     # pair models do when their profile has one rate.
@@ -210,9 +219,7 @@ class DependenceModel:
         if not self._count_first:
             return self._compare(rng, count, k_min)[1]
         pmf = self.count_pmf()
-        far = count
-        if k_min:
-            far = rng.binomial(count, math.fsum(pmf[k_min:].tolist()) / math.fsum(pmf.tolist()))
+        far = _far_count(rng, pmf, count, k_min)
         if not far:
             return np.empty((0, self.n), dtype=bool)
         return self._positions(rng, k_min + _draw_counts(rng, pmf[k_min:], far))
@@ -316,7 +323,7 @@ class PairModel(DependenceModel):
         # second below P11 or in [P11 + P10, P11 + P10 + P01).
         ks, near, rest = _independent_draw(rng, count, self.profile.rates[:-2], k_min - 2)
         every = k_min > self.n
-        x = rng.bit_generator.random_raw(count)
+        x = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
         p11, p10, p01, _ = self.joint_cells
         limits, ones = _raw_limits((p11 + p10, p11, p11 + p10 + p01))
         first, both, either = _below(x if every else x[near], limits[:, None], ones[:, None])
@@ -511,11 +518,12 @@ def _below(words: np.ndarray, limits: np.ndarray, ones: np.ndarray) -> np.ndarra
 
 
 def _word_blocks(rng: np.random.Generator, rows: int, width: int):
-    """Yield (row slice, block of raw words) over the rows of a (rows, width)
-    draw, BLOCK_ROWS rows at a time; the stream is consumed in the same
-    order as by one rng.random((rows, width)) call."""
+    """Yield (row slice, block of 64-bit words) over the rows of a (rows,
+    width) draw, BLOCK_ROWS rows at a time; on Philox and PCG64 these are
+    the raw words, consumed in the same order as by one
+    rng.random((rows, width)) call."""
     for start in range(0, rows, BLOCK_ROWS):
-        x = rng.bit_generator.random_raw((min(BLOCK_ROWS, rows - start), width))
+        x = rng.integers(0, 1 << 64, size=(min(BLOCK_ROWS, rows - start), width), dtype=np.uint64)
         yield slice(start, start + len(x)), x
 
 
@@ -545,10 +553,17 @@ def _independent_draw(rng: np.random.Generator, count: int, rates, k_min: int):
     return ks, np.concatenate(far), np.concatenate(kept)
 
 
-def _count_cdf(pmf: np.ndarray) -> np.ndarray:
-    """The cdf that rng.choice(len(pmf), p=pmf / pmf.sum()) draws from,
-    p.cumsum() / its last entry, after the checks choice makes on p: the
-    same ValueError, before any draw, for a p that choice rejects."""
+def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
+    """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
+    values from the same rng.random(count) uniforms, and the same
+    ValueError, before any draw, for a p that choice rejects.
+
+    choice returns, for each uniform u, the number of entries of its cdf
+    that are at most u.  Here the cdf and the uniforms are scaled by
+    _COUNT_BUCKETS, which is exact, and a table gives that number for each
+    bucket [b, b + 1) that holds no cdf entry strictly inside it; only the
+    uniforms in the other buckets, at most one per entry, are looked up by
+    searchsorted."""
     p = pmf / pmf.sum()
     total = p.sum()
     if np.isnan(total):
@@ -557,23 +572,9 @@ def _count_cdf(pmf: np.ndarray) -> np.ndarray:
         raise ValueError("Probabilities are not non-negative")
     if abs(total - 1.0) > _P_ATOL:
         raise ValueError("Probabilities do not sum to 1")
+    # choice's cdf, p.cumsum() / its last entry, scaled to the buckets.
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf
-
-
-def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
-    """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
-    values from the same rng.random(count) uniforms, and the same
-    ValueError, before any draw, for a p that choice rejects (_count_cdf).
-
-    choice returns, for each uniform u, the number of entries of its cdf
-    that are at most u.  Here the cdf and the uniforms are scaled by
-    _COUNT_BUCKETS, which is exact, and a table gives that number for each
-    bucket [b, b + 1) that holds no cdf entry strictly inside it; only the
-    uniforms in the other buckets, at most one per entry, are looked up by
-    searchsorted."""
-    cdf = _count_cdf(pmf)
     cdf *= _COUNT_BUCKETS
     # Entries at most b are those whose ceiling is at most b.
     table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=_COUNT_BUCKETS + 1)
@@ -587,52 +588,62 @@ def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.nd
     return ks
 
 
-def _count_at_least(rng: np.random.Generator, pmf: np.ndarray, count: int, m: int) -> int:
-    """(_draw_counts(rng, pmf, count) >= m).sum(), from the same uniforms,
-    with one compare per trial: choice's count is at least m exactly when
-    its uniform u is at least cdf[m - 1], the m-th entry of its
-    nondecreasing cdf.  No uniform reaches cdf[m - 1] = 1.0; m = 0 counts
-    every trial and draws none."""
-    cdf = _count_cdf(pmf)
-    if m == 0:
-        return int(count)
-    return int(np.count_nonzero(rng.random(count) >= cdf[m - 1]))
+def _far_count(rng: np.random.Generator, pmf: np.ndarray, count: int, k_min: int):
+    """The number of far rows among count trials: a Binomial(count, P)
+    draw, P = P(K >= k_min) as the ratio of the correctly rounded sums of
+    pmf from k_min and in all; count itself, with nothing drawn, at
+    k_min = 0.  count_far and sample_far both draw it."""
+    if not k_min:
+        return count
+    return rng.binomial(count, math.fsum(pmf[k_min:].tolist()) / math.fsum(pmf.tolist()))
 
 
 def _uniform_subsets(rng: np.random.Generator, ks: np.ndarray, width: int, out=None) -> np.ndarray:
     """out, a (len(ks), width) bool array (new when None), with a uniform
     ks[i]-subset of the width positions set in row i: the positions of the
-    ks[i] smallest of width raw words drawn for the row, in blocks, ranked
-    by their top 53 bits (_mark_smallest).  No word is drawn at width 0."""
+    ks[i] smallest of width 16-bit keys drawn for the row (_mark_smallest).
+    The keys are drawn in blocks of BLOCK_ROWS rows, an even number, so in
+    the order of one rng.integers call over every row; then the rows whose
+    k-th and (k+1)-th smallest keys tie, about 0.1 % of them at width 127,
+    get fresh keys, all in one call per pass, until no row ties.  No tie
+    at the cut is an event that permuting a row's positions leaves
+    unchanged, so each row's subset given it is exactly uniform.  No key is
+    drawn at width 0."""
     if out is None:
         out = np.empty((ks.size, width), dtype=bool)
     if width:
-        for rows, x in _word_blocks(rng, ks.size, width):
-            x >>= _WORD_SHIFT
-            _mark_smallest(x, ks[rows], out[rows])
+        tied = [np.empty(0, dtype=np.intp)]
+        for start in range(0, ks.size, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            keys = _position_keys(rng, len(ks[rows]), width)
+            tied.append(start + _mark_smallest(keys, ks[rows], out[rows]))
+        tied = np.concatenate(tied)
+        while tied.size:
+            marks = np.empty((tied.size, width), dtype=bool)
+            again = _mark_smallest(_position_keys(rng, tied.size, width), ks[tied], marks)
+            out[tied] = marks
+            tied = tied[again]
     return out
 
 
-def _mark_smallest(u: np.ndarray, ks: np.ndarray, out: np.ndarray) -> None:
-    """Set out[i, j] to whether u[i, j] ranks among the ks[i] smallest of
-    row i, ties ranked by position (the ranks of a stable argsort).
+def _position_keys(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """A (rows, width) block of uniform 16-bit keys, four to a 64-bit word."""
+    return rng.integers(0, _KEY_BOUND, size=(rows, width), dtype=np.uint16)
 
-    Each row is marked by a cut at its k-th smallest value.  The cut would
-    mark too many positions only where the k-th and (k+1)-th smallest are
-    equal; those rows alone are ranked by argsort.
-    """
-    rows, n = u.shape
+
+def _mark_smallest(keys: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set out[i, j] to whether keys[i, j] is at most the ks[i]-th smallest
+    key of row i (no mark where ks[i] = 0), and return the indices of the
+    rows whose ks[i]-th and (ks[i] + 1)-th smallest keys tie: in those rows
+    alone the cut marks more than ks[i] positions, and the marks are to be
+    drawn again."""
+    rows, n = keys.shape
     at = np.arange(rows)
-    srt = np.sort(u, axis=1)
+    srt = np.sort(keys, axis=1)
     cut = srt[at, np.maximum(ks - 1, 0)]
-    np.less_equal(u, cut[:, None], out=out)
+    np.less_equal(keys, cut[:, None], out=out)
     out[ks == 0] = False
-    tied = np.flatnonzero((ks > 0) & (ks < n) & (srt[at, np.minimum(ks, n - 1)] == cut))
-    if tied.size:
-        order = u[tied].argsort(axis=1, kind="stable")
-        marks = np.empty((tied.size, n), dtype=bool)
-        np.put_along_axis(marks, order, np.arange(n) < ks[tied, None], axis=1)
-        out[tied] = marks
+    return np.flatnonzero((ks > 0) & (ks < n) & (srt[at, np.minimum(ks, n - 1)] == cut))
 
 
 # ---------------------------------------------------------------------------

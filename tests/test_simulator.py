@@ -96,15 +96,16 @@ class TestDeterminism:
             assert mc_decode_error(model, code, cfg) == base
 
     def test_exchangeable_sample_matches_rank_form(self):
-        # Reference: the position with rank < k among n uniforms errs.
+        # Reference: the position with rank < k among n 16-bit keys errs,
+        # and a row whose k-th and (k+1)-th smallest keys tie is drawn
+        # again (_subsets_by_reference).
         for n, e, c in ((127, 0.18, 0.006), (10, 0.3, 0.01), (2, 0.4, 0.0)):
             model = ExchangeableModel(n, e, c)
             for seed in range(4):
                 rng = _chunk_rng(seed, 0)
                 pmf = model.count_pmf()
                 ks = rng.choice(n + 1, size=2000, p=pmf / pmf.sum())
-                ranks = rng.random((2000, n)).argsort(axis=1).argsort(axis=1)
-                want = (ranks < ks[:, None]).astype(np.uint8)
+                want = _subsets_by_reference(rng, ks, n).astype(np.uint8)
                 got = model.sample(_chunk_rng(seed, 0), 2000)
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, want)
@@ -242,11 +243,22 @@ class TestDistributionalFidelity:
         n = model.n
         trials = 1_000_000
         cfg = SimConfig(trials=trials, seed=2024)
-        # Count histogram via thresholds: P(k >= m) differences give P(k = m).
-        tails = [
-            mc_threshold_error(model, m, cfg).error_rate for m in range(n + 1)
-        ] + [0.0]
-        counts = -np.diff(np.array(tails)) * trials
+        if _count_first(model):
+            # Each threshold estimate is a binomial draw of its own, so their
+            # differences are no histogram: the counts of one sample are, and
+            # each estimate lies within 4 sigma of its exact tail.
+            counts = np.bincount(model.sample(_chunk_rng(2024, 0), trials).sum(axis=1),
+                                 minlength=n + 1)
+            for m in range(n + 1):
+                tail = model.tail(m)
+                estimate = mc_threshold_error(model, m, cfg).error_rate
+                assert abs(estimate - tail) <= 4 * math.sqrt(tail * (1 - tail) / trials), m
+        else:
+            # Count histogram via thresholds: P(k >= m) differences give P(k = m).
+            tails = [
+                mc_threshold_error(model, m, cfg).error_rate for m in range(n + 1)
+            ] + [0.0]
+            counts = -np.diff(np.array(tails)) * trials
         expected_dist = enumerate_outcomes(model)
         expected = np.array([expected_dist[k] for k in range(n + 1)]) * trials
         keep = expected >= 5
@@ -349,15 +361,15 @@ def _pair_f(e, c):
 class TestPinnedStreams:
     """Counts of the samplers and the decoder; any change to the streams
     shows here.  Every model here has one rate, so each draws its counts
-    first: a threshold chunk one uniform per trial, a full-decode chunk the
-    number of far rows, then their counts and positions (the pair's one
-    state uniform first), then their classes."""
+    first: a threshold chunk one binomial of its trials, a full-decode chunk
+    the number of far rows, then their counts and positions (the pair's one
+    state uniform first, then 16-bit position keys), then their classes."""
 
     TRIALS = 2 * CHUNK_TRIALS + 5
     # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
     COUNTS = {
-        (26, 0.0686, 0.0058): {"iid": (443, 12), "pair": (444, 23), "exchangeable": (770, 24)},
-        (127, 0.18, 0.006): {"iid": (1721, 0), "pair": (1721, 0), "exchangeable": (4768, 1)},
+        (26, 0.0686, 0.0058): {"iid": (469, 8), "pair": (471, 16), "exchangeable": (766, 27)},
+        (127, 0.18, 0.006): {"iid": (1722, 0), "pair": (1722, 0), "exchangeable": (4796, 0)},
     }
 
     @staticmethod
@@ -382,11 +394,11 @@ class TestPinnedStreams:
         assert decode.error_rate == want_decode / self.TRIALS
 
     def test_std_err_of_a_known_count(self):
-        # 443 of TRIALS threshold errors (the iid count above): the standard
+        # 469 of TRIALS threshold errors (the iid count above): the standard
         # error is the binomial one, sqrt(p (1 - p) / trials).
         model = self._model("iid", 26, 0.0686, 0.0058)
         result = mc_threshold_error(model, 6, SimConfig(trials=self.TRIALS, seed=2024))
-        p = 443 / self.TRIALS
+        p = 469 / self.TRIALS
         assert result.error_rate == p
         assert result.std_err == math.sqrt(p * (1 - p) / self.TRIALS)
 
@@ -421,11 +433,13 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
-        # count_far at k_min counts sample's rows with at least k_min
-        # errors, on a Philox and on a PCG64 generator.  A word-compare
-        # sampler ends in the state sample leaves it in; a count-first one
-        # draws one uniform per trial, rng.choice's, and none at k_min = 0.
+        # On a Philox and on a PCG64 generator, a word-compare count_far at
+        # k_min counts sample's rows with at least k_min errors and ends in
+        # the state sample leaves it in; a count-first one is one
+        # rng.binomial draw of count trials at P = P(K >= k_min), and draws
+        # nothing at k_min = 0.
         n = model.n
+        pmf = model.count_pmf()
         for seed in range(3):
             for make in (
                 lambda: _chunk_rng(seed, 0),
@@ -439,18 +453,22 @@ class TestSamplers:
                     rng = make()
                     far = model.count_far(rng, self.COUNT, k_min)
                     assert type(far) is int
-                    assert far == np.count_nonzero(bits.sum(axis=1) >= k_min)
                     if _count_first(model):
-                        ref = make()
+                        ref, want = make(), self.COUNT
                         if k_min:
-                            ref.random(self.COUNT)
+                            p = math.fsum(pmf[k_min:]) / math.fsum(pmf)
+                            want = ref.binomial(self.COUNT, p)
+                        assert far == want
+                    else:
+                        assert far == np.count_nonzero(bits.sum(axis=1) >= k_min)
                     assert _state(rng) == _state(ref)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
     def test_blocked_draws_match_one_draw(self, model):
         # Reference, word compare: every uniform drawn by one rng.random
-        # call; count first: every position word drawn by one random_raw
-        # call, after the counts (and the pair's state uniforms).
+        # call; count first: every position key drawn by one rng.integers
+        # call, after the counts (and the pair's state uniforms), then the
+        # rows tied at the cut drawn again.
         n, rates = model.n, np.asarray(model.profile.rates)
         rng = _chunk_rng(5, 1)
         if _count_first(model):
@@ -475,25 +493,90 @@ class TestSamplers:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_mark_smallest_with_ties(self, n, rows, levels, seed):
-        # Few distinct values force ties at the cut; reference: the ranks of
-        # a stable argsort.
+        # Few distinct keys force ties.  The rows returned are those whose
+        # k-th and (k+1)-th smallest keys tie; every other row holds the k
+        # positions of rank below k (ranks of a stable argsort, which agree
+        # with the cut wherever the cut is not tied).
         rng = np.random.default_rng(seed)
-        u = rng.integers(0, levels, size=(rows, n)) / levels
+        keys = rng.integers(0, levels, size=(rows, n), dtype=np.uint16)
         ks = rng.integers(0, n + 1, size=rows)
         out = np.empty((rows, n), dtype=bool)
-        _mark_smallest(u, ks, out)
-        ranks = u.argsort(axis=1, kind="stable").argsort(axis=1)
-        assert np.array_equal(out, ranks < ks[:, None])
-        assert np.array_equal(out.sum(axis=1), ks)
+        tied = _mark_smallest(keys, ks, out)
+        srt = np.sort(keys, axis=1)
+        want = [i for i in range(rows) if 0 < ks[i] < n and srt[i, ks[i] - 1] == srt[i, ks[i]]]
+        assert tied.tolist() == want
+        free = np.setdiff1d(np.arange(rows), tied)
+        ranks = keys.argsort(axis=1, kind="stable").argsort(axis=1)
+        assert np.array_equal(out[free], ranks[free] < ks[free, None])
+        assert np.array_equal(out[free].sum(axis=1), ks[free])
 
     def test_mark_smallest_all_tied_row(self):
-        u = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.1, 0.5], [0.2, 0.2, 0.2, 0.2]])
-        out = np.empty(u.shape, dtype=bool)
-        _mark_smallest(u, np.array([2, 2, 4]), out)
-        assert out.tolist() == [
-            [True, True, False, False],
-            [True, False, True, False],
+        # A row of equal keys ties at every cut inside it, and is returned;
+        # at k = 0 and k = n there is no cut to tie, and ties below the cut
+        # are kept.
+        keys = np.array([[5, 5, 5, 5], [5, 5, 1, 5], [2, 2, 2, 2], [2, 2, 2, 2], [1, 1, 3, 4]],
+                        dtype=np.uint16)
+        out = np.empty(keys.shape, dtype=bool)
+        tied = _mark_smallest(keys, np.array([2, 1, 4, 0, 2]), out)
+        assert tied.tolist() == [0]
+        assert out[1:].tolist() == [
+            [False, False, True, False],
             [True, True, True, True],
+            [False, False, False, False],
+            [True, True, False, False],
+        ]
+
+
+class TestTiedKeys:
+    """_uniform_subsets draws fresh keys for the rows tied at the cut, and
+    for those alone, until none ties, on a stand-in generator that serves
+    the keys."""
+
+    FIRST = [
+        [4, 4, 4, 4, 4],  # k = 0: no mark
+        [1, 7, 3, 3, 9],  # k = 2: 3 and 3 tie at the cut
+        [2, 2, 9, 2, 8],  # k = 3: ties below the cut only
+        [6, 5, 5, 8, 7],  # k = 1: 5 and 5 tie at the cut
+        [3, 3, 3, 3, 3],  # k = 5: every position
+        [9, 1, 8, 2, 7],  # k = 2: no tie
+        [5, 4, 5, 6, 5],  # k = 3: 5 and 5 tie at the cut
+    ]
+    KS = [0, 2, 3, 1, 5, 2, 3]
+    # Fresh keys for rows 1, 3 and 6; row 6 ties again, then is served
+    # keys with no tie.
+    SECOND = [[5, 1, 4, 2, 3], [2, 9, 4, 7, 0], [1, 2, 2, 2, 5]]
+    THIRD = [[8, 6, 7, 9, 1]]
+
+    @staticmethod
+    def _serving(*blocks):
+        """A stand-in generator whose rng.integers key draws return the
+        given blocks in turn; sizes records the shape of each draw."""
+        queue = [np.array(block, dtype=np.uint16) for block in blocks]
+        sizes = []
+
+        def integers(low, high, size, dtype):
+            assert (low, high, dtype) == (0, 1 << 16, np.uint16)
+            sizes.append(size)
+            block = queue.pop(0)
+            assert block.shape == size
+            return block
+
+        return SimpleNamespace(integers=integers), sizes
+
+    def test_only_tied_rows_are_drawn_again(self):
+        rng, sizes = self._serving(self.FIRST, self.SECOND, self.THIRD)
+        ks = np.array(self.KS)
+        out = prob_engine._uniform_subsets(rng, ks, 5)
+        assert sizes == [(7, 5), (3, 5), (1, 5)]
+        assert np.array_equal(out.sum(axis=1), ks)
+        assert out.astype(int).tolist() == [
+            [0, 0, 0, 0, 0],
+            [0, 1, 0, 1, 0],
+            [1, 1, 0, 1, 0],
+            [0, 0, 0, 0, 1],
+            [1, 1, 1, 1, 1],
+            [0, 1, 0, 1, 0],
+            [0, 1, 1, 0, 1],
         ]
 
 
@@ -561,16 +644,44 @@ class TestRawWords:
 
     @staticmethod
     def _serving(*blocks):
-        """A stand-in generator whose raw draws return the given blocks in
-        turn, each checked against the shape asked for."""
+        """A stand-in generator whose 64-bit word draws, rng.integers(0,
+        2**64, size, dtype=np.uint64), return the given blocks in turn, each
+        checked against the shape asked for."""
         queue = list(blocks)
 
-        def random_raw(shape):
+        def integers(low, high, size, dtype):
+            assert (low, high, dtype) == (0, 1 << 64, np.uint64)
             block = queue.pop(0)
-            assert block.shape == np.empty(shape).shape
+            assert block.shape == np.empty(size).shape
             return block.copy()
 
-        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+        return SimpleNamespace(integers=integers)
+
+    @pytest.mark.parametrize("kind", ["philox", "pcg64"])
+    def test_integer_words_are_the_raw_words(self, kind):
+        # On 64-bit generators the words the compares draw are the raw
+        # words, and leave the generator where random_raw does.
+        for shape in ((3, 5), (7,), (0, 4)):
+            rng, ref = (np.random.Generator(GENERATORS[kind](4)) for _ in range(2))
+            words = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+            assert np.array_equal(words, ref.bit_generator.random_raw(shape))
+            assert _state(rng) == _state(ref)
+
+    def test_whole_words_on_a_32_bit_generator(self):
+        # MT19937's raw outputs are 32-bit; the compares still read whole
+        # 64-bit words, so each column errs at its own rate (and the pair
+        # together at f), within 5 sigma.
+        trials = 20_000
+        pair = PairModel(ErrorProfile((0.1, 0.5, 0.3, 0.2)), 0.05)
+        for model in (Independent(ErrorProfile((0.1, 0.5) * 3)), pair):
+            bits = model.sample(np.random.Generator(np.random.MT19937(1)), trials)
+            rates = np.array(model.profile.rates)
+            means = bits.mean(axis=0)
+            if model is pair:
+                rates = np.append(rates, pair.f)
+                means = np.append(means, (bits[:, -2] & bits[:, -1]).mean())
+            sigma = np.sqrt(rates * (1 - rates) / trials)
+            assert (np.abs(means - rates) <= 5 * sigma).all(), (means, rates)
 
     def test_independent_route_on_edge_words(self):
         words = self._edge_words(_word_limits(self.RATES).tolist())
@@ -756,9 +867,8 @@ def _far_by_reference(model, rng, count, k_min):
     their counts by rng.choice on count_pmf truncated at k_min.  For the
     pair, one rng.random uniform per far row then picks the pair's state s
     among (11, 10, 01, 00) by the cdf of P(s) q(K - |s|), q the binomial
-    row of the other n - 2 (scipy's).  Then a raw word for each other
-    position of each far row, in one call, shifted to their top 53 bits and
-    marked by the ranks of a stable argsort."""
+    row of the other n - 2 (scipy's).  Then the other positions of each
+    far row, by _subsets_by_reference."""
     n = model.n
     pmf = model.count_pmf()
     far = count
@@ -781,10 +891,27 @@ def _far_by_reference(model, rng, count, k_min):
         bits[:, -2] = state <= 1
         bits[:, -1] = state % 2 == 0
         ks = ks - sizes[state]
-    j = rng.bit_generator.random_raw((far, width)) >> np.uint64(11)
-    ranks = j.argsort(axis=1, kind="stable").argsort(axis=1)
-    bits[:, :width] = ranks < ks[:, None]
+    bits[:, :width] = _subsets_by_reference(rng, ks, width)
     return bits
+
+
+def _subsets_by_reference(rng, ks, width):
+    """Reference for _uniform_subsets: a 16-bit key for each position of
+    each row, all in one rng.integers call, and a row's ks smallest marked
+    by the ranks of a stable argsort; then, pass by pass, fresh keys in one
+    call for the rows whose ks-th and (ks + 1)-th smallest keys tie, until
+    no row does."""
+    marks = np.zeros((len(ks), width), dtype=bool)
+    rows = np.arange(len(ks))
+    while rows.size and width:
+        k = ks[rows]
+        keys = rng.integers(0, 1 << 16, size=(rows.size, width), dtype=np.uint16)
+        marks[rows] = keys.argsort(axis=1, kind="stable").argsort(axis=1) < k[:, None]
+        srt, at = np.sort(keys, axis=1), np.arange(rows.size)
+        inside = (k > 0) & (k < width)
+        tied = srt[at, np.clip(k - 1, 0, width - 1)] == srt[at, np.clip(k, 0, width - 1)]
+        rows = rows[inside & tied]
+    return marks
 
 
 FAR_MODELS = [
@@ -944,7 +1071,7 @@ class TestCountDraw:
         # cdf entries equal to uniforms the generator is about to draw (as
         # multiples of 2**-53 their differences, partial sums and total are
         # exact): choice counts an entry equal to u as at most u, and so
-        # must the threshold count's compare.
+        # must the table.
         for seed in range(4):
             u = _chunk_rng(seed, 5).random(2000)
             cdf = np.unique(np.append(np.random.default_rng(seed).choice(u, entries), 1.0))
@@ -952,9 +1079,6 @@ class TestCountDraw:
             want = _chunk_rng(seed, 5).choice(len(pmf), size=2000, p=pmf / pmf.sum())
             got = prob_engine._draw_counts(_chunk_rng(seed, 5), pmf, 2000)
             assert np.array_equal(got, want)
-            for m in range(len(pmf)):
-                at_least = prob_engine._count_at_least(_chunk_rng(seed, 5), pmf, 2000, m)
-                assert at_least == np.count_nonzero(want >= m), m
 
     @pytest.mark.parametrize(
         "pmf",
@@ -976,50 +1100,73 @@ class TestCountDraw:
         assert _state(rng) == _state(ref)
 
 
-class TestCountAtLeast:
-    """The threshold count: one compare per trial against cdf[m - 1], the
-    count of (_draw_counts(...) >= m).sum() to the trial, on three bit
-    generators."""
+class TestUniformSubsets:
+    """Positions given K are a uniform K-subset: a chi-square over all
+    C(w, K) subsets at every K, w = 6 positions of iid and exchangeable
+    rows and the pair model's other 4, with 16-bit keys and with keys of
+    four values, where most rows tie at the cut and are drawn again (a tie
+    rule that favours low positions fails there)."""
 
-    @staticmethod
-    def _both(kind, seed, pmf, count, m):
-        make = GENERATORS[kind]
-        ref, rng = np.random.Generator(make(seed)), np.random.Generator(make(seed))
-        want = int((prob_engine._draw_counts(ref, pmf, count) >= m).sum())
-        return prob_engine._count_at_least(rng, pmf, count, m), want
+    MODELS = [
+        Independent(ErrorProfile.iid(6, 0.3)),
+        ExchangeableModel(6, 0.35, 0.02),
+        PairModel(ErrorProfile.iid(6, 0.3), 0.12),
+    ]
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        pmf=_count_pmfs(),
-        count=st.one_of(st.integers(0, 50), st.integers(0, 3000)),
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(list(GENERATORS)),
-    )
-    def test_equals_draw_counts_at_every_m(self, pmf, count, seed, kind):
-        for m in range(len(pmf)):
-            got, want = self._both(kind, seed, pmf, count, m)
-            assert type(got) is int and got == want, m
+    @pytest.mark.parametrize("bound", [1 << 16, 4], ids=["16-bit", "4-valued"])
+    @pytest.mark.parametrize("model", MODELS, ids=["iid", "exchangeable", "pair"])
+    def test_chi_square_over_subsets(self, model, bound, monkeypatch):
+        monkeypatch.setattr(prob_engine, "_KEY_BOUND", bound)
+        bits = model.sample(_chunk_rng(17, 0), 120_000)
+        if isinstance(model, PairModel):
+            bits = bits[:, :-2]
+        width = bits.shape[1]
+        subset = bits.astype(np.intp) @ (1 << np.arange(width))
+        ks = bits.sum(axis=1)
+        sizes = np.array([bin(s).count("1") for s in range(1 << width)])
+        chi2 = df = 0.0
+        for k in range(1, width):
+            observed = np.bincount(subset[ks == k], minlength=1 << width)[sizes == k]
+            expected = observed.sum() / observed.size
+            assert expected >= 5
+            chi2 += ((observed - expected) ** 2 / expected).sum()
+            df += observed.size - 1
+        assert sstats.chi2.sf(chi2, df) > 1e-4, (chi2, df)
+
+
+class TestCountFar:
+    """count_far of a count-first model is the binomial draw that opens
+    sample_far: from one generator state, count_far(rng, c, k) ==
+    len(sample_far(rng, c, k)), on three bit generators."""
+
+    COUNT = 2 * BLOCK_ROWS + 3
+    MODELS = [(i, m) for i, m in zip(SAMPLE_IDS, SAMPLE_CASES) if _count_first(m)]
 
     @pytest.mark.parametrize("kind", list(GENERATORS))
-    def test_cdf_of_one_and_m_zero(self, kind):
-        # cdf[m - 1] == 1.0 before the last entry, where a raw-word limit
-        # ceil(2**53) * 2**11 would wrap past 2**64: no trial counts.  m = 0
-        # counts every trial, at a cdf of one entry too.
-        for pmf in ([0.25, 0.75, 0.0, 0.0], [1.0, 0.0], [1.0]):
-            pmf = np.array(pmf)
-            cdf = prob_engine._count_cdf(pmf)
-            for m in range(len(pmf)):
-                got, want = self._both(kind, 9, pmf, 2000, m)
-                assert got == want
-                if m == 0:
-                    assert got == 2000
-                elif cdf[m - 1] == 1.0:
-                    assert got == 0
-        assert prob_engine._count_cdf(np.array([0.25, 0.75, 0.0]))[1] == 1.0
+    @pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[i for i, _ in MODELS])
+    def test_equals_len_sample_far(self, model, kind):
+        for k_min in range(model.n + 2):
+            for seed in (0, 1):
+                rng, ref = (np.random.Generator(GENERATORS[kind](seed)) for _ in range(2))
+                far = model.count_far(rng, self.COUNT, k_min)
+                assert far == len(model.sample_far(ref, self.COUNT, k_min)), k_min
 
-    def test_rejects_what_choice_rejects(self):
-        with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
-            prob_engine._count_at_least(_NoDraw(), np.zeros(3), 5, 0)
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_certain_and_impossible(self, kind):
+        # k_min = 0 counts every trial and P = 0 none, with nothing drawn;
+        # P = 1 counts every trial.
+        def make():
+            return np.random.Generator(GENERATORS[kind](9))
+
+        for model in (Independent(ErrorProfile.iid(4, 0.3)), ExchangeableModel(4, 0.3, 0.01)):
+            for k_min, want in ((0, 2000), (5, 0)):
+                rng = make()
+                assert model.count_far(rng, 2000, k_min) == want
+                assert _state(rng) == _state(make())
+        certain = Independent(ErrorProfile.iid(4, 1.0)), PairModel(ErrorProfile.iid(4, 1.0), 1.0)
+        for model in certain:
+            assert model.count_far(make(), 2000, 4) == 2000
+            assert model.count_far(make(), 2000, 5) == 0
 
 
 class _NoDraw:
@@ -1145,16 +1292,23 @@ class TestCountDistribution:
 
     @pytest.mark.parametrize("model", COUNT_CASES, ids=COUNT_IDS)
     def test_sample_counts_follow_the_exact_pmf(self, model):
-        # The histogram of one draw's counts, as differences of count_far
-        # at k and k + 1 on the same stream.
+        # The histogram of one draw's counts.  For a word-compare sampler
+        # it is taken as differences of count_far at k and k + 1 on the same
+        # stream; a count-first count_far is one binomial per k, so its
+        # differences are no histogram, and the rows of sample are counted.
         n = model.n
         exact = [model.count_pmf()]
         if n <= 12:
             oracle = enumerate_outcomes(model)
             exact.append(np.array([oracle[k] for k in range(n + 1)]))
         for seed in (101, 202):
-            tails = [model.count_far(_chunk_rng(seed, 0), self.TRIALS, k) for k in range(n + 2)]
-            observed = -np.diff(tails)
+            if _count_first(model):
+                ks = model.sample(_chunk_rng(seed, 0), self.TRIALS).sum(axis=1)
+                observed = np.bincount(ks, minlength=n + 1)
+            else:
+                tails = [model.count_far(_chunk_rng(seed, 0), self.TRIALS, k)
+                         for k in range(n + 2)]
+                observed = -np.diff(tails)
             for pmf in exact:
                 p_value = _pooled_chi2_p(observed, pmf * self.TRIALS)
                 assert p_value > 1e-4, (seed, p_value)

@@ -5,13 +5,14 @@
 For each model (iid, pair, exchangeable), at 26 and 127 classes and in both
 modes (threshold at m = code.m, full-decode), it prints:
 
-- words: the 64-bit words the sampler draws over all trials: every word
-  its random_raw calls return, every uniform its rng.random calls return
-  (a threshold chunk's one per trial; in full-decode, one per far row for
-  its count and the pair's one state uniform per far row), and the words
-  of the full-decode binomial draw of the number of far rows.  The true
-  classes of the far rows, drawn by rng.integers in 32-bit halves, are not
-  counted.
+- words: the 64-bit words the chunk streams give out over all trials,
+  read from each chunk generator's Philox position when the command ends
+  (philox_words): the binomial draw of a threshold chunk or of a
+  full-decode chunk's number of far rows, then, in full-decode, one
+  uniform per far row for its count and the pair's one state uniform per
+  far row, the 16-bit position keys, four to a word, and the far rows'
+  true classes, drawn by rng.integers in 32-bit halves.  A profile of
+  unequal rates draws one word per classifier and trial.
 - one worker and two workers: the best time of --repeat runs of
   mc_threshold_error or mc_decode_error, in process, with workers=1 and 2.
 - random_raw: the best time of --repeat runs of bare Philox random_raw
@@ -22,11 +23,8 @@ modes (threshold at m = code.m, full-decode), it prints:
 The operating points are the benchmark's: 26 classes at e = 0.0686,
 c = 0.0058 and 127 classes at e = 0.18, c = 0.006; the pair's joint error
 probability is e^2 + c e (1 - e).  Words are counted in a separate pass
-whose chunk generators count the output of random_raw and of random, and
-the words a binomial call consumes by replaying the stream from the state
-before the call until it reaches the state after it; the timed runs draw
-from plain generators.  Standard library
-and numpy only; nothing is written.
+that keeps the chunk generators and reads their positions; the timed runs
+are not watched.  Standard library and numpy only; nothing is written.
 """
 
 from __future__ import annotations
@@ -67,66 +65,27 @@ def run(model, code, mode: str, trials: int, workers: int) -> None:
         mc_decode_error(model, code, cfg)
 
 
-class _CountingBits(np.random.Philox):
-    """A Philox bit generator that counts the words its random_raw returns."""
-
-    words = 0
-
-    def random_raw(self, size=None, output=True):
-        out = super().random_raw(size, output)
-        self.words += np.size(out)
-        return out
-
-
-class _Counting(np.random.Generator):
-    """A generator that counts the uniforms its random returns, one 64-bit
-    word each, and the words its binomial draws consume."""
-
-    words = 0
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        u = super().random(size, dtype, out)
-        self.words += np.size(u)
-        return u
-
-    def binomial(self, n, p, size=None):
-        before = self.bit_generator.state
-        out = super().binomial(n, p, size)
-        self.words += replayed_words(type(self.bit_generator), before, self.bit_generator.state)
-        return out
-
-
-def _plain(state):
-    """A bit generator state with its arrays as lists, so that two states
-    compare with ==."""
-    if isinstance(state, dict):
-        return {k: _plain(v) for k, v in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
-def replayed_words(kind, before: dict, after: dict) -> int:
-    """The raw words between two states of one stream of the bit generator
-    class kind: the words a copy set to before draws, one at a time, until
-    its state is after."""
-    replay, after, words = kind(), _plain(after), 0
-    replay.state = before
-    while _plain(replay.state) != after:
-        replay.random_raw()
-        words += 1
-    return words
+def philox_words(rng: np.random.Generator) -> int:
+    """The 64-bit words a Philox generator has given out since it was
+    keyed: 4 counter + buffer_pos - 4, the counter read as one 256-bit
+    integer (a new generator holds counter 0 and an empty buffer,
+    buffer_pos 4).  A word whose second 32-bit half is still held for the
+    next 32-bit draw (has_uint32) has been given out, and counts."""
+    state = rng.bit_generator.state
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    return 4 * counter + state["buffer_pos"] - 4
 
 
 def count_words(model, code, mode: str, trials: int) -> int:
-    made = []
+    chunk_rng, made = simulator._chunk_rng, []
 
-    def counting_rng(seed, chunk_index):
-        bits = _CountingBits(key=np.array([seed, chunk_index], dtype=np.uint64))
-        made.append(_Counting(bits))
+    def recording_rng(seed, chunk_index):
+        made.append(chunk_rng(seed, chunk_index))
         return made[-1]
 
-    with mock.patch.object(simulator, "_chunk_rng", counting_rng):
+    with mock.patch.object(simulator, "_chunk_rng", recording_rng):
         run(model, code, mode, trials, 1)
-    return sum(rng.words + rng.bit_generator.words for rng in made)
+    return sum(philox_words(rng) for rng in made)
 
 
 def best(fn, repeat: int) -> float:
