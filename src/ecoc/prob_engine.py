@@ -28,8 +28,8 @@ samplers check k, m and k_min with _check_count, the one check that a
 count is an integer in a range.  Every count probability, binomial or
 not, is read from one count_pmf.
 
-Every exchangeable model and every profile of one rate draws count-first
-(_count_first), from count_pmf, and draws only what its caller reads:
+Every model draws count-first, from count_pmf, and draws only what its
+caller reads:
 
 - count_far at k_min > 0 is one binomial draw of count trials and
   P = P(K >= k_min), the ratio of the correctly rounded sums of count_pmf
@@ -47,46 +47,29 @@ Every exchangeable model and every profile of one rate draws count-first
   with searchsorted only for the uniforms in buckets that hold a cdf
   entry.
 
-Given K:
+Given K, the positions of independent classifiers come from the profile's
+position route, _subsets, chosen like _row by the profile's one rate:
 
-- every outcome of an iid or exchangeable model is equally likely, so the
-  positions are a uniform K-subset (_uniform_subsets): those of the K
-  smallest of n 16-bit keys drawn for the row by rng.integers, four to a
-  64-bit word.  A row whose K-th and (K+1)-th smallest keys tie gets fresh
-  keys until they do not; no tie at the cut is an event that permuting
-  the row's positions leaves unchanged, so the subset given it is exactly
-  uniform, on every bit generator;
+- for the one rate of a profile, and for an exchangeable model, every
+  outcome of K errors is equally likely, so the positions are a uniform
+  K-subset (_uniform_subsets): those of the K smallest of n 16-bit keys
+  drawn for the row by rng.integers, four to a 64-bit word.  A row whose
+  K-th and (K+1)-th smallest keys tie gets fresh keys until they do not;
+  no tie at the cut is an event that permuting the row's positions leaves
+  unchanged, so the subset given it is exactly uniform, on every bit
+  generator;
+- for unequal rates, classifier i errs given j errors left among i..w-1
+  with probability e_i R_{i+1}(j - 1) / R_i(j), R_i the count pmf of
+  classifiers i..w-1: sequential conditional-Bernoulli sampling (Chen,
+  Dempster and Liu, 1994; _conditional_subsets), one rng.random uniform
+  per classifier and far row.  The rows R_i are kept as logarithms, so no
+  reachable state's probability underflows to zero and every row holds
+  exactly its K errors;
 - the pair's state s among (11, 10, 01, 00) has weight P(s) q(K - |s|), q
   the count pmf of the other n - 2.  One rng.random uniform per far row
-  picks it, and a uniform (K - |s|)-subset of the other n - 2 follows.
+  picks it, and a (K - |s|)-subset of the other n - 2 follows.
 
-Profiles of unequal rates compare 64-bit words instead (_independent_draw,
-and the pair's one word per row), until positions given K are drawn for
-them too.  They draw words x by rng.integers(0, 2**64, dtype=np.uint64),
-in blocks of BLOCK_ROWS rows: on Philox and PCG64 these are the raw words,
-in the order rng.random((count, width)) would consume them, and on a
-32-bit generator such as MT19937 they are still whole 64-bit words.  They
-compare integers where rng.random on a 64-bit generator would give
-uniforms u = (x >> 11) * 2**-53: with j = x >> 11 an integer below 2**53
-and e a double, e * 2**53 is exact, so u < e <=> j < e * 2**53 <=>
-j < L = ceil(e * 2**53), and j < L <=> x < L * 2**11.  Each rate's limit
-is computed once per call in integer arithmetic (_word_limits), and the
-words are compared against L * 2**11 (_raw_limits), one limit per column,
-with no shift pass.  That
-limit fits a uint64 for every rate but e = 1, where it is 2**64; such a
-rate gets one exact fix-up, every word lies below it (_below).  Each row's
-errors are counted with one float32 matrix-vector product
-(code_matrix._row_counts), exact because no row is 2**24 or more words
-wide: every sampler applies code_matrix._check_width before it draws a
-word.  Only the far rows' counts are kept, unless every row's count is
-asked for (count_far); the pair model compares its own word only for the
-rows that can reach k_min.
-
-So the far rows of a word-compare sampler are the rows of sample(rng,
-count) that have at least k_min errors, bit for bit, and it leaves the
-stream where sample does; count-first far rows hold counts and positions
-of their own.  No sampler holds a (count, n) array unless every row is
-far.
+No sampler holds a (count, n) array unless every row is far.
 """
 
 from __future__ import annotations
@@ -98,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code_matrix import _check_width, _row_counts
+from .code_matrix import _check_width
 from .errors import ModelError
 
 # Per-outcome weights this close to zero (from rounding at the edge of the
@@ -108,14 +91,11 @@ WEIGHT_SLACK = 1e-12
 # Hard cap on the brute-force oracle: 2^20 outcomes.
 ENUMERATION_MAX_N = 20
 
-# Rows drawn per block by the samplers: about 1 MB of uint64 words at n = 127
-# (a quarter of that as 16-bit keys), so a block is still in cache when it is
-# compared.  Even, so that no block of keys ends inside a 32-bit draw.
+# Rows drawn per block by the position samplers: about 1 MB of uniforms at
+# n = 127 (a quarter of that as 16-bit keys), so a block is still in cache
+# when it is compared.  Even, so that no block of keys ends inside a 32-bit
+# draw.
 BLOCK_ROWS = 1024
-
-# A raw 64-bit word x gives the uniform (x >> 11) * 2**-53.
-_WORD_SHIFT = 11
-_UNIFORM_BITS = 53
 
 # Position keys are 16-bit: rng.integers draws four from one 64-bit word.
 _KEY_BOUND = 1 << 16
@@ -160,6 +140,14 @@ class ErrorProfile:
         e = self._rate
         return poisson_binomial_dist(self.rates[:w]) if e is None else _binomial_row(w, e)
 
+    def _subsets(self, rng, ks, w: int, out=None) -> np.ndarray:
+        """Error positions among the first w classifiers, ks[i] of them in
+        row i, drawn given the counts: a uniform subset for the one rate,
+        else conditional Bernoulli on the rates (into out when given)."""
+        if self._rate is None:
+            return _conditional_subsets(rng, ks, self.rates[:w], out)
+        return _uniform_subsets(rng, ks, w, out)
+
 
 class DependenceModel:
     """The model protocol, shared by the three models: the pmf, the tail and
@@ -187,37 +175,26 @@ class DependenceModel:
 
     def sample_far(self, rng: np.random.Generator, count: int, k_min: int) -> np.ndarray:
         """The error vectors, as a uint8 array, of the trials among count
-        with at least k_min errors (an integer in 0..n + 1).  A profile of
-        unequal rates compares every word, so its rows are those of
-        sample(rng, count) with at least k_min errors, in trial order, and it
-        leaves the stream where sample does.  A count-first model draws
-        the number of far rows first, then their counts and positions."""
+        with at least k_min errors (an integer in 0..n + 1): the number of
+        far rows first (the draw of count_far), then their counts from
+        count_pmf truncated at k_min, then their positions given the
+        counts (_positions)."""
         self._check_draw(count, k_min)
         return self._draw(rng, count, k_min).view(np.uint8)
 
     def count_far(self, rng: np.random.Generator, count: int, k_min: int) -> int:
         """The number of trials among count with at least k_min errors (an
-        integer in 0..n + 1), with no row drawn: that of
-        (sample(rng, count).sum(axis=1) >= k_min).sum() for a profile of
-        unequal rates; for a count-first model, the binomial draw that
+        integer in 0..n + 1), with no row drawn: the binomial draw that
         sample_far makes first (_far_count), so that from one generator
         state it equals len(sample_far(rng, count, k_min))."""
         self._check_draw(count, k_min)
-        if not self._count_first:
-            return int(np.count_nonzero(self._compare(rng, count, self.n + 1)[0] >= k_min))
         return int(_far_count(rng, self.count_pmf(), count, k_min))
-
-    # Every exchangeable model draws its counts first; the independent and
-    # pair models do when their profile has one rate.
-    _count_first = True
 
     def _draw(self, rng, count, k_min):
         # Far-first: the number of rows with at least k_min errors, a
         # binomial of P(K >= k_min); their counts from count_pmf truncated
         # at k_min; then their positions given the counts (_positions).
         # k_min = 0 keeps every row and draws no binomial.
-        if not self._count_first:
-            return self._compare(rng, count, k_min)[1]
         pmf = self.count_pmf()
         far = _far_count(rng, pmf, count, k_min)
         if not far:
@@ -248,16 +225,8 @@ class Independent(DependenceModel):
     def count_pmf(self) -> np.ndarray:
         return self.profile._row(self.n)
 
-    @property
-    def _count_first(self) -> bool:
-        return self.profile._rate is not None
-
-    def _compare(self, rng, count, k_min):
-        ks, _, bits = _independent_draw(rng, count, self.profile.rates, k_min)
-        return ks, bits
-
     def _positions(self, rng, ks):
-        return _uniform_subsets(rng, ks, self.n)
+        return self.profile._subsets(rng, ks, self.n)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
         rates = np.asarray(self.profile.rates)
@@ -290,11 +259,14 @@ class PairModel(DependenceModel):
 
     @property
     def joint_cells(self) -> tuple[float, float, float, float]:
-        """(P11, P10, P01, P00) for the correlated pair."""
+        """(P11, P10, P01, P00) for the correlated pair.  f is clamped to
+        pair_f_range, so only P00 can fall below zero, by the rounding of
+        e1 + e2 - 1 at its lower end (e1 = 2**-53, e2 = 1): it is clamped to
+        zero, as the exchangeable weights are."""
         e1, e2 = self.profile.rates[-2], self.profile.rates[-1]
         lo, hi = pair_f_range(e1, e2)
         f = min(max(self.f, lo), hi)
-        return (f, e1 - f, e2 - f, 1.0 - e1 - e2 + f)
+        return (f, e1 - f, e2 - f, max(1.0 - e1 - e2 + f, 0.0))
 
     def count_pmf(self) -> np.ndarray:
         """Conditioning on the pair's four joint cells reduces to the
@@ -310,40 +282,12 @@ class PairModel(DependenceModel):
         q_pad[2:-2] = self.profile._row(self.n - 2)
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
-    @property
-    def _count_first(self) -> bool:
-        return self.profile._rate is not None
-
-    def _compare(self, rng, count, k_min):
-        # Unequal rates compare words.  The pair's words follow all of the
-        # others', so the rows that can reach k_min (at least k_min - 2
-        # errors elsewhere) are kept, with their counts, until the pair's
-        # bits are known; only those rows' words are compared.  Its two bits
-        # come from one word per row: the first errs below P11 + P10, the
-        # second below P11 or in [P11 + P10, P11 + P10 + P01).
-        ks, near, rest = _independent_draw(rng, count, self.profile.rates[:-2], k_min - 2)
-        every = k_min > self.n
-        x = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
-        p11, p10, p01, _ = self.joint_cells
-        limits, ones = _raw_limits((p11 + p10, p11, p11 + p10 + p01))
-        first, both, either = _below(x if every else x[near], limits[:, None], ones[:, None])
-        second = both | (~first & either)
-        ks += first.view(np.uint8) + second.view(np.uint8)
-        if every:
-            return ks, np.empty((0, self.n), dtype=bool)
-        keep = np.flatnonzero(ks >= k_min)
-        bits = np.empty((keep.size, self.n), dtype=bool)
-        bits[:, :-2] = rest[keep]
-        bits[:, -2] = first[keep]
-        bits[:, -1] = second[keep]
-        return ks[keep], bits
-
     def _positions(self, rng, ks):
         # One uniform per row picks the pair's state s among (11, 10, 01,
         # 00), with weights P(s) q(K - |s|), q the count pmf of the other
         # n - 2, read at each row's own K alone: their sum is count_pmf at
         # K, to the bit, and a K that was drawn has mass, so no weight is
-        # divided by zero.  Then a uniform (K - |s|)-subset of the others.
+        # divided by zero.  Then a (K - |s|)-subset of the others.
         p11, p10, p01, p00 = self.joint_cells
         q = np.zeros(self.n + 3)
         q[2:-2] = self.profile._row(self.n - 2)  # q[j + 2] = q(j)
@@ -356,7 +300,7 @@ class PairModel(DependenceModel):
         second = (u < both / total) | (~first & (u < either / total))
         bits = np.empty((ks.size, self.n), dtype=bool)
         bits[:, -2], bits[:, -1] = first, second
-        _uniform_subsets(rng, ks - first - second, self.n - 2, bits[:, :-2])
+        self.profile._subsets(rng, ks - first - second, self.n - 2, bits[:, :-2])
         return bits
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
@@ -488,71 +432,6 @@ def _check_number(name: str, value) -> None:
         raise ValueError(f"{name}={value!r} is not a number")
 
 
-def _word_limits(rates) -> np.ndarray:
-    """ceil(e * 2**53) per rate e, as uint64, so that a uniform j * 2**-53
-    lies below e exactly when j lies below the limit (see the module
-    docstring).  ldexp scales a double exactly and math.ceil returns an
-    exact integer."""
-    return np.array(
-        [math.ceil(math.ldexp(e, _UNIFORM_BITS)) for e in rates], dtype=np.uint64
-    )
-
-
-def _raw_limits(rates) -> tuple[np.ndarray, np.ndarray]:
-    """(limits, ones) per rate e: a raw word x lies below the limit
-    _word_limits(e) * 2**11 exactly when its uniform lies below e, since
-    x >> 11 < L <=> x < L * 2**11.  That product fits a uint64 for every
-    rate but e = 1, whose limit 2**64 wraps to 0; ones flags those rates,
-    below which every word lies (see _below)."""
-    limits = _word_limits(rates)
-    return limits << _WORD_SHIFT, limits == 1 << _UNIFORM_BITS
-
-
-def _below(words: np.ndarray, limits: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """The error bits of raw words against the (limits, ones) of
-    _raw_limits, broadcast: words < limits, set wherever the rate is 1."""
-    bits = words < limits
-    if ones.any():
-        bits |= ones
-    return bits
-
-
-def _word_blocks(rng: np.random.Generator, rows: int, width: int):
-    """Yield (row slice, block of 64-bit words) over the rows of a (rows,
-    width) draw, BLOCK_ROWS rows at a time; on Philox and PCG64 these are
-    the raw words, consumed in the same order as by one
-    rng.random((rows, width)) call."""
-    for start in range(0, rows, BLOCK_ROWS):
-        x = rng.integers(0, 1 << 64, size=(min(BLOCK_ROWS, rows - start), width), dtype=np.uint64)
-        yield slice(start, start + len(x)), x
-
-
-def _independent_draw(rng: np.random.Generator, count: int, rates, k_min: int):
-    """(ks, far, bits) for independent classifiers of the given rates, one
-    word per classifier and row: far, the indices of the rows with at least
-    k_min errors, their bool error vectors, and their error counts as the
-    exact float32 of _row_counts; when k_min > len(rates) no row can be
-    kept, and ks holds every row's count instead."""
-    width = len(rates)
-    limits, ones = _raw_limits(rates)
-    every = k_min > width
-    ks = np.empty(count, dtype=np.float32) if every else [np.empty(0, dtype=np.float32)]
-    far, kept = [np.empty(0, dtype=np.intp)], [np.empty((0, width), dtype=bool)]
-    for rows, x in _word_blocks(rng, count, width):
-        bits = _below(x, limits, ones)
-        row_ks = _row_counts(bits)
-        if every:
-            ks[rows] = row_ks
-        else:
-            idx = np.flatnonzero(row_ks >= k_min)
-            far.append(idx + rows.start)
-            kept.append(bits[idx])
-            ks.append(row_ks[idx])
-    if not every:
-        ks = np.concatenate(ks)
-    return ks, np.concatenate(far), np.concatenate(kept)
-
-
 def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
     """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
     values from the same rng.random(count) uniforms, and the same
@@ -644,6 +523,49 @@ def _mark_smallest(keys: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndar
     np.less_equal(keys, cut[:, None], out=out)
     out[ks == 0] = False
     return np.flatnonzero((ks > 0) & (ks < n) & (srt[at, np.minimum(ks, n - 1)] == cut))
+
+
+def _conditional_subsets(rng: np.random.Generator, ks: np.ndarray, rates, out=None) -> np.ndarray:
+    """out, a (len(ks), w) bool array (new when None), w = len(rates), with
+    row i drawn from the law of independent classifiers of these rates
+    given ks[i] errors, each ks[i] of positive mass.  Classifier i errs,
+    given j errors left among i..w-1, with probability step[i, j] =
+    e_i R_{i+1}(j - 1) / R_i(j), R_i the count pmf of classifiers i..w-1.
+
+    The table is built in logarithms, once per call, each row of it from
+    the next by np.logaddexp: in a linear row a reachable state's mass can
+    underflow to zero at extreme rates, and a row is then drawn with fewer
+    errors than its K.  A step that must be taken is exp(0) = 1 to the bit,
+    one that cannot is exp(-inf) = 0, so every row holds exactly its K.
+    Each block of BLOCK_ROWS rows takes one rng.random((rows, w)) call."""
+    w = len(rates)
+    if out is None:
+        out = np.empty((ks.size, w), dtype=bool)
+    if not w:
+        return out
+    e = np.asarray(rates)
+    log_e = np.log(e, out=np.full(w, -np.inf), where=e > 0)
+    log_f = np.log1p(-e, out=np.full(w, -np.inf), where=e < 1)
+    # log_r[i, j + 1] = ln R_i(j), for j = -1..w: R_w is 1 at j = 0.
+    log_r = np.full((w + 1, w + 2), -np.inf)
+    log_r[w, 1] = 0.0
+    for i in range(w - 1, -1, -1):
+        np.logaddexp(log_f[i] + log_r[i + 1, 1:], log_e[i] + log_r[i + 1, :-1], out=log_r[i, 1:])
+    # Unreachable states (R_i(j) = 0) divide by 1 instead of 0.
+    den = log_r[:-1, 1:]
+    den = np.where(den > -np.inf, den, 0.0)
+    step = np.exp(log_e[:, None] + log_r[1:, :-1] - den)
+    for start in range(0, ks.size, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        left = ks[rows].copy()
+        u = rng.random((left.size, w)).T
+        # One position of every row at a time, each in a contiguous row.
+        bits = np.empty((w, left.size), dtype=bool)
+        for i in range(w):
+            np.less(u[i], step[i].take(left), out=bits[i])
+            left -= bits[i]
+        out[rows] = bits.T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ Randomness is counter-based: trials are processed in fixed-size chunks and
 chunk j draws from a Philox stream keyed by (seed, j), so every chunk's
 count is a pure function of (seed, j, chunk size).  Results are therefore
 bit-identical for a given seed regardless of the worker count.  A chunk
-draws only what its estimate reads: a threshold chunk, for a count-first
-model, one binomial draw of its trials at P(K >= m) (count_far); a
-full-decode chunk the number of its far rows, then their error vectors and
-true classes alone (sample_far), so no far row is tied to a trial index.
+draws only what its estimate reads: a threshold chunk one binomial draw of
+its trials at P(K >= m) (count_far); a full-decode chunk the number of its
+far rows, then their error vectors and true classes alone (sample_far), so
+no far row is tied to a trial index.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ PINNED = {
     "tail": ("a3fbd92476d7b64b4ea7010d6cc19a9d19b9aafada229c65df616f76a01a64d1", 2202),
     "bounds": ("70eec548ffaa3b39956ae89381cf10d48a8752e1e4ebe71d176bc584a0e32eba", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
-    "simulate": ("3e8c6f6213e1dbf31b7b7c7df2a2fe004d678c7f477e4e8877cc58e6770a9e30", 86),
+    "simulate": ("7c54a31999de3dc0208b68b70187e53cd5389935ee4fcc80884e4bf15bb492da", 86),
     "analyze": ("36b48ed967e0db7a54352a175178edab618d6591f74cf4094b10242699cb671f", 86),
     "figures": ("fabdc485cb0f2b5031cff1e4dbbddfbe83997e5e57fa37d51894c81494769858", 27),
 }

@@ -194,7 +194,7 @@ class TestModelProtocol:
     """DependenceModel is the one model type: it defines the shared methods,
     and each model, a subclass, adds only the hooks they are read from."""
 
-    SHARED = {"pmf", "tail", "sample", "sample_far", "count_far", "_draw", "_count_first"}
+    SHARED = {"pmf", "tail", "sample", "sample_far", "count_far", "_draw"}
     HOOKS = {"n", "count_pmf", "_positions", "joint_mass"}
 
     def test_base_defines_the_shared_methods(self):
@@ -206,13 +206,7 @@ class TestModelProtocol:
         fields = {f.name for f in dataclasses.fields(cls)}
         own = {name for name in vars(cls) if not name.startswith("__")} - fields
         # The pair's four joint cells restate its rates and f for its hooks.
-        # The independent and pair models draw count-first only for one
-        # rate (_count_first), and keep the word compare of unequal rates
-        # (_compare); the exchangeable model always draws count-first.
-        compare = {"_count_first", "_compare"}
-        extra = {
-            Independent: compare, PairModel: compare | {"joint_cells"}, ExchangeableModel: set()
-        }[cls]
+        extra = {Independent: set(), PairModel: {"joint_cells"}, ExchangeableModel: set()}[cls]
         assert own | (fields & self.HOOKS) == self.HOOKS | extra
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -20,7 +20,6 @@ from ecoc.prob_engine import (
     Independent,
     PairModel,
     _mark_smallest,
-    _word_limits,
     enumerate_outcomes,
     exchangeable_tail,
     pair_correlated_tail,
@@ -243,22 +242,15 @@ class TestDistributionalFidelity:
         n = model.n
         trials = 1_000_000
         cfg = SimConfig(trials=trials, seed=2024)
-        if _count_first(model):
-            # Each threshold estimate is a binomial draw of its own, so their
-            # differences are no histogram: the counts of one sample are, and
-            # each estimate lies within 4 sigma of its exact tail.
-            counts = np.bincount(model.sample(_chunk_rng(2024, 0), trials).sum(axis=1),
-                                 minlength=n + 1)
-            for m in range(n + 1):
-                tail = model.tail(m)
-                estimate = mc_threshold_error(model, m, cfg).error_rate
-                assert abs(estimate - tail) <= 4 * math.sqrt(tail * (1 - tail) / trials), m
-        else:
-            # Count histogram via thresholds: P(k >= m) differences give P(k = m).
-            tails = [
-                mc_threshold_error(model, m, cfg).error_rate for m in range(n + 1)
-            ] + [0.0]
-            counts = -np.diff(np.array(tails)) * trials
+        # Each threshold estimate is a binomial draw of its own, so their
+        # differences are no histogram: the counts of one sample are, and
+        # each estimate lies within 4 sigma of its exact tail.
+        counts = np.bincount(model.sample(_chunk_rng(2024, 0), trials).sum(axis=1),
+                             minlength=n + 1)
+        for m in range(n + 1):
+            tail = model.tail(m)
+            estimate = mc_threshold_error(model, m, cfg).error_rate
+            assert abs(estimate - tail) <= 4 * math.sqrt(tail * (1 - tail) / trials), m
         expected_dist = enumerate_outcomes(model)
         expected = np.array([expected_dist[k] for k in range(n + 1)]) * trials
         keep = expected >= 5
@@ -421,21 +413,12 @@ SAMPLE_IDS = [
 ]
 
 
-def _count_first(model) -> bool:
-    """The sampler's route: the counts first, from count_pmf, for every
-    exchangeable model and every profile of one rate; unequal rates
-    compare one raw word per classifier instead."""
-    return isinstance(model, ExchangeableModel) or model.profile._rate is not None
-
-
 class TestSamplers:
     COUNT = 2 * BLOCK_ROWS + 3  # two whole blocks and a partial one
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
-        # On a Philox and on a PCG64 generator, a word-compare count_far at
-        # k_min counts sample's rows with at least k_min errors and ends in
-        # the state sample leaves it in; a count-first one is one
+        # On a Philox and on a PCG64 generator, count_far is one
         # rng.binomial draw of count trials at P = P(K >= k_min), and draws
         # nothing at k_min = 0.
         n = model.n
@@ -453,36 +436,21 @@ class TestSamplers:
                     rng = make()
                     far = model.count_far(rng, self.COUNT, k_min)
                     assert type(far) is int
-                    if _count_first(model):
-                        ref, want = make(), self.COUNT
-                        if k_min:
-                            p = math.fsum(pmf[k_min:]) / math.fsum(pmf)
-                            want = ref.binomial(self.COUNT, p)
-                        assert far == want
-                    else:
-                        assert far == np.count_nonzero(bits.sum(axis=1) >= k_min)
+                    ref, want = make(), self.COUNT
+                    if k_min:
+                        p = math.fsum(pmf[k_min:]) / math.fsum(pmf)
+                        want = ref.binomial(self.COUNT, p)
+                    assert far == want
                     assert _state(rng) == _state(ref)
 
-    @pytest.mark.parametrize("model", SAMPLE_CASES[:7], ids=SAMPLE_IDS[:7])
+    # The one-rate iid and pair cases.
+    @pytest.mark.parametrize("model", SAMPLE_CASES[1:3] + SAMPLE_CASES[5:7],
+                             ids=SAMPLE_IDS[1:3] + SAMPLE_IDS[5:7])
     def test_blocked_draws_match_one_draw(self, model):
-        # Reference, word compare: every uniform drawn by one rng.random
-        # call; count first: every position key drawn by one rng.integers
-        # call, after the counts (and the pair's state uniforms), then the
-        # rows tied at the cut drawn again.
-        n, rates = model.n, np.asarray(model.profile.rates)
-        rng = _chunk_rng(5, 1)
-        if _count_first(model):
-            want = _far_by_reference(model, rng, self.COUNT, 0)
-        elif isinstance(model, Independent):
-            want = (rng.random((self.COUNT, n)) < rates).astype(np.uint8)
-        else:
-            want = np.zeros((self.COUNT, n), dtype=np.uint8)
-            if n > 2:
-                want[:, :-2] = rng.random((self.COUNT, n - 2)) < rates[:-2]
-            p11, p10, p01, _ = model.joint_cells
-            u = rng.random(self.COUNT)
-            want[:, -2] = u < p11 + p10
-            want[:, -1] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
+        # Reference: every position key drawn by one rng.integers call,
+        # after the counts (and the pair's state uniforms), then the rows
+        # tied at the cut drawn again.
+        want = _far_by_reference(model, _chunk_rng(5, 1), self.COUNT, 0)
         assert np.array_equal(model.sample(_chunk_rng(5, 1), self.COUNT), want)
 
     @settings(max_examples=60, deadline=None)
@@ -591,168 +559,6 @@ def _state(rng):
     return plain(rng.bit_generator.state)
 
 
-class TestRawWords:
-    """Every comparison is made on raw words; the bits must be those of the
-    float uniforms rng.random would have drawn."""
-
-    RATES = (
-        0.0, 5e-324, 2.0**-53, np.nextafter(2.0**-53, 0.0), 0.1, 0.18, 0.5,
-        np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0,
-    )
-    COUNT = 2 * BLOCK_ROWS + 3
-
-    def test_bits_match_float_uniforms(self):
-        model = Independent(ErrorProfile(self.RATES))
-        rates = np.array(self.RATES)
-        for seed in range(3):
-            ref = _chunk_rng(seed, 2)
-            want = ref.random((self.COUNT, len(rates))) < rates
-            rng = _chunk_rng(seed, 2)
-            assert np.array_equal(model.sample(rng, self.COUNT), want)
-            assert _state(rng) == _state(ref)
-            for k_min in range(len(rates) + 2):
-                rng = _chunk_rng(seed, 2)
-                far = model.count_far(rng, self.COUNT, k_min)
-                assert far == np.count_nonzero(want.sum(axis=1) >= k_min)
-                assert _state(rng) == _state(ref)
-
-    @staticmethod
-    def _words(rng, shape) -> np.ndarray:
-        """Raw words shifted to their top 53 bits: integers j < 2**53 such
-        that j * 2**-53 are the uniforms rng.random(shape) would return.
-        The exchangeable ranks are these integers, and the raw-word
-        compares of the other samplers are held to them."""
-        return rng.bit_generator.random_raw(shape) >> np.uint64(11)
-
-    def test_words_are_the_uniforms(self):
-        for shape in ((3, 5), (7,), (0, 4)):
-            j = self._words(_chunk_rng(4, 0), shape)
-            assert j.dtype == np.uint64 and j.max(initial=0) < 2**53
-            assert np.array_equal(j * 2.0**-53, _chunk_rng(4, 0).random(shape))
-
-    @staticmethod
-    def _edge_words(limits) -> np.ndarray:
-        """Raw words, one column per limit: the words at either side of
-        the limit and at both ends of the range, with the 11 bits below
-        the uniform all clear or all set."""
-        cols = []
-        for limit in limits:
-            js = [0, 1, limit - 1, limit, limit + 1, 2**53 - 1]
-            js = [min(max(j, 0), 2**53 - 1) for j in js]
-            cols.append([(j << 11) | low for j in js for low in (0, 2047)])
-        return np.array(cols, dtype=np.uint64).T
-
-    @staticmethod
-    def _serving(*blocks):
-        """A stand-in generator whose 64-bit word draws, rng.integers(0,
-        2**64, size, dtype=np.uint64), return the given blocks in turn, each
-        checked against the shape asked for."""
-        queue = list(blocks)
-
-        def integers(low, high, size, dtype):
-            assert (low, high, dtype) == (0, 1 << 64, np.uint64)
-            block = queue.pop(0)
-            assert block.shape == np.empty(size).shape
-            return block.copy()
-
-        return SimpleNamespace(integers=integers)
-
-    @pytest.mark.parametrize("kind", ["philox", "pcg64"])
-    def test_integer_words_are_the_raw_words(self, kind):
-        # On 64-bit generators the words the compares draw are the raw
-        # words, and leave the generator where random_raw does.
-        for shape in ((3, 5), (7,), (0, 4)):
-            rng, ref = (np.random.Generator(GENERATORS[kind](4)) for _ in range(2))
-            words = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-            assert np.array_equal(words, ref.bit_generator.random_raw(shape))
-            assert _state(rng) == _state(ref)
-
-    def test_whole_words_on_a_32_bit_generator(self):
-        # MT19937's raw outputs are 32-bit; the compares still read whole
-        # 64-bit words, so each column errs at its own rate (and the pair
-        # together at f), within 5 sigma.
-        trials = 20_000
-        pair = PairModel(ErrorProfile((0.1, 0.5, 0.3, 0.2)), 0.05)
-        for model in (Independent(ErrorProfile((0.1, 0.5) * 3)), pair):
-            bits = model.sample(np.random.Generator(np.random.MT19937(1)), trials)
-            rates = np.array(model.profile.rates)
-            means = bits.mean(axis=0)
-            if model is pair:
-                rates = np.append(rates, pair.f)
-                means = np.append(means, (bits[:, -2] & bits[:, -1]).mean())
-            sigma = np.sqrt(rates * (1 - rates) / trials)
-            assert (np.abs(means - rates) <= 5 * sigma).all(), (means, rates)
-
-    def test_independent_route_on_edge_words(self):
-        words = self._edge_words(_word_limits(self.RATES).tolist())
-        want = (words >> np.uint64(11)) * 2.0**-53 < np.array(self.RATES)
-        got = Independent(ErrorProfile(self.RATES)).sample(self._serving(words), len(words))
-        assert np.array_equal(got, want)
-
-    def test_pair_route_on_edge_words(self):
-        model = PairModel(ErrorProfile((0.3, 0.2, 0.25)), 0.1)
-        p11, p10, p01, _ = model.joint_cells
-        pair = self._edge_words(_word_limits((p11 + p10, p11, p11 + p10 + p01)).tolist())
-        pair = pair.T.reshape(-1)
-        other = self._edge_words(_word_limits((0.3,)).tolist())
-        other = np.resize(other, (pair.size, 1))
-        u = (pair >> np.uint64(11)) * 2.0**-53
-        want = np.empty((pair.size, 3), dtype=np.uint8)
-        want[:, 0] = (other[:, 0] >> np.uint64(11)) * 2.0**-53 < 0.3
-        want[:, 1] = u < p11 + p10
-        want[:, 2] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
-        got = model.sample(self._serving(other, pair), pair.size)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "rates",
-        [(1.0,) * 4, (1.0, 0.3, 1.0, 0.0, 1.0 - 2.0**-53, 1.0), (0.5, 1.0)],
-        ids=["one-rate", "mixed", "last"],
-    )
-    def test_rate_one_on_edge_words(self, rates):
-        # As a raw-word limit, e = 1's 2**64 wraps to 0; every word, 2**64 - 1
-        # included, must still err there.  A profile of the one rate 1
-        # compares no word: its counts, drawn first, are all n.
-        model = Independent(ErrorProfile(rates))
-        if _count_first(model):
-            assert model.sample(_chunk_rng(0, 0), self.COUNT).all()
-            assert model.count_far(_chunk_rng(0, 0), self.COUNT, len(rates)) == self.COUNT
-            return
-        words = self._edge_words(_word_limits(rates).tolist())
-        want = (words >> np.uint64(11)) * 2.0**-53 < np.array(rates)
-        assert np.array_equal(model.sample(self._serving(words), len(words)), want)
-        for k_min in range(len(rates) + 2):
-            far = model.count_far(self._serving(words), len(words), k_min)
-            assert far == np.count_nonzero(want.sum(axis=1) >= k_min)
-        assert want[:, np.array(rates) == 1.0].all()
-
-    @pytest.mark.parametrize(
-        "rates, f",
-        [((0.3, 1.0, 1.0), 1.0), ((0.3, 1.0, 0.4), 0.4), ((0.3, 0.6, 0.4), 0.0)],
-        ids=["all-three", "first-and-either", "either"],
-    )
-    def test_pair_limits_of_one_on_edge_words(self, rates, f):
-        # P11 + P10, P11 or P11 + P10 + P01 equal to 1: the pair's bits, on
-        # every row and on the far rows alone, where only the near rows'
-        # words are compared.
-        model = PairModel(ErrorProfile(rates), f)
-        p11, p10, p01, _ = model.joint_cells
-        limits = (p11 + p10, p11, p11 + p10 + p01)
-        assert 1.0 in limits
-        pair = self._edge_words(_word_limits(limits).tolist()).T.reshape(-1)
-        other = np.resize(self._edge_words(_word_limits(rates[:1]).tolist()), (pair.size, 1))
-        u = (pair >> np.uint64(11)) * 2.0**-53
-        want = np.empty((pair.size, 3), dtype=np.uint8)
-        want[:, 0] = (other[:, 0] >> np.uint64(11)) * 2.0**-53 < rates[0]
-        want[:, 1] = u < p11 + p10
-        want[:, 2] = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
-        for k_min in range(5):
-            bits = model.sample_far(self._serving(other, pair), pair.size, k_min)
-            assert np.array_equal(bits, want[want.sum(axis=1) >= k_min])
-            far = model.count_far(self._serving(other, pair), pair.size, k_min)
-            assert far == np.count_nonzero(want.sum(axis=1) >= k_min)
-
-
 class TestCountFirstEdges:
     """One-rate iid and pair models at the edge rates, through sample,
     sample_far and count_far: no bit set at e = 0, every bit at e = 1.  At
@@ -835,29 +641,134 @@ class TestOneRateLaw:
             assert _outcome_chi2_p(model, 200_000, seed) > 1e-4
 
 
+# Rates that stress the conditional-Bernoulli draw of unequal rates: both
+# ends of [0, 1], the smallest subnormal, rates whose linear suffix rows
+# underflow, and the rounding edges of a 53-bit uniform.
+EDGE_RATES = (
+    0.0, 5e-324, 1e-300, 1e-150, 2.0**-53, np.nextafter(2.0**-53, 0.0), 0.1, 0.18, 0.5,
+    np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0,
+)
+
+
+@st.composite
+def _unequal_models(draw):
+    """Independent and pair models of 2 to 24 rates, each an edge rate, a
+    power u^k (to the subnormals and past them to zero) or one less it."""
+    power = st.builds(lambda u, k: u**k, st.floats(0.01, 0.99), st.integers(1, 800))
+    rate = st.one_of(st.sampled_from(EDGE_RATES), power, power.map(lambda p: 1.0 - p))
+    n = draw(st.integers(2, 24))
+    profile = ErrorProfile(draw(st.lists(rate, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return Independent(profile)
+    lo, hi = prob_engine.pair_f_range(*profile.rates[-2:])
+    return PairModel(profile, draw(st.sampled_from([lo, hi, (lo + hi) / 2])))
+
+
+class TestUnequalRateLaw:
+    """Profiles of unequal rates draw their positions given K by
+    conditional Bernoulli: each row holds exactly its K, and the outcomes
+    follow joint_mass and a brute sampler that reads no count_pmf."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=_unequal_models(), seed=st.integers(0, 2**32 - 1))
+    @example(model=Independent(ErrorProfile((2e-176, 5e-176, 4e-149))), seed=0)
+    @example(model=PairModel(ErrorProfile((2.0**-53, 1.0)), 0.0), seed=0)
+    def test_rows_hold_exactly_their_count(self, model, seed):
+        # Every K of mass, with no 0/0 or log of zero on the way; the pair's
+        # own two bits come from its joint cells, so the rate checks read
+        # the other n - 2.  In the first example count_pmf[2] is the
+        # subnormal 5e-324, while a linear suffix row's R_0(2) underflows to
+        # zero; in the second, 1 - e1 - e2 + f rounds to -2**-53, and P00
+        # must be clamped to zero for count_pmf to be a distribution.
+        rng = np.random.default_rng(seed)
+        n = model.n
+        width = n - 2 if isinstance(model, PairModel) else n
+        rates = np.array(model.profile.rates[:width])
+        with np.errstate(divide="raise", invalid="raise"):
+            ks = np.repeat(np.flatnonzero(model.count_pmf() > 0), 8)
+            rows = model._positions(rng, ks)
+            assert np.array_equal(rows.sum(axis=1), ks)
+            assert not rows[:, :width][:, rates == 0.0].any()
+            assert rows[:, :width][:, rates == 1.0].all()
+            for k_min in sorted({1, n // 2, n}):
+                far = model.sample_far(rng, 500, k_min)
+                assert (far.sum(axis=1) >= k_min).all()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Independent(ErrorProfile((0.0, 1.0, 0.3))),
+            Independent(ErrorProfile((0.05, 0.3, 0.5, 0.12, 0.4, 0.22))),
+            PairModel(ErrorProfile((1.0, 0.2, 0.0, 1.0)), 0.0),
+            PairModel(ErrorProfile((0.1, 0.25, 0.33, 0.2, 0.3)), 0.0),
+            PairModel(ErrorProfile((0.1, 0.25, 0.33, 0.2, 0.3)), 0.2),
+            PairModel(ErrorProfile((0.3, 0.45, 0.1, 0.7, 0.6)), prob_engine.pair_f_range(0.7, 0.6)[0]),
+            PairModel(ErrorProfile((0.3, 0.45, 0.1, 0.7, 0.6)), 0.6),
+        ],
+        ids=["iid-0-1", "iid-6", "pair-ends-0-1", "pair-f-lo", "pair-f-hi", "pair-f-lo-positive",
+             "pair-f-hi-positive"],
+    )
+    def test_outcomes_follow_joint_mass(self, model):
+        for seed in (1, 2):
+            assert _outcome_chi2_p(model, 200_000, seed) > 1e-4
+
+    def test_matches_a_brute_sampler(self):
+        # 26 classifiers, two of them at 0 and 1, against one uniform per
+        # classifier (rng.random < rates), which reads no count_pmf: the K
+        # histograms by a two-sample chi-square (the bins pooled until each
+        # pair holds 20 rows), and each position's rate within 5 sigma of
+        # the difference of two samples.
+        trials, gen = 200_000, np.random.default_rng(26)
+        rates = gen.uniform(0.0, 0.5, 26)
+        rates[gen.permutation(26)[:2]] = (0.0, 1.0)
+        model = Independent(ErrorProfile(rates.tolist()))
+        for seed in (1, 2):
+            got = model.sample(_chunk_rng(seed, 0), trials).view(bool)
+            brute = _chunk_rng(seed, 1).random((trials, 26)) < rates
+            a, b = (np.bincount(x.sum(axis=1), minlength=27) for x in (got, brute))
+            groups, at = [], 0
+            for stop in range(27):
+                if a[at:stop + 1].sum() + b[at:stop + 1].sum() >= 20:
+                    groups.append((a[at:stop + 1].sum(), b[at:stop + 1].sum()))
+                    at = stop + 1
+            groups[-1] = tuple(np.add(groups[-1], (a[at:].sum(), b[at:].sum())))
+            ga, gb = np.array(groups, dtype=float).T
+            chi2 = ((ga - gb) ** 2 / (ga + gb)).sum()
+            assert sstats.chi2.sf(chi2, len(groups) - 1) > 1e-4, (chi2, len(groups))
+            sigma = np.sqrt(2 * rates * (1 - rates) / trials)
+            assert (np.abs(got.mean(axis=0) - brute.mean(axis=0)) <= 5 * sigma).all()
+
+    def test_rates_on_a_32_bit_generator(self):
+        # On MT19937, whose raw outputs are 32-bit, each column errs at its
+        # own rate (and the pair together at f), within 5 sigma.
+        trials = 20_000
+        pair = PairModel(ErrorProfile((0.1, 0.5, 0.3, 0.2)), 0.05)
+        for model in (Independent(ErrorProfile((0.1, 0.5) * 3)), pair):
+            bits = model.sample(np.random.Generator(np.random.MT19937(1)), trials)
+            rates = np.array(model.profile.rates)
+            means = bits.mean(axis=0)
+            if model is pair:
+                rates = np.append(rates, pair.f)
+                means = np.append(means, (bits[:, -2] & bits[:, -1]).mean())
+            sigma = np.sqrt(rates * (1 - rates) / trials)
+            assert (np.abs(means - rates) <= 5 * sigma).all(), (means, rates)
+
+
 class TestFarRows:
     COUNTS = (0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_far_rows_are_the_rows_of_sample(self, model):
-        # The word-compare samplers, which draw every word, keep sample's
-        # rows with at least k_min errors, in trial order, and leave the
-        # stream where sample does.  A count-first sampler draws its far
-        # rows first (checked against _far_by_reference); at k_min = 0
-        # they are sample's rows, and its state.
-        n = model.n
-        every_word = not _count_first(model)
-        for k_min in sorted({0, 1, build_code_matrix(n).far_flips, n, n + 1}):
-            if not (every_word or k_min == 0):
-                continue
-            for count in self.COUNTS:
-                ref = _chunk_rng(8, 3)
-                want = model.sample(ref, count)
-                rng = _chunk_rng(8, 3)
-                bits = model.sample_far(rng, count, k_min)
-                assert bits.dtype == np.uint8
-                assert np.array_equal(bits, want[want.sum(axis=1) >= k_min])
-                assert _state(rng) == _state(ref), (k_min, count)
+        # sample is the far path at k_min = 0: every row is far, no
+        # binomial is drawn, and the rows and the state are sample's.
+        for count in self.COUNTS:
+            ref = _chunk_rng(8, 3)
+            want = model.sample(ref, count)
+            rng = _chunk_rng(8, 3)
+            bits = model.sample_far(rng, count, 0)
+            assert bits.dtype == np.uint8 and bits.shape == (count, model.n)
+            assert np.array_equal(bits, want)
+            assert _state(rng) == _state(ref), count
 
 
 def _far_by_reference(model, rng, count, k_min):
@@ -1135,15 +1046,14 @@ class TestUniformSubsets:
 
 
 class TestCountFar:
-    """count_far of a count-first model is the binomial draw that opens
-    sample_far: from one generator state, count_far(rng, c, k) ==
-    len(sample_far(rng, c, k)), on three bit generators."""
+    """count_far is the binomial draw that opens sample_far: from one
+    generator state, count_far(rng, c, k) == len(sample_far(rng, c, k)),
+    on three bit generators."""
 
     COUNT = 2 * BLOCK_ROWS + 3
-    MODELS = [(i, m) for i, m in zip(SAMPLE_IDS, SAMPLE_CASES) if _count_first(m)]
 
     @pytest.mark.parametrize("kind", list(GENERATORS))
-    @pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[i for i, _ in MODELS])
+    @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_equals_len_sample_far(self, model, kind):
         for k_min in range(model.n + 2):
             for seed in (0, 1):
@@ -1292,23 +1202,17 @@ class TestCountDistribution:
 
     @pytest.mark.parametrize("model", COUNT_CASES, ids=COUNT_IDS)
     def test_sample_counts_follow_the_exact_pmf(self, model):
-        # The histogram of one draw's counts.  For a word-compare sampler
-        # it is taken as differences of count_far at k and k + 1 on the same
-        # stream; a count-first count_far is one binomial per k, so its
-        # differences are no histogram, and the rows of sample are counted.
+        # The histogram of one draw's counts: count_far is one binomial per
+        # k, so its differences are no histogram, and the rows of sample are
+        # counted.
         n = model.n
         exact = [model.count_pmf()]
         if n <= 12:
             oracle = enumerate_outcomes(model)
             exact.append(np.array([oracle[k] for k in range(n + 1)]))
         for seed in (101, 202):
-            if _count_first(model):
-                ks = model.sample(_chunk_rng(seed, 0), self.TRIALS).sum(axis=1)
-                observed = np.bincount(ks, minlength=n + 1)
-            else:
-                tails = [model.count_far(_chunk_rng(seed, 0), self.TRIALS, k)
-                         for k in range(n + 2)]
-                observed = -np.diff(tails)
+            ks = model.sample(_chunk_rng(seed, 0), self.TRIALS).sum(axis=1)
+            observed = np.bincount(ks, minlength=n + 1)
             for pmf in exact:
                 p_value = _pooled_chi2_p(observed, pmf * self.TRIALS)
                 assert p_value > 1e-4, (seed, p_value)

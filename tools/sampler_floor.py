@@ -12,7 +12,8 @@ modes (threshold at m = code.m, full-decode), it prints:
   uniform per far row for its count and the pair's one state uniform per
   far row, the 16-bit position keys, four to a word, and the far rows'
   true classes, drawn by rng.integers in 32-bit halves.  A profile of
-  unequal rates draws one word per classifier and trial.
+  unequal rates draws one rng.random uniform per classifier and far row
+  in place of the keys.
 - one worker and two workers: the best time of --repeat runs of
   mc_threshold_error or mc_decode_error, in process, with workers=1 and 2.
 - random_raw: the best time of --repeat runs of bare Philox random_raw
