@@ -18,7 +18,6 @@ from .code_matrix import (
     CodeMatrix,
     build_code_matrix,
     count_misdecoded,
-    decode,
     min_row_distance,
     nearest_rows,
     sylvester_hadamard,
@@ -67,7 +66,6 @@ __all__ = [
     "chernoff_lambda",
     "chernoff_mu_bound",
     "count_misdecoded",
-    "decode",
     "enumerate_outcomes",
     "evaluate_bounds",
     "exchangeable_tail",

@@ -3,7 +3,8 @@
 Matrices are built by truncating a {0,1} Sylvester-type Hadamard matrix of
 dimension 2^k down to a square num_classes x num_classes block.  Each row is
 a class codeword; each column defines one binary classifier.  Decoding picks
-the row nearest in Hamming distance.
+the row nearest in Hamming distance, ties to the lowest index: one kernel,
+_misdecoded, for fold analysis, the simulator and count_misdecoded.
 """
 
 from __future__ import annotations
@@ -234,16 +235,17 @@ def _signs(bits: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _correlations(words, code: CodeMatrix) -> np.ndarray:
-    """The +-1 correlation n - 2 * Hamming distance of each word of a
-    (count, n) bit array with each code row, a (count, num_classes) float32
-    array from one BLAS matrix product, exact for n < 2**24."""
-    w = np.asarray(words)
-    if w.ndim != 2 or w.shape[1] != code.n:
-        raise ValueError(f"words of shape {w.shape} do not match code n={code.n}")
-    if not _all_bits(w):
-        raise ValueError("word entries must be 0 or 1")
-    return _signs(w) @ _signs(code.matrix).T
+def _correlations(words: np.ndarray, code: CodeMatrix) -> np.ndarray:
+    """The +-1 correlation n - 2 * Hamming distance of each of the checked
+    (count, n) 0/1 words with each code row: a (count, num_classes) float32
+    BLAS product, exact for n < 2**24."""
+    return _signs(words) @ _signs(code.matrix).T
+
+
+def _misdecoded(words: np.ndarray, truth: np.ndarray, code: CodeMatrix) -> int:
+    """How many checked (count, n) 0/1 words decode, nearest row with ties to
+    the lowest index, to other than their truth: every caller's one decode."""
+    return int((_correlations(words, code).argmax(axis=1) != truth).sum())
 
 
 def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +255,12 @@ def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:
     Ties resolve to the lowest row index.  Entries other than 0 and 1 are
     rejected with ValueError.
     """
-    corr = _correlations(words, code)
+    w = np.asarray(words)
+    if w.ndim != 2 or w.shape[1] != code.n:
+        raise ValueError(f"words of shape {w.shape} do not match code n={code.n}")
+    if not _all_bits(w):
+        raise ValueError("word entries must be 0 or 1")
+    corr = _correlations(w, code)
     idx = corr.argmax(axis=1)
     best = np.take_along_axis(corr, idx[:, None], axis=1)[:, 0]
     return idx, (code.n - best.astype(np.int64)) // 2
@@ -281,21 +288,7 @@ def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
         e = e.astype(bool)
     far = np.flatnonzero(_row_counts(e) >= code.far_flips)
     truth = classes[far]
-    decoded, _ = nearest_rows(code.matrix[truth] ^ e[far], code)
-    return int((decoded != truth).sum())
-
-
-def decode(word, code: CodeMatrix, report_ties: bool = False):
-    """Index of the codeword nearest to a 1-D bit word in Hamming distance.
-
-    Ties always resolve to the lowest row index; with report_ties=True the
-    result is (index, tie_flag) instead of a bare index.
-    """
-    corr = _correlations(np.asarray(word)[None], code)[0]
-    idx = int(corr.argmax())
-    if report_ties:
-        return idx, int((corr == corr[idx]).sum()) > 1
-    return idx
+    return _misdecoded(code.matrix[truth] ^ e[far], truth, code)
 
 
 def to_text(code: CodeMatrix) -> str:

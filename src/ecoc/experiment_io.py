@@ -39,7 +39,7 @@ import numpy as np
 
 from . import code_matrix
 from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
-from .code_matrix import CodeMatrix, _all_bits, build_code_matrix, nearest_rows
+from .code_matrix import CodeMatrix, _all_bits, _misdecoded, build_code_matrix
 from .errors import DomainError, ParseError
 
 # Admissible range of each numeric summary column, in file order.
@@ -439,9 +439,9 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
     mean_corr = float(pair_cs.mean()) if pair_cs.size else 0.0
 
     # A far sample's word is its predicted bits: its codeword with its
-    # errors flipped.  Only far samples can decode wrongly.
-    decoded, _ = nearest_rows(data.bits[far], code)
-    ecoc_error = int((decoded != data.true_classes[far]).sum()) / num
+    # errors flipped.  Only far samples can decode wrongly; FoldData has
+    # checked the bits.
+    ecoc_error = _misdecoded(data.bits[far], data.true_classes[far], code) / num
 
     return FoldSummary(
         fold_id=data.fold_id,

@@ -42,10 +42,8 @@ caller reads:
   independent rows conditioned on K >= k_min, the law of the far rows of
   count trials.  At k_min = 0, sample, every row is far and no binomial
   is drawn.
-- The counts are drawn by _draw_counts: the values and generator state of
-  rng.choice(len(p), size, p), read from a 2**12-bucket inverse-cdf table,
-  with searchsorted only for the uniforms in buckets that hold a cdf
-  entry.
+- The counts are drawn by rng.choice over count_pmf truncated at k_min,
+  one uniform per far row.
 
 Given K, the positions of independent classifiers come from the profile's
 position route, _subsets, chosen like _row by the profile's one rate:
@@ -99,11 +97,6 @@ BLOCK_ROWS = 1024
 
 # Position keys are 16-bit: rng.integers draws four from one 64-bit word.
 _KEY_BOUND = 1 << 16
-
-# The count draw's inverse-CDF table has this many equal buckets of [0, 1).
-_COUNT_BUCKETS = 1 << 12
-# Generator.choice's tolerance on the sum of p.
-_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,8 @@ class DependenceModel:
         far = _far_count(rng, pmf, count, k_min)
         if not far:
             return np.empty((0, self.n), dtype=bool)
-        return self._positions(rng, k_min + _draw_counts(rng, pmf[k_min:], far))
+        tail = pmf[k_min:]
+        return self._positions(rng, k_min + rng.choice(tail.size, far, p=tail / tail.sum()))
 
     def _check_draw(self, count, k_min) -> None:
         """The checks made before any word is drawn: the width rule of
@@ -430,41 +424,6 @@ def _check_number(name: str, value) -> None:
     float64 is a float) is let through before the numbers.Real check."""
     if not isinstance(value, (float, int)) and not isinstance(value, numbers.Real):
         raise ValueError(f"{name}={value!r} is not a number")
-
-
-def _draw_counts(rng: np.random.Generator, pmf: np.ndarray, count: int) -> np.ndarray:
-    """rng.choice(len(pmf), size=count, p=pmf / pmf.sum()): the same int64
-    values from the same rng.random(count) uniforms, and the same
-    ValueError, before any draw, for a p that choice rejects.
-
-    choice returns, for each uniform u, the number of entries of its cdf
-    that are at most u.  Here the cdf and the uniforms are scaled by
-    _COUNT_BUCKETS, which is exact, and a table gives that number for each
-    bucket [b, b + 1) that holds no cdf entry strictly inside it; only the
-    uniforms in the other buckets, at most one per entry, are looked up by
-    searchsorted."""
-    p = pmf / pmf.sum()
-    total = p.sum()
-    if np.isnan(total):
-        raise ValueError("Probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("Probabilities are not non-negative")
-    if abs(total - 1.0) > _P_ATOL:
-        raise ValueError("Probabilities do not sum to 1")
-    # choice's cdf, p.cumsum() / its last entry, scaled to the buckets.
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    cdf *= _COUNT_BUCKETS
-    # Entries at most b are those whose ceiling is at most b.
-    table = np.bincount(np.ceil(cdf).astype(np.intp), minlength=_COUNT_BUCKETS + 1)
-    table = table.cumsum()[:_COUNT_BUCKETS]
-    table[cdf[cdf != np.floor(cdf)].astype(np.intp)] = -1
-    u = rng.random(count)
-    u *= _COUNT_BUCKETS
-    ks = table[u.astype(np.intp)]
-    inside = np.flatnonzero(ks < 0)
-    ks[inside] = cdf.searchsorted(u[inside], side="right")
-    return ks
 
 
 def _far_count(rng: np.random.Generator, pmf: np.ndarray, count: int, k_min: int):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_matrix import CodeMatrix, count_misdecoded
+from .code_matrix import CodeMatrix, _misdecoded
 from .prob_engine import DependenceModel, _check_count, _check_integer
 
 DEFAULT_SEED = 60428  # 0xEC0C
@@ -117,9 +117,11 @@ def mc_decode_error(
     flips its codeword at the sampled error positions, and decodes by nearest
     row with lowest-index tie breaking.  Only trials with at least
     code.far_flips flips can decode wrongly, so only those error vectors are
-    drawn by the sampler (sample_far) and decoded (see count_misdecoded);
-    the classes, independent of the flips, are drawn for those rows alone,
-    from where the sampler leaves the stream.
+    drawn by the sampler (sample_far) and decoded (code_matrix._misdecoded,
+    the kernel of count_misdecoded); the classes, independent of the flips,
+    are drawn for those rows alone, from where the sampler leaves the
+    stream.  The sampler's rows are n-wide and 0/1 and the classes are
+    drawn in range, so only model.n and true_class are checked here.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -134,6 +136,6 @@ def mc_decode_error(
             classes = rng.integers(0, code.num_classes, size=len(bits))
         else:
             classes = np.full(len(bits), true_class)
-        return count_misdecoded(bits.view(bool), classes, code)
+        return _misdecoded(code.matrix[classes] ^ bits, classes, code)
 
     return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)

@@ -17,7 +17,6 @@ from ecoc.code_matrix import (
     CodeMatrix,
     build_code_matrix,
     count_misdecoded,
-    decode,
     from_text,
     min_row_distance,
     nearest_rows,
@@ -246,22 +245,29 @@ class TestBuild:
 
 
 class TestDecode:
+    """Recovery by nearest_rows: every word within the correction radius
+    decodes to its own row."""
+
     def test_codewords_decode_to_self(self):
         for n in (2, 10, 26):
             code = build_code_matrix(n)
-            for i in range(n):
-                assert decode(code.matrix[i], code) == i
+            idx, dist = nearest_rows(code.matrix, code)
+            assert idx.tolist() == list(range(n)) and not dist.any()
 
     def test_recovery_below_half_distance(self):
         code = build_code_matrix(26)
         rng = np.random.default_rng(42)
         flips = code.m - 1
+        classes, words = [], []
         for _ in range(1000):
             i = int(rng.integers(0, 26))
             word = code.matrix[i].copy()
             pos = rng.choice(26, size=flips, replace=False)
             word[pos] ^= 1
-            assert decode(word, code) == i
+            classes.append(i)
+            words.append(word)
+        idx, dist = nearest_rows(np.array(words), code)
+        assert idx.tolist() == classes and (dist == flips).all()
 
     def test_exhaustive_recovery_small_codes(self):
         for n in (8, 12):
@@ -271,18 +277,13 @@ class TestDecode:
                     for pos in itertools.combinations(range(n), k):
                         word = code.matrix[i].copy()
                         word[list(pos)] ^= 1
-                        assert decode(word, code) == i
-
-    def test_tie_reporting(self):
-        code = CodeMatrix(np.array([[0, 0], [1, 1]]))
-        assert decode([0, 1], code) == 0
-        assert decode([0, 1], code, report_ties=True) == (0, True)
-        assert decode([0, 0], code, report_ties=True) == (0, False)
+                        idx, _ = nearest_rows(word[None], code)
+                        assert idx.tolist() == [i]
 
     def test_length_mismatch(self):
         code = build_code_matrix(10)
         with pytest.raises(ValueError):
-            decode([0, 1, 0], code)
+            nearest_rows([[0, 1, 0]], code)
 
 
 @st.composite
@@ -312,9 +313,6 @@ class TestNearestRows:
             brute = (matrix != w).sum(axis=1)
             want = int(brute.argmin())
             assert (int(i), int(d)) == (want, int(brute[want]))
-            tie = int((brute == brute[want]).sum()) > 1
-            assert decode(w, code) == want
-            assert decode(w, code, report_ties=True) == (want, tie)
         pairs = itertools.combinations(range(matrix.shape[0]), 2)
         brute_d = min(int((matrix[a] != matrix[b]).sum()) for a, b in pairs)
         assert min_row_distance(matrix) == code.d == brute_d
@@ -332,8 +330,6 @@ class TestNearestRows:
         word[4] = entry
         with pytest.raises(ValueError, match="0 or 1"):
             nearest_rows(np.stack([code.matrix[0], word]), code)
-        with pytest.raises(ValueError, match="0 or 1"):
-            decode(word, code)
 
     def test_shape_mismatch(self):
         code = build_code_matrix(10)

@@ -764,19 +764,15 @@ class TestAnalyzeFold:
 
 def _exact_decode_error(code, rate):
     """Exact decoding error under iid bit flips, averaged over true classes
-    (small codes only)."""
-    from ecoc.code_matrix import decode
-
+    (small codes only): one nearest_rows call over every class's codeword
+    with each of the 2^n flip patterns."""
     n = code.n
-    total = 0.0
-    for cls in range(code.num_classes):
-        for bits in range(1 << n):
-            vec = np.array([(bits >> i) & 1 for i in range(n)], dtype=np.uint8)
-            p = rate ** vec.sum() * (1 - rate) ** (n - vec.sum())
-            word = np.bitwise_xor(code.matrix[cls], vec)
-            if decode(word, code) != cls:
-                total += p
-    return total / code.num_classes
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    flips = bits.sum(axis=1)
+    p = rate**flips * (1 - rate) ** (n - flips)
+    decoded, _ = nearest_rows((code.matrix[:, None, :] ^ bits).reshape(-1, n), code)
+    wrong = decoded.reshape(code.num_classes, -1) != np.arange(code.num_classes)[:, None]
+    return math.fsum((p * wrong.mean(axis=0)).tolist())
 
 
 class TestBoundReport:

@@ -293,13 +293,13 @@ class TestDecode:
 
     def test_true_class_zero(self, monkeypatch):
         # Class 0 is a valid pin: every kept trial is decoded from it.
-        seen, count_misdecoded = [], simulator.count_misdecoded
+        seen, misdecoded = [], simulator._misdecoded
 
-        def spy(bits, classes, code):
+        def spy(words, classes, code):
             seen.append(classes)
-            return count_misdecoded(bits, classes, code)
+            return misdecoded(words, classes, code)
 
-        monkeypatch.setattr(simulator, "count_misdecoded", spy)
+        monkeypatch.setattr(simulator, "_misdecoded", spy)
         code = build_code_matrix(10)
         model = Independent(ErrorProfile.iid(10, 0.2))
         result = mc_decode_error(model, code, SimConfig(trials=5_000, seed=4), true_class=0)
@@ -934,83 +934,6 @@ class TestFarFirstLaw:
                 assert _pooled_chi2_p(observed, tail / tail.sum() * ks.size) > 1e-4
 
 
-@st.composite
-def _count_pmfs(draw):
-    """pmfs of 1 to 1,001 entries: weights with zeros among them, spread
-    or skewed so that most of the cdf lies in its last bucket; a single
-    nonzero entry; integer weights whose sum is a power of two, so that the
-    cdf lies on bucket edges when that sum is at most 2**12; and binomial
-    rows."""
-    n = draw(st.one_of(st.integers(0, 30), st.integers(0, 1000)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["weights", "single", "edges", "binomial"]))
-    if kind == "weights":
-        w = rng.exponential(size=n + 1) ** draw(st.sampled_from([1, 8, 40]))
-        w[rng.random(n + 1) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
-        w[rng.integers(0, n + 1)] += 1.0
-    elif kind == "single":
-        w = np.zeros(n + 1)
-        w[draw(st.integers(0, n))] = draw(st.sampled_from([1e-300, 1.0, 1e300]))
-    elif kind == "edges":
-        w = rng.integers(0, draw(st.sampled_from([2, 64, 4096])), size=n + 1).astype(float)
-        w[rng.integers(0, n + 1)] += 2.0 ** math.ceil(math.log2(w.sum() + 1)) - w.sum()
-    else:
-        w = prob_engine._binomial_row(n, draw(st.sampled_from([1e-3, 0.0686, 0.5, 0.97])))
-    return w
-
-
-class TestCountDraw:
-    """The exchangeable counts: _draw_counts against rng.choice."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        pmf=_count_pmfs(),
-        count=st.one_of(st.integers(0, 50), st.integers(0, 3000)),
-        seed=st.integers(0, 2**64 - 1),
-        kind=st.sampled_from(["philox", "pcg64"]),
-    )
-    def test_equals_choice(self, pmf, count, seed, kind):
-        make = {"philox": np.random.Philox, "pcg64": np.random.PCG64}[kind]
-        ref, rng = np.random.Generator(make(seed)), np.random.Generator(make(seed))
-        want = ref.choice(len(pmf), size=count, p=pmf / pmf.sum())
-        got = prob_engine._draw_counts(rng, pmf, count)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert _state(rng) == _state(ref)
-
-    @pytest.mark.parametrize("entries", [1, 30, 900])
-    def test_uniforms_on_cdf_entries(self, entries):
-        # cdf entries equal to uniforms the generator is about to draw (as
-        # multiples of 2**-53 their differences, partial sums and total are
-        # exact): choice counts an entry equal to u as at most u, and so
-        # must the table.
-        for seed in range(4):
-            u = _chunk_rng(seed, 5).random(2000)
-            cdf = np.unique(np.append(np.random.default_rng(seed).choice(u, entries), 1.0))
-            pmf = np.diff(cdf, prepend=0.0)
-            want = _chunk_rng(seed, 5).choice(len(pmf), size=2000, p=pmf / pmf.sum())
-            got = prob_engine._draw_counts(_chunk_rng(seed, 5), pmf, 2000)
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "pmf",
-        [[0.0, 0.0], [1.0, math.nan], [1.0, -0.5, 1.0], [math.inf, 1.0],
-         [1e308, 1e308], [-1.0, -1.0], [-0.0, 1.0]],
-        ids=["zeros", "nan", "negative", "inf", "overflow", "all-negative", "minus-zero"],
-    )
-    def test_rejects_what_choice_rejects(self, pmf):
-        pmf = np.array(pmf)
-        ref, rng = _chunk_rng(3, 0), _chunk_rng(3, 0)
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = ref.choice(len(pmf), size=50, p=pmf / pmf.sum())
-        except ValueError:
-            with pytest.raises(ValueError), np.errstate(invalid="ignore", over="ignore"):
-                prob_engine._draw_counts(rng, pmf, 50)
-        else:
-            assert np.array_equal(prob_engine._draw_counts(rng, pmf, 50), want)
-        assert _state(rng) == _state(ref)
-
-
 class TestUniformSubsets:
     """Positions given K are a uniform K-subset: a chi-square over all
     C(w, K) subsets at every K, w = 6 positions of iid and exchangeable
@@ -1260,5 +1183,44 @@ class TestExactDecodeError:
         exact = _exact_decode_error(model, code)
         assert 0.05 < exact < 0.5
         result = mc_decode_error(model, code, SimConfig(trials=self.TRIALS, seed=3))
+        sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        assert abs(result.error_rate - exact) <= 4 * sigma, (result.error_rate, exact)
+
+
+def _other_codes():
+    """Codes other than the default block: keep-top-left at 10 and 12
+    classes (d = 2 and 4), and 8 classes with rows 2 and 5 equal (d = 0, so
+    far_flips = 0 and every row is decoded)."""
+    yield "top-left-10", build_code_matrix(10, code_matrix.KEEP_TOP_LEFT)
+    yield "top-left-12", build_code_matrix(12, code_matrix.KEEP_TOP_LEFT)
+    matrix = build_code_matrix(8).matrix.copy()
+    matrix[5] = matrix[2]
+    yield "duplicate-rows-8", code_matrix.CodeMatrix(matrix)
+
+
+OTHER_CODE_IDS, OTHER_CODES = zip(*_other_codes())
+
+
+class TestOtherCodes:
+    """mc_decode_error on codes other than build_code_matrix(n)'s default
+    block, against the exact decode error of enumeration."""
+
+    TRIALS = 1 << 17
+
+    def test_the_codes(self):
+        assert [(c.d, c.far_flips) for c in OTHER_CODES] == [(2, 1), (4, 2), (0, 0)]
+
+    @pytest.mark.parametrize("kind", ["iid", "pair", "exchangeable"])
+    @pytest.mark.parametrize("code", OTHER_CODES, ids=OTHER_CODE_IDS)
+    def test_within_four_sigma(self, code, kind):
+        n = code.n
+        model = {
+            "iid": lambda: Independent(ErrorProfile.iid(n, 0.12)),
+            "pair": lambda: PairModel(ErrorProfile.iid(n, 0.15), 0.06),
+            "exchangeable": lambda: ExchangeableModel(n, 0.1, 0.03),
+        }[kind]()
+        exact = _exact_decode_error(model, code)
+        assert 0.05 < exact < 0.5
+        result = mc_decode_error(model, code, SimConfig(trials=self.TRIALS, seed=5))
         sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
         assert abs(result.error_rate - exact) <= 4 * sigma, (result.error_rate, exact)

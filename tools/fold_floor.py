@@ -12,7 +12,8 @@ count, the best time of --repeat runs of:
   taken as load_predictions less the two stages above;
 - errors + Gram: analyze_fold's block walk (experiment_io._fold_counts),
   the error blocks, their float32 Gram products and the far rows;
-- decode: nearest_rows over the far rows;
+- decode: code_matrix._misdecoded over the far rows, the decode and
+  compare that analyze_fold runs;
 - 1 thread and 2 threads: the command analyze --predictions over the three
   folds, in process, with its pool held to one and to two threads;
 - speed-up: 1 thread over 2 threads.
@@ -43,7 +44,8 @@ import numpy as np
 
 from ecoc import cli
 from ecoc import experiment_io as xio
-from ecoc.code_matrix import build_code_matrix, nearest_rows
+from ecoc import code_matrix
+from ecoc.code_matrix import build_code_matrix
 
 CLASSES = (26, 127)
 FOLDS = 3
@@ -99,7 +101,7 @@ def row(paths: list[Path], classes: int, repeat: int) -> tuple:
         lambda: xio._line_ends(body),
         lambda: xio.load_predictions(path),
         lambda: xio._fold_counts(fold, code),
-        lambda: nearest_rows(fold.bits[far], code),
+        lambda: code_matrix._misdecoded(fold.bits[far], fold.true_classes[far], code),
         repeat=repeat,
     )
     one, two = best(lambda: command(paths, classes, 1), lambda: command(paths, classes, 2),
