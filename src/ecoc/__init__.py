@@ -17,8 +17,6 @@ from .bounds import (
 from .code_matrix import (
     CodeMatrix,
     build_code_matrix,
-    count_misdecoded,
-    min_row_distance,
     nearest_rows,
     sylvester_hadamard,
 )
@@ -31,9 +29,6 @@ from .prob_engine import (
     PairModel,
     bahadur_range,
     enumerate_outcomes,
-    exchangeable_tail,
-    pair_correlated_tail,
-    tail_iid,
     valid_correlation_range,
 )
 from .simulator import (
@@ -65,22 +60,17 @@ __all__ = [
     "chernoff_bound",
     "chernoff_lambda",
     "chernoff_mu_bound",
-    "count_misdecoded",
     "enumerate_outcomes",
     "evaluate_bounds",
-    "exchangeable_tail",
     "feller_bound",
     "gs_bound",
     "kz_bound",
     "kz_value",
     "mc_decode_error",
     "mc_threshold_error",
-    "min_row_distance",
     "nearest_rows",
     "omega_factor",
-    "pair_correlated_tail",
     "sylvester_hadamard",
-    "tail_iid",
     "valid_correlation_range",
 ]
 

@@ -191,7 +191,7 @@ def kz_bound(
     bounding the binomial mass p(n-1, m-1, e) by omega^n drops a factor of
     (m/n)/e that the envelope actually carries.  Pass tight_envelope=True to
     keep that factor, which makes the value a guaranteed upper bound on
-    exchangeable_tail for all admissible inputs.
+    ExchangeableModel(n, e, c).tail(m) for all admissible inputs.
     """
     _check_number("c", c)
     _check_inputs(n, m, e, c, min_n=2)

@@ -4,7 +4,7 @@ Matrices are built by truncating a {0,1} Sylvester-type Hadamard matrix of
 dimension 2^k down to a square num_classes x num_classes block.  Each row is
 a class codeword; each column defines one binary classifier.  Decoding picks
 the row nearest in Hamming distance, ties to the lowest index: one kernel,
-_misdecoded, for fold analysis, the simulator and count_misdecoded.
+_misdecoded, for fold analysis and the simulator.
 """
 
 from __future__ import annotations
@@ -122,15 +122,6 @@ def _all_bits(a: np.ndarray) -> bool:
     return bool(((a == 0) | (a == 1)).all())
 
 
-def _row_counts(bits: np.ndarray) -> np.ndarray:
-    """True entries per row of a 2-D bool array, as float32: one float32
-    matrix-vector product with a ones vector, 1.6x (127 columns) to 3x (26
-    columns) as fast as summing the bytes.  Every partial sum is an integer
-    no larger than the row length, which the callers keep below EXACT_MAX_N
-    = 2**24 (_check_width), so each count is exact."""
-    return bits.view(np.uint8) @ np.ones(bits.shape[1], dtype=np.float32)
-
-
 def sylvester_hadamard(k: int) -> BitMatrix:
     """{0,1} Hadamard matrix of dimension 2^k by repeated doubling.
 
@@ -157,13 +148,9 @@ def sylvester_hadamard(k: int) -> BitMatrix:
     return h
 
 
-def min_row_distance(matrix: BitMatrix) -> int:
-    """Minimum Hamming distance over all unordered row pairs."""
-    return _gram_min_distance(_as_bits(matrix))
-
-
 def _gram_min_distance(bits: np.ndarray) -> int:
-    """min_row_distance of a matrix _as_bits has already checked."""
+    """Minimum Hamming distance over all unordered row pairs of a matrix
+    _as_bits has already checked."""
     rows, n = bits.shape
     if rows < 2:
         raise ValueError("need at least 2 rows")
@@ -203,7 +190,7 @@ def build_code_matrix(
       pairs (0, v) and (2^(k-1), u) give every nonzero v < 2^k as a xor of
       two distinct kept indices; xor with a constant keeps pairwise xors.
     - Hence d = min over v in 1..2^k - 1 of h[v, S].sum(): one integer
-      row sum of h.  min_row_distance(code.matrix) gives the same d by the
+      row sum of h.  CodeMatrix(code.matrix).d gives the same d by the
       generic Gram route.
     """
     if num_classes < 2:
@@ -264,31 +251,6 @@ def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:
     idx = corr.argmax(axis=1)
     best = np.take_along_axis(corr, idx[:, None], axis=1)[:, 0]
     return idx, (code.n - best.astype(np.int64)) // 2
-
-
-def count_misdecoded(errors, true_classes, code: CodeMatrix) -> int:
-    """Number of words that nearest_rows decodes to a class other than their
-    true one, where word i is the codeword of true_classes[i] with the bits
-    set in row i of the (count, n) flip pattern errors (bool or 0/1) flipped.
-
-    Only the words with at least code.far_flips flips can decode wrongly,
-    so only those are decoded; with duplicate rows (d = 0) that is all.
-    """
-    e = np.asarray(errors)
-    classes = np.asarray(true_classes)
-    if e.ndim != 2 or e.shape[1] != code.n:
-        raise ValueError(f"errors of shape {e.shape} do not match code n={code.n}")
-    if classes.shape != e.shape[:1] or not np.issubdtype(classes.dtype, np.integer):
-        raise ValueError(f"true_classes must be {e.shape[0]} integers")
-    if classes.size and not (0 <= classes.min() and classes.max() < code.num_classes):
-        raise ValueError(f"true classes outside 0..{code.num_classes - 1}")
-    if e.dtype != bool:
-        if not _all_bits(e):
-            raise ValueError("errors entries must be 0 or 1")
-        e = e.astype(bool)
-    far = np.flatnonzero(_row_counts(e) >= code.far_flips)
-    truth = classes[far]
-    return _misdecoded(code.matrix[truth] ^ e[far], truth, code)
 
 
 def to_text(code: CodeMatrix) -> str:

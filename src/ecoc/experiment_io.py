@@ -69,7 +69,9 @@ _SCATTER_GRID_POINTS = 101
 
 @dataclass(frozen=True)
 class FoldData:
-    """Raw per-sample predictions for one cross-validation fold."""
+    """Raw per-sample predictions for one cross-validation fold.  The checked
+    true_classes and bits are stored as read-only copies, so no later write
+    to the caller's arrays reaches an analysis unchecked."""
 
     fold_id: str
     n: int
@@ -95,6 +97,10 @@ class FoldData:
             )
         if not _all_bits(bits):
             raise ValueError("bits must be 0 or 1")
+        for name in ("true_classes", "bits"):
+            array = getattr(self, name).copy()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def num_samples(self) -> int:
@@ -392,10 +398,6 @@ def format_summaries(summaries: list[FoldSummary]) -> str:
     columns = SUMMARY_COLUMNS_STD if with_std else SUMMARY_COLUMNS
     rows = (dict(vars(s), fold=s.fold_id) for s in summaries)
     return csv_text(columns, _cells(columns, rows))
-
-
-def write_summaries(summaries: list[FoldSummary], path) -> None:
-    Path(path).write_text(format_summaries(summaries), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,11 @@ class PairModel(DependenceModel):
 
             p(k) = P11 * q(k-2) + (P10 + P01) * q(k-1) + P00 * q(k)
 
-        where terms with out-of-range index vanish.
+        where terms with out-of-range index vanish.  Summed from m at one
+        rate e, it is the paper's identity eps(n, m, e, f) =
+        f * eps(n-2, m-2, e) + 2(e - f) * eps(n-2, m-1, e) +
+        (1 - 2e + f) * eps(n-2, m, e), which the tests evaluate in exact
+        integers as an oracle.
         """
         p11, p10, p01, p00 = self.joint_cells
         # q_pad[j + 2] = q(j) for j = -2..n.
@@ -589,28 +593,6 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     return polys[0, : n + 1]
 
 
-def tail_iid(n: int, m: int, e: float) -> float:
-    """Probability that at least m of n iid classifiers err."""
-    return Independent(ErrorProfile.iid(n, e)).tail(m)
-
-
-# ---------------------------------------------------------------------------
-# one correlated pair
-
-
-def pair_correlated_tail(n: int, m: int, e: float, f: float) -> float:
-    """Probability of at least m errors, iid rate e, pair joint probability
-    f: the sum of PairModel.count_pmf from m.  Summed by k, that recursion
-    is the paper's identity on the n-2 independent classifiers,
-
-        eps(n, m, e, f) = f * eps(n-2, m-2, e) + 2(e - f) * eps(n-2, m-1, e)
-                          + (1 - 2e + f) * eps(n-2, m, e),
-
-    which the tests evaluate in exact integers as an oracle.
-    """
-    return PairModel(ErrorProfile.iid(n, e), f).tail(m)
-
-
 # ---------------------------------------------------------------------------
 # exchangeable classifiers
 
@@ -632,16 +614,11 @@ def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
     return 1.0 + c / (2.0 * e * (1.0 - e)) * quad
 
 
-def exchangeable_tail(n: int, m: int, e: float, c: float) -> float:
-    """Probability of at least m errors in the exchangeable model."""
-    return ExchangeableModel(n, e, c).tail(m)
-
-
 def correlation_correction(n: int, m: int, e: float, c: float) -> float:
     """0.5 c n (n-1) ((m-1)/(n-1) - e): the factor that the correlation c
     adds to the iid tail at m.  The exact exchangeable tail adds it times
     the binomial mass p(n-1, m-1, e) (the paper's closed form, which the
-    tests check against exchangeable_tail in exact integers); kz_value
+    tests check against ExchangeableModel.tail in exact integers); kz_value
     adds it times omega^n."""
     return 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
 

@@ -118,7 +118,7 @@ def mc_decode_error(
     row with lowest-index tie breaking.  Only trials with at least
     code.far_flips flips can decode wrongly, so only those error vectors are
     drawn by the sampler (sample_far) and decoded (code_matrix._misdecoded,
-    the kernel of count_misdecoded); the classes, independent of the flips,
+    the kernel fold analysis shares); the classes, independent of the flips,
     are drawn for those rows alone, from where the sampler leaves the
     stream.  The sampler's rows are n-wide and 0/1 and the classes are
     drawn in range, so only model.n and true_class are checked here.

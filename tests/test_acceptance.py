@@ -53,10 +53,7 @@ from ecoc.prob_engine import (
     Independent,
     PairModel,
     enumerate_outcomes,
-    exchangeable_tail,
-    pair_correlated_tail,
     pair_f_range,
-    tail_iid,
     valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_decode_error, mc_threshold_error
@@ -109,11 +106,7 @@ def test_criterion_2_pair_oracle_equivalence():
                     worst = max(worst, abs(dist[k] - oracle[k]))
                     tail_acc += oracle[k]
                     if k >= 1:
-                        worst = max(
-                            worst,
-                            abs(pair_correlated_tail(n, k, e, f) - tail_acc),
-                            abs(model.tail(k) - tail_acc),
-                        )
+                        worst = max(worst, abs(model.tail(k) - tail_acc))
     # A few heterogeneous profiles through the same recursion.
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -152,7 +145,7 @@ def test_criterion_3_exchangeable_oracle_equivalence():
                     worst = max(worst, abs(pmf[k] - oracle[k]))
                     worst = max(worst, abs(dist[k] - oracle[k]))
                 for m in range(1, n + 1):
-                    tail = exchangeable_tail(n, m, e, c)
+                    tail = ExchangeableModel(n, e, c).tail(m)
                     by_sum = sum(pmf[m:])
                     by_enum = sum(oracle[k] for k in range(m, n + 1))
                     worst = max(worst, abs(tail - by_sum), abs(tail - by_enum))
@@ -174,7 +167,7 @@ def test_criterion_4_bound_dominance():
         r = code.r
         for e in np.linspace(0.004, r * 0.999, 40):
             e = float(e)
-            exact = tail_iid(n, m, e)
+            exact = Independent(ErrorProfile.iid(n, e)).tail(m)
             if exact > feller_bound(n, m, e) + 1e-12:
                 violations.append(("feller", n, m, e))
             if exact > chernoff_bound(n, m, e) + 1e-12:
@@ -197,7 +190,7 @@ def test_criterion_4_bound_dominance():
             _, c_max = valid_correlation_range(n, e)
             for c in np.linspace(0.0, c_max, 6):
                 c = float(c)
-                exact = exchangeable_tail(n, m, e, c)
+                exact = ExchangeableModel(n, e, c).tail(m)
                 bound = kz_bound(n, m, e, c, tight_envelope=True)
                 if exact > bound + 1e-12:
                     violations.append(("kz", n, m, e, c))
@@ -217,7 +210,7 @@ def test_criterion_5_monotonicity():
         for e in np.concatenate([rates_below, rates_above]):
             e = float(e)
             fs = np.linspace(*pair_f_range(e, e), 12)
-            vals = [pair_correlated_tail(n, m, e, float(f)) for f in fs]
+            vals = [PairModel(ErrorProfile.iid(n, e), float(f)).tail(m) for f in fs]
             diffs = np.diff(vals)
             if e <= pivot and (diffs < -1e-12).any():
                 violations.append(("tail-up", n, m, e))
@@ -318,12 +311,12 @@ def test_criterion_8_monte_carlo_consistency():
             lo, hi = pair_f_range(e, e)
             f = float(rng.uniform(lo, hi))
             model = PairModel(ErrorProfile.iid(n, e), f)
-            exact = pair_correlated_tail(n, m, e, f)
+            exact = PairModel(ErrorProfile.iid(n, e), f).tail(m)
         else:
             lo, hi = valid_correlation_range(n, e)
             c = float(rng.uniform(0.0, hi))
             model = ExchangeableModel(n, e, c)
-            exact = exchangeable_tail(n, m, e, c)
+            exact = ExchangeableModel(n, e, c).tail(m)
         family += 1
         cfg = SimConfig(trials=1_000_000, seed=int(rng.integers(0, 2**31)))
         result = mc_threshold_error(model, m, cfg)

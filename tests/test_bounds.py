@@ -21,10 +21,9 @@ from ecoc.bounds import (
 from ecoc.errors import DomainError, ModelError
 from ecoc.prob_engine import (
     ErrorProfile,
+    ExchangeableModel,
     Independent,
     bahadur_range,
-    exchangeable_tail,
-    tail_iid,
     valid_correlation_range,
 )
 
@@ -195,7 +194,7 @@ class TestKz:
         n, m, e = 8, 2, 0.01
         _, c_max = bahadur_range(n, e)
         c = 0.5 * c_max
-        exact = exchangeable_tail(n, m, e, c)
+        exact = ExchangeableModel(n, e, c).tail(m)
         assert exact > kz_value(n, m, e, c) + 1e-6
         assert exact <= kz_bound(n, m, e, c, tight_envelope=True) + 1e-12
 
@@ -210,7 +209,7 @@ class TestKz:
                 continue
             _, c_max = bahadur_range(n, e)
             c = float(rng.uniform(0.0, c_max))
-            exact = exchangeable_tail(n, m, e, c)
+            exact = ExchangeableModel(n, e, c).tail(m)
             bound = kz_bound(n, m, e, c, tight_envelope=True)
             assert exact <= bound + 1e-12, (n, m, e, c)
 
@@ -221,7 +220,7 @@ class TestDominance:
             r = m / n
             for e in np.linspace(0.005, r * 0.999, 20):
                 e = float(e)
-                t = tail_iid(n, m, e)
+                t = Independent(ErrorProfile.iid(n, e)).tail(m)
                 assert t <= feller_bound(n, m, e) + 1e-12
                 assert t <= chernoff_bound(n, m, e) + 1e-12
 

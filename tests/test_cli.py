@@ -27,9 +27,8 @@ from ecoc.prob_engine import (
     ErrorProfile,
     ExchangeableModel,
     Independent,
+    PairModel,
     bahadur_range,
-    pair_correlated_tail,
-    tail_iid,
     valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_threshold_error
@@ -177,7 +176,6 @@ class TestTailCommand:
         )
         # --model iid dispatches to the independent-profile route.
         assert json.loads(out)["tail"] == Independent(ErrorProfile.iid(10, 0.1)).tail(4)
-        assert json.loads(out)["tail"] == pytest.approx(tail_iid(10, 4, 0.1), abs=1e-15)
 
     def test_pair_model(self, capsys):
         _, out, _ = run(
@@ -185,7 +183,7 @@ class TestTailCommand:
             "--f", "0.1", "--m", "3", "--format", "json",
         )
         assert json.loads(out)["tail"] == pytest.approx(
-            pair_correlated_tail(8, 3, 0.2, 0.1), abs=1e-15
+            PairModel(ErrorProfile.iid(8, 0.2), 0.1).tail(3), abs=1e-15
         )
 
     def test_missing_model_flag_is_domain_error(self, capsys):

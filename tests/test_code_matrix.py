@@ -16,13 +16,12 @@ from ecoc.code_matrix import (
     KEEP_TOP_LEFT,
     CodeMatrix,
     build_code_matrix,
-    count_misdecoded,
     from_text,
-    min_row_distance,
     nearest_rows,
     sylvester_hadamard,
     to_text,
 )
+from ecoc.experiment_io import FoldData, analyze_fold
 
 
 class TestSylvester:
@@ -81,10 +80,10 @@ class TestSylvester:
 
 class TestMinRowDistance:
     def test_identical_rows(self):
-        assert min_row_distance(np.array([[0, 0], [0, 0]])) == 0
+        assert CodeMatrix(np.array([[0, 0], [0, 0]])).d == 0
 
     def test_complementary_rows(self):
-        assert min_row_distance(np.array([[0, 1], [1, 0]])) == 2
+        assert CodeMatrix(np.array([[0, 1], [1, 0]])).d == 2
 
     def test_sylvester_three(self):
         h = sylvester_hadamard(3)
@@ -93,7 +92,7 @@ class TestMinRowDistance:
             for i, j in itertools.combinations(range(8), 2)
         )
         assert brute == 4
-        assert min_row_distance(h) == 4
+        assert CodeMatrix(h).d == 4
 
     def test_pair_across_row_blocks(self):
         # 600 rows span three 256-row blocks; the closest pair straddles two.
@@ -104,9 +103,9 @@ class TestMinRowDistance:
         brute = (m[:, None, :] != m[None, :, :]).sum(axis=2)
         np.fill_diagonal(brute, 41)
         assert brute.min() == 1
-        assert min_row_distance(m) == 1
+        assert CodeMatrix(m).d == 1
         m[520, 7] ^= 1
-        assert min_row_distance(m) == 0
+        assert CodeMatrix(m).d == 0
 
     def test_pair_inside_a_later_row_block(self):
         # Each row block is correlated only with itself and the rows after
@@ -115,16 +114,16 @@ class TestMinRowDistance:
         m = np.repeat(np.eye(600, dtype=np.uint8), 2, axis=1)
         m[599, :] = m[530, :]
         m[599, 0] ^= 1
-        assert min_row_distance(m) == 1
-        assert min_row_distance(m[rng.permutation(600)]) == 1
+        assert CodeMatrix(m).d == 1
+        assert CodeMatrix(m[rng.permutation(600)]).d == 1
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            min_row_distance(np.array([[0, 1, 0]]))
+            CodeMatrix(np.array([[0, 1, 0]])).d
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            min_row_distance(np.array([[0, 2], [1, 0]]))
+            CodeMatrix(np.array([[0, 2], [1, 0]])).d
 
     @pytest.mark.parametrize(
         "bad",
@@ -138,13 +137,11 @@ class TestMinRowDistance:
     )
     def test_rejects_each_kind_of_non_bit(self, bad):
         with pytest.raises(ValueError, match="0 or 1"):
-            min_row_distance(np.array(bad))
-        with pytest.raises(ValueError, match="0 or 1"):
             CodeMatrix(np.array(bad))
 
     def test_accepts_bool_and_float_bits(self):
         for bits in ([[False, True], [True, True]], [[0.0, 1.0], [1.0, 1.0]]):
-            assert min_row_distance(np.array(bits)) == 1
+            assert CodeMatrix(np.array(bits)).d == 1
             assert CodeMatrix(np.array(bits)).matrix.dtype == np.uint8
 
 
@@ -181,7 +178,7 @@ class TestBuild:
         # Both truncation corners of the 2x2 matrix leave rows (0,0)/(0,1).
         for orient in (KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT):
             code = build_code_matrix(2, orientation=orient)
-            assert code.d == min_row_distance(code.matrix) == 1
+            assert code.d == CodeMatrix(code.matrix).d == 1
             assert code.m == 0
 
     def test_eleven_class_parameters(self):
@@ -192,7 +189,7 @@ class TestBuild:
     def test_distance_params_recomputable(self):
         for n in (8, 10, 12, 16, 26):
             code = build_code_matrix(n)
-            assert min_row_distance(code.matrix) == code.d
+            assert CodeMatrix(code.matrix).d == code.d
             assert code.m == code.d // 2
 
     @pytest.mark.parametrize("orient", [KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT])
@@ -202,7 +199,7 @@ class TestBuild:
         # each power of two.
         for classes in [*range(2, 257), 511, 512, 513, 1000, 1023, 1024, 1025]:
             code = build_code_matrix(classes, orientation=orient)
-            assert code.d == min_row_distance(code.matrix), classes
+            assert code.d == CodeMatrix(code.matrix).d, classes
             assert code.m == code.d // 2
             assert code.matrix.shape == (classes, classes)
             assert code.matrix.flags.c_contiguous
@@ -212,7 +209,7 @@ class TestBuild:
         def no_gram(*args):
             raise AssertionError("Gram product called")
 
-        for name in ("min_row_distance", "_gram_min_distance", "_signs"):
+        for name in ("_gram_min_distance", "_signs"):
             monkeypatch.setattr(cm, name, no_gram)
         code = build_code_matrix(1000)
         assert (code.d, code.m) == (496, 248)
@@ -315,7 +312,7 @@ class TestNearestRows:
             assert (int(i), int(d)) == (want, int(brute[want]))
         pairs = itertools.combinations(range(matrix.shape[0]), 2)
         brute_d = min(int((matrix[a] != matrix[b]).sum()) for a, b in pairs)
-        assert min_row_distance(matrix) == code.d == brute_d
+        assert code.d == brute_d
 
     def test_two_row_tie_goes_to_lowest_index(self):
         code = CodeMatrix(np.array([[0, 0], [1, 1]]))
@@ -346,13 +343,26 @@ class TestNearestRows:
             CodeMatrix(long_rows)
 
 
+def _fold_misdecoded(errors, classes, code):
+    """How many samples analyze_fold decodes wrongly in the fold whose sample
+    i is the codeword of classes[i] with the bits set in row i of the
+    (count, n) flip pattern errors (bool or 0/1) flipped."""
+    fold = FoldData("f", code.n, classes, code.matrix[classes] ^ errors)
+    return round(analyze_fold(fold, code).ecoc_error * len(classes))
+
+
 def _misdecoded_by_decoding_every_row(errors, classes, code):
-    """Reference for count_misdecoded: decode every word."""
+    """Reference for the misdecoded count: decode every word."""
     idx, _ = nearest_rows(code.matrix[classes] ^ errors, code)
     return int((idx != classes).sum())
 
 
 class TestCountMisdecoded:
+    """The misdecoded count of a fold, as analyze_fold's ecoc_error gives
+    it: only samples with at least far_flips errors are decoded
+    (_fold_counts, then code_matrix._misdecoded), and that must count
+    exactly what a decode of every sample counts."""
+
     CODES = {
         "d3-odd": build_code_matrix(6),
         "d4-even": build_code_matrix(10),
@@ -376,13 +386,13 @@ class TestCountMisdecoded:
             else:
                 classes = rng.integers(0, code.num_classes, size=400)
             want = _misdecoded_by_decoding_every_row(errors, classes, code)
-            assert count_misdecoded(errors, classes, code) == want
-            assert count_misdecoded(errors.astype(np.uint8), classes, code) == want
+            assert _fold_misdecoded(errors, classes, code) == want
+            assert _fold_misdecoded(errors.astype(np.uint8), classes, code) == want
         if code.d == 0:
             # Equal rows: the higher-index copy decodes to the lower one even
             # without a flip.
             none = np.zeros((1, code.n), dtype=bool)
-            assert count_misdecoded(none, np.array([2]), code) == 1
+            assert _fold_misdecoded(none, np.array([2]), code) == 1
 
     @pytest.mark.parametrize("name", list(CODES))
     def test_far_flips_is_the_fewest_that_misdecode(self, name):
@@ -397,7 +407,7 @@ class TestCountMisdecoded:
         moved = np.flatnonzero(code.matrix[i] != code.matrix[j])[: code.far_flips]
         errors = np.zeros((1, code.n), dtype=bool)
         errors[0, moved] = True
-        assert count_misdecoded(errors, np.array([j]), code) == 1
+        assert _fold_misdecoded(errors, np.array([j]), code) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(code_and_words(), st.data())
@@ -410,32 +420,7 @@ class TestCountMisdecoded:
         )
         errors = words.astype(bool)
         want = _misdecoded_by_decoding_every_row(errors, classes, code)
-        assert count_misdecoded(errors, classes, code) == want
-
-    def test_rejects_bad_input(self):
-        code = build_code_matrix(10)
-        errors = np.zeros((3, 10), dtype=bool)
-        with pytest.raises(ValueError):
-            count_misdecoded(errors[:, :9], np.zeros(3, np.int64), code)
-        with pytest.raises(ValueError):
-            count_misdecoded(errors, np.zeros(2, np.int64), code)
-        with pytest.raises(ValueError, match=r"true classes outside 0\.\.9$"):
-            count_misdecoded(errors, np.array([0, 10, 1]), code)
-        with pytest.raises(ValueError, match=r"true classes outside 0\.\.9$"):
-            count_misdecoded(errors, np.array([0, -1, 1]), code)
-        with pytest.raises(ValueError):
-            count_misdecoded(np.full((3, 10), 2, np.uint8), np.zeros(3, np.int64), code)
-
-    def test_rejects_a_2_in_a_row_too_near_to_decode(self):
-        # A row whose only non-zero entry is a 2 counts 2 flips, fewer than
-        # the 26-class code's far_flips, so it would never be decoded; the
-        # entry check must reject it all the same.
-        code = build_code_matrix(26)
-        assert code.far_flips > 2
-        errors = np.zeros((1, code.n), np.uint8)
-        errors[0, 0] = 2
-        with pytest.raises(ValueError, match="0 or 1"):
-            count_misdecoded(errors, np.array([0]), code)
+        assert _fold_misdecoded(errors, classes, code) == want
 
 
 class TestSerialization:

@@ -42,7 +42,6 @@ from ecoc.experiment_io import (
     reproduce_reference_row,
     scatter_figure_data,
     write_predictions,
-    write_summaries,
 )
 from ecoc.prob_engine import ErrorProfile, Independent
 from ecoc.simulator import _chunk_rng
@@ -442,11 +441,11 @@ class TestSummariesIO:
             FoldSummary("2", 0.12, -0.01, 0.07),
         ]
         path = tmp_path / "summary.csv"
-        write_summaries(rows, path)
+        path.write_text(format_summaries(rows), encoding="utf-8")
         assert load_summaries(path) == rows
         text = path.read_text()
         assert text.splitlines()[0] == "fold,mean_bit_error,mean_correlation,ecoc_error"
-        write_summaries(load_summaries(path), path)
+        path.write_text(format_summaries(load_summaries(path)), encoding="utf-8")
         assert path.read_text() == text
 
     def test_mixed_std_round_trip(self):
@@ -615,6 +614,26 @@ class TestFoldData:
         bits = np.array([[True, False], [False, False]])
         write_predictions(FoldData("f", 2, np.array([1, 0]), bits), tmp_path / "f.csv")
         assert load_predictions(tmp_path / "f.csv").bits.tolist() == [[1, 0], [0, 0]]
+
+    def test_later_writes_do_not_reach_the_fold(self):
+        # The fold keeps read-only copies: a 2 written into the caller's
+        # bits, or a -3 into its classes (which np.take would wrap), after
+        # construction leaves the analysis as it was.
+        code = build_code_matrix(10)
+        rng = np.random.default_rng(9)
+        classes = rng.integers(0, 10, size=200)
+        bits = code.matrix[classes] ^ (rng.random((200, 10)) < 0.1)
+        noisy = FoldData("noisy", 10, classes, bits)
+        exact_classes = np.arange(200) % 10
+        exact = FoldData("exact", 10, exact_classes, code.matrix[exact_classes])
+        want = [analyze_fold(fold, code) for fold in (noisy, exact)]
+        bits[:, 0] = 2
+        exact_classes[:5] = -3
+        assert [analyze_fold(fold, code) for fold in (noisy, exact)] == want
+        with pytest.raises(ValueError, match="read-only"):
+            noisy.bits[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            exact.true_classes[0] = 0
 
 
 class TestAnalyzeFold:

@@ -24,11 +24,8 @@ from ecoc.prob_engine import (
     PairModel,
     bahadur_range,
     enumerate_outcomes,
-    exchangeable_tail,
-    pair_correlated_tail,
     pair_f_range,
     poisson_binomial_dist,
-    tail_iid,
     valid_correlation_range,
 )
 
@@ -103,7 +100,7 @@ def exact_pair_tail(n, m, e, f):
     return num, scale * exact_binomial(n - 2, e)[1]
 
 
-def exact_exchangeable_tail(n, m, e, c):
+def exact_tail_exchangeable(n, m, e, c):
     """The paper's closed form for the exchangeable tail, m >= 1: the iid
     tail plus the correlation correction times one binomial mass,
 
@@ -289,9 +286,9 @@ class TestExactRationals:
             raise AssertionError("poisson_binomial_dist called")
 
         calls = (
-            lambda: tail_iid(1000, 250, 0.0686),
-            lambda: pair_correlated_tail(127, 32, 0.18, 0.05),
-            lambda: exchangeable_tail(26, 6, 0.0686, 0.0058),
+            lambda: Independent(ErrorProfile.iid(1000, 0.0686)).tail(250),
+            lambda: PairModel(ErrorProfile.iid(127, 0.18), 0.05).tail(32),
+            lambda: ExchangeableModel(26, 0.0686, 0.0058).tail(6),
             lambda: Independent(ErrorProfile(["0.18"] * 127)).count_pmf()[32],
         )
         expected = [call() for call in calls]
@@ -434,7 +431,7 @@ class TestRateCheck:
 class TestIndependentTails:
     def test_degenerate_m_zero(self):
         assert Independent(ErrorProfile((0.4, 0.9))).tail(0) == 1.0
-        assert tail_iid(6, 0, 0.3) == 1.0
+        assert Independent(ErrorProfile.iid(6, 0.3)).tail(0) == 1.0
 
     def test_m_zero_still_validates_rate_and_size(self):
         # m = 0 returns 1.0 only once the rate and n describe a model.
@@ -444,7 +441,7 @@ class TestIndependentTails:
                               (0, 0.1, "n=0 must be at least 1$"),
                               (-3, 0.1, "n=-3 must be at least 1$")):
             with pytest.raises(ValueError, match=f"^{message}"):
-                tail_iid(n, 0, e)
+                Independent(ErrorProfile.iid(n, e)).tail(0)
 
     def test_product_case(self):
         assert Independent(ErrorProfile((0.1, 0.2))).tail(2) == pytest.approx(
@@ -457,15 +454,16 @@ class TestIndependentTails:
         assert Independent(ErrorProfile.iid(10, 0.1)).tail(4) == pytest.approx(
             ref, abs=1e-12
         )
-        assert tail_iid(10, 4, 0.1) == pytest.approx(ref, abs=1e-12)
 
     def test_iid_edge_cases(self):
-        assert tail_iid(8, 1, 0.2) == pytest.approx(1 - 0.8**8, abs=1e-12)
-        assert tail_iid(8, 3, 0.0) == 0.0
+        assert Independent(ErrorProfile.iid(8, 0.2)).tail(1) == pytest.approx(
+            1 - 0.8**8, abs=1e-12
+        )
+        assert Independent(ErrorProfile.iid(8, 0.0)).tail(3) == 0.0
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
-            tail_iid(5, 6, 0.1)
+            Independent(ErrorProfile.iid(5, 0.1)).tail(6)
         with pytest.raises(ValueError):
             Independent(ErrorProfile.iid(5, 0.1)).tail(-1)
 
@@ -531,8 +529,8 @@ class TestPairModel:
 class TestPairTail:
     def test_independence_reduces_to_iid(self):
         for n, m, e in ((4, 2, 0.2), (8, 3, 0.1), (6, 6, 0.35)):
-            assert pair_correlated_tail(n, m, e, e * e) == pytest.approx(
-                tail_iid(n, m, e), abs=1e-13
+            assert PairModel(ErrorProfile.iid(n, e), e * e).tail(m) == pytest.approx(
+                Independent(ErrorProfile.iid(n, e)).tail(m), abs=1e-13
             )
 
     def test_matches_two_stage_identity(self):
@@ -541,17 +539,17 @@ class TestPairTail:
         oracle = enumerate_outcomes(PairModel(ErrorProfile.iid(n, e), f))
         for m in range(1, n + 1):
             num, den = exact_pair_tail(n, m, e, f)
-            got = pair_correlated_tail(n, m, e, f)
+            got = PairModel(ErrorProfile.iid(n, e), f).tail(m)
             assert got == pytest.approx(num / den, rel=2e-15), m
             by_enum = sum(oracle[k] for k in range(m, n + 1))
             assert got == pytest.approx(by_enum, abs=1e-13), m
 
     def test_all_errors_needs_joint(self):
-        assert pair_correlated_tail(5, 5, 0.3, 0.0) == 0.0
+        assert PairModel(ErrorProfile.iid(5, 0.3), 0.0).tail(5) == 0.0
 
     def test_invalid_f(self):
         with pytest.raises(ModelError):
-            pair_correlated_tail(6, 3, 0.2, 0.3)
+            PairModel(ErrorProfile.iid(6, 0.2), 0.3).tail(3)
 
     def test_monotone_in_f_small_ebar(self):
         # Below (m-1)/(n-1) the tail is non-decreasing in the joint error
@@ -560,7 +558,7 @@ class TestPairTail:
         pivot = (m - 1) / (n - 1)
         for e in (0.05, 0.15, 0.25):
             fs = np.linspace(*pair_f_range(e, e), 12)
-            vals = [pair_correlated_tail(n, m, e, float(f)) for f in fs]
+            vals = [PairModel(ErrorProfile.iid(n, e), float(f)).tail(m) for f in fs]
             diffs = np.diff(vals)
             if e <= pivot:
                 assert (diffs >= -1e-12).all()
@@ -597,8 +595,8 @@ class TestExchangeable:
         n, e, c = 10, 0.1, 0.05
         oracle = enumerate_outcomes(ExchangeableModel(n, e, c))
         for m in range(1, n + 1):
-            num, den = exact_exchangeable_tail(n, m, e, c)
-            got = exchangeable_tail(n, m, e, c)
+            num, den = exact_tail_exchangeable(n, m, e, c)
+            got = ExchangeableModel(n, e, c).tail(m)
             assert got == pytest.approx(num / den, rel=2e-15), m
             by_enum = sum(oracle[k] for k in range(m, n + 1))
             assert got == pytest.approx(by_enum, abs=1e-12), m
@@ -618,16 +616,16 @@ class TestExchangeable:
                     assert oracle[k] == pytest.approx(dist[k], abs=1e-13), (n, c, k)
 
     def test_tail_reduces_when_uncorrelated(self):
-        assert exchangeable_tail(12, 5, 0.2, 0.0) == pytest.approx(
-            tail_iid(12, 5, 0.2), abs=1e-14
+        assert ExchangeableModel(12, 0.2, 0.0).tail(5) == pytest.approx(
+            Independent(ErrorProfile.iid(12, 0.2)).tail(5), abs=1e-14
         )
 
     def test_tail_pivot_rate_kills_correction(self):
         n, m = 10, 4
         e = (m - 1) / (n - 1)
         for c in (0.0, 0.05, 0.1):
-            assert exchangeable_tail(n, m, e, c) == pytest.approx(
-                tail_iid(n, m, e), abs=1e-14
+            assert ExchangeableModel(n, e, c).tail(m) == pytest.approx(
+                Independent(ErrorProfile.iid(n, e)).tail(m), abs=1e-14
             )
 
     def test_degenerate_rate_rejected(self):
@@ -644,7 +642,7 @@ class TestExchangeable:
             with pytest.raises(ModelError):
                 ExchangeableModel(10, 0.1, c)
             with pytest.raises(ModelError):
-                exchangeable_tail(10, 3, 0.1, c)
+                ExchangeableModel(10, 0.1, c).tail(3)
 
 
 class TestClosedFormOracles:
@@ -659,13 +657,14 @@ class TestClosedFormOracles:
         for e in (0.0686, 0.18):
             c_lo, c_hi = valid_correlation_range(n, e)
             for m in (1, n // 8, n // 4, n // 2):
-                cases = [("iid", tail_iid(n, m, e), exact_iid_tail(n, m, e))]
+                got = Independent(ErrorProfile.iid(n, e)).tail(m)
+                cases = [("iid", got, exact_iid_tail(n, m, e))]
                 for f in (0.0, 0.5 * e, e):
-                    got = pair_correlated_tail(n, m, e, f)
+                    got = PairModel(ErrorProfile.iid(n, e), f).tail(m)
                     cases.append(("pair", got, exact_pair_tail(n, m, e, f)))
                 for c in (0.5 * c_lo, 0.5 * c_hi):
-                    got = exchangeable_tail(n, m, e, c)
-                    cases.append(("exch", got, exact_exchangeable_tail(n, m, e, c)))
+                    got = ExchangeableModel(n, e, c).tail(m)
+                    cases.append(("exch", got, exact_tail_exchangeable(n, m, e, c)))
                 for name, got, (num, den) in cases:
                     x = num / den
                     assert abs(got - x) <= rel * x, (name, e, m, got, x)
@@ -719,18 +718,17 @@ def _exchangeable(a):
     return ExchangeableModel(a.n, a.e, a.c)
 
 
-# Each public tail function, each model's pmf method and the independent
-# model's tail (of a profile, and of ErrorProfile.iid's n and e): its call
-# on drawn arguments a, and the model whose count_pmf its answer must come
-# from.
+# Each model's pmf and tail methods (of a profile, and of ErrorProfile.iid's
+# n and e): its call on drawn arguments a, and the model whose count_pmf its
+# answer must come from.
 ENTRIES = {
     "iid.pmf": (lambda a: Independent(ErrorProfile.iid(a.n, a.e)).pmf(a.i), _independent),
-    "tail_iid": (lambda a: tail_iid(a.n, a.i, a.e), _independent),
-    "pair_correlated_tail": (
-        lambda a: pair_correlated_tail(a.n, a.i, a.e, a.f), _pair
+    "iid.tail": (lambda a: Independent(ErrorProfile.iid(a.n, a.e)).tail(a.i), _independent),
+    "iid.pair.tail": (
+        lambda a: PairModel(ErrorProfile.iid(a.n, a.e), a.f).tail(a.i), _pair
     ),
-    "exchangeable_tail": (
-        lambda a: exchangeable_tail(a.n, a.i, a.e, a.c), _exchangeable
+    "ExchangeableModel.tail": (
+        lambda a: ExchangeableModel(a.n, a.e, a.c).tail(a.i), _exchangeable
     ),
     "Independent.pmf": (lambda a: _independent(a).pmf(a.i), _independent),
     "Independent.tail": (lambda a: _independent(a).tail(a.i), _independent),
@@ -932,11 +930,10 @@ class TestNormalization:
                 lo, hi = valid_correlation_range(n, e)
                 for c in np.linspace(lo + 1e-12, hi, 3):
                     c = float(c)
-                    total = exchangeable_tail(n, 1, e, c) + ExchangeableModel(n, e, c).pmf(0)
+                    model = ExchangeableModel(n, e, c)
+                    total = model.tail(1) + model.pmf(0)
                     assert total == pytest.approx(1.0, abs=1e-12)
-                    oracle = sum(
-                        enumerate_outcomes(ExchangeableModel(n, e, c)).values()
-                    )
+                    oracle = sum(enumerate_outcomes(model).values())
                     assert oracle == pytest.approx(1.0, abs=1e-12)
 
 
@@ -972,7 +969,7 @@ class TestDominanceAndMonotonicity:
             m = int(rng.integers(1, n + 1))
             rates = tuple(rng.uniform(0.0, m / n, n))
             lhs = Independent(ErrorProfile(rates)).tail(m)
-            rhs = tail_iid(n, m, max(rates))
+            rhs = Independent(ErrorProfile.iid(n, max(rates))).tail(m)
             assert lhs <= rhs + 1e-12
 
     def test_pair_pmf_monotone_in_f_on_stated_interval(self):
@@ -1006,5 +1003,5 @@ class TestDominanceAndMonotonicity:
             for e in np.linspace(0.01, r * 0.99, 8):
                 e = float(e)
                 for f in np.linspace(*pair_f_range(e, e), 5):
-                    t = pair_correlated_tail(n, m, e, float(f))
+                    t = PairModel(ErrorProfile.iid(n, e), float(f)).tail(m)
                     assert t <= chernoff_lambda(r, e) ** (n - 2) + 1e-12

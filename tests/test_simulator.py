@@ -21,8 +21,6 @@ from ecoc.prob_engine import (
     PairModel,
     _mark_smallest,
     enumerate_outcomes,
-    exchangeable_tail,
-    pair_correlated_tail,
 )
 from ecoc.simulator import (
     CHUNK_TRIALS,
@@ -211,14 +209,14 @@ class TestThresholdConsistency:
             3,
             SimConfig(trials=500_000, seed=21),
         )
-        exact = pair_correlated_tail(8, 3, 0.2, 0.1)
+        exact = PairModel(ErrorProfile.iid(8, 0.2), 0.1).tail(3)
         assert abs(result.error_rate - exact) <= 3 * result.std_err
 
     def test_exchangeable_matches_exact_tail(self):
         result = mc_threshold_error(
             ExchangeableModel(10, 0.1, 0.05), 4, SimConfig(trials=500_000, seed=31)
         )
-        exact = exchangeable_tail(10, 4, 0.1, 0.05)
+        exact = ExchangeableModel(10, 0.1, 0.05).tail(4)
         assert abs(result.error_rate - exact) <= 3 * result.std_err
 
     def test_exchangeable_zero_count_frequency(self):

@@ -221,7 +221,7 @@ def _write_folds(tmp: Path) -> dict[str, list[Path]]:
     return folds
 
 
-def _write_summaries(tmp: Path) -> list[tuple[Path, str]]:
+def _summary_files(tmp: Path) -> list[tuple[Path, str]]:
     """Summary CSVs with their class counts, one of them at a tiny rate."""
     header = "fold,mean_bit_error,mean_correlation,ecoc_error\n"
     files = {
@@ -245,7 +245,7 @@ def _analyze(tmp: Path) -> list[list[str]]:
                 out.append(["analyze", "--fixture", name, "--kz-policy", policy,
                             "--format", fmt])
         out.append(["analyze", "--fixture", name, "--n", "11", "--format", "csv"])
-    for path, classes in _write_summaries(tmp):
+    for path, classes in _summary_files(tmp):
         for policy in ("gated", "always"):
             out.append(["analyze", "--summary", str(path), "--classes", classes,
                         "--kz-policy", policy, "--format", "csv"])
@@ -267,7 +267,7 @@ def _figures(tmp: Path) -> list[list[str]]:
         out.append(["figures", "--figure", "scatter", "--fixture", name])
         out.append(["figures", "--figure", "scatter", "--fixture", name, "--n", "11"])
     out.append(["figures", "--figure", "scatter", "--fixture", "letters_dt", "--n", "6"])
-    for path, classes in _write_summaries(tmp):
+    for path, classes in _summary_files(tmp):
         out.append(["figures", "--figure", "scatter", "--summary", str(path),
                     "--classes", classes])
     return out
