@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._shared import KZ_POLICIES
 from .errors import DomainError, ModelError
 from .prob_engine import ErrorProfile, _check_integer, _check_number, _checked_rates
 from .prob_engine import correlation_correction, valid_correlation_range
-
-# evaluate_bounds' kz policies: "gated" (kz_bound) or "always" (kz_value).
-KZ_POLICIES = ("gated", "always")
 
 
 @dataclass(frozen=True)

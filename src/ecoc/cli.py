@@ -5,24 +5,35 @@ Every numeric value printed is the untouched result of the corresponding
 library call; human tables round to 6 significant digits while csv/json keep
 full double precision.  Exit status: 0 on success, 1 on domain or data
 errors, 2 on usage errors.
+
+Most calls are one command in a fresh interpreter, so each command imports
+the library modules it runs at its own entry.  code_matrix, which every
+command runs and whose orientations the parser offers, is imported with
+cli; pmf, tail and bahadur add prob_engine, bounds adds bounds, simulate
+adds simulator, and analyze and figures add experiment_io.  json and
+concurrent.futures are imported only where a command uses them, and the
+parser's other choices and the csv writer come from the standard-library-
+only _shared.  A command's imports are absolute (import ecoc.x as y): a
+relative one resolves its package in Python code on every call, which cost
+1-4 us per command in process where the absolute form costs under 0.5 us.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
 from . import code_matrix as cm
-from . import experiment_io as xio
-from . import prob_engine as pe
-from . import simulator as sim
+from ._shared import KZ_POLICIES, MODE_FULL_DECODE, MODE_THRESHOLD, csv_text
 from .errors import EcocError
+
+if TYPE_CHECKING:
+    from . import experiment_io as xio
+    from . import prob_engine as pe
 
 FORMATS = ("table", "csv", "json")
 
@@ -56,9 +67,11 @@ def _record(payload: dict, fmt: str) -> str:
     key/value lines.  A one-field record is one json line, and its table is
     the bare value."""
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2 if len(payload) > 1 else None) + "\n"
     if fmt == "csv":
-        return xio.csv_text(list(payload), [list(payload.values())])
+        return csv_text(list(payload), [list(payload.values())])
     if len(payload) == 1:
         return _grid([payload.values()], ("",))
     width = max(len(c) for c in payload)
@@ -100,6 +113,8 @@ _MODEL_FLAGS = {
 
 
 def _build_model(args) -> pe.DependenceModel:
+    import ecoc.prob_engine as pe
+
     reads, model = _MODEL_FLAGS[args.model], f"--model {args.model}"
     if args.model == "pair" and args.rates is not None:
         reads, model = ("f", "rates"), f"{model} with --rates"
@@ -156,7 +171,9 @@ def cmd_pmf(args) -> str:
     if args.format == "table":
         return _grid(rows, (">3", ""))
     if args.format == "csv":
-        return xio.csv_text(("k", "pmf"), rows)
+        return csv_text(("k", "pmf"), rows)
+    import json
+
     pmf = [{"k": k, "pmf": p} for k, p in rows]
     return json.dumps({"pmf": pmf}, indent=2) + "\n"
 
@@ -167,6 +184,8 @@ def cmd_tail(args) -> str:
 
 
 def cmd_bounds(args) -> str:
+    import ecoc.bounds as bounds_mod
+
     inputs = bounds_mod.BoundInputs(
         n=args.n, m=args.m, e_bar=args.ebar, c=args.c, mu=args.mu
     )
@@ -190,6 +209,8 @@ def cmd_bounds(args) -> str:
 
 
 def cmd_bahadur(args) -> str:
+    import ecoc.prob_engine as pe
+
     c_min, c_max = pe.bahadur_range(args.n, args.ebar)
     v_min, v_max = pe.valid_correlation_range(args.n, args.ebar)
     payload = {
@@ -203,12 +224,14 @@ def cmd_bahadur(args) -> str:
 
 # Flags each simulate mode reads; giving one to the other mode is an error.
 _MODE_FLAGS = {
-    sim.MODE_THRESHOLD: ("--m",),
-    sim.MODE_FULL_DECODE: ("--classes", "--true-class", "--orientation"),
+    MODE_THRESHOLD: ("--m",),
+    MODE_FULL_DECODE: ("--classes", "--true-class", "--orientation"),
 }
 
 
 def cmd_simulate(args) -> str:
+    import ecoc.simulator as sim
+
     _only_for(args, "mode", _MODE_FLAGS)
     model = _build_model(args)
     seed = args.seed
@@ -219,7 +242,7 @@ def cmd_simulate(args) -> str:
         except ValueError:
             raise ValueError(f"ECOC_SEED={env!r} is not an integer") from None
     cfg = sim.SimConfig(trials=args.trials, seed=seed, workers=args.workers)
-    if args.mode == sim.MODE_THRESHOLD:
+    if args.mode == MODE_THRESHOLD:
         if args.m is None:
             raise ValueError("threshold mode requires --m")
         result = sim.mc_threshold_error(model, args.m, cfg)
@@ -244,6 +267,8 @@ def _folds(
     sources, the source flags the command offers.  A fixture's dataset fixes
     its class count, so --classes goes with --summary or --predictions only;
     name is the fixture or the stem of the (first) file."""
+    import ecoc.experiment_io as xio
+
     given = [f for f in sources if getattr(args, f[2:]) not in (None, [])]
     if len(given) != 1:
         raise ValueError(f"provide exactly one of {', '.join(sources)}")
@@ -271,6 +296,9 @@ def _analyzed(paths: list[str], code: cm.CodeMatrix) -> list[xio.FoldSummary]:
     ahead of any fold that fails to analyze, as when every file is loaded
     first.  Every statistic is an exact count, so the thread count cannot
     change the output."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import ecoc.experiment_io as xio
 
     def load(path):
         # Called from here, a loader warning names this line, not the pool's.
@@ -309,6 +337,8 @@ _SHORT_LABELS = {"mean_bit_error": "e_bar", "mean_correlation": "corr"}
 
 
 def cmd_analyze(args) -> str:
+    import ecoc.experiment_io as xio
+
     _, summaries, code = _folds(args, ("--predictions", "--summary", "--fixture"))
     if not summaries:
         raise ValueError("no folds to analyze")
@@ -318,6 +348,8 @@ def cmd_analyze(args) -> str:
     ]
     agg = xio.aggregate(summaries, reports)
     if args.format == "json":
+        import json
+
         return json.dumps(xio.report_json_obj(summaries, reports, agg), indent=2) + "\n"
     if args.format == "csv":
         return xio.format_report_csv(summaries, reports, agg)
@@ -347,6 +379,8 @@ def _ensemble_sizes(text: str) -> tuple[int, ...]:
 def cmd_figures(args) -> None:
     """Writes its CSV files into the --out directory itself, so main has no
     text to write."""
+    import ecoc.experiment_io as xio
+
     _only_for(args, "figure", _FIGURE_FLAGS)
     if args.figure == "fig1":
         # Only the flags given are passed: the defaults are figure_one_curves'.
@@ -424,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebar", type=float, required=True)
     p.add_argument("--c", type=float)
     p.add_argument("--mu", type=float)
-    p.add_argument("--kz-policy", choices=bounds_mod.KZ_POLICIES, default="gated")
+    p.add_argument("--kz-policy", choices=KZ_POLICIES, default="gated")
     common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -437,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo error estimate")
     _add_model_flags(p)
     p.add_argument(
-        "--mode", choices=(sim.MODE_THRESHOLD, sim.MODE_FULL_DECODE),
-        default=sim.MODE_THRESHOLD,
+        "--mode", choices=(MODE_THRESHOLD, MODE_FULL_DECODE), default=MODE_THRESHOLD,
     )
     p.add_argument("--m", type=int, help="error threshold (threshold mode)")
     p.add_argument("--classes", type=int, help="code size (full-decode mode)")
@@ -457,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="bundled fixture name, e.g. letters_dt")
     p.add_argument("--classes", type=int, help="number of classes (--predictions, --summary)")
     p.add_argument("--n", type=int, help="override codeword length in bound formulas")
-    p.add_argument("--kz-policy", choices=bounds_mod.KZ_POLICIES, default="gated")
+    p.add_argument("--kz-policy", choices=KZ_POLICIES, default="gated")
     _add_orientation_flag(p)
     common(p)
     p.set_defaults(func=cmd_analyze)

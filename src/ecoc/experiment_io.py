@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import code_matrix
+from ._shared import csv_text
 from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
 from .code_matrix import CodeMatrix, _all_bits, _misdecoded, build_code_matrix
 from .errors import DomainError, ParseError
@@ -552,23 +553,6 @@ def _fold_cells(summary: FoldSummary, report: BoundReport) -> dict:
 
 # ---------------------------------------------------------------------------
 # report rendering
-
-
-def csv_text(columns, rows) -> str:
-    """CSV text of a header of columns and one line per row, written by
-    csv.writer with \\n line ends.  Each row is a sequence of cells in
-    column order; a caller that holds dicts maps each one through the
-    columns once.
-
-    A cell holding a comma, a quote or a line break is quoted (RFC 4180), a
-    float is written in full precision (str of a float is its repr) and None
-    is an empty cell.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _cells(columns, rows):

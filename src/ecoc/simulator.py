@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import MODE_FULL_DECODE, MODE_THRESHOLD
 from .code_matrix import CodeMatrix, _misdecoded
 from .prob_engine import DependenceModel, _check_count, _check_integer
 
@@ -33,9 +34,6 @@ CHUNK_TRIALS = 1 << 15
 # Most worker threads a simulation accepts.  The pool never holds more
 # threads than there are chunks, and each thread keeps one chunk's arrays.
 MAX_WORKERS = 256
-
-MODE_THRESHOLD = "threshold"
-MODE_FULL_DECODE = "full-decode"
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The public surface: the README's library example runs, and ecoc.__all__
 is exactly what the package exports."""
 
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -34,11 +35,15 @@ def test_readme_library_example_runs():
 
 
 def test_all_is_sorted_and_resolves():
-    # Every name in __all__ resolves, and every public name is in it.
+    # Every name in __all__ resolves, on first access, to the object its
+    # home module defines, and every public name is in it.
     assert ecoc.__all__ == sorted(ecoc.__all__)
+    for name in ecoc.__all__:
+        home = importlib.import_module(f"ecoc.{ecoc._HOME[name]}")
+        assert getattr(ecoc, name) is getattr(home, name), name
     exported = {
-        name for name, value in vars(ecoc).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        name for name in dir(ecoc)
+        if not name.startswith("_") and not inspect.ismodule(getattr(ecoc, name))
     }
     assert exported == set(ecoc.__all__)
 
