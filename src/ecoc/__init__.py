@@ -33,6 +33,7 @@ _HOME = {
     "chernoff_mu_bound": "bounds",
     "enumerate_outcomes": "prob_engine",
     "evaluate_bounds": "bounds",
+    "exact_decode_error": "prob_engine",
     "feller_bound": "bounds",
     "gs_bound": "bounds",
     "kz_bound": "bounds",

@@ -14,12 +14,14 @@ it is built, else poisson_binomial_dist, the product tree only), one
 position hook _positions(rng, ks) (bool error vectors, one per count in ks,
 drawn from the model's law given that count) and joint_mass(bits) (the
 joint law of whole outcomes, from the model's definition and not from
-count_pmf, which the brute-force enumeration oracle over all 2^n outcomes
-sums for cross-checking).  The other methods are defined once, on
-DependenceModel, for all three: pmf(k), the entry of count_pmf at k,
-tail(m), the sum of count_pmf from m, and three samplers, each after
-_check_draw (the width check of code_matrix, _check_width, a count that
-is an integer at least 0 and a k_min in 0..n + 1):
+count_pmf, which the brute-force oracles over all 2^n outcomes sum for
+cross-checking: enumerate_outcomes, the count distribution, and
+exact_decode_error, a code's full-decode error, both over the one walk
+_outcome_blocks, for n <= ENUMERATION_MAX_N).  The other methods are
+defined once, on DependenceModel, for all three: pmf(k), the entry of
+count_pmf at k, tail(m), the sum of count_pmf from m, and three samplers,
+each after _check_draw (the width check of code_matrix, _check_width, a
+count that is an integer at least 0 and a k_min in 0..n + 1):
 sample_far(rng, count, k_min), the error vectors, as uint8, of the trials
 among count with at least k_min errors (the far rows, drawn by _draw),
 sample(rng, count), sample_far at k_min = 0, and count_far(rng, count,
@@ -79,15 +81,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code_matrix import _check_width
+from .code_matrix import CodeMatrix, _check_width, _correlations
 from .errors import ModelError
 
 # Per-outcome weights this close to zero (from rounding at the edge of the
 # admissible correlation range) are clamped to exactly zero.
 WEIGHT_SLACK = 1e-12
 
-# Hard cap on the brute-force oracle: 2^20 outcomes.
+# Hard cap on the brute-force oracles: 2^20 outcomes.
 ENUMERATION_MAX_N = 20
+
+# Outcomes per block of the oracles' walk: 10 MB of index shifts at n = 20.
+_OUTCOME_BLOCK_ROWS = 1 << 16
 
 # Rows drawn per block by the position samplers: about 1 MB of uniforms at
 # n = 127 (a quarter of that as 16-bit keys), so a block is still in cache
@@ -146,7 +151,7 @@ class DependenceModel:
     """The model protocol, shared by the three models: the pmf, the tail and
     the samplers, all derived from a subclass's own n, count_pmf and
     _positions (joint_mass, the fourth hook, serves the enumeration
-    oracle)."""
+    oracles)."""
 
     def pmf(self, k: int) -> float:
         """Probability of exactly k errors: count_pmf()[k]."""
@@ -227,6 +232,14 @@ class Independent(DependenceModel):
         return np.where(bits, rates, 1.0 - rates).prod(axis=1)
 
 
+def _padded_pair_row(profile: ErrorProfile) -> np.ndarray:
+    """q[j + 2] = q(j) for j = -2..n, q the count pmf of a pair model's first
+    n - 2 classifiers, zero at j < 0 and j > n - 2."""
+    q = np.zeros(profile.n + 3)
+    q[2:-2] = profile._row(profile.n - 2)
+    return q
+
+
 @dataclass(frozen=True)
 class PairModel(DependenceModel):
     """Independent classifiers except the last two, whose probability of
@@ -275,9 +288,7 @@ class PairModel(DependenceModel):
         integers as an oracle.
         """
         p11, p10, p01, p00 = self.joint_cells
-        # q_pad[j + 2] = q(j) for j = -2..n.
-        q_pad = np.zeros(self.n + 3)
-        q_pad[2:-2] = self.profile._row(self.n - 2)
+        q_pad = _padded_pair_row(self.profile)
         return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
 
     def _positions(self, rng, ks):
@@ -287,8 +298,7 @@ class PairModel(DependenceModel):
         # K, to the bit, and a K that was drawn has mass, so no weight is
         # divided by zero.  Then a (K - |s|)-subset of the others.
         p11, p10, p01, p00 = self.joint_cells
-        q = np.zeros(self.n + 3)
-        q[2:-2] = self.profile._row(self.n - 2)  # q[j + 2] = q(j)
+        q = _padded_pair_row(self.profile)
         q2, q1, q0 = q[ks], q[ks + 1], q[ks + 2]
         both = p11 * q2
         either = both + (p10 + p01) * q1
@@ -678,20 +688,48 @@ def valid_correlation_range(n: int, e: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# brute-force oracles
+
+
+def _outcome_blocks(model: DependenceModel):
+    """The 2^n outcomes of model's classifiers, in index order, as (rows, n)
+    bool blocks of at most _OUTCOME_BLOCK_ROWS rows, each with its
+    joint_mass.  An n above ENUMERATION_MAX_N raises ValueError before any
+    block is built."""
+    n = model.n
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_MAX_N}")
+    for start in range(0, 1 << n, _OUTCOME_BLOCK_ROWS):
+        idx = np.arange(start, min(start + _OUTCOME_BLOCK_ROWS, 1 << n), dtype=np.int64)
+        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
+        yield bits, model.joint_mass(bits)
 
 
 def enumerate_outcomes(model: DependenceModel) -> dict[int, float]:
     """Exact error-count distribution by summing the joint law over all 2^n
     outcomes.  Test oracle only; capped at n = 20."""
     n = model.n
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_MAX_N}")
     totals = np.zeros(n + 1)
-    block = 1 << min(n, 16)
-    for start in range(0, 1 << n, block):
-        idx = np.arange(start, start + block, dtype=np.int64)
-        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-        mass = model.joint_mass(bits)
+    for bits, mass in _outcome_blocks(model):
         totals += np.bincount(bits.sum(axis=1), weights=mass, minlength=n + 1)
     return {k: float(totals[k]) for k in range(n + 1)}
+
+
+def exact_decode_error(model: DependenceModel, code: CodeMatrix) -> float:
+    """Exact full-decode error of code under model, the true classes equally
+    likely: the sum, over all 2^n flip patterns, of the pattern's joint_mass
+    times the share of true classes t whose codeword, flipped by it,
+    decodes (nearest row, ties to the lowest index) to other than t.  The
+    terms are summed by math.fsum, so the value does not depend on the block
+    size.  Test oracle only; capped at n = 20, as enumerate_outcomes is."""
+    if code.n != model.n:
+        raise ValueError(f"code n={code.n} does not match model n={model.n}")
+
+    def terms():
+        for bits, mass in _outcome_blocks(model):
+            wrong = np.zeros(len(bits))
+            for t, row in enumerate(code.matrix):
+                wrong += _correlations(bits ^ row.astype(bool), code).argmax(axis=1) != t
+            yield from (mass * (wrong / code.num_classes)).tolist()
+
+    return math.fsum(terms())

@@ -43,7 +43,7 @@ from ecoc.experiment_io import (
     scatter_figure_data,
     write_predictions,
 )
-from ecoc.prob_engine import ErrorProfile, Independent
+from ecoc.prob_engine import ErrorProfile, Independent, exact_decode_error
 from ecoc.simulator import _chunk_rng
 
 
@@ -673,7 +673,7 @@ class TestAnalyzeFold:
         se_corr = 1 / math.sqrt(n_samples)
         assert abs(summary.mean_correlation) <= 3 * se_corr
         # Empirical decoding error within noise of the exact rate.
-        exact = _exact_decode_error(code, rate)
+        exact = exact_decode_error(Independent(ErrorProfile.iid(code.n, rate)), code)
         se_err = math.sqrt(exact * (1 - exact) / n_samples)
         assert abs(summary.ecoc_error - exact) <= 4 * se_err
 
@@ -779,19 +779,6 @@ class TestAnalyzeFold:
         )
         with pytest.raises(ValueError):
             analyze_fold(fold, code)
-
-
-def _exact_decode_error(code, rate):
-    """Exact decoding error under iid bit flips, averaged over true classes
-    (small codes only): one nearest_rows call over every class's codeword
-    with each of the 2^n flip patterns."""
-    n = code.n
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-    flips = bits.sum(axis=1)
-    p = rate**flips * (1 - rate) ** (n - flips)
-    decoded, _ = nearest_rows((code.matrix[:, None, :] ^ bits).reshape(-1, n), code)
-    wrong = decoded.reshape(code.num_classes, -1) != np.arange(code.num_classes)[:, None]
-    return math.fsum((p * wrong.mean(axis=0)).tolist())
 
 
 class TestBoundReport:

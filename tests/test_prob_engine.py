@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoc import prob_engine
+from ecoc.code_matrix import build_code_matrix
 from ecoc.errors import EcocError, ModelError
 from ecoc.prob_engine import (
     DependenceModel,
@@ -24,6 +25,7 @@ from ecoc.prob_engine import (
     PairModel,
     bahadur_range,
     enumerate_outcomes,
+    exact_decode_error,
     pair_f_range,
     poisson_binomial_dist,
     valid_correlation_range,
@@ -899,6 +901,23 @@ class TestEnumerationOracle:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             enumerate_outcomes(Independent(ErrorProfile.iid(21, 0.1)))
+
+    def test_decode_error_size_cap_before_any_block(self, monkeypatch):
+        # The cap is checked before the first outcome block's indices are
+        # built, so n = 21 costs nothing.
+        model = Independent(ErrorProfile.iid(21, 0.1))
+        code = build_code_matrix(21)
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("an outcome block was built")
+
+        monkeypatch.setattr(prob_engine.np, "arange", no_block)
+        with pytest.raises(ValueError, match="n=21 exceeds enumeration cap 20"):
+            exact_decode_error(model, code)
+
+    def test_decode_error_rejects_a_code_of_another_width(self):
+        with pytest.raises(ValueError, match="code n=8 does not match model n=10"):
+            exact_decode_error(Independent(ErrorProfile.iid(10, 0.1)), build_code_matrix(8))
 
 
 class TestNormalization:

@@ -38,6 +38,7 @@ def test_all_is_sorted_and_resolves():
     # Every name in __all__ resolves, on first access, to the object its
     # home module defines, and every public name is in it.
     assert ecoc.__all__ == sorted(ecoc.__all__)
+    assert len(ecoc.__all__) == 33 and "exact_decode_error" in ecoc.__all__
     for name in ecoc.__all__:
         home = importlib.import_module(f"ecoc.{ecoc._HOME[name]}")
         assert getattr(ecoc, name) is getattr(home, name), name

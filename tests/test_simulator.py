@@ -12,7 +12,7 @@ from scipy import stats as sstats
 import ecoc.code_matrix as code_matrix
 import ecoc.prob_engine as prob_engine
 import ecoc.simulator as simulator
-from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix, nearest_rows
+from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix
 from ecoc.prob_engine import (
     BLOCK_ROWS,
     ErrorProfile,
@@ -21,6 +21,7 @@ from ecoc.prob_engine import (
     PairModel,
     _mark_smallest,
     enumerate_outcomes,
+    exact_decode_error,
 )
 from ecoc.simulator import (
     CHUNK_TRIALS,
@@ -1139,18 +1140,6 @@ class TestCountDistribution:
                 assert p_value > 1e-4, (seed, p_value)
 
 
-def _exact_decode_error(model, code) -> float:
-    """The exact full-decode error: over all 2^n flip patterns, the sum of
-    joint_mass times the fraction of true classes whose flipped codeword
-    nearest_rows decodes to another class."""
-    n = code.n
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-    decoded, _ = nearest_rows((code.matrix[:, None, :] ^ bits).reshape(-1, n), code)
-    classes = np.arange(code.num_classes)[:, None]
-    wrong = (decoded.reshape(code.num_classes, -1) != classes).mean(axis=0)
-    return math.fsum((model.joint_mass(bits.astype(bool)) * wrong).tolist())
-
-
 def _decode_cases():
     for n in (8, 10, 12):
         rates = tuple(0.05 + 0.02 * i for i in range(n))
@@ -1173,12 +1162,12 @@ class TestExactDecodeError:
 
     def test_iid_12_matches_the_roadmap_table(self):
         model = Independent(ErrorProfile.iid(12, 0.12))
-        assert _exact_decode_error(model, build_code_matrix(12)) == pytest.approx(0.08280, abs=5e-6)
+        assert exact_decode_error(model, build_code_matrix(12)) == pytest.approx(0.08280, abs=5e-6)
 
     @pytest.mark.parametrize("model", DECODE_CASES, ids=DECODE_IDS)
     def test_within_four_sigma(self, model):
         code = build_code_matrix(model.n)
-        exact = _exact_decode_error(model, code)
+        exact = exact_decode_error(model, code)
         assert 0.05 < exact < 0.5
         result = mc_decode_error(model, code, SimConfig(trials=self.TRIALS, seed=3))
         sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
@@ -1217,8 +1206,28 @@ class TestOtherCodes:
             "pair": lambda: PairModel(ErrorProfile.iid(n, 0.15), 0.06),
             "exchangeable": lambda: ExchangeableModel(n, 0.1, 0.03),
         }[kind]()
-        exact = _exact_decode_error(model, code)
+        exact = exact_decode_error(model, code)
         assert 0.05 < exact < 0.5
         result = mc_decode_error(model, code, SimConfig(trials=self.TRIALS, seed=5))
         sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
         assert abs(result.error_rate - exact) <= 4 * sigma, (result.error_rate, exact)
+
+
+class TestExactDecodeBlocks:
+    """exact_decode_error walks the 2^n outcomes in blocks and sums its
+    terms with math.fsum, so its value is the same, to the bit, whatever the
+    block size."""
+
+    @pytest.mark.parametrize("code", OTHER_CODES, ids=OTHER_CODE_IDS)
+    def test_blocks_of_a_few_rows_equal_one_block(self, code, monkeypatch):
+        n = code.n
+        models = (
+            Independent(ErrorProfile(tuple(0.05 + 0.02 * i for i in range(n)))),
+            PairModel(ErrorProfile.iid(n, 0.15), 0.06),
+            ExchangeableModel(n, 0.15, -0.002),
+        )
+        assert 1 << n <= prob_engine._OUTCOME_BLOCK_ROWS
+        whole = [exact_decode_error(model, code) for model in models]
+        # 7 rows: many blocks, and a last one cut short.
+        monkeypatch.setattr(prob_engine, "_OUTCOME_BLOCK_ROWS", 7)
+        assert [exact_decode_error(model, code) for model in models] == whole
