@@ -1,13 +1,16 @@
 """What the command line needs before it knows its command: the CSV writer
-every csv output goes through, and the vocabularies its parser offers as
-choices.  Standard library only, so that the parser and a command's output
-load no library module the command does not run.  bounds, simulator and
-experiment_io import their names from here."""
+every csv output goes through, the vocabularies its parser offers as
+choices, the integer rule, and the Sylvester code's distance in closed
+form, so that `ecoc code` prints a code's parameters without building it.
+Standard library only, so that the parser and a command's output load no
+library module the command does not run.  bounds, simulator, prob_engine,
+code_matrix and experiment_io import their names from here."""
 
 from __future__ import annotations
 
 import csv
 import io
+import numbers
 
 # evaluate_bounds' kz policies: "gated" (kz_bound) or "always" (kz_value).
 KZ_POLICIES = ("gated", "always")
@@ -15,6 +18,91 @@ KZ_POLICIES = ("gated", "always")
 # The simulator's two estimators, as SimResult.mode names them.
 MODE_THRESHOLD = "threshold"
 MODE_FULL_DECODE = "full-decode"
+
+# The two truncations of a Sylvester matrix to a square code.
+KEEP_BOTTOM_RIGHT = "keep-bottom-right"
+KEEP_TOP_LEFT = "keep-top-left"
+
+# Deleting initial rows/columns (keeping the bottom-right block) is the
+# orientation whose (m, r) pairs match the reference 10- and 26-class codes;
+# the fixture test in tests/test_code_matrix.py gates this choice.
+DEFAULT_ORIENTATION = KEEP_BOTTOM_RIGHT
+
+# Largest Sylvester order: order 15 is 1 GiB of uint8, order 16 would be 4 GiB.
+SYLVESTER_MAX_K = 15
+
+
+def _check_integer(name: str, value) -> None:
+    """A count or size: a Python or NumPy integer, never a float.  A Python
+    int is let through before the numbers.Integral check, which costs about
+    0.5 us: analyze --fixture makes about 120 checks for ten folds."""
+    if not isinstance(value, int) and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} is not an integer")
+
+
+def _check_order(k) -> None:
+    """A Sylvester order: an integer from 0 to SYLVESTER_MAX_K."""
+    _check_integer("k", k)
+    if k < 0:
+        raise ValueError(f"k={k} must be non-negative")
+    if k > SYLVESTER_MAX_K:
+        raise ValueError(f"k={k} exceeds practical cap {SYLVESTER_MAX_K}")
+
+
+def sylvester_distance(num_classes, orientation: str) -> int:
+    """The minimum row distance d of build_code_matrix(num_classes,
+    orientation), from the binary digits of c = num_classes alone.
+
+    d is the least weight, on the kept columns, of a nonzero row v of the
+    order-k Sylvester matrix, 2^k the smallest power of two >= c (the
+    build_code_matrix docstring proves this).  Keep-top-left keeps columns
+    [0, c); keep-bottom-right keeps their images j -> 2^k - 1 - j, which
+    turns v's weight w into c - w when v has odd parity.  On [0, c), cut
+    into one dyadic block [p_b, p_b + 2^b) per set bit b of c (p_b is c with
+    its bits <= b cleared), a row v with lowest set bit L has
+
+    - exactly 2^(b-1) ones in each block b > L;
+    - q in every entry of block L, q the parity of (v's bits above L) AND
+      (c's bits above L);
+    - q xor c_L in every entry of the blocks b < L.
+
+    So w, v's weight on [0, c), depends on L and q only, and d is the least
+    weight over the reachable (L, q, parity of v): L from 0 to k - 1, and q
+    and v's parity the values that v's free bits above L can take together.
+    O(k) integer steps.
+
+    These are build_code_matrix's argument checks, each a ValueError, in
+    this order: num_classes an integer, at least 2 and of an order at most
+    SYLVESTER_MAX_K, and then the orientation one of the two.
+    """
+    _check_integer("num_classes", num_classes)
+    if num_classes < 2:
+        raise ValueError(f"num_classes={num_classes} must be at least 2")
+    c = int(num_classes)
+    k = (c - 1).bit_length()
+    _check_order(k)
+    if orientation not in (KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    flip = orientation == KEEP_BOTTOM_RIGHT
+    d = c
+    for low in range(k):
+        # v = 2^low + 2^(low+1) u over the free bits u < 2^free, so v is odd
+        # where u is even.  q is the parity of u AND above.  q is 0 when
+        # above is, and q equals u's parity when above has every free bit
+        # (both are 0 when there is none); otherwise all four pairs occur.
+        free = k - 1 - low
+        every = (1 << free) - 1
+        above = c >> (low + 1) & every
+        c_low = c >> low & 1
+        ones = (c >> (low + 1)) << low
+        below = c & ((1 << low) - 1)
+        for q in (0, 1) if above else (0,):
+            w = ones + (c_low << low) * q + below * (q ^ c_low)
+            for u_odd in (0, 1):
+                if above == every and q != u_odd:
+                    continue
+                d = min(d, c - w if flip and not u_odd else w)
+    return d
 
 
 def csv_text(columns, rows) -> str:

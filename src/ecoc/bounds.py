@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._shared import KZ_POLICIES
+from ._shared import KZ_POLICIES, _check_integer
 from .errors import DomainError, ModelError
-from .prob_engine import ErrorProfile, _check_integer, _check_number, _checked_rates
+from .prob_engine import ErrorProfile, _check_number, _checked_rates
 from .prob_engine import correlation_correction, valid_correlation_range
 
 

@@ -7,15 +7,16 @@ full double precision.  Exit status: 0 on success, 1 on domain or data
 errors, 2 on usage errors.
 
 Most calls are one command in a fresh interpreter, so each command imports
-the library modules it runs at its own entry.  code_matrix, which every
-command runs and whose orientations the parser offers, is imported with
-cli; pmf, tail and bahadur add prob_engine, bounds adds bounds, simulate
-adds simulator, and analyze and figures add experiment_io.  json and
-concurrent.futures are imported only where a command uses them, and the
-parser's other choices and the csv writer come from the standard-library-
-only _shared.  A command's imports are absolute (import ecoc.x as y): a
-relative one resolves its package in Python code on every call, which cost
-1-4 us per command in process where the absolute form costs under 0.5 us.
+the library modules it runs at its own entry: code_matrix code --emit,
+simulate, analyze and figures; prob_engine (which loads code_matrix too)
+pmf, tail and bahadur; bounds bounds; simulator simulate; and
+experiment_io analyze and figures.  json and concurrent.futures are
+imported only where a command uses them.  code without --emit loads
+neither code_matrix nor numpy: the distance it prints, the parser's
+choices and the csv writer come from the standard-library-only _shared.
+A command's imports are absolute (import ecoc.x as y): a relative one
+resolves its package in Python code on every call, which cost 1-4 us per
+command in process where the absolute form costs under 0.5 us.
 """
 
 from __future__ import annotations
@@ -27,11 +28,20 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import code_matrix as cm
-from ._shared import KZ_POLICIES, MODE_FULL_DECODE, MODE_THRESHOLD, csv_text
+from ._shared import (
+    DEFAULT_ORIENTATION,
+    KEEP_BOTTOM_RIGHT,
+    KEEP_TOP_LEFT,
+    KZ_POLICIES,
+    MODE_FULL_DECODE,
+    MODE_THRESHOLD,
+    csv_text,
+    sylvester_distance,
+)
 from .errors import EcocError
 
 if TYPE_CHECKING:
+    from . import code_matrix as cm
     from . import experiment_io as xio
     from . import prob_engine as pe
 
@@ -95,11 +105,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_orientation_flag(p: argparse.ArgumentParser) -> None:
     # No default, so that _only_for sees the flag where it is not read;
     # _orientation resolves an absent one where it is.
-    p.add_argument("--orientation", choices=(cm.KEEP_BOTTOM_RIGHT, cm.KEEP_TOP_LEFT))
+    p.add_argument("--orientation", choices=(KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT))
 
 
 def _orientation(args) -> str:
-    return args.orientation or cm.DEFAULT_ORIENTATION
+    return args.orientation or DEFAULT_ORIENTATION
 
 
 # The model flags each --model reads; pair reads --rates in place of --n and
@@ -149,15 +159,20 @@ def _only_for(args, option: str, flags: dict[str, tuple[str, ...]]) -> None:
 
 
 def cmd_code(args) -> str:
-    code = cm.build_code_matrix(args.classes, orientation=_orientation(args))
+    """Only --emit builds the matrix: the parameters of the square code of
+    c classes are n = c, d in closed form, m = d // 2 and r = m / n."""
     if args.emit:
-        return cm.to_text(code)
+        import ecoc.code_matrix as cm
+
+        return cm.to_text(cm.build_code_matrix(args.classes, _orientation(args)))
+    d = sylvester_distance(args.classes, _orientation(args))
+    m = d // 2
     payload = {
-        "classes": code.num_classes,
-        "n": code.n,
-        "d": code.d,
-        "m": code.m,
-        "r": code.r,
+        "classes": args.classes,
+        "n": args.classes,
+        "d": d,
+        "m": m,
+        "r": m / args.classes,
         "orientation": _orientation(args),
     }
     return _record(payload, args.format)
@@ -230,6 +245,7 @@ _MODE_FLAGS = {
 
 
 def cmd_simulate(args) -> str:
+    import ecoc.code_matrix as cm
     import ecoc.simulator as sim
 
     _only_for(args, "mode", _MODE_FLAGS)
@@ -267,6 +283,7 @@ def _folds(
     sources, the source flags the command offers.  A fixture's dataset fixes
     its class count, so --classes goes with --summary or --predictions only;
     name is the fixture or the stem of the (first) file."""
+    import ecoc.code_matrix as cm
     import ecoc.experiment_io as xio
 
     given = [f for f in sources if getattr(args, f[2:]) not in (None, [])]

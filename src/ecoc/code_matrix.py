@@ -13,19 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _shared
+
+# The orientations and the order cap live in the standard-library-only
+# _shared, so that the command line reads them without numpy; they still
+# resolve here.
+from ._shared import (  # noqa: F401
+    DEFAULT_ORIENTATION,
+    KEEP_BOTTOM_RIGHT,
+    KEEP_TOP_LEFT,
+    SYLVESTER_MAX_K,
+)
+
 BitMatrix = np.ndarray
 """2-D uint8 array with entries in {0, 1}, rows stored contiguously."""
-
-KEEP_BOTTOM_RIGHT = "keep-bottom-right"
-KEEP_TOP_LEFT = "keep-top-left"
-
-# Deleting initial rows/columns (keeping the bottom-right block) is the
-# orientation whose (m, r) pairs match the reference 10- and 26-class codes;
-# the fixture test in tests/test_code_matrix.py gates this choice.
-DEFAULT_ORIENTATION = KEEP_BOTTOM_RIGHT
-
-# Largest Sylvester order: order 15 is 1 GiB of uint8, order 16 would be 4 GiB.
-SYLVESTER_MAX_K = 15
 
 # float32 counts are exact below this: rows are kept narrower (_check_width)
 # and the row blocks of analyze_fold's Gram products shorter.
@@ -133,10 +134,7 @@ def sylvester_hadamard(k: int) -> BitMatrix:
     corner H becomes the 2s x 2s corner [[H, H], [H, 1 - H]] by three
     stores, so no level allocates.
     """
-    if k < 0:
-        raise ValueError(f"k={k} must be non-negative")
-    if k > SYLVESTER_MAX_K:
-        raise ValueError(f"k={k} exceeds practical cap {SYLVESTER_MAX_K}")
+    _shared._check_order(k)
     h = np.empty((1 << k, 1 << k), dtype=np.uint8)
     h[0, 0] = 0
     for level in range(k):
@@ -177,8 +175,11 @@ def build_code_matrix(
     keep-bottom-right (the default), from the bottom-right corner under
     keep-top-left.
 
+    num_classes is a Python or NumPy integer from 2 to 2^15, and anything
+    else is a ValueError that names it.
+
     The minimum row distance d is read off the Sylvester structure, with no
-    Gram product:
+    Gram product and no row of the matrix:
 
     - Entry (a, j) of the Sylvester matrix h is parity(popcount(a & j)),
       which is linear in a over GF(2).  So h[a] xor h[b] = h[a xor b], and
@@ -189,20 +190,15 @@ def build_code_matrix(
       c > 2^(k-1), [0, c) holds 0, 2^(k-1) and every u < 2^(k-1), so the
       pairs (0, v) and (2^(k-1), u) give every nonzero v < 2^k as a xor of
       two distinct kept indices; xor with a constant keeps pairwise xors.
-    - Hence d = min over v in 1..2^k - 1 of h[v, S].sum(): one integer
-      row sum of h.  CodeMatrix(code.matrix).d gives the same d by the
-      generic Gram route.
+    - Hence d = min over v in 1..2^k - 1 of h[v, S].sum(), which
+      _shared.sylvester_distance evaluates from the binary digits of c in
+      O(k) integer steps.  CodeMatrix(code.matrix).d gives the same d by
+      the generic Gram route.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes={num_classes} must be at least 2")
-    h = sylvester_hadamard((num_classes - 1).bit_length())
-    if orientation == KEEP_BOTTOM_RIGHT:
-        kept = slice(-num_classes, None)
-    elif orientation == KEEP_TOP_LEFT:
-        kept = slice(0, num_classes)
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    d = int(h[1:, kept].sum(axis=1).min())
+    d = _shared.sylvester_distance(num_classes, orientation)
+    c = int(num_classes)
+    h = sylvester_hadamard((c - 1).bit_length())
+    kept = slice(-c, None) if orientation == KEEP_BOTTOM_RIGHT else slice(0, c)
     return CodeMatrix._with_distance(h[kept, kept], d)
 
 

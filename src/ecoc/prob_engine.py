@@ -81,6 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._shared import _check_integer
 from .code_matrix import CodeMatrix, _check_width, _correlations
 from .errors import ModelError
 
@@ -422,14 +423,6 @@ def _check_count(name: str, value: int, n: int) -> None:
     _check_integer(name, value)
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} outside 0..{n}")
-
-
-def _check_integer(name: str, value) -> None:
-    """A count or size: a Python or NumPy integer, never a float.  A Python
-    int is let through before the numbers.Integral check, which costs about
-    0.5 us: analyze --fixture makes about 120 checks for ten folds."""
-    if not isinstance(value, int) and not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}={value!r} is not an integer")
 
 
 def _check_number(name: str, value) -> None:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import MODE_FULL_DECODE, MODE_THRESHOLD
+from ._shared import MODE_FULL_DECODE, MODE_THRESHOLD, _check_integer
 from .code_matrix import CodeMatrix, _misdecoded
-from .prob_engine import DependenceModel, _check_count, _check_integer
+from .prob_engine import DependenceModel, _check_count
 
 DEFAULT_SEED = 60428  # 0xEC0C
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecoc.code_matrix as cm
+from ecoc._shared import sylvester_distance
 from ecoc.code_matrix import (
     DEFAULT_ORIENTATION,
     EXACT_MAX_N,
@@ -222,6 +223,39 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_code_matrix(10, orientation="diagonal")
 
+    @pytest.mark.parametrize(
+        "classes, orientation, message",
+        [
+            (1, "diagonal", "num_classes=1 must be at least 2"),
+            (2**15 + 1, "diagonal", "k=16 exceeds practical cap 15"),
+            (10, "diagonal", "unknown orientation 'diagonal'"),
+        ],
+        ids=["too-few-classes", "order-above-cap", "orientation"],
+    )
+    def test_argument_checks_run_in_order(self, classes, orientation, message):
+        with pytest.raises(ValueError) as err:
+            build_code_matrix(classes, orientation)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_classes(self, integer):
+        for orient in (KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT):
+            code, same = build_code_matrix(integer(10), orient), build_code_matrix(10, orient)
+            assert np.array_equal(code.matrix, same.matrix)
+            assert (code.num_classes, code.n, code.d, code.m) == (10, 10, same.d, same.m)
+
+    @pytest.mark.parametrize("bad", [2.5, 10.0, "10", None], ids=repr)
+    def test_classes_that_are_not_integers(self, bad):
+        with pytest.raises(ValueError) as err:
+            build_code_matrix(bad)
+        assert str(err.value) == f"num_classes={bad!r} is not an integer"
+
+    def test_order_that_is_not_an_integer(self):
+        with pytest.raises(ValueError) as err:
+            sylvester_hadamard(2.0)
+        assert str(err.value) == "k=2.0 is not an integer"
+        assert np.array_equal(sylvester_hadamard(np.int64(3)), sylvester_hadamard(3))
+
     def test_matrix_is_read_only(self):
         code = build_code_matrix(10)
         with pytest.raises(ValueError):
@@ -239,6 +273,61 @@ class TestBuild:
         code = CodeMatrix(source)
         source[1] = source[0]
         assert code.d == 4 and not code.matrix.flags.writeable
+
+
+def _prefix_minima(k, orientation):
+    """The Walsh row sum h[1:, kept].sum(axis=1).min() over
+    sylvester_hadamard(k) for every kept width c at once: entry c - 1 of
+    the running sums along each row is its sum over the first c kept
+    columns, which keep-bottom-right takes from the right."""
+    h = sylvester_hadamard(k)[1:]
+    if orientation == KEEP_BOTTOM_RIGHT:
+        h = h[:, ::-1]
+    return np.cumsum(h, axis=1, dtype=np.int32).min(axis=0)
+
+
+def _walsh_weights(k, kept):
+    """The weight on the kept columns of every row of sylvester_hadamard(k),
+    without the matrix: the fast Walsh-Hadamard transform F of the kept
+    columns' indicator has F(v) = |kept| - 2 * (row v's weight)."""
+    f = np.zeros(1 << k, np.int64)
+    f[kept] = 1
+    for level in range(k):
+        pairs = f.reshape(-1, 2, 1 << level)
+        f = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
+    return (f[0] - f) // 2
+
+
+def _kept_columns(classes, orientation):
+    return slice(-classes, None) if orientation == KEEP_BOTTOM_RIGHT else slice(0, classes)
+
+
+class TestClosedFormDistance:
+    """_shared.sylvester_distance, the only source of build_code_matrix's d,
+    against the Walsh row sums it replaces."""
+
+    @pytest.mark.parametrize("orient", [KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT])
+    def test_every_class_count_to_2048(self, orient):
+        for k in range(1, 12):
+            minima = _prefix_minima(k, orient)
+            for classes in range(max(2, 2 ** (k - 1) + 1), 2**k + 1):
+                assert sylvester_distance(classes, orient) == minima[classes - 1], classes
+
+    def test_transform_matches_the_row_sums(self):
+        for k in (1, 4, 7):
+            h = sylvester_hadamard(k)
+            for classes in range(2 ** (k - 1) + 1, 2**k + 1):
+                for orient in (KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT):
+                    kept = _kept_columns(classes, orient)
+                    assert np.array_equal(_walsh_weights(k, kept), h[:, kept].sum(axis=1))
+
+    @pytest.mark.parametrize("orient", [KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT])
+    def test_both_sides_of_large_powers_of_two(self, orient):
+        # Up to 2^15 classes, the most the order cap allows.
+        for classes in (4095, 4096, 4097, 8191, 8192, 8193, 16383, 16384, 16385, 32767, 32768):
+            k = (classes - 1).bit_length()
+            weights = _walsh_weights(k, _kept_columns(classes, orient))
+            assert sylvester_distance(classes, orient) == weights[1:].min(), classes
 
 
 class TestDecode:

@@ -31,8 +31,8 @@ def test_import_ecoc_loads_no_submodule():
     [
         pytest.param(
             ["code", "--classes", "10", "--format", "csv"],
-            ["ecoc.prob_engine", "ecoc.bounds", "ecoc.simulator", "ecoc.experiment_io",
-             "json", "concurrent.futures"],
+            ["ecoc.code_matrix", "numpy", "ecoc.prob_engine", "ecoc.bounds", "ecoc.simulator",
+             "ecoc.experiment_io", "json", "concurrent.futures"],
             id="code",
         ),
         pytest.param(
@@ -54,6 +54,13 @@ def test_a_command_loads_only_what_it_runs(argv, unloaded):
     assert not set(unloaded) & set(loaded)
 
 
+def test_only_code_emit_builds_the_matrix():
+    # The parameters come from the closed form; the matrix, and so numpy,
+    # only when it is printed.
+    loaded = cold_start.loaded(ROOT, ["code", "--classes", "10", "--emit"])
+    assert {"ecoc.code_matrix", "numpy"} <= set(loaded)
+
+
 def test_one_row_per_command(capsys, monkeypatch):
     # The first and the last command: a set-up command, and the one that
     # writes into the temporary directory.
@@ -62,7 +69,11 @@ def test_one_row_per_command(capsys, monkeypatch):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[:4] == ["command", "parent_ms", "change_ms", "ratio"]
     assert [row.split()[0] for row in rows] == ["code", "figures"]
+    loads = {}
     for row in rows:
-        parent, change, ratio, *loads = row.split()[1:]
+        name, parent, change, ratio, *modules = row.split()
         assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
-        assert "cli" in loads and "code_matrix" in loads
+        assert "cli" in modules
+        loads[name] = modules
+    assert "code_matrix" not in loads["code"] and "numpy" not in loads["code"]
+    assert "code_matrix" in loads["figures"] and "numpy" in loads["figures"]

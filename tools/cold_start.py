@@ -13,8 +13,8 @@ checkouts, the parent first in even rounds, --runs per side.
 
 A table gives, per command, each side's median in ms, the ratio change /
 parent, and what the command loads in NEW: the ``ecoc`` modules (without
-the package prefix), json and concurrent.futures, read from one more fresh
-interpreter.  A command that exits non-zero stops the script with status 1.
+the package prefix), numpy, json and concurrent.futures, read from one more
+fresh interpreter.  A command that exits non-zero stops the script with status 1.
 Standard library only; the figures command writes into a temporary
 directory that is removed at the end.
 """
@@ -48,8 +48,9 @@ COMMANDS = (
     ("figures", ["figures", "--figure", "scatter", "--fixture", "letters_dt",
                  "--out", "{out}"]),
 )
-# Standard-library modules a command should load only where it uses them.
-WATCHED = ("json", "concurrent.futures")
+# Modules a command should load only where it uses them: numpy, whose import
+# is most of a start, and two standard-library ones.
+WATCHED = ("numpy", "json", "concurrent.futures")
 # Imports ecoc, runs the command in argv if there is one, and writes on its
 # last stderr line the ecoc modules and WATCHED modules that are loaded.
 LOADS_SNIPPET = (
