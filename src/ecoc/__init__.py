@@ -26,7 +26,7 @@ _HOME = {
     "ParseError": "errors",
     "SimConfig": "simulator",
     "SimResult": "simulator",
-    "bahadur_range": "prob_engine",
+    "bahadur_range": "bounds",
     "build_code_matrix": "code_matrix",
     "chernoff_bound": "bounds",
     "chernoff_lambda": "bounds",
@@ -43,7 +43,7 @@ _HOME = {
     "nearest_rows": "code_matrix",
     "omega_factor": "bounds",
     "sylvester_hadamard": "code_matrix",
-    "valid_correlation_range": "prob_engine",
+    "valid_correlation_range": "bounds",
 }
 # Submodules that stay attributes of a bare `import ecoc`, for code that
 # reaches them as ecoc.prob_engine and the like.

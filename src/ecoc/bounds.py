@@ -3,7 +3,12 @@
 Four families: the correlation-agnostic 4*mean-rate bound, a rational bound
 valid above the mean error count, the exponential-decay bound in both its
 sum-of-rates form and its per-classifier decay-factor form lambda^n, and the
-correlation-corrected bound for the exchangeable model.
+correlation-corrected bound for the exchangeable model.  The correlation
+ranges the last one is gated by live here too: Bahadur's published range
+(bahadur_range) and the exact admissible one (valid_correlation_range),
+both closed forms in n and e, beside the correction factor that c adds to
+the iid tail (correlation_correction).  Standard library only: no bound
+builds a distribution, so `ecoc bounds` and `ecoc bahadur` load no numpy.
 
 Bound values are never clipped to [0, 1]; callers that want display
 probabilities can take min(value, 1) themselves.
@@ -13,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from ._shared import KZ_POLICIES, _check_integer
+from ._shared import KZ_POLICIES, _check_integer, _check_number, _checked_rates
 from .errors import DomainError, ModelError
-from .prob_engine import ErrorProfile, _check_number, _checked_rates
-from .prob_engine import correlation_correction, valid_correlation_range
+
+if TYPE_CHECKING:
+    from .prob_engine import ErrorProfile
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,10 @@ def _check_factor_inputs(r: float, e: float) -> None:
 
 
 def gs_bound(rates: ErrorProfile | Iterable[float]) -> float:
-    """Four times the mean of rates checked as by ErrorProfile.  May exceed 1."""
-    values = rates.rates if isinstance(rates, ErrorProfile) else _checked_rates(rates)
+    """Four times the mean of rates checked as by ErrorProfile, or of an
+    ErrorProfile's own rates (read from its rates attribute, so that the
+    class is not imported).  May exceed 1."""
+    values = _checked_rates(getattr(rates, "rates", rates))
     # Start from -0.0, the additive identity, so a lone -0.0 rate keeps its sign.
     return 4.0 * sum(values, -0.0) / len(values)
 
@@ -157,6 +165,69 @@ def omega_factor(r: float, e: float) -> float:
     if e == 0.0 or e == 1.0:
         return 0.0
     return math.exp(r * math.log(e / r) + (1.0 - r) * math.log((1.0 - e) / (1.0 - r)))
+
+
+def correlation_correction(n: int, m: int, e: float, c: float) -> float:
+    """0.5 c n (n-1) ((m-1)/(n-1) - e): the factor that the correlation c
+    adds to the iid tail at m.  The exact exchangeable tail adds it times
+    the binomial mass p(n-1, m-1, e) (the paper's closed form, which the
+    tests check against ExchangeableModel.tail in exact integers); kz_value
+    adds it times omega^n."""
+    return 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
+
+
+def bahadur_range(n: int, e: float) -> tuple[float, float]:
+    """Published admissible range for the uniform correlation coefficient.
+
+    The upper end is exact: it is the largest c for which every induced
+    outcome probability stays non-negative.  The lower end is exact only for
+    e >= 1/2; below that it understates the true constraint, which is why the
+    model types validate the induced weights directly.  At subnormal e the
+    lower end is beyond a double, and a ModelError says so.
+    """
+    c_min, c_max = _published_range(n, e)
+    if not math.isfinite(c_min):
+        raise ModelError(f"e={e}: lower end -2(1-e)/(n(n-1)e) is beyond a double")
+    return c_min, c_max
+
+
+def _published_range(n: int, e: float) -> tuple[float, float]:
+    """bahadur_range without its check on the lower end, which is -inf when
+    it overflows."""
+    _check_integer("n", n)
+    _check_number("e", e)
+    if n < 2:
+        raise ValueError(f"n={n} must be at least 2")
+    if not (0.0 < e < 1.0):
+        raise ModelError(f"e={e} must lie strictly inside (0, 1)")
+    # The published form is 2e(1-e) / (y(1-e) + 1/4 - gamma), where
+    # y = (n-1)e and gamma = min over k in 0..n of (k - y - 1/2)^2.  The
+    # minimum sits at the integer k nearest y + 1/2, which is ceil(y) (when
+    # y is an integer, y and y + 1 tie).  There 1/4 - gamma equals
+    # (y - (k-1)) (k - y), a product of two non-negative factors, which keeps
+    # its precision at small e where the difference 1/4 - gamma cancels.
+    # c_max is unchanged by e -> 1 - e (y -> n-1-y leaves gamma and
+    # (n-1)e(1-e) as they are), so it is evaluated at the smaller of the two,
+    # and 1 - e is exact for e >= 1/2.
+    lo = min(e, 1.0 - e)
+    y = (n - 1) * lo
+    k = math.ceil(y)
+    c_min = -2.0 * (1.0 - e) / (n * (n - 1) * e)
+    c_max = 2.0 * e * (1.0 - e) / (y * (1.0 - lo) + (y - (k - 1)) * (k - y))
+    return c_min, c_max
+
+
+def valid_correlation_range(n: int, e: float) -> tuple[float, float]:
+    """Largest interval of c values whose induced outcome weights are all
+    non-negative, for every e in (0, 1).  Subset of bahadur_range for
+    e < 1/2, equal otherwise."""
+    c_min, c_max = _published_range(n, e)
+    # Weights are affine in c with slope quad/(2e(1-e)); the binding negative
+    # constraint for c < 0 sits at the largest positive quadratic value,
+    # attained at k = 0 or k = n.
+    g_max = n * (n - 1) * max(e, 1.0 - e) ** 2
+    true_min = -2.0 * e * (1.0 - e) / g_max
+    return max(c_min, true_min), c_max
 
 
 def kz_value(n: int, m: int, e: float, c: float) -> float:

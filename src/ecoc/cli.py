@@ -7,14 +7,19 @@ full double precision.  Exit status: 0 on success, 1 on domain or data
 errors, 2 on usage errors.
 
 Most calls are one command in a fresh interpreter, so each command imports
-the library modules it runs at its own entry: code_matrix code --emit,
-simulate, analyze and figures; prob_engine (which loads code_matrix too)
-pmf, tail and bahadur; bounds bounds; simulator simulate; and
-experiment_io analyze and figures.  json and concurrent.futures are
-imported only where a command uses them.  code without --emit loads
-neither code_matrix nor numpy: the distance it prints, the parser's
-choices and the csv writer come from the standard-library-only _shared.
-A command's imports are absolute (import ecoc.x as y): a relative one
+the library modules it runs at its own entry: code_matrix (and with it
+numpy) code --emit, simulate and analyze --predictions; prob_engine pmf,
+tail and simulate; bounds bounds, bahadur, analyze and figures; simulator
+simulate; and experiment_io analyze and figures.  json and
+concurrent.futures are imported only where a command uses them.  Only
+--predictions, figures --figure fig1, pmf, tail, simulate and code --emit
+load numpy.  code, analyze --fixture, analyze --summary, figures --figure
+scatter, bounds and bahadur run on the standard library: a code's m comes
+from the closed form of its distance (sylvester_distance, with the
+parser's choices and the csv writer in the standard-library-only
+_shared), the bounds and correlation ranges are closed forms in math, and
+experiment_io's fold-summary half sums as numpy does without it.  A
+command's imports are absolute (import ecoc.x as y): a relative one
 resolves its package in Python code on every call, which cost 1-4 us per
 command in process where the absolute form costs under 0.5 us.
 """
@@ -224,10 +229,10 @@ def cmd_bounds(args) -> str:
 
 
 def cmd_bahadur(args) -> str:
-    import ecoc.prob_engine as pe
+    import ecoc.bounds as bounds_mod
 
-    c_min, c_max = pe.bahadur_range(args.n, args.ebar)
-    v_min, v_max = pe.valid_correlation_range(args.n, args.ebar)
+    c_min, c_max = bounds_mod.bahadur_range(args.n, args.ebar)
+    v_min, v_max = bounds_mod.valid_correlation_range(args.n, args.ebar)
     payload = {
         "c_min": c_min,
         "c_max": c_max,
@@ -278,12 +283,18 @@ def cmd_simulate(args) -> str:
 
 def _folds(
     args, sources: tuple[str, ...]
-) -> tuple[str, list[xio.FoldSummary], cm.CodeMatrix]:
-    """(name, fold summaries, code) from the one fold source given among
-    sources, the source flags the command offers.  A fixture's dataset fixes
-    its class count, so --classes goes with --summary or --predictions only;
-    name is the fixture or the stem of the (first) file."""
-    import ecoc.code_matrix as cm
+) -> tuple[str, list[xio.FoldSummary], int, int]:
+    """(name, fold summaries, n, m) from the one fold source given among
+    sources, the source flags the command offers.  m is that of the square
+    code of the folds' classes, and n is --n when given, else that code's
+    length.  A fixture's dataset fixes its class count, so --classes goes
+    with --summary or --predictions only; name is the fixture or the stem
+    of the (first) file.
+
+    Only --predictions builds the code, to decode its folds.  A fixture or a
+    summary file reads m from the closed form of the code's distance
+    (sylvester_distance), which checks the class count and orientation as
+    build_code_matrix does, with the same messages in the same order."""
     import ecoc.experiment_io as xio
 
     given = [f for f in sources if getattr(args, f[2:]) not in (None, [])]
@@ -292,16 +303,22 @@ def _folds(
     if args.fixture is not None:
         if args.classes is not None:
             raise ValueError("--classes applies only to --summary or --predictions")
-        summaries = xio.load_fixture(args.fixture)
+        name, summaries = args.fixture, xio.load_fixture(args.fixture)
         classes = xio.DATASETS[args.fixture.rsplit("_", 1)[0]].classes
-        code = cm.build_code_matrix(classes, orientation=_orientation(args))
-        return args.fixture, summaries, code
-    if args.classes is None:
+        m = sylvester_distance(classes, _orientation(args)) // 2
+    elif args.classes is None:
         raise ValueError(f"--classes is required with {given[0]}")
-    code = cm.build_code_matrix(args.classes, orientation=_orientation(args))
-    if args.summary is not None:
-        return Path(args.summary).stem, xio.load_summaries(args.summary), code
-    return Path(args.predictions[0]).stem, _analyzed(args.predictions, code), code
+    elif args.summary is not None:
+        classes = args.classes
+        m = sylvester_distance(classes, _orientation(args)) // 2
+        name, summaries = Path(args.summary).stem, xio.load_summaries(args.summary)
+    else:
+        import ecoc.code_matrix as cm
+
+        code = cm.build_code_matrix(args.classes, orientation=_orientation(args))
+        classes, m = code.n, code.m
+        name, summaries = Path(args.predictions[0]).stem, _analyzed(args.predictions, code)
+    return name, summaries, classes if args.n is None else args.n, m
 
 
 def _analyzed(paths: list[str], code: cm.CodeMatrix) -> list[xio.FoldSummary]:
@@ -356,13 +373,10 @@ _SHORT_LABELS = {"mean_bit_error": "e_bar", "mean_correlation": "corr"}
 def cmd_analyze(args) -> str:
     import ecoc.experiment_io as xio
 
-    _, summaries, code = _folds(args, ("--predictions", "--summary", "--fixture"))
+    _, summaries, n, m = _folds(args, ("--predictions", "--summary", "--fixture"))
     if not summaries:
         raise ValueError("no folds to analyze")
-    reports = [
-        xio.bound_report(s, code, n=args.n, kz_policy=args.kz_policy)
-        for s in summaries
-    ]
+    reports = [xio.bound_report(s, n, m, kz_policy=args.kz_policy) for s in summaries]
     agg = xio.aggregate(summaries, reports)
     if args.format == "json":
         import json
@@ -406,11 +420,10 @@ def cmd_figures(args) -> None:
             curve["ns"] = _ensemble_sizes(curve["ns"])
         files = {"fig1_curves": xio.figure_one_curves(**curve)}
     else:
-        name, summaries, code = _folds(args, ("--summary", "--fixture"))
+        name, summaries, n, m = _folds(args, ("--summary", "--fixture"))
         if not summaries:
             raise ValueError("no folds in input; nothing to plot")
-        n = args.n if args.n is not None else code.n
-        curves, folds = xio.scatter_figure_data(summaries, n, code.m)
+        curves, folds = xio.scatter_figure_data(summaries, n, m)
         files = {f"{name}_curves": curves, f"{name}_folds": folds}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

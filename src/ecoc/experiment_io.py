@@ -23,6 +23,15 @@ The package bundles summary fixtures for the six public datasets (ten
 dataset/model pairs) so the published per-fold tables can be re-analyzed
 without retraining anything, together with the published aggregate table the
 reproduction is checked against.
+
+The fold-summary half (summary CSVs, fixtures, bound reports, aggregation,
+the reference reproduction and the scatter figure) runs on the standard
+library: each fold is four floats, each bound a closed form, and a code's m
+comes from the closed form of its distance (_shared.sylvester_distance).
+Its means and standard deviations add up the way numpy does (_add_up), so
+they are numpy's bits.  numpy and code_matrix are imported only by the
+raw-fold functions, where they run: FoldData, load_predictions,
+write_predictions, analyze_fold and figure_one_curves.
 """
 
 from __future__ import annotations
@@ -34,14 +43,16 @@ import warnings
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import code_matrix
-from ._shared import csv_text
+from ._shared import DEFAULT_ORIENTATION, csv_text, sylvester_distance
 from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
-from .code_matrix import CodeMatrix, _all_bits, _misdecoded, build_code_matrix
 from .errors import DomainError, ParseError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .code_matrix import CodeMatrix
 
 # Admissible range of each numeric summary column, in file order.
 _SUMMARY_RANGES = {
@@ -80,6 +91,9 @@ class FoldData:
     bits: np.ndarray
 
     def __post_init__(self):
+        import ecoc.code_matrix as cm
+        import numpy as np
+
         classes, bits = self.true_classes, self.bits
         if not (
             isinstance(classes, np.ndarray)
@@ -96,7 +110,7 @@ class FoldData:
                 f"bits of shape {np.shape(bits)} do not match "
                 f"{len(classes)} samples of n={self.n} bits"
             )
-        if not _all_bits(bits):
+        if not cm._all_bits(bits):
             raise ValueError("bits must be 0 or 1")
         for name in ("true_classes", "bits"):
             array = getattr(self, name).copy()
@@ -163,6 +177,8 @@ def load_predictions(path) -> FoldData:
     _BLOCK_ROWS rows.  The first row that does not match raises a ParseError
     naming its line.
     """
+    import numpy as np
+
     path = Path(path)
     raw = path.read_bytes()
     if not raw:
@@ -209,6 +225,8 @@ def _line_ends(body: np.ndarray) -> np.ndarray:
     """Offsets of body's LF bytes, then body.size if the last line has no
     LF.  The scan runs over _SCAN_BYTES at a time, so no bool array the
     size of the file is made."""
+    import numpy as np
+
     ends = []
     for lo in range(0, body.size, _SCAN_BYTES):
         at = np.flatnonzero(body[lo : lo + _SCAN_BYTES] == _LF)
@@ -224,6 +242,8 @@ def _windows(body: np.ndarray, size: int) -> np.ndarray:
     body[i : i + size]: gathering whole items copies each row's cells in one
     piece, about 3x as fast at 26 classes as gathering rows of a 2-D
     sliding window."""
+    import numpy as np
+
     item = np.dtype((np.void, size))
     return np.ndarray((body.size - size + 1,), item, body, strides=(1,))
 
@@ -233,6 +253,8 @@ def _parse_block(body, bit0, width, bits, classes) -> int:
     _MAX_CLASS_DIGITS bytes wide, into bits and classes (the block's rows of
     the fold's arrays; classes starts at zero).  Returns the index in the
     block of its first bad row, or -1."""
+    import numpy as np
+
     # Each cell is read as one little-endian 16-bit pair: ",0" is _CELL0 and
     # ",1" is _CELL1.  Once the bits are read, bit 8 is set in place: that
     # maps the two, and nothing else, to _CELL1, so the cells are well formed
@@ -260,6 +282,8 @@ def _parse_block(body, bit0, width, bits, classes) -> int:
 
 def write_predictions(data: FoldData, path) -> None:
     """Write one fold in the raw schema with ``\\r\\n`` line ends, in one write."""
+    import numpy as np
+
     header = (",".join(_prediction_header(data.n)) + "\r\n").encode()
     classes, label_of = np.unique(data.true_classes, return_inverse=True)
     labels = [str(c).encode() for c in classes.tolist()]
@@ -415,6 +439,9 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
     correlation average; if every pair is excluded the correlation is 0 and
     flagged.
     """
+    import ecoc.code_matrix as cm
+    import numpy as np
+
     if data.n != code.n:
         raise ValueError(f"fold has n={data.n}, code has n={code.n}")
     if data.num_samples == 0:
@@ -444,7 +471,7 @@ def analyze_fold(data: FoldData, code: CodeMatrix) -> FoldSummary:
     # A far sample's word is its predicted bits: its codeword with its
     # errors flipped.  Only far samples can decode wrongly; FoldData has
     # checked the bits.
-    ecoc_error = _misdecoded(data.bits[far], data.true_classes[far], code) / num
+    ecoc_error = cm._misdecoded(data.bits[far], data.true_classes[far], code) / num
 
     return FoldSummary(
         fold_id=data.fold_id,
@@ -468,7 +495,10 @@ def _fold_counts(data: FoldData, code: CodeMatrix) -> tuple[np.ndarray, np.ndarr
     EXACT_MAX_N - 1 rows (read at call time).  Each block's errors are
     written as float32 once, and give its Gram product and its row counts,
     both exact (see the module docstring)."""
-    block_rows = min(_BLOCK_ROWS, code_matrix.EXACT_MAX_N - 1, data.num_samples)
+    import ecoc.code_matrix as cm
+    import numpy as np
+
+    block_rows = min(_BLOCK_ROWS, cm.EXACT_MAX_N - 1, data.num_samples)
     counts = np.zeros((data.n, data.n))
     ones = np.ones(data.n, np.float32)
     block_errs = np.empty((block_rows, data.n), np.float32)
@@ -485,33 +515,90 @@ def _fold_counts(data: FoldData, code: CodeMatrix) -> tuple[np.ndarray, np.ndarr
     return counts, np.concatenate(far)
 
 
-def _sample_std(values: np.ndarray) -> float:
-    """Sample std (ddof 1); exactly 0.0 for fewer than two or all-equal values."""
+def _add_up(values: list[float]) -> float:
+    """The sum numpy's add.reduce gives for a float64 array of values, to
+    the bit: +0.0, the identity the reduction starts from (so a sum of -0.0s
+    is 0.0), plus the values' pairwise sum, in plain float additions.  Of
+    fewer than 8 values that is the left-to-right sum; 8 to 128 values go to
+    8 running sums, one per residue of the index mod 8 up to the last whole
+    group of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the
+    rest is added to that; more are split in two, at half the count rounded
+    down to a multiple of 8, and each half summed the same way.  Neither
+    math.fsum nor a left-to-right sum does this: each differed from numpy's
+    sum on most of 20,000 random lists of 1 to 400 values."""
+
+    def pairwise(values):
+        count = len(values)
+        if count < 8:
+            total = -0.0
+            for v in values:
+                total += v
+            return total
+        if count <= 128:
+            whole = count - count % 8
+            sums = []
+            for j in range(8):
+                partial = values[j]
+                for v in values[j + 8 : whole : 8]:
+                    partial += v
+                sums.append(partial)
+            total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+                (sums[4] + sums[5]) + (sums[6] + sums[7])
+            )
+            for v in values[whole:]:
+                total += v
+            return total
+        half = count // 2
+        half -= half % 8
+        return pairwise(values[:half]) + pairwise(values[half:])
+
+    return 0.0 + pairwise(values)
+
+
+def _mean(values: list[float]) -> float:
+    """numpy's mean() of a float64 array of values, to the bit."""
+    return _add_up(values) / len(values)
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace(lo, hi, count).tolist(), to the bit, for count >= 2 and a
+    step (hi - lo) / (count - 1) that is not zero: point i is i * step + lo,
+    and the last point is hi itself."""
+    step = (hi - lo) / (count - 1)
+    return [i * step + lo for i in range(count - 1)] + [hi]
+
+
+def _sample_std(values) -> float:
+    """Sample std (ddof 1); exactly 0.0 for fewer than two or all-equal
+    values.  An array's is numpy's std(ddof=1); a list's is the same bits
+    without numpy: the squared deviations from _mean, summed by _add_up,
+    over count - 1, then the root.  analyze_fold passes arrays (a fold's
+    pairs number up to n(n-1)/2, where numpy is faster), aggregate lists."""
+    if isinstance(values, list):
+        if len(values) > 1 and max(values) > min(values):
+            mean = _mean(values)
+            squares = [(v - mean) * (v - mean) for v in values]
+            return math.sqrt(_add_up(squares) / (len(values) - 1))
+        return 0.0
     if len(values) > 1 and values.max() > values.min():
         return float(values.std(ddof=1))
     return 0.0
 
 
 def bound_report(
-    summary: FoldSummary,
-    code: CodeMatrix,
-    *,
-    n: int | None = None,
-    kz_policy: str = "gated",
+    summary: FoldSummary, n: int, m: int, *, kz_policy: str = "gated"
 ) -> BoundReport:
-    """Evaluate the bounds for one fold from its summary statistics.
+    """Evaluate the bounds for one fold from its summary statistics, at a
+    codeword length n and a threshold m (a code's n and m, or another n
+    with the code's m).
 
-    n overrides the codeword length used in the bound formulas (the code's m
-    is kept); the bundled reference aggregates are reproduced with
+    The bundled reference aggregates are reproduced with
     kz_policy="always", which evaluates the correlation-corrected expression
     even for folds where its preconditions fail.  Fold reports always carry
-    the decay bound, so an n equal to the code's m is rejected.
+    the decay bound, so an n equal to m is rejected.
     """
     inputs = BoundInputs(
-        n=n if n is not None else code.n,
-        m=code.m,
-        e_bar=summary.mean_bit_error,
-        c=summary.mean_correlation,
+        n=n, m=m, e_bar=summary.mean_bit_error, c=summary.mean_correlation
     )
     if inputs.m == inputs.n:
         raise DomainError(f"n={inputs.n} equals m: the decay bound needs m < n")
@@ -528,8 +615,7 @@ def aggregate(
         raise ValueError("summaries and reports must align")
 
     def stats(values: list[float]) -> ColumnStats:
-        arr = np.asarray(values)
-        return ColumnStats(mean=float(arr.mean()), std=_sample_std(arr), count=len(arr))
+        return ColumnStats(mean=_mean(values), std=_sample_std(values), count=len(values))
 
     cells = [_fold_cells(s, r) for s, r in zip(summaries, reports)]
     columns = {
@@ -714,14 +800,13 @@ def reproduce_reference_row(
     if model not in info.models:
         raise ValueError(f"{dataset} has models {info.models}, not {model!r}")
     summaries = load_fixture(f"{dataset}_{model}")
-    code = build_code_matrix(info.classes)
+    # The m of build_code_matrix(info.classes), with no matrix built.
+    m = sylvester_distance(info.classes, DEFAULT_ORIENTATION) // 2
     ref = REFERENCE_TABLE[(dataset, model)]
     lengths = [info.classes] + ([info.alt_n] if info.alt_n else [])
     by_n: dict[int, AggregateReport] = {}
     for n in lengths:
-        reports = [
-            bound_report(s, code, n=n, kz_policy=kz_policy) for s in summaries
-        ]
+        reports = [bound_report(s, n, m, kz_policy=kz_policy) for s in summaries]
         by_n[n] = aggregate(summaries, reports)
     chosen = min(by_n, key=lambda n: abs(by_n[n].chernoff.mean - ref.chernoff))
     return ReproducedRow(
@@ -756,6 +841,8 @@ def figure_one_curves(
         raise ValueError(f"step={step} must be finite and positive")
     if any(n < 1 for n in ns):
         raise ValueError(f"ensemble sizes {ns} must all be at least 1")
+    import numpy as np
+
     grid = np.arange(step, r, step)
     if not grid.size:
         raise ValueError(f"step={step} leaves no grid point in (0, {r})")
@@ -792,7 +879,7 @@ def scatter_figure_data(
     if not 1 <= m < n:
         raise ValueError(f"m={m} outside 1..{n - 1}: the decay bounds need m < n")
     e_vals = [s.mean_bit_error for s in summaries]
-    pooled_c = float(np.mean([s.mean_correlation for s in summaries]))
+    pooled_c = _mean([s.mean_correlation for s in summaries])
     r = m / n
     lo = max(1e-6, 0.8 * min(e_vals))
     hi = min(r - 1e-6, 1.2 * max(e_vals))
@@ -804,7 +891,7 @@ def scatter_figure_data(
 
     curve_rows = [
         {"e_bar": e, **_bound_cells(report_at(e, pooled_c))}
-        for e in np.linspace(lo, hi, _SCATTER_GRID_POINTS).tolist()
+        for e in _linspace(lo, hi, _SCATTER_GRID_POINTS)
     ]
     fold_rows = [
         {

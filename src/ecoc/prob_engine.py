@@ -75,13 +75,12 @@ No sampler holds a (count, n) array unless every row is far.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import _check_integer
+from ._shared import _check_integer, _check_number, _checked_rates
 from .code_matrix import CodeMatrix, _check_width, _correlations
 from .errors import ModelError
 
@@ -392,45 +391,11 @@ def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
     return max(0.0, e1 + e2 - 1.0), min(e1, e2)
 
 
-def _checked_rates(rates) -> tuple[float, ...]:
-    """The rates as a tuple of floats: at least one, each a number in [0, 1]
-    (not NaN); the first bad one is named by its place.  Checked by a plain
-    loop: a vectorised compare pays numpy's fixed cost on every call, and
-    ErrorProfile.iid passes one rate, a --rates list rarely more than a few
-    hundred, where that cost exceeds the loop's (it wins from about 250).
-    The entries are converted in one map, and again one by one only when it
-    fails, to name the entry float() rejects: converting each in the loop
-    cost about 20 % more at 1,000 rates on a 2-vCPU Xeon."""
-    try:
-        checked = tuple(map(float, rates))
-    except (TypeError, ValueError):
-        for i, r in enumerate(rates, 1):
-            try:
-                float(r)
-            except (TypeError, ValueError):
-                raise ValueError(f"rate e_{i}={r!r} is not a number") from None
-        raise  # rates was an iterator, used up by the map
-    if not checked:
-        raise ValueError("error profile needs at least one rate")
-    for i, e in enumerate(checked, 1):
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"rate e_{i}={e} outside [0, 1]")
-    return checked
-
-
 def _check_count(name: str, value: int, n: int) -> None:
     """The one check on a count k, m or k_min: an integer in 0..n."""
     _check_integer(name, value)
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} outside 0..{n}")
-
-
-def _check_number(name: str, value) -> None:
-    """A model parameter: a real number (its range is checked by the model);
-    text is not converted, unlike a rate.  A Python float or int (NumPy's
-    float64 is a float) is let through before the numbers.Real check."""
-    if not isinstance(value, (float, int)) and not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}={value!r} is not a number")
 
 
 def _far_count(rng: np.random.Generator, pmf: np.ndarray, count: int, k_min: int):
@@ -615,69 +580,6 @@ def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
         k, q = k[::-1], 1.0 - e
     quad = k * k - k + q * (n - 1) * (n * q - 2.0 * k)
     return 1.0 + c / (2.0 * e * (1.0 - e)) * quad
-
-
-def correlation_correction(n: int, m: int, e: float, c: float) -> float:
-    """0.5 c n (n-1) ((m-1)/(n-1) - e): the factor that the correlation c
-    adds to the iid tail at m.  The exact exchangeable tail adds it times
-    the binomial mass p(n-1, m-1, e) (the paper's closed form, which the
-    tests check against ExchangeableModel.tail in exact integers); kz_value
-    adds it times omega^n."""
-    return 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
-
-
-def bahadur_range(n: int, e: float) -> tuple[float, float]:
-    """Published admissible range for the uniform correlation coefficient.
-
-    The upper end is exact: it is the largest c for which every induced
-    outcome probability stays non-negative.  The lower end is exact only for
-    e >= 1/2; below that it understates the true constraint, which is why the
-    model types validate the induced weights directly.  At subnormal e the
-    lower end is beyond a double, and a ModelError says so.
-    """
-    c_min, c_max = _published_range(n, e)
-    if not math.isfinite(c_min):
-        raise ModelError(f"e={e}: lower end -2(1-e)/(n(n-1)e) is beyond a double")
-    return c_min, c_max
-
-
-def _published_range(n: int, e: float) -> tuple[float, float]:
-    """bahadur_range without its check on the lower end, which is -inf when
-    it overflows."""
-    _check_integer("n", n)
-    _check_number("e", e)
-    if n < 2:
-        raise ValueError(f"n={n} must be at least 2")
-    if not (0.0 < e < 1.0):
-        raise ModelError(f"e={e} must lie strictly inside (0, 1)")
-    # The published form is 2e(1-e) / (y(1-e) + 1/4 - gamma), where
-    # y = (n-1)e and gamma = min over k in 0..n of (k - y - 1/2)^2.  The
-    # minimum sits at the integer k nearest y + 1/2, which is ceil(y) (when
-    # y is an integer, y and y + 1 tie).  There 1/4 - gamma equals
-    # (y - (k-1)) (k - y), a product of two non-negative factors, which keeps
-    # its precision at small e where the difference 1/4 - gamma cancels.
-    # c_max is unchanged by e -> 1 - e (y -> n-1-y leaves gamma and
-    # (n-1)e(1-e) as they are), so it is evaluated at the smaller of the two,
-    # and 1 - e is exact for e >= 1/2.
-    lo = min(e, 1.0 - e)
-    y = (n - 1) * lo
-    k = math.ceil(y)
-    c_min = -2.0 * (1.0 - e) / (n * (n - 1) * e)
-    c_max = 2.0 * e * (1.0 - e) / (y * (1.0 - lo) + (y - (k - 1)) * (k - y))
-    return c_min, c_max
-
-
-def valid_correlation_range(n: int, e: float) -> tuple[float, float]:
-    """Largest interval of c values whose induced outcome weights are all
-    non-negative, for every e in (0, 1).  Subset of bahadur_range for
-    e < 1/2, equal otherwise."""
-    c_min, c_max = _published_range(n, e)
-    # Weights are affine in c with slope quad/(2e(1-e)); the binding negative
-    # constraint for c < 0 sits at the largest positive quadratic value,
-    # attained at k = 0 or k = n.
-    g_max = n * (n - 1) * max(e, 1.0 - e) ** 2
-    true_min = -2.0 * e * (1.0 - e) / g_max
-    return max(c_min, true_min), c_max
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from ecoc.bounds import (
     chernoff_mu_bound,
     feller_bound,
     kz_bound,
+    valid_correlation_range,
 )
 from ecoc.code_matrix import (
     DEFAULT_ORIENTATION,
@@ -54,7 +55,6 @@ from ecoc.prob_engine import (
     PairModel,
     enumerate_outcomes,
     pair_f_range,
-    valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_decode_error, mc_threshold_error
 
@@ -285,7 +285,7 @@ def test_criterion_7_reference_table_reproduction():
         dataset = name.rsplit("_", 1)[0]
         summaries = load_fixture(name)
         code = build_code_matrix(DATASETS[dataset].classes)
-        reports = [bound_report(s, code, kz_policy="always") for s in summaries]
+        reports = [bound_report(s, code.n, code.m, kz_policy="always") for s in summaries]
         out_lines = format_report_csv(summaries, reports).splitlines()[1:]
         src_lines = fixture_text(name).splitlines()[1:]
         for out_line, src_line in zip(out_lines, src_lines):

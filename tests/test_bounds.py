@@ -8,6 +8,7 @@ import pytest
 
 from ecoc.bounds import (
     BoundInputs,
+    bahadur_range,
     chernoff_bound,
     chernoff_lambda,
     chernoff_mu_bound,
@@ -17,15 +18,10 @@ from ecoc.bounds import (
     kz_bound,
     kz_value,
     omega_factor,
-)
-from ecoc.errors import DomainError, ModelError
-from ecoc.prob_engine import (
-    ErrorProfile,
-    ExchangeableModel,
-    Independent,
-    bahadur_range,
     valid_correlation_range,
 )
+from ecoc.errors import DomainError, ModelError
+from ecoc.prob_engine import ErrorProfile, ExchangeableModel, Independent
 
 
 class TestGs:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import ecoc
 import ecoc.cli as cli
 import ecoc.simulator as simulator
-from ecoc.bounds import BoundInputs, evaluate_bounds
+from ecoc.bounds import BoundInputs, bahadur_range, evaluate_bounds, valid_correlation_range
 from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix, from_text
 from ecoc.experiment_io import fixture_names
@@ -28,8 +28,6 @@ from ecoc.prob_engine import (
     ExchangeableModel,
     Independent,
     PairModel,
-    bahadur_range,
-    valid_correlation_range,
 )
 from ecoc.simulator import SimConfig, mc_threshold_error
 

@@ -785,36 +785,36 @@ class TestBoundReport:
     def test_per_fold_gs(self):
         summary = FoldSummary("1", 0.0323, 0.0154, 0.0328)
         code = build_code_matrix(10)
-        report = bound_report(summary, code)
+        report = bound_report(summary, code.n, code.m)
         assert report.gs == pytest.approx(0.1292, abs=1e-12)
 
     def test_letters_aggregate_decay_bound(self):
         summaries = load_fixture("letters_dt")
         code = build_code_matrix(26)
-        reports = [bound_report(s, code) for s in summaries]
+        reports = [bound_report(s, code.n, code.m) for s in summaries]
         agg = aggregate(summaries, reports)
         assert agg.chernoff.mean == pytest.approx(0.047, abs=0.005)
 
     def test_negative_correlation_gates_kz(self):
         summary = FoldSummary("1", 0.05, -0.02, 0.04)
         code = build_code_matrix(10)
-        report = bound_report(summary, code)
+        report = bound_report(summary, code.n, code.m)
         assert report.kz is None
         assert report.gs > 0 and report.chernoff_lambda > 0
-        always = bound_report(summary, code, kz_policy="always")
+        always = bound_report(summary, code.n, code.m, kz_policy="always")
         assert always.kz is not None
 
     def test_n_equal_to_m_rejected(self):
         code = build_code_matrix(26)
         summary = load_fixture("letters_dt")[0]
         with pytest.raises(DomainError, match="m < n"):
-            bound_report(summary, code, n=code.m)
+            bound_report(summary, code.m, code.m)
 
     def test_n_override_changes_ratio(self):
         summary = FoldSummary("1", 0.03, 0.01, 0.03)
         code = build_code_matrix(10)
-        r10 = bound_report(summary, code)
-        r11 = bound_report(summary, code, n=11)
+        r10 = bound_report(summary, code.n, code.m)
+        r11 = bound_report(summary, 11, code.m)
         assert r10.chernoff_lambda != r11.chernoff_lambda
 
 
@@ -822,7 +822,7 @@ class TestAggregate:
     def test_single_fold_zero_std(self):
         s = FoldSummary("1", 0.05, 0.01, 0.04)
         code = build_code_matrix(10)
-        agg = aggregate([s], [bound_report(s, code)])
+        agg = aggregate([s], [bound_report(s, code.n, code.m)])
         assert agg.experimental.mean == 0.04
         assert agg.experimental.std == 0.0
         assert agg.gs.std == 0.0
@@ -831,7 +831,7 @@ class TestAggregate:
         s = FoldSummary("1", 0.05, 0.01, 0.04)
         code = build_code_matrix(10)
         folds = [s] * 10
-        reports = [bound_report(x, code) for x in folds]
+        reports = [bound_report(x, code.n, code.m) for x in folds]
         agg = aggregate(folds, reports)
         assert agg.experimental.std == 0.0
         assert agg.chernoff.std == 0.0
@@ -840,7 +840,7 @@ class TestAggregate:
     def test_gs_column_is_four_times_mean_rate(self):
         summaries = load_fixture("usps_svm")
         code = build_code_matrix(10)
-        reports = [bound_report(s, code) for s in summaries]
+        reports = [bound_report(s, code.n, code.m) for s in summaries]
         agg = aggregate(summaries, reports)
         mean_rate = np.mean([s.mean_bit_error for s in summaries])
         assert agg.gs.mean == pytest.approx(4 * mean_rate, abs=1e-15)
@@ -861,11 +861,59 @@ class TestAggregate:
         assert lines[-2:] == ["mean,,,0.05,0.4,,", "std,,,0.0,0.0,,"]
 
 
+# Mixed signs and magnitudes: signed zeros, plain draws, and a mantissa
+# scaled by a power of ten from 1e-12 to 1e12.
+_SPREAD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.builds(lambda x, p: x * 10.0**p, st.floats(-10.0, 10.0), st.integers(-12, 12)),
+)
+
+
+@st.composite
+def _float_lists(draw):
+    """1 to 300 floats: drawn one by one, or one value repeated."""
+    if draw(st.booleans()):
+        return draw(st.lists(_SPREAD_FLOATS, min_size=1, max_size=300))
+    return [draw(_SPREAD_FLOATS)] * draw(st.integers(1, 300))
+
+
+class TestNumpyFreeMoments:
+    """aggregate's and the scatter figure's arithmetic runs without numpy and
+    gives numpy's bits: the pairwise sum behind the mean and the sample std,
+    and the linspace grid."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=_float_lists())
+    def test_mean_std_and_grid_are_numpys_bits(self, values):
+        arr = np.array(values)
+        assert xio._mean(values).hex() == float(arr.mean()).hex()
+        std = xio._sample_std(values)
+        assert std.hex() == xio._sample_std(arr).hex()
+        if len(values) > 1 and arr.max() > arr.min():
+            assert std.hex() == float(arr.std(ddof=1)).hex()
+        else:
+            # One value, or all equal (signed zeros included): exactly 0.0.
+            assert std.hex() == (0.0).hex()
+        lo, hi, count = min(values), max(values), len(values) + 1
+        if lo < hi and (hi - lo) / (count - 1) != 0.0:
+            grid = xio._linspace(lo, hi, count)
+            assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, count).tolist()]
+
+    def test_sum_blocks_at_8_and_128(self):
+        # Values whose sum depends on the order of the additions, at each
+        # length where numpy's blocking changes.
+        rng = np.random.default_rng(7)
+        for count in (7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257):
+            values = (rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)).tolist()
+            assert xio._add_up(values).hex() == float(np.sum(values)).hex(), count
+
+
 class TestReportRendering:
     def test_csv_passes_experimental_through(self):
         summaries = load_fixture("letters_dt")
         code = build_code_matrix(26)
-        reports = [bound_report(s, code) for s in summaries]
+        reports = [bound_report(s, code.n, code.m) for s in summaries]
         text = format_report_csv(summaries, reports)
         lines = text.splitlines()
         assert lines[0].startswith("fold,mean_bit_error")
@@ -876,13 +924,13 @@ class TestReportRendering:
     def test_kz_cell_empty_when_absent(self):
         s = FoldSummary("1", 0.05, -0.02, 0.04)
         code = build_code_matrix(10)
-        text = format_report_csv([s], [bound_report(s, code)])
+        text = format_report_csv([s], [bound_report(s, code.n, code.m)])
         assert text.splitlines()[1].endswith(",")
 
     def test_json_has_aggregate(self):
         summaries = load_fixture("cifar10_cnn")
         code = build_code_matrix(10)
-        reports = [bound_report(s, code, kz_policy="always") for s in summaries]
+        reports = [bound_report(s, code.n, code.m, kz_policy="always") for s in summaries]
         obj = report_json_obj(summaries, reports, aggregate(summaries, reports))
         assert len(obj["folds"]) == 10
         assert obj["aggregate"]["kz"]["count"] == 10
@@ -891,7 +939,7 @@ class TestReportRendering:
     def test_csv_aggregate_rows(self):
         summaries = load_fixture("svhn_cnn")
         code = build_code_matrix(10)
-        reports = [bound_report(s, code) for s in summaries]
+        reports = [bound_report(s, code.n, code.m) for s in summaries]
         agg = aggregate(summaries, reports)
         lines = format_report_csv(summaries, reports, agg).splitlines()
         assert len(lines) == 1 + 10 + 2

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoc import prob_engine
+from ecoc.bounds import bahadur_range, valid_correlation_range
 from ecoc.code_matrix import build_code_matrix
 from ecoc.errors import EcocError, ModelError
 from ecoc.prob_engine import (
@@ -23,12 +24,10 @@ from ecoc.prob_engine import (
     ExchangeableModel,
     Independent,
     PairModel,
-    bahadur_range,
     enumerate_outcomes,
     exact_decode_error,
     pair_f_range,
     poisson_binomial_dist,
-    valid_correlation_range,
 )
 
 

@@ -12,9 +12,13 @@ children, and takes its wall time.  The runs alternate between the
 checkouts, the parent first in even rounds, --runs per side.
 
 A table gives, per command, each side's median in ms, the ratio change /
-parent, and what the command loads in NEW: the ``ecoc`` modules (without
-the package prefix), numpy, json and concurrent.futures, read from one more
-fresh interpreter.  A command that exits non-zero stops the script with status 1.
+parent, each side's quartiles (q1-q3, statistics.quantiles, inclusive; one
+run is its own quartiles), and what the command loads in NEW: the ``ecoc``
+modules (without the package prefix), numpy, json and concurrent.futures,
+read from one more fresh interpreter.  A ratio marked ``~`` is one whose two
+sides' interquartile ranges overlap: an unchanged command's median swings
+by 10-18 % between runs on a shared host, so such a ratio is within the
+spread and shows no change.  A command that exits non-zero stops the script with status 1.
 Standard library only; the figures command writes into a temporary
 directory that is removed at the end.
 """
@@ -104,6 +108,14 @@ def loaded(checkout: Path, argv: list[str]) -> list[str]:
     return proc.stderr.splitlines()[-1].split()
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """(q1, q3) of values, inclusive; a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -114,7 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs must be at least 1")
     bench = perfbench_run(args.change)
     pair = (args.parent, args.change)
-    print(f"{'command':<9} {'parent_ms':>9} {'change_ms':>9} {'ratio':>6}  loads (change)")
+    print(f"{'command':<9} {'parent_ms':>9} {'change_ms':>9} {'ratio':>6}  "
+          f"{'parent_q1-q3':>13} {'change_q1-q3':>13}  loads (change)")
     with tempfile.TemporaryDirectory() as out:
         for name, command in COMMANDS:
             command = [word.format(out=out) for word in command]
@@ -128,8 +141,12 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(f"error: {exc}\n")
                 return 1
             old, new = map(statistics.median, times)
+            (old_q1, old_q3), (new_q1, new_q3) = map(quartiles, times)
+            mark = "~" if old_q1 <= new_q3 and new_q1 <= old_q3 else " "
+            spreads = (f"{old_q1:.1f}-{old_q3:.1f}", f"{new_q1:.1f}-{new_q3:.1f}")
             short = " ".join(m.removeprefix("ecoc.") for m in loads)
-            print(f"{name:<9} {old:>9.1f} {new:>9.1f} {new / old:>6.3f}  {short}")
+            print(f"{name:<9} {old:>9.1f} {new:>9.1f} {new / old:>5.3f}{mark}  "
+                  f"{spreads[0]:>13} {spreads[1]:>13}  {short}")
     return 0
 
 
