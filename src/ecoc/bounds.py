@@ -9,6 +9,9 @@ ranges the last one is gated by live here too: Bahadur's published range
 both closed forms in n and e, beside the correction factor that c adds to
 the iid tail (correlation_correction).  Standard library only: no bound
 builds a distribution, so `ecoc bounds` and `ecoc bahadur` load no numpy.
+The two records, BoundInputs and BoundReport, are NamedTuples rather than
+dataclasses, whose import loads inspect and whose generated methods are
+executed at import.
 
 Bound values are never clipped to [0, 1]; callers that want display
 probabilities can take min(value, 1) themselves.
@@ -17,8 +20,7 @@ probabilities can take min(value, 1) themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ._shared import KZ_POLICIES, _check_integer, _check_number, _checked_rates
 from .errors import DomainError, ModelError
@@ -27,26 +29,37 @@ if TYPE_CHECKING:
     from .prob_engine import ErrorProfile
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Parameter set for one bound evaluation.
-
-    mu defaults to n * e_bar, the identically-distributed case.  c, when
-    given, must be finite, and mu finite and non-negative.
-    """
-
+class _BoundInputFields(NamedTuple):
     n: int
     m: int
     e_bar: float
-    c: float | None = None
-    mu: float | None = None
+    c: float | None
+    mu: float | None
 
-    def __post_init__(self):
-        _check_inputs(self.n, self.m, self.e_bar, self.c)
-        if self.mu is not None:
-            _check_number("mu", self.mu)
-            if not (math.isfinite(self.mu) and self.mu >= 0.0):
-                raise ValueError(f"mu={self.mu} must be finite and non-negative")
+
+class BoundInputs(_BoundInputFields):
+    """Parameter set for one bound evaluation.
+
+    mu defaults to n * e_bar, the identically-distributed case.  c, when
+    given, must be finite, and mu finite and non-negative.  _make and
+    _replace construct through __new__, so they check the same.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n: int, m: int, e_bar: float, c: float | None = None, mu: float | None = None
+    ):
+        _check_inputs(n, m, e_bar, c)
+        if mu is not None:
+            _check_number("mu", mu)
+            if not (math.isfinite(mu) and mu >= 0.0):
+                raise ValueError(f"mu={mu} must be finite and non-negative")
+        return super().__new__(cls, n, m, e_bar, c, mu)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def r(self) -> float:
@@ -57,8 +70,7 @@ class BoundInputs:
         return self.n * self.e_bar if self.mu is None else self.mu
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluated bounds for one parameter set.
 
     feller and kz are None where their preconditions fail; kz_reason says

@@ -18,10 +18,12 @@ scatter, bounds and bahadur run on the standard library: a code's m comes
 from the closed form of its distance (sylvester_distance, with the
 parser's choices and the csv writer in the standard-library-only
 _shared), the bounds and correlation ranges are closed forms in math, and
-experiment_io's fold-summary half sums as numpy does without it.  A
-command's imports are absolute (import ecoc.x as y): a relative one
-resolves its package in Python code on every call, which cost 1-4 us per
-command in process where the absolute form costs under 0.5 us.
+experiment_io's fold-summary half sums as numpy does without it.  No
+module these commands import imports dataclasses, which loads inspect:
+their records are NamedTuples.  A command's imports are absolute (import
+ecoc.x as y): a relative one resolves its package in Python code on every
+call, which cost 1-4 us per command in process where the absolute form
+costs under 0.5 us.
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ comes from the closed form of its distance (_shared.sylvester_distance).
 Its means and standard deviations add up the way numpy does (_add_up), so
 they are numpy's bits.  numpy and code_matrix are imported only by the
 raw-fold functions, where they run: FoldData, load_predictions,
-write_predictions, analyze_fold and figure_one_curves.
+write_predictions, analyze_fold and figure_one_curves.  The records are
+NamedTuples, not dataclasses, whose import loads inspect and whose
+generated methods are executed at import.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._shared import DEFAULT_ORIENTATION, csv_text, sylvester_distance
 from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
@@ -79,22 +80,26 @@ _SCAN_BYTES = 1 << 18
 _SCATTER_GRID_POINTS = 101
 
 
-@dataclass(frozen=True)
-class FoldData:
-    """Raw per-sample predictions for one cross-validation fold.  The checked
-    true_classes and bits are stored as read-only copies, so no later write
-    to the caller's arrays reaches an analysis unchecked."""
-
+class _FoldFields(NamedTuple):
     fold_id: str
     n: int
     true_classes: np.ndarray
     bits: np.ndarray
 
-    def __post_init__(self):
+
+class FoldData(_FoldFields):
+    """Raw per-sample predictions for one cross-validation fold.  The checked
+    true_classes and bits are stored as read-only copies, so no later write
+    to the caller's arrays reaches an analysis unchecked.  _make and _replace
+    construct through __new__, so they check and copy the same."""
+
+    __slots__ = ()
+
+    def __new__(cls, fold_id: str, n: int, true_classes: np.ndarray, bits: np.ndarray):
         import ecoc.code_matrix as cm
         import numpy as np
 
-        classes, bits = self.true_classes, self.bits
+        classes = true_classes
         if not (
             isinstance(classes, np.ndarray)
             and classes.ndim == 1
@@ -103,27 +108,30 @@ class FoldData:
             raise ValueError("true_classes must be a 1-D integer array")
         if classes.size and classes.min() < 0:
             raise ValueError(f"true_class {int(classes.min())} is negative")
-        if self.n < 1:
-            raise ValueError(f"n={self.n}: a fold needs at least one classifier")
-        if not isinstance(bits, np.ndarray) or bits.shape != (len(classes), self.n):
+        if n < 1:
+            raise ValueError(f"n={n}: a fold needs at least one classifier")
+        if not isinstance(bits, np.ndarray) or bits.shape != (len(classes), n):
             raise ValueError(
                 f"bits of shape {np.shape(bits)} do not match "
-                f"{len(classes)} samples of n={self.n} bits"
+                f"{len(classes)} samples of n={n} bits"
             )
         if not cm._all_bits(bits):
             raise ValueError("bits must be 0 or 1")
-        for name in ("true_classes", "bits"):
-            array = getattr(self, name).copy()
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        classes, bits = classes.copy(), bits.copy()
+        classes.setflags(write=False)
+        bits.setflags(write=False)
+        return super().__new__(cls, fold_id, n, classes, bits)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def num_samples(self) -> int:
         return len(self.true_classes)
 
 
-@dataclass(frozen=True)
-class FoldSummary:
+class FoldSummary(NamedTuple):
     """Per-fold statistics; mirrors one row of the published fold tables."""
 
     fold_id: str
@@ -136,15 +144,13 @@ class FoldSummary:
     correlation_defined: bool = True
 
 
-@dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(NamedTuple):
     mean: float
     std: float
     count: int
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(NamedTuple):
     """Cross-fold means and sample standard deviations, one entry per
     column of _fold_cells.  A column is None when no fold produced a value:
     kz under the gated policy, chernoff for reports with m = n."""
@@ -159,7 +165,7 @@ REPORT_COLUMNS = (
     "fold",
     "mean_bit_error",
     "mean_correlation",
-    *(f.name for f in fields(AggregateReport)),
+    *AggregateReport._fields,
 )
 
 
@@ -421,7 +427,7 @@ def format_summaries(summaries: list[FoldSummary]) -> str:
         for s in summaries
     )
     columns = SUMMARY_COLUMNS_STD if with_std else SUMMARY_COLUMNS
-    rows = (dict(vars(s), fold=s.fold_id) for s in summaries)
+    rows = (dict(s._asdict(), fold=s.fold_id) for s in summaries)
     return csv_text(columns, _cells(columns, rows))
 
 
@@ -663,13 +669,13 @@ def report_rows(
         for s, r in zip(summaries, reports)
     ]
     if agg is not None:
-        columns = asdict(agg)
+        columns = agg._asdict()
         rows += [
             {
                 **dict.fromkeys(REPORT_COLUMNS),
                 "fold": pick,
                 **{
-                    name: None if col is None else col[pick]
+                    name: None if col is None else getattr(col, pick)
                     for name, col in columns.items()
                 },
             }
@@ -692,15 +698,18 @@ def report_json_obj(
     reports: list[BoundReport],
     agg: AggregateReport,
 ) -> dict:
-    return {"folds": report_rows(summaries, reports), "aggregate": asdict(agg)}
+    columns = {
+        name: None if col is None else col._asdict()
+        for name, col in agg._asdict().items()
+    }
+    return {"folds": report_rows(summaries, reports), "aggregate": columns}
 
 
 # ---------------------------------------------------------------------------
 # bundled fixtures and the published aggregate table
 
 
-@dataclass(frozen=True)
-class DatasetInfo:
+class DatasetInfo(NamedTuple):
     """Bound-evaluation conventions for one bundled dataset."""
 
     classes: int
@@ -722,8 +731,7 @@ DATASETS: dict[str, DatasetInfo] = {
 }
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     """Published cross-fold aggregate for one dataset/model pair."""
 
     experimental: float
@@ -771,8 +779,7 @@ def load_fixture(name: str) -> list[FoldSummary]:
     return loads_summaries(fixture_text(name), source=name)
 
 
-@dataclass(frozen=True)
-class ReproducedRow:
+class ReproducedRow(NamedTuple):
     """Fixture-driven reproduction of one published aggregate row."""
 
     dataset: str

@@ -18,7 +18,6 @@ no far row is tied to a trial index.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +78,10 @@ def _run_chunks(cfg: SimConfig, count_fn) -> int:
 
     if cfg.workers == 1 or len(chunks) == 1:
         return sum(work(item) for item in chunks)
+    # Imported here, so a serial run loads neither it nor the logging it
+    # imports.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(cfg.workers, len(chunks))) as pool:
         return sum(pool.map(work, chunks))
 

@@ -313,6 +313,19 @@ class TestEvaluateBounds:
     def test_zero_mu_accepted(self):
         assert evaluate_bounds(BoundInputs(10, 2, 0.1, mu=0.0)).chernoff_mu == 0.0
 
+    def test_replace_and_make_check_as_construction_does(self):
+        # Both build through BoundInputs.__new__; a bare NamedTuple's would
+        # return e_bar=2.0 unchecked.
+        inputs = BoundInputs(10, 5, 0.1)
+        with pytest.raises(ValueError, match=r"^e=2\.0 outside \[0, 1\]$"):
+            inputs._replace(e_bar=2.0)
+        with pytest.raises(ValueError, match=r"^mu=-1\.0 must be finite"):
+            inputs._replace(mu=-1.0)
+        with pytest.raises(ValueError, match=r"^m=11 outside 1\.\.10$"):
+            BoundInputs._make((10, 11, 0.1, None, None))
+        assert inputs._replace(c=0.01) == BoundInputs(10, 5, 0.1, c=0.01)
+        assert type(BoundInputs._make(inputs)) is BoundInputs
+
 
 class TestInputTypes:
     """A count or size that is not an integer, or a rate or correlation

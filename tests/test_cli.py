@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import ecoc
 import ecoc.cli as cli
-import ecoc.simulator as simulator
 from ecoc.bounds import BoundInputs, bahadur_range, evaluate_bounds, valid_correlation_range
 from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix, from_text
@@ -352,7 +351,7 @@ class TestSimulateCommand:
         def no_pool(max_workers):
             raise AssertionError(f"a pool of {max_workers} was opened")
 
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         status, out, err = run(
             capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
             "--m", "2", "--trials", "100000000", "--workers", "100000000",

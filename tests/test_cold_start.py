@@ -51,7 +51,7 @@ def test_import_ecoc_loads_no_submodule():
         pytest.param(
             ["simulate", *MODEL, "--m", "6", "--trials", "100", "--mode", "threshold",
              "--format", "csv"],
-            ["ecoc.bounds", "ecoc.experiment_io", "json"],
+            ["ecoc.bounds", "ecoc.experiment_io", "json", "concurrent.futures", "logging"],
             id="simulate",
         ),
     ],
@@ -67,26 +67,46 @@ def test_a_command_loads_only_what_it_runs(argv, unloaded):
 ARRAY_MODULES = ["numpy", "ecoc.code_matrix", "ecoc.prob_engine", "ecoc.simulator"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["analyze", "--fixture", "cifar10_cnn", "--format", "csv"],
-                     id="analyze-fixture"),
-        pytest.param(["analyze", "--summary", "{dir}/usps_svm.csv", "--classes", "10",
-                      "--kz-policy", "always", "--format", "json"], id="analyze-summary"),
-        pytest.param(["figures", "--figure", "scatter", "--fixture", "letters_dt",
-                      "--out", "{dir}/figures"], id="figures-scatter"),
-        pytest.param(["bounds", "--n", "26", "--m", "6", "--ebar", "0.0686", "--c", "0.0058",
-                      "--format", "csv"], id="bounds"),
-        pytest.param(["bahadur", "--n", "26", "--ebar", "0.0686", "--format", "csv"],
-                     id="bahadur"),
-    ],
-)
-def test_fold_summaries_and_bounds_load_no_array_module(tmp_path, argv):
+# The commands that read fold summaries or evaluate bounds; "{dir}" stands
+# for a directory holding usps_svm.csv.
+SUMMARY_COMMANDS = [
+    pytest.param(["analyze", "--fixture", "cifar10_cnn", "--format", "csv"],
+                 id="analyze-fixture"),
+    pytest.param(["analyze", "--summary", "{dir}/usps_svm.csv", "--classes", "10",
+                  "--kz-policy", "always", "--format", "json"], id="analyze-summary"),
+    pytest.param(["figures", "--figure", "scatter", "--fixture", "letters_dt",
+                  "--out", "{dir}/figures"], id="figures-scatter"),
+    pytest.param(["bounds", "--n", "26", "--m", "6", "--ebar", "0.0686", "--c", "0.0058",
+                  "--format", "csv"], id="bounds"),
+    pytest.param(["bahadur", "--n", "26", "--ebar", "0.0686", "--format", "csv"],
+                 id="bahadur"),
+]
+
+
+def _summary_command_loads(tmp_path, argv):
     (tmp_path / "usps_svm.csv").write_text(fixture_text("usps_svm"), encoding="utf-8")
     loaded = cold_start.loaded(ROOT, [word.format(dir=tmp_path) for word in argv])
     assert "ecoc.cli" in loaded
-    assert not set(ARRAY_MODULES) & set(loaded)
+    return set(loaded)
+
+
+@pytest.mark.parametrize("argv", SUMMARY_COMMANDS)
+def test_fold_summaries_and_bounds_load_no_array_module(tmp_path, argv):
+    assert not set(ARRAY_MODULES) & _summary_command_loads(tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", SUMMARY_COMMANDS)
+def test_fold_summaries_and_bounds_load_no_dataclasses(tmp_path, argv):
+    # Their records are NamedTuples; dataclasses would bring inspect.
+    assert not {"dataclasses", "inspect"} & _summary_command_loads(tmp_path, argv)
+
+
+def test_simulate_with_a_pool_loads_concurrent_futures():
+    # Two chunks on two workers run on a pool; one worker, or one chunk,
+    # runs them in the calling thread (the simulate row above).
+    argv = ["simulate", *MODEL, "--m", "6", "--trials", "40000", "--workers", "2",
+            "--mode", "threshold", "--format", "csv"]
+    assert "concurrent.futures" in cold_start.loaded(ROOT, argv)
 
 
 def test_analyze_predictions_still_loads_numpy(tmp_path):

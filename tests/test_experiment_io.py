@@ -635,6 +635,23 @@ class TestFoldData:
         with pytest.raises(ValueError, match="read-only"):
             exact.true_classes[0] = 0
 
+    def test_replace_checks_and_copies_as_construction_does(self):
+        # _replace builds through FoldData.__new__, as _make does: a 7 in
+        # the new bits is rejected, and valid ones are kept as a read-only
+        # copy that later writes to the caller's array do not reach.
+        fold = FoldData("f", 2, np.array([0, 1]), np.array([[0, 1], [1, 0]], np.uint8))
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            fold._replace(bits=np.array([[0, 7], [1, 0]], np.uint8))
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            FoldData._make(("f", 2, fold.true_classes, np.full((2, 2), 7, np.uint8)))
+        bits = np.array([[1, 1], [0, 0]], np.uint8)
+        moved = fold._replace(bits=bits)
+        bits[0, 0] = 7
+        assert moved.bits.tolist() == [[1, 1], [0, 0]]
+        assert not (moved.bits.flags.writeable or moved.true_classes.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            moved.bits[0, 0] = 0
+
 
 class TestAnalyzeFold:
     def test_perfect_predictions(self):

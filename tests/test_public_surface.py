@@ -1,10 +1,15 @@
-"""The public surface: the README's library example runs, and ecoc.__all__
-is exactly what the package exports."""
+"""The public surface: the README's library example runs, ecoc.__all__
+is exactly what the package exports, and the bound and fold records behave
+as their callers rely on."""
 
+import copy
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import ecoc
 from ecoc import bounds, cli, code_matrix, errors, experiment_io, prob_engine, simulator
@@ -53,3 +58,74 @@ def test_deleted_names_stay_deleted():
     for module in MODULES:
         for name in DELETED:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+_STATS = experiment_io.ColumnStats(mean=0.5, std=0.25, count=3)
+_STATS_TEXT = "ColumnStats(mean=0.5, std=0.25, count=3)"
+_AGGREGATE = experiment_io.AggregateReport(_STATS, _STATS, None, _STATS)
+_AGGREGATE_TEXT = (
+    f"AggregateReport(experimental={_STATS_TEXT}, gs={_STATS_TEXT}, chernoff=None, "
+    f"kz={_STATS_TEXT})"
+)
+_REFERENCE = dict(experimental=0.034, experimental_std=0.0034, gs=0.134, gs_std=0.007,
+                  chernoff=0.148, chernoff_std=0.013, kz=0.192, kz_std=0.0345)
+_REFERENCE_TEXT = (
+    "ReferenceRow(experimental=0.034, experimental_std=0.0034, gs=0.134, gs_std=0.007, "
+    "chernoff=0.148, chernoff_std=0.013, kz=0.192, kz_std=0.0345)"
+)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, text, change",
+    [
+        pytest.param(bounds.BoundInputs, dict(n=10, m=5, e_bar=0.1),
+                     "BoundInputs(n=10, m=5, e_bar=0.1, c=None, mu=None)", dict(c=0.01),
+                     id="BoundInputs"),
+        pytest.param(bounds.BoundReport,
+                     dict(gs=0.4, feller=None, chernoff_mu=0.2, chernoff_lambda=0.1, kz=None,
+                          lam=0.5, omega=0.6),
+                     "BoundReport(gs=0.4, feller=None, chernoff_mu=0.2, chernoff_lambda=0.1, "
+                     "kz=None, lam=0.5, omega=0.6, kz_reason=None)", dict(kz_reason="x"),
+                     id="BoundReport"),
+        pytest.param(experiment_io.FoldData,
+                     dict(fold_id="f", n=1, true_classes=np.array([0]),
+                          bits=np.array([[1]], np.uint8)),
+                     "FoldData(fold_id='f', n=1, true_classes=array([0]), "
+                     "bits=array([[1]], dtype=uint8))", dict(bits=np.array([[0]], np.uint8)),
+                     id="FoldData"),
+        pytest.param(experiment_io.FoldSummary,
+                     dict(fold_id="1", mean_bit_error=0.1, mean_correlation=0.01,
+                          ecoc_error=0.05),
+                     "FoldSummary(fold_id='1', mean_bit_error=0.1, mean_correlation=0.01, "
+                     "ecoc_error=0.05, per_classifier_errors=None, mean_bit_error_std=None, "
+                     "mean_correlation_std=None, correlation_defined=True)",
+                     dict(correlation_defined=False), id="FoldSummary"),
+        pytest.param(experiment_io.ColumnStats, dict(mean=0.5, std=0.25, count=3),
+                     _STATS_TEXT, dict(count=4), id="ColumnStats"),
+        pytest.param(experiment_io.AggregateReport,
+                     dict(experimental=_STATS, gs=_STATS, chernoff=None, kz=_STATS),
+                     _AGGREGATE_TEXT, dict(kz=None), id="AggregateReport"),
+        pytest.param(experiment_io.DatasetInfo, dict(classes=10, models=("dt", "svm")),
+                     "DatasetInfo(classes=10, models=('dt', 'svm'), alt_n=None)",
+                     dict(alt_n=11), id="DatasetInfo"),
+        pytest.param(experiment_io.ReferenceRow, _REFERENCE, _REFERENCE_TEXT,
+                     dict(kz_std=0.0346), id="ReferenceRow"),
+        pytest.param(experiment_io.ReproducedRow,
+                     dict(dataset="usps", model="svm", by_n={10: _AGGREGATE}, chosen_n=10,
+                          reference=experiment_io.ReferenceRow(**_REFERENCE)),
+                     f"ReproducedRow(dataset='usps', model='svm', by_n={{10: {_AGGREGATE_TEXT}}}, "
+                     f"chosen_n=10, reference={_REFERENCE_TEXT})", dict(chosen_n=11),
+                     id="ReproducedRow"),
+    ],
+)
+def test_records_are_immutable_values(cls, kwargs, text, change):
+    # Keyword construction fills the defaults the repr shows, which is the
+    # repr the records had as frozen dataclasses.  Equal values make equal
+    # records; one changed field, given or defaulted, an unequal one.
+    record = cls(**kwargs)
+    assert repr(record) == text
+    assert record == cls(**copy.deepcopy(kwargs))
+    assert record != cls(**{**kwargs, **change})
+    for name, value in kwargs.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)

@@ -166,7 +166,7 @@ class _RecordingPool:
 class TestWorkerBound:
     @pytest.fixture
     def pools(self, monkeypatch):
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         return _RecordingPool.sizes
 

@@ -14,8 +14,8 @@ checkouts, the parent first in even rounds, --runs per side.
 A table gives, per command, each side's median in ms, the ratio change /
 parent, each side's quartiles (q1-q3, statistics.quantiles, inclusive; one
 run is its own quartiles), and what the command loads in NEW: the ``ecoc``
-modules (without the package prefix), numpy, json and concurrent.futures,
-read from one more fresh interpreter.  A ratio marked ``~`` is one whose two
+modules (without the package prefix) and the WATCHED modules, read from
+one more fresh interpreter.  A ratio marked ``~`` is one whose two
 sides' interquartile ranges overlap: an unchanged command's median swings
 by 10-18 % between runs on a shared host, so such a ratio is within the
 spread and shows no change.  A command that exits non-zero stops the script with status 1.
@@ -53,8 +53,9 @@ COMMANDS = (
                  "--out", "{out}"]),
 )
 # Modules a command should load only where it uses them: numpy, whose import
-# is most of a start, and two standard-library ones.
-WATCHED = ("numpy", "json", "concurrent.futures")
+# is most of a start, and standard-library ones: dataclasses and the inspect
+# it imports, json, and concurrent.futures and the logging it imports.
+WATCHED = ("numpy", "dataclasses", "inspect", "json", "concurrent.futures", "logging")
 # Imports ecoc, runs the command in argv if there is one, and writes on its
 # last stderr line the ecoc modules and WATCHED modules that are loaded.
 LOADS_SNIPPET = (
