@@ -18,7 +18,7 @@ scatter, bounds and bahadur run on the standard library: a code's m comes
 from the closed form of its distance (sylvester_distance, with the
 parser's choices and the csv writer in the standard-library-only
 _shared), the bounds and correlation ranges are closed forms in math, and
-experiment_io's fold-summary half sums as numpy does without it.  No
+experiment_io's fold-summary half takes its sums by math.fsum.  No
 module these commands import imports dataclasses, which loads inspect:
 their records are NamedTuples.  A command's imports are absolute (import
 ecoc.x as y): a relative one resolves its package in Python code on every
@@ -556,10 +556,11 @@ def _one_pass(argv: list[str]) -> argparse.Namespace | None:
     The pass reads an exact --flag value or --flag=value of a one-value
     store action, the value non-empty and not starting with "-", and a bare
     store_true flag; it converts and checks each value, then fills the
-    defaults as argparse does.  Anything else (help, an abbreviation, a
-    list flag, a missing required flag, a failed conversion or choice, "--",
-    a negative or empty value) returns None, so argparse alone writes help
-    and usage errors.
+    defaults as they are (argparse would convert a string default through
+    its action's type, but no action has one).  Anything else (help, an
+    abbreviation, a list flag, a missing required flag, a failed conversion
+    or choice, "--", a negative or empty value) returns None, so argparse
+    alone writes help and usage errors.
     """
     command = _parser().commands.get(argv[0]) if argv else None
     if command is None:
@@ -590,10 +591,7 @@ def _one_pass(argv: list[str]) -> argparse.Namespace | None:
                 continue
             if action.required:
                 return None
-            value = action.default
-            if isinstance(value, str) and action.type is not None:
-                value = action.type(value)
-            setattr(args, action.dest, value)
+            setattr(args, action.dest, action.default)
     except (TypeError, ValueError):
         return None
     return args

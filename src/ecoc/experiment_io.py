@@ -28,12 +28,13 @@ The fold-summary half (summary CSVs, fixtures, bound reports, aggregation,
 the reference reproduction and the scatter figure) runs on the standard
 library: each fold is four floats, each bound a closed form, and a code's m
 comes from the closed form of its distance (_shared.sylvester_distance).
-Its means and standard deviations add up the way numpy does (_add_up), so
-they are numpy's bits.  numpy and code_matrix are imported only by the
-raw-fold functions, where they run: FoldData, load_predictions,
-write_predictions, analyze_fold and figure_one_curves.  The records are
-NamedTuples, not dataclasses, whose import loads inspect and whose
-generated methods are executed at import.
+Its means and standard deviations take their sums by math.fsum, correctly
+rounded, as each tail and exact_decode_error does; analyze_fold's are
+numpy's, over arrays (see _sample_std).  numpy and code_matrix are
+imported only by the raw-fold functions, where they run: FoldData,
+load_predictions, write_predictions, analyze_fold and figure_one_curves.
+The records are NamedTuples, not dataclasses, whose import loads inspect
+and whose generated methods are executed at import.
 """
 
 from __future__ import annotations
@@ -46,7 +47,13 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._shared import DEFAULT_ORIENTATION, csv_text, sylvester_distance
+from ._shared import (
+    DEFAULT_ORIENTATION,
+    _check_integer,
+    _check_number,
+    csv_text,
+    sylvester_distance,
+)
 from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
 from .errors import DomainError, ParseError
 
@@ -521,49 +528,9 @@ def _fold_counts(data: FoldData, code: CodeMatrix) -> tuple[np.ndarray, np.ndarr
     return counts, np.concatenate(far)
 
 
-def _add_up(values: list[float]) -> float:
-    """The sum numpy's add.reduce gives for a float64 array of values, to
-    the bit: +0.0, the identity the reduction starts from (so a sum of -0.0s
-    is 0.0), plus the values' pairwise sum, in plain float additions.  Of
-    fewer than 8 values that is the left-to-right sum; 8 to 128 values go to
-    8 running sums, one per residue of the index mod 8 up to the last whole
-    group of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the
-    rest is added to that; more are split in two, at half the count rounded
-    down to a multiple of 8, and each half summed the same way.  Neither
-    math.fsum nor a left-to-right sum does this: each differed from numpy's
-    sum on most of 20,000 random lists of 1 to 400 values."""
-
-    def pairwise(values):
-        count = len(values)
-        if count < 8:
-            total = -0.0
-            for v in values:
-                total += v
-            return total
-        if count <= 128:
-            whole = count - count % 8
-            sums = []
-            for j in range(8):
-                partial = values[j]
-                for v in values[j + 8 : whole : 8]:
-                    partial += v
-                sums.append(partial)
-            total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
-                (sums[4] + sums[5]) + (sums[6] + sums[7])
-            )
-            for v in values[whole:]:
-                total += v
-            return total
-        half = count // 2
-        half -= half % 8
-        return pairwise(values[:half]) + pairwise(values[half:])
-
-    return 0.0 + pairwise(values)
-
-
 def _mean(values: list[float]) -> float:
-    """numpy's mean() of a float64 array of values, to the bit."""
-    return _add_up(values) / len(values)
+    """The mean of a list of floats: their math.fsum over the count."""
+    return math.fsum(values) / len(values)
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -576,15 +543,16 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 
 def _sample_std(values) -> float:
     """Sample std (ddof 1); exactly 0.0 for fewer than two or all-equal
-    values.  An array's is numpy's std(ddof=1); a list's is the same bits
-    without numpy: the squared deviations from _mean, summed by _add_up,
-    over count - 1, then the root.  analyze_fold passes arrays (a fold's
-    pairs number up to n(n-1)/2, where numpy is faster), aggregate lists."""
+    values.  A list's (aggregate's columns) sums its squared deviations
+    from _mean by math.fsum, over count - 1, then the root; an array's
+    (analyze_fold's rates and pair correlations) is numpy's std(ddof=1).
+    A 127-class fold has 8,001 pair correlations: numpy took 16 us over
+    them and the fsum form 820 us (2-vCPU Xeon), so arrays keep numpy."""
     if isinstance(values, list):
         if len(values) > 1 and max(values) > min(values):
             mean = _mean(values)
-            squares = [(v - mean) * (v - mean) for v in values]
-            return math.sqrt(_add_up(squares) / (len(values) - 1))
+            sum_sq = math.fsum((v - mean) * (v - mean) for v in values)
+            return math.sqrt(sum_sq / (len(values) - 1))
         return 0.0
     if len(values) > 1 and values.max() > values.min():
         return float(values.std(ddof=1))
@@ -841,11 +809,17 @@ def figure_one_curves(
     One row per (n, e_bar) pair with columns n, e_bar, gs, chernoff.  For
     each n the difference chernoff - gs changes sign exactly once on the
     grid: the decay bound wins at small e_bar and loses near e_bar = r.
+    r and step are numbers and each entry of ns an integer, or a ValueError
+    names the value.
     """
+    _check_number("r", r)
     if not 0.0 < r < 1.0:
         raise ValueError(f"r={r} outside (0, 1)")
+    _check_number("step", step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step={step} must be finite and positive")
+    for n in ns:
+        _check_integer("n", n)
     if any(n < 1 for n in ns):
         raise ValueError(f"ensemble sizes {ns} must all be at least 1")
     import numpy as np
@@ -877,10 +851,13 @@ def scatter_figure_data(
     Every row's gs, chernoff and kz are those of evaluate_bounds with
     kz_policy="always", which needs m < n.  The curve's correlation-corrected
     bound uses the pooled mean correlation across folds; fold rows carry each
-    fold's own bound values.
+    fold's own bound values.  n and m are integers, or a ValueError names
+    the value.
     """
     if not summaries:
         raise ValueError("no fold summaries")
+    _check_integer("n", n)
+    _check_integer("m", m)
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")
     if not 1 <= m < n:

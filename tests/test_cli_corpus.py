@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,57 @@ class TestCompare:
     )
     def test_changed_text_or_count(self, new):
         assert cli_corpus.compare("k,pmf\n0,0.9\n1,0.1\n", new) is None
+
+
+class TestAgainst:
+    """--against compares the files a figures command writes as it compares
+    stdout: a dump is made of one fig1 command, and the rerun is compared
+    with it."""
+
+    ARGV = ["figures", "--figure", "fig1", "--ns", "5", "--r", "0.3", "--step", "0.1"]
+
+    @pytest.fixture
+    def dump(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_corpus, "FAMILIES", {"figures": lambda _: [self.ARGV]})
+        path = tmp_path / "dump.jsonl"
+        assert cli_corpus.main(["--dump", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def _against(self, path, capsys):
+        status = cli_corpus.main(["--against", str(path)])
+        return status, capsys.readouterr().out
+
+    def _edit_files(self, path, edit):
+        rec = json.loads(path.read_text())
+        rec["files"] = edit(rec["files"])
+        path.write_text(json.dumps(rec) + "\n")
+
+    def test_rerun_of_the_same_code_lists_nothing(self, dump, capsys):
+        assert self._against(dump, capsys) == (
+            0,
+            "figures       1 commands,     0 with moved numbers, "
+            "worst relative difference 0\n",
+        )
+
+    def test_moved_number_in_a_written_file_is_listed(self, dump, capsys):
+        # The first curve row's n, 5 in the rerun, is 6 in the dump.
+        self._edit_files(dump, lambda files: {
+            name: text.replace("\n5,", "\n6,", 1) for name, text in files.items()
+        })
+        status, out = self._against(dump, capsys)
+        assert status == 1
+        assert out.splitlines()[0] == (
+            "figures   relative difference 0.167 in fig1_curves.csv: "
+            + " ".join(self.ARGV) + " --out <tmp>/out0"
+        )
+        assert "1 with moved numbers" in out
+
+    def test_missing_written_file_is_listed(self, dump, capsys):
+        self._edit_files(dump, lambda files: {})
+        status, out = self._against(dump, capsys)
+        assert status == 1
+        assert out.startswith("figures   outputs stdout -> stdout, fig1_curves.csv: ")
 
 
 def test_corpus_covers_every_bundled_fixture():
@@ -100,8 +152,8 @@ PINNED = {
     "bounds": ("70eec548ffaa3b39956ae89381cf10d48a8752e1e4ebe71d176bc584a0e32eba", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
     "simulate": ("7c54a31999de3dc0208b68b70187e53cd5389935ee4fcc80884e4bf15bb492da", 86),
-    "analyze": ("36b48ed967e0db7a54352a175178edab618d6591f74cf4094b10242699cb671f", 86),
-    "figures": ("fabdc485cb0f2b5031cff1e4dbbddfbe83997e5e57fa37d51894c81494769858", 27),
+    "analyze": ("81ea5a2cde5d45289d8b66cca32fca5a9a8c77f076ba0286f0dec68e53bf399f", 86),
+    "figures": ("759d6f25b7a8638656c5b8de1742f4ba6d865d0e958e7629c74fe14ac9d61d5b", 27),
 }
 
 

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -896,34 +897,39 @@ def _float_lists(draw):
 
 
 class TestNumpyFreeMoments:
-    """aggregate's and the scatter figure's arithmetic runs without numpy and
-    gives numpy's bits: the pairwise sum behind the mean and the sample std,
-    and the linspace grid."""
+    """aggregate's and the scatter figure's arithmetic runs without numpy:
+    the sums behind the mean and the sample std of a list are correctly
+    rounded, and the grid is numpy's linspace to the bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(values=_float_lists())
-    def test_mean_std_and_grid_are_numpys_bits(self, values):
-        arr = np.array(values)
-        assert xio._mean(values).hex() == float(arr.mean()).hex()
+    def test_sums_are_correctly_rounded_and_grid_is_numpys(self, values):
+        # Each sum a list helper takes (the values' for _mean, the squared
+        # deviations' for _sample_std) must be the exact sum of its terms,
+        # as a Fraction, rounded once to a double.
+        def rounded_sum(terms):
+            return float(sum(map(Fraction, terms)))
+
+        mean = xio._mean(values)
+        assert mean.hex() == (rounded_sum(values) / len(values)).hex()
         std = xio._sample_std(values)
-        assert std.hex() == xio._sample_std(arr).hex()
-        if len(values) > 1 and arr.max() > arr.min():
-            assert std.hex() == float(arr.std(ddof=1)).hex()
+        arr = np.array(values)
+        if len(values) > 1 and max(values) > min(values):
+            squares = [(v - mean) * (v - mean) for v in values]
+            want = math.sqrt(rounded_sum(squares) / (len(values) - 1))
+            assert std.hex() == want.hex()
+            assert xio._sample_std(arr).hex() == float(arr.std(ddof=1)).hex()
         else:
             # One value, or all equal (signed zeros included): exactly 0.0.
-            assert std.hex() == (0.0).hex()
+            assert std.hex() == xio._sample_std(arr).hex() == (0.0).hex()
         lo, hi, count = min(values), max(values), len(values) + 1
         if lo < hi and (hi - lo) / (count - 1) != 0.0:
             grid = xio._linspace(lo, hi, count)
             assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, count).tolist()]
 
-    def test_sum_blocks_at_8_and_128(self):
-        # Values whose sum depends on the order of the additions, at each
-        # length where numpy's blocking changes.
-        rng = np.random.default_rng(7)
-        for count in (7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257):
-            values = (rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)).tolist()
-            assert xio._add_up(values).hex() == float(np.sum(values)).hex(), count
+    def test_mean_keeps_what_cancellation_leaves(self):
+        # A left-to-right or pairwise sum loses 1e-17 against 1.0.
+        assert xio._mean([1.0, 1e-17, -1.0]) == 1e-17 / 3
 
 
 class TestReportRendering:
@@ -1065,7 +1071,7 @@ class TestFigureData:
         summaries = load_fixture(name)
         m = build_code_matrix(DATASETS[name.rsplit("_", 1)[0]].classes).m
         curves, folds = scatter_figure_data(summaries, n, m)
-        pooled_c = float(np.mean([s.mean_correlation for s in summaries]))
+        pooled_c = math.fsum(s.mean_correlation for s in summaries) / len(summaries)
         points = [(row["e_bar"], pooled_c) for row in curves]
         points += [(s.mean_bit_error, s.mean_correlation) for s in summaries]
         for row, (e, c) in zip(curves + folds, points):
@@ -1091,6 +1097,30 @@ class TestFigureData:
     def test_fig1_rejects_bad_grid(self, kwargs):
         with pytest.raises(ValueError):
             figure_one_curves(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ns": (10.5,)}, "n=10.5 is not an integer"),
+            ({"ns": (math.nan,)}, "n=nan is not an integer"),
+            ({"ns": ("10",)}, "n='10' is not an integer"),
+            ({"r": "0.25"}, "r='0.25' is not a number"),
+            ({"step": "0.1"}, "step='0.1' is not a number"),
+        ],
+        ids=["ns-fraction", "ns-nan", "ns-text", "r-text", "step-text"],
+    )
+    def test_fig1_names_a_value_of_the_wrong_type(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            figure_one_curves(**kwargs)
+
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [("26", 6, "n='26' is not an integer"), (26, "6", "m='6' is not an integer")],
+        ids=["n-text", "m-text"],
+    )
+    def test_scatter_names_a_value_of_the_wrong_type(self, n, m, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scatter_figure_data(load_fixture("letters_dt"), n, m)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_scatter_rejects_n_below_one(self, n):

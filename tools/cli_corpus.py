@@ -23,10 +23,11 @@ and by how much, dump one checkout's output and compare the other's with it:
     PYTHONPATH=src python tools/cli_corpus.py --against old.jsonl --rel 3e-13
 
 --dump writes one JSON line per command (family, argv, exit status,
-stdout) and still prints the digests.  --against lists every command whose
-exit status or non-numeric text differs, or one of whose numbers differs
-from the dumped one by more than --rel relative, then a per-family summary;
-it exits 1 when it listed any command.
+stdout and the text of each file it writes) and still prints the digests.
+--against lists every command whose exit status, written file names or
+non-numeric text differs, or one of whose numbers, in stdout or in a
+written file, differs from the dumped one by more than --rel relative, then
+a per-family summary; it exits 1 when it listed any command.
 """
 
 from __future__ import annotations
@@ -347,6 +348,11 @@ def compare(old: str, new: str) -> float | None:
     return worst
 
 
+def written(files) -> dict[str, str]:
+    """The text of each file a command writes, by name."""
+    return {name: data.decode() for name, data in files}
+
+
 def against(path: str, rel: float, tmp: Path) -> int:
     """Re-run the corpus, list the commands that differ from a --dump file
     by more than rel, and summarise each family."""
@@ -360,23 +366,32 @@ def against(path: str, rel: float, tmp: Path) -> int:
     for family in FAMILIES:
         count = moved = 0
         worst = 0.0
-        for argv, status, stdout, _ in family_runs(family, tmp):
+        for argv, status, stdout, files in family_runs(family, tmp):
             count += 1
             rec = dumped.get((family, tuple(argv)))
+            # stdout and each written file, by name; a dump made before
+            # files were dumped has none.
+            new = {"stdout": stdout.decode(), **written(files)}
+            old = rec and {"stdout": rec["stdout"], **rec.get("files", {})}
             if rec is None:
                 why = "not in the dump"
             elif rec["status"] != status:
                 why = f"exit status {rec['status']} -> {status}"
+            elif list(old) != list(new):
+                why = f"outputs {', '.join(old)} -> {', '.join(new)}"
             else:
-                diff = compare(rec["stdout"], stdout.decode())
-                if diff is None:
-                    why = "text differs"
+                diffs = {name: compare(old[name], text) for name, text in new.items()}
+                changed = [name for name, diff in diffs.items() if diff is None]
+                if changed:
+                    why = f"text differs in {changed[0]}"
                 else:
+                    name = max(diffs, key=diffs.get)
+                    diff = diffs[name]
                     moved += diff > 0
                     worst = max(worst, diff)
                     if diff <= rel:
                         continue
-                    why = f"relative difference {diff:.3g}"
+                    why = f"relative difference {diff:.3g} in {name}"
             listed += 1
             print(f"{family:<9} {why}: {' '.join(argv)}")
         summary.append(f"{family:<9} {count:>5} commands, {moved:>5} with moved numbers, "
@@ -401,8 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         for family in FAMILIES:
             runs = list(family_runs(family, Path(tmp)))
             lines += [json.dumps({"family": family, "argv": argv, "status": status,
-                                  "stdout": stdout.decode()}) + "\n"
-                      for argv, status, stdout, _ in runs]
+                                  "stdout": stdout.decode(),
+                                  "files": written(files)}) + "\n"
+                      for argv, status, stdout, files in runs]
             digest, count = family_digest(runs)
             print(f"{family:<9} {count:>5}  {digest}")
     if args.dump:
