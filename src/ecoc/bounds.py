@@ -256,23 +256,23 @@ def kz_value(n: int, m: int, e: float, c: float) -> float:
     return chernoff_lambda(r, e) ** n + correction * omega_factor(r, e) ** n
 
 
-def kz_bound(
-    n: int, m: int, e: float, c: float, *, tight_envelope: bool = False
-) -> float:
+def kz_bound(n: int, m: int, e: float, c: float) -> float:
     """Correlation-corrected bound for the exchangeable model.
 
-    Inputs outside kz_value's contract raise ValueError.  Within it the
-    bound requires, checked in this order, c >= 0, e <= (m-1)/(n-1), e != m/n
-    and c within the admissible correlation range; the DomainError (or, for
-    e = 0, ModelError) names the first that fails, and its text is the
-    kz_reason evaluate_bounds reports.
+    Inputs outside kz_value's contract raise ValueError.  Within it the bound
+    requires, in this order, c >= 0, e <= (m-1)/(n-1), e != m/n and c within
+    the admissible correlation range; the DomainError (or, for e = 0,
+    ModelError) naming the first that fails is evaluate_bounds' kz_reason.
 
-    The default omega^n correction term is the conventional display form, but
-    it can undershoot the exact exchangeable tail when e is far below m/n:
-    bounding the binomial mass p(n-1, m-1, e) by omega^n drops a factor of
-    (m/n)/e that the envelope actually carries.  Pass tight_envelope=True to
-    keep that factor, which makes the value a guaranteed upper bound on
-    ExchangeableModel(n, e, c).tail(m) for all admissible inputs.
+    Past them it is the display form kz_value(n, m, e, c) where omega^n >=
+    p(n-1, m-1, e), i.e. e >= C(n-1, m-1) r^m (1-r)^(n-m) with r = m/n, taken
+    in log space (e above 0.0422 at (n, m) = (26, 6), 0.0205 at (127, 32)
+    and 0.0072 at (1000, 248)); else the tight kz_value(n, m, e, c r/e), and
+    a ModelError where its correction overflows.  Both bound ExchangeableModel(n, e,
+    c).tail(m), the iid tail plus the correction times p(n-1, m-1, e):
+    lambda^n >= the iid tail for e < r, the gates make the correction >= 0,
+    and its multiplier, omega^n under the condition and (r/e) omega^n always,
+    is at least p(n-1, m-1, e).
     """
     _check_number("c", c)
     _check_inputs(n, m, e, c, min_n=2)
@@ -286,7 +286,11 @@ def kz_bound(
     _, c_max = valid_correlation_range(n, e)
     if c > c_max:
         raise DomainError(f"c={c} above admissible maximum {c_max}")
-    return kz_value(n, m, e, c * r / e if tight_envelope else c)
+    if not math.isfinite(correlation_correction(n, m, e, c * r / e)):  # subnormal e only
+        raise ModelError(f"e={e}: the tight envelope's correction is beyond a double")
+    log_floor = math.lgamma(n) - math.lgamma(m) - math.lgamma(n - m + 1) + m * math.log(r)
+    display = m < n and math.log(e) >= log_floor + (n - m) * math.log1p(-r)
+    return kz_value(n, m, e, c if display else c * r / e)
 
 
 def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundReport:

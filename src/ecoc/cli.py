@@ -4,7 +4,7 @@ Subcommands: code, pmf, tail, bounds, bahadur, simulate, analyze, figures.
 Every numeric value printed is the untouched result of the corresponding
 library call; human tables round to 6 significant digits while csv/json keep
 full double precision.  Exit status: 0 on success, 1 on domain or data
-errors, 2 on usage errors.
+errors (running out of memory among them), 2 on usage errors.
 
 Most calls are one command in a fresh interpreter, so each command imports
 the library modules it runs at its own entry: code_matrix (and with it
@@ -12,9 +12,9 @@ numpy) code --emit, simulate and analyze --predictions; prob_engine pmf,
 tail and simulate; bounds bounds, bahadur, analyze and figures; simulator
 simulate; and experiment_io analyze and figures.  json and
 concurrent.futures are imported only where a command uses them.  Only
---predictions, figures --figure fig1, pmf, tail, simulate and code --emit
-load numpy.  code, analyze --fixture, analyze --summary, figures --figure
-scatter, bounds and bahadur run on the standard library: a code's m comes
+--predictions, pmf, tail, simulate and code --emit load numpy.  code,
+analyze --fixture, analyze --summary, figures, bounds and bahadur run on
+the standard library: a code's m comes
 from the closed form of its distance (sylvester_distance, with the
 parser's choices and the csv writer in the standard-library-only
 _shared), the bounds and correlation ranges are closed forms in math, and
@@ -609,6 +609,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (EcocError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        # numpy's says what it could not allocate; a bare one says nothing.
+        sys.stderr.write(f"error: out of memory{f': {exc}' if str(exc) else ''}\n")
         return 1
 
 

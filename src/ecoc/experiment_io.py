@@ -25,14 +25,14 @@ without retraining anything, together with the published aggregate table the
 reproduction is checked against.
 
 The fold-summary half (summary CSVs, fixtures, bound reports, aggregation,
-the reference reproduction and the scatter figure) runs on the standard
+the reference reproduction and both figures) runs on the standard
 library: each fold is four floats, each bound a closed form, and a code's m
 comes from the closed form of its distance (_shared.sylvester_distance).
 Its means and standard deviations take their sums by math.fsum, correctly
 rounded, as each tail and exact_decode_error does; analyze_fold's are
 numpy's, over arrays (see _sample_std).  numpy and code_matrix are
 imported only by the raw-fold functions, where they run: FoldData,
-load_predictions, write_predictions, analyze_fold and figure_one_curves.
+load_predictions, write_predictions and analyze_fold.
 The records are NamedTuples, not dataclasses, whose import loads inspect
 and whose generated methods are executed at import.
 """
@@ -85,6 +85,8 @@ _BLOCK_ROWS = 4096
 _SCAN_BYTES = 1 << 18
 # Mean-bit-error points on each scatter figure's bound curves.
 _SCATTER_GRID_POINTS = 101
+# Most e points on fig1's grid; its default step gives 249.
+_FIG1_MAX_POINTS = 100_000
 
 
 class _FoldFields(NamedTuple):
@@ -810,7 +812,11 @@ def figure_one_curves(
     each n the difference chernoff - gs changes sign exactly once on the
     grid: the decay bound wins at small e_bar and loses near e_bar = r.
     r and step are numbers and each entry of ns an integer, or a ValueError
-    names the value.
+    names the value.  The grid is numpy's arange(step, r, step), point for
+    point: ceil((r - step) / step) points step + i * step (numpy's start + i
+    delta, where delta = (start + step) - start is exactly step here); a
+    step that would give more than _FIG1_MAX_POINTS is rejected before any
+    point is built.
     """
     _check_number("r", r)
     if not 0.0 < r < 1.0:
@@ -822,15 +828,17 @@ def figure_one_curves(
         _check_integer("n", n)
     if any(n < 1 for n in ns):
         raise ValueError(f"ensemble sizes {ns} must all be at least 1")
-    import numpy as np
-
-    grid = np.arange(step, r, step)
-    if not grid.size:
+    # ceil(x) > N exactly when x > N, and x may be too large for an int.
+    span = (r - step) / step
+    if span > _FIG1_MAX_POINTS:
+        raise ValueError(f"step={step} gives more than {_FIG1_MAX_POINTS} grid points "
+                         f"in (0, {r})")
+    count = math.ceil(span)
+    if count < 1:
         raise ValueError(f"step={step} leaves no grid point in (0, {r})")
     rows = []
     for n in ns:
-        for e in grid:
-            e = float(e)
+        for e in (step + i * step for i in range(count)):
             rows.append(
                 {
                     "n": n,

@@ -191,7 +191,7 @@ def test_criterion_4_bound_dominance():
             for c in np.linspace(0.0, c_max, 6):
                 c = float(c)
                 exact = ExchangeableModel(n, e, c).tail(m)
-                bound = kz_bound(n, m, e, c, tight_envelope=True)
+                bound = kz_bound(n, m, e, c)
                 if exact > bound + 1e-12:
                     violations.append(("kz", n, m, e, c))
     assert not violations, f"{len(violations)} dominance violations: {violations[:5]}"

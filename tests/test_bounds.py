@@ -1,10 +1,14 @@
 """Tests for the analytic bound evaluations."""
 
+import inspect
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ecoc.bounds import (
     BoundInputs,
@@ -20,7 +24,9 @@ from ecoc.bounds import (
     omega_factor,
     valid_correlation_range,
 )
+from ecoc._shared import DEFAULT_ORIENTATION, sylvester_distance
 from ecoc.errors import DomainError, ModelError
+from ecoc.experiment_io import DATASETS, bound_report, fixture_names, load_fixture
 from ecoc.prob_engine import ErrorProfile, ExchangeableModel, Independent
 
 
@@ -151,13 +157,16 @@ class TestKz:
             kz_bound(10, 2, 0.2, 0.0)  # e equal to m/n degenerates the decay
 
     def test_gate_order(self):
-        # c < 0, then e > (m-1)/(n-1), then e = m/n, then c above c_max.
+        # c < 0, then e > (m-1)/(n-1), then e = m/n, then c above c_max,
+        # then a tight envelope whose correction overflows (subnormal e).
         cases = [
             ((10, 4, 0.4, -0.01), "c=-0.01 is negative"),
             ((10, 4, 0.4, 0.9), "e_bar=0.4 > (m-1)/(n-1)=0.3333333333333333"),
             ((3, 3, 1.0, 0.0), "e=1.0 equals m/n; decay factor degenerates to 1"),
             ((10, 4, 0.1, 0.9), "c=0.9 above admissible maximum"),
             ((10, 4, 0.0, 0.9), "e=0.0 must lie strictly inside (0, 1)"),
+            ((3, 2, 5e-324, 0.25), "e=5e-324: the tight envelope's correction is beyond"),
+            ((26, 6, 1e-310, 0.01), "e=1e-310: the tight envelope's correction is beyond"),
         ]
         for args, text in cases:
             with pytest.raises((DomainError, ModelError)) as exc:
@@ -166,16 +175,37 @@ class TestKz:
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_non_finite_c_rejected(self, c):
-        for tight in (False, True):
-            with pytest.raises(ValueError, match="c="):
-                kz_bound(10, 5, 0.1, c, tight_envelope=tight)
+        with pytest.raises(ValueError, match="c="):
+            kz_bound(10, 5, 0.1, c)
         with pytest.raises(ValueError, match="c="):
             kz_value(10, 5, 0.1, c)
 
-    def test_tight_envelope_scales_c(self):
-        for n, m, e, c in ((10, 4, 0.1, 0.01), (26, 6, 0.0686, 0.0058), (8, 2, 0.01, 0.1)):
-            tight = kz_bound(n, m, e, c, tight_envelope=True)
-            assert tight == kz_value(n, m, e, c * (m / n) / e)
+    def test_signature_has_no_option(self):
+        assert list(inspect.signature(kz_bound).parameters) == ["n", "m", "e", "c"]
+        assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+                   for p in inspect.signature(kz_bound).parameters.values())
+
+    @pytest.mark.parametrize("n, m", [(26, 6), (127, 32), (1000, 248)])
+    def test_display_form_at_the_benchmark_rates(self, n, m):
+        # omega^n covers p(n-1, m-1, e) for e >= 0.05 at every (n, m) the
+        # benchmark runs, so there the value is the display form, bit for bit.
+        top = (m - 1) / (n - 1)
+        for e in np.linspace(0.05, top, 12):
+            e = float(e)
+            _, c_max = valid_correlation_range(n, e)
+            for c in (c_max * (k / 6) for k in range(1, 7)):
+                assert kz_bound(n, m, e, c) == kz_value(n, m, e, c), (e, c)
+
+    def test_tight_form_below_the_threshold(self):
+        # At (26, 6) the display form is proven only for e >= 0.0422.
+        for e, form in ((0.0421, "tight"), (0.0423, "display")):
+            c = 0.5 * valid_correlation_range(26, e)[1]
+            want = kz_value(26, 6, e, c * (6 / 26) / e if form == "tight" else c)
+            assert kz_bound(26, 6, e, c) == want, form
+
+    def test_m_equal_to_n_left_to_kz_value(self):
+        with pytest.raises(DomainError, match=r"^r=1\.0 outside"):
+            kz_bound(3, 3, 0.5, 0.0)
 
     def test_unchecked_form_accepts_out_of_range_inputs(self):
         # Negative c with e below the pivot gives a negative correction.
@@ -192,22 +222,23 @@ class TestKz:
         c = 0.5 * c_max
         exact = ExchangeableModel(n, e, c).tail(m)
         assert exact > kz_value(n, m, e, c) + 1e-6
-        assert exact <= kz_bound(n, m, e, c, tight_envelope=True) + 1e-12
+        assert exact <= kz_bound(n, m, e, c) + 1e-12
 
-    def test_tight_envelope_dominates_exact_tail(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(4, 16))
-            m = int(rng.integers(2, max(3, n // 2 + 1)))
-            top = (m - 1) / (n - 1)
-            e = float(rng.uniform(0.005, top * 0.999))
-            if abs(e - m / n) < 1e-9:
-                continue
-            _, c_max = bahadur_range(n, e)
-            c = float(rng.uniform(0.0, c_max))
-            exact = ExchangeableModel(n, e, c).tail(m)
-            bound = kz_bound(n, m, e, c, tight_envelope=True)
-            assert exact <= bound + 1e-12, (n, m, e, c)
+    def test_gated_kz_bounds_the_exact_tail_on_every_fixture_fold(self):
+        # At each fixture's class count and at its alternative length, as
+        # analyze --fixture and analyze --n evaluate it.
+        for name in fixture_names():
+            info = DATASETS[name.split("_")[0]]
+            m = sylvester_distance(info.classes, DEFAULT_ORIENTATION) // 2
+            for n in filter(None, (info.classes, info.alt_n)):
+                for fold, summary in enumerate(load_fixture(name), 1):
+                    report = bound_report(summary, n, m)
+                    if report.kz is None:
+                        assert report.kz_reason, (name, n, fold)
+                        continue
+                    e, c = summary.mean_bit_error, summary.mean_correlation
+                    exact = ExchangeableModel(n, e, c).tail(m)
+                    assert report.kz >= exact - 1e-12, (name, n, fold)
 
 
 class TestDominance:
@@ -231,6 +262,67 @@ class TestDominance:
                 continue
             t = Independent(ErrorProfile(rates)).tail(m)
             assert t <= chernoff_mu_bound(mu, m) + 1e-12
+
+
+def _iid_tail(n, m, e):
+    return Independent(ErrorProfile.iid(n, e)).tail(m)
+
+
+@st.composite
+def _below_rate(draw):
+    """(n, m, e) with 1 <= m < n and 0 <= e < m/n."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, n - 1))
+    return n, m, draw(st.floats(0.0, m / n, exclude_max=True))
+
+
+@st.composite
+def _above_mean_count(draw):
+    """(rates, m) with m >= n e_bar + 1: m - 1 at least the rates' exact sum."""
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+    lo = math.ceil(sum(map(Fraction, rates))) + 1
+    assume(lo <= len(rates))
+    return rates, draw(st.integers(lo, len(rates)))
+
+
+@st.composite
+def _kz_admitted(draw):
+    """(n, m, e, c) past kz_bound's gates: 2 <= m < n, 0 < e <= (m-1)/(n-1)
+    and 0 <= c below the admissible maximum.  e stays above 1e-9: at
+    subnormal e the exchangeable model's weights leave a double."""
+    n = draw(st.integers(3, 16))
+    m = draw(st.integers(2, n - 1))
+    e = draw(st.floats(1e-9, (m - 1) / (n - 1)))
+    c = valid_correlation_range(n, e)[1] * draw(st.floats(0.0, 1.0, exclude_max=True))
+    return n, m, e, c
+
+
+# One row per inequality a printed number leans on: the strategy that draws
+# the domain where the relation is claimed, and the two sides at a drawn
+# point, lower side first.  Each holds within 1e-12 absolute.
+LAWS = {
+    # Hoeffding (1963, Thm 1): omega^n = exp(-n D(m/n || e)) caps the iid tail.
+    "iid_tail-omega_n": (_below_rate(), lambda n, m, e: (
+        _iid_tail(n, m, e), omega_factor(m / n, e) ** n)),
+    "omega_n-lambda_n": (_below_rate(), lambda n, m, e: (
+        omega_factor(m / n, e) ** n, chernoff_bound(n, m, e))),
+    # Hoeffding (1956): unequal rates spread the count less than equal ones.
+    "unequal_tail-iid_tail_at_mean": (_above_mean_count(), lambda rates, m: (
+        Independent(ErrorProfile(tuple(rates))).tail(m),
+        _iid_tail(len(rates), m, math.fsum(rates) / len(rates)))),
+    "exchangeable_tail-kz_bound": (_kz_admitted(), lambda n, m, e, c: (
+        ExchangeableModel(n, e, c).tail(m), kz_bound(n, m, e, c))),
+}
+
+
+@pytest.mark.parametrize("law", LAWS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_law_holds_on_its_domain(law, data):
+    strategy, sides = LAWS[law]
+    point = data.draw(strategy)
+    lower, upper = sides(*point)
+    assert lower <= upper + 1e-12, point
 
 
 class TestEvaluateBounds:
@@ -275,7 +367,8 @@ class TestEvaluateBounds:
         # and its kz_reason kz_bound's message.
         for n in (2, 3, 10, 26, 127):
             for m in sorted({1, max(1, n // 4), n - 1}):
-                rates = (0.0, 1e-19, 1e-6, 0.05, (m - 1) / (n - 1), 0.3, m / n, 0.9, 1.0)
+                rates = (0.0, 5e-324, 1e-19, 1e-6, 0.05, (m - 1) / (n - 1), 0.3, m / n, 0.9,
+                         1.0)
                 for e in rates:
                     for c in (-0.01, 0.0, 0.001, 0.0058, 0.5):
                         report = evaluate_bounds(BoundInputs(n, m, e, c=c))

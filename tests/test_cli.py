@@ -595,9 +595,12 @@ class TestExitCodes:
             (("--figure", "fig1", "--ns", "-1"), "ensemble sizes (-1,) "),
             (("--figure", "scatter", "--fixture", "letters_dt", "--n", "6"), "m=6 "),
             (("--figure", "fig1", "--ns", "5,a"), "--ns entry 'a' "),
+            # numpy's arange would ask for 1.82 TiB here, and fail past 2^63 points.
+            (("--figure", "fig1", "--step", "1e-12"), "step=1e-12 gives more than 100000 "),
+            (("--figure", "fig1", "--step", "1e-300"), "step=1e-300 gives more than 100000 "),
         ],
         ids=["fig1-step=0", "fig1-step=r", "scatter-n=0", "fig1-ns=-1", "scatter-n=m",
-             "fig1-ns=5,a"],
+             "fig1-ns=5,a", "fig1-step=1e-12", "fig1-step=1e-300"],
     )
     def test_bad_figure_input_is_one(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "figs"
@@ -624,6 +627,42 @@ class TestExitCodes:
         argv = [str(src) if a == "SMALL_E" else a for a in argv]
         status, out, err = run(capsys, *argv)
         assert status == 0 and out and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (MemoryError("Unable to allocate 74.5 GiB for an array"),
+             "error: out of memory: Unable to allocate 74.5 GiB for an array\n"),
+        ],
+        ids=["bare", "numpy"],
+    )
+    def test_out_of_memory_is_one(self, capsys, monkeypatch, exc, message):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_build_model", fail)
+        status, out, err = run(capsys, "tail", "--model", "iid", "--n", "5", "--ebar", "0.1",
+                               "--m", "2")
+        assert (status, out, err) == (1, "", message)
+
+    def test_failed_allocation_in_a_command_is_one(self):
+        # 10^10 + 1 probabilities are 74.5 GiB; the child's address space is
+        # held to 2 GiB, so the allocation fails at once, whatever the host has.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(ecoc.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecoc", "pmf", "--model", "exchangeable",
+             "--n", "10000000000", "--ebar", "0.1", "--c", "0", "--k", "3"],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate 74.5 GiB")
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,7 @@ SUMMARY_COMMANDS = [
                   "--kz-policy", "always", "--format", "json"], id="analyze-summary"),
     pytest.param(["figures", "--figure", "scatter", "--fixture", "letters_dt",
                   "--out", "{dir}/figures"], id="figures-scatter"),
+    pytest.param(["figures", "--figure", "fig1", "--out", "{dir}/figures"], id="figures-fig1"),
     pytest.param(["bounds", "--n", "26", "--m", "6", "--ebar", "0.0686", "--c", "0.0058",
                   "--format", "csv"], id="bounds"),
     pytest.param(["bahadur", "--n", "26", "--ebar", "0.0686", "--format", "csv"],

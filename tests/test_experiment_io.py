@@ -897,9 +897,10 @@ def _float_lists(draw):
 
 
 class TestNumpyFreeMoments:
-    """aggregate's and the scatter figure's arithmetic runs without numpy:
-    the sums behind the mean and the sample std of a list are correctly
-    rounded, and the grid is numpy's linspace to the bit."""
+    """aggregate's and both figures' arithmetic runs without numpy: the
+    sums behind the mean and the sample std of a list are correctly
+    rounded, the scatter grid is numpy's linspace to the bit and fig1's
+    its arange."""
 
     @settings(max_examples=400, deadline=None)
     @given(values=_float_lists())
@@ -926,6 +927,20 @@ class TestNumpyFreeMoments:
         if lo < hi and (hi - lo) / (count - 1) != 0.0:
             grid = xio._linspace(lo, hi, count)
             assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, count).tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.floats(1e-6, 1.0, exclude_max=True), points=st.floats(0.5, 1000.0),
+           nudge=st.sampled_from([1.0, 1.0 + 2**-52, 1.0 - 2**-53]))
+    def test_fig1_grid_is_numpys_arange(self, r, points, nudge):
+        # Steps near r / k for an integer k put the last point at r's edge.
+        step = r / round(points) * nudge if points > 1.0 else r / points
+        want = np.arange(step, r, step).tolist()
+        if not want:
+            with pytest.raises(ValueError, match="leaves no grid point"):
+                figure_one_curves(ns=(1,), r=r, step=step)
+            return
+        got = [row["e_bar"] for row in figure_one_curves(ns=(1,), r=r, step=step)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_mean_keeps_what_cancellation_leaves(self):
         # A left-to-right or pairwise sum loses 1e-17 against 1.0.

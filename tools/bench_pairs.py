@@ -37,6 +37,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from timing import quartiles
+
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 METHOD = (
     "Parent and change each run from their own checkout. Pair i runs the two "
@@ -77,10 +79,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
 
 
 def spread(values: list[float]) -> dict:
-    if len(values) > 1:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        q1 = q3 = values[0]
+    q1, q3 = quartiles(values)
     return {"median": round(statistics.median(values), 6), "q1": round(q1, 6),
             "q3": round(q3, 6), "runs": len(values),
             "values": [round(v, 6) for v in values]}

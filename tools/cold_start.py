@@ -34,6 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from timing import quartiles
+
 # (subcommand, argv); "{out}" stands for a temporary directory.
 COMMANDS = (
     ("code", ["code", "--classes", "1000", "--format", "csv"]),
@@ -107,14 +109,6 @@ def loaded(checkout: Path, argv: list[str]) -> list[str]:
     empty, one that only imports ecoc."""
     proc = _run(checkout, LOADS_SNIPPET, argv, None)
     return proc.stderr.splitlines()[-1].split()
-
-
-def quartiles(values: list[float]) -> tuple[float, float]:
-    """(q1, q3) of values, inclusive; a single value is both."""
-    if len(values) < 2:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
 
 
 def main(argv: list[str] | None = None) -> int:

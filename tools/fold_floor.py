@@ -36,7 +36,6 @@ import io
 import resource
 import sys
 import tempfile
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +45,7 @@ from ecoc import cli
 from ecoc import experiment_io as xio
 from ecoc import code_matrix
 from ecoc.code_matrix import build_code_matrix
+from timing import aligned, best
 
 CLASSES = (26, 127)
 FOLDS = 3
@@ -66,18 +66,6 @@ def write_folds(directory: Path, classes: int, samples: int) -> list[Path]:
         paths.append(directory / f"fold{classes}_{index}.csv")
         xio.write_predictions(xio.FoldData(paths[-1].stem, classes, truth, bits), paths[-1])
     return paths
-
-
-def best(*fns, repeat: int) -> list[float]:
-    """The best time of repeat runs of each fn, the fns run in turn, so
-    that a change in the host's speed falls on all of them alike."""
-    times = [[] for _ in fns]
-    for _ in range(repeat):
-        for fn, fn_times in zip(fns, times):
-            start = time.perf_counter()
-            fn()
-            fn_times.append(time.perf_counter() - start)
-    return [min(t) for t in times]
 
 
 def command(paths: list[Path], classes: int, threads: int) -> None:
@@ -110,12 +98,10 @@ def row(paths: list[Path], classes: int, repeat: int) -> tuple:
 
 
 def table(rows: list[tuple]) -> str:
-    cells = [HEADER] + [
+    return aligned([HEADER] + [
         (str(classes), *(f"{t * 1e3:.3f}" for t in times), f"{times[-2] / times[-1]:.2f}")
         for classes, *times in rows
-    ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(HEADER))]
-    return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
+    ])
 
 
 def peak_rss_mb() -> float:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from ecoc.code_matrix import build_code_matrix
 from ecoc.prob_engine import ErrorProfile, ExchangeableModel, Independent, PairModel
 from ecoc.simulator import SimConfig, mc_decode_error, mc_threshold_error
+from timing import aligned, best
 
 POINTS = {26: (0.0686, 0.0058), 127: (0.18, 0.006)}
 KINDS = ("iid", "pair", "exchangeable")
@@ -51,18 +51,6 @@ def run(model, code, mode: str, trials: int, workers: int) -> None:
         mc_decode_error(model, code, cfg)
 
 
-def best(*fns, repeat: int) -> list[float]:
-    """The best time of repeat runs of each fn, the fns run in turn, so
-    that a change in the host's speed falls on all of them alike."""
-    times = [[] for _ in fns]
-    for _ in range(repeat):
-        for fn, fn_times in zip(fns, times):
-            start = time.perf_counter()
-            fn()
-            fn_times.append(time.perf_counter() - start)
-    return [min(t) for t in times]
-
-
 def rows(trials: int, repeat: int) -> list[tuple]:
     out = []
     for n in POINTS:
@@ -78,12 +66,10 @@ def rows(trials: int, repeat: int) -> list[tuple]:
 
 
 def table(results: list[tuple]) -> str:
-    cells = [HEADER] + [
+    return aligned([HEADER] + [
         (kind, str(n), mode, f"{one:.2f}", f"{two:.2f}", f"{speedup:.2f}")
         for kind, n, mode, one, two, speedup in results
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(HEADER))]
-    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
+    ])
 
 
 def main(argv=None) -> int:
