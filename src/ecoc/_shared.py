@@ -86,25 +86,18 @@ def _check_order(k) -> None:
 
 def sylvester_distance(num_classes, orientation: str) -> int:
     """The minimum row distance d of build_code_matrix(num_classes,
-    orientation), from the binary digits of c = num_classes alone.
-
-    d is the least weight, on the kept columns, of a nonzero row v of the
-    order-k Sylvester matrix, 2^k the smallest power of two >= c (the
-    build_code_matrix docstring proves this).  Keep-top-left keeps columns
-    [0, c); keep-bottom-right keeps their images j -> 2^k - 1 - j, which
-    turns v's weight w into c - w when v has odd parity.  On [0, c), cut
-    into one dyadic block [p_b, p_b + 2^b) per set bit b of c (p_b is c with
-    its bits <= b cleared), a row v with lowest set bit L has
-
-    - exactly 2^(b-1) ones in each block b > L;
-    - q in every entry of block L, q the parity of (v's bits above L) AND
-      (c's bits above L);
-    - q xor c_L in every entry of the blocks b < L.
-
-    So w, v's weight on [0, c), depends on L and q only, and d is the least
-    weight over the reachable (L, q, parity of v): L from 0 to k - 1, and q
-    and v's parity the values that v's free bits above L can take together.
-    O(k) integer steps.
+    orientation), the least weight on the kept columns of a nonzero row v
+    of the order-k Sylvester matrix, 2^k the least power of two >= c =
+    num_classes (build_code_matrix proves this); each v has h = 2^(k-1)
+    ones.  Lemma, for 2^j <= t <= 2^(j+1): if v's low j bits are nonzero,
+    v has 2^(j-1) ones in [0, 2^j) and on [2^j, t) repeats or complements
+    its part on [0, t - 2^j), which has at least t - 2^j - 2^(j-1) ones
+    and zeros each, so v has t - 2^j to g(t) = min(t - 2^(j-1), 2^j) ones
+    in [0, t), g(t) at v = 2^j + 2^(j-1); else v has none in [0, 2^j) and
+    at most t - 2^j, as v = 2^j has.  Keep-top-left keeps [0, c): t = c,
+    j = k - 1 and v = h is the one row of the second kind, so d = c - h.
+    Keep-bottom-right keeps [t, 2^k), t = 2^k - c, so d = h - g(t), with
+    g(t) = 0 for t <= 1 as column 0 is all zero.
 
     These are build_code_matrix's argument checks, each a ValueError, in
     this order: num_classes an integer, at least 2 and of an order at most
@@ -118,26 +111,12 @@ def sylvester_distance(num_classes, orientation: str) -> int:
     _check_order(k)
     if orientation not in (KEEP_BOTTOM_RIGHT, KEEP_TOP_LEFT):
         raise ValueError(f"unknown orientation {orientation!r}")
-    flip = orientation == KEEP_BOTTOM_RIGHT
-    d = c
-    for low in range(k):
-        # v = 2^low + 2^(low+1) u over the free bits u < 2^free, so v is odd
-        # where u is even.  q is the parity of u AND above.  q is 0 when
-        # above is, and q equals u's parity when above has every free bit
-        # (both are 0 when there is none); otherwise all four pairs occur.
-        free = k - 1 - low
-        every = (1 << free) - 1
-        above = c >> (low + 1) & every
-        c_low = c >> low & 1
-        ones = (c >> (low + 1)) << low
-        below = c & ((1 << low) - 1)
-        for q in (0, 1) if above else (0,):
-            w = ones + (c_low << low) * q + below * (q ^ c_low)
-            for u_odd in (0, 1):
-                if above == every and q != u_odd:
-                    continue
-                d = min(d, c - w if flip and not u_odd else w)
-    return d
+    half = 1 << (k - 1)
+    if orientation == KEEP_TOP_LEFT:
+        return c - half
+    t = (1 << k) - c
+    j = t.bit_length() - 1
+    return half - (min(t - (1 << (j - 1)), 1 << j) if t > 1 else 0)
 
 
 def csv_text(columns, rows) -> str:

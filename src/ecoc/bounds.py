@@ -73,16 +73,19 @@ class BoundInputs(_BoundInputFields):
 class BoundReport(NamedTuple):
     """Evaluated bounds for one parameter set.
 
-    feller and kz are None where their preconditions fail; kz_reason says
-    why.  lam and omega are the per-classifier factors behind the exponential
-    bounds: chernoff_lambda = lam**n and the correlation correction scales
-    with omega**n.  At m = n (r = 1) those factors are undefined, so
-    chernoff_lambda, lam, omega and kz are all None.
+    Each bound is None where its precondition fails, so that every value
+    given is an upper bound: feller needs m > n e, chernoff_mu needs
+    mu <= m and chernoff_lambda needs e <= r = m/n (both are 1 at the
+    edge), and kz_reason says why kz is absent.  lam and omega are the
+    per-classifier factors behind the exponential bounds: chernoff_lambda =
+    lam**n and the correlation correction scales with omega**n.  At m = n
+    (r = 1) those factors are undefined, so chernoff_lambda, lam, omega and
+    kz are all None.
     """
 
     gs: float
     feller: float | None
-    chernoff_mu: float
+    chernoff_mu: float | None
     chernoff_lambda: float | None
     kz: float | None
     lam: float | None
@@ -315,9 +318,10 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
     lam = chernoff_lambda(r, e) if decay else None
     omega = omega_factor(r, e) if decay else None
     mu = inputs.mu_value
-    # The mu-form expression stays a valid (if trivial) bound outside
-    # (0, m); evaluate it whenever it is defined so the report is complete.
-    chernoff_mu = _chernoff_mu(mu, m) if mu > 0.0 else 0.0
+    if mu > m:
+        chernoff_mu = None
+    else:
+        chernoff_mu = _chernoff_mu(mu, m) if mu > 0.0 else 0.0
 
     kz = None
     kz_reason = None
@@ -336,7 +340,7 @@ def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundRe
         gs=gs,
         feller=feller,
         chernoff_mu=chernoff_mu,
-        chernoff_lambda=lam**n if decay else None,
+        chernoff_lambda=lam**n if decay and e <= r else None,
         kz=kz,
         lam=lam,
         omega=omega,

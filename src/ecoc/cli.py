@@ -293,10 +293,11 @@ def _folds(
     with --summary or --predictions only; name is the fixture or the stem
     of the (first) file.
 
-    Only --predictions builds the code, to decode its folds.  A fixture or a
-    summary file reads m from the closed form of the code's distance
+    m comes from the closed form of the code's distance
     (sylvester_distance), which checks the class count and orientation as
-    build_code_matrix does, with the same messages in the same order."""
+    build_code_matrix does, with the same messages in the same order: a
+    fixture is loaded before, a summary file read after those checks.  Only
+    --predictions builds the code, to decode its folds."""
     import ecoc.experiment_io as xio
 
     given = [f for f in sources if getattr(args, f[2:]) not in (None, [])]
@@ -307,18 +308,17 @@ def _folds(
             raise ValueError("--classes applies only to --summary or --predictions")
         name, summaries = args.fixture, xio.load_fixture(args.fixture)
         classes = xio.DATASETS[args.fixture.rsplit("_", 1)[0]].classes
-        m = sylvester_distance(classes, _orientation(args)) // 2
     elif args.classes is None:
         raise ValueError(f"--classes is required with {given[0]}")
-    elif args.summary is not None:
-        classes = args.classes
-        m = sylvester_distance(classes, _orientation(args)) // 2
-        name, summaries = Path(args.summary).stem, xio.load_summaries(args.summary)
     else:
+        classes = args.classes
+    m = sylvester_distance(classes, _orientation(args)) // 2
+    if args.summary is not None:
+        name, summaries = Path(args.summary).stem, xio.load_summaries(args.summary)
+    elif args.fixture is None:
         import ecoc.code_matrix as cm
 
-        code = cm.build_code_matrix(args.classes, orientation=_orientation(args))
-        classes, m = code.n, code.m
+        code = cm.build_code_matrix(classes, orientation=_orientation(args))
         name, summaries = Path(args.predictions[0]).stem, _analyzed(args.predictions, code)
     return name, summaries, classes if args.n is None else args.n, m
 

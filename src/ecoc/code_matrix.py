@@ -181,7 +181,7 @@ def build_code_matrix(
     The minimum row distance d is read off the Sylvester structure, with no
     Gram product and no row of the matrix:
 
-    - Entry (a, j) of the Sylvester matrix h is parity(popcount(a & j)),
+    - Entry (a, x) of the Sylvester matrix h is parity(popcount(a & x)),
       which is linear in a over GF(2).  So h[a] xor h[b] = h[a xor b], and
       the distance between kept rows a and b on the kept columns S is the
       weight of Walsh row a xor b on S.
@@ -190,10 +190,13 @@ def build_code_matrix(
       c > 2^(k-1), [0, c) holds 0, 2^(k-1) and every u < 2^(k-1), so the
       pairs (0, v) and (2^(k-1), u) give every nonzero v < 2^k as a xor of
       two distinct kept indices; xor with a constant keeps pairwise xors.
-    - Hence d = min over v in 1..2^k - 1 of h[v, S].sum(), which
-      _shared.sylvester_distance evaluates from the binary digits of c in
-      O(k) integer steps.  CodeMatrix(code.matrix).d gives the same d by
-      the generic Gram route.
+    - Hence d = min over v in 1..2^k - 1 of h[v, S].sum().  Each such row
+      has 2^(k-1) ones, and on a prefix [0, t) with 2 <= 2^j <= t <
+      2^(j+1) at most g(t) = min(t - 2^(j-1), 2^j), which row 2^j +
+      2^(j-1) has; so _shared.sylvester_distance reads d in closed form:
+      c - 2^(k-1) for S = [0, c), 2^(k-1) - g(2^k - c) for S = [2^k - c,
+      2^k), with g(0) = g(1) = 0.  CodeMatrix(code.matrix).d gives the
+      same d by the generic Gram route.
     """
     d = _shared.sylvester_distance(num_classes, orientation)
     c = int(num_classes)

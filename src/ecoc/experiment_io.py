@@ -162,7 +162,7 @@ class ColumnStats(NamedTuple):
 class AggregateReport(NamedTuple):
     """Cross-fold means and sample standard deviations, one entry per
     column of _fold_cells.  A column is None when no fold produced a value:
-    kz under the gated policy, chernoff for reports with m = n."""
+    kz under the gated policy, chernoff for reports with m = n or e > m/n."""
 
     experimental: ColumnStats
     gs: ColumnStats

@@ -241,29 +241,6 @@ class TestKz:
                     assert report.kz >= exact - 1e-12, (name, n, fold)
 
 
-class TestDominance:
-    def test_iid_tail_below_feller_and_decay_bound(self):
-        for n, m in ((8, 2), (10, 2), (16, 4), (26, 6)):
-            r = m / n
-            for e in np.linspace(0.005, r * 0.999, 20):
-                e = float(e)
-                t = Independent(ErrorProfile.iid(n, e)).tail(m)
-                assert t <= feller_bound(n, m, e) + 1e-12
-                assert t <= chernoff_bound(n, m, e) + 1e-12
-
-    def test_heterogeneous_tail_below_mu_form(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            n = int(rng.integers(3, 14))
-            m = int(rng.integers(1, n + 1))
-            rates = tuple(rng.uniform(0.0, m / n * 0.999, n))
-            mu = sum(rates)
-            if mu <= 0.0:
-                continue
-            t = Independent(ErrorProfile(rates)).tail(m)
-            assert t <= chernoff_mu_bound(mu, m) + 1e-12
-
-
 def _iid_tail(n, m, e):
     return Independent(ErrorProfile.iid(n, e)).tail(m)
 
@@ -274,6 +251,33 @@ def _below_rate(draw):
     n = draw(st.integers(2, 60))
     m = draw(st.integers(1, n - 1))
     return n, m, draw(st.floats(0.0, m / n, exclude_max=True))
+
+
+@st.composite
+def _any_rate(draw):
+    """(n, m, e) with 1 <= m <= n and e anywhere in [0, 1]."""
+    n = draw(st.integers(1, 60))
+    return n, draw(st.integers(1, n)), draw(st.floats(0.0, 1.0))
+
+
+@st.composite
+def _unequal_rates(draw):
+    """(rates, m): 1 to 14 rates anywhere in [0, 1] and m in 1..n."""
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=14))
+    return rates, draw(st.integers(1, len(rates)))
+
+
+def _least_reported(report, *fields):
+    """The least of a BoundReport's fields, absent ones skipped (inf when
+    every one is absent)."""
+    values = (getattr(report, field) for field in fields)
+    return min((v for v in values if v is not None), default=math.inf)
+
+
+def _report_at_sum(rates, m):
+    """evaluate_bounds at the rates' mean, with mu their sum."""
+    mu = math.fsum(rates)
+    return evaluate_bounds(BoundInputs(len(rates), m, mu / len(rates), mu=mu))
 
 
 @st.composite
@@ -312,6 +316,15 @@ LAWS = {
         _iid_tail(len(rates), m, math.fsum(rates) / len(rates)))),
     "exchangeable_tail-kz_bound": (_kz_admitted(), lambda n, m, e, c: (
         ExchangeableModel(n, e, c).tail(m), kz_bound(n, m, e, c))),
+    # Every feller and Chernoff value evaluate_bounds reports is a bound at
+    # any rate: a form is absent where its precondition fails.
+    "iid_tail-reported_bounds": (_any_rate(), lambda n, m, e: (
+        _iid_tail(n, m, e),
+        _least_reported(evaluate_bounds(BoundInputs(n, m, e)),
+                        "feller", "chernoff_mu", "chernoff_lambda"))),
+    "unequal_tail-reported_mu_form": (_unequal_rates(), lambda rates, m: (
+        Independent(ErrorProfile(tuple(rates))).tail(m),
+        _least_reported(_report_at_sum(rates, m), "chernoff_mu"))),
 }
 
 
@@ -338,6 +351,16 @@ class TestEvaluateBounds:
     def test_feller_absent_when_inapplicable(self):
         report = evaluate_bounds(BoundInputs(10, 2, 0.3))
         assert report.feller is None
+
+    def test_chernoff_forms_absent_outside_their_domain(self):
+        # Each holds only for mu <= m and e <= m/n, where it is 1 at the edge.
+        above = evaluate_bounds(BoundInputs(10, 2, 0.5))
+        assert above.chernoff_mu is above.chernoff_lambda is None
+        assert above.lam == chernoff_lambda(0.2, 0.5)
+        edge = evaluate_bounds(BoundInputs(10, 2, 0.2))
+        assert edge.chernoff_mu == edge.chernoff_lambda == 1.0
+        assert evaluate_bounds(BoundInputs(10, 4, 0.1, mu=4.5)).chernoff_mu is None
+        assert evaluate_bounds(BoundInputs(10, 4, 0.1, mu=4.0)).chernoff_mu == 1.0
 
     def test_kz_gating(self):
         negative = evaluate_bounds(BoundInputs(10, 2, 0.05, c=-0.01))

@@ -146,10 +146,10 @@ def test_equal_rates_print_the_bytes_of_their_twin(tmp_path):
 # purpose updates the value here and lists the commands that moved, from
 # tools/cli_corpus.py --against.
 PINNED = {
-    "code": ("550e02bcf7605ef3d5598a5f9207d9b874758ebcd68912b8bdcbd43d4c635a9e", 346),
+    "code": ("69f869175d428610241c01a90ccff2aba6bf70f3aef923d87bb14d679ace0367", 362),
     "pmf": ("2c52ccbbf57ed719d5a5e2636b66c146552466bb15522f91a6e677521b35ce22", 1740),
     "tail": ("a3fbd92476d7b64b4ea7010d6cc19a9d19b9aafada229c65df616f76a01a64d1", 2202),
-    "bounds": ("909dbeadfd7aceb45df4347c3360fec9f16db4b77b35f44104c6cc65be449ef9", 2126),
+    "bounds": ("a390d109dc84cc3c1eaac474a1eb09b4ef09911753e773286362a2022399759c", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
     "simulate": ("7c54a31999de3dc0208b68b70187e53cd5389935ee4fcc80884e4bf15bb492da", 86),
     "analyze": ("f4388a38e41d35a22808b1e9ee4c6f004e2e995cf59052f7317847168ab10bef", 86),

@@ -111,6 +111,12 @@ def _code(_: Path) -> list[list[str]]:
             base = ["code", "--classes", str(classes), "--orientation", orientation]
             out.append(base + ["--emit"])
             out += [base + ["--format", fmt] for fmt in FORMATS]
+    # The top of the class range, without --emit (a matrix of up to 1 GiB):
+    # there d comes from the closed form alone.
+    for classes in (2047, 2048, 2049, 4095, 4097, 16385, 32767, 32768):
+        for orientation in ("keep-bottom-right", "keep-top-left"):
+            out.append(["code", "--classes", str(classes), "--orientation", orientation,
+                        "--format", "csv"])
     return out + [["code", "--classes", "1"], ["code", "--classes", "0"]]
 
 
