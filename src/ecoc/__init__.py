@@ -11,7 +11,6 @@ import importlib
 
 # Each public name and the module that defines it, sorted by name.
 _HOME = {
-    "BoundInputs": "bounds",
     "BoundReport": "bounds",
     "CodeMatrix": "code_matrix",
     "DEFAULT_SEED": "simulator",

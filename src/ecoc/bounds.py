@@ -9,9 +9,10 @@ ranges the last one is gated by live here too: Bahadur's published range
 both closed forms in n and e, beside the correction factor that c adds to
 the iid tail (correlation_correction).  Standard library only: no bound
 builds a distribution, so `ecoc bounds` and `ecoc bahadur` load no numpy.
-The two records, BoundInputs and BoundReport, are NamedTuples rather than
-dataclasses, whose import loads inspect and whose generated methods are
-executed at import.
+Each bound function raises DomainError where its value is not a bound,
+and evaluate_bounds reads absence from it.  The record BoundReport is a
+NamedTuple, not a dataclass, whose import loads inspect and whose
+generated methods are executed at import.
 
 Bound values are never clipped to [0, 1]; callers that want display
 probabilities can take min(value, 1) themselves.
@@ -29,58 +30,17 @@ if TYPE_CHECKING:
     from .prob_engine import ErrorProfile
 
 
-class _BoundInputFields(NamedTuple):
-    n: int
-    m: int
-    e_bar: float
-    c: float | None
-    mu: float | None
-
-
-class BoundInputs(_BoundInputFields):
-    """Parameter set for one bound evaluation.
-
-    mu defaults to n * e_bar, the identically-distributed case.  c, when
-    given, must be finite, and mu finite and non-negative.  _make and
-    _replace construct through __new__, so they check the same.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, n: int, m: int, e_bar: float, c: float | None = None, mu: float | None = None
-    ):
-        _check_inputs(n, m, e_bar, c)
-        if mu is not None:
-            _check_number("mu", mu)
-            if not (math.isfinite(mu) and mu >= 0.0):
-                raise ValueError(f"mu={mu} must be finite and non-negative")
-        return super().__new__(cls, n, m, e_bar, c, mu)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def r(self) -> float:
-        return self.m / self.n
-
-    @property
-    def mu_value(self) -> float:
-        return self.n * self.e_bar if self.mu is None else self.mu
-
-
 class BoundReport(NamedTuple):
     """Evaluated bounds for one parameter set.
 
-    Each bound is None where its precondition fails, so that every value
-    given is an upper bound: feller needs m > n e, chernoff_mu needs
-    mu <= m and chernoff_lambda needs e <= r = m/n (both are 1 at the
-    edge), and kz_reason says why kz is absent.  lam and omega are the
-    per-classifier factors behind the exponential bounds: chernoff_lambda =
-    lam**n and the correlation correction scales with omega**n.  At m = n
-    (r = 1) those factors are undefined, so chernoff_lambda, lam, omega and
-    kz are all None.
+    Each cell is None where its bound function raises DomainError, so
+    that every value given is an upper bound: feller needs m > n e,
+    chernoff_mu needs mu <= m and chernoff_lambda needs e <= r = m/n (both
+    are 1 at the edge), and kz_reason says why kz is absent.  lam and omega
+    are the per-classifier factors behind the exponential bounds:
+    chernoff_lambda = lam**n and the correlation correction scales with
+    omega**n.  At m = n (r = 1) those factors are undefined, so
+    chernoff_lambda, lam, omega and kz are all None.
     """
 
     gs: float
@@ -139,18 +99,17 @@ def feller_bound(n: int, m: int, e: float) -> float:
 
 
 def chernoff_mu_bound(mu: float, m: int) -> float:
-    """Exponential tail bound e^(m - mu) * (mu / m)^m for 0 < mu < m."""
+    """Exponential tail bound e^(m - mu) * (mu / m)^m for 0 <= mu <= m: 1 at
+    mu = m, and 0 at mu = 0 (by continuous extension) and wherever mu / m
+    underflows to 0, where the bound is below any double."""
     _check_number("mu", mu)
     _check_integer("m", m)
     if m < 1:
         raise ValueError(f"m={m} must be at least 1")
-    if not 0.0 < mu < m:
-        raise DomainError(f"inapplicable: mu={mu} outside (0, {m})")
-    return _chernoff_mu(mu, m)
-
-
-def _chernoff_mu(mu: float, m: int) -> float:
-    return math.exp((m - mu) + m * math.log(mu / m))
+    if not 0.0 <= mu <= m:
+        raise DomainError(f"inapplicable: mu={mu} outside [0, {m}]")
+    ratio = mu / m
+    return math.exp((m - mu) + m * math.log(ratio)) if ratio > 0.0 else 0.0
 
 
 def chernoff_lambda(r: float, e: float) -> float:
@@ -166,8 +125,10 @@ def chernoff_lambda(r: float, e: float) -> float:
 
 
 def chernoff_bound(n: int, m: int, e: float) -> float:
-    """Full-ensemble form chernoff_lambda(m/n, e) ** n."""
+    """chernoff_lambda(m/n, e) ** n, an iid tail bound for e <= m/n < 1."""
     _check_inputs(n, m, e)
+    if e > m / n:
+        raise DomainError(f"inapplicable: e={e} > m/n={m / n}")
     return chernoff_lambda(m / n, e) ** n
 
 
@@ -296,53 +257,53 @@ def kz_bound(n: int, m: int, e: float, c: float) -> float:
     return kz_value(n, m, e, c if display else c * r / e)
 
 
-def evaluate_bounds(inputs: BoundInputs, *, kz_policy: str = "gated") -> BoundReport:
+def evaluate_bounds(
+    n: int, m: int, e_bar: float, c: float | None = None, mu: float | None = None,
+    *, kz_policy: str = "gated",
+) -> BoundReport:
     """Evaluate every bound for one parameter set, flagging inapplicable ones.
 
-    kz_policy: "gated" leaves kz absent when c is missing or kz_bound rejects
-    its inputs (e_bar = 0 included), with kz_bound's message as kz_reason;
+    mu, the rates' sum, defaults to n * e_bar.  Each cell is its bound
+    function's value, None where that raises DomainError.  kz_policy:
+    "gated" leaves kz absent when c is missing or kz_bound rejects its
+    inputs (e_bar = 0 included), with kz_bound's message as kz_reason;
     "always" evaluates the expression regardless (the convention used by
     published per-fold tables).
     """
+    _check_inputs(n, m, e_bar, c)
+    if mu is not None:
+        _check_number("mu", mu)
+        if not (math.isfinite(mu) and mu >= 0.0):
+            raise ValueError(f"mu={mu} must be finite and non-negative")
     if kz_policy not in KZ_POLICIES:
         raise ValueError(f"unknown kz_policy {kz_policy!r}")
-    n, m, e = inputs.n, inputs.m, inputs.e_bar
-    r = inputs.r
-    gs = gs_bound((e,))
-    try:
-        feller = feller_bound(n, m, e)
-    except DomainError:
-        feller = None
-    # lambda, omega and the bounds built on them need r = m/n inside (0, 1).
-    decay = m < n
-    lam = chernoff_lambda(r, e) if decay else None
-    omega = omega_factor(r, e) if decay else None
-    mu = inputs.mu_value
-    if mu > m:
-        chernoff_mu = None
-    else:
-        chernoff_mu = _chernoff_mu(mu, m) if mu > 0.0 else 0.0
 
-    kz = None
-    kz_reason = None
-    if not decay:
+    def cell(bound, *args):
+        try:
+            return bound(*args)
+        except DomainError:
+            return None
+
+    lam = cell(chernoff_lambda, m / n, e_bar)
+    kz = kz_reason = None
+    if lam is None:  # r = m/n = 1
         kz_reason = f"m=n={n}: the decay bounds need m < n"
-    elif inputs.c is None:
+    elif c is None:
         kz_reason = "no correlation supplied"
     elif kz_policy == "always":
-        kz = kz_value(n, m, e, inputs.c)
+        kz = kz_value(n, m, e_bar, c)
     else:
         try:
-            kz = kz_bound(n, m, e, inputs.c)
+            kz = kz_bound(n, m, e_bar, c)
         except (DomainError, ModelError) as exc:
             kz_reason = str(exc)
     return BoundReport(
-        gs=gs,
-        feller=feller,
-        chernoff_mu=chernoff_mu,
-        chernoff_lambda=lam**n if decay and e <= r else None,
+        gs=gs_bound((e_bar,)),
+        feller=cell(feller_bound, n, m, e_bar),
+        chernoff_mu=cell(chernoff_mu_bound, n * e_bar if mu is None else mu, m),
+        chernoff_lambda=cell(chernoff_bound, n, m, e_bar),
         kz=kz,
         lam=lam,
-        omega=omega,
+        omega=cell(omega_factor, m / n, e_bar),
         kz_reason=kz_reason,
     )

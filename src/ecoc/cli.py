@@ -169,6 +169,8 @@ def cmd_code(args) -> str:
     """Only --emit builds the matrix: the parameters of the square code of
     c classes are n = c, d in closed form, m = d // 2 and r = m / n."""
     if args.emit:
+        if args.format != "table":
+            raise ValueError(f"--format {args.format} does not apply to --emit")
         import ecoc.code_matrix as cm
 
         return cm.to_text(cm.build_code_matrix(args.classes, _orientation(args)))
@@ -208,10 +210,9 @@ def cmd_tail(args) -> str:
 def cmd_bounds(args) -> str:
     import ecoc.bounds as bounds_mod
 
-    inputs = bounds_mod.BoundInputs(
-        n=args.n, m=args.m, e_bar=args.ebar, c=args.c, mu=args.mu
+    report = bounds_mod.evaluate_bounds(
+        args.n, args.m, args.ebar, args.c, args.mu, kz_policy=args.kz_policy
     )
-    report = bounds_mod.evaluate_bounds(inputs, kz_policy=args.kz_policy)
     payload = {
         "n": args.n,
         "m": args.m,

@@ -54,7 +54,7 @@ from ._shared import (
     csv_text,
     sylvester_distance,
 )
-from .bounds import BoundInputs, BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
+from .bounds import BoundReport, chernoff_lambda, evaluate_bounds, gs_bound
 from .errors import DomainError, ParseError
 
 if TYPE_CHECKING:
@@ -155,14 +155,14 @@ class FoldSummary(NamedTuple):
 
 class ColumnStats(NamedTuple):
     mean: float
-    std: float
+    std: float | None
     count: int
 
 
 class AggregateReport(NamedTuple):
-    """Cross-fold means and sample standard deviations, one entry per
-    column of _fold_cells.  A column is None when no fold produced a value:
-    kz under the gated policy, chernoff for reports with m = n or e > m/n."""
+    """Cross-fold means and sample standard deviations (None for one value)
+    per column of _fold_cells.  A column is None when no fold produced a
+    value: kz under the gated policy, chernoff for m = n or e > m/n."""
 
     experimental: ColumnStats
     gs: ColumnStats
@@ -543,20 +543,23 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return [i * step + lo for i in range(count - 1)] + [hi]
 
 
-def _sample_std(values) -> float:
-    """Sample std (ddof 1); exactly 0.0 for fewer than two or all-equal
-    values.  A list's (aggregate's columns) sums its squared deviations
-    from _mean by math.fsum, over count - 1, then the root; an array's
-    (analyze_fold's rates and pair correlations) is numpy's std(ddof=1).
-    A 127-class fold has 8,001 pair correlations: numpy took 16 us over
-    them and the fsum form 820 us (2-vCPU Xeon), so arrays keep numpy."""
+def _sample_std(values) -> float | None:
+    """Sample std (ddof 1): None for fewer than two values, exactly 0.0 for
+    all-equal ones.  A list's (aggregate's columns) sums its squared
+    deviations from _mean by math.fsum, over count - 1, then the root; an
+    array's (analyze_fold's rates and pair correlations) is numpy's
+    std(ddof=1).  A 127-class fold has 8,001 pair correlations: numpy took
+    16 us over them and the fsum form 820 us (2-vCPU Xeon), so arrays keep
+    numpy."""
+    if len(values) < 2:
+        return None
     if isinstance(values, list):
-        if len(values) > 1 and max(values) > min(values):
+        if max(values) > min(values):
             mean = _mean(values)
             sum_sq = math.fsum((v - mean) * (v - mean) for v in values)
             return math.sqrt(sum_sq / (len(values) - 1))
         return 0.0
-    if len(values) > 1 and values.max() > values.min():
+    if values.max() > values.min():
         return float(values.std(ddof=1))
     return 0.0
 
@@ -573,12 +576,12 @@ def bound_report(
     even for folds where its preconditions fail.  Fold reports always carry
     the decay bound, so an n equal to m is rejected.
     """
-    inputs = BoundInputs(
-        n=n, m=m, e_bar=summary.mean_bit_error, c=summary.mean_correlation
+    report = evaluate_bounds(
+        n, m, summary.mean_bit_error, summary.mean_correlation, kz_policy=kz_policy
     )
-    if inputs.m == inputs.n:
-        raise DomainError(f"n={inputs.n} equals m: the decay bound needs m < n")
-    return evaluate_bounds(inputs, kz_policy=kz_policy)
+    if m == n:
+        raise DomainError(f"n={n} equals m: the decay bound needs m < n")
+    return report
 
 
 def aggregate(
@@ -879,7 +882,7 @@ def scatter_figure_data(
         raise ValueError("fold mean bit errors leave no curve grid inside (0, m/n)")
 
     def report_at(e: float, c: float) -> BoundReport:
-        return evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
+        return evaluate_bounds(n, m, e, c, kz_policy="always")
 
     curve_rows = [
         {"e_bar": e, **_bound_cells(report_at(e, pooled_c))}

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecoc.bounds import (
-    BoundInputs,
     bahadur_range,
     chernoff_bound,
     chernoff_lambda,
@@ -78,10 +77,15 @@ class TestChernoffMu:
             assert mu_form == pytest.approx(lam_form, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            chernoff_mu_bound(4.0, 4)
-        with pytest.raises(DomainError):
-            chernoff_mu_bound(0.0, 4)
+        for mu in (-0.5, 4.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                chernoff_mu_bound(mu, 4)
+
+    def test_closed_domain_edges(self):
+        # 1 at mu = m; 0 at mu = 0, by continuous extension, and where
+        # mu / m underflows to 0.
+        assert chernoff_mu_bound(4.0, 4) == 1.0
+        assert chernoff_mu_bound(0.0, 4) == chernoff_mu_bound(5e-324, 2) == 0.0
 
 
 class TestChernoffLambda:
@@ -110,6 +114,15 @@ class TestChernoffLambda:
             chernoff_lambda(1.0, 0.1)
         with pytest.raises(DomainError):
             chernoff_lambda(0.25, -0.1)
+
+    def test_full_form_holds_only_up_to_r(self):
+        # At e = 0.5 > m/n = 0.2, lambda^n = 0.3112 lies below the exact
+        # tail 0.9893; at the edge it is 1.
+        with pytest.raises(DomainError, match="inapplicable"):
+            chernoff_bound(10, 2, 0.5)
+        assert chernoff_bound(10, 2, 0.2) == 1.0
+        with pytest.raises(DomainError):
+            chernoff_bound(3, 3, 0.1)  # m = n: lambda has no r < 1
 
     def test_exponential_decay_doubling(self):
         for n, m in ((8, 2), (20, 5)):
@@ -261,6 +274,32 @@ def _any_rate(draw):
 
 
 @st.composite
+def _any_rate_and_mu(draw):
+    """(n, m, e, mu): _any_rate's point and mu anywhere in [0, 2m]."""
+    n, m, e = draw(_any_rate())
+    return n, m, e, draw(st.floats(0.0, 2.0 * m))
+
+
+def _value_or_none(bound, *args):
+    """bound(*args), or None where it raises DomainError."""
+    try:
+        return bound(*args)
+    except DomainError:
+        return None
+
+
+def _cells_unlike_their_functions(n, m, e, mu):
+    """How many of evaluate_bounds' feller, chernoff_mu and chernoff_lambda
+    cells differ from their bound function's _value_or_none."""
+    report = evaluate_bounds(n, m, e, mu=mu)
+    return sum((
+        report.feller != _value_or_none(feller_bound, n, m, e),
+        report.chernoff_mu != _value_or_none(chernoff_mu_bound, mu, m),
+        report.chernoff_lambda != _value_or_none(chernoff_bound, n, m, e),
+    ))
+
+
+@st.composite
 def _unequal_rates(draw):
     """(rates, m): 1 to 14 rates anywhere in [0, 1] and m in 1..n."""
     rates = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=14))
@@ -277,7 +316,7 @@ def _least_reported(report, *fields):
 def _report_at_sum(rates, m):
     """evaluate_bounds at the rates' mean, with mu their sum."""
     mu = math.fsum(rates)
-    return evaluate_bounds(BoundInputs(len(rates), m, mu / len(rates), mu=mu))
+    return evaluate_bounds(len(rates), m, mu / len(rates), mu=mu)
 
 
 @st.composite
@@ -320,11 +359,15 @@ LAWS = {
     # any rate: a form is absent where its precondition fails.
     "iid_tail-reported_bounds": (_any_rate(), lambda n, m, e: (
         _iid_tail(n, m, e),
-        _least_reported(evaluate_bounds(BoundInputs(n, m, e)),
+        _least_reported(evaluate_bounds(n, m, e),
                         "feller", "chernoff_mu", "chernoff_lambda"))),
     "unequal_tail-reported_mu_form": (_unequal_rates(), lambda rates, m: (
         Independent(ErrorProfile(tuple(rates))).tail(m),
         _least_reported(_report_at_sum(rates, m), "chernoff_mu"))),
+    # Each bound function owns its domain: it returns exactly where its
+    # report cell is present, and the same value.
+    "cells_unlike_their_functions-none": (_any_rate_and_mu(), lambda n, m, e, mu: (
+        _cells_unlike_their_functions(n, m, e, mu), 0)),
 }
 
 
@@ -340,7 +383,7 @@ def test_law_holds_on_its_domain(law, data):
 
 class TestEvaluateBounds:
     def test_full_report(self):
-        report = evaluate_bounds(BoundInputs(26, 6, 0.0686, c=0.0058))
+        report = evaluate_bounds(26, 6, 0.0686, c=0.0058)
         assert report.gs == pytest.approx(0.2744, abs=1e-12)
         assert report.chernoff_lambda == pytest.approx(0.047, abs=0.005)
         assert report.kz == pytest.approx(0.055, abs=0.01)
@@ -349,37 +392,37 @@ class TestEvaluateBounds:
         assert report.chernoff_mu == pytest.approx(report.chernoff_lambda, rel=1e-12)
 
     def test_feller_absent_when_inapplicable(self):
-        report = evaluate_bounds(BoundInputs(10, 2, 0.3))
+        report = evaluate_bounds(10, 2, 0.3)
         assert report.feller is None
 
     def test_chernoff_forms_absent_outside_their_domain(self):
         # Each holds only for mu <= m and e <= m/n, where it is 1 at the edge.
-        above = evaluate_bounds(BoundInputs(10, 2, 0.5))
+        above = evaluate_bounds(10, 2, 0.5)
         assert above.chernoff_mu is above.chernoff_lambda is None
         assert above.lam == chernoff_lambda(0.2, 0.5)
-        edge = evaluate_bounds(BoundInputs(10, 2, 0.2))
+        edge = evaluate_bounds(10, 2, 0.2)
         assert edge.chernoff_mu == edge.chernoff_lambda == 1.0
-        assert evaluate_bounds(BoundInputs(10, 4, 0.1, mu=4.5)).chernoff_mu is None
-        assert evaluate_bounds(BoundInputs(10, 4, 0.1, mu=4.0)).chernoff_mu == 1.0
+        assert evaluate_bounds(10, 4, 0.1, mu=4.5).chernoff_mu is None
+        assert evaluate_bounds(10, 4, 0.1, mu=4.0).chernoff_mu == 1.0
 
     def test_kz_gating(self):
-        negative = evaluate_bounds(BoundInputs(10, 2, 0.05, c=-0.01))
+        negative = evaluate_bounds(10, 2, 0.05, c=-0.01)
         assert negative.kz is None and "negative" in negative.kz_reason
-        high_rate = evaluate_bounds(BoundInputs(10, 4, 0.35, c=0.05))
+        high_rate = evaluate_bounds(10, 4, 0.35, c=0.05)
         assert high_rate.kz is None and high_rate.kz_reason
-        missing = evaluate_bounds(BoundInputs(10, 4, 0.1))
+        missing = evaluate_bounds(10, 4, 0.1)
         assert missing.kz is None
 
     def test_zero_rate_gated_kz_absent(self):
         # bahadur_range rejects e = 0; the gated kz reports that, not raises.
-        report = evaluate_bounds(BoundInputs(10, 2, 0.0, c=0.0058))
+        report = evaluate_bounds(10, 2, 0.0, c=0.0058)
         assert report.kz is None and "(0, 1)" in report.kz_reason
         assert report.chernoff_lambda == 0.0
 
     @pytest.mark.parametrize("policy", ["gated", "always"])
     def test_m_equal_to_n_flags_decay_bounds(self, policy):
         for n, c in ((3, None), (3, 0.01), (1, 0.1)):
-            report = evaluate_bounds(BoundInputs(n, n, 0.1, c=c), kz_policy=policy)
+            report = evaluate_bounds(n, n, 0.1, c=c, kz_policy=policy)
             assert report.chernoff_lambda is report.lam is report.omega is None
             assert report.kz is None and "m < n" in report.kz_reason
             assert report.feller == pytest.approx(feller_bound(n, n, 0.1), abs=0)
@@ -394,7 +437,7 @@ class TestEvaluateBounds:
                          1.0)
                 for e in rates:
                     for c in (-0.01, 0.0, 0.001, 0.0058, 0.5):
-                        report = evaluate_bounds(BoundInputs(n, m, e, c=c))
+                        report = evaluate_bounds(n, m, e, c=c)
                         try:
                             want, reason = kz_bound(n, m, e, c), None
                         except (DomainError, ModelError) as exc:
@@ -402,20 +445,22 @@ class TestEvaluateBounds:
                         assert (report.kz, report.kz_reason) == (want, reason)
 
     def test_kz_policy_always(self):
-        report = evaluate_bounds(BoundInputs(10, 2, 0.05, c=-0.01), kz_policy="always")
+        report = evaluate_bounds(10, 2, 0.05, c=-0.01, kz_policy="always")
         assert report.kz == pytest.approx(kz_value(10, 2, 0.05, -0.01), abs=0)
 
     def test_mu_override(self):
-        report = evaluate_bounds(BoundInputs(10, 4, 0.1, mu=1.0))
+        report = evaluate_bounds(10, 4, 0.1, mu=1.0)
         assert report.chernoff_mu == pytest.approx(math.e**3 / 256, rel=1e-12)
 
     def test_invalid_inputs(self):
+        with pytest.raises(ValueError, match=r"^m=0 outside 1\.\.10$"):
+            evaluate_bounds(10, 0, 0.1)
+        with pytest.raises(ValueError, match=r"^m=11 outside 1\.\.10$"):
+            evaluate_bounds(10, 11, 0.1)
+        with pytest.raises(ValueError, match=r"^e=2\.0 outside \[0, 1\]$"):
+            evaluate_bounds(10, 5, 2.0)
         with pytest.raises(ValueError):
-            BoundInputs(10, 0, 0.1)
-        with pytest.raises(ValueError):
-            BoundInputs(10, 11, 0.1)
-        with pytest.raises(ValueError):
-            evaluate_bounds(BoundInputs(10, 4, 0.1), kz_policy="sometimes")
+            evaluate_bounds(10, 4, 0.1, kz_policy="sometimes")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -424,23 +469,10 @@ class TestEvaluateBounds:
     )
     def test_rejects_non_finite_c_and_bad_mu(self, field, value):
         with pytest.raises(ValueError, match=f"{field}="):
-            BoundInputs(10, 2, 0.1, **{field: value})
+            evaluate_bounds(10, 2, 0.1, **{field: value})
 
     def test_zero_mu_accepted(self):
-        assert evaluate_bounds(BoundInputs(10, 2, 0.1, mu=0.0)).chernoff_mu == 0.0
-
-    def test_replace_and_make_check_as_construction_does(self):
-        # Both build through BoundInputs.__new__; a bare NamedTuple's would
-        # return e_bar=2.0 unchecked.
-        inputs = BoundInputs(10, 5, 0.1)
-        with pytest.raises(ValueError, match=r"^e=2\.0 outside \[0, 1\]$"):
-            inputs._replace(e_bar=2.0)
-        with pytest.raises(ValueError, match=r"^mu=-1\.0 must be finite"):
-            inputs._replace(mu=-1.0)
-        with pytest.raises(ValueError, match=r"^m=11 outside 1\.\.10$"):
-            BoundInputs._make((10, 11, 0.1, None, None))
-        assert inputs._replace(c=0.01) == BoundInputs(10, 5, 0.1, c=0.01)
-        assert type(BoundInputs._make(inputs)) is BoundInputs
+        assert evaluate_bounds(10, 2, 0.1, mu=0.0).chernoff_mu == 0.0
 
 
 class TestInputTypes:
@@ -458,8 +490,8 @@ class TestInputTypes:
             (lambda: chernoff_bound(10, 3, "0.1"), "e='0.1' is not a number"),
             (lambda: kz_value(10, 3, 0.1, None), "c=None is not a number"),
             (lambda: kz_bound(10, 3, 0.1, "0"), "c='0' is not a number"),
-            (lambda: BoundInputs(10, 3, 0.1, c="x"), "c='x' is not a number"),
-            (lambda: BoundInputs(None, 3, 0.1), "n=None is not an integer"),
+            (lambda: evaluate_bounds(10, 3, 0.1, c="x"), "c='x' is not a number"),
+            (lambda: evaluate_bounds(None, 3, 0.1), "n=None is not an integer"),
             (lambda: bahadur_range(2.5, 0.1), "n=2.5 is not an integer"),
             (lambda: bahadur_range(5, "0.1"), "e='0.1' is not a number"),
             (lambda: valid_correlation_range(5, None), "e=None is not a number"),
@@ -476,8 +508,8 @@ class TestInputTypes:
                          id="omega_factor-r"),
             pytest.param(lambda: omega_factor(0.3, None), "e=None is not a number",
                          id="omega_factor-e"),
-            pytest.param(lambda: BoundInputs(10, 3, 0.1, mu="x"), "mu='x' is not a number",
-                         id="BoundInputs-mu"),
+            pytest.param(lambda: evaluate_bounds(10, 3, 0.1, mu="x"), "mu='x' is not a number",
+                         id="evaluate_bounds-mu"),
         ],
     )
     def test_names_a_value_of_the_wrong_type(self, call, message):
@@ -491,4 +523,5 @@ class TestInputTypes:
         assert chernoff_mu_bound(np.float64(1.0), m) == chernoff_mu_bound(1.0, 3)
         assert chernoff_lambda(np.float64(0.3), e) == chernoff_lambda(0.3, 0.1)
         assert omega_factor(0.3, e) == omega_factor(0.3, 0.1)
-        assert BoundInputs(10, 3, 0.1, mu=np.float64(0.5)).mu_value == 0.5
+        assert evaluate_bounds(n, m, e, np.float64(0.01), np.float64(0.5)) == evaluate_bounds(
+            10, 3, 0.1, 0.01, 0.5)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import ecoc
 import ecoc.cli as cli
-from ecoc.bounds import BoundInputs, bahadur_range, evaluate_bounds, valid_correlation_range
+from ecoc.bounds import bahadur_range, evaluate_bounds, valid_correlation_range
 from ecoc.cli import main
 from ecoc.code_matrix import build_code_matrix, from_text
 from ecoc.experiment_io import fixture_names
@@ -76,7 +76,7 @@ class TestBoundsCommand:
         )
         assert status == 0
         payload = json.loads(out)
-        report = evaluate_bounds(BoundInputs(26, 6, 0.0686, c=0.0058))
+        report = evaluate_bounds(26, 6, 0.0686, c=0.0058)
         assert payload["gs"] == report.gs
         assert payload["chernoff"] == report.chernoff_lambda
         assert payload["kz"] == report.kz
@@ -239,6 +239,14 @@ class TestCodeCommand:
         assert len(lines) == 27
         parsed = from_text(out)
         assert np.array_equal(parsed.matrix, build_code_matrix(26).matrix)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_rejects_a_format_it_does_not_read(self, capsys, fmt):
+        status, out, err = run(capsys, "code", "--classes", "4", "--emit", "--format", fmt)
+        assert (status, out) == (1, "")
+        assert err == f"error: --format {fmt} does not apply to --emit\n"
+        _, table, _ = run(capsys, "code", "--classes", "4", "--emit", "--format", "table")
+        assert table == run(capsys, "code", "--classes", "4", "--emit")[1]
 
     def test_summary_table(self, capsys):
         _, out, _ = run(capsys, "code", "--classes", "10", "--format", "json")

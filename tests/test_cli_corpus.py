@@ -146,13 +146,13 @@ def test_equal_rates_print_the_bytes_of_their_twin(tmp_path):
 # purpose updates the value here and lists the commands that moved, from
 # tools/cli_corpus.py --against.
 PINNED = {
-    "code": ("69f869175d428610241c01a90ccff2aba6bf70f3aef923d87bb14d679ace0367", 362),
+    "code": ("00f00e051a177aca52b49f2802a5c27c0f688846351081bf55e4568ab59eb14f", 365),
     "pmf": ("2c52ccbbf57ed719d5a5e2636b66c146552466bb15522f91a6e677521b35ce22", 1740),
     "tail": ("a3fbd92476d7b64b4ea7010d6cc19a9d19b9aafada229c65df616f76a01a64d1", 2202),
     "bounds": ("a390d109dc84cc3c1eaac474a1eb09b4ef09911753e773286362a2022399759c", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
     "simulate": ("7c54a31999de3dc0208b68b70187e53cd5389935ee4fcc80884e4bf15bb492da", 86),
-    "analyze": ("f4388a38e41d35a22808b1e9ee4c6f004e2e995cf59052f7317847168ab10bef", 86),
+    "analyze": ("6ccf1c098ed1f741ab47ab8af36098c570b9479d4d5fdc5f4283bedd1591a387", 87),
     "figures": ("759d6f25b7a8638656c5b8de1742f4ba6d865d0e958e7629c74fe14ac9d61d5b", 27),
 }
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ecoc._shared import DEFAULT_ORIENTATION, sylvester_distance
-from ecoc.bounds import BoundInputs, evaluate_bounds
+from ecoc.bounds import evaluate_bounds
 from ecoc.experiment_io import fixture_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,7 +149,7 @@ def test_summary_of_the_largest_code_builds_no_matrix(tmp_path):
     report = json.loads(run("analyze", "--summary", str(summary), "--classes", str(classes),
                             "--format", "json"))
     for row, (e, c) in zip(report["folds"], folds, strict=True):
-        want = evaluate_bounds(BoundInputs(n, m, e, c=c))
+        want = evaluate_bounds(n, m, e, c)
         assert (row["gs"], row["chernoff"], row["kz"]) == (want.gs, want.chernoff_lambda, want.kz)
 
     out = tmp_path / "figures"
@@ -157,7 +157,7 @@ def test_summary_of_the_largest_code_builds_no_matrix(tmp_path):
         "--out", str(out))
     rows = list(csv.DictReader(io.StringIO((out / "big_folds.csv").read_text())))
     for row, (e, c) in zip(rows, folds, strict=True):
-        want = evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
+        want = evaluate_bounds(n, m, e, c, kz_policy="always")
         got = tuple(float(row[key]) for key in ("gs", "chernoff", "kz"))
         assert got == (want.gs, want.chernoff_lambda, want.kz)
 

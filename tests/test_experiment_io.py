@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ecoc import cli
-from ecoc.bounds import BoundInputs, evaluate_bounds
+from ecoc.bounds import evaluate_bounds
 from ecoc.cli import main
 from ecoc import code_matrix
 from ecoc import experiment_io as xio
@@ -837,13 +837,26 @@ class TestBoundReport:
 
 
 class TestAggregate:
-    def test_single_fold_zero_std(self):
+    def test_single_fold_std_absent(self):
+        # One value has no sample std: None, not 0.0.
         s = FoldSummary("1", 0.05, 0.01, 0.04)
         code = build_code_matrix(10)
         agg = aggregate([s], [bound_report(s, code.n, code.m)])
         assert agg.experimental.mean == 0.04
-        assert agg.experimental.std == 0.0
-        assert agg.gs.std == 0.0
+        assert agg.experimental.std is None
+        assert agg.gs.std is None
+
+    def test_column_of_one_value_has_no_std(self):
+        # At n = 100 (m/n = 0.02) only the first fold has chernoff and kz.
+        folds = [FoldSummary("1", 0.01, 0.002, 0.0), FoldSummary("2", 0.1, 0.01, 0.05)]
+        reports = [bound_report(s, 100, 2) for s in folds]
+        agg = aggregate(folds, reports)
+        assert agg.chernoff.count == agg.kz.count == 1
+        assert agg.chernoff.std is agg.kz.std is None
+        assert agg.gs.std > 0.0
+        std_row = format_report_csv(folds, reports, agg).splitlines()[-1]
+        assert std_row.startswith("std,,,") and std_row.endswith(",,")
+        assert report_json_obj(folds, reports, agg)["aggregate"]["kz"]["std"] is None
 
     def test_identical_folds_zero_std(self):
         s = FoldSummary("1", 0.05, 0.01, 0.04)
@@ -871,12 +884,12 @@ class TestAggregate:
         # evaluate_bounds leaves chernoff absent at m = n; the aggregate
         # column is then None, as kz is, and renders as empty cells.
         s = FoldSummary("1", 0.1, 0.01, 0.05)
-        reports = [evaluate_bounds(BoundInputs(3, 3, 0.1))]
+        reports = [evaluate_bounds(3, 3, 0.1)]
         agg = aggregate([s], reports)
         assert agg.chernoff is None and agg.kz is None
         assert agg.gs.mean == pytest.approx(0.4)
         lines = format_report_csv([s], reports, agg).splitlines()
-        assert lines[-2:] == ["mean,,,0.05,0.4,,", "std,,,0.0,0.0,,"]
+        assert lines[-2:] == ["mean,,,0.05,0.4,,", "std,,,,,,"]
 
 
 # Mixed signs and magnitudes: signed zeros, plain draws, and a mantissa
@@ -920,9 +933,12 @@ class TestNumpyFreeMoments:
             want = math.sqrt(rounded_sum(squares) / (len(values) - 1))
             assert std.hex() == want.hex()
             assert xio._sample_std(arr).hex() == float(arr.std(ddof=1)).hex()
-        else:
-            # One value, or all equal (signed zeros included): exactly 0.0.
+        elif len(values) > 1:
+            # All equal (signed zeros included): exactly 0.0.
             assert std.hex() == xio._sample_std(arr).hex() == (0.0).hex()
+        else:
+            # One value has no sample std.
+            assert std is xio._sample_std(arr) is None
         lo, hi, count = min(values), max(values), len(values) + 1
         if lo < hi and (hi - lo) / (count - 1) != 0.0:
             grid = xio._linspace(lo, hi, count)
@@ -1090,7 +1106,7 @@ class TestFigureData:
         points = [(row["e_bar"], pooled_c) for row in curves]
         points += [(s.mean_bit_error, s.mean_correlation) for s in summaries]
         for row, (e, c) in zip(curves + folds, points):
-            report = evaluate_bounds(BoundInputs(n, m, e, c=c), kz_policy="always")
+            report = evaluate_bounds(n, m, e, c, kz_policy="always")
             assert (row["gs"], row["chernoff"], row["kz"]) == (
                 report.gs, report.chernoff_lambda, report.kz
             )

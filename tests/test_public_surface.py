@@ -19,12 +19,14 @@ MODULES = (ecoc, bounds, cli, code_matrix, errors, experiment_io, prob_engine, s
 # Exports deleted because each was one call of a public method or function
 # that callers already had; none may come back unnoticed.
 DELETED = (
+    "BoundInputs",
     "count_misdecoded",
     "exchangeable_tail",
     "min_row_distance",
     "pair_correlated_tail",
     "tail_iid",
     "write_summaries",
+    "_chernoff_mu",
     "_row_counts",
 )
 
@@ -43,7 +45,7 @@ def test_all_is_sorted_and_resolves():
     # Every name in __all__ resolves, on first access, to the object its
     # home module defines, and every public name is in it.
     assert ecoc.__all__ == sorted(ecoc.__all__)
-    assert len(ecoc.__all__) == 33 and "exact_decode_error" in ecoc.__all__
+    assert len(ecoc.__all__) == 32 and "exact_decode_error" in ecoc.__all__
     for name in ecoc.__all__:
         home = importlib.import_module(f"ecoc.{ecoc._HOME[name]}")
         assert getattr(ecoc, name) is getattr(home, name), name
@@ -78,9 +80,6 @@ _REFERENCE_TEXT = (
 @pytest.mark.parametrize(
     "cls, kwargs, text, change",
     [
-        pytest.param(bounds.BoundInputs, dict(n=10, m=5, e_bar=0.1),
-                     "BoundInputs(n=10, m=5, e_bar=0.1, c=None, mu=None)", dict(c=0.01),
-                     id="BoundInputs"),
         pytest.param(bounds.BoundReport,
                      dict(gs=0.4, feller=None, chernoff_mu=0.2, chernoff_lambda=0.1, kz=None,
                           lam=0.5, omega=0.6),

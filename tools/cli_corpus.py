@@ -117,6 +117,8 @@ def _code(_: Path) -> list[list[str]]:
         for orientation in ("keep-bottom-right", "keep-top-left"):
             out.append(["code", "--classes", str(classes), "--orientation", orientation,
                         "--format", "csv"])
+    # --emit prints the matrix text alone: --format csv and json are errors.
+    out += [["code", "--classes", "4", "--emit", "--format", fmt] for fmt in FORMATS]
     return out + [["code", "--classes", "1"], ["code", "--classes", "0"]]
 
 
@@ -261,6 +263,13 @@ def _analyze(tmp: Path) -> list[list[str]]:
             out.append(["analyze", "--predictions", *map(str, paths),
                         "--classes", classes, "--format", fmt])
     out.append(["analyze", "--fixture", "letters_dt", "--n", "6"])
+    # At n = 100 (m/n = 0.02) only the first fold has chernoff and kz: two
+    # columns of one value, whose std is absent.
+    path = tmp / "one_value.csv"
+    path.write_text("fold,mean_bit_error,mean_correlation,ecoc_error\n"
+                    "1,0.01,0.002,0.0\n2,0.1,0.01,0.05\n")
+    out.append(["analyze", "--summary", str(path), "--classes", "10", "--n", "100",
+                "--format", "csv"])
     return out
 
 
