@@ -1,6 +1,7 @@
 """What the command line needs before it knows its command: the CSV writer
 every csv output goes through, the vocabularies its parser offers as
-choices, the integer, number and rate rules, and the Sylvester code's
+choices, the integer, number and rate rules, the correlation ranges that
+the exchangeable model and the bounds share, and the Sylvester code's
 distance in closed form, so that `ecoc code`, `analyze --fixture` and
 `analyze --summary` read a code's parameters without building it.
 Standard library only, so that the parser and a command's output load no
@@ -11,7 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import numbers
+
+from .errors import ModelError
 
 # evaluate_bounds' kz policies: "gated" (kz_bound) or "always" (kz_value).
 KZ_POLICIES = ("gated", "always")
@@ -117,6 +121,45 @@ def sylvester_distance(num_classes, orientation: str) -> int:
     t = (1 << k) - c
     j = t.bit_length() - 1
     return half - (min(t - (1 << (j - 1)), 1 << j) if t > 1 else 0)
+
+
+def _published_range(n: int, e: float) -> tuple[float, float]:
+    """bahadur_range without its check on the lower end, which is -inf when
+    it overflows."""
+    _check_integer("n", n)
+    _check_number("e", e)
+    if n < 2:
+        raise ValueError(f"n={n} must be at least 2")
+    if not (0.0 < e < 1.0):
+        raise ModelError(f"e={e} must lie strictly inside (0, 1)")
+    # The published form is 2e(1-e) / (y(1-e) + 1/4 - gamma), where
+    # y = (n-1)e and gamma = min over k in 0..n of (k - y - 1/2)^2.  The
+    # minimum sits at the integer k nearest y + 1/2, which is ceil(y) (when
+    # y is an integer, y and y + 1 tie).  There 1/4 - gamma equals
+    # (y - (k-1)) (k - y), a product of two non-negative factors, which keeps
+    # its precision at small e where the difference 1/4 - gamma cancels.
+    # c_max is unchanged by e -> 1 - e (y -> n-1-y leaves gamma and
+    # (n-1)e(1-e) as they are), so it is evaluated at the smaller of the two,
+    # and 1 - e is exact for e >= 1/2.
+    lo = min(e, 1.0 - e)
+    y = (n - 1) * lo
+    k = math.ceil(y)
+    c_min = -2.0 * (1.0 - e) / (n * (n - 1) * e)
+    c_max = 2.0 * e * (1.0 - e) / (y * (1.0 - lo) + (y - (k - 1)) * (k - y))
+    return c_min, c_max
+
+
+def valid_correlation_range(n: int, e: float) -> tuple[float, float]:
+    """Largest interval of c values for which every outcome probability of
+    the exchangeable model (Bahadur's law) is non-negative, for every e in
+    (0, 1).  Subset of bahadur_range for e < 1/2, equal otherwise."""
+    c_min, c_max = _published_range(n, e)
+    # An outcome of k errors has probability e^k (1-e)^(n-k) (1 + c S_k),
+    # S_k = sum_{i<j} z_i z_j; for c < 0 the binding one has the largest
+    # S_k, C(n, 2) max(e, 1-e) / min(e, 1-e), at k = 0 or k = n.
+    g_max = n * (n - 1) * max(e, 1.0 - e) ** 2
+    true_min = -2.0 * e * (1.0 - e) / g_max
+    return max(c_min, true_min), c_max
 
 
 def csv_text(columns, rows) -> str:

@@ -4,15 +4,15 @@ Four families: the correlation-agnostic 4*mean-rate bound, a rational bound
 valid above the mean error count, the exponential-decay bound in both its
 sum-of-rates form and its per-classifier decay-factor form lambda^n, and the
 correlation-corrected bound for the exchangeable model.  The correlation
-ranges the last one is gated by live here too: Bahadur's published range
-(bahadur_range) and the exact admissible one (valid_correlation_range),
-both closed forms in n and e, beside the correction factor that c adds to
-the iid tail (correlation_correction).  Standard library only: no bound
-builds a distribution, so `ecoc bounds` and `ecoc bahadur` load no numpy.
-Each bound function raises DomainError where its value is not a bound,
-and evaluate_bounds reads absence from it.  The record BoundReport is a
-NamedTuple, not a dataclass, whose import loads inspect and whose
-generated methods are executed at import.
+ranges the last one is gated by are here too: Bahadur's published range
+(bahadur_range) and the exact admissible one that ExchangeableModel also
+reads (valid_correlation_range, from _shared), both closed forms in n and e,
+beside the factor c adds to the iid tail (correlation_correction).  Standard
+library only: no bound builds a distribution, so `ecoc bounds` and
+`ecoc bahadur` load no numpy.  Each bound function raises DomainError
+where its value is not a bound, and evaluate_bounds reads absence from
+it.  The record BoundReport is a NamedTuple, not a dataclass, whose
+import loads inspect and whose generated methods are executed at import.
 
 Bound values are never clipped to [0, 1]; callers that want display
 probabilities can take min(value, 1) themselves.
@@ -24,6 +24,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ._shared import KZ_POLICIES, _check_integer, _check_number, _checked_rates
+from ._shared import _published_range, valid_correlation_range
 from .errors import DomainError, ModelError
 
 if TYPE_CHECKING:
@@ -146,9 +147,10 @@ def omega_factor(r: float, e: float) -> float:
 def correlation_correction(n: int, m: int, e: float, c: float) -> float:
     """0.5 c n (n-1) ((m-1)/(n-1) - e): the factor that the correlation c
     adds to the iid tail at m.  The exact exchangeable tail adds it times
-    the binomial mass p(n-1, m-1, e) (the paper's closed form, which the
-    tests check against ExchangeableModel.tail in exact integers); kz_value
-    adds it times omega^n."""
+    p(n-1, m-1, e) (the paper's closed form, which the tests check against
+    ExchangeableModel.tail in exact integers): its count law summed from m
+    telescopes to the iid tail + g [p(n-2, m-2, e) - p(n-2, m-1, e)],
+    g = C(n, 2) c e(1-e), and that is it.  kz_value adds it times omega^n."""
     return 0.5 * c * n * (n - 1) * ((m - 1) / (n - 1) - e)
 
 
@@ -158,52 +160,13 @@ def bahadur_range(n: int, e: float) -> tuple[float, float]:
     The upper end is exact: it is the largest c for which every induced
     outcome probability stays non-negative.  The lower end is exact only for
     e >= 1/2; below that it understates the true constraint, which is why the
-    model types validate the induced weights directly.  At subnormal e the
+    model checks c against valid_correlation_range.  At subnormal e the
     lower end is beyond a double, and a ModelError says so.
     """
     c_min, c_max = _published_range(n, e)
     if not math.isfinite(c_min):
         raise ModelError(f"e={e}: lower end -2(1-e)/(n(n-1)e) is beyond a double")
     return c_min, c_max
-
-
-def _published_range(n: int, e: float) -> tuple[float, float]:
-    """bahadur_range without its check on the lower end, which is -inf when
-    it overflows."""
-    _check_integer("n", n)
-    _check_number("e", e)
-    if n < 2:
-        raise ValueError(f"n={n} must be at least 2")
-    if not (0.0 < e < 1.0):
-        raise ModelError(f"e={e} must lie strictly inside (0, 1)")
-    # The published form is 2e(1-e) / (y(1-e) + 1/4 - gamma), where
-    # y = (n-1)e and gamma = min over k in 0..n of (k - y - 1/2)^2.  The
-    # minimum sits at the integer k nearest y + 1/2, which is ceil(y) (when
-    # y is an integer, y and y + 1 tie).  There 1/4 - gamma equals
-    # (y - (k-1)) (k - y), a product of two non-negative factors, which keeps
-    # its precision at small e where the difference 1/4 - gamma cancels.
-    # c_max is unchanged by e -> 1 - e (y -> n-1-y leaves gamma and
-    # (n-1)e(1-e) as they are), so it is evaluated at the smaller of the two,
-    # and 1 - e is exact for e >= 1/2.
-    lo = min(e, 1.0 - e)
-    y = (n - 1) * lo
-    k = math.ceil(y)
-    c_min = -2.0 * (1.0 - e) / (n * (n - 1) * e)
-    c_max = 2.0 * e * (1.0 - e) / (y * (1.0 - lo) + (y - (k - 1)) * (k - y))
-    return c_min, c_max
-
-
-def valid_correlation_range(n: int, e: float) -> tuple[float, float]:
-    """Largest interval of c values whose induced outcome weights are all
-    non-negative, for every e in (0, 1).  Subset of bahadur_range for
-    e < 1/2, equal otherwise."""
-    c_min, c_max = _published_range(n, e)
-    # Weights are affine in c with slope quad/(2e(1-e)); the binding negative
-    # constraint for c < 0 sits at the largest positive quadratic value,
-    # attained at k = 0 or k = n.
-    g_max = n * (n - 1) * max(e, 1.0 - e) ** 2
-    true_min = -2.0 * e * (1.0 - e) / g_max
-    return max(c_min, true_min), c_max
 
 
 def kz_value(n: int, m: int, e: float, c: float) -> float:

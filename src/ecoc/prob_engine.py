@@ -6,11 +6,12 @@ Three dependence structures are supported: fully independent classifiers
 classifiers with a uniform second-order correlation coefficient c.
 
 Every model, a subclass of DependenceModel, defines n, count_pmf() (the
-error-count distribution: a row of independent classifiers, then the pair's
-two-stage recursion or the exchangeable outcome weights on top of it; the
-independent and pair rows come from the profile's one route choice, _row:
-_binomial_row's repeated squares for the one rate a profile records when
-it is built, else poisson_binomial_dist, the product tree only), one
+error-count distribution: a row of independent classifiers, then for
+the pair or the exchangeable model the one three-term kernel _three_terms
+on the row of n - 2; the independent and pair rows come from the
+profile's one route choice, _row: _binomial_row's repeated squares for
+the one rate a profile records when it is built, else
+poisson_binomial_dist, the product tree only), one
 position hook _positions(rng, ks) (bool error vectors, one per count in ks,
 drawn from the model's law given that count) and joint_mass(bits) (the
 joint law of whole outcomes, from the model's definition and not from
@@ -80,12 +81,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import _check_integer, _check_number, _checked_rates
+from ._shared import _check_integer, _check_number, _checked_rates, valid_correlation_range
 from .code_matrix import CodeMatrix, _check_width, _correlations
 from .errors import ModelError
 
-# Per-outcome weights this close to zero (from rounding at the edge of the
-# admissible correlation range) are clamped to exactly zero.
+# Slack past the ends of the pair's f (absolute) and the exchangeable c
+# (relative) range: what rounding there leaves below zero is clamped to 0.
 WEIGHT_SLACK = 1e-12
 
 # Hard cap on the brute-force oracles: 2^20 outcomes.
@@ -232,12 +233,20 @@ class Independent(DependenceModel):
         return np.where(bits, rates, 1.0 - rates).prod(axis=1)
 
 
-def _padded_pair_row(profile: ErrorProfile) -> np.ndarray:
-    """q[j + 2] = q(j) for j = -2..n, q the count pmf of a pair model's first
-    n - 2 classifiers, zero at j < 0 and j > n - 2."""
-    q = np.zeros(profile.n + 3)
-    q[2:-2] = profile._row(profile.n - 2)
+def _padded_row(row: np.ndarray) -> np.ndarray:
+    """q[j + 2] = q(j) for j = -2..w + 2, q a count pmf of w classifiers
+    (row, of w + 1 entries), zero at j < 0 and j > w."""
+    q = np.zeros(row.size + 4)
+    q[2:-2] = row
     return q
+
+
+def _three_terms(p11: float, p1: float, p00: float, q_pad: np.ndarray) -> np.ndarray:
+    """p(k) = p11 q(k-2) + p1 q(k-1) + p00 q(k), k = 0..n, q the count pmf
+    of n - 2 classifiers padded by _padded_row: the count law of a pair of
+    joint cells (p11, p1 for one error, p00) beside them.  Both correlated
+    models build their count_pmf with it."""
+    return p11 * q_pad[:-2] + p1 * q_pad[1:-1] + p00 * q_pad[2:]
 
 
 @dataclass(frozen=True)
@@ -269,27 +278,22 @@ class PairModel(DependenceModel):
         """(P11, P10, P01, P00) for the correlated pair.  f is clamped to
         pair_f_range, so only P00 can fall below zero, by the rounding of
         e1 + e2 - 1 at its lower end (e1 = 2**-53, e2 = 1): it is clamped to
-        zero, as the exchangeable weights are."""
+        zero, as the exchangeable count probabilities are."""
         e1, e2 = self.profile.rates[-2], self.profile.rates[-1]
         lo, hi = pair_f_range(e1, e2)
         f = min(max(self.f, lo), hi)
         return (f, e1 - f, e2 - f, max(1.0 - e1 - e2 + f, 0.0))
 
     def count_pmf(self) -> np.ndarray:
-        """Conditioning on the pair's four joint cells reduces to the
-        error-count distribution q of the first n-2 independent classifiers:
-
-            p(k) = P11 * q(k-2) + (P10 + P01) * q(k-1) + P00 * q(k)
-
-        where terms with out-of-range index vanish.  Summed from m at one
-        rate e, it is the paper's identity eps(n, m, e, f) =
+        """The three terms on the count pmf q of the first n - 2 classifiers,
+        with the cells (P11, P10 + P01, P00).  Summed from m at one rate e,
+        it is the paper's identity eps(n, m, e, f) =
         f * eps(n-2, m-2, e) + 2(e - f) * eps(n-2, m-1, e) +
         (1 - 2e + f) * eps(n-2, m, e), which the tests evaluate in exact
         integers as an oracle.
         """
         p11, p10, p01, p00 = self.joint_cells
-        q_pad = _padded_pair_row(self.profile)
-        return p11 * q_pad[:-2] + (p10 + p01) * q_pad[1:-1] + p00 * q_pad[2:]
+        return _three_terms(p11, p10 + p01, p00, _padded_row(self.profile._row(self.n - 2)))
 
     def _positions(self, rng, ks):
         # One uniform per row picks the pair's state s among (11, 10, 01,
@@ -298,7 +302,7 @@ class PairModel(DependenceModel):
         # K, to the bit, and a K that was drawn has mass, so no weight is
         # divided by zero.  Then a (K - |s|)-subset of the others.
         p11, p10, p01, p00 = self.joint_cells
-        q = _padded_pair_row(self.profile)
+        q = _padded_row(self.profile._row(self.n - 2))
         q2, q1, q0 = q[ks], q[ks + 1], q[ks + 2]
         both = p11 * q2
         either = both + (p10 + p01) * q1
@@ -322,13 +326,17 @@ class PairModel(DependenceModel):
 @dataclass(frozen=True)
 class ExchangeableModel(DependenceModel):
     """Identically distributed classifiers with uniform pairwise correlation c
-    of the standardized error indicators; higher-order correlations vanish."""
+    of the standardized error indicators; higher-order correlations vanish
+    (Bahadur's second-order law).  Summed over the outcomes of K = k errors,
+    it is the one-rate pair's law at f = e^2 + g, g = C(n, 2) c e(1-e), a
+    cell of which may be negative: P(K = k) = (e^2 + g) q(k-2) +
+    2 (e(1-e) - g) q(k-1) + ((1-e)^2 + g) q(k), q the binomial row of
+    n - 2.  c is admitted within valid_correlation_range, each end widened
+    by WEIGHT_SLACK relative."""
 
     n: int
     e_bar: float
     c: float
-    # The outcome weights, clipped at zero; set once by __post_init__.
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_integer("n", self.n)
@@ -340,46 +348,47 @@ class ExchangeableModel(DependenceModel):
             raise ModelError(f"e_bar={self.e_bar} must lie strictly inside (0, 1)")
         if not math.isfinite(self.c):
             raise ModelError(f"c={self.c} must be finite")
-        # Validity is checked on the induced outcome weights themselves: the
-        # published correlation range is exact on the positive side but too
-        # permissive below when e_bar < 1/2.  Weights that overflow (at
-        # subnormal e_bar) are rejected here rather than warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = _outcome_weights(self.n, self.e_bar, self.c)
-        if not np.isfinite(w).all():
+        # At an end c0 = -1/S_k, where the factor 1 + c S_k of an outcome of
+        # k errors vanishes, c0 (1 + WEIGHT_SLACK) makes it -WEIGHT_SLACK.
+        lo, hi = valid_correlation_range(self.n, self.e_bar)
+        if not (lo * (1.0 + WEIGHT_SLACK) <= self.c <= hi * (1.0 + WEIGHT_SLACK)):
             raise ModelError(
-                f"c={self.c} at e_bar={self.e_bar} gives outcome weights "
-                "beyond the range of a double"
+                f"c={self.c} outside the valid correlation range [{lo}, {hi}] "
+                f"at n={self.n}, e_bar={self.e_bar}"
             )
-        if w.min() < -WEIGHT_SLACK:
-            raise ModelError(
-                f"c={self.c} gives a negative outcome probability "
-                f"(weight {w.min():.3e} at k={int(w.argmin())})"
-            )
-        object.__setattr__(self, "_weights", np.maximum(w, 0.0))
 
     def count_pmf(self) -> np.ndarray:
-        """The binomial row of n classifiers at e_bar (_binomial_row, with
-        no rates to scan) times the clipped outcome weights; pmf and tail
-        read this row, so the exchangeable pmf and tail agree to the last
-        bit."""
-        return _binomial_row(self.n, self.e_bar) * self._weights
+        """The three terms on _binomial_row(n - 2), clipped at zero, which
+        rounding at an end of the range can leave an entry a few ulps
+        below; at c = 0 _binomial_row(n) itself."""
+        n, e, c = self.n, self.e_bar, self.c
+        pmf = np.empty(n + 1)  # first: an n beyond memory fails at once
+        if not c:
+            pmf[:] = _binomial_row(n, e)
+            return pmf
+        v = e * (1.0 - e)
+        g = 0.5 * n * (n - 1) * c * v
+        q_pad = _padded_row(_binomial_row(n - 2, e))
+        pmf[:] = _three_terms(e * e + g, 2.0 * (v - g), (1.0 - e) ** 2 + g, q_pad)
+        return np.maximum(pmf, 0.0, out=pmf)
 
     def _positions(self, rng, ks):
         return _uniform_subsets(rng, ks, self.n)
 
     def joint_mass(self, bits: np.ndarray) -> np.ndarray:
-        """Bahadur's law e^k (1-e)^(n-k) (1 + c sum_{i<j} z_i z_j), z_i = (x_i
-        - e) / sqrt(e(1-e)): not the weights count_pmf reads, so the
-        enumeration oracle checks them.  The pair sum is ((sum y)^2 - sum y^2)
-        / (2e(1-e)) with y_i = x_i - e, scaled by c first: a z_i^2 would
-        overflow at subnormal e."""
-        e = self.e_bar
+        """Bahadur's law e^k (1-e)^(n-k) (1 + c sum_{i<j} z_i z_j), z_i =
+        (x_i - e) / sqrt(e(1-e)), each pair's term taken into the product:
+        c e^(k-1) (1-e)^(n-k+1) for a pair that both err, -c e^k (1-e)^(n-k)
+        for one with one error, c e^(k+1) (1-e)^(n-k-1) for one with none.
+        Not the kernel count_pmf reads, so the enumeration oracle checks it;
+        no 1/e is formed, so nothing overflows at subnormal e."""
         k = bits.sum(axis=1)
-        y = bits - e
-        scale = 0.5 * self.c / (e * (1.0 - e))
-        correction = scale * (y.sum(axis=1) ** 2 - (y * y).sum(axis=1))
-        return e**k * (1.0 - e) ** (self.n - k) * (1.0 + correction)
+        j = self.n - k
+        # p[a] q[b] = e^a (1-e)^b; a pair count of 0 multiplies p[-1], q[-1].
+        p, q = self.e_bar ** np.arange(self.n + 2), (1.0 - self.e_bar) ** np.arange(self.n + 2)
+        pairs = (k * (k - 1) // 2 * p[k - 1] * q[j + 1] - k * j * p[k] * q[j]
+                 + j * (j - 1) // 2 * p[k + 1] * q[j - 1])
+        return p[k] * q[j] + self.c * pairs
 
 
 def pair_f_range(e1: float, e2: float) -> tuple[float, float]:
@@ -559,27 +568,6 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
                 out[i] = np.convolve(a[i], b[i])
         polys = out
     return polys[0, : n + 1]
-
-
-# ---------------------------------------------------------------------------
-# exchangeable classifiers
-
-
-def _outcome_weights(n: int, e: float, c: float) -> np.ndarray:
-    """Multiplier on the zero-correlation outcome probability e^k (1-e)^(n-k),
-    one entry per error count k = 0..n.
-
-    The quadratic quad_k is unchanged by k -> n - k, e -> 1 - e, so it is
-    evaluated at the rate q = min(e, 1 - e) (1 - e is exact for e >= 1/2).
-    Taken at e near 1 its terms cancel, by up to a whole unit of the weight
-    (at n = 2, e = 1 - 2**-53).
-    """
-    k = np.arange(n + 1, dtype=float)
-    q = e
-    if e > 0.5:
-        k, q = k[::-1], 1.0 - e
-    quad = k * k - k + q * (n - 1) * (n * q - 2.0 * k)
-    return 1.0 + c / (2.0 * e * (1.0 - e)) * quad
 
 
 # ---------------------------------------------------------------------------

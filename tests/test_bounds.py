@@ -26,7 +26,7 @@ from ecoc.bounds import (
 from ecoc._shared import DEFAULT_ORIENTATION, sylvester_distance
 from ecoc.errors import DomainError, ModelError
 from ecoc.experiment_io import DATASETS, bound_report, fixture_names, load_fixture
-from ecoc.prob_engine import ErrorProfile, ExchangeableModel, Independent
+from ecoc.prob_engine import ErrorProfile, ExchangeableModel, Independent, PairModel, pair_f_range
 
 
 class TestGs:
@@ -331,13 +331,44 @@ def _above_mean_count(draw):
 @st.composite
 def _kz_admitted(draw):
     """(n, m, e, c) past kz_bound's gates: 2 <= m < n, 0 < e <= (m-1)/(n-1)
-    and 0 <= c below the admissible maximum.  e stays above 1e-9: at
-    subnormal e the exchangeable model's weights leave a double."""
+    and 0 <= c below the admissible maximum.  e reaches down to the least
+    subnormal, where the exchangeable model still builds its three terms;
+    only the points where kz_bound's tight correction leaves a double, and
+    kz is reported absent with that reason, are assumed away."""
     n = draw(st.integers(3, 16))
     m = draw(st.integers(2, n - 1))
-    e = draw(st.floats(1e-9, (m - 1) / (n - 1)))
+    e = draw(st.floats(5e-324, (m - 1) / (n - 1)))
     c = valid_correlation_range(n, e)[1] * draw(st.floats(0.0, 1.0, exclude_max=True))
+    try:
+        kz_bound(n, m, e, c)
+    except ModelError:
+        assume(False)
     return n, m, e, c
+
+
+@st.composite
+def _pair_shaped_correlation(draw):
+    """(n, e, c) with c in the valid range and f = e^2 + C(n, 2) c e(1-e)
+    in pair_f_range(e, e): c at most 1/C(n, 2), where f reaches e."""
+    n = draw(st.integers(2, 40))
+    e = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    lo, hi = valid_correlation_range(n, e)
+    c = lo + draw(st.floats(0.0, 1.0)) * (min(hi, 1.0 / math.comb(n, 2)) - lo)
+    f_lo, f_hi = pair_f_range(e, e)
+    assume(f_lo <= _pair_f(n, e, c) <= f_hi)
+    return n, e, c
+
+
+def _pair_f(n, e, c):
+    """The exchangeable model's cell p11 = e^2 + C(n, 2) c e(1-e)."""
+    return e * e + math.comb(n, 2) * c * e * (1.0 - e)
+
+
+def _exchangeable_unlike_pair(n, e, c):
+    """The largest difference between the exchangeable count pmf and the
+    one-rate pair's at f = _pair_f(n, e, c)."""
+    pair = PairModel(ErrorProfile.iid(n, e), _pair_f(n, e, c)).count_pmf()
+    return np.abs(ExchangeableModel(n, e, c).count_pmf() - pair).max()
 
 
 # One row per inequality a printed number leans on: the strategy that draws
@@ -355,6 +386,10 @@ LAWS = {
         _iid_tail(len(rates), m, math.fsum(rates) / len(rates)))),
     "exchangeable_tail-kz_bound": (_kz_admitted(), lambda n, m, e, c: (
         ExchangeableModel(n, e, c).tail(m), kz_bound(n, m, e, c))),
+    # Summed over the outcomes of k errors, Bahadur's law is the pair's
+    # three-term law at f = e^2 + C(n, 2) c e(1-e), where that f is a pair's.
+    "exchangeable_pmf_unlike_pair_pmf-none": (_pair_shaped_correlation(), lambda n, e, c: (
+        _exchangeable_unlike_pair(n, e, c), 0)),
     # Every feller and Chernoff value evaluate_bounds reports is a bound at
     # any rate: a form is absent where its precondition fails.
     "iid_tail-reported_bounds": (_any_rate(), lambda n, m, e: (

@@ -183,6 +183,17 @@ class TestTailCommand:
             PairModel(ErrorProfile.iid(8, 0.2), 0.1).tail(3), abs=1e-15
         )
 
+    @pytest.mark.parametrize("ebar", ["5e-324", "1e-320", "1e-315"])
+    def test_subnormal_rate_exchangeable(self, capsys, ebar):
+        # valid_correlation_range(3, e) admits c = 0.25 at these rates, and
+        # so does the model: the tail is a subnormal mass, not a refusal.
+        status, out, _ = run(
+            capsys, "tail", "--model", "exchangeable", "--n", "3", "--ebar", ebar,
+            "--c", "0.25", "--m", "2", "--format", "json",
+        )
+        assert status == 0
+        assert json.loads(out)["tail"] == ExchangeableModel(3, float(ebar), 0.25).tail(2) > 0.0
+
     def test_missing_model_flag_is_domain_error(self, capsys):
         status, _, err = run(
             capsys, "tail", "--model", "iid", "--n", "10", "--m", "4"
@@ -532,6 +543,26 @@ class TestFiguresCommand:
 
 
 class TestExitCodes:
+    def test_summary_of_a_header_alone_is_one(self, capsys, tmp_path):
+        src = tmp_path / "summary.csv"
+        src.write_text("fold,mean_bit_error,mean_correlation,ecoc_error\n")
+        with pytest.warns(UserWarning, match="no data rows"):
+            status, out, err = run(capsys, "analyze", "--summary", str(src), "--classes", "10")
+        assert (status, out, err) == (1, "", "error: no folds to analyze\n")
+
+    def test_empty_summary_is_one(self, capsys, tmp_path):
+        src = tmp_path / "summary.csv"
+        src.write_text("")
+        status, out, err = run(capsys, "analyze", "--summary", str(src), "--classes", "10")
+        assert (status, out, err) == (1, "", "error: line 1: empty file\n")
+
+    def test_threshold_mode_without_m_is_one(self, capsys):
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "26", "--ebar", "0.0686",
+            "--trials", "100", "--mode", "threshold",
+        )
+        assert (status, out, err) == (1, "", "error: threshold mode requires --m\n")
+
     def test_non_finite_summary_rate_names_line_and_column(self, capsys, tmp_path):
         src = tmp_path / "nan.csv"
         src.write_text(
@@ -779,8 +810,8 @@ NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
 ABOVE_ONE = st.floats(min_value=1.0 + 2**-52, allow_infinity=False).map(repr)
 NOT_A_RATE = NON_FINITE | NON_REAL | NEGATIVE | ABOVE_ONE
 # The ends of the open interval of the exchangeable and Bahadur rates, and
-# subnormal rates, at which the exchangeable weights (c = 0.01) and the
-# lower end of the Bahadur range (n = 10) overflow.
+# subnormal rates, at which the lower end of the Bahadur range (n = 10)
+# overflows; the exchangeable model admits them (c = 0.01 is in its range).
 ENDS = st.sampled_from(["0", "0.0", "1", "1.0"])
 DEEP_SUBNORMAL = st.sampled_from(["5e-324", "1e-320", "1e-315"])
 BAD_CHOICE = st.sampled_from(["", "x", "TABLE", "json "])
@@ -848,7 +879,7 @@ MODELS = {
         {"--n": "5", "--ebar": "0.1", "--c": "0.01"},
         {
             "--n": _below(2),
-            "--ebar": NOT_A_RATE | ENDS | DEEP_SUBNORMAL,
+            "--ebar": NOT_A_RATE | ENDS,
             "--c": NON_FINITE | NON_REAL | (
                 st.floats(min_value=1.0) | st.floats(max_value=-1.0)
             ).filter(math.isfinite).map(repr),

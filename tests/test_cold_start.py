@@ -49,6 +49,12 @@ def test_import_ecoc_loads_no_submodule():
             id="tail",
         ),
         pytest.param(
+            ["tail", "--model", "exchangeable", "--n", "26", "--ebar", "0.0686", "--c",
+             "0.0058", "--m", "6"],
+            ["ecoc.bounds", "ecoc.simulator", "ecoc.experiment_io"],
+            id="tail-exchangeable",
+        ),
+        pytest.param(
             ["simulate", *MODEL, "--m", "6", "--trials", "100", "--mode", "threshold",
              "--format", "csv"],
             ["ecoc.bounds", "ecoc.experiment_io", "json", "concurrent.futures", "logging"],

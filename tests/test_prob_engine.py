@@ -5,7 +5,6 @@ import functools
 import itertools
 import math
 import re
-import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -604,17 +603,51 @@ class TestExchangeable:
 
     @pytest.mark.parametrize("e", [1e-310, 1e-6, 0.3, 1 - 1e-9])
     def test_bahadur_joint_mass_matches_count_pmf(self, e):
-        # joint_mass is Bahadur's expansion over the bits, not the outcome
-        # weights count_pmf reads; the two agree at the ends of the valid
+        # joint_mass is Bahadur's expansion over the bits, not the three
+        # terms count_pmf reads; the two agree at the ends of the valid
         # correlation range and at rates near 0 (subnormal included) and 1.
         for n in (2, 7, 14):
             lo, hi = valid_correlation_range(n, e)
-            for c in (lo, 0.0, hi) if e > 1e-300 else (0.0,):
+            for c in (lo, 0.0, hi):
                 model = ExchangeableModel(n, e, c)
                 oracle = enumerate_outcomes(model)
                 dist = model.count_pmf()
                 for k in range(n + 1):
                     assert oracle[k] == pytest.approx(dist[k], abs=1e-13), (n, c, k)
+
+    @pytest.mark.parametrize("n, e, c", [(3, 5e-324, 0.25), (3, 1e-310, 0.25), (26, 1e-310, 0.01)])
+    def test_subnormal_rate_builds(self, n, e, c):
+        # valid_correlation_range admits these (e, c), and so does the
+        # model: the three terms hold no 1/e, so nothing leaves a double.
+        assert valid_correlation_range(n, e)[1] >= c
+        model = ExchangeableModel(n, e, c)
+        pmf = model.count_pmf()
+        assert np.isfinite(pmf).all() and pmf.min() >= 0.0
+        assert math.fsum(pmf.tolist()) == pytest.approx(1.0, abs=1e-15)
+        assert all(0.0 <= model.tail(m) <= 1.0 for m in range(n + 1))
+        assert model.tail(2) > 0.0
+
+    def test_tiny_rate_keeps_the_mass_of_two_errors(self):
+        # The mass of K >= 2 at e = 1e-200 is the correction's, about
+        # 6.5e-200: the binomial row of n underflows from k = 2, so no
+        # weight on that row can carry it, but the row of n - 2 times the
+        # cell p11 = e^2 + g does.
+        n, e = 26, 1e-200
+        c = 0.5 * valid_correlation_range(n, e)[1]
+        num, den = exact_tail_exchangeable(n, 2, e, c)
+        x = num / den
+        assert abs(ExchangeableModel(n, e, c).tail(2) - x) <= 2e-15 * x
+
+    @pytest.mark.parametrize(
+        "n, e", [(2, 0.3), (3, 1e-6), (7, 0.9), (10, 0.5), (26, 0.0686), (127, 0.18)]
+    )
+    def test_admits_exactly_the_valid_range(self, n, e):
+        lo, hi = valid_correlation_range(n, e)
+        for c in (lo, hi):
+            assert ExchangeableModel(n, e, c).count_pmf().min() >= 0.0
+        for c in (lo * (1 + 1e-9), hi * (1 + 1e-9)):
+            with pytest.raises(ModelError, match="valid correlation range"):
+                ExchangeableModel(n, e, c)
 
     def test_tail_reduces_when_uncorrelated(self):
         assert ExchangeableModel(12, 0.2, 0.0).tail(5) == pytest.approx(
@@ -700,13 +733,6 @@ def _rates_ok(rates):
     return len(rates) > 0 and all(map(_is_rate, rates))
 
 
-def _weights_fit(n, e, c):
-    """Whether every exact outcome weight of the exchangeable model lies
-    within the range of a double (at subnormal rates they overflow, and the
-    model rejects c)."""
-    return all(abs(w) < sys.float_info.max for w in exact_weights(n, e, c))
-
-
 def _independent(a):
     return Independent(ErrorProfile(a.rates))
 
@@ -765,7 +791,6 @@ def entry_arguments(draw):
             f, ok = _value(draw), False
     elif n >= 2 and _is_rate(e) and 0.0 < e < 1.0:
         c, ok = _around(draw, *valid_correlation_range(n, e))
-        ok = ok and _weights_fit(n, e, c)
     else:
         c, ok = _value(draw), False
     i = draw(st.one_of(st.integers(-2, n + 2), st.integers(-2, n + 2).map(np.int64),
