@@ -59,9 +59,10 @@ def _checked_rates(rates) -> tuple[float, ...]:
     loop: a vectorised compare pays numpy's fixed cost on every call, and
     ErrorProfile.iid passes one rate, a --rates list rarely more than a few
     hundred, where that cost exceeds the loop's (it wins from about 250).
-    The entries are converted in one map, and again one by one only when it
-    fails, to name the entry float() rejects: converting each in the loop
-    cost about 20 % more at 1,000 rates on a 2-vCPU Xeon."""
+    Read once into a tuple, the entries are converted in one map, and again
+    one by one only when it fails, to name the entry float() rejects: a
+    float() per entry in the loop cost 20 % more at 1,000 rates (2-vCPU Xeon)."""
+    rates = tuple(rates)
     try:
         checked = tuple(map(float, rates))
     except (TypeError, ValueError):
@@ -70,7 +71,6 @@ def _checked_rates(rates) -> tuple[float, ...]:
                 float(r)
             except (TypeError, ValueError):
                 raise ValueError(f"rate e_{i}={r!r} is not a number") from None
-        raise  # rates was an iterator, used up by the map
     if not checked:
         raise ValueError("error profile needs at least one rate")
     for i, e in enumerate(checked, 1):

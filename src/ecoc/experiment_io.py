@@ -766,15 +766,13 @@ class ReproducedRow(NamedTuple):
         return self.by_n[self.chosen_n]
 
 
-def reproduce_reference_row(
-    dataset: str, model: str, *, kz_policy: str = "always"
-) -> ReproducedRow:
+def reproduce_reference_row(dataset: str, model: str) -> ReproducedRow:
     """Recompute one aggregate row from the bundled fold summaries.
 
-    Bounds are evaluated fold-wise and then averaged.  Datasets with an
-    ambiguous codeword-length convention are evaluated at both lengths and
-    the one whose mean decay bound lands closer to the published value is
-    selected.
+    Bounds are evaluated fold-wise, kz as published (kz_policy="always"),
+    and then averaged.  Datasets with an ambiguous codeword-length convention
+    are evaluated at both lengths and the one whose mean decay bound lands
+    closer to the published value is selected.
     """
     info = DATASETS[dataset]
     if model not in info.models:
@@ -786,7 +784,7 @@ def reproduce_reference_row(
     lengths = [info.classes] + ([info.alt_n] if info.alt_n else [])
     by_n: dict[int, AggregateReport] = {}
     for n in lengths:
-        reports = [bound_report(s, n, m, kz_policy=kz_policy) for s in summaries]
+        reports = [bound_report(s, n, m, kz_policy="always") for s in summaries]
         by_n[n] = aggregate(summaries, reports)
     chosen = min(by_n, key=lambda n: abs(by_n[n].chernoff.mean - ref.chernoff))
     return ReproducedRow(
@@ -794,9 +792,9 @@ def reproduce_reference_row(
     )
 
 
-def reproduce_reference_table(*, kz_policy: str = "always") -> list[ReproducedRow]:
+def reproduce_reference_table() -> list[ReproducedRow]:
     return [
-        reproduce_reference_row(ds, model, kz_policy=kz_policy)
+        reproduce_reference_row(ds, model)
         for ds, info in DATASETS.items()
         for model in info.models
     ]

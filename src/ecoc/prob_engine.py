@@ -22,7 +22,7 @@ _outcome_blocks, for n <= ENUMERATION_MAX_N).  The other methods are
 defined once, on DependenceModel, for all three: pmf(k), the entry of
 count_pmf at k, tail(m), the sum of count_pmf from m, and three samplers,
 each after _check_draw (the width check of code_matrix, _check_width, a
-count that is an integer at least 0 and a k_min in 0..n + 1):
+count that is an integer in 0..MAX_COUNT and a k_min in 0..n + 1):
 sample_far(rng, count, k_min), the error vectors, as uint8, of the trials
 among count with at least k_min errors (the far rows, drawn by _draw),
 sample(rng, count), sample_far at k_min = 0, and count_far(rng, count,
@@ -103,6 +103,8 @@ BLOCK_ROWS = 1024
 
 # Position keys are 16-bit: rng.integers draws four from one 64-bit word.
 _KEY_BOUND = 1 << 16
+
+MAX_COUNT = (1 << 63) - 1  # most trials one draw takes (rng.binomial's n is an int64)
 
 
 @dataclass(frozen=True)
@@ -203,12 +205,14 @@ class DependenceModel:
 
     def _check_draw(self, count, k_min) -> None:
         """The checks made before any word is drawn: the width rule of
-        code_matrix (_check_width), count, an integer at least 0, and k_min,
-        an integer in 0..n + 1."""
+        code_matrix (_check_width), count, an integer in 0..MAX_COUNT, and
+        k_min, an integer in 0..n + 1."""
         _check_width(self.n)
         _check_integer("count", count)
         if count < 0:
             raise ValueError(f"count={count} must be at least 0")
+        if count > MAX_COUNT:
+            raise ValueError(f"count={count} outside 0..{MAX_COUNT}")
         _check_count("k_min", k_min, self.n + 1)
 
 

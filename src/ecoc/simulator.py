@@ -5,14 +5,14 @@ when at least m classifiers err) and the full decoding rate (flip the true
 codeword's bits where the sampled error vector is 1, decode, count
 mismatches).
 
-Randomness is counter-based: trials are processed in fixed-size chunks and
-chunk j draws from a Philox stream keyed by (seed, j), so every chunk's
-count is a pure function of (seed, j, chunk size).  Results are therefore
-bit-identical for a given seed regardless of the worker count.  A chunk
-draws only what its estimate reads: a threshold chunk one binomial draw of
-its trials at P(K >= m) (count_far); a full-decode chunk the number of its
-far rows, then their error vectors and true classes alone (sample_far), so
-no far row is tied to a trial index.
+Randomness is counter-based: stream j is Philox keyed by (seed, j).  A
+threshold estimate is one binomial draw of all its trials at P(K >= m)
+(count_far) from stream 0.  Full-decode trials are processed in fixed-size
+chunks, chunk j drawing from stream j, so a chunk's count is a pure
+function of (seed, j, chunk size); results are bit-identical for a given
+seed regardless of the worker count.  A full-decode chunk draws the number
+of its far rows, then their error vectors and true classes alone
+(sample_far), so no far row is tied to a trial index.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ import numpy as np
 
 from ._shared import MODE_FULL_DECODE, MODE_THRESHOLD, _check_integer
 from .code_matrix import CodeMatrix, _misdecoded
-from .prob_engine import DependenceModel, _check_count
+from .prob_engine import MAX_COUNT, DependenceModel, _check_count
 
 DEFAULT_SEED = 60428  # 0xEC0C
 
 CHUNK_TRIALS = 1 << 15
 
-# Most worker threads a simulation accepts.  The pool never holds more
-# threads than there are chunks, and each thread keeps one chunk's arrays.
+# Most worker threads a simulation accepts.  Only full-decode runs a pool, of
+# no more threads than chunks, and each thread keeps one chunk's arrays.
 MAX_WORKERS = 256
 
 
@@ -44,8 +44,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("trials", "seed", "workers"):
             _check_integer(name, getattr(self, name))
-        if self.trials < 1:
-            raise ValueError(f"trials={self.trials} must be at least 1")
+        if not 1 <= self.trials <= MAX_COUNT:
+            raise ValueError(f"trials={self.trials} outside 1..{MAX_COUNT}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers={self.workers} outside 1..{MAX_WORKERS}")
         if not 0 <= self.seed < 1 << 64:
@@ -97,13 +97,10 @@ def _result(errors: int, cfg: SimConfig, mode: str) -> SimResult:
 
 
 def mc_threshold_error(model: DependenceModel, m: int, cfg: SimConfig) -> SimResult:
-    """Fraction of trials in which at least m classifiers err."""
+    """Fraction of trials in which at least m classifiers err, by one
+    count_far draw from stream 0: one count_pmf and no pool at any workers."""
     _check_count("m", m, model.n)
-
-    def count(rng, size):
-        return model.count_far(rng, size, m)
-
-    return _result(_run_chunks(cfg, count), cfg, MODE_THRESHOLD)
+    return _result(model.count_far(_chunk_rng(cfg.seed, 0), cfg.trials, m), cfg, MODE_THRESHOLD)
 
 
 def mc_decode_error(

@@ -258,7 +258,7 @@ CHERNOFF_KZ_TOL = {
 
 
 def test_criterion_7_reference_table_reproduction():
-    rows = reproduce_reference_table(kz_policy="always")
+    rows = reproduce_reference_table()
     assert len(rows) == 10
     details = []
     for row in rows:

@@ -64,7 +64,7 @@ class TestFeller:
 
 class TestChernoffMu:
     def test_known_value(self):
-        assert chernoff_mu_bound(1.0, 4) == pytest.approx(math.e**3 / 256, rel=1e-12)
+        assert chernoff_mu_bound(1.0, 4) == pytest.approx(math.e**3 / 256, rel=1e-12, abs=0)
         assert chernoff_mu_bound(1.0, 4) == pytest.approx(0.078460, abs=2e-6)
 
     def test_approaches_one_at_mu_equals_m(self):
@@ -74,12 +74,16 @@ class TestChernoffMu:
         for n, m, e in ((10, 4, 0.1), (26, 6, 0.0686), (50, 10, 0.05)):
             mu_form = chernoff_mu_bound(n * e, m)
             lam_form = chernoff_lambda(m / n, e) ** n
-            assert mu_form == pytest.approx(lam_form, rel=1e-12)
+            assert mu_form == pytest.approx(lam_form, rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         for mu in (-0.5, 4.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 chernoff_mu_bound(mu, 4)
+
+    def test_m_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^m=0 must be at least 1$"):
+            chernoff_mu_bound(1.0, 0)
 
     def test_closed_domain_edges(self):
         # 1 at mu = m; 0 at mu = 0, by continuous extension, and where
@@ -91,7 +95,7 @@ class TestChernoffMu:
 class TestChernoffLambda:
     def test_known_value(self):
         expect = math.exp(0.3) / 4**0.4
-        assert chernoff_lambda(0.4, 0.1) == pytest.approx(expect, rel=1e-13)
+        assert chernoff_lambda(0.4, 0.1) == pytest.approx(expect, rel=1e-13, abs=0)
         assert chernoff_lambda(0.4, 0.1) == pytest.approx(0.775290, abs=5e-7)
 
     def test_degenerate_matches(self):
@@ -128,7 +132,7 @@ class TestChernoffLambda:
         for n, m in ((8, 2), (20, 5)):
             b1 = chernoff_bound(n, m, 0.1)
             b2 = chernoff_bound(2 * n, 2 * m, 0.1)
-            assert b2 == pytest.approx(b1**2, rel=1e-12)
+            assert b2 == pytest.approx(b1**2, rel=1e-12, abs=0)
 
 
 class TestOmega:
@@ -192,6 +196,10 @@ class TestKz:
             kz_bound(10, 5, 0.1, c)
         with pytest.raises(ValueError, match="c="):
             kz_value(10, 5, 0.1, c)
+
+    def test_kz_value_needs_two_classifiers(self):
+        with pytest.raises(ValueError, match=r"^n=1 must be at least 2$"):
+            kz_value(1, 1, 0.1, 0.0)
 
     def test_signature_has_no_option(self):
         assert list(inspect.signature(kz_bound).parameters) == ["n", "m", "e", "c"]
@@ -424,7 +432,7 @@ class TestEvaluateBounds:
         assert report.kz == pytest.approx(0.055, abs=0.01)
         assert report.feller == pytest.approx(feller_bound(26, 6, 0.0686), abs=1e-15)
         assert 0 < report.lam < 1 and 0 < report.omega < 1
-        assert report.chernoff_mu == pytest.approx(report.chernoff_lambda, rel=1e-12)
+        assert report.chernoff_mu == pytest.approx(report.chernoff_lambda, rel=1e-12, abs=0)
 
     def test_feller_absent_when_inapplicable(self):
         report = evaluate_bounds(10, 2, 0.3)
@@ -485,7 +493,7 @@ class TestEvaluateBounds:
 
     def test_mu_override(self):
         report = evaluate_bounds(10, 4, 0.1, mu=1.0)
-        assert report.chernoff_mu == pytest.approx(math.e**3 / 256, rel=1e-12)
+        assert report.chernoff_mu == pytest.approx(math.e**3 / 256, rel=1e-12, abs=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match=r"^m=0 outside 1\.\.10$"):

@@ -378,6 +378,18 @@ class TestSimulateCommand:
         assert (status, out) == (1, "")
         assert err.startswith("error: workers=100000000 outside 1..")
 
+    @pytest.mark.parametrize("mode", [("--m", "2"), ("--mode", "full-decode")],
+                             ids=["threshold", "full-decode"])
+    def test_trials_beyond_one_draw_is_one(self, capsys, mode):
+        # rng.binomial takes at most 2**63 - 1 trials; past that SimConfig
+        # refuses the count before anything is drawn.
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
+            "--trials", "10000000000000000000", *mode,
+        )
+        assert (status, out) == (1, "")
+        assert err == "error: trials=10000000000000000000 outside 1..9223372036854775807\n"
+
     def test_commands_in_a_row_match_fresh_processes(self, capsys, monkeypatch):
         commands = [
             ("code", "--classes", "12", "--format", "csv"),

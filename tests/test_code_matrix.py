@@ -126,6 +126,10 @@ class TestMinRowDistance:
         with pytest.raises(ValueError):
             CodeMatrix(np.array([[0, 2], [1, 0]])).d
 
+    def test_rejects_a_matrix_that_is_not_2d(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(3,\)$"):
+            CodeMatrix(np.zeros(3, np.uint8))
+
     @pytest.mark.parametrize(
         "bad",
         [

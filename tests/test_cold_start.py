@@ -60,6 +60,12 @@ def test_import_ecoc_loads_no_submodule():
             ["ecoc.bounds", "ecoc.experiment_io", "json", "concurrent.futures", "logging"],
             id="simulate",
         ),
+        pytest.param(
+            ["simulate", *MODEL, "--m", "6", "--trials", "40000", "--workers", "2",
+             "--mode", "threshold", "--format", "csv"],
+            ["concurrent.futures"],
+            id="simulate-threshold-two-workers",
+        ),
     ],
 )
 def test_a_command_loads_only_what_it_runs(argv, unloaded):
@@ -109,10 +115,11 @@ def test_fold_summaries_and_bounds_load_no_dataclasses(tmp_path, argv):
 
 
 def test_simulate_with_a_pool_loads_concurrent_futures():
-    # Two chunks on two workers run on a pool; one worker, or one chunk,
-    # runs them in the calling thread (the simulate row above).
-    argv = ["simulate", *MODEL, "--m", "6", "--trials", "40000", "--workers", "2",
-            "--mode", "threshold", "--format", "csv"]
+    # Two full-decode chunks on two workers run on a pool; one worker, or
+    # one chunk, runs them in the calling thread, and a threshold estimate
+    # is one draw (the simulate rows above).
+    argv = ["simulate", *MODEL, "--trials", "40000", "--workers", "2",
+            "--mode", "full-decode", "--format", "csv"]
     assert "concurrent.futures" in cold_start.loaded(ROOT, argv)
 
 

@@ -485,6 +485,11 @@ class TestSummariesIO:
         with pytest.raises(ParseError):
             loads_summaries("fold,ecoc_error\n1,0.5\n")
 
+    def test_short_row(self):
+        with pytest.raises(ParseError, match="^line 2: expected 4 fields, got 3$") as err:
+            loads_summaries("fold,mean_bit_error,mean_correlation,ecoc_error\n1,0.1,0.1\n")
+        assert err.value.line == 2
+
     def test_bad_value(self):
         with pytest.raises(ParseError) as err:
             loads_summaries(
@@ -880,6 +885,11 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([], [])
 
+    def test_misaligned_rejected(self):
+        s = FoldSummary("1", 0.1, 0.01, 0.05)
+        with pytest.raises(ValueError, match="^summaries and reports must align$"):
+            aggregate([s], [])
+
     def test_column_without_values_is_absent(self):
         # evaluate_bounds leaves chernoff absent at m = n; the aggregate
         # column is then None, as kz is, and renders as empty cells.
@@ -1120,6 +1130,16 @@ class TestFigureData:
         with pytest.raises(ValueError):
             scatter_figure_data([], 10, 2)
 
+    def test_fig1_rejects_r_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^r=1\.5 outside \(0, 1\)$"):
+            figure_one_curves(r=1.5)
+
+    def test_scatter_needs_a_fold_below_m_over_n(self):
+        # e = 0.5 lies above m/n = 0.25, so no grid point is left.
+        fold = FoldSummary("1", 0.5, 0.0, 0.1)
+        with pytest.raises(ValueError, match=r"leave no curve grid inside \(0, m/n\)$"):
+            scatter_figure_data([fold], 8, 2)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"step": 0.0}, {"step": -0.01}, {"step": math.nan}, {"step": math.inf},
@@ -1161,3 +1181,5 @@ class TestFigureData:
     def test_rows_csv_renders(self):
         text = format_rows_csv([{"a": 1, "b": 0.5}, {"a": 2, "b": None}])
         assert text == "a,b\n1,0.5\n2,\n"
+        with pytest.raises(ValueError, match="^no rows$"):
+            format_rows_csv([])

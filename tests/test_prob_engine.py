@@ -365,11 +365,11 @@ class TestBinomial:
         # Exact-rational oracle for the frozen literal.
         exact = Fraction(math.comb(10, 4)) * Fraction(1, 10) ** 4 * Fraction(9, 10) ** 6
         assert float(exact) == pytest.approx(0.011160261, abs=5e-10)
-        assert Independent(ErrorProfile.iid(10, 0.1)).pmf(4) == pytest.approx(float(exact), rel=1e-13)
+        assert Independent(ErrorProfile.iid(10, 0.1)).pmf(4) == pytest.approx(float(exact), rel=1e-13, abs=0)
 
     def test_n60_matches_exact_rational(self):
         exact = Fraction(math.comb(60, 7)) * Fraction(3, 100) ** 7 * Fraction(97, 100) ** 53
-        assert Independent(ErrorProfile.iid(60, 0.03)).pmf(7) == pytest.approx(float(exact), rel=1e-12)
+        assert Independent(ErrorProfile.iid(60, 0.03)).pmf(7) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_degenerate_rates(self):
         assert Independent(ErrorProfile.iid(5, 0.0)).pmf(0) == 1.0
@@ -398,9 +398,11 @@ class TestRateCheck:
             ErrorProfile(())
 
     def test_names_a_rate_that_is_not_a_number(self):
-        # The CLI splits --rates 0.1,,0.2 into these strings.
+        # The CLI splits --rates 0.1,,0.2 into these strings; an iterator is
+        # read once, and its bad entry named all the same.
         for rates, named in (("0.1,,0.2".split(","), "e_2=''"), (["x"], "e_1='x'"),
-                             ([0.1, 0.2, 0.3, None], "e_4=None")):
+                             ([0.1, 0.2, 0.3, None], "e_4=None"),
+                             (iter([0.1, "x"]), "e_2='x'")):
             with pytest.raises(ValueError, match=rf"^rate {named} is not a number$"):
                 ErrorProfile(rates)
         # iid checks its one rate through the same constructor.
@@ -540,7 +542,7 @@ class TestPairTail:
         for m in range(1, n + 1):
             num, den = exact_pair_tail(n, m, e, f)
             got = PairModel(ErrorProfile.iid(n, e), f).tail(m)
-            assert got == pytest.approx(num / den, rel=2e-15), m
+            assert got == pytest.approx(num / den, rel=2e-15, abs=0), m
             by_enum = sum(oracle[k] for k in range(m, n + 1))
             assert got == pytest.approx(by_enum, abs=1e-13), m
 
@@ -597,7 +599,7 @@ class TestExchangeable:
         for m in range(1, n + 1):
             num, den = exact_tail_exchangeable(n, m, e, c)
             got = ExchangeableModel(n, e, c).tail(m)
-            assert got == pytest.approx(num / den, rel=2e-15), m
+            assert got == pytest.approx(num / den, rel=2e-15, abs=0), m
             by_enum = sum(oracle[k] for k in range(m, n + 1))
             assert got == pytest.approx(by_enum, abs=1e-12), m
 
@@ -849,7 +851,7 @@ class TestBahadurRange:
             for e in np.linspace(0.02, 0.98, 25).tolist():
                 gamma = min((k - (n - 1) * e - 0.5) ** 2 for k in range(n + 1))
                 ref = 2 * e * (1 - e) / ((n - 1) * e * (1 - e) + 0.25 - gamma)
-                assert bahadur_range(n, e)[1] == pytest.approx(ref, rel=1e-12), (n, e)
+                assert bahadur_range(n, e)[1] == pytest.approx(ref, rel=1e-12, abs=0), (n, e)
 
     def test_upper_end_keeps_weights_nonnegative(self):
         for n in range(2, 13):
@@ -897,7 +899,7 @@ class TestBahadurRange:
                 quad = k * k - k + e * (n - 1) * (n * e - 2 * k)
                 if quad < 0:
                     ref = min(ref, -2.0 * e * (1.0 - e) / quad)
-            assert bahadur_range(n, e)[1] == pytest.approx(ref, rel=1e-9), e
+            assert bahadur_range(n, e)[1] == pytest.approx(ref, rel=1e-9, abs=0), e
 
     @pytest.mark.parametrize("n", [2, 10, 1000])
     def test_upper_end_near_one_in_exact_arithmetic(self, n):
@@ -907,7 +909,7 @@ class TestBahadurRange:
             q = Fraction(e)
             quads = (k * k - k + q * (n - 1) * (n * q - 2 * k) for k in range(n + 1))
             ref = min(-2 * q * (1 - q) / quad for quad in quads if quad < 0)
-            assert bahadur_range(n, e)[1] == pytest.approx(float(ref), rel=1e-12), e
+            assert bahadur_range(n, e)[1] == pytest.approx(float(ref), rel=1e-12, abs=0), e
 
 
 class TestEnumerationOracle:

@@ -126,6 +126,10 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=2**64)
         SimConfig(trials=10, seed=2**64 - 1)
+        # One binomial draw takes at most 2**63 - 1 trials.
+        with pytest.raises(ValueError, match=rf"^trials={2**63} outside 1\.\.{2**63 - 1}$"):
+            SimConfig(trials=2**63)
+        SimConfig(trials=2**63 - 1)
 
     @pytest.mark.parametrize(
         "name, value", [("trials", 100.5), ("seed", 1.5), ("workers", 1.5), ("seed", "1")]
@@ -171,14 +175,30 @@ class TestWorkerBound:
         return _RecordingPool.sizes
 
     def test_pool_sized_by_chunk_count(self, pools):
-        model = Independent(ErrorProfile.iid(2, 0.3))
+        code = build_code_matrix(3)
+        model = Independent(ErrorProfile.iid(3, 0.3))
         trials = 2 * CHUNK_TRIALS + 1  # three chunks
-        base = mc_threshold_error(model, 1, SimConfig(trials=trials, seed=3))
+        base = mc_decode_error(model, code, SimConfig(trials=trials, seed=3))
         assert pools == []
         for workers in (2, 3, 4, MAX_WORKERS):
             cfg = SimConfig(trials=trials, seed=3, workers=workers)
-            assert mc_threshold_error(model, 1, cfg) == base
+            assert mc_decode_error(model, code, cfg) == base
         assert pools == [2, 3, 3, 3]
+
+    def test_threshold_runs_no_pool(self, pools, monkeypatch):
+        # A threshold estimate is one count_far draw of all its trials, so
+        # the worker count changes nothing and no pool is opened.
+        model = Independent(ErrorProfile.iid(2, 0.3))
+        draws, count_far = [], Independent.count_far
+        monkeypatch.setattr(Independent, "count_far",
+                            lambda self, *a: draws.append(a[1:]) or count_far(self, *a))
+        trials = 2 * CHUNK_TRIALS + 1  # three chunks of a full-decode run
+        base = mc_threshold_error(model, 1, SimConfig(trials=trials, seed=3))
+        for workers in (1, 2, 3, 4, MAX_WORKERS):
+            cfg = SimConfig(trials=trials, seed=3, workers=workers)
+            assert mc_threshold_error(model, 1, cfg) == base
+        assert pools == []
+        assert draws == [(trials, 1)] * 6
 
     def test_workers_above_cap_rejected(self, pools):
         SimConfig(trials=10, workers=MAX_WORKERS)
@@ -352,15 +372,16 @@ def _pair_f(e, c):
 class TestPinnedStreams:
     """Counts of the samplers and the decoder; any change to the streams
     shows here.  Every model here has one rate, so each draws its counts
-    first: a threshold chunk one binomial of its trials, a full-decode chunk
-    the number of far rows, then their counts and positions (the pair's one
-    state uniform first, then 16-bit position keys), then their classes."""
+    first: a threshold estimate one binomial of all its trials, a
+    full-decode chunk the number of far rows, then their counts and
+    positions (the pair's one state uniform first, then 16-bit position
+    keys), then their classes."""
 
     TRIALS = 2 * CHUNK_TRIALS + 5
     # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
     COUNTS = {
-        (26, 0.0686, 0.0058): {"iid": (469, 8), "pair": (471, 16), "exchangeable": (766, 27)},
-        (127, 0.18, 0.006): {"iid": (1722, 0), "pair": (1722, 0), "exchangeable": (4796, 0)},
+        (26, 0.0686, 0.0058): {"iid": (475, 8), "pair": (476, 16), "exchangeable": (790, 27)},
+        (127, 0.18, 0.006): {"iid": (1735, 0), "pair": (1735, 0), "exchangeable": (4815, 0)},
     }
 
     @staticmethod
@@ -385,11 +406,11 @@ class TestPinnedStreams:
         assert decode.error_rate == want_decode / self.TRIALS
 
     def test_std_err_of_a_known_count(self):
-        # 469 of TRIALS threshold errors (the iid count above): the standard
+        # 475 of TRIALS threshold errors (the iid count above): the standard
         # error is the binomial one, sqrt(p (1 - p) / trials).
         model = self._model("iid", 26, 0.0686, 0.0058)
         result = mc_threshold_error(model, 6, SimConfig(trials=self.TRIALS, seed=2024))
-        p = 469 / self.TRIALS
+        p = 475 / self.TRIALS
         assert result.error_rate == p
         assert result.std_err == math.sqrt(p * (1 - p) / self.TRIALS)
 
@@ -1062,7 +1083,8 @@ class TestSamplerInputs:
     @pytest.mark.parametrize("model", MODELS, ids=["iid", "pair", "exchangeable"])
     def test_rejected_before_a_draw(self, model):
         for count, match in ((-1, r"^count=-1 must be at least 0$"),
-                             (2.5, r"^count=2\.5 is not an integer$")):
+                             (2.5, r"^count=2\.5 is not an integer$"),
+                             (2**63, rf"^count={2**63} outside 0\.\.{2**63 - 1}$")):
             for draw in (
                 lambda: model.sample(_NoDraw(), count),
                 lambda: model.sample_far(_NoDraw(), count, 0),

@@ -10,8 +10,9 @@ byte identity by running the script against each:
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_corpus.py
 
 The families are code, pmf, tail, bounds, bahadur, simulate (small trial
-counts, apart from two commands of two chunks each run on two workers),
-analyze and figures.  Error cases are included; stderr is not
+counts, apart from a threshold and a full-decode command of two chunks'
+trials, each on one worker and on two, where the full-decode runs the
+pool), analyze and figures.  Error cases are included; stderr is not
 hashed, so a reworded message does not change a digest but a changed exit
 status does.  Inputs are fixed (bundled fixtures and seeded synthetic
 folds), so the digests depend only on the code under test.
@@ -200,7 +201,8 @@ def _simulate(_: Path) -> list[list[str]]:
         base = ["simulate", *model, "--trials", trials, "--seed", "11",
                 "--mode", "full-decode", "--format", "csv"]
         out += [base, base + ["--true-class", "0"], base + ["--workers", "3"]]
-    # Two chunks of trials, so that --workers 2 runs them in the thread pool;
+    # Two chunks of trials, so that --workers 2 runs a full-decode in the
+    # thread pool (a threshold estimate is one draw at any worker count);
     # each beside its one-worker twin, which must print the same result.
     for model, mode in ((["--model", "iid", "--n", "26", "--ebar", "0.1"], ["--m", "6"]),
                         (model, ["--mode", "full-decode"])):
