@@ -4,12 +4,14 @@ Matrices are built by truncating a {0,1} Sylvester-type Hadamard matrix of
 dimension 2^k down to a square num_classes x num_classes block.  Each row is
 a class codeword; each column defines one binary classifier.  Decoding picks
 the row nearest in Hamming distance, ties to the lowest index: one kernel,
-_misdecoded, for fold analysis and the simulator.
+_misdecoded, for fold analysis and the simulator, which decodes its far rows
+in blocks of _decode_rows(code) rows (_misdecoded_flips).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,12 @@ BitMatrix = np.ndarray
 EXACT_MAX_N = 1 << 24
 
 _MATRIX_CHUNK = 256
+
+# Bytes of the widest float32 temporary of one decode block, its signs or its
+# correlations: under glibc's 128 KiB mmap threshold, so that a block's
+# buffers come from the heap and are reused, where a whole chunk's would be
+# mapped afresh for every chunk, each page zero-filled by a fault.
+DECODE_BLOCK_BYTES = 1 << 17
 
 _ZERO, _LF = ord("0"), ord("\n")
 
@@ -91,6 +99,14 @@ class CodeMatrix:
         word with t flips is t from its own row and at least d - t from any
         other, so it can reach another row only when t >= d / 2."""
         return (self.d + 1) // 2
+
+    @cached_property
+    def _row_signs(self) -> np.ndarray:
+        """The rows as float32 +-1 (_signs), built on first use and kept
+        read-only: every decode correlates its words with them."""
+        signs = _signs(self.matrix)
+        signs.setflags(write=False)
+        return signs
 
 
 def _check_width(n: int) -> None:
@@ -225,13 +241,31 @@ def _correlations(words: np.ndarray, code: CodeMatrix) -> np.ndarray:
     """The +-1 correlation n - 2 * Hamming distance of each of the checked
     (count, n) 0/1 words with each code row: a (count, num_classes) float32
     BLAS product, exact for n < 2**24."""
-    return _signs(words) @ _signs(code.matrix).T
+    return _signs(words) @ code._row_signs.T
 
 
 def _misdecoded(words: np.ndarray, truth: np.ndarray, code: CodeMatrix) -> int:
     """How many checked (count, n) 0/1 words decode, nearest row with ties to
     the lowest index, to other than their truth: every caller's one decode."""
     return int((_correlations(words, code).argmax(axis=1) != truth).sum())
+
+
+def _decode_rows(code: CodeMatrix) -> int:
+    """Rows per decode block: as many as keep a block's (rows, n) signs and
+    (rows, num_classes) correlations within DECODE_BLOCK_BYTES, and at
+    least one.  258 rows at 127 classes, 1,260 at 26."""
+    return max(1, DECODE_BLOCK_BYTES // (4 * max(code.n, code.num_classes)))
+
+
+def _misdecoded_flips(flips: np.ndarray, truth: np.ndarray, code: CodeMatrix) -> int:
+    """_misdecoded of the words code.matrix[truth] ^ flips, each block of
+    _decode_rows(code) rows built and decoded in turn, so that no temporary
+    grows with the number of rows; the count is that of one call."""
+    rows, errors = _decode_rows(code), 0
+    for start in range(0, len(truth), rows):
+        block = slice(start, start + rows)
+        errors += _misdecoded(code.matrix[truth[block]] ^ flips[block], truth[block], code)
+    return errors
 
 
 def nearest_rows(words, code: CodeMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,12 @@ sample(rng, count), sample_far at k_min = 0, and count_far(rng, count,
 k_min), the number of far rows, with no row drawn.  pmf, tail and the
 samplers check k, m and k_min with _check_count, the one check that a
 count is an integer in a range.  Every count probability, binomial or
-not, is read from one count_pmf.
+not, is read from one count_pmf: the model's count row (_count_row),
+built by count_pmf on first use and kept read-only, so that a model
+builds its law once however many chunks or queries read it.  Likewise a
+profile keeps, per width, the tables its samplers read on every draw
+(ErrorProfile._table): the pair's padded q row and the
+conditional-Bernoulli step table.
 
 Every model draws count-first, from count_pmf, and draws only what its
 caller reads:
@@ -78,6 +83,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,11 +101,12 @@ ENUMERATION_MAX_N = 20
 # Outcomes per block of the oracles' walk: 10 MB of index shifts at n = 20.
 _OUTCOME_BLOCK_ROWS = 1 << 16
 
-# Rows drawn per block by the position samplers: about 1 MB of uniforms at
-# n = 127 (a quarter of that as 16-bit keys), so a block is still in cache
-# when it is compared.  Even, so that no block of keys ends inside a 32-bit
-# draw.
-BLOCK_ROWS = 1024
+# Rows drawn per block by the position samplers: about 0.5 MB of uniforms
+# at n = 127, and a quarter of that as 16-bit keys, whose block and sorted
+# copy then stay under glibc's 128 KiB mmap threshold and reuse heap pages
+# from chunk to chunk.  Even, so that no block of keys ends inside a 32-bit
+# draw: the streams do not depend on it.
+BLOCK_ROWS = 512
 
 # Position keys are 16-bit: rng.integers draws four from one 64-bit word.
 _KEY_BOUND = 1 << 16
@@ -116,6 +123,8 @@ class ErrorProfile:
     rates: tuple[float, ...]
     # The rate all n share, or None when two differ; set once by __post_init__.
     _rate: float | None = field(init=False, repr=False, compare=False)
+    # Tables of the first w classifiers, by (kind, w), kept by _table.
+    _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         rates = _checked_rates(self.rates)
@@ -146,8 +155,25 @@ class ErrorProfile:
         row i, drawn given the counts: a uniform subset for the one rate,
         else conditional Bernoulli on the rates (into out when given)."""
         if self._rate is None:
-            return _conditional_subsets(rng, ks, self.rates[:w], out)
+            steps = self._table("steps", w, lambda: _step_table(self.rates[:w]))
+            return _conditional_subsets(rng, ks, steps, out)
         return _uniform_subsets(rng, ks, w, out)
+
+    def _padded(self, w: int) -> np.ndarray:
+        """The count pmf of the first w classifiers padded by _padded_row:
+        the pair's q row, which its count_pmf and every draw read."""
+        return self._table("padded", w, lambda: _padded_row(self._row(w)))
+
+    def _table(self, kind: str, w: int, build) -> np.ndarray:
+        """The table build() gives for the first w classifiers, built on
+        first use and kept read-only: the rates fix it, so every chunk of
+        every command reads one copy.  Two threads may both build it; the
+        copies are equal, and either is kept."""
+        table = self._tables.get((kind, w))
+        if table is None:
+            table = self._tables[kind, w] = build()
+            table.setflags(write=False)
+        return table
 
 
 class DependenceModel:
@@ -156,10 +182,18 @@ class DependenceModel:
     _positions (joint_mass, the fourth hook, serves the enumeration
     oracles)."""
 
+    @cached_property
+    def _count_row(self) -> np.ndarray:
+        """count_pmf(), built on first use and kept read-only: the one row
+        that pmf, tail, count_far and _draw read."""
+        row = self.count_pmf()
+        row.setflags(write=False)
+        return row
+
     def pmf(self, k: int) -> float:
         """Probability of exactly k errors: count_pmf()[k]."""
         _check_count("k", k, self.n)
-        return float(self.count_pmf()[k])
+        return float(self._count_row[k])
 
     def tail(self, m: int) -> float:
         """Probability of at least m errors: the correctly rounded sum
@@ -168,7 +202,7 @@ class DependenceModel:
         _check_count("m", m, self.n)
         if m == 0:
             return 1.0
-        return math.fsum(self.count_pmf()[m:].tolist())
+        return math.fsum(self._count_row[m:].tolist())
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """All count error vectors, a (count, n) uint8 array."""
@@ -189,14 +223,14 @@ class DependenceModel:
         sample_far makes first (_far_count), so that from one generator
         state it equals len(sample_far(rng, count, k_min))."""
         self._check_draw(count, k_min)
-        return int(_far_count(rng, self.count_pmf(), count, k_min))
+        return int(_far_count(rng, self._count_row, count, k_min))
 
     def _draw(self, rng, count, k_min):
         # Far-first: the number of rows with at least k_min errors, a
         # binomial of P(K >= k_min); their counts from count_pmf truncated
         # at k_min; then their positions given the counts (_positions).
         # k_min = 0 keeps every row and draws no binomial.
-        pmf = self.count_pmf()
+        pmf = self._count_row
         far = _far_count(rng, pmf, count, k_min)
         if not far:
             return np.empty((0, self.n), dtype=bool)
@@ -297,7 +331,7 @@ class PairModel(DependenceModel):
         integers as an oracle.
         """
         p11, p10, p01, p00 = self.joint_cells
-        return _three_terms(p11, p10 + p01, p00, _padded_row(self.profile._row(self.n - 2)))
+        return _three_terms(p11, p10 + p01, p00, self.profile._padded(self.n - 2))
 
     def _positions(self, rng, ks):
         # One uniform per row picks the pair's state s among (11, 10, 01,
@@ -306,7 +340,7 @@ class PairModel(DependenceModel):
         # K, to the bit, and a K that was drawn has mass, so no weight is
         # divided by zero.  Then a (K - |s|)-subset of the others.
         p11, p10, p01, p00 = self.joint_cells
-        q = _padded_row(self.profile._row(self.n - 2))
+        q = self.profile._padded(self.n - 2)
         q2, q1, q0 = q[ks], q[ks + 1], q[ks + 2]
         both = p11 * q2
         either = both + (p10 + p01) * q1
@@ -469,24 +503,18 @@ def _mark_smallest(keys: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndar
     return np.flatnonzero((ks > 0) & (ks < n) & (srt[at, np.minimum(ks, n - 1)] == cut))
 
 
-def _conditional_subsets(rng: np.random.Generator, ks: np.ndarray, rates, out=None) -> np.ndarray:
-    """out, a (len(ks), w) bool array (new when None), w = len(rates), with
-    row i drawn from the law of independent classifiers of these rates
-    given ks[i] errors, each ks[i] of positive mass.  Classifier i errs,
-    given j errors left among i..w-1, with probability step[i, j] =
-    e_i R_{i+1}(j - 1) / R_i(j), R_i the count pmf of classifiers i..w-1.
+def _step_table(rates) -> np.ndarray:
+    """The (w, w + 1) table step[i, j] = e_i R_{i+1}(j - 1) / R_i(j) of
+    independent classifiers of these rates, w = len(rates), R_i the count
+    pmf of classifiers i..w-1: the probability that classifier i errs given
+    j errors left among i..w-1 (_conditional_subsets).
 
-    The table is built in logarithms, once per call, each row of it from
-    the next by np.logaddexp: in a linear row a reachable state's mass can
-    underflow to zero at extreme rates, and a row is then drawn with fewer
-    errors than its K.  A step that must be taken is exp(0) = 1 to the bit,
-    one that cannot is exp(-inf) = 0, so every row holds exactly its K.
-    Each block of BLOCK_ROWS rows takes one rng.random((rows, w)) call."""
+    It is built in logarithms, each row of R from the next by np.logaddexp:
+    in a linear row a reachable state's mass can underflow to zero at
+    extreme rates, and a row is then drawn with fewer errors than its K.  A
+    step that must be taken is exp(0) = 1 to the bit, one that cannot is
+    exp(-inf) = 0, so every row drawn holds exactly its K."""
     w = len(rates)
-    if out is None:
-        out = np.empty((ks.size, w), dtype=bool)
-    if not w:
-        return out
     e = np.asarray(rates)
     log_e = np.log(e, out=np.full(w, -np.inf), where=e > 0)
     log_f = np.log1p(-e, out=np.full(w, -np.inf), where=e < 1)
@@ -498,7 +526,21 @@ def _conditional_subsets(rng: np.random.Generator, ks: np.ndarray, rates, out=No
     # Unreachable states (R_i(j) = 0) divide by 1 instead of 0.
     den = log_r[:-1, 1:]
     den = np.where(den > -np.inf, den, 0.0)
-    step = np.exp(log_e[:, None] + log_r[1:, :-1] - den)
+    return np.exp(log_e[:, None] + log_r[1:, :-1] - den)
+
+
+def _conditional_subsets(rng: np.random.Generator, ks: np.ndarray, step, out=None) -> np.ndarray:
+    """out, a (len(ks), w) bool array (new when None), w = len(step), with
+    row i drawn from the law of independent classifiers given ks[i] errors,
+    each ks[i] of positive mass: classifier i errs, given j errors left
+    among i..w-1, with probability step[i, j], the table _step_table builds
+    from their rates.  Each block of BLOCK_ROWS rows takes one
+    rng.random((rows, w)) call."""
+    w = len(step)
+    if out is None:
+        out = np.empty((ks.size, w), dtype=bool)
+    if not w:
+        return out
     for start in range(0, ks.size, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         left = ks[rows].copy()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._shared import MODE_FULL_DECODE, MODE_THRESHOLD, _check_integer
-from .code_matrix import CodeMatrix, _misdecoded
+from .code_matrix import CodeMatrix, _misdecoded_flips
 from .prob_engine import MAX_COUNT, DependenceModel, _check_count
 
 DEFAULT_SEED = 60428  # 0xEC0C
@@ -116,10 +116,11 @@ def mc_decode_error(
     row with lowest-index tie breaking.  Only trials with at least
     code.far_flips flips can decode wrongly, so only those error vectors are
     drawn by the sampler (sample_far) and decoded (code_matrix._misdecoded,
-    the kernel fold analysis shares); the classes, independent of the flips,
-    are drawn for those rows alone, from where the sampler leaves the
-    stream.  The sampler's rows are n-wide and 0/1 and the classes are
-    drawn in range, so only model.n and true_class are checked here.
+    the kernel fold analysis shares, in blocks of _decode_rows(code) rows
+    by _misdecoded_flips); the classes, independent of the flips, are drawn
+    for those rows alone, from where the sampler leaves the stream.  The
+    sampler's rows are n-wide and 0/1 and the classes are drawn in range,
+    so only model.n and true_class are checked here.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -134,6 +135,6 @@ def mc_decode_error(
             classes = rng.integers(0, code.num_classes, size=len(bits))
         else:
             classes = np.full(len(bits), true_class)
-        return _misdecoded(code.matrix[classes] ^ bits, classes, code)
+        return _misdecoded_flips(bits, classes, code)
 
     return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)

@@ -96,14 +96,17 @@ def test_corpus_covers_every_bundled_fixture():
 
 
 def test_simulate_family_runs_chunks_in_the_thread_pool(tmp_path):
-    # Only a command of more than one chunk on more than one worker builds
-    # the pool; without one the corpus would not check that workers leave
-    # the result unchanged.
+    # Only a full-decode command of more than one chunk on more than one
+    # worker builds the pool (a threshold estimate is one draw at any
+    # worker count); without one the corpus would not check that workers
+    # leave the result unchanged.
     def flag(argv, name):
-        return int(argv[argv.index(name) + 1]) if name in argv else None
+        return argv[argv.index(name) + 1] if name in argv else None
 
     assert any(
-        flag(argv, "--trials") > CHUNK_TRIALS and (flag(argv, "--workers") or 1) > 1
+        flag(argv, "--mode") == "full-decode"
+        and int(flag(argv, "--trials")) > CHUNK_TRIALS
+        and int(flag(argv, "--workers") or 1) > 1
         for argv in cli_corpus.FAMILIES["simulate"](tmp_path)
     )
 

@@ -516,6 +516,50 @@ class TestCountMisdecoded:
         assert _fold_misdecoded(errors, classes, code) == want
 
 
+class TestDecodeBlocks:
+    """The simulator decodes its far rows in blocks of _decode_rows(code)
+    rows (_misdecoded_flips), each block's words built inside it, and must
+    count what one _misdecoded call over all the words counts."""
+
+    def test_rows_per_block(self):
+        assert cm._decode_rows(build_code_matrix(127)) == 258
+        assert cm._decode_rows(build_code_matrix(26)) == 1260
+        codes = [build_code_matrix(c) for c in (2, 15, 26, 127, 1000)]
+        codes.append(CodeMatrix(sylvester_hadamard(3)[:5]))  # fewer classes than n
+        codes.append(CodeMatrix(np.zeros((3, cm.DECODE_BLOCK_BYTES // 4 + 1), np.uint8)))
+        for code in codes:
+            rows = cm._decode_rows(code)
+            # The block's float32 signs and correlations stay in budget; a
+            # row wider than the budget is decoded one row at a time.
+            widest = 4 * max(code.n, code.num_classes)
+            assert rows == 1 or rows * widest <= cm.DECODE_BLOCK_BYTES < (rows + 1) * widest
+            assert rows >= 1
+        assert cm._decode_rows(codes[-1]) == 1
+
+    @pytest.mark.parametrize("classes", [15, 127])
+    def test_blocks_count_what_one_call_counts(self, classes, monkeypatch):
+        code = build_code_matrix(classes)
+        block = cm._decode_rows(code)
+        sizes, misdecoded = [], cm._misdecoded
+
+        def spy(words, truth, code):
+            sizes.append(len(words))
+            return misdecoded(words, truth, code)
+
+        rng = np.random.default_rng(classes)
+        for rows in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+            flips = (rng.random((rows, code.n)) < 0.3).astype(np.uint8)
+            truth = rng.integers(0, code.num_classes, size=rows)
+            want = misdecoded(code.matrix[truth] ^ flips, truth, code)
+            assert want > 0 or rows < block
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(cm, "_misdecoded", spy)
+                assert cm._misdecoded_flips(flips, truth, code) == want
+            assert sum(sizes) == rows and len(sizes) == -(-rows // block)
+            assert all(size <= block for size in sizes)
+
+
 class TestSerialization:
     def test_header_and_round_trip(self):
         code = build_code_matrix(26)

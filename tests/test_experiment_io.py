@@ -428,6 +428,23 @@ class TestFoldPool:
             monkeypatch.setenv(var, value)
         assert cli._fold_threads() == threads
 
+    @pytest.mark.parametrize("cpus, env, threads", [
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        (4, {"OMP_NUM_THREADS": "2"}, 2),
+        (4, {}, 1),
+        (None, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_threads_without_an_affinity_call(self, monkeypatch, cpus, env, threads):
+        # Where os has no sched_getaffinity the CPUs are os.cpu_count(),
+        # one when it cannot tell, shared among the BLAS threads alike.
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._fold_threads() == threads
+
 
 class TestSummariesIO:
     def test_fixture_round_trip_byte_exact(self, tmp_path):

@@ -56,6 +56,16 @@ def test_all_is_sorted_and_resolves():
     assert exported == set(ecoc.__all__)
 
 
+def test_submodules_resolve_as_attributes(monkeypatch):
+    # A submodule not yet bound on the package (here unbound again) comes
+    # from __getattr__, which imports it and leaves the package unchanged.
+    for name in ecoc._MODULES:
+        monkeypatch.delattr(ecoc, name)
+        assert name not in vars(ecoc)
+        assert getattr(ecoc, name) is importlib.import_module(f"ecoc.{name}")
+        assert name not in vars(ecoc)
+
+
 def test_deleted_names_stay_deleted():
     for module in MODULES:
         for name in DELETED:

@@ -13,7 +13,8 @@ def test_one_row_per_model_size_and_mode(capsys):
     assert sampler_floor.main(["--trials", "300", "--repeat", "1"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split() == ["model", "classes", "mode", "1", "worker", "ms", "2", "workers",
-                              "ms", "speed-up"]
+                              "ms", "speed-up", "1", "worker", "faults", "2", "workers",
+                              "faults"]
     rows = [line.split() for line in lines]
     assert [(kind, int(n), mode) for kind, n, mode, *_ in rows] == [
         (kind, n, mode)
@@ -21,5 +22,8 @@ def test_one_row_per_model_size_and_mode(capsys):
         for kind in sampler_floor.KINDS
         for mode in sampler_floor.MODES
     ]
-    for _, _, _, *times in rows:
+    for _, _, _, *cells in rows:
+        times, faults = cells[:3], cells[3:]
         assert len(times) == 3 and all(float(t) > 0 for t in times)
+        # A run's minor page faults: a count, zero when every buffer is reused.
+        assert len(faults) == 2 and all(f.isdigit() for f in faults)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo estimators: determinism, fidelity, ordering."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy import stats as sstats
 import ecoc.code_matrix as code_matrix
 import ecoc.prob_engine as prob_engine
 import ecoc.simulator as simulator
-from ecoc.code_matrix import EXACT_MAX_N, build_code_matrix
+from ecoc.code_matrix import EXACT_MAX_N, _decode_rows, build_code_matrix
 from ecoc.prob_engine import (
     BLOCK_ROWS,
     ErrorProfile,
@@ -67,12 +68,23 @@ class TestDeterminism:
         b = mc_threshold_error(model, 3, SimConfig(trials=200_000, seed=2))
         assert a.error_rate != b.error_rate
 
+    @staticmethod
+    def _spans_chunks_and_blocks(model, code, trials, seed):
+        # Four chunks, whose first holds more than two decode blocks of far
+        # rows, so that the pool runs and each chunk decodes block by block.
+        assert trials > 3 * CHUNK_TRIALS
+        far = model.count_far(_chunk_rng(seed, 0), CHUNK_TRIALS, code.far_flips)
+        assert far > 2 * _decode_rows(code)
+
     def test_worker_count_invariance(self):
-        model = PairModel(ErrorProfile.iid(10, 0.15), 0.05)
-        base = mc_threshold_error(model, 3, SimConfig(trials=150_000, seed=9))
-        for workers in (2, 4):
-            cfg = SimConfig(trials=150_000, seed=9, workers=workers)
-            assert mc_threshold_error(model, 3, cfg) == base
+        code = build_code_matrix(15)
+        model = PairModel(ErrorProfile.iid(15, 0.3), _pair_f(0.3, 0.02))
+        trials = 3 * CHUNK_TRIALS + 7
+        self._spans_chunks_and_blocks(model, code, trials, seed=9)
+        base = mc_decode_error(model, code, SimConfig(trials=trials, seed=9))
+        for workers in (2, 3):
+            cfg = SimConfig(trials=trials, seed=9, workers=workers)
+            assert mc_decode_error(model, code, cfg) == base
 
     def test_decode_worker_invariance(self):
         code = build_code_matrix(10)
@@ -93,6 +105,29 @@ class TestDeterminism:
             cfg = SimConfig(trials=trials, seed=11, workers=workers)
             assert mc_decode_error(model, code, cfg) == base
 
+    def test_tables_shared_by_threads_that_switch_often(self):
+        # Chunks on more threads than cores, switched every microsecond,
+        # read one model's count row and its profile's q row and step
+        # table, each built on first use: a table two threads both build is
+        # the same table, so no count moves, and every kept table is
+        # read-only.
+        def model():
+            return PairModel(ErrorProfile([0.25] * 13 + [0.3, 0.35]), 0.1)
+
+        code = build_code_matrix(15)
+        trials = 5 * CHUNK_TRIALS
+        base = mc_decode_error(model(), code, SimConfig(trials=trials, seed=21))
+        shared = model()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mc_decode_error(shared, code, SimConfig(trials=trials, seed=21, workers=5))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == base
+        tables = [shared._count_row, *shared.profile._tables.values()]
+        assert len(tables) == 3 and not any(t.flags.writeable for t in tables)
+
     def test_exchangeable_sample_matches_rank_form(self):
         # Reference: the position with rank < k among n 16-bit keys errs,
         # and a row whose k-th and (k+1)-th smallest keys tie is drawn
@@ -108,13 +143,15 @@ class TestDeterminism:
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, want)
 
-    def test_exchangeable_threshold_worker_invariance(self):
-        model = ExchangeableModel(26, 0.0686, 0.0058)
+    def test_exchangeable_decode_worker_invariance(self):
+        code = build_code_matrix(15)
+        model = ExchangeableModel(15, 0.3, 0.02)
         trials = 3 * CHUNK_TRIALS + 7
-        base = mc_threshold_error(model, 6, SimConfig(trials=trials, seed=12))
+        self._spans_chunks_and_blocks(model, code, trials, seed=12)
+        base = mc_decode_error(model, code, SimConfig(trials=trials, seed=12))
         for workers in (2, 3):
             cfg = SimConfig(trials=trials, seed=12, workers=workers)
-            assert mc_threshold_error(model, 6, cfg) == base
+            assert mc_decode_error(model, code, cfg) == base
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -312,13 +349,13 @@ class TestDecode:
 
     def test_true_class_zero(self, monkeypatch):
         # Class 0 is a valid pin: every kept trial is decoded from it.
-        seen, misdecoded = [], simulator._misdecoded
+        seen, misdecoded = [], simulator._misdecoded_flips
 
-        def spy(words, classes, code):
+        def spy(flips, classes, code):
             seen.append(classes)
-            return misdecoded(words, classes, code)
+            return misdecoded(flips, classes, code)
 
-        monkeypatch.setattr(simulator, "_misdecoded", spy)
+        monkeypatch.setattr(simulator, "_misdecoded_flips", spy)
         code = build_code_matrix(10)
         model = Independent(ErrorProfile.iid(10, 0.2))
         result = mc_decode_error(model, code, SimConfig(trials=5_000, seed=4), true_class=0)
@@ -413,6 +450,34 @@ class TestPinnedStreams:
         p = 475 / self.TRIALS
         assert result.error_rate == p
         assert result.std_err == math.sqrt(p * (1 - p) / self.TRIALS)
+
+
+class TestPinnedBlocks:
+    """Full-decode counts whose chunks decode many blocks: at 15 classes
+    and e = 0.3 a chunk has about 22,000-23,000 far rows, eleven decode
+    blocks of _decode_rows(code) = 2,184, and about half of its far rows
+    decode wrongly, so a row lost, repeated or misaligned with its class at
+    a block edge moves the count.  Taken before the decode was blocked."""
+
+    TRIALS = 2 * CHUNK_TRIALS + 5
+    E, C = 0.3, 0.02
+    # model -> (full-decode count, the same with the true class pinned to 14)
+    COUNTS = {
+        "iid": (33638, 41117),
+        "pair": (33829, 41115),
+        "exchangeable": (33056, 39506),
+    }
+
+    @pytest.mark.parametrize("kind", list(COUNTS))
+    def test_counts(self, kind):
+        code = build_code_matrix(15)
+        model = TestPinnedStreams._model(kind, 15, self.E, self.C)
+        far = model.count_far(_chunk_rng(2024, 0), CHUNK_TRIALS, code.far_flips)
+        assert far > 8 * _decode_rows(code)
+        cfg = SimConfig(trials=self.TRIALS, seed=2024)
+        free, pinned = self.COUNTS[kind]
+        assert mc_decode_error(model, code, cfg).error_rate == free / self.TRIALS
+        assert mc_decode_error(model, code, cfg, true_class=14).error_rate == pinned / self.TRIALS
 
 
 SAMPLE_CASES = [
