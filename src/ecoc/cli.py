@@ -10,20 +10,20 @@ Most calls are one command in a fresh interpreter, so each command imports
 the library modules it runs at its own entry: code_matrix (and with it
 numpy) code --emit, simulate and analyze --predictions; prob_engine pmf,
 tail and simulate; bounds bounds, bahadur, analyze and figures; simulator
-simulate; and experiment_io analyze and figures.  json and
-concurrent.futures are imported only where a command uses them.  Only
---predictions, pmf, tail, simulate and code --emit load numpy.  code,
-analyze --fixture, analyze --summary, figures, bounds and bahadur run on
-the standard library: a code's m comes
-from the closed form of its distance (sylvester_distance, with the
-parser's choices and the csv writer in the standard-library-only
-_shared), the bounds and correlation ranges are closed forms in math, and
-experiment_io's fold-summary half takes its sums by math.fsum.  No
-module these commands import imports dataclasses, which loads inspect:
-their records are NamedTuples.  A command's imports are absolute (import
-ecoc.x as y): a relative one resolves its package in Python code on every
-call, which cost 1-4 us per command in process where the absolute form
-costs under 0.5 us.
+simulate; and experiment_io analyze and figures.  json is imported only
+with --format json, and concurrent.futures only by a simulate that runs
+its chunks on a pool.  Only --predictions, pmf, tail, simulate and code
+--emit load numpy.  code, analyze --fixture, analyze --summary, figures,
+bounds and bahadur run on the standard library: a code's m comes from the
+closed form of its distance (sylvester_distance, with the parser's
+choices and the csv writer in the standard-library-only _shared), the
+bounds and correlation ranges are closed forms in math, and
+experiment_io's fold-summary half takes its sums by math.fsum.  No module
+these commands import imports dataclasses, which loads inspect: their
+records are NamedTuples.  A command's imports are absolute (import ecoc.x
+as y): a relative one resolves its package in Python code on every call,
+which cost 1-4 us per command in process where the absolute form costs
+under 0.5 us.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from ._shared import (
 from .errors import EcocError
 
 if TYPE_CHECKING:
-    from . import code_matrix as cm
     from . import experiment_io as xio
     from . import prob_engine as pe
 
@@ -298,7 +297,8 @@ def _folds(
     (sylvester_distance), which checks the class count and orientation as
     build_code_matrix does, with the same messages in the same order: a
     fixture is loaded before, a summary file read after those checks.  Only
-    --predictions builds the code, to decode its folds."""
+    --predictions builds the code, to decode its folds, which it loads all
+    before it analyzes any: the first file that fails to load is the error."""
     import ecoc.experiment_io as xio
 
     given = [f for f in sources if getattr(args, f[2:]) not in (None, [])]
@@ -320,53 +320,9 @@ def _folds(
         import ecoc.code_matrix as cm
 
         code = cm.build_code_matrix(classes, orientation=_orientation(args))
-        name, summaries = Path(args.predictions[0]).stem, _analyzed(args.predictions, code)
+        folds = [xio.load_predictions(path) for path in args.predictions]
+        name, summaries = Path(args.predictions[0]).stem, [xio.analyze_fold(f, code) for f in folds]
     return name, summaries, classes if args.n is None else args.n, m
-
-
-def _analyzed(paths: list[str], code: cm.CodeMatrix) -> list[xio.FoldSummary]:
-    """analyze_fold of each raw fold file, in order, on min(files,
-    _fold_threads()) threads: every load is queued first, and each fold's
-    analysis as soon as its load returns, so the next file parses while a
-    fold's Gram product runs.  The loads are awaited in order before any
-    analysis is, so the first file that fails to load is the error raised,
-    ahead of any fold that fails to analyze, as when every file is loaded
-    first.  Every statistic is an exact count, so the thread count cannot
-    change the output."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    import ecoc.experiment_io as xio
-
-    def load(path):
-        # Called from here, a loader warning names this line, not the pool's.
-        return xio.load_predictions(path)
-
-    with ThreadPoolExecutor(max_workers=min(len(paths), _fold_threads())) as pool:
-        loads = [pool.submit(load, path) for path in paths]
-        analyses = [pool.submit(xio.analyze_fold, load.result(), code) for load in loads]
-        return [analysis.result() for analysis in analyses]
-
-
-# The variables numpy's BLAS takes its thread count from: OpenBLAS reads
-# them in this order, MKL the last two.
-_BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
-)
-
-
-def _fold_threads() -> int:
-    """Threads for the raw folds: the CPUs this process may use, divided
-    among the threads each BLAS call runs on (every CPU unless a BLAS thread
-    variable is set).  On 2 CPUs, two folds' Gram products of two BLAS
-    threads each made a 3-fold 127-class analyze 3-4x slower than one
-    thread, so with BLAS on every CPU the folds take one thread."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    given = (os.environ.get(var, "") for var in _BLAS_THREAD_VARS)
-    blas = next((int(v) for v in given if v.isdigit() and int(v) > 0), cpus)
-    return max(1, cpus // blas)
 
 
 # The two columns the analyze table heads with a shorter label.

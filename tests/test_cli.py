@@ -371,9 +371,10 @@ class TestSimulateCommand:
             raise AssertionError(f"a pool of {max_workers} was opened")
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        # A full-decode run is the one that would open a pool.
         status, out, err = run(
             capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
-            "--m", "2", "--trials", "100000000", "--workers", "100000000",
+            "--mode", "full-decode", "--trials", "100000000", "--workers", "100000000",
         )
         assert (status, out) == (1, "")
         assert err.startswith("error: workers=100000000 outside 1..")

@@ -124,12 +124,14 @@ def test_simulate_with_a_pool_loads_concurrent_futures():
 
 
 def test_analyze_predictions_still_loads_numpy(tmp_path):
-    # A raw fold is decoded, which takes the code's rows.
+    # A raw fold is decoded, which takes the code's rows; the folds run in
+    # the calling thread, with no pool.
     path = tmp_path / "fold.csv"
     header = ",".join(["true_class", *(f"bit_{i}" for i in range(1, 11))])
     path.write_text(f"{header}\n0,{','.join('0' * 10)}\n3,{','.join('1' * 10)}\n")
     loaded = cold_start.loaded(ROOT, ["analyze", "--predictions", str(path), "--classes", "10"])
     assert {"numpy", "ecoc.code_matrix"} <= set(loaded)
+    assert not {"concurrent.futures", "logging"} & set(loaded)
 
 
 # Runs the ecoc command in argv with numpy made unimportable.

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ecoc import cli
 from ecoc.bounds import evaluate_bounds
 from ecoc.cli import main
 from ecoc import code_matrix
@@ -345,9 +344,9 @@ class TestRowBlocks:
         assert err.value.line == row + 2
 
 
-class TestFoldPool:
-    """analyze --predictions loads and analyzes its files on a thread pool;
-    the output and the error raised do not depend on its size."""
+class TestFoldOrder:
+    """analyze --predictions loads every file, in order, before it analyzes
+    any fold; the error raised is the first file's that fails to load."""
 
     CLASSES = 8
 
@@ -359,39 +358,26 @@ class TestFoldPool:
             write_predictions(make_fold(np.random.default_rng(i), code, rows, 0.1), paths[-1])
         return paths
 
-    def analyze(self, capsys, monkeypatch, threads, paths, *flags):
-        monkeypatch.setattr(cli, "_fold_threads", lambda: threads)
+    def analyze(self, capsys, paths):
         status = main(["analyze", "--predictions", *map(str, paths),
-                       "--classes", str(self.CLASSES), *flags])
+                       "--classes", str(self.CLASSES)])
         captured = capsys.readouterr()
         return status, captured.out, captured.err
 
-    @pytest.mark.parametrize("flags", [(), ("--format", "csv"), ("--format", "json")])
-    def test_same_output_on_one_and_two_threads(self, capsys, monkeypatch, tmp_path, flags):
-        paths = self.folds(tmp_path, 3)
-        one = self.analyze(capsys, monkeypatch, 1, paths, *flags)
-        two = self.analyze(capsys, monkeypatch, 2, paths, *flags)
-        assert one[0] == 0 and one[1].count("fold") >= 3
-        assert two == one
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_first_bad_file_is_reported(self, capsys, monkeypatch, tmp_path, threads):
+    def test_first_bad_file_is_reported(self, capsys, tmp_path):
         paths = self.folds(tmp_path, 3)
         for path, line in zip(paths[1:], (3, 5)):
             lines = path.read_bytes().split(b"\r\n")
             lines[line - 1] = b"x" + lines[line - 1]
             path.write_bytes(b"\r\n".join(lines))
-        status, out, err = self.analyze(capsys, monkeypatch, threads, paths)
+        status, out, err = self.analyze(capsys, paths)
         assert (status, out) == (1, "")
         assert err.startswith("error: line 3: true_class 'x")
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_load_error_wins_over_an_earlier_analysis_error(
-        self, capsys, monkeypatch, tmp_path, threads
-    ):
+    def test_load_error_wins_over_an_earlier_analysis_error(self, capsys, tmp_path):
         # Fold 1 loads but holds a class the code does not have; file 2
-        # does not load.  As when every file is loaded first, file 2's
-        # error is the one reported.
+        # does not load.  Every file is loaded first, so file 2's error is
+        # the one reported.
         paths = self.folds(tmp_path, 3)
         text = paths[0].read_bytes().split(b"\r\n")
         text[1] = b"9" + text[1][text[1].index(b",") :]
@@ -399,51 +385,11 @@ class TestFoldPool:
         text = paths[1].read_bytes().split(b"\r\n")
         text[3] = text[3] + b",1"
         paths[1].write_bytes(b"\r\n".join(text))
-        status, out, err = self.analyze(capsys, monkeypatch, threads, paths)
+        status, out, err = self.analyze(capsys, paths)
         assert (status, out) == (1, "")
         assert err.startswith(f"error: line 4: expected {self.CLASSES + 1} fields")
-        status, _, err = self.analyze(capsys, monkeypatch, threads, paths[:1])
+        status, _, err = self.analyze(capsys, paths[:1])
         assert status == 1 and "true_class 9 out of range" in err
-
-    @pytest.mark.parametrize(
-        "env, threads",
-        [
-            ({}, 1),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-            ({"OMP_NUM_THREADS": "2"}, 2),
-            ({"MKL_NUM_THREADS": "3"}, 1),
-            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
-            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-            ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-        ],
-    )
-    def test_threads_leave_each_blas_call_its_threads(self, monkeypatch, env, threads):
-        # Four CPUs shared among the BLAS threads of each fold's analysis;
-        # BLAS takes every CPU unless one of its variables says otherwise.
-        cpus = {0, 1, 2, 3}
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        for var in cli._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert cli._fold_threads() == threads
-
-    @pytest.mark.parametrize("cpus, env, threads", [
-        (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
-        (4, {"OMP_NUM_THREADS": "2"}, 2),
-        (4, {}, 1),
-        (None, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ])
-    def test_threads_without_an_affinity_call(self, monkeypatch, cpus, env, threads):
-        # Where os has no sched_getaffinity the CPUs are os.cpu_count(),
-        # one when it cannot tell, shared among the BLAS threads alike.
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        for var in cli._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert cli._fold_threads() == threads
 
 
 class TestSummariesIO:

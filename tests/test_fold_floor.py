@@ -17,7 +17,7 @@ def test_one_row_per_class_count_and_the_peak_rss(capsys):
     for line in rows:
         times = [float(cell) for cell in line.split()[1:]]
         assert len(times) == len(fold_floor.HEADER) - 1
-        assert all(t >= 0 for t in times) and times[-3] > 0 and times[-2] > 0
+        assert all(t >= 0 for t in times) and times[-1] > 0
     words = rss.split()
     assert words[:2] == ["peak", "RSS"] and words[-1] == "MB" and float(words[2]) > 0
 

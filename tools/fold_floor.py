@@ -14,18 +14,16 @@ count, the best time of --repeat runs of:
   the error blocks, their float32 Gram products and the far rows;
 - decode: code_matrix._misdecoded over the far rows, the decode and
   compare that analyze_fold runs;
-- 1 thread and 2 threads: the command analyze --predictions over the three
-  folds, in process, with its pool held to one and to two threads;
-- speed-up: 1 thread over 2 threads.
+- analyze: the command analyze --predictions over the three folds, in
+  process.
 
-The stages are timed on the first fold; the runs of the stages, and those
-of the two commands, take turns.  The folds are drawn like the
-fold-ingest benchmark's: per-classifier rates uniform in [0.03, 0.12),
-tripled (at most 0.45) on a tenth of the samples.  Last comes the peak
-resident memory of this process.  numpy's BLAS runs on every CPU unless
-OPENBLAS_NUM_THREADS (or a like variable) says otherwise; the benchmark
-sets it to 1.  Standard library and numpy only; the temporary directory is
-removed at the end.
+The stages are timed on the first fold; the runs of the stages and of the
+command take turns.  The folds are drawn like the fold-ingest benchmark's:
+per-classifier rates uniform in [0.03, 0.12), tripled (at most 0.45) on a
+tenth of the samples.  Last comes the peak resident memory of this
+process.  numpy's BLAS runs on every CPU unless OPENBLAS_NUM_THREADS (or a
+like variable) says otherwise; the benchmark sets it to 1.  Standard
+library and numpy only; the temporary directory is removed at the end.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import resource
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -50,7 +47,7 @@ from timing import aligned, best
 CLASSES = (26, 127)
 FOLDS = 3
 HEADER = ("classes", "read ms", "line ends ms", "cells + classes ms", "errors + Gram ms",
-          "decode ms", "1 thread ms", "2 threads ms", "speed-up")
+          "decode ms", "analyze ms")
 
 
 def write_folds(directory: Path, classes: int, samples: int) -> list[Path]:
@@ -68,11 +65,10 @@ def write_folds(directory: Path, classes: int, samples: int) -> list[Path]:
     return paths
 
 
-def command(paths: list[Path], classes: int, threads: int) -> None:
+def command(paths: list[Path], classes: int) -> None:
     argv = ["analyze", "--predictions", *map(str, paths), "--classes", str(classes),
             "--format", "csv"]
-    with mock.patch.object(cli, "_fold_threads", lambda: threads), \
-            contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
             raise RuntimeError(f"analyze failed on {classes} classes")
 
@@ -84,22 +80,21 @@ def row(paths: list[Path], classes: int, repeat: int) -> tuple:
     code = build_code_matrix(classes)
     fold = xio.load_predictions(path)
     _, far = xio._fold_counts(fold, code)
-    read, ends, load, counts, decode = best(
+    read, ends, load, counts, decode, analyze = best(
         path.read_bytes,
         lambda: xio._line_ends(body),
         lambda: xio.load_predictions(path),
         lambda: xio._fold_counts(fold, code),
         lambda: code_matrix._misdecoded(fold.bits[far], fold.true_classes[far], code),
+        lambda: command(paths, classes),
         repeat=repeat,
     )
-    one, two = best(lambda: command(paths, classes, 1), lambda: command(paths, classes, 2),
-                    repeat=repeat)
-    return (classes, read, ends, max(load - read - ends, 0.0), counts, decode, one, two)
+    return (classes, read, ends, max(load - read - ends, 0.0), counts, decode, analyze)
 
 
 def table(rows: list[tuple]) -> str:
     return aligned([HEADER] + [
-        (str(classes), *(f"{t * 1e3:.3f}" for t in times), f"{times[-2] / times[-1]:.2f}")
+        (str(classes), *(f"{t * 1e3:.3f}" for t in times))
         for classes, *times in rows
     ])
 

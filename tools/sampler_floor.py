@@ -13,9 +13,12 @@ modes (threshold at m = code.m, full-decode), it prints:
 - speed-up: one worker over two;
 - one worker and two workers faults: the median number of minor page
   faults of a run (the growth of resource.getrusage's ru_minflt across
-  it), each a page the kernel mapped and zero-filled for the process.  A
-  decode buffer above glibc's 128 KiB mmap threshold is mapped afresh for
-  every chunk, so it shows here as hundreds of faults per run.
+  it), each a page the kernel mapped and zero-filled for the process.
+  Each side is counted after the timing, in a loop of its own of --repeat
+  runs after one untimed warm-up run of its own, so that no count holds
+  what the other side's last run left behind.  A decode buffer above
+  glibc's 128 KiB mmap threshold is mapped afresh for every chunk, so it
+  shows here as hundreds of faults per run.
 
 The operating points are the benchmark's: 26 classes at e = 0.0686,
 c = 0.0058 and 127 classes at e = 0.18, c = 0.006; the pair's joint error
@@ -26,6 +29,7 @@ nothing is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import resource
 import statistics
 import sys
@@ -63,14 +67,16 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def counting_faults(fn, faults: list[int]):
-    """fn, which also appends the minor page faults of each of its runs to
-    faults."""
-    def counted():
+def median_faults(fn, repeat: int) -> float:
+    """The median minor page faults of repeat runs of fn, after one
+    untimed warm-up run."""
+    fn()
+    faults = []
+    for _ in range(repeat):
         before = minor_faults()
         fn()
         faults.append(minor_faults() - before)
-    return counted
+    return statistics.median(faults)
 
 
 def rows(trials: int, repeat: int) -> list[tuple]:
@@ -80,15 +86,12 @@ def rows(trials: int, repeat: int) -> list[tuple]:
         for kind in KINDS:
             model = model_of(kind, n)
             for mode in MODES:
-                run(model, code, mode, trials, 1)  # warm-up, untimed
-                faults_one, faults_two = [], []
-                one, two = best(
-                    counting_faults(lambda: run(model, code, mode, trials, 1), faults_one),
-                    counting_faults(lambda: run(model, code, mode, trials, 2), faults_two),
-                    repeat=repeat,
-                )
+                sides = [functools.partial(run, model, code, mode, trials, workers)
+                         for workers in (1, 2)]
+                sides[0]()  # warm-up, untimed
+                one, two = best(*sides, repeat=repeat)
                 out.append((kind, n, mode, one * 1e3, two * 1e3, one / two,
-                            statistics.median(faults_one), statistics.median(faults_two)))
+                            *(median_faults(side, repeat) for side in sides)))
     return out
 
 
