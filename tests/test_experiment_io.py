@@ -344,9 +344,11 @@ class TestRowBlocks:
         assert err.value.line == row + 2
 
 
-class TestFoldOrder:
+class TestFoldPool:
     """analyze --predictions loads every file, in order, before it analyzes
-    any fold; the error raised is the first file's that fails to load."""
+    any fold, all in the calling thread (the folds no longer run on a
+    pool); the error raised is the first file's that fails to load,
+    wherever in the list the bad files sit."""
 
     CLASSES = 8
 
@@ -364,9 +366,12 @@ class TestFoldOrder:
         captured = capsys.readouterr()
         return status, captured.out, captured.err
 
-    def test_first_bad_file_is_reported(self, capsys, tmp_path):
-        paths = self.folds(tmp_path, 3)
-        for path, line in zip(paths[1:], (3, 5)):
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_first_bad_file_is_reported(self, capsys, tmp_path, first):
+        # Files first and first + 1 (from 0) are bad, at lines 3 and 5;
+        # the good files ahead of them load.
+        paths = self.folds(tmp_path, 4)
+        for path, line in zip(paths[first:], (3, 5)):
             lines = path.read_bytes().split(b"\r\n")
             lines[line - 1] = b"x" + lines[line - 1]
             path.write_bytes(b"\r\n".join(lines))
@@ -374,17 +379,18 @@ class TestFoldOrder:
         assert (status, out) == (1, "")
         assert err.startswith("error: line 3: true_class 'x")
 
-    def test_load_error_wins_over_an_earlier_analysis_error(self, capsys, tmp_path):
-        # Fold 1 loads but holds a class the code does not have; file 2
-        # does not load.  Every file is loaded first, so file 2's error is
-        # the one reported.
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_load_error_wins_over_an_earlier_analysis_error(self, capsys, tmp_path, bad):
+        # Fold 1 loads but holds a class the code does not have; file
+        # bad + 1 does not load.  Every file is loaded first, so that
+        # file's error is the one reported.
         paths = self.folds(tmp_path, 3)
         text = paths[0].read_bytes().split(b"\r\n")
         text[1] = b"9" + text[1][text[1].index(b",") :]
         paths[0].write_bytes(b"\r\n".join(text))
-        text = paths[1].read_bytes().split(b"\r\n")
+        text = paths[bad].read_bytes().split(b"\r\n")
         text[3] = text[3] + b",1"
-        paths[1].write_bytes(b"\r\n".join(text))
+        paths[bad].write_bytes(b"\r\n".join(text))
         status, out, err = self.analyze(capsys, paths)
         assert (status, out) == (1, "")
         assert err.startswith(f"error: line 4: expected {self.CLASSES + 1} fields")
