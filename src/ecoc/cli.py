@@ -11,8 +11,9 @@ the library modules it runs at its own entry: code_matrix (and with it
 numpy) code --emit, simulate and analyze --predictions; prob_engine pmf,
 tail and simulate; bounds bounds, bahadur, analyze and figures; simulator
 simulate; and experiment_io analyze and figures.  json is imported only
-with --format json, and concurrent.futures only by a simulate that runs
-its chunks on a pool.  Only --predictions, pmf, tail, simulate and code
+with --format json, and no command loads concurrent.futures: simulate
+sums its chunks in the calling thread at every --workers.  Only
+--predictions, pmf, tail, simulate and code
 --emit load numpy.  code, analyze --fixture, analyze --summary, figures,
 bounds and bahadur run on the standard library: a code's m comes from the
 closed form of its distance (sylvester_distance, with the parser's
@@ -467,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true-class", type=int, help="pin the true class (full-decode)")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted in 1..256; output and work are the same at every value")
     _add_orientation_flag(p)
     common(p)
     p.set_defaults(func=cmd_simulate)

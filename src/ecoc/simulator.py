@@ -8,11 +8,12 @@ mismatches).
 Randomness is counter-based: stream j is Philox keyed by (seed, j).  A
 threshold estimate is one binomial draw of all its trials at P(K >= m)
 (count_far) from stream 0.  Full-decode trials are processed in fixed-size
-chunks, chunk j drawing from stream j, so a chunk's count is a pure
-function of (seed, j, chunk size); results are bit-identical for a given
-seed regardless of the worker count.  A full-decode chunk draws the number
-of its far rows, then their error vectors and true classes alone
-(sample_far), so no far row is tied to a trial index.
+chunks, chunk j drawing from stream j, and summed in the calling thread,
+so a chunk's count is a pure function of (seed, j, chunk size).  The
+worker count is checked but changes neither the result nor the work.  A
+full-decode chunk draws the number of its far rows, then their error
+vectors and true classes alone (sample_far), so no far row is tied to a
+trial index.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ DEFAULT_SEED = 60428  # 0xEC0C
 
 CHUNK_TRIALS = 1 << 15
 
-# Most worker threads a simulation accepts.  Only full-decode runs a pool, of
-# no more threads than chunks, and each thread keeps one chunk's arrays.
+# Most workers a simulation accepts.  Every run is serial; the count is kept
+# checked so that callers passing --workers keep the same range and errors.
 MAX_WORKERS = 256
 
 
@@ -65,27 +66,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_chunks(cfg: SimConfig, count_fn) -> int:
-    """Sum count_fn(chunk_rng, chunk_size) over fixed-size trial chunks."""
-    chunks = [
-        (j, min(CHUNK_TRIALS, cfg.trials - start))
-        for j, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS))
-    ]
-
-    def work(item):
-        idx, size = item
-        return count_fn(_chunk_rng(cfg.seed, idx), size)
-
-    if cfg.workers == 1 or len(chunks) == 1:
-        return sum(work(item) for item in chunks)
-    # Imported here, so a serial run loads neither it nor the logging it
-    # imports.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(cfg.workers, len(chunks))) as pool:
-        return sum(pool.map(work, chunks))
-
-
 def _result(errors: int, cfg: SimConfig, mode: str) -> SimResult:
     p = errors / cfg.trials
     return SimResult(
@@ -98,7 +78,7 @@ def _result(errors: int, cfg: SimConfig, mode: str) -> SimResult:
 
 def mc_threshold_error(model: DependenceModel, m: int, cfg: SimConfig) -> SimResult:
     """Fraction of trials in which at least m classifiers err, by one
-    count_far draw from stream 0: one count_pmf and no pool at any workers."""
+    count_far draw from stream 0, from one count_pmf."""
     _check_count("m", m, model.n)
     return _result(model.count_far(_chunk_rng(cfg.seed, 0), cfg.trials, m), cfg, MODE_THRESHOLD)
 
@@ -129,12 +109,13 @@ def mc_decode_error(
         if not 0 <= true_class < code.num_classes:
             raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
 
-    def count(rng, size):
-        bits = model.sample_far(rng, size, code.far_flips)
+    errors = 0
+    for j, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS)):
+        rng = _chunk_rng(cfg.seed, j)
+        bits = model.sample_far(rng, min(CHUNK_TRIALS, cfg.trials - start), code.far_flips)
         if true_class is None:
             classes = rng.integers(0, code.num_classes, size=len(bits))
         else:
             classes = np.full(len(bits), true_class)
-        return _misdecoded_flips(bits, classes, code)
-
-    return _result(_run_chunks(cfg, count), cfg, MODE_FULL_DECODE)
+        errors += _misdecoded_flips(bits, classes, code)
+    return _result(errors, cfg, MODE_FULL_DECODE)

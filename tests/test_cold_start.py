@@ -63,8 +63,16 @@ def test_import_ecoc_loads_no_submodule():
         pytest.param(
             ["simulate", *MODEL, "--m", "6", "--trials", "40000", "--workers", "2",
              "--mode", "threshold", "--format", "csv"],
-            ["concurrent.futures"],
+            ["concurrent.futures", "logging"],
             id="simulate-threshold-two-workers",
+        ),
+        pytest.param(
+            # Two chunks on two workers: full-decode sums its chunks in the
+            # calling thread too.
+            ["simulate", *MODEL, "--trials", "40000", "--workers", "2",
+             "--mode", "full-decode", "--format", "csv"],
+            ["concurrent.futures", "logging"],
+            id="simulate-full-decode-two-workers",
         ),
     ],
 )
@@ -112,15 +120,6 @@ def test_fold_summaries_and_bounds_load_no_array_module(tmp_path, argv):
 def test_fold_summaries_and_bounds_load_no_dataclasses(tmp_path, argv):
     # Their records are NamedTuples; dataclasses would bring inspect.
     assert not {"dataclasses", "inspect"} & _summary_command_loads(tmp_path, argv)
-
-
-def test_simulate_with_a_pool_loads_concurrent_futures():
-    # Two full-decode chunks on two workers run on a pool; one worker, or
-    # one chunk, runs them in the calling thread, and a threshold estimate
-    # is one draw (the simulate rows above).
-    argv = ["simulate", *MODEL, "--trials", "40000", "--workers", "2",
-            "--mode", "full-decode", "--format", "csv"]
-    assert "concurrent.futures" in cold_start.loaded(ROOT, argv)
 
 
 def test_analyze_predictions_still_loads_numpy(tmp_path):

@@ -12,9 +12,7 @@ _SPEC.loader.exec_module(sampler_floor)
 def test_one_row_per_model_size_and_mode(capsys):
     assert sampler_floor.main(["--trials", "300", "--repeat", "1"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header.split() == ["model", "classes", "mode", "1", "worker", "ms", "2", "workers",
-                              "ms", "speed-up", "1", "worker", "faults", "2", "workers",
-                              "faults"]
+    assert header.split() == ["model", "classes", "mode", "ms", "faults"]
     rows = [line.split() for line in lines]
     assert [(kind, int(n), mode) for kind, n, mode, *_ in rows] == [
         (kind, n, mode)
@@ -23,7 +21,7 @@ def test_one_row_per_model_size_and_mode(capsys):
         for mode in sampler_floor.MODES
     ]
     for _, _, _, *cells in rows:
-        times, faults = cells[:3], cells[3:]
-        assert len(times) == 3 and all(float(t) > 0 for t in times)
+        ms, faults = cells
+        assert float(ms) > 0
         # A run's minor page faults: a count, zero when every buffer is reused.
-        assert len(faults) == 2 and all(f.isdigit() for f in faults)
+        assert faults.isdigit()

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,15 @@ def _rng():
     return np.random.default_rng(123)
 
 
+@pytest.fixture
+def threads(monkeypatch):
+    """The threads started while the test runs."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    return started
+
+
 class TestSampleOutcome:
     def test_all_zero_rates(self):
         model = Independent(ErrorProfile.iid(6, 0.0))
@@ -71,42 +81,45 @@ class TestDeterminism:
     @staticmethod
     def _spans_chunks_and_blocks(model, code, trials, seed):
         # Four chunks, whose first holds more than two decode blocks of far
-        # rows, so that the pool runs and each chunk decodes block by block.
+        # rows, so that the run sums chunks and each decodes block by block.
         assert trials > 3 * CHUNK_TRIALS
         far = model.count_far(_chunk_rng(seed, 0), CHUNK_TRIALS, code.far_flips)
         assert far > 2 * _decode_rows(code)
 
-    def test_worker_count_invariance(self):
+    # The worker-invariance tests run a decode of several chunks at the
+    # default worker count and at MAX_WORKERS: the same count, and no thread
+    # started at either.
+    def test_worker_count_invariance(self, threads):
         code = build_code_matrix(15)
         model = PairModel(ErrorProfile.iid(15, 0.3), _pair_f(0.3, 0.02))
         trials = 3 * CHUNK_TRIALS + 7
         self._spans_chunks_and_blocks(model, code, trials, seed=9)
         base = mc_decode_error(model, code, SimConfig(trials=trials, seed=9))
-        for workers in (2, 3):
-            cfg = SimConfig(trials=trials, seed=9, workers=workers)
-            assert mc_decode_error(model, code, cfg) == base
+        cfg = SimConfig(trials=trials, seed=9, workers=MAX_WORKERS)
+        assert mc_decode_error(model, code, cfg) == base
+        assert threads == []
 
-    def test_decode_worker_invariance(self):
+    def test_decode_worker_invariance(self, threads):
         code = build_code_matrix(10)
         model = Independent(ErrorProfile.iid(10, 0.1))
         a = mc_decode_error(model, code, SimConfig(trials=80_000, seed=5))
-        b = mc_decode_error(model, code, SimConfig(trials=80_000, seed=5, workers=3))
+        b = mc_decode_error(model, code, SimConfig(trials=80_000, seed=5, workers=MAX_WORKERS))
         assert a == b
+        assert threads == []
 
-    def test_decode_worker_invariance_wide_code(self):
-        # 127 classes and four chunks: the float32 correlation decoder must
-        # give the same count whichever thread decodes a chunk.
+    def test_decode_worker_invariance_wide_code(self, threads):
+        # 127 classes and four chunks of the float32 correlation decoder.
         code = build_code_matrix(127)
         model = ExchangeableModel(127, 0.3, 0.002)
         trials = 3 * CHUNK_TRIALS + 7
         base = mc_decode_error(model, code, SimConfig(trials=trials, seed=11))
         assert 0.0 < base.error_rate < 1.0
-        for workers in (2, 3):
-            cfg = SimConfig(trials=trials, seed=11, workers=workers)
-            assert mc_decode_error(model, code, cfg) == base
+        cfg = SimConfig(trials=trials, seed=11, workers=MAX_WORKERS)
+        assert mc_decode_error(model, code, cfg) == base
+        assert threads == []
 
     def test_tables_shared_by_threads_that_switch_often(self):
-        # Chunks on more threads than cores, switched every microsecond,
+        # Decodes on more threads than cores, switched every microsecond,
         # read one model's count row and its profile's q row and step
         # table, each built on first use: a table two threads both build is
         # the same table, so no count moves, and every kept table is
@@ -115,16 +128,27 @@ class TestDeterminism:
             return PairModel(ErrorProfile([0.25] * 13 + [0.3, 0.35]), 0.1)
 
         code = build_code_matrix(15)
-        trials = 5 * CHUNK_TRIALS
-        base = mc_decode_error(model(), code, SimConfig(trials=trials, seed=21))
-        shared = model()
+        cfg = SimConfig(trials=CHUNK_TRIALS, seed=21)
+        base = mc_decode_error(model(), code, cfg)
+        shared, got = model(), []
+        barrier = threading.Barrier(5)
+
+        def decode():
+            barrier.wait(timeout=60)
+            got.append(mc_decode_error(shared, code, cfg))
+
+        workers = [threading.Thread(target=decode) for _ in range(barrier.parties)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = mc_decode_error(shared, code, SimConfig(trials=trials, seed=21, workers=5))
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert got == base
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [base] * len(workers)
         tables = [shared._count_row, *shared.profile._tables.values()]
         assert len(tables) == 3 and not any(t.flags.writeable for t in tables)
 
@@ -143,15 +167,15 @@ class TestDeterminism:
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, want)
 
-    def test_exchangeable_decode_worker_invariance(self):
+    def test_exchangeable_decode_worker_invariance(self, threads):
         code = build_code_matrix(15)
         model = ExchangeableModel(15, 0.3, 0.02)
         trials = 3 * CHUNK_TRIALS + 7
         self._spans_chunks_and_blocks(model, code, trials, seed=12)
         base = mc_decode_error(model, code, SimConfig(trials=trials, seed=12))
-        for workers in (2, 3):
-            cfg = SimConfig(trials=trials, seed=12, workers=workers)
-            assert mc_decode_error(model, code, cfg) == base
+        cfg = SimConfig(trials=trials, seed=12, workers=MAX_WORKERS)
+        assert mc_decode_error(model, code, cfg) == base
+        assert threads == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -185,46 +209,10 @@ class TestDeterminism:
         )
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs the
-    work in the calling thread, so no thread is started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestWorkerBound:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
-        return _RecordingPool.sizes
-
-    def test_pool_sized_by_chunk_count(self, pools):
-        code = build_code_matrix(3)
-        model = Independent(ErrorProfile.iid(3, 0.3))
-        trials = 2 * CHUNK_TRIALS + 1  # three chunks
-        base = mc_decode_error(model, code, SimConfig(trials=trials, seed=3))
-        assert pools == []
-        for workers in (2, 3, 4, MAX_WORKERS):
-            cfg = SimConfig(trials=trials, seed=3, workers=workers)
-            assert mc_decode_error(model, code, cfg) == base
-        assert pools == [2, 3, 3, 3]
-
-    def test_threshold_runs_no_pool(self, pools, monkeypatch):
+    def test_threshold_runs_no_pool(self, threads, monkeypatch):
         # A threshold estimate is one count_far draw of all its trials, so
-        # the worker count changes nothing and no pool is opened.
+        # the worker count changes nothing and no thread is started.
         model = Independent(ErrorProfile.iid(2, 0.3))
         draws, count_far = [], Independent.count_far
         monkeypatch.setattr(Independent, "count_far",
@@ -234,15 +222,14 @@ class TestWorkerBound:
         for workers in (1, 2, 3, 4, MAX_WORKERS):
             cfg = SimConfig(trials=trials, seed=3, workers=workers)
             assert mc_threshold_error(model, 1, cfg) == base
-        assert pools == []
+        assert threads == []
         assert draws == [(trials, 1)] * 6
 
-    def test_workers_above_cap_rejected(self, pools):
+    def test_workers_above_cap_rejected(self):
         SimConfig(trials=10, workers=MAX_WORKERS)
         for workers in (MAX_WORKERS + 1, 100_000_000):
             with pytest.raises(ValueError, match=f"workers={workers} "):
                 SimConfig(trials=100_000_000, workers=workers)
-        assert pools == []
 
 
 class TestThresholdConsistency:

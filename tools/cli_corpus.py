@@ -201,9 +201,8 @@ def _simulate(_: Path) -> list[list[str]]:
         base = ["simulate", *model, "--trials", trials, "--seed", "11",
                 "--mode", "full-decode", "--format", "csv"]
         out += [base, base + ["--true-class", "0"], base + ["--workers", "3"]]
-    # Two chunks of trials, so that --workers 2 runs a full-decode in the
-    # thread pool (a threshold estimate is one draw at any worker count);
-    # each beside its one-worker twin, which must print the same result.
+    # Two chunks of trials at --workers 2, each beside its one-worker twin,
+    # which must print the same result: the worker count changes nothing.
     for model, mode in ((["--model", "iid", "--n", "26", "--ebar", "0.1"], ["--m", "6"]),
                         (model, ["--mode", "full-decode"])):
         base = ["simulate", *model, *mode, "--trials", "40000", "--seed", "5",

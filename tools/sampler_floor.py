@@ -1,24 +1,18 @@
-"""Time the Monte Carlo commands on one worker and on two.
+"""Time the Monte Carlo commands.
 
     PYTHONPATH=src python tools/sampler_floor.py [--trials 262144] [--repeat 5]
 
 For each model (iid, pair, exchangeable), at 26 and 127 classes and in both
 modes (threshold at m = code.m, full-decode), it prints:
 
-- one worker and two workers: the best time of --repeat runs of
-  mc_threshold_error or mc_decode_error, in process, with workers=1 and 2.
-  Each row first makes one untimed one-worker run, as a warm-up; then the
-  one- and two-worker runs take turns, so that a change in the host's
-  speed falls on both columns alike;
-- speed-up: one worker over two;
-- one worker and two workers faults: the median number of minor page
-  faults of a run (the growth of resource.getrusage's ru_minflt across
-  it), each a page the kernel mapped and zero-filled for the process.
-  Each side is counted after the timing, in a loop of its own of --repeat
-  runs after one untimed warm-up run of its own, so that no count holds
-  what the other side's last run left behind.  A decode buffer above
-  glibc's 128 KiB mmap threshold is mapped afresh for every chunk, so it
-  shows here as hundreds of faults per run.
+- ms: the best time of --repeat runs of mc_threshold_error or
+  mc_decode_error, in process, after one untimed warm-up run;
+- faults: the median number of minor page faults of a run (the growth of
+  resource.getrusage's ru_minflt across it), each a page the kernel
+  mapped and zero-filled for the process, counted after the timing in a
+  loop of --repeat runs after one more untimed warm-up run.  A decode
+  buffer above glibc's 128 KiB mmap threshold is mapped afresh for every
+  chunk, so it shows here as hundreds of faults per run.
 
 The operating points are the benchmark's: 26 classes at e = 0.0686,
 c = 0.0058 and 127 classes at e = 0.18, c = 0.006; the pair's joint error
@@ -42,8 +36,7 @@ from timing import aligned, best
 POINTS = {26: (0.0686, 0.0058), 127: (0.18, 0.006)}
 KINDS = ("iid", "pair", "exchangeable")
 MODES = ("threshold", "full-decode")
-HEADER = ("model", "classes", "mode", "1 worker ms", "2 workers ms", "speed-up",
-          "1 worker faults", "2 workers faults")
+HEADER = ("model", "classes", "mode", "ms", "faults")
 
 
 def model_of(kind: str, n: int):
@@ -55,8 +48,8 @@ def model_of(kind: str, n: int):
     return ExchangeableModel(n, e, c)
 
 
-def run(model, code, mode: str, trials: int, workers: int) -> None:
-    cfg = SimConfig(trials=trials, workers=workers)
+def run(model, code, mode: str, trials: int) -> None:
+    cfg = SimConfig(trials=trials)
     if mode == "threshold":
         mc_threshold_error(model, code.m, cfg)
     else:
@@ -86,20 +79,17 @@ def rows(trials: int, repeat: int) -> list[tuple]:
         for kind in KINDS:
             model = model_of(kind, n)
             for mode in MODES:
-                sides = [functools.partial(run, model, code, mode, trials, workers)
-                         for workers in (1, 2)]
-                sides[0]()  # warm-up, untimed
-                one, two = best(*sides, repeat=repeat)
-                out.append((kind, n, mode, one * 1e3, two * 1e3, one / two,
-                            *(median_faults(side, repeat) for side in sides)))
+                side = functools.partial(run, model, code, mode, trials)
+                side()  # warm-up, untimed
+                [seconds] = best(side, repeat=repeat)
+                out.append((kind, n, mode, seconds * 1e3, median_faults(side, repeat)))
     return out
 
 
 def table(results: list[tuple]) -> str:
     return aligned([HEADER] + [
-        (kind, str(n), mode, f"{one:.2f}", f"{two:.2f}", f"{speedup:.2f}",
-         f"{faults_one:.0f}", f"{faults_two:.0f}")
-        for kind, n, mode, one, two, speedup, faults_one, faults_two in results
+        (kind, str(n), mode, f"{ms:.2f}", f"{faults:.0f}")
+        for kind, n, mode, ms, faults in results
     ])
 
 
