@@ -195,7 +195,8 @@ def cmd_pmf(args) -> str:
     if args.format == "table":
         return _grid(rows, (">3", ""))
     if args.format == "csv":
-        return csv_text(("k", "pmf"), rows)
+        # Not csv_text: an (int, float) row is never quoted, and a float's repr is csv's cell.
+        return "k,pmf\n" + "".join([f"{k},{p!r}\n" for k, p in rows])
     import json
 
     pmf = [{"k": k, "pmf": p} for k, p in rows]

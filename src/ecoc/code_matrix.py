@@ -293,30 +293,3 @@ def to_text(code: CodeMatrix) -> str:
     np.add(code.matrix, _ZERO, out=rows[:, :-1])
     rows[:, -1] = _LF
     return f"{code.n} {code.d} {code.m}\n" + rows.tobytes().decode("ascii")
-
-
-def from_text(text: str) -> CodeMatrix:
-    """Parse the to_text format, recomputing and checking d and m.
-
-    Blank lines are skipped.  Every row must hold exactly n characters, each
-    0 or 1; the rows are read as one byte buffer.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty code matrix text")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"bad header {lines[0]!r}; expected 'n d m'")
-    n, d, m = (int(p) for p in parts)
-    rows = lines[1:]
-    if any(len(row) != n for row in rows):
-        raise ValueError(f"rows must all have length n={n}")
-    # Every character other than 0 and 1 maps to a byte value above 1 (one
-    # that is not ASCII becomes "?" first), which CodeMatrix rejects.
-    raw = "".join(rows).encode("ascii", "replace")
-    code = CodeMatrix(np.frombuffer(raw, np.uint8).reshape(len(rows), n) - _ZERO)
-    if (code.d, code.m) != (d, m):
-        raise ValueError(
-            f"header claims d={d} m={m} but matrix has d={code.d} m={code.m}"
-        )
-    return code

@@ -30,6 +30,11 @@ from .prob_engine import MAX_COUNT, DependenceModel, _check_count
 DEFAULT_SEED = 60428  # 0xEC0C
 
 CHUNK_TRIALS = 1 << 15
+# Most trials a full-decode estimate runs: 2^15 chunks.  At the benchmark's
+# points a chunk takes 0.14 ms (26 classes) to 2.4 ms (127), so 5-80 s in
+# all on one BLAS thread; a chunk whose rows are all far takes longer
+# (30 ms at 127 classes, 1.4 s at 1000, e = 0.5).
+MAX_DECODE_TRIALS = CHUNK_TRIALS << 15
 
 # Most workers a simulation accepts.  Every run is serial; the count is kept
 # checked so that callers passing --workers keep the same range and errors.
@@ -100,7 +105,8 @@ def mc_decode_error(
     by _misdecoded_flips); the classes, independent of the flips, are drawn
     for those rows alone, from where the sampler leaves the stream.  The
     sampler's rows are n-wide and 0/1 and the classes are drawn in range,
-    so only model.n and true_class are checked here.
+    so only model.n, true_class and the trials' cap (MAX_DECODE_TRIALS)
+    are checked here.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -108,6 +114,8 @@ def mc_decode_error(
         _check_integer("true_class", true_class)
         if not 0 <= true_class < code.num_classes:
             raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
+    if cfg.trials > MAX_DECODE_TRIALS:
+        raise ValueError(f"trials={cfg.trials} outside 1..{MAX_DECODE_TRIALS} for full-decode")
 
     errors = 0
     for j, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS)):

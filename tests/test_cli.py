@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import ecoc
 import ecoc.cli as cli
+from ecoc._shared import csv_text
 from ecoc.bounds import bahadur_range, evaluate_bounds, valid_correlation_range
 from ecoc.cli import main
-from ecoc.code_matrix import build_code_matrix, from_text
+from ecoc.code_matrix import build_code_matrix
 from ecoc.experiment_io import fixture_names
 from ecoc.prob_engine import (
     ErrorProfile,
@@ -28,7 +29,9 @@ from ecoc.prob_engine import (
     Independent,
     PairModel,
 )
-from ecoc.simulator import SimConfig, mc_threshold_error
+from ecoc.simulator import MAX_DECODE_TRIALS, SimConfig, mc_threshold_error
+
+from code_text import from_text
 
 
 def run(capsys, *argv):
@@ -223,7 +226,68 @@ class TestTailCommand:
             assert json.loads(out)["tail"] == math.fsum(pmf[m:]), m
 
 
+def _rates(n, *edges):
+    """n rates between 0.02 and 0.3, the first few replaced by edges."""
+    rates = [0.02 + 0.28 * ((7 * i) % n) / n for i in range(n)]
+    rates[: len(edges)] = edges
+    return rates
+
+
+def _c(n, e, share=0.5):
+    return share * valid_correlation_range(n, e)[1]
+
+
+# (pmf model flags, the model they build): every model, the 0 and 1 rates,
+# the rows 1.0/0.0 of e = 0 and e = 1 and the tiny cells of e = 1e-200,
+# at n = 1, 26, 127 and 1000.
+PMF_CSV_CASES = {
+    "independent-3-rates-0-1": (
+        ["--model", "independent", "--rates", "0,1,0.25"],
+        lambda: Independent(ErrorProfile([0.0, 1.0, 0.25]))),
+    "independent-1000-rates-0-1": (
+        ["--model", "independent", "--rates", ",".join(map(repr, _rates(1000, 0.0, 1.0)))],
+        lambda: Independent(ErrorProfile(_rates(1000, 0.0, 1.0)))),
+    "iid-1": (["--model", "iid", "--n", "1", "--ebar", "0.3"],
+              lambda: Independent(ErrorProfile.iid(1, 0.3))),
+    "iid-26-ebar-0": (["--model", "iid", "--n", "26", "--ebar", "0"],
+                      lambda: Independent(ErrorProfile.iid(26, 0.0))),
+    "iid-127-ebar-1": (["--model", "iid", "--n", "127", "--ebar", "1"],
+                       lambda: Independent(ErrorProfile.iid(127, 1.0))),
+    "iid-1000-ebar-1e-200": (["--model", "iid", "--n", "1000", "--ebar", "1e-200"],
+                             lambda: Independent(ErrorProfile.iid(1000, 1e-200))),
+    "iid-127": (["--model", "iid", "--n", "127", "--ebar", "0.18"],
+                lambda: Independent(ErrorProfile.iid(127, 0.18))),
+    "pair-26": (["--model", "pair", "--n", "26", "--ebar", "0.0686", "--f", "0.01"],
+                lambda: PairModel(ErrorProfile.iid(26, 0.0686), 0.01)),
+    "pair-1000": (["--model", "pair", "--n", "1000", "--ebar", "0.1", "--f", "0.02"],
+                  lambda: PairModel(ErrorProfile.iid(1000, 0.1), 0.02)),
+    "pair-127-rates-0-1": (
+        ["--model", "pair", "--rates", ",".join(map(repr, _rates(127, 0.0, 1.0, 0.2, 0.2))),
+         "--f", "0.05"],
+        lambda: PairModel(ErrorProfile(_rates(127, 0.0, 1.0, 0.2, 0.2)), 0.05)),
+    "exchangeable-26": (
+        ["--model", "exchangeable", "--n", "26", "--ebar", "0.0686", "--c", repr(_c(26, 0.0686))],
+        lambda: ExchangeableModel(26, 0.0686, _c(26, 0.0686))),
+    "exchangeable-127": (
+        ["--model", "exchangeable", "--n", "127", "--ebar", "0.18", "--c", repr(_c(127, 0.18))],
+        lambda: ExchangeableModel(127, 0.18, _c(127, 0.18))),
+    "exchangeable-1000": (
+        ["--model", "exchangeable", "--n", "1000", "--ebar", "0.1", "--c", repr(_c(1000, 0.1))],
+        lambda: ExchangeableModel(1000, 0.1, _c(1000, 0.1))),
+}
+
+
 class TestPmfCommand:
+    @pytest.mark.parametrize("flags, build", PMF_CSV_CASES.values(), ids=PMF_CSV_CASES)
+    def test_csv_is_csv_text_of_the_row(self, capsys, flags, build):
+        # pmf writes its csv rows itself; csv_text, the writer of every other
+        # csv, is the reference for their bytes.  Lines are compared, so a
+        # failure names the first differing row without diffing 1,000 rows.
+        status, out, _ = run(capsys, "pmf", *flags, "--format", "csv")
+        row = build().count_pmf().tolist()
+        assert status == 0
+        assert out.split("\n") == csv_text(("k", "pmf"), enumerate(row)).split("\n")
+
     def test_full_distribution(self, capsys):
         _, out, _ = run(
             capsys, "pmf", "--model", "exchangeable", "--n", "3",
@@ -385,6 +449,17 @@ class TestSimulateCommand:
         )
         assert (status, out) == (1, "")
         assert err == "error: trials=10000000000000000000 outside 1..9223372036854775807\n"
+
+    def test_full_decode_trials_beyond_the_cap_is_one(self, capsys):
+        # A full-decode estimate runs one chunk per 2**15 trials, so its
+        # trials are capped before the first chunk.
+        cap = MAX_DECODE_TRIALS
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
+            "--mode", "full-decode", "--trials", str(cap + 1),
+        )
+        assert (status, out) == (1, "")
+        assert err == f"error: trials={cap + 1} outside 1..{cap} for full-decode\n"
 
     def test_commands_in_a_row_match_fresh_processes(self, capsys, monkeypatch):
         commands = [

@@ -17,12 +17,13 @@ from ecoc.code_matrix import (
     KEEP_TOP_LEFT,
     CodeMatrix,
     build_code_matrix,
-    from_text,
     nearest_rows,
     sylvester_hadamard,
     to_text,
 )
 from ecoc.experiment_io import FoldData, analyze_fold
+
+from code_text import from_text
 
 
 class TestSylvester:

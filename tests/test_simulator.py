@@ -27,6 +27,7 @@ from ecoc.prob_engine import (
 )
 from ecoc.simulator import (
     CHUNK_TRIALS,
+    MAX_DECODE_TRIALS,
     MAX_WORKERS,
     SimConfig,
     _chunk_rng,
@@ -230,6 +231,43 @@ class TestWorkerBound:
         for workers in (MAX_WORKERS + 1, 100_000_000):
             with pytest.raises(ValueError, match=f"workers={workers} "):
                 SimConfig(trials=100_000_000, workers=workers)
+
+
+class TestDecodeTrialsCap:
+    """A full-decode estimate runs one chunk per CHUNK_TRIALS trials, so it
+    takes at most MAX_DECODE_TRIALS, checked before its first chunk; a
+    threshold estimate is one draw, so it takes any count SimConfig admits."""
+
+    class _FirstChunk(Exception):
+        pass
+
+    @pytest.fixture
+    def no_chunk(self, monkeypatch):
+        def first_chunk(seed, j):
+            raise self._FirstChunk
+
+        monkeypatch.setattr(simulator, "_chunk_rng", first_chunk)
+
+    def _decode(self, trials):
+        code = build_code_matrix(8)
+        model = Independent(ErrorProfile.iid(code.n, 0.1))
+        return mc_decode_error(model, code, SimConfig(trials=trials))
+
+    def test_cap_plus_one_rejected_before_a_chunk(self, no_chunk):
+        cap = MAX_DECODE_TRIALS
+        message = rf"^trials={cap + 1} outside 1\.\.{cap} for full-decode$"
+        with pytest.raises(ValueError, match=message):
+            self._decode(cap + 1)
+
+    def test_cap_reaches_the_first_chunk(self, no_chunk):
+        with pytest.raises(self._FirstChunk):
+            self._decode(MAX_DECODE_TRIALS)
+
+    def test_threshold_takes_max_count(self):
+        model = Independent(ErrorProfile.iid(6, 0.1))
+        result = mc_threshold_error(model, 2, SimConfig(trials=prob_engine.MAX_COUNT))
+        assert result.trials == prob_engine.MAX_COUNT
+        assert 0.1 < result.error_rate < 0.12
 
 
 class TestThresholdConsistency:

@@ -11,10 +11,9 @@ byte identity by running the script against each:
 
 The families are code, pmf, tail, bounds, bahadur, simulate (small trial
 counts, apart from a threshold and a full-decode command of two chunks'
-trials, each on one worker and on two, where the full-decode runs the
-pool), analyze and figures.  Error cases are included; stderr is not
-hashed, so a reworded message does not change a digest but a changed exit
-status does.  Inputs are fixed (bundled fixtures and seeded synthetic
+trials, each on one worker and on two, which print the same), analyze and
+figures.  Error cases are included; stderr is not hashed, so a reworded
+message does not change a digest but a changed exit status does.  Inputs are fixed (bundled fixtures and seeded synthetic
 folds), so the digests depend only on the code under test.
 
 A digest says only that a family changed.  To see which commands changed
