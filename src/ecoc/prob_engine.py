@@ -598,7 +598,7 @@ def poisson_binomial_dist(rates: Sequence[float]) -> np.ndarray:
     """
     rates = np.asarray(rates, dtype=float)
     n = len(rates)
-    polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
+    polys = np.zeros((1 << (n - 1).bit_length(), 2))
     polys[:, 0] = 1.0
     polys[:n, 0] -= rates
     polys[:n, 1] = rates

@@ -32,9 +32,15 @@ DEFAULT_SEED = 60428  # 0xEC0C
 CHUNK_TRIALS = 1 << 15
 # Most trials a full-decode estimate runs: 2^15 chunks.  At the benchmark's
 # points a chunk takes 0.14 ms (26 classes) to 2.4 ms (127), so 5-80 s in
-# all on one BLAS thread; a chunk whose rows are all far takes longer
-# (30 ms at 127 classes, 1.4 s at 1000, e = 0.5).
+# all on one BLAS thread.
 MAX_DECODE_TRIALS = CHUNK_TRIALS << 15
+# Most expected decode work a full-decode estimate takes, in multiply-adds:
+# trials times P(K >= far_flips), the share of far rows, times classes
+# times n, the work of decoding one far row.  With every row far a
+# 2^15-trial chunk took 30 ms at 127 classes and 1.35 s at 1000 (e = 0.5,
+# one BLAS thread), 1.8e10 and 2.4e10 a second, so 2^41 is 90-120 s; the
+# benchmark's 127-class points need at most 1.3e12 at the trial cap.
+MAX_DECODE_WORK = 1 << 41
 
 # Most workers a simulation accepts.  Every run is serial; the count is kept
 # checked so that callers passing --workers keep the same range and errors.
@@ -105,8 +111,9 @@ def mc_decode_error(
     by _misdecoded_flips); the classes, independent of the flips, are drawn
     for those rows alone, from where the sampler leaves the stream.  The
     sampler's rows are n-wide and 0/1 and the classes are drawn in range,
-    so only model.n, true_class and the trials' cap (MAX_DECODE_TRIALS)
-    are checked here.
+    so only model.n, true_class and the trials' caps are checked here:
+    MAX_DECODE_TRIALS, and MAX_DECODE_WORK over the expected work of a
+    trial, read from the model's count row before the first chunk.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -116,6 +123,12 @@ def mc_decode_error(
             raise ValueError(f"true_class={true_class} outside 0..{code.num_classes - 1}")
     if cfg.trials > MAX_DECODE_TRIALS:
         raise ValueError(f"trials={cfg.trials} outside 1..{MAX_DECODE_TRIALS} for full-decode")
+    work = model.tail(code.far_flips) * code.num_classes * code.n
+    if cfg.trials * work > MAX_DECODE_WORK:
+        raise ValueError(
+            f"trials={cfg.trials} outside 1..{int(MAX_DECODE_WORK // work)} for full-decode at "
+            f"{work:.4g} expected decode multiply-adds a trial (at most 2**41 in all)"
+        )
 
     errors = 0
     for j, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS)):

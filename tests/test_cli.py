@@ -461,6 +461,18 @@ class TestSimulateCommand:
         assert (status, out) == (1, "")
         assert err == f"error: trials={cap + 1} outside 1..{cap} for full-decode\n"
 
+    def test_full_decode_work_beyond_the_cap_is_one(self, capsys):
+        # Every row far at 1000 classes and e = 0.5: 2**30 trials pass the
+        # trial cap but would decode for hours, so the expected work caps
+        # them at 2**41 // 10**6 before the first chunk.
+        status, out, err = run(
+            capsys, "simulate", "--model", "iid", "--n", "1000", "--ebar", "0.5",
+            "--mode", "full-decode", "--trials", str(MAX_DECODE_TRIALS),
+        )
+        assert (status, out) == (1, "")
+        assert err == (f"error: trials={MAX_DECODE_TRIALS} outside 1..2199023 for full-decode at "
+                       "1e+06 expected decode multiply-adds a trial (at most 2**41 in all)\n")
+
     def test_commands_in_a_row_match_fresh_processes(self, capsys, monkeypatch):
         commands = [
             ("code", "--classes", "12", "--format", "csv"),

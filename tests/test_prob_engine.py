@@ -154,7 +154,7 @@ def product_tree(rates):
     its bit-exact reference, whatever the rates' pattern."""
     rates = np.asarray(rates, dtype=float)
     n = len(rates)
-    polys = np.zeros((1 << max(n - 1, 0).bit_length(), 2))
+    polys = np.zeros((1 << (n - 1).bit_length(), 2))
     polys[:, 0] = 1.0
     polys[:n, 0] -= rates
     polys[:n, 1] = rates
@@ -348,6 +348,9 @@ class TestPoissonBinomial:
         with pytest.raises(ValueError):
             Independent(ErrorProfile((0.1,))).pmf(2)
 
+    def test_no_rates_give_one(self):
+        assert poisson_binomial_dist([]).tolist() == [1.0]
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
     )
@@ -480,6 +483,18 @@ class TestPairModel:
             PairModel(ErrorProfile((0.1, 0.2)), 0.15)
         with pytest.raises(ModelError):
             PairModel(ErrorProfile((0.8, 0.9)), 0.5)
+
+    def test_f_admitted_to_the_slack_past_each_end(self):
+        # f within WEIGHT_SLACK past an end of pair_f_range is admitted and
+        # clamped to that end; twice as far is rejected.
+        profile = ErrorProfile((0.3, 0.4))
+        lo, hi = pair_f_range(0.3, 0.4)
+        slack = prob_engine.WEIGHT_SLACK
+        assert PairModel(profile, lo - slack).joint_cells[0] == lo
+        assert PairModel(profile, hi + slack).joint_cells[0] == hi
+        for f in (lo - 2 * slack, hi + 2 * slack):
+            with pytest.raises(ModelError, match="outside"):
+                PairModel(profile, f)
 
     def test_full_joint_case(self):
         # With n=2 the count-2 probability is the joint cell itself.
@@ -665,19 +680,32 @@ class TestExchangeable:
             )
 
     def test_degenerate_rate_rejected(self):
-        with pytest.raises(ModelError):
+        # Each input here and in test_invalid_correlation_rejected also
+        # fails a later check: the message names the check that comes first.
+        with pytest.raises(ModelError, match=r"^e_bar=0\.0 must lie strictly inside"):
             ExchangeableModel(5, 0.0, 0.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"^e_bar=1\.0 must lie strictly inside"):
             ExchangeableModel(5, 1.0, 0.0).pmf(2)
+        with pytest.raises(ModelError, match="needs n >= 2"):
+            ExchangeableModel(1, 0.3, 0.0)
+
+    def test_c_admitted_to_the_slack_past_each_end(self):
+        # c up to WEIGHT_SLACK relative past an end of the valid range is
+        # admitted; twice as far is rejected.
+        slack = prob_engine.WEIGHT_SLACK
+        for end in valid_correlation_range(10, 0.1):
+            ExchangeableModel(10, 0.1, end * (1.0 + slack))
+            with pytest.raises(ModelError, match="outside the valid correlation range"):
+                ExchangeableModel(10, 0.1, end * (1.0 + 2 * slack))
 
     def test_invalid_correlation_rejected(self):
         # Inside the published lower range but induces a negative weight.
         with pytest.raises(ModelError):
             ExchangeableModel(3, 0.05, -1.0)
         for c in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ModelError):
+            with pytest.raises(ModelError, match="must be finite"):
                 ExchangeableModel(10, 0.1, c)
-            with pytest.raises(ModelError):
+            with pytest.raises(ModelError, match="must be finite"):
                 ExchangeableModel(10, 0.1, c).tail(3)
 
 
@@ -924,9 +952,22 @@ class TestEnumerationOracle:
         for k in range(5):
             assert got[k] == pytest.approx(ref[k], abs=1e-14)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         with pytest.raises(ValueError):
             enumerate_outcomes(Independent(ErrorProfile.iid(21, 0.1)))
+        # The cap itself is admitted.
+        monkeypatch.setattr(prob_engine, "ENUMERATION_MAX_N", 4)
+        assert len(enumerate_outcomes(Independent(ErrorProfile.iid(4, 0.1)))) == 5
+        with pytest.raises(ValueError, match="exceeds enumeration cap 4"):
+            enumerate_outcomes(Independent(ErrorProfile.iid(5, 0.1)))
+
+    def test_blocks_of_a_few_rows_equal_one_block(self, monkeypatch):
+        # 7 rows a block: the first blocks hold no outcome of 5 or 6
+        # errors, and the last one is cut short.
+        model = Independent(ErrorProfile((0.1, 0.2, 0.3, 0.4, 0.5, 0.6)))
+        whole = enumerate_outcomes(model)
+        monkeypatch.setattr(prob_engine, "_OUTCOME_BLOCK_ROWS", 7)
+        assert enumerate_outcomes(model) == pytest.approx(whole, abs=1e-16)
 
     def test_decode_error_size_cap_before_any_block(self, monkeypatch):
         # The cap is checked before the first outcome block's indices are

@@ -28,6 +28,7 @@ from ecoc.prob_engine import (
 from ecoc.simulator import (
     CHUNK_TRIALS,
     MAX_DECODE_TRIALS,
+    MAX_DECODE_WORK,
     MAX_WORKERS,
     SimConfig,
     _chunk_rng,
@@ -153,21 +154,6 @@ class TestDeterminism:
         tables = [shared._count_row, *shared.profile._tables.values()]
         assert len(tables) == 3 and not any(t.flags.writeable for t in tables)
 
-    def test_exchangeable_sample_matches_rank_form(self):
-        # Reference: the position with rank < k among n 16-bit keys errs,
-        # and a row whose k-th and (k+1)-th smallest keys tie is drawn
-        # again (_subsets_by_reference).
-        for n, e, c in ((127, 0.18, 0.006), (10, 0.3, 0.01), (2, 0.4, 0.0)):
-            model = ExchangeableModel(n, e, c)
-            for seed in range(4):
-                rng = _chunk_rng(seed, 0)
-                pmf = model.count_pmf()
-                ks = rng.choice(n + 1, size=2000, p=pmf / pmf.sum())
-                want = _subsets_by_reference(rng, ks, n).astype(np.uint8)
-                got = model.sample(_chunk_rng(seed, 0), 2000)
-                assert got.dtype == np.uint8
-                assert np.array_equal(got, want)
-
     def test_exchangeable_decode_worker_invariance(self, threads):
         code = build_code_matrix(15)
         model = ExchangeableModel(15, 0.3, 0.02)
@@ -185,6 +171,7 @@ class TestDeterminism:
             SimConfig(trials=10, workers=0)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=-1)
+        SimConfig(trials=10, seed=0)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=2**64)
         SimConfig(trials=10, seed=2**64 - 1)
@@ -235,8 +222,10 @@ class TestWorkerBound:
 
 class TestDecodeTrialsCap:
     """A full-decode estimate runs one chunk per CHUNK_TRIALS trials, so it
-    takes at most MAX_DECODE_TRIALS, checked before its first chunk; a
-    threshold estimate is one draw, so it takes any count SimConfig admits."""
+    takes at most MAX_DECODE_TRIALS, and decodes classes * n multiply-adds
+    per far row, so trials * P(K >= far_flips) * classes * n is at most
+    MAX_DECODE_WORK, both checked before its first chunk; a threshold
+    estimate is one draw, so it takes any count SimConfig admits."""
 
     class _FirstChunk(Exception):
         pass
@@ -262,6 +251,28 @@ class TestDecodeTrialsCap:
     def test_cap_reaches_the_first_chunk(self, no_chunk):
         with pytest.raises(self._FirstChunk):
             self._decode(MAX_DECODE_TRIALS)
+
+    def test_work_cap_plus_one_rejected_before_a_chunk(self, no_chunk):
+        # At e = 0.5 and 1000 classes every row is far: 10**6 multiply-adds
+        # a trial.  At e = 0 no row is, and the trial cap alone binds.
+        code = build_code_matrix(1000)
+        model = Independent(ErrorProfile.iid(1000, 0.5))
+        cap = MAX_DECODE_WORK // 10**6
+        message = rf"^trials={cap + 1} outside 1\.\.{cap} for full-decode at 1e\+06 expected "
+        with pytest.raises(ValueError, match=message):
+            mc_decode_error(model, code, SimConfig(trials=cap + 1))
+        with pytest.raises(self._FirstChunk):
+            mc_decode_error(model, code, SimConfig(trials=cap))
+        with pytest.raises(self._FirstChunk):
+            mc_decode_error(Independent(ErrorProfile.iid(1000, 0.0)), code,
+                            SimConfig(trials=MAX_DECODE_TRIALS))
+        # At 64 classes and e = 1 a trial is 2**12 multiply-adds exactly: 2**29
+        # trials spend the whole budget, which is admitted.
+        code, model = build_code_matrix(64), Independent(ErrorProfile.iid(64, 1.0))
+        with pytest.raises(self._FirstChunk):
+            mc_decode_error(model, code, SimConfig(trials=1 << 29))
+        with pytest.raises(ValueError, match=rf"^trials={(1 << 29) + 1} outside 1\.\.{1 << 29} "):
+            mc_decode_error(model, code, SimConfig(trials=(1 << 29) + 1))
 
     def test_threshold_takes_max_count(self):
         model = Independent(ErrorProfile.iid(6, 0.1))
@@ -390,7 +401,7 @@ class TestDecode:
 
     def test_dimension_mismatch(self):
         code = build_code_matrix(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^model n=8 does not match code n=10$"):
             mc_decode_error(
                 Independent(ErrorProfile.iid(8, 0.1)),
                 code,
@@ -505,6 +516,24 @@ class TestPinnedBlocks:
         assert mc_decode_error(model, code, cfg, true_class=14).error_rate == pinned / self.TRIALS
 
 
+class TestPinnedWidePositions:
+    """Full-decode counts at 127 classes and e = 0.3, where most rows are
+    far and one trial in 16 to 41 decodes wrongly, so that a change to
+    the 127-wide position streams (the far count, the counts, the pair's
+    state, the 16-bit keys and their redraws, then the classes) moves them;
+    TestPinnedStreams' 127-class decode counts are 0 and pin none of it."""
+
+    TRIALS = CHUNK_TRIALS + 5
+    COUNTS = {"iid": 802, "pair": 819, "exchangeable": 2105}
+
+    @pytest.mark.parametrize("kind", list(COUNTS))
+    def test_counts(self, kind):
+        model = TestPinnedStreams._model(kind, 127, 0.3, 0.006)
+        cfg = SimConfig(trials=self.TRIALS, seed=2024)
+        result = mc_decode_error(model, build_code_matrix(127), cfg)
+        assert result.error_rate == self.COUNTS[kind] / self.TRIALS
+
+
 SAMPLE_CASES = [
     Independent(ErrorProfile((0.0, 1.0, 0.3))),
     Independent(ErrorProfile.iid(2, 0.4)),
@@ -553,16 +582,6 @@ class TestSamplers:
                     assert far == want
                     assert _state(rng) == _state(ref)
 
-    # The one-rate iid and pair cases.
-    @pytest.mark.parametrize("model", SAMPLE_CASES[1:3] + SAMPLE_CASES[5:7],
-                             ids=SAMPLE_IDS[1:3] + SAMPLE_IDS[5:7])
-    def test_blocked_draws_match_one_draw(self, model):
-        # Reference: every position key drawn by one rng.integers call,
-        # after the counts (and the pair's state uniforms), then the rows
-        # tied at the cut drawn again.
-        want = _far_by_reference(model, _chunk_rng(5, 1), self.COUNT, 0)
-        assert np.array_equal(model.sample(_chunk_rng(5, 1), self.COUNT), want)
-
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 12),
@@ -602,59 +621,6 @@ class TestSamplers:
             [True, True, True, True],
             [False, False, False, False],
             [True, True, False, False],
-        ]
-
-
-class TestTiedKeys:
-    """_uniform_subsets draws fresh keys for the rows tied at the cut, and
-    for those alone, until none ties, on a stand-in generator that serves
-    the keys."""
-
-    FIRST = [
-        [4, 4, 4, 4, 4],  # k = 0: no mark
-        [1, 7, 3, 3, 9],  # k = 2: 3 and 3 tie at the cut
-        [2, 2, 9, 2, 8],  # k = 3: ties below the cut only
-        [6, 5, 5, 8, 7],  # k = 1: 5 and 5 tie at the cut
-        [3, 3, 3, 3, 3],  # k = 5: every position
-        [9, 1, 8, 2, 7],  # k = 2: no tie
-        [5, 4, 5, 6, 5],  # k = 3: 5 and 5 tie at the cut
-    ]
-    KS = [0, 2, 3, 1, 5, 2, 3]
-    # Fresh keys for rows 1, 3 and 6; row 6 ties again, then is served
-    # keys with no tie.
-    SECOND = [[5, 1, 4, 2, 3], [2, 9, 4, 7, 0], [1, 2, 2, 2, 5]]
-    THIRD = [[8, 6, 7, 9, 1]]
-
-    @staticmethod
-    def _serving(*blocks):
-        """A stand-in generator whose rng.integers key draws return the
-        given blocks in turn; sizes records the shape of each draw."""
-        queue = [np.array(block, dtype=np.uint16) for block in blocks]
-        sizes = []
-
-        def integers(low, high, size, dtype):
-            assert (low, high, dtype) == (0, 1 << 16, np.uint16)
-            sizes.append(size)
-            block = queue.pop(0)
-            assert block.shape == size
-            return block
-
-        return SimpleNamespace(integers=integers), sizes
-
-    def test_only_tied_rows_are_drawn_again(self):
-        rng, sizes = self._serving(self.FIRST, self.SECOND, self.THIRD)
-        ks = np.array(self.KS)
-        out = prob_engine._uniform_subsets(rng, ks, 5)
-        assert sizes == [(7, 5), (3, 5), (1, 5)]
-        assert np.array_equal(out.sum(axis=1), ks)
-        assert out.astype(int).tolist() == [
-            [0, 0, 0, 0, 0],
-            [0, 1, 0, 1, 0],
-            [1, 1, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-            [1, 1, 1, 1, 1],
-            [0, 1, 0, 1, 0],
-            [0, 1, 1, 0, 1],
         ]
 
 
@@ -881,58 +847,39 @@ class TestFarRows:
             assert _state(rng) == _state(ref), count
 
 
-def _far_by_reference(model, rng, count, k_min):
-    """Reference for a count-first sample_far: at k_min > 0 the number of
-    far rows by rng.binomial, of P = fsum(count_pmf[k_min:]) /
-    fsum(count_pmf), and none drawn at k_min = 0, where every row is far;
-    their counts by rng.choice on count_pmf truncated at k_min.  For the
-    pair, one rng.random uniform per far row then picks the pair's state s
-    among (11, 10, 01, 00) by the cdf of P(s) q(K - |s|), q the binomial
-    row of the other n - 2 (scipy's).  Then the other positions of each
-    far row, by _subsets_by_reference."""
+GENERATORS = {
+    "philox": np.random.Philox, "pcg64": np.random.PCG64, "mt19937": np.random.MT19937,
+}
+
+
+def _check_far_law(kind, model):
+    """model's far rows on a generator of kind that holds half of a 32-bit
+    draw, against the law, at k_min = 0, 1 and the ceiling of E[K]: 0/1
+    rows of at least k_min errors, as many as count_far draws from the same
+    state, their counts from count_pmf truncated at k_min, and each
+    exchangeable position (all but the pair's own two) as often in error
+    as any other."""
     n = model.n
+    width = n - 2 if isinstance(model, PairModel) else n
     pmf = model.count_pmf()
-    far = count
-    if k_min:
-        far = rng.binomial(count, math.fsum(pmf[k_min:]) / math.fsum(pmf))
-    if not far:
-        return np.zeros((0, n), dtype=np.uint8)
-    tail = pmf[k_min:]
-    ks = k_min + rng.choice(tail.size, size=far, p=tail / tail.sum())
-    bits = np.zeros((far, n), dtype=np.uint8)
-    width = n
-    if isinstance(model, PairModel):
-        width = n - 2
-        q = np.zeros(n + 3)
-        q[2:-2] = sstats.binom.pmf(np.arange(n - 1), n - 2, model.profile.rates[0])
-        sizes = np.array([2, 1, 1, 0])
-        w = np.array(model.joint_cells)[:, None] * q[ks - sizes[:, None] + 2]
-        cdf = w.cumsum(axis=0) / w.sum(axis=0)
-        state = (rng.random(far) >= cdf[:3]).sum(axis=0)
-        bits[:, -2] = state <= 1
-        bits[:, -1] = state % 2 == 0
-        ks = ks - sizes[state]
-    bits[:, :width] = _subsets_by_reference(rng, ks, width)
-    return bits
-
-
-def _subsets_by_reference(rng, ks, width):
-    """Reference for _uniform_subsets: a 16-bit key for each position of
-    each row, all in one rng.integers call, and a row's ks smallest marked
-    by the ranks of a stable argsort; then, pass by pass, fresh keys in one
-    call for the rows whose ks-th and (ks + 1)-th smallest keys tie, until
-    no row does."""
-    marks = np.zeros((len(ks), width), dtype=bool)
-    rows = np.arange(len(ks))
-    while rows.size and width:
-        k = ks[rows]
-        keys = rng.integers(0, 1 << 16, size=(rows.size, width), dtype=np.uint16)
-        marks[rows] = keys.argsort(axis=1, kind="stable").argsort(axis=1) < k[:, None]
-        srt, at = np.sort(keys, axis=1), np.arange(rows.size)
-        inside = (k > 0) & (k < width)
-        tied = srt[at, np.clip(k - 1, 0, width - 1)] == srt[at, np.clip(k, 0, width - 1)]
-        rows = rows[inside & tied]
-    return marks
+    count = 2 * BLOCK_ROWS + 3
+    for k_min in sorted({0, 1, math.ceil(pmf @ np.arange(n + 1))}):
+        rng, ref = (np.random.Generator(GENERATORS[kind](k_min)) for _ in range(2))
+        for g in (rng, ref):
+            g.integers(0, 2**32, dtype=np.uint32)
+        bits = model.sample_far(rng, count, k_min)
+        assert bits.dtype == np.uint8 and bits.max(initial=0) <= 1
+        assert len(bits) == model.count_far(ref, count, k_min)
+        ks = bits.sum(axis=1)
+        assert (ks >= k_min).all()
+        expected = pmf[k_min:] / pmf[k_min:].sum() * len(bits)
+        observed = np.bincount(ks - k_min, minlength=expected.size)
+        assert not observed[expected == 0].any()
+        if np.count_nonzero(expected >= 5) > 1:
+            assert _pooled_chi2_p(observed, expected) > 1e-4, k_min
+        if width > 1:
+            columns = bits[:, :width].sum(axis=0)
+            assert _pooled_chi2_p(columns, np.full(width, columns.sum() / width)) > 1e-4, k_min
 
 
 FAR_MODELS = [
@@ -943,44 +890,14 @@ FAR_MODELS = [
 ]
 
 
-GENERATORS = {
-    "philox": np.random.Philox, "pcg64": np.random.PCG64, "mt19937": np.random.MT19937,
-}
-
-
-def _check_far_rows(kind, model):
-    """model's far rows against _far_by_reference on a generator of kind,
-    for every k_min in 0..n + 1: the rows, their bits, the state the
-    generator is left in and the draws that follow."""
-
-    def make(seed):
-        # A generator that holds half of a 32-bit draw.
-        rng = np.random.Generator(GENERATORS[kind](seed))
-        rng.integers(0, 2**32, dtype=np.uint32)
-        return rng
-
-    for k_min in range(model.n + 2):
-        for count in (0, 1, 2 * BLOCK_ROWS + 3):
-            ref, rng = make(k_min), make(k_min)
-            want = _far_by_reference(model, ref, count, k_min)
-            bits = model.sample_far(rng, count, k_min)
-            assert bits.dtype == np.uint8 and np.array_equal(bits, want)
-            assert _state(rng) == _state(ref), (k_min, count)
-            for draw in (
-                lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
-                lambda g: g.random(5),
-            ):
-                assert np.array_equal(draw(rng), draw(ref))
-
-
 class TestExchangeableFarRows:
-    """The exchangeable far rows against _far_by_reference, on three bit
-    generators."""
+    """The exchangeable far rows against their law (_check_far_law), on
+    three bit generators."""
 
     @pytest.mark.parametrize("kind", list(GENERATORS))
     @pytest.mark.parametrize("model", FAR_MODELS, ids=["n2", "n5", "n26", "n127"])
     def test_matches_reference(self, kind, model):
-        _check_far_rows(kind, model)
+        _check_far_law(kind, model)
 
 
 ONE_RATE_MODELS = [
@@ -996,12 +913,13 @@ ONE_RATE_IDS = ["iid-n1", "iid-n26", "pair-n2-f0", "pair-n2-fmax", "pair-n5", "p
 
 class TestOneRateFarRows:
     """The far rows of one-rate iid and pair models, which draw their
-    counts first, against _far_by_reference, on three bit generators."""
+    counts first, against their law (_check_far_law), on three bit
+    generators."""
 
     @pytest.mark.parametrize("kind", list(GENERATORS))
     @pytest.mark.parametrize("model", ONE_RATE_MODELS, ids=ONE_RATE_IDS)
     def test_matches_reference(self, kind, model):
-        _check_far_rows(kind, model)
+        _check_far_law(kind, model)
 
 
 FAR_LAW_CASES = [

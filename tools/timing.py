@@ -2,9 +2,10 @@
 inclusive quartiles and right-aligned tables.
 
 fold_floor.py and sampler_floor.py time with best() and print with
-aligned(); cold_start.py and bench_pairs.py take their spreads with
-quartiles().  The tools import it by name, which resolves when a tool runs
-as a script (its own directory leads sys.path) and under pytest, whose
+aligned(), op_shares.py prints with aligned(), and cold_start.py and
+bench_pairs.py take their spreads with quartiles(); no other tool imports
+it.  The tools import it by name, which resolves when a tool runs as a
+script (its own directory leads sys.path) and under pytest, whose
 pythonpath lists tools/.  Standard library only.
 """
 
