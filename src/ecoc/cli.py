@@ -12,7 +12,8 @@ numpy) code --emit, simulate and analyze --predictions; prob_engine pmf,
 tail and simulate; bounds bounds, bahadur, analyze and figures; simulator
 simulate; and experiment_io analyze and figures.  json is imported only
 with --format json, and no command loads concurrent.futures: simulate
-sums its chunks in the calling thread at every --workers.  Only
+draws from one stream and, in full-decode mode, decodes its far rows
+block by block in the calling thread at every --workers.  Only
 --predictions, pmf, tail, simulate and code
 --emit load numpy.  code, analyze --fixture, analyze --summary, figures,
 bounds and bahadur run on the standard library: a code's m comes from the

@@ -5,12 +5,13 @@ Three dependence structures are supported: fully independent classifiers
 (specified by the pair's joint error probability f), and fully exchangeable
 classifiers with a uniform second-order correlation coefficient c.
 
-Every model, a subclass of DependenceModel, defines n, count_pmf() (the
+Every model, a subclass of DependenceModel, defines n, _count_law() (the
 error-count distribution: a row of independent classifiers, then for
 the pair or the exchangeable model the one three-term kernel _three_terms
 on the row of n - 2; the independent and pair rows come from the
-profile's one route choice, _row: _binomial_row's repeated squares for
-the one rate a profile records when it is built, else
+profile's one route choice, _row: _binomial_row's repeated squares when
+the row's classifiers share one rate, which the profile reads from the
+leading run of one rate it records when it is built, else
 poisson_binomial_dist, the product tree only), one
 position hook _positions(rng, ks) (bool error vectors, one per count in ks,
 drawn from the model's law given that count) and joint_mass(bits) (the
@@ -19,22 +20,24 @@ count_pmf, which the brute-force oracles over all 2^n outcomes sum for
 cross-checking: enumerate_outcomes, the count distribution, and
 exact_decode_error, a code's full-decode error, both over the one walk
 _outcome_blocks, for n <= ENUMERATION_MAX_N).  The other methods are
-defined once, on DependenceModel, for all three: pmf(k), the entry of
-count_pmf at k, tail(m), the sum of count_pmf from m, and three samplers,
+defined once, on DependenceModel, for all three: count_pmf(), _count_law
+for an n of at most MAX_EXACT_N (the one cap of the exact rows, checked
+before a row is built), pmf(k), the entry of count_pmf at k, tail(m),
+the sum of count_pmf from m, and three samplers,
 each after _check_draw (the width check of code_matrix, _check_width, a
 count that is an integer in 0..MAX_COUNT and a k_min in 0..n + 1):
 sample_far(rng, count, k_min), the error vectors, as uint8, of the trials
-among count with at least k_min errors (the far rows, drawn by _draw),
-sample(rng, count), sample_far at k_min = 0, and count_far(rng, count,
+among count with at least k_min errors (the far rows, drawn by
+_far_rows), sample(rng, count), sample_far at k_min = 0, and count_far(rng, count,
 k_min), the number of far rows, with no row drawn.  pmf, tail and the
 samplers check k, m and k_min with _check_count, the one check that a
 count is an integer in a range.  Every count probability, binomial or
 not, is read from one count_pmf: the model's count row (_count_row),
 built by count_pmf on first use and kept read-only, so that a model
-builds its law once however many chunks or queries read it.  Likewise a
-profile keeps, per width, the tables its samplers read on every draw
-(ErrorProfile._table): the pair's padded q row and the
-conditional-Bernoulli step table.
+builds its law once however many blocks or queries read it.  Likewise a
+model keeps its far rows' count CDF per k_min, and a profile, per width,
+the tables its samplers read on every draw (each kept by _kept): the
+pair's padded q row and the conditional-Bernoulli step table.
 
 Every model draws count-first, from count_pmf, and draws only what its
 caller reads:
@@ -45,21 +48,27 @@ caller reads:
   k_min with probability P.  At k_min = 0 it is count, with nothing drawn.
 - sample_far draws that same binomial first, from the same P, so that
   count_far(rng, c, k) == len(sample_far(rng, c, k)) from one generator
-  state; then the far rows' counts from count_pmf truncated at k_min, then
-  their positions given the counts (_positions): a binomial number of
-  independent rows conditioned on K >= k_min, the law of the far rows of
-  count trials.  At k_min = 0, sample, every row is far and no binomial
-  is drawn.
-- The counts are drawn by rng.choice over count_pmf truncated at k_min,
-  one uniform per far row.
+  state; then the far rows (_far_rows): their counts from count_pmf
+  truncated at k_min, then their positions given the counts
+  (_positions): a binomial number of independent rows conditioned on
+  K >= k_min, the law of the far rows of count trials.  At k_min = 0,
+  sample, every row is far and no binomial is drawn.  A caller that
+  draws the far rows in blocks (the simulator's full decode) calls
+  _far_rows once per block: each block's rows are independent of the
+  others', so the law is the same.
+- The counts are one uniform per far row, searched in the CDF of
+  count_pmf truncated at k_min, built as Generator.choice(p=...) builds
+  it, so that they are choice's counts, to the bit.
 
 Given K, the positions of independent classifiers come from the profile's
-position route, _subsets, chosen like _row by the profile's one rate:
+position route, _subsets, chosen like _row by whether the classifiers
+share one rate:
 
-- for the one rate of a profile, and for an exchangeable model, every
+- for classifiers of one rate, and for an exchangeable model, every
   outcome of K errors is equally likely, so the positions are a uniform
   K-subset (_uniform_subsets): those of the K smallest of n 16-bit keys
-  drawn for the row by rng.integers, four to a 64-bit word.  A row whose
+  drawn for the row, the 16-bit lanes of full-range 64-bit words that
+  rng.integers draws with no bound (_position_keys).  A row whose
   K-th and (K+1)-th smallest keys tie gets fresh keys until they do not;
   no tie at the cut is an event that permuting the row's positions leaves
   unchanged, so the subset given it is exactly uniform, on every bit
@@ -104,33 +113,41 @@ _OUTCOME_BLOCK_ROWS = 1 << 16
 # Rows drawn per block by the position samplers: about 0.5 MB of uniforms
 # at n = 127, and a quarter of that as 16-bit keys, whose block and sorted
 # copy then stay under glibc's 128 KiB mmap threshold and reuse heap pages
-# from chunk to chunk.  Even, so that no block of keys ends inside a 32-bit
-# draw: the streams do not depend on it.
+# from block to block.  A multiple of 4, so that every whole block's keys
+# end at a 64-bit word: the streams do not depend on it.
 BLOCK_ROWS = 512
 
-# Position keys are 16-bit: rng.integers draws four from one 64-bit word.
-_KEY_BOUND = 1 << 16
+# Largest n of an exact count row (count_pmf, so pmf, tail and the
+# samplers): the rows are O(n^2) (_binomial_row's squares, the product
+# tree's top level).  At 2^16 a one-rate row took 0.31-0.45 s (iid e = 0.1,
+# exchangeable e = 0.5 at c = 0 and c > 0) and the tree 0.59 s on one core,
+# where 100,000 took 0.8-2.0 s; 2^16 leaves is also the tree's last power of
+# two below 2^17.
+MAX_EXACT_N = 1 << 16
 
 MAX_COUNT = (1 << 63) - 1  # most trials one draw takes (rng.binomial's n is an int64)
 
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Per-classifier bit error rates e_1..e_n, checked and their one shared
-    rate recorded by __post_init__; iid(n, e) checks e once, as the profile
-    of one classifier, and widens its rates to n copies."""
+    """Per-classifier bit error rates e_1..e_n, checked and the length of
+    their leading run of one rate recorded by __post_init__; iid(n, e)
+    checks e once, as the profile of one classifier, and widens its rates
+    to n copies."""
 
     rates: tuple[float, ...]
-    # The rate all n share, or None when two differ; set once by __post_init__.
-    _rate: float | None = field(init=False, repr=False, compare=False)
-    # Tables of the first w classifiers, by (kind, w), kept by _table.
+    # How many leading rates equal rates[0]; set once by __post_init__.
+    _run: int = field(init=False, repr=False, compare=False)
+    # Tables of the first w classifiers, by (kind, w), kept by _kept.
     _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         rates = _checked_rates(self.rates)
-        shared = rates.count(rates[0]) == len(rates)
+        run = rates.count(rates[0])
+        if run < len(rates):
+            run = next(i for i, e in enumerate(rates) if e != rates[0])
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "_rate", rates[0] if shared else None)
+        object.__setattr__(self, "_run", run)
 
     @classmethod
     def iid(cls, n: int, e: float) -> "ErrorProfile":
@@ -139,6 +156,7 @@ class ErrorProfile:
             raise ValueError(f"n={n} must be at least 1")
         profile = cls((e,))
         object.__setattr__(profile, "rates", profile.rates * n)
+        object.__setattr__(profile, "_run", n)
         return profile
 
     @property
@@ -146,49 +164,63 @@ class ErrorProfile:
         return len(self.rates)
 
     def _row(self, w: int) -> np.ndarray:
-        """The count pmf of the first w classifiers: the row of the one rate or the tree."""
-        e = self._rate
-        return poisson_binomial_dist(self.rates[:w]) if e is None else _binomial_row(w, e)
+        """The count pmf of the first w classifiers: the binomial row when
+        they share one rate, else the tree."""
+        if w > self._run:
+            return poisson_binomial_dist(self.rates[:w])
+        return _binomial_row(w, self.rates[0])
 
     def _subsets(self, rng, ks, w: int, out=None) -> np.ndarray:
         """Error positions among the first w classifiers, ks[i] of them in
-        row i, drawn given the counts: a uniform subset for the one rate,
-        else conditional Bernoulli on the rates (into out when given)."""
-        if self._rate is None:
-            steps = self._table("steps", w, lambda: _step_table(self.rates[:w]))
+        row i, drawn given the counts: a uniform subset when they share one
+        rate, else conditional Bernoulli on the rates (into out when given)."""
+        if w > self._run:
+            steps = _kept(self._tables, ("steps", w), lambda: _step_table(self.rates[:w]))
             return _conditional_subsets(rng, ks, steps, out)
         return _uniform_subsets(rng, ks, w, out)
 
     def _padded(self, w: int) -> np.ndarray:
         """The count pmf of the first w classifiers padded by _padded_row:
         the pair's q row, which its count_pmf and every draw read."""
-        return self._table("padded", w, lambda: _padded_row(self._row(w)))
+        return _kept(self._tables, ("padded", w), lambda: _padded_row(self._row(w)))
 
-    def _table(self, kind: str, w: int, build) -> np.ndarray:
-        """The table build() gives for the first w classifiers, built on
-        first use and kept read-only: the rates fix it, so every chunk of
-        every command reads one copy.  Two threads may both build it; the
-        copies are equal, and either is kept."""
-        table = self._tables.get((kind, w))
-        if table is None:
-            table = self._tables[kind, w] = build()
-            table.setflags(write=False)
-        return table
+
+def _kept(tables: dict, key, build) -> np.ndarray:
+    """tables[key], built by build() on first use and kept read-only: its
+    inputs fix it, so every block of every command reads one copy.  Two
+    threads may both build it; the copies are equal, and either is kept."""
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = build()
+        table.setflags(write=False)
+    return table
 
 
 class DependenceModel:
-    """The model protocol, shared by the three models: the pmf, the tail and
-    the samplers, all derived from a subclass's own n, count_pmf and
-    _positions (joint_mass, the fourth hook, serves the enumeration
-    oracles)."""
+    """The model protocol, shared by the three models: the count pmf, the
+    pmf, the tail and the samplers, all derived from a subclass's own n,
+    _count_law and _positions (joint_mass, the fourth hook, serves the
+    enumeration oracles)."""
+
+    def count_pmf(self) -> np.ndarray:
+        """The error-count distribution, k = 0..n: the model's _count_law,
+        for an n of at most MAX_EXACT_N, checked before the row is built."""
+        if self.n > MAX_EXACT_N:
+            raise ValueError(f"n={self.n} exceeds the exact count-row cap {MAX_EXACT_N}")
+        return self._count_law()
 
     @cached_property
     def _count_row(self) -> np.ndarray:
         """count_pmf(), built on first use and kept read-only: the one row
-        that pmf, tail, count_far and _draw read."""
+        that pmf, tail and the samplers read."""
         row = self.count_pmf()
         row.setflags(write=False)
         return row
+
+    @cached_property
+    def _cdfs(self) -> dict:
+        """The far rows' count CDFs, by k_min, kept by _kept (_far_rows)."""
+        return {}
 
     def pmf(self, k: int) -> float:
         """Probability of exactly k errors: count_pmf()[k]."""
@@ -211,11 +243,13 @@ class DependenceModel:
     def sample_far(self, rng: np.random.Generator, count: int, k_min: int) -> np.ndarray:
         """The error vectors, as a uint8 array, of the trials among count
         with at least k_min errors (an integer in 0..n + 1): the number of
-        far rows first (the draw of count_far), then their counts from
-        count_pmf truncated at k_min, then their positions given the
-        counts (_positions)."""
+        far rows first (the draw of count_far; at k_min = 0 every row, with
+        no draw), then the rows themselves (_far_rows)."""
         self._check_draw(count, k_min)
-        return self._draw(rng, count, k_min).view(np.uint8)
+        far = _far_count(rng, self._count_row, count, k_min)
+        if not far:
+            return np.empty((0, self.n), dtype=np.uint8)
+        return self._far_rows(rng, far, k_min).view(np.uint8)
 
     def count_far(self, rng: np.random.Generator, count: int, k_min: int) -> int:
         """The number of trials among count with at least k_min errors (an
@@ -225,17 +259,21 @@ class DependenceModel:
         self._check_draw(count, k_min)
         return int(_far_count(rng, self._count_row, count, k_min))
 
-    def _draw(self, rng, count, k_min):
-        # Far-first: the number of rows with at least k_min errors, a
-        # binomial of P(K >= k_min); their counts from count_pmf truncated
-        # at k_min; then their positions given the counts (_positions).
-        # k_min = 0 keeps every row and draws no binomial.
-        pmf = self._count_row
-        far = _far_count(rng, pmf, count, k_min)
-        if not far:
-            return np.empty((0, self.n), dtype=bool)
-        tail = pmf[k_min:]
-        return self._positions(rng, k_min + rng.choice(tail.size, far, p=tail / tail.sum()))
+    def _far_rows(self, rng, rows: int, k_min: int) -> np.ndarray:
+        """rows > 0 bool error vectors of at least k_min errors each, k_min
+        one of positive tail mass: their counts first, one uniform each,
+        from count_pmf truncated at k_min, then their positions given the
+        counts (_positions).  The CDF is kept per k_min and built as
+        Generator.choice(p=tail / tail.sum()) builds its own, so that
+        searchsorted on it draws choice's counts, to the bit."""
+        def build():
+            tail = self._count_row[k_min:]
+            cdf = (tail / tail.sum()).cumsum()
+            cdf /= cdf[-1]
+            return cdf
+
+        cdf = _kept(self._cdfs, k_min, build)
+        return self._positions(rng, k_min + cdf.searchsorted(rng.random(rows), side="right"))
 
     def _check_draw(self, count, k_min) -> None:
         """The checks made before any word is drawn: the width rule of
@@ -260,7 +298,7 @@ class Independent(DependenceModel):
     def n(self) -> int:
         return self.profile.n
 
-    def count_pmf(self) -> np.ndarray:
+    def _count_law(self) -> np.ndarray:
         return self.profile._row(self.n)
 
     def _positions(self, rng, ks):
@@ -322,7 +360,7 @@ class PairModel(DependenceModel):
         f = min(max(self.f, lo), hi)
         return (f, e1 - f, e2 - f, max(1.0 - e1 - e2 + f, 0.0))
 
-    def count_pmf(self) -> np.ndarray:
+    def _count_law(self) -> np.ndarray:
         """The three terms on the count pmf q of the first n - 2 classifiers,
         with the cells (P11, P10 + P01, P00).  Summed from m at one rate e,
         it is the paper's identity eps(n, m, e, f) =
@@ -395,19 +433,17 @@ class ExchangeableModel(DependenceModel):
                 f"at n={self.n}, e_bar={self.e_bar}"
             )
 
-    def count_pmf(self) -> np.ndarray:
+    def _count_law(self) -> np.ndarray:
         """The three terms on _binomial_row(n - 2), clipped at zero, which
         rounding at an end of the range can leave an entry a few ulps
         below; at c = 0 _binomial_row(n) itself."""
         n, e, c = self.n, self.e_bar, self.c
-        pmf = np.empty(n + 1)  # first: an n beyond memory fails at once
         if not c:
-            pmf[:] = _binomial_row(n, e)
-            return pmf
+            return _binomial_row(n, e)
         v = e * (1.0 - e)
         g = 0.5 * n * (n - 1) * c * v
         q_pad = _padded_row(_binomial_row(n - 2, e))
-        pmf[:] = _three_terms(e * e + g, 2.0 * (v - g), (1.0 - e) ** 2 + g, q_pad)
+        pmf = _three_terms(e * e + g, 2.0 * (v - g), (1.0 - e) ** 2 + g, q_pad)
         return np.maximum(pmf, 0.0, out=pmf)
 
     def _positions(self, rng, ks):
@@ -484,8 +520,14 @@ def _uniform_subsets(rng: np.random.Generator, ks: np.ndarray, width: int, out=N
 
 
 def _position_keys(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
-    """A (rows, width) block of uniform 16-bit keys, four to a 64-bit word."""
-    return rng.integers(0, _KEY_BOUND, size=(rows, width), dtype=np.uint16)
+    """A (rows, width) block of uniform 16-bit keys: the little-endian 16-bit
+    lanes of full-range 64-bit words, four keys to a word, in row order.
+    rng.integers serves a full-range word by one next_uint64 and applies no
+    bound, on every bit generator, so every lane is uniform; the last word's
+    unused lanes are dropped."""
+    size = rows * width
+    words = rng.integers(0, 2**64 - 1, endpoint=True, size=-(-size // 4), dtype=np.uint64)
+    return words.astype("<u8", copy=False).view("<u2")[:size].reshape(rows, width)
 
 
 def _mark_smallest(keys: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -5,15 +5,16 @@ when at least m classifiers err) and the full decoding rate (flip the true
 codeword's bits where the sampled error vector is 1, decode, count
 mismatches).
 
-Randomness is counter-based: stream j is Philox keyed by (seed, j).  A
-threshold estimate is one binomial draw of all its trials at P(K >= m)
-(count_far) from stream 0.  Full-decode trials are processed in fixed-size
-chunks, chunk j drawing from stream j, and summed in the calling thread,
-so a chunk's count is a pure function of (seed, j, chunk size).  The
-worker count is checked but changes neither the result nor the work.  A
-full-decode chunk draws the number of its far rows, then their error
-vectors and true classes alone (sample_far), so no far row is tied to a
-trial index.
+Randomness is counter-based: every estimate draws from one stream, Philox
+keyed by (seed, 0), whatever its trial count.  A threshold estimate is one
+binomial draw of all its trials at P(K >= m) (count_far).  A full-decode
+estimate draws the same binomial at P(K >= far_flips), the number of its
+far rows, the only trials that can decode wrongly; then the far rows in
+blocks of FAR_BLOCK_BYTES, each block its rows' counts, their positions
+and their true classes, in that order, decoded before the next block is
+drawn.  So no far row is tied to a trial index, and no temporary grows
+with the trial count.  The worker count is checked but changes neither
+the result nor the work: every estimate runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -29,18 +30,28 @@ from .prob_engine import MAX_COUNT, DependenceModel, _check_count
 
 DEFAULT_SEED = 60428  # 0xEC0C
 
-CHUNK_TRIALS = 1 << 15
-# Most trials a full-decode estimate runs: 2^15 chunks.  At the benchmark's
-# points a chunk takes 0.14 ms (26 classes) to 2.4 ms (127), so 5-80 s in
-# all on one BLAS thread.
-MAX_DECODE_TRIALS = CHUNK_TRIALS << 15
+# Most trials a full-decode estimate runs.  It bounds the rows drawn where
+# the decode is cheap: at 4 and 8 classes with e = 0.5 nearly every row is
+# far, and a trial took 290-310 ns, mostly sampling, so 2^30 trials take
+# 5-6 min, where MAX_DECODE_WORK alone would admit 3-12 h.  At the
+# benchmark's points a trial took 4 ns (26 classes) and 43 ns (127), so 5
+# and 46 s at the cap; all on one BLAS thread.
+MAX_DECODE_TRIALS = 1 << 30
 # Most expected decode work a full-decode estimate takes, in multiply-adds:
 # trials times P(K >= far_flips), the share of far rows, times classes
-# times n, the work of decoding one far row.  With every row far a
-# 2^15-trial chunk took 30 ms at 127 classes and 1.35 s at 1000 (e = 0.5,
-# one BLAS thread), 1.8e10 and 2.4e10 a second, so 2^41 is 90-120 s; the
+# times n, the work of decoding one far row.  With every row far, 2^15
+# trials took 30 ms at 127 classes and 1.35 s at 1000 (e = 0.5, one BLAS
+# thread), 1.8e10 and 2.4e10 a second, so 2^41 is 90-120 s; the
 # benchmark's 127-class points need at most 1.3e12 at the trial cap.
 MAX_DECODE_WORK = 1 << 41
+
+# Bytes of far rows (n-wide, one byte a position) drawn and decoded per
+# block: 4,128 rows at 127 classes, 20,164 at 26.  At 8 times the
+# benchmark's trials (2^19 at 26 classes, 2^18 at 127), blocks of 512 KiB
+# ran the 127-class full decodes 5-12 % faster than blocks of 128 KiB, and
+# blocks of 2 MiB at most 4 % faster again; at the benchmark's own trials
+# every run draws one block.  No run faulted a page once warm.
+FAR_BLOCK_BYTES = 1 << 19
 
 # Most workers a simulation accepts.  Every run is serial; the count is kept
 # checked so that callers passing --workers keep the same range and errors.
@@ -108,12 +119,14 @@ def mc_decode_error(
     code.far_flips flips can decode wrongly, so only those error vectors are
     drawn by the sampler (sample_far) and decoded (code_matrix._misdecoded,
     the kernel fold analysis shares, in blocks of _decode_rows(code) rows
-    by _misdecoded_flips); the classes, independent of the flips, are drawn
-    for those rows alone, from where the sampler leaves the stream.  The
-    sampler's rows are n-wide and 0/1 and the classes are drawn in range,
-    so only model.n, true_class and the trials' caps are checked here:
-    MAX_DECODE_TRIALS, and MAX_DECODE_WORK over the expected work of a
-    trial, read from the model's count row before the first chunk.
+    by _misdecoded_flips).  From one stream, count_far draws how many far
+    rows the trials hold; then each block of _far_block_rows(code.n) of them
+    draws their counts and positions (the sampler's _far_rows) and their
+    classes, independent of the flips.  The sampler's rows are n-wide and
+    0/1 and the classes are drawn in range, so only model.n, true_class and
+    the trials' caps are checked here: MAX_DECODE_TRIALS, and
+    MAX_DECODE_WORK over the expected work of a trial, read from the
+    model's count row before anything is drawn.
     """
     if model.n != code.n:
         raise ValueError(f"model n={model.n} does not match code n={code.n}")
@@ -130,13 +143,27 @@ def mc_decode_error(
             f"{work:.4g} expected decode multiply-adds a trial (at most 2**41 in all)"
         )
 
-    errors = 0
-    for j, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS)):
-        rng = _chunk_rng(cfg.seed, j)
-        bits = model.sample_far(rng, min(CHUNK_TRIALS, cfg.trials - start), code.far_flips)
-        if true_class is None:
-            classes = rng.integers(0, code.num_classes, size=len(bits))
-        else:
-            classes = np.full(len(bits), true_class)
-        errors += _misdecoded_flips(bits, classes, code)
+    rng = _chunk_rng(cfg.seed, 0)
+    far, block = model.count_far(rng, cfg.trials, code.far_flips), _far_block_rows(code.n)
+    errors = sum(_far_block_errors(model, code, rng, min(block, far - start), true_class)
+                 for start in range(0, far, block))
     return _result(errors, cfg, MODE_FULL_DECODE)
+
+
+def _far_block_rows(n: int) -> int:
+    """Far rows per block of a full-decode estimate: FAR_BLOCK_BYTES of
+    n-wide rows, at least 8 since count_far has refused an n above
+    MAX_EXACT_N = 2^16."""
+    return FAR_BLOCK_BYTES // n
+
+
+def _far_block_errors(model, code, rng, rows: int, true_class) -> int:
+    """How many of rows far rows, drawn with their classes, decode wrongly.
+    The block's arrays are freed when it returns, before the next block is
+    drawn, so that no two blocks' rows are held at once."""
+    bits = model._far_rows(rng, rows, code.far_flips)
+    if true_class is None:
+        classes = rng.integers(0, code.num_classes, size=rows)
+    else:
+        classes = np.full(rows, true_class)
+    return _misdecoded_flips(bits, classes, code)

@@ -61,6 +61,14 @@ class TestFeller:
         with pytest.raises(DomainError):
             feller_bound(10, 2, 0.2)  # boundary m = n*e is excluded
 
+    def test_messages_name_the_values(self):
+        # The domain message gives n*e itself; the input contract's least n
+        # is 1 for the one-ensemble bounds.
+        with pytest.raises(DomainError, match=r"^inapplicable: m=1 <= n\*e=2\.0$"):
+            feller_bound(10, 1, 0.2)
+        with pytest.raises(ValueError, match=r"^n=0 must be at least 1$"):
+            feller_bound(0, 1, 0.1)
+
 
 class TestChernoffMu:
     def test_known_value(self):
@@ -122,7 +130,7 @@ class TestChernoffLambda:
     def test_full_form_holds_only_up_to_r(self):
         # At e = 0.5 > m/n = 0.2, lambda^n = 0.3112 lies below the exact
         # tail 0.9893; at the edge it is 1.
-        with pytest.raises(DomainError, match="inapplicable"):
+        with pytest.raises(DomainError, match=r"^inapplicable: e=0\.5 > m/n=0\.2$"):
             chernoff_bound(10, 2, 0.5)
         assert chernoff_bound(10, 2, 0.2) == 1.0
         with pytest.raises(DomainError):
@@ -223,6 +231,24 @@ class TestKz:
             c = 0.5 * valid_correlation_range(26, e)[1]
             want = kz_value(26, 6, e, c * (6 / 26) / e if form == "tight" else c)
             assert kz_bound(26, 6, e, c) == want, form
+
+    def test_display_form_from_its_threshold_on(self):
+        # At (5, 3) and e = 0.20736, ln e equals the log of
+        # C(n-1, m-1) r^m (1-r)^(n-m) to the bit: the threshold itself takes
+        # the display form; one ulp below takes the tight one.
+        n, m, e, c = 5, 3, 0.20736, 0.01
+        r = m / n
+        assert kz_bound(n, m, e, c) == kz_value(n, m, e, c) != kz_value(n, m, e, c * r / e)
+        below = math.nextafter(e, 0.0)
+        assert kz_bound(n, m, below, c) == kz_value(n, m, below, c * r / below)
+
+    def test_tight_correction_just_short_of_overflow(self):
+        # At e = 1e-309 the tight correction, from c r / e, is finite, a
+        # factor 1/r^2 short of overflowing, and omega^n underflows to 0;
+        # at 1e-310 the correction overflows and the bound is refused.
+        assert kz_bound(26, 6, 1e-309, 0.001) == 0.0
+        with pytest.raises(ModelError, match="^e=1e-310: the tight envelope's correction"):
+            kz_bound(26, 6, 1e-310, 0.001)
 
     def test_m_equal_to_n_left_to_kz_value(self):
         with pytest.raises(DomainError, match=r"^r=1\.0 outside"):

@@ -451,8 +451,8 @@ class TestSimulateCommand:
         assert err == "error: trials=10000000000000000000 outside 1..9223372036854775807\n"
 
     def test_full_decode_trials_beyond_the_cap_is_one(self, capsys):
-        # A full-decode estimate runs one chunk per 2**15 trials, so its
-        # trials are capped before the first chunk.
+        # A full-decode estimate's trials are capped before anything is
+        # drawn.
         cap = MAX_DECODE_TRIALS
         status, out, err = run(
             capsys, "simulate", "--model", "iid", "--n", "6", "--ebar", "0.1",
@@ -464,7 +464,7 @@ class TestSimulateCommand:
     def test_full_decode_work_beyond_the_cap_is_one(self, capsys):
         # Every row far at 1000 classes and e = 0.5: 2**30 trials pass the
         # trial cap but would decode for hours, so the expected work caps
-        # them at 2**41 // 10**6 before the first chunk.
+        # them at 2**41 // 10**6 before anything is drawn.
         status, out, err = run(
             capsys, "simulate", "--model", "iid", "--n", "1000", "--ebar", "0.5",
             "--mode", "full-decode", "--trials", str(MAX_DECODE_TRIALS),
@@ -651,6 +651,20 @@ class TestExitCodes:
         status, out, err = run(capsys, "analyze", "--summary", str(src), "--classes", "10")
         assert (status, out, err) == (1, "", "error: line 1: empty file\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--model", "iid", "--n", "65537", "--ebar", "0.1"],
+        ["tail", "--model", "exchangeable", "--n", "65537", "--ebar", "0.1", "--c", "0",
+         "--m", "1"],
+        ["tail", "--model", "pair", "--n", "65537", "--ebar", "0.1", "--f", "0.01", "--m", "1"],
+        ["simulate", "--model", "iid", "--n", "65537", "--ebar", "0.1", "--m", "1"],
+    ], ids=["pmf", "tail-exchangeable", "tail-pair", "simulate"])
+    def test_n_above_the_exact_row_cap_is_one(self, capsys, argv):
+        # No count row above 2**16 classifiers is built: the command exits 1
+        # with the library's message, at once.
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err == "error: n=65537 exceeds the exact count-row cap 65536\n"
+
     def test_threshold_mode_without_m_is_one(self, capsys):
         status, out, err = run(
             capsys, "simulate", "--model", "iid", "--n", "26", "--ebar", "0.0686",
@@ -781,22 +795,24 @@ class TestExitCodes:
         assert (status, out, err) == (1, "", message)
 
     def test_failed_allocation_in_a_command_is_one(self):
-        # 10^10 + 1 probabilities are 74.5 GiB; the child's address space is
-        # held to 2 GiB, so the allocation fails at once, whatever the host has.
+        # The largest code's matrix, 32,768 x 32,768 bytes, is 1 GiB; the
+        # child's address space is held to 1 GiB, so that first allocation
+        # fails at once, before a page is touched, whatever the host has.
+        # (An exact count row that large is refused first: n is capped at
+        # MAX_EXACT_N.)
         import resource
 
         def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         env = dict(os.environ, PYTHONPATH=str(Path(ecoc.__file__).resolve().parents[1]),
                    OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "ecoc", "pmf", "--model", "exchangeable",
-             "--n", "10000000000", "--ebar", "0.1", "--c", "0", "--k", "3"],
+            [sys.executable, "-m", "ecoc", "code", "--emit", "--classes", "32768"],
             env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.startswith("error: out of memory: Unable to allocate 74.5 GiB")
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate 1.00 GiB")
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

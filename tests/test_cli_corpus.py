@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import ecoc.cli as cli
+from ecoc.code_matrix import build_code_matrix
 from ecoc.experiment_io import fixture_names
-from ecoc.simulator import CHUNK_TRIALS
+from ecoc.simulator import _chunk_rng, _far_block_rows
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
 _SPEC = importlib.util.spec_from_file_location("cli_corpus", _PATH)
@@ -95,20 +97,23 @@ def test_corpus_covers_every_bundled_fixture():
     assert list(cli_corpus.FIXTURES) == fixture_names()
 
 
-def test_simulate_family_runs_chunks_in_the_thread_pool(tmp_path):
-    # A full-decode command of more than one chunk on more than one worker,
-    # beside its one-worker twin: the pair pins that --workers leaves a
-    # result of several chunks unchanged (a threshold estimate is one draw
-    # at any worker count).
-    def flag(argv, name):
-        return argv[argv.index(name) + 1] if name in argv else None
+def test_simulate_family_decodes_far_blocks_beside_a_one_worker_twin(tmp_path):
+    # A full-decode command whose far rows fill more than one far-row block,
+    # at --workers 2, beside its --workers 1 twin: the pair pins that
+    # --workers leaves a result of several blocks unchanged (a threshold
+    # estimate is one draw at any worker count).
+    def far_blocks(argv):
+        args = cli._parser().parse_args(argv)
+        model = cli._build_model(args)
+        code = build_code_matrix(model.n)
+        far = model.count_far(_chunk_rng(args.seed, 0), args.trials, code.far_flips)
+        return far / _far_block_rows(code.n)
 
-    assert any(
-        flag(argv, "--mode") == "full-decode"
-        and int(flag(argv, "--trials")) > CHUNK_TRIALS
-        and int(flag(argv, "--workers") or 1) > 1
-        for argv in cli_corpus.FAMILIES["simulate"](tmp_path)
-    )
+    family = cli_corpus.FAMILIES["simulate"](tmp_path)
+    twins = [argv for argv in family
+             if argv[-2:] == ["--workers", "2"] and argv[:-1] + ["1"] in family
+             and "full-decode" in argv]
+    assert max(far_blocks(argv) for argv in twins) > 2
 
 
 def _twin(argv):
@@ -150,11 +155,11 @@ def test_equal_rates_print_the_bytes_of_their_twin(tmp_path):
 # tools/cli_corpus.py --against.
 PINNED = {
     "code": ("00f00e051a177aca52b49f2802a5c27c0f688846351081bf55e4568ab59eb14f", 365),
-    "pmf": ("1ec99147166bedc505f656bef2500f228b1bd60d487bd9db5064f72e61a86a54", 1740),
-    "tail": ("52c0a9c89f2d34c9d5e741f02ad95fadf7e79edfb6fdcf966f47769539c5fdbf", 2202),
+    "pmf": ("610f3beb7f586afe44018e14ef3d93f5df9f118ed56836eb304af0e62cefd1b0", 1740),
+    "tail": ("063f438b5c70418fe8fc76b7bba4000279e3a848fa835792308e01538bced9c7", 2202),
     "bounds": ("a390d109dc84cc3c1eaac474a1eb09b4ef09911753e773286362a2022399759c", 2126),
     "bahadur": ("34ba2bc07669e705704260eef60f2f95a76f188a324c1d1a252baed65471e3a2", 182),
-    "simulate": ("421541e50232ad0a2e2a168c3681eb6ed887ae77e0ba9577c1dcae8edf1a2a9f", 86),
+    "simulate": ("82fcaa4716e7ad8811a727959c98962d4535a8a4c0b3d1151f08fb5e09eedb1e", 88),
     "analyze": ("6ccf1c098ed1f741ab47ab8af36098c570b9479d4d5fdc5f4283bedd1591a387", 87),
     "figures": ("759d6f25b7a8638656c5b8de1742f4ba6d865d0e958e7629c74fe14ac9d61d5b", 27),
 }

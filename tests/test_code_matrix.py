@@ -423,10 +423,12 @@ class TestNearestRows:
             nearest_rows(np.stack([code.matrix[0], word]), code)
 
     def test_shape_mismatch(self):
+        # Refused by nearest_rows' own check, which names the shape, before
+        # any product is formed.
         code = build_code_matrix(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^words of shape \(3, 9\) do not match code n=10$"):
             nearest_rows(np.zeros((3, 9), np.uint8), code)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^words of shape \(10,\) do not match code n=10$"):
             nearest_rows(np.zeros(10, np.uint8), code)
 
     def test_rejects_lengths_float32_cannot_count(self):

@@ -67,8 +67,8 @@ def test_import_ecoc_loads_no_submodule():
             id="simulate-threshold-two-workers",
         ),
         pytest.param(
-            # Two chunks on two workers: full-decode sums its chunks in the
-            # calling thread too.
+            # Two workers: full-decode draws and decodes its far-row blocks
+            # in the calling thread too.
             ["simulate", *MODEL, "--trials", "40000", "--workers", "2",
              "--mode", "full-decode", "--format", "csv"],
             ["concurrent.futures", "logging"],

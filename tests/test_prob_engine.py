@@ -191,8 +191,8 @@ class TestModelProtocol:
     """DependenceModel is the one model type: it defines the shared methods,
     and each model, a subclass, adds only the hooks they are read from."""
 
-    SHARED = {"pmf", "tail", "sample", "sample_far", "count_far", "_draw"}
-    HOOKS = {"n", "count_pmf", "_positions", "joint_mass"}
+    SHARED = {"count_pmf", "pmf", "tail", "sample", "sample_far", "count_far", "_far_rows"}
+    HOOKS = {"n", "_count_law", "_positions", "joint_mass"}
 
     def test_base_defines_the_shared_methods(self):
         assert self.SHARED <= set(vars(DependenceModel))
@@ -205,6 +205,44 @@ class TestModelProtocol:
         # The pair's four joint cells restate its rates and f for its hooks.
         extra = {Independent: set(), PairModel: {"joint_cells"}, ExchangeableModel: set()}[cls]
         assert own | (fields & self.HOOKS) == self.HOOKS | extra
+
+
+class TestExactRowCap:
+    """Every model refuses an n above MAX_EXACT_N through count_pmf, pmf,
+    tail and the samplers alike, with one ValueError, before a row is built
+    or a word drawn; the cap itself is admitted."""
+
+    @staticmethod
+    def _models(n):
+        return [
+            Independent(ErrorProfile.iid(n, 0.1)),
+            Independent(ErrorProfile([0.1, 0.2] * (n // 2) + [0.3] * (n % 2))),
+            PairModel(ErrorProfile.iid(n, 0.1), 0.02),
+            ExchangeableModel(n, 0.1, 0.0),
+            ExchangeableModel(n, 0.1, 1e-12),
+        ]
+
+    def test_above_the_cap_rejected_before_a_row(self, monkeypatch):
+        n = prob_engine.MAX_EXACT_N + 1
+        models = self._models(n)
+        for name in ("_binomial_row", "poisson_binomial_dist"):
+            monkeypatch.setattr(prob_engine, name, lambda *a: pytest.fail(f"{name} called"))
+        rng = SimpleNamespace()  # no attribute: any draw fails
+        message = rf"^n={n} exceeds the exact count-row cap {prob_engine.MAX_EXACT_N}$"
+        for model in models:
+            for call in (model.count_pmf, lambda: model.pmf(0), lambda: model.tail(1),
+                         lambda: model.sample(rng, 1), lambda: model.sample_far(rng, 1, 1),
+                         lambda: model.count_far(rng, 1, 1)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_cap_is_the_first_rejected_n(self, monkeypatch):
+        monkeypatch.setattr(prob_engine, "MAX_EXACT_N", 6)
+        for model in self._models(6):
+            assert math.fsum(model.count_pmf().tolist()) == pytest.approx(1.0, rel=1e-15, abs=0)
+        for model in self._models(7):
+            with pytest.raises(ValueError, match="^n=7 exceeds the exact count-row cap 6$"):
+                model.tail(1)
 
 
 class TestExactRationals:
@@ -280,8 +318,9 @@ class TestExactRationals:
                     assert got.tobytes() == product_tree(rates).tobytes(), (n, e, at)
 
     def test_equal_rates_never_reach_the_tree(self, monkeypatch):
-        # The profile records its one rate, and the iid, pair and
-        # exchangeable rows are built from it without poisson_binomial_dist.
+        # The profile records its leading run of one rate, and the iid, pair
+        # and exchangeable rows of one rate are built without
+        # poisson_binomial_dist.
         def tree(rates):
             raise AssertionError("poisson_binomial_dist called")
 
@@ -294,13 +333,33 @@ class TestExactRationals:
         expected = [call() for call in calls]
         monkeypatch.setattr(prob_engine, "poisson_binomial_dist", tree)
         assert [call() for call in calls] == expected
-        # Rates that are not all equal still take the tree, and so does the
-        # pair's equal n - 2 prefix beside an unequal pair.
+        # A pair whose n - 2 others share one rate builds their row without
+        # the tree, whatever its own two rates; rates that are not all equal
+        # still take it, for the independent model and for the pair's others.
         for profile in (ErrorProfile([0.18] * 126 + [0.3]),
                         ErrorProfile([0.18] * 125 + [0.3, 0.3])):
-            for model in (Independent(profile), PairModel(profile, 0.05)):
-                with pytest.raises(AssertionError, match="poisson_binomial_dist"):
-                    model.count_pmf()
+            PairModel(profile, 0.05).count_pmf()
+            with pytest.raises(AssertionError, match="poisson_binomial_dist"):
+                Independent(profile).count_pmf()
+        with pytest.raises(AssertionError, match="poisson_binomial_dist"):
+            PairModel(ErrorProfile([0.18] * 124 + [0.2, 0.3, 0.3]), 0.05).count_pmf()
+
+    @pytest.mark.parametrize("n", [26, 127, 1000])
+    def test_pair_of_other_rates_reads_the_binomial_row(self, n, monkeypatch):
+        # The corpus's pair profile: n - 2 rates of 0.18 and a pair (0.3,
+        # 0.25).  Its q row is _binomial_row(n - 2, 0.18), to the bit, and
+        # its positions among the n - 2 are the uniform subsets' draw.
+        model = PairModel(ErrorProfile([0.18] * (n - 2) + [0.3, 0.25]), 0.1)
+        row = prob_engine._binomial_row(n - 2, 0.18)
+        assert model.profile._padded(n - 2)[2:-2].tobytes() == row.tobytes()
+        assert model.profile._run == n - 2
+        # The run is the leading one alone, wherever the first rate differs.
+        assert [ErrorProfile(rates)._run for rates in
+                ([0.3], [0.1, 0.2, 0.2], [0.1, 0.1, 0.2, 0.1], [0.2] * 3)] == [1, 1, 2, 3]
+        monkeypatch.setattr(prob_engine, "_conditional_subsets",
+                            lambda *a: pytest.fail("conditional Bernoulli drawn"))
+        bits = model.sample(np.random.default_rng(3), 50)
+        assert bits.shape == (50, n)
 
     def test_exchangeable_large_n(self):
         n, e = 1000, 0.18
@@ -426,7 +485,7 @@ class TestRateCheck:
                 iid = ErrorProfile.iid(n, e)
                 assert checked == [1], (n, e)
                 copies = ErrorProfile([e] * n)
-                assert iid == copies and iid._rate == copies._rate == e
+                assert iid == copies and iid._run == copies._run == n
                 f = sum(pair_f_range(e, e)) / 2
                 for model in (Independent, lambda p: PairModel(p, f)):
                     got, want = model(iid).count_pmf(), model(copies).count_pmf()

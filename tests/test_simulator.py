@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimators: determinism, fidelity, ordering."""
 
+import itertools
 import math
 import sys
 import threading
@@ -26,12 +27,12 @@ from ecoc.prob_engine import (
     exact_decode_error,
 )
 from ecoc.simulator import (
-    CHUNK_TRIALS,
     MAX_DECODE_TRIALS,
     MAX_DECODE_WORK,
     MAX_WORKERS,
     SimConfig,
     _chunk_rng,
+    _far_block_rows,
     mc_decode_error,
     mc_threshold_error,
 )
@@ -81,21 +82,22 @@ class TestDeterminism:
         assert a.error_rate != b.error_rate
 
     @staticmethod
-    def _spans_chunks_and_blocks(model, code, trials, seed):
-        # Four chunks, whose first holds more than two decode blocks of far
-        # rows, so that the run sums chunks and each decodes block by block.
-        assert trials > 3 * CHUNK_TRIALS
-        far = model.count_far(_chunk_rng(seed, 0), CHUNK_TRIALS, code.far_flips)
-        assert far > 2 * _decode_rows(code)
+    def _spans_far_blocks(model, code, trials, seed):
+        # More far rows than one far-row block, each block more than two
+        # decode blocks, so that the run draws block after block from its
+        # one stream and decodes each in turn, the last cut short.
+        far = model.count_far(_chunk_rng(seed, 0), trials, code.far_flips)
+        assert far > _far_block_rows(code.n) > 2 * _decode_rows(code)
+        assert far % _far_block_rows(code.n)
 
-    # The worker-invariance tests run a decode of several chunks at the
-    # default worker count and at MAX_WORKERS: the same count, and no thread
-    # started at either.
+    # The worker-invariance tests run a decode of several far-row blocks at
+    # the default worker count and at MAX_WORKERS: the same count, and no
+    # thread started at either.
     def test_worker_count_invariance(self, threads):
         code = build_code_matrix(15)
         model = PairModel(ErrorProfile.iid(15, 0.3), _pair_f(0.3, 0.02))
-        trials = 3 * CHUNK_TRIALS + 7
-        self._spans_chunks_and_blocks(model, code, trials, seed=9)
+        trials = 3 * (1 << 15) + 7
+        self._spans_far_blocks(model, code, trials, seed=9)
         base = mc_decode_error(model, code, SimConfig(trials=trials, seed=9))
         cfg = SimConfig(trials=trials, seed=9, workers=MAX_WORKERS)
         assert mc_decode_error(model, code, cfg) == base
@@ -110,10 +112,11 @@ class TestDeterminism:
         assert threads == []
 
     def test_decode_worker_invariance_wide_code(self, threads):
-        # 127 classes and four chunks of the float32 correlation decoder.
+        # 127 classes and many far-row blocks of the float32 correlation
+        # decoder.
         code = build_code_matrix(127)
         model = ExchangeableModel(127, 0.3, 0.002)
-        trials = 3 * CHUNK_TRIALS + 7
+        trials = 3 * (1 << 15) + 7
         base = mc_decode_error(model, code, SimConfig(trials=trials, seed=11))
         assert 0.0 < base.error_rate < 1.0
         cfg = SimConfig(trials=trials, seed=11, workers=MAX_WORKERS)
@@ -122,15 +125,15 @@ class TestDeterminism:
 
     def test_tables_shared_by_threads_that_switch_often(self):
         # Decodes on more threads than cores, switched every microsecond,
-        # read one model's count row and its profile's q row and step
-        # table, each built on first use: a table two threads both build is
-        # the same table, so no count moves, and every kept table is
-        # read-only.
+        # read one model's count row and far-row CDF and its profile's q
+        # row and step table, each built on first use: a table two threads
+        # both build is the same table, so no count moves, and every kept
+        # table is read-only.
         def model():
-            return PairModel(ErrorProfile([0.25] * 13 + [0.3, 0.35]), 0.1)
+            return PairModel(ErrorProfile([0.2] + [0.25] * 12 + [0.3, 0.35]), 0.1)
 
         code = build_code_matrix(15)
-        cfg = SimConfig(trials=CHUNK_TRIALS, seed=21)
+        cfg = SimConfig(trials=1 << 15, seed=21)
         base = mc_decode_error(model(), code, cfg)
         shared, got = model(), []
         barrier = threading.Barrier(5)
@@ -151,14 +154,14 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert got == [base] * len(workers)
-        tables = [shared._count_row, *shared.profile._tables.values()]
-        assert len(tables) == 3 and not any(t.flags.writeable for t in tables)
+        tables = [shared._count_row, *shared._cdfs.values(), *shared.profile._tables.values()]
+        assert len(tables) == 4 and not any(t.flags.writeable for t in tables)
 
     def test_exchangeable_decode_worker_invariance(self, threads):
         code = build_code_matrix(15)
         model = ExchangeableModel(15, 0.3, 0.02)
-        trials = 3 * CHUNK_TRIALS + 7
-        self._spans_chunks_and_blocks(model, code, trials, seed=12)
+        trials = 3 * (1 << 15) + 7
+        self._spans_far_blocks(model, code, trials, seed=12)
         base = mc_decode_error(model, code, SimConfig(trials=trials, seed=12))
         cfg = SimConfig(trials=trials, seed=12, workers=MAX_WORKERS)
         assert mc_decode_error(model, code, cfg) == base
@@ -205,7 +208,7 @@ class TestWorkerBound:
         draws, count_far = [], Independent.count_far
         monkeypatch.setattr(Independent, "count_far",
                             lambda self, *a: draws.append(a[1:]) or count_far(self, *a))
-        trials = 2 * CHUNK_TRIALS + 1  # three chunks of a full-decode run
+        trials = (1 << 16) + 1
         base = mc_threshold_error(model, 1, SimConfig(trials=trials, seed=3))
         for workers in (1, 2, 3, 4, MAX_WORKERS):
             cfg = SimConfig(trials=trials, seed=3, workers=workers)
@@ -221,38 +224,39 @@ class TestWorkerBound:
 
 
 class TestDecodeTrialsCap:
-    """A full-decode estimate runs one chunk per CHUNK_TRIALS trials, so it
-    takes at most MAX_DECODE_TRIALS, and decodes classes * n multiply-adds
-    per far row, so trials * P(K >= far_flips) * classes * n is at most
-    MAX_DECODE_WORK, both checked before its first chunk; a threshold
-    estimate is one draw, so it takes any count SimConfig admits."""
+    """A full-decode estimate draws its far rows block by block, so it takes
+    at most MAX_DECODE_TRIALS, and decodes classes * n multiply-adds per far
+    row, so trials * P(K >= far_flips) * classes * n is at most
+    MAX_DECODE_WORK, both checked before its stream is opened (_chunk_rng,
+    the first step of the run); a threshold estimate is one draw, so it
+    takes any count SimConfig admits."""
 
-    class _FirstChunk(Exception):
+    class _Opened(Exception):
         pass
 
     @pytest.fixture
-    def no_chunk(self, monkeypatch):
-        def first_chunk(seed, j):
-            raise self._FirstChunk
+    def no_stream(self, monkeypatch):
+        def opened(seed, j):
+            raise self._Opened
 
-        monkeypatch.setattr(simulator, "_chunk_rng", first_chunk)
+        monkeypatch.setattr(simulator, "_chunk_rng", opened)
 
     def _decode(self, trials):
         code = build_code_matrix(8)
         model = Independent(ErrorProfile.iid(code.n, 0.1))
         return mc_decode_error(model, code, SimConfig(trials=trials))
 
-    def test_cap_plus_one_rejected_before_a_chunk(self, no_chunk):
+    def test_cap_plus_one_rejected_before_a_chunk(self, no_stream):
         cap = MAX_DECODE_TRIALS
         message = rf"^trials={cap + 1} outside 1\.\.{cap} for full-decode$"
         with pytest.raises(ValueError, match=message):
             self._decode(cap + 1)
 
-    def test_cap_reaches_the_first_chunk(self, no_chunk):
-        with pytest.raises(self._FirstChunk):
+    def test_cap_reaches_the_first_chunk(self, no_stream):
+        with pytest.raises(self._Opened):
             self._decode(MAX_DECODE_TRIALS)
 
-    def test_work_cap_plus_one_rejected_before_a_chunk(self, no_chunk):
+    def test_work_cap_plus_one_rejected_before_a_chunk(self, no_stream):
         # At e = 0.5 and 1000 classes every row is far: 10**6 multiply-adds
         # a trial.  At e = 0 no row is, and the trial cap alone binds.
         code = build_code_matrix(1000)
@@ -261,15 +265,15 @@ class TestDecodeTrialsCap:
         message = rf"^trials={cap + 1} outside 1\.\.{cap} for full-decode at 1e\+06 expected "
         with pytest.raises(ValueError, match=message):
             mc_decode_error(model, code, SimConfig(trials=cap + 1))
-        with pytest.raises(self._FirstChunk):
+        with pytest.raises(self._Opened):
             mc_decode_error(model, code, SimConfig(trials=cap))
-        with pytest.raises(self._FirstChunk):
+        with pytest.raises(self._Opened):
             mc_decode_error(Independent(ErrorProfile.iid(1000, 0.0)), code,
                             SimConfig(trials=MAX_DECODE_TRIALS))
         # At 64 classes and e = 1 a trial is 2**12 multiply-adds exactly: 2**29
         # trials spend the whole budget, which is admitted.
         code, model = build_code_matrix(64), Independent(ErrorProfile.iid(64, 1.0))
-        with pytest.raises(self._FirstChunk):
+        with pytest.raises(self._Opened):
             mc_decode_error(model, code, SimConfig(trials=1 << 29))
         with pytest.raises(ValueError, match=rf"^trials={(1 << 29) + 1} outside 1\.\.{1 << 29} "):
             mc_decode_error(model, code, SimConfig(trials=(1 << 29) + 1))
@@ -446,14 +450,14 @@ class TestPinnedStreams:
     """Counts of the samplers and the decoder; any change to the streams
     shows here.  Every model here has one rate, so each draws its counts
     first: a threshold estimate one binomial of all its trials, a
-    full-decode chunk the number of far rows, then their counts and
-    positions (the pair's one state uniform first, then 16-bit position
-    keys), then their classes."""
+    full-decode estimate the number of far rows, then for each far-row
+    block their counts and positions (the pair's one state uniform first,
+    then 16-bit position keys), then their classes."""
 
-    TRIALS = 2 * CHUNK_TRIALS + 5
+    TRIALS = (1 << 16) + 5
     # (n, e, c) -> model -> (threshold count at m = code.m, full-decode count)
     COUNTS = {
-        (26, 0.0686, 0.0058): {"iid": (475, 8), "pair": (476, 16), "exchangeable": (790, 27)},
+        (26, 0.0686, 0.0058): {"iid": (475, 17), "pair": (476, 14), "exchangeable": (790, 21)},
         (127, 0.18, 0.006): {"iid": (1735, 0), "pair": (1735, 0), "exchangeable": (4815, 0)},
     }
 
@@ -489,31 +493,35 @@ class TestPinnedStreams:
 
 
 class TestPinnedBlocks:
-    """Full-decode counts whose chunks decode many blocks: at 15 classes
-    and e = 0.3 a chunk has about 22,000-23,000 far rows, eleven decode
-    blocks of _decode_rows(code) = 2,184, and about half of its far rows
-    decode wrongly, so a row lost, repeated or misaligned with its class at
-    a block edge moves the count.  Taken before the decode was blocked."""
+    """Full-decode counts of many blocks: at 15 classes and e = 0.3 the
+    trials hold about 45,000 far rows, two far-row blocks of
+    _far_block_rows(15) and about twenty decode blocks of
+    _decode_rows(code) = 2,184, and about half of the far rows decode
+    wrongly, so a row lost, repeated or misaligned with its class at a
+    block edge moves the count.  Each count with the true class free lies
+    within 4 sigma of exact_decode_error."""
 
-    TRIALS = 2 * CHUNK_TRIALS + 5
+    TRIALS = (1 << 16) + 5
     E, C = 0.3, 0.02
     # model -> (full-decode count, the same with the true class pinned to 14)
     COUNTS = {
-        "iid": (33638, 41117),
-        "pair": (33829, 41115),
-        "exchangeable": (33056, 39506),
+        "iid": (33781, 41327),
+        "pair": (33749, 41298),
+        "exchangeable": (33290, 39667),
     }
 
     @pytest.mark.parametrize("kind", list(COUNTS))
     def test_counts(self, kind):
         code = build_code_matrix(15)
         model = TestPinnedStreams._model(kind, 15, self.E, self.C)
-        far = model.count_far(_chunk_rng(2024, 0), CHUNK_TRIALS, code.far_flips)
-        assert far > 8 * _decode_rows(code)
+        far = model.count_far(_chunk_rng(2024, 0), self.TRIALS, code.far_flips)
+        assert far > _far_block_rows(code.n) > 8 * _decode_rows(code)
         cfg = SimConfig(trials=self.TRIALS, seed=2024)
         free, pinned = self.COUNTS[kind]
         assert mc_decode_error(model, code, cfg).error_rate == free / self.TRIALS
         assert mc_decode_error(model, code, cfg, true_class=14).error_rate == pinned / self.TRIALS
+        exact = exact_decode_error(model, code)
+        assert abs(free / self.TRIALS - exact) <= 4 * math.sqrt(exact * (1 - exact) / self.TRIALS)
 
 
 class TestPinnedWidePositions:
@@ -523,8 +531,8 @@ class TestPinnedWidePositions:
     state, the 16-bit keys and their redraws, then the classes) moves them;
     TestPinnedStreams' 127-class decode counts are 0 and pin none of it."""
 
-    TRIALS = CHUNK_TRIALS + 5
-    COUNTS = {"iid": 802, "pair": 819, "exchangeable": 2105}
+    TRIALS = (1 << 15) + 5
+    COUNTS = {"iid": 768, "pair": 826, "exchangeable": 2081}
 
     @pytest.mark.parametrize("kind", list(COUNTS))
     def test_counts(self, kind):
@@ -557,30 +565,32 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", SAMPLE_CASES, ids=SAMPLE_IDS)
     def test_sample_counts_match_sample(self, model):
-        # On a Philox and on a PCG64 generator, count_far is one
-        # rng.binomial draw of count trials at P = P(K >= k_min), and draws
-        # nothing at k_min = 0.
+        # On three bit generators, from one state: count_far is an int, as
+        # many as sample_far keeps, and at k_min = 0 every trial with
+        # nothing drawn; and the far rows' counts, searched in the model's
+        # kept CDF, are those numpy's own Generator.choice draws over
+        # count_pmf truncated at k_min once count_far has drawn.
         n = model.n
         pmf = model.count_pmf()
-        for seed in range(3):
-            for make in (
-                lambda: _chunk_rng(seed, 0),
-                lambda: np.random.Generator(np.random.PCG64(seed)),
-            ):
-                ref = make()
-                bits = model.sample(ref, self.COUNT)
-                assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, n)
-                assert set(np.unique(bits)) <= {0, 1}
-                for k_min in sorted({0, 1, n // 2, n, n + 1}):
-                    rng = make()
-                    far = model.count_far(rng, self.COUNT, k_min)
-                    assert type(far) is int
-                    ref, want = make(), self.COUNT
-                    if k_min:
-                        p = math.fsum(pmf[k_min:]) / math.fsum(pmf)
-                        want = ref.binomial(self.COUNT, p)
-                    assert far == want
-                    assert _state(rng) == _state(ref)
+        for kind, seed in itertools.product(GENERATORS, range(3)):
+            def make():
+                return np.random.Generator(GENERATORS[kind](seed))
+
+            bits = model.sample(make(), self.COUNT)
+            assert bits.dtype == np.uint8 and bits.shape == (self.COUNT, n)
+            assert set(np.unique(bits)) <= {0, 1}
+            for k_min in sorted({0, 1, n // 2, n, n + 1}):
+                rng, ref = make(), make()
+                far = model.count_far(rng, self.COUNT, k_min)
+                assert type(far) is int
+                if not k_min:
+                    assert far == self.COUNT and _state(rng) == _state(make())
+                rows = model.sample_far(ref, self.COUNT, k_min)
+                assert len(rows) == far
+                if far:
+                    tail = pmf[k_min:]
+                    ks = k_min + rng.choice(tail.size, far, p=tail / tail.sum())
+                    assert np.array_equal(rows.sum(axis=1), ks), (kind, seed, k_min)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -694,7 +704,7 @@ class TestOneRateLaw:
         assert iid.count_pmf().tobytes() == exch.count_pmf().tobytes()
         code = build_code_matrix(n)
         for seed in (1, 2):
-            cfg = SimConfig(trials=CHUNK_TRIALS + 7, seed=seed)
+            cfg = SimConfig(trials=(1 << 15) + 7, seed=seed)
             assert mc_threshold_error(iid, code.m, cfg) == mc_threshold_error(exch, code.m, cfg)
             assert mc_decode_error(iid, code, cfg) == mc_decode_error(exch, code, cfg)
 
@@ -978,7 +988,8 @@ class TestUniformSubsets:
     @pytest.mark.parametrize("bound", [1 << 16, 4], ids=["16-bit", "4-valued"])
     @pytest.mark.parametrize("model", MODELS, ids=["iid", "exchangeable", "pair"])
     def test_chi_square_over_subsets(self, model, bound, monkeypatch):
-        monkeypatch.setattr(prob_engine, "_KEY_BOUND", bound)
+        keys = prob_engine._position_keys
+        monkeypatch.setattr(prob_engine, "_position_keys", lambda *a: keys(*a) & (bound - 1))
         bits = model.sample(_chunk_rng(17, 0), 120_000)
         if isinstance(model, PairModel):
             bits = bits[:, :-2]

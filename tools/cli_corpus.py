@@ -10,9 +10,9 @@ byte identity by running the script against each:
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_corpus.py
 
 The families are code, pmf, tail, bounds, bahadur, simulate (small trial
-counts, apart from a threshold and a full-decode command of two chunks'
-trials, each on one worker and on two, which print the same), analyze and
-figures.  Error cases are included; stderr is not hashed, so a reworded
+counts, apart from a threshold command and full-decode commands of many
+trials, one of them with more far rows than a far-row block holds, each on
+one worker and on two, which print the same), analyze and figures.  Error cases are included; stderr is not hashed, so a reworded
 message does not change a digest but a changed exit status does.  Inputs are fixed (bundled fixtures and seeded synthetic
 folds), so the digests depend only on the code under test.
 
@@ -200,12 +200,16 @@ def _simulate(_: Path) -> list[list[str]]:
         base = ["simulate", *model, "--trials", trials, "--seed", "11",
                 "--mode", "full-decode", "--format", "csv"]
         out += [base, base + ["--true-class", "0"], base + ["--workers", "3"]]
-    # Two chunks of trials at --workers 2, each beside its one-worker twin,
-    # which must print the same result: the worker count changes nothing.
-    for model, mode in ((["--model", "iid", "--n", "26", "--ebar", "0.1"], ["--m", "6"]),
-                        (model, ["--mode", "full-decode"])):
-        base = ["simulate", *model, *mode, "--trials", "40000", "--seed", "5",
-                "--format", "csv"]
+    # Runs at --workers 2, each beside its one-worker twin, which must print
+    # the same result: the worker count changes nothing.  The last holds
+    # about 54,000 far rows, three far-row blocks at 26 classes, the last
+    # cut short.
+    for model, mode, trials in (
+        (["--model", "iid", "--n", "26", "--ebar", "0.1"], ["--m", "6"], "40000"),
+        (model, ["--mode", "full-decode"], "40000"),
+        (["--model", "iid", "--n", "26", "--ebar", "0.3"], ["--mode", "full-decode"], "60000"),
+    ):
+        base = ["simulate", *model, *mode, "--trials", trials, "--seed", "5", "--format", "csv"]
         out += [base + ["--workers", "1"], base + ["--workers", "2"]]
     return out
 

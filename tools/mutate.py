@@ -82,7 +82,12 @@ BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 # module.  Keyed by scope, not line, so that an edit elsewhere in the module
 # leaves the entry matched; an entry that matches no mutant is reported.
 _PE = "src/ecoc/prob_engine.py"
+_CM = "src/ecoc/code_matrix.py"
 _UNIFORM_TIE = "a uniform double equals the cut with probability at most 2**-53 a draw"
+_CDF_ROUNDING = (
+    "the last division normalises the CDF either way, so its entries move by a few ulps: a "
+    "count moves only where a uniform falls between the two roundings, about 2**-52 a draw"
+)
 EQUIVALENT: dict[tuple[str, str, str, str], str] = {
     (_PE, "PairModel._positions", "u < (both + p10 * q1) / total",
      "u <= (both + p10 * q1) / total"): _UNIFORM_TIE,
@@ -99,6 +104,21 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
      "out[:, j:j + length] -= a[:, j, None] * b"):
         "a slice level negates its rows and the next convolve level (the top one, with one "
         "pair, at the latest) multiplies two negated rows: (-a)(-b) = ab exactly",
+    (_PE, "DependenceModel._far_rows.build", "tail / tail.sum()", "tail * tail.sum()"):
+        _CDF_ROUNDING,
+    (_PE, "DependenceModel._far_rows.build", "cdf /= cdf[-1]", "cdf *= cdf[-1]"): _CDF_ROUNDING,
+    (_PE, "_position_keys",
+     "rng.integers(0, 2 ** 64 - 1, endpoint=True, size=-(-size // 4), dtype=np.uint64)",
+     "rng.integers(1, 2 ** 64 - 1, endpoint=True, size=-(-size // 4), dtype=np.uint64)"):
+        "numpy draws [1, 2**64 - 1] by Lemire's method, which maps each raw word x to "
+        "1 + (x - 1) = x and draws again only at x = 0, 2**-64 a word",
+    (_CM, "_all_bits", "0", "1"):
+        "max(initial=1) differs from max(initial=0) only where every entry is 0, and both "
+        "are then at most 1",
+    (_CM, "_gram_min_distance", "signs[start:start + _MATRIX_CHUNK]",
+     "signs[start:start + _MATRIX_CHUNK + 1]"):
+        "the extra row is the next block's first: its diagonal entry is masked and its other "
+        "pairs are pairs the next block takes anyway, so the maximum is the same",
 }
 
 

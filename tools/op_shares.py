@@ -12,6 +12,10 @@ operation), largest share first, it prints:
 
 - count: its operations per round;
 - median ms: the median latency of its timed runs;
+- faults: the median number of minor page faults of its timed runs, the
+  growth of resource.getrusage's ru_minflt across the call, as
+  tools/sampler_floor.py counts it: pages the kernel mapped and
+  zero-filled for a buffer that was not reused;
 - share: its part of the summed latency of the timed rounds.
 
 The last line is the timed rounds' mix rate, operations per second with
@@ -29,6 +33,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import resource
 import statistics
 import sys
 import tempfile
@@ -40,7 +45,7 @@ from ecoc import experiment_io as xio
 from timing import aligned
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-HEADER = ("label", "count", "median ms", "share")
+HEADER = ("label", "count", "median ms", "faults", "share")
 
 
 def perfbench_module(name: str):
@@ -55,14 +60,16 @@ workloads = perfbench_module("workloads")
 bench_run = perfbench_module("run")
 
 
-def run_op(op: dict, folds: dict) -> float:
-    """Run one operation and return its latency in seconds."""
+def run_op(op: dict, folds: dict) -> tuple[float, int]:
+    """Run one operation and return its latency in seconds and its minor
+    page faults."""
     if op["kind"] == "write":
         truth, bits = folds[op["check"]["fold"]]
         data = xio.FoldData(fold_id=op["check"]["fold"], n=bits.shape[1],
                             true_classes=truth, bits=bits)
     sink = io.StringIO()
     rc = 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
@@ -73,37 +80,40 @@ def run_op(op: dict, folds: dict) -> float:
         except SystemExit as exc:
             rc = exc.code if isinstance(exc.code, int) else 1
     latency = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if rc:
         raise RuntimeError(f"{op['label']} exited {rc}: {sink.getvalue().strip()[-300:]}")
-    return latency
+    return latency, faults
 
 
 def shares(workload: str, seed: int, rounds: int, work_dir: Path) -> tuple[list[tuple], float]:
-    """Per label (label, count per round, median s, share), largest share
-    first, and the timed rounds' mix rate."""
+    """Per label (label, count per round, median s, median faults, share),
+    largest share first, and the timed rounds' mix rate."""
     [ops] = workloads.build_rounds(workload, seed, 1, work_dir)
     folds = workloads.fold_arrays(seed) if workload == "fold-ingest" else {}
     for op in ops:  # warm-up, untimed
         run_op(op, folds)
-    records, latencies = [], []
+    records, latencies, by_label = [], [], {}
     for _ in range(rounds):
         for op in ops:
-            latencies.append(run_op(op, folds))
+            latency, faults = run_op(op, folds)
+            latencies.append(latency)
             records.append({"label": op["label"]})
-    by_label: dict[str, list[float]] = {}
-    for record, latency in zip(records, latencies):
-        by_label.setdefault(record["label"], []).append(latency)
+            by_label.setdefault(op["label"], []).append((latency, faults))
     total = sum(latencies)
-    rows = [(label, len(times) // rounds, statistics.median(times), sum(times) / total)
-            for label, times in by_label.items()]
-    rows.sort(key=lambda row: -row[3])
+    rows = []
+    for label, runs in by_label.items():
+        times, faults = zip(*runs)
+        rows.append((label, len(runs) // rounds, statistics.median(times),
+                     statistics.median(faults), sum(times) / total))
+    rows.sort(key=lambda row: -row[4])
     return rows, bench_run.mix_rate(records, latencies)
 
 
 def table(rows: list[tuple], rate: float) -> str:
     lines = aligned([HEADER] + [
-        (label, str(count), f"{median * 1e3:.3f}", f"{share:.1%}")
-        for label, count, median, share in rows
+        (label, str(count), f"{median * 1e3:.3f}", f"{faults:.0f}", f"{share:.1%}")
+        for label, count, median, faults, share in rows
     ])
     return f"{lines}\nmix rate {rate:.0f} ops/s"
 

@@ -10,9 +10,13 @@ modes (threshold at m = code.m, full-decode), it prints:
 - faults: the median number of minor page faults of a run (the growth of
   resource.getrusage's ru_minflt across it), each a page the kernel
   mapped and zero-filled for the process, counted after the timing in a
-  loop of --repeat runs after one more untimed warm-up run.  A decode
-  buffer above glibc's 128 KiB mmap threshold is mapped afresh for every
-  chunk, so it shows here as hundreds of faults per run.
+  loop of --repeat runs after one more untimed warm-up run.  A buffer
+  that is mapped afresh for every far-row block or decode block, rather
+  than reused from the heap, shows here as hundreds of faults per run.
+
+Each estimate draws from one stream: a threshold run one binomial, a
+full-decode run the number of its far rows, then the far rows block by
+block (simulator.FAR_BLOCK_BYTES), each decoded before the next is drawn.
 
 The operating points are the benchmark's: 26 classes at e = 0.0686,
 c = 0.0058 and 127 classes at e = 0.18, c = 0.006; the pair's joint error
